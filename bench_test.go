@@ -166,25 +166,20 @@ func BenchmarkSweepTopo64(b *testing.B) {
 
 // BenchmarkSweepClassWSteady measures what the steady-state fast-forward
 // buys at the paper-scale class: SP's full Figure 4 column (12 cells) at
-// Class W, simulated in full versus detected-and-extrapolated. The
-// steady sub-case pins PeriodK=1 — the original period-one detector, so
-// its BENCH_host.json trajectory stays comparable — while periodk runs
-// the full orbit cap plus the campaign fast-forward: periodk/steady is
-// what PR 9's generalisation adds on top, steady/plain the historical
-// end-to-end win. All variants share cold-start prefixes and the
-// tail-verify cache through the sweep cache.
+// Class W, simulated in full versus detected-and-extrapolated. Both
+// variants share cold-start prefixes and the tail-verify cache through
+// the sweep cache.
 func BenchmarkSweepClassWSteady(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		steady  bool
-		periodK int
-	}{{"plain", false, 0}, {"steady", true, 1}, {"periodk", true, 0}} {
+		name   string
+		steady bool
+	}{{"plain", false}, {"steady", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := upmgo.SweepRunner{Cache: upmgo.NewSweepCache()}
 				if _, err := r.Figure4(context.Background(), upmgo.SweepOptions{
 					Class: upmgo.ClassW, Benches: []string{"SP"}, Seed: benchSeed,
-					Steady: mode.steady, Extrapolate: true, PeriodK: mode.periodK,
+					Steady: mode.steady, Extrapolate: true,
 				}); err != nil {
 					b.Fatal(err)
 				}

@@ -44,10 +44,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 42, "workload seed")
 	threads := fs.Int("threads", 0, "team size (0 = all simulated CPUs)")
 	steady := fs.Bool("steady", false, "detect the steady state and fast-forward the remaining iterations")
-	extrapolate := fs.Bool("extrapolate", true, "with -steady: extrapolate the tail once detected (false = detection-only)")
-	periodk := fs.Int("periodk", 0, "with -steady: cap the detector's orbit length (0 = default cap 8, 1 = period-one only)")
-	campaign := fs.Bool("campaign", true, "with -steady: analytically fast-forward a converging kernel-migration campaign (false = simulate it)")
-	elide := fs.Bool("elide", false, "arm the resident-elision fast path (bit-identical results)")
 	verbose := fs.Bool("v", false, "print per-iteration times")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -57,17 +53,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := upmgo.NASConfig{
-		Iterations:    *iters,
-		ComputeScale:  *scale,
-		Seed:          *seed,
-		Threads:       *threads,
-		KernelMig:     *kmigOn,
-		SkipVerify:    *scale > 1,
-		SteadyState:   *steady,
-		Extrapolate:   *steady && *extrapolate,
-		PeriodK:       *periodk,
-		NoCampaignFF:  !*campaign,
-		ResidentElide: *elide,
+		Iterations:   *iters,
+		ComputeScale: *scale,
+		Seed:         *seed,
+		Threads:      *threads,
+		KernelMig:    *kmigOn,
+		SkipVerify:   *scale > 1,
+		SteadyState:  *steady,
+		Extrapolate:  *steady,
 	}
 	switch strings.ToUpper(*class) {
 	case "S":
@@ -115,10 +108,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  UPMlib         %d migrations (%d in the first invocation), %d replays, %d undos, %d frozen\n",
 			r.UPM.Migrations, r.UPM.FirstInvocation, r.UPM.ReplayMigrations, r.UPM.UndoMigrations, r.UPM.Frozen)
 		fmt.Fprintf(stdout, "  UPMlib cost    %.4f virtual s on the critical path\n", float64(r.UPM.OverheadPS)/1e12)
-	}
-	if r.CampaignIters > 0 {
-		fmt.Fprintf(stdout, "  campaign       drained %d iterations analytically at iteration %d\n",
-			r.CampaignIters, r.CampaignAt)
 	}
 	if r.SteadyAt != 0 {
 		period := r.SteadyPeriod

@@ -190,14 +190,32 @@ func TestBadRequests(t *testing.T) {
 	_, ts := startServer(t)
 	for _, tc := range []struct {
 		name, body string
+		want       string // substring the error body must contain; "" = any
 	}{
-		{"unknown kind", `{"kind":"figure9","options":{}}`},
-		{"not json", `not json`},
-		{"unknown field", `{"kind":"figure1","options":{},"surprise":1}`},
-		{"bad class", `{"kind":"figure1","options":{"class":"Z"}}`},
+		{"unknown kind", `{"kind":"figure9","options":{}}`, ""},
+		{"not json", `not json`, ""},
+		{"unknown field", `{"kind":"figure1","options":{},"surprise":1}`, "surprise"},
+		{"bad class", `{"kind":"figure1","options":{"class":"Z"}}`, ""},
+		// Options that no longer exist are refused by name, never
+		// silently ignored.
+		{"removed period_k", `{"kind":"figure1","options":{"period_k":1}}`, "period_k"},
+		{"removed no_campaign_ff", `{"kind":"figure1","options":{"no_campaign_ff":true}}`, "no_campaign_ff"},
+		{"removed resident_elide", `{"kind":"figure1","options":{"resident_elide":true}}`, "resident_elide"},
 	} {
-		if _, resp := postJob(t, ts, tc.body); resp.StatusCode != http.StatusBadRequest {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: got %s, want 400", tc.name, resp.Status)
+		}
+		if !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: error body %q does not name %q", tc.name, body, tc.want)
 		}
 	}
 

@@ -209,19 +209,6 @@ type SweepOptions struct {
 	// detection-only: full simulation plus Result.SteadyAt.
 	Steady      bool `json:"steady,omitempty"`
 	Extrapolate bool `json:"extrapolate,omitempty"`
-	// PeriodK caps the steady detector's orbit length per cell
-	// (nas.Config.PeriodK): 0 = the default cap (8), 1 = period-one
-	// detection only. Meaningful only with Steady.
-	PeriodK int `json:"period_k,omitempty"`
-	// NoCampaignFF disables the analytic campaign fast-forward on cells
-	// where it would otherwise arm (extrapolating kernel-migration runs);
-	// detection and extrapolation still apply. For A/B timing — results
-	// are bit-identical either way.
-	NoCampaignFF bool `json:"no_campaign_ff,omitempty"`
-	// ResidentElide arms the machine's resident-elision fast path on
-	// every cell (nas.Config.ResidentElide). Bit-identical by proof;
-	// never part of a cell's fingerprint.
-	ResidentElide bool `json:"resident_elide,omitempty"`
 	// Topo runs every cell on a machine of this shape (a
 	// topology.ParseShape string or preset — "4x2x8", "hier64",
 	// "cube:2x2x2") instead of the class default. For the toposcale sweep
@@ -266,7 +253,6 @@ func Figure1Specs(o SweepOptions) []CellSpec {
 					Class: o.Class, Placement: p, KernelMig: km,
 					Seed: o.Seed, Iterations: o.Iterations, Threads: o.Threads,
 					SteadyState: o.Steady, Extrapolate: o.Steady && o.Extrapolate,
-					PeriodK: o.PeriodK, NoCampaignFF: o.NoCampaignFF, ResidentElide: o.ResidentElide,
 					Topo: o.Topo,
 				}})
 			}
@@ -292,7 +278,6 @@ func Figure4Specs(o SweepOptions) []CellSpec {
 					Class: o.Class, Placement: p, KernelMig: mode.km, UPM: mode.upm,
 					Seed: o.Seed, Iterations: o.Iterations, Threads: o.Threads,
 					SteadyState: o.Steady, Extrapolate: o.Steady && o.Extrapolate,
-					PeriodK: o.PeriodK, NoCampaignFF: o.NoCampaignFF, ResidentElide: o.ResidentElide,
 					Topo: o.Topo,
 				}})
 			}
@@ -370,7 +355,6 @@ func Table2Specs(o SweepOptions) []CellSpec {
 				Class: o.Class, Placement: p, UPM: nas.UPMDistribute,
 				Seed: o.Seed, Iterations: o.Iterations, Threads: o.Threads,
 				SteadyState: o.Steady, Extrapolate: o.Steady && o.Extrapolate,
-				PeriodK: o.PeriodK, NoCampaignFF: o.NoCampaignFF, ResidentElide: o.ResidentElide,
 				Topo: o.Topo,
 			}})
 		}
@@ -449,9 +433,6 @@ func Figure5Specs(o SweepOptions) []CellSpec {
 			cfg.ComputeScale = o.Scale
 			cfg.SteadyState = o.Steady
 			cfg.Extrapolate = o.Steady && o.Extrapolate
-			cfg.PeriodK = o.PeriodK
-			cfg.NoCampaignFF = o.NoCampaignFF
-			cfg.ResidentElide = o.ResidentElide
 			cfg.Topo = o.Topo
 			// Repeating each phase body in place (the paper's synthetic
 			// scaling) changes the numerics, exactly as in the paper,

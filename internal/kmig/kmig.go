@@ -19,7 +19,6 @@ import (
 
 	"upmgo/internal/machine"
 	"upmgo/internal/trace"
-	"upmgo/internal/vm"
 )
 
 // Config tunes the kernel engine.
@@ -73,8 +72,6 @@ type Engine struct {
 	migrations int64
 	rejected   int64 // candidates dropped by the per-scan throttle
 	costPS     int64 // total picoseconds charged
-
-	obs func(ScanSample) // campaign observer, nil when unset
 
 	row []uint32 // scratch counter row
 }
@@ -163,7 +160,7 @@ func (e *Engine) AppendCounterNames(dst []string) []string {
 // lastScan advances with its proven delta too: on a periodic orbit the
 // last scan time moves forward by exactly the cycle's span, which keeps
 // the MinScanPS gate's phase correct if charged simulation ever resumes
-// after the jump (the analytic campaign drain does resume it).
+// after the jump.
 func (e *Engine) ApplyCounterDelta(delta []int64, k int64) {
 	if len(delta) != e.CounterLen() {
 		panic("kmig: counter delta length mismatch")
@@ -174,21 +171,6 @@ func (e *Engine) ApplyCounterDelta(delta []int64, k int64) {
 	e.rejected += delta[3] * k
 	e.costPS += delta[4] * k
 	e.lastScan += delta[5] * k
-}
-
-// ScanCursor is the engine's barrier-gating state: everything the hook
-// reads to decide whether a barrier scans. The analytic campaign drain
-// (internal/nas) advances a private cursor over a cloned page table with
-// StepBarrier — the exact code path the live hook runs — and installs it
-// with CommitCampaign, so drained and simulated gating are identical by
-// construction.
-type ScanCursor struct {
-	Barriers, Scans, LastScan int64
-}
-
-// Cursor returns the engine's current gating state.
-func (e *Engine) Cursor() ScanCursor {
-	return ScanCursor{Barriers: e.barriers, Scans: e.scans, LastScan: e.lastScan}
 }
 
 // GatePhase returns the ScanEvery gate's modular position — the one piece
@@ -205,66 +187,29 @@ func (e *Engine) GatePhase() int64 {
 	return 0
 }
 
-// ScanSample reports one completed scan to a campaign observer: its
-// ordinal, the pages it moved, the candidates the throttle rejected, the
-// cost it charged and the barrier time it ran at.
-type ScanSample struct {
-	Scan     int64
-	Moved    int
-	Rejected int64
-	Cost     int64
-	Now      int64
-}
-
-// SetObserver registers a callback invoked after every live scan (never
-// during a drain). Observation only — the callback must not mutate
-// simulation state.
-func (e *Engine) SetObserver(fn func(ScanSample)) { e.obs = fn }
-
-// Resolved returns the engine's configuration with defaults applied.
-func (e *Engine) Resolved() Config { return e.cfg }
-
-// CommitCampaign installs the gating cursor and adds the counter totals
-// a drained campaign computed with StepBarrier. The migration count is
-// not added here: the drain runs pt.Migrate against a clone that then
-// becomes the live page table, so the page-table tally is already real —
-// only the engine's own cumulative counters need the totals.
-func (e *Engine) CommitCampaign(cur ScanCursor, migrations, rejected, cost int64) {
-	e.barriers, e.scans, e.lastScan = cur.Barriers, cur.Scans, cur.LastScan
-	e.migrations += migrations
-	e.rejected += rejected
-	e.costPS += cost
-}
-
-// ScanResult is one StepBarrier outcome. Scanned is false when a gate
-// (ScanEvery, MinScanPS) suppressed the scan.
-type ScanResult struct {
-	Scanned  bool
-	Moved    int
-	Rejected int64
-	Cost     int64
-	Moves    []trace.PageMove // nil unless collectMoves
-}
-
-// StepBarrier advances cur through one barrier at time now against pt:
-// the gating, scanning and migration logic of the live hook, operating
-// on caller-provided state. It mutates pt (migrations, counter resets,
-// decay) and cur but never the engine's own counters.
-func (e *Engine) StepBarrier(cur *ScanCursor, pt *vm.PageTable, now int64, collectMoves bool) ScanResult {
-	cur.Barriers++
-	if e.cfg.ScanEvery > 1 && cur.Barriers%int64(e.cfg.ScanEvery) != 0 {
-		return ScanResult{}
+// hook runs at every barrier: scan the allocated pages, apply the
+// competitive criterion, migrate up to MaxPerScan pages, reset the moved
+// pages' counters, and return the overhead to add to the barrier time.
+func (e *Engine) hook(now int64) int64 {
+	if !e.enabled {
+		return 0
 	}
-	if e.cfg.MinScanPS > 0 && cur.LastScan != math.MinInt64 && now-cur.LastScan < e.cfg.MinScanPS {
-		return ScanResult{}
+	e.barriers++
+	if e.cfg.ScanEvery > 1 && e.barriers%int64(e.cfg.ScanEvery) != 0 {
+		return 0
 	}
-	cur.LastScan = now
-	cur.Scans++
+	if e.cfg.MinScanPS > 0 && e.lastScan != math.MinInt64 && now-e.lastScan < e.cfg.MinScanPS {
+		return 0
+	}
+	e.lastScan = now
+	e.scans++
+	pt := e.m.PT
 	moved := 0
-	var rejected, cost int64
+	var cost int64
 	perPage := e.m.MigrationCost()
 	npages := e.m.AllocatedPages()
-	decay := e.cfg.DecayEvery > 0 && cur.Scans%int64(e.cfg.DecayEvery) == 0
+	decay := e.cfg.DecayEvery > 0 && e.scans%int64(e.cfg.DecayEvery) == 0
+	trc := e.m.Tracer()
 	var moves []trace.PageMove
 	for vpn := uint64(0); vpn < npages; vpn++ {
 		home := pt.Home(vpn)
@@ -286,52 +231,31 @@ func (e *Engine) StepBarrier(cur *ScanCursor, pt *vm.PageTable, now int64, colle
 			continue
 		}
 		if moved >= e.cfg.MaxPerScan {
-			rejected++
+			e.rejected++
 			continue
 		}
 		if res := pt.Migrate(vpn, best); res.Moved {
 			moved++
+			e.migrations++
 			cost += perPage
 			pt.ResetCounters(vpn)
-			if collectMoves {
+			if trc != nil {
 				moves = append(moves, trace.PageMove{VPN: vpn, From: res.From, To: res.Dest})
 			}
 		}
 	}
-	return ScanResult{Scanned: true, Moved: moved, Rejected: rejected, Cost: cost, Moves: moves}
-}
-
-// hook runs at every barrier: scan the allocated pages, apply the
-// competitive criterion, migrate up to MaxPerScan pages, reset the moved
-// pages' counters, and return the overhead to add to the barrier time.
-func (e *Engine) hook(now int64) int64 {
-	if !e.enabled {
-		return 0
-	}
-	cur := e.Cursor()
-	trc := e.m.Tracer()
-	r := e.StepBarrier(&cur, e.m.PT, now, trc != nil)
-	e.barriers, e.scans, e.lastScan = cur.Barriers, cur.Scans, cur.LastScan
-	if !r.Scanned {
-		return 0
-	}
-	e.migrations += int64(r.Moved)
-	e.rejected += r.Rejected
-	e.costPS += r.Cost
-	if e.obs != nil {
-		e.obs(ScanSample{Scan: e.scans, Moved: r.Moved, Rejected: r.Rejected, Cost: r.Cost, Now: now})
-	}
+	e.costPS += cost
 	if trc != nil {
 		trc.Emit(trace.Event{Time: now, CPU: trace.KernelCPU, Kind: trace.EvKmigScan,
-			Arg0: int64(r.Moved), Arg1: r.Cost})
-		if r.Moved > 0 {
+			Arg0: int64(moved), Arg1: cost})
+		if moved > 0 {
 			trc.Emit(trace.Event{Time: now, CPU: trace.KernelCPU, Kind: trace.EvKmigMigrate,
-				Arg0: int64(r.Moved), Pages: r.Moves})
+				Arg0: int64(moved), Pages: moves})
 			// The interrupt-driven engine pays one shootdown round per page
 			// (MigrationCost), unlike UPMlib's batched single round.
 			trc.Emit(trace.Event{Time: now, CPU: trace.KernelCPU, Kind: trace.EvShootdown,
-				Name: "kmig", Arg0: int64(r.Moved)})
+				Name: "kmig", Arg0: int64(moved)})
 		}
 	}
-	return r.Cost
+	return cost
 }

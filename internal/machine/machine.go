@@ -160,19 +160,6 @@ type Machine struct {
 	// outputs are unaffected by construction: the rows feed only kmig
 	// scans, UPMlib invocations and the metrics sampler.
 	refCounting bool
-
-	// Resident-elision fast path: when residentElide is on and a CPU's
-	// bulk read run exactly repeats its previous one with no intervening
-	// accesses, the run is re-validated against the caches (every line
-	// still resident at the coherence directory's current version, the
-	// read path's shared-flag CAS provably a no-op) and replayed as flat
-	// counter arithmetic instead of the full per-unit walk. Validation is
-	// self-contained — nothing from the recorded run is trusted — so the
-	// replay is bit-identical by proof, not by bookkeeping. elideArmed
-	// gates the path per page: only runs entirely within armed pages are
-	// considered (the NAS driver arms the kernel's hot arrays).
-	residentElide bool
-	elideArmed    []bool // indexed by vpn
 }
 
 // SetTracer attaches an event tracer to the machine; nil detaches it.
@@ -209,46 +196,6 @@ func (m *Machine) SetRefCounting(on bool) { m.refCounting = on }
 
 // RefCounting reports whether page reference counters accumulate.
 func (m *Machine) RefCounting() bool { return m.refCounting }
-
-// SetResidentElide switches the resident-elision fast path on or off (see
-// the residentElide field). Off by default; runs with it on are
-// bit-identical to runs without it — the per-run validation proves every
-// elided charge equals what the full walk would have produced.
-func (m *Machine) SetResidentElide(on bool) { m.residentElide = on }
-
-// ResidentElide reports whether the resident-elision fast path is armed.
-func (m *Machine) ResidentElide() bool { return m.residentElide }
-
-// ArmResidentPages marks the given [start,end) vpn ranges as candidates
-// for resident elision. Arming is additive; pages outside every armed
-// range always take the full access path.
-func (m *Machine) ArmResidentPages(ranges [][2]uint64) {
-	for _, r := range ranges {
-		if r[1] > uint64(len(m.elideArmed)) {
-			grown := make([]bool, r[1])
-			copy(grown, m.elideArmed)
-			m.elideArmed = grown
-		}
-		for vpn := r[0]; vpn < r[1]; vpn++ {
-			m.elideArmed[vpn] = true
-		}
-	}
-}
-
-// pagesArmed reports whether every page the byte span [addr,last] touches
-// is armed for resident elision.
-func (m *Machine) pagesArmed(addr, last uint64) bool {
-	end := last >> m.pageShift
-	if end >= uint64(len(m.elideArmed)) {
-		return false
-	}
-	for vpn := addr >> m.pageShift; vpn <= end; vpn++ {
-		if !m.elideArmed[vpn] {
-			return false
-		}
-	}
-	return true
-}
 
 // New builds a machine. Zero fields of cfg that have a default are filled
 // in from DefaultConfig.
@@ -393,16 +340,6 @@ func (m *Machine) VPN(addr uint64) uint64 { return addr >> m.pageShift }
 // AddBarrierHook registers fn to run at every barrier settlement.
 func (m *Machine) AddBarrierHook(fn BarrierHook) { m.hooks = append(m.hooks, fn) }
 
-// AddBarrierHookFront registers fn to run before every already-registered
-// barrier hook. An observer registered this way sees the settled barrier
-// time before any engine hook charges its cost — the campaign observer
-// (internal/nas) uses this to record the time the kernel engine's hook is
-// about to receive, even though the engine attached first. A front hook
-// that returns 0 leaves the settlement bit-identical.
-func (m *Machine) AddBarrierHookFront(fn BarrierHook) {
-	m.hooks = append([]BarrierHook{fn}, m.hooks...)
-}
-
 // Alloc reserves n bytes of simulated address space, page-aligned so that
 // distinct arrays never share a page, and returns the base address.
 func (m *Machine) Alloc(n int) uint64 {
@@ -542,11 +479,6 @@ func (m *Machine) AppendCounterNames(dst []string) []string {
 	return append(dst, "pt_faults", "pt_migrations", "pt_replicas", "pt_collapses")
 }
 
-// CountersPerCPU returns the per-CPU stride of the AppendCounters layout,
-// so consumers that must classify entries structurally (the campaign
-// observer's clock-vs-frozen split) need not hard-code it.
-func (m *Machine) CountersPerCPU() int { return countersPerCPU }
-
 // ApplyCounterDelta advances every counter AppendCounters reports by k
 // repetitions of the per-iteration delta vector — the steady-state
 // fast-forward. delta must have CounterLen elements laid out exactly as
@@ -627,22 +559,6 @@ type CPU struct {
 
 	nodeAcc []int64 // memory accesses per home node in the current region
 	stat    CPUStats
-
-	// Resident-elision repeat memo: the key of the last all-hit bulk read
-	// run this CPU performed, and the Accesses count right after it. A new
-	// run attempts the elided replay only when it repeats the key with no
-	// intervening accesses (stat.Accesses still equals repAcc) — the
-	// solver pattern of reading the same field twice in one stencil. The
-	// memo is a heuristic only: replay re-proves every condition against
-	// live cache and directory state, so a stale memo can cost a failed
-	// validation walk but never a wrong charge. Clones start memo-free.
-	repOK     bool
-	repAddr   uint64
-	repN      int
-	repStride uint64
-	repAcc    uint64
-	repSlots  []int32 // scratch reused across replays
-	repCounts []int32
 }
 
 // CPUStats counts this CPU's memory-system events.
@@ -728,22 +644,6 @@ func (c *CPU) touchRun(addr uint64, n int, stride uint64, write bool) {
 		}
 		return
 	}
-	// Resident elision: an exact, immediate repeat of the previous all-hit
-	// read run over armed pages replays as flat counter arithmetic. When
-	// the replay's validation fails (or the memo does not match) the run
-	// falls through to the full walk, which re-arms the memo if it turns
-	// out all-hit again.
-	arming := false
-	var armMiss uint64
-	if m.residentElide && !write && stride&(stride-1) == 0 && stride <= uint64(m.Cfg.L1Line) {
-		if last := addr + uint64(n-1)*stride; m.pagesArmed(addr, last) {
-			if c.repOK && addr == c.repAddr && n == c.repN && stride == c.repStride &&
-				c.stat.Accesses == c.repAcc && c.replayRun(addr, last, n, stride) {
-				return
-			}
-			arming, armMiss = true, c.stat.L1Miss
-		}
-	}
 	lat := &m.Lat
 	c.stat.Accesses += uint64(n)
 	tracking := write && m.PT.WriteTracking()
@@ -752,7 +652,6 @@ func (c *CPU) touchRun(addr uint64, n int, stride uint64, write bool) {
 	// path with no segmentation loops.
 	if last := addr + uint64(n-1)*stride; last>>m.cohShift == addr>>m.cohShift && !tracking {
 		c.touchUnit(addr, last, n, stride, write)
-		c.armRepeat(arming, armMiss, addr, n, stride)
 		return
 	}
 	// Segment lengths divide the distance to the next boundary by the
@@ -880,82 +779,6 @@ func (c *CPU) touchRun(addr uint64, n int, stride uint64, write bool) {
 		}
 		i += nPage
 	}
-	c.armRepeat(arming, armMiss, addr, n, stride)
-}
-
-// armRepeat records the just-completed bulk read run as the CPU's repeat
-// memo when it qualified for elision (arming) and turned out all-hit (no
-// L1 miss was charged since armMiss was sampled).
-func (c *CPU) armRepeat(arming bool, armMiss uint64, addr uint64, n int, stride uint64) {
-	if arming && c.stat.L1Miss == armMiss {
-		c.repOK = true
-		c.repAddr, c.repN, c.repStride = addr, n, stride
-		c.repAcc = c.stat.Accesses
-	}
-}
-
-// replayRun validates and performs one elided repeat of a read run. The
-// proof obligations, all checked against live state:
-//
-//   - every coherence unit's directory word permits a no-op read: this
-//     CPU is the last writer or the shared flag is already set, so the
-//     normal path's best-effort CAS would not have changed the word;
-//   - every L1 line the run touches is resident with stored version equal
-//     to the unit's current directory version, so every access is a hit
-//     and the hit path's version re-stamp writes back the same value.
-//
-// Both passed, the run's only effects are Accesses += n, clock advance at
-// the L1-hit rate, and the L1 hit/tick/LRU-stamp updates — which Replay
-// applies with the exact cumulative tick values the per-line walk would
-// have produced. Validation mutates nothing, so a false return leaves the
-// machine untouched for the full walk.
-func (c *CPU) replayRun(addr, last uint64, n int, stride uint64) bool {
-	m := c.m
-	firstLine := addr >> m.l1Shift
-	nLines := int(last>>m.l1Shift-firstLine) + 1
-	me := uint32(c.ID)
-	slots := c.repSlots[:0]
-	var ok bool
-	for unit, end := addr>>m.cohShift, last>>m.cohShift; unit <= end; unit++ {
-		word := atomic.LoadUint32(&m.lineState[unit])
-		if (word>>1)&0xff != me && word&1 == 0 {
-			return false
-		}
-		lo := unit << m.cohShift
-		if lo < addr {
-			lo = addr
-		}
-		hi := (unit+1)<<m.cohShift - 1
-		if hi > last {
-			hi = last
-		}
-		un := int(hi>>m.l1Shift-lo>>m.l1Shift) + 1
-		if slots, ok = c.l1.ResidentRun(lo, un, word>>9, slots); !ok {
-			return false
-		}
-	}
-	// Per-line element counts are pure geometry: the first line holds the
-	// elements up to its boundary, full lines L1Line/stride each, the last
-	// line the remainder.
-	counts := c.repCounts[:0]
-	if nLines == 1 {
-		counts = append(counts, int32(n))
-	} else {
-		shift := uint(bits.TrailingZeros64(stride))
-		first := int(((firstLine+1)<<m.l1Shift-1-addr)>>shift) + 1
-		perLine := int(uint64(m.Cfg.L1Line) >> shift)
-		counts = append(counts, int32(first))
-		for i := 1; i < nLines-1; i++ {
-			counts = append(counts, int32(perLine))
-		}
-		counts = append(counts, int32(n-first-(nLines-2)*perLine))
-	}
-	c.repSlots, c.repCounts = slots, counts
-	c.l1.Replay(slots, counts)
-	c.stat.Accesses += uint64(n)
-	c.clock += int64(n) * m.Lat.L1Hit
-	c.repAcc = c.stat.Accesses
-	return true
 }
 
 // touchUnit charges a run that lies entirely within one coherence unit

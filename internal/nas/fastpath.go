@@ -21,18 +21,11 @@ type FastPath struct {
 	// Extrapolated: the trailing iterations were fast-forwarded
 	// analytically (Result.ExtrapolatedIters of them).
 	Extrapolated bool `json:"extrapolated,omitempty"`
-	// CampaignFF: a kernel-migration campaign was drained in closed form
-	// (Result.CampaignIters iterations).
-	CampaignFF bool `json:"campaign_ff,omitempty"`
-	// ResidentElide: page-granular charging elision was armed
-	// (Config.ResidentElide). Results are bit-identical either way; the
-	// flag records only where the host time went.
-	ResidentElide bool `json:"resident_elide,omitempty"`
 	// TailCacheHit: the free-run verification tail was skipped because a
 	// numerically identical run had already verified (Config.TailCache).
 	TailCacheHit bool `json:"tail_cache_hit,omitempty"`
 	// WhyNot explains why fast-forwarding declined. Nil when it engaged
-	// (Extrapolated or CampaignFF), or when SteadyState was never armed.
+	// (Extrapolated), or when SteadyState was never armed.
 	WhyNot *WhyNot `json:"why_not,omitempty"`
 }
 
@@ -58,12 +51,11 @@ const (
 	// remained.
 	WhyNotPerturbed WhyNotReason = "perturbed"
 	// WhyNotPeriodBeyondCap: the reference string does repeat, but with a
-	// period above the detector's cap (Config.PeriodK, default 8) — the
-	// adversarial fallback: such runs simulate in full by design.
+	// period above the detector's cap (8) — the adversarial fallback:
+	// such runs simulate in full by design.
 	WhyNotPeriodBeyondCap WhyNotReason = "period_beyond_cap"
 	// WhyNotHomesMoving: the page-home map never went stationary — an
-	// ongoing migration campaign the analytic drain could not prove
-	// deterministic (the incompressible kmig cells).
+	// ongoing migration campaign (the incompressible kmig cells).
 	WhyNotHomesMoving WhyNotReason = "homes_moving"
 	// WhyNotAperiodic: the counter deltas themselves never repeated; the
 	// reference string is genuinely aperiodic at every period tried.
@@ -119,7 +111,7 @@ func (w *WhyNot) String() string {
 	case WhyNotPeriodBeyondCap:
 		return fmt.Sprintf("reference string repeats with period %d, beyond the detector's cap: simulated in full by design", w.BestPeriod)
 	case WhyNotHomesMoving:
-		return fmt.Sprintf("page-home map kept moving (%d of %d iterations): an ongoing migration campaign the analytic drain could not prove deterministic",
+		return fmt.Sprintf("page-home map kept moving (%d of %d iterations): an ongoing migration campaign",
 			w.HomeMoves, w.Observed)
 	case WhyNotAperiodic:
 		return fmt.Sprintf("counter deltas never repeated: %s diverged on the best candidate (period %d, streak %d/%d)",
@@ -157,7 +149,7 @@ type HostStages struct {
 	// Extrapolate: applying the proven cycle deltas analytically.
 	Extrapolate time.Duration `json:"extrapolate,omitempty"`
 	// FreeRunTail: re-executing remaining steps in free-run mode for the
-	// numerics (the extrapolation tail and analytic campaign drains).
+	// numerics (the extrapolation tail).
 	FreeRunTail time.Duration `json:"free_run_tail,omitempty"`
 	// Verify: the numerical check.
 	Verify time.Duration `json:"verify,omitempty"`

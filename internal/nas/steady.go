@@ -49,11 +49,11 @@ import (
 // produce at most pairwise-equal deltas, never three in a row.
 const steadyWindowDefault = 3
 
-// steadyPeriodMax caps the orbit length the detector considers. Campaign
-// cells cycle through a small set of scan states (kmig's ScanEvery and
-// decay cadence), so short periods cover every real cell; a larger cap
-// only delays the adversarial fallback (a period-9 string must run
-// fully simulated — steady_test.go pins it).
+// steadyPeriodMax caps the orbit length the detector considers. Kernel
+// migration cells cycle through a small set of scan states (kmig's
+// ScanEvery and decay cadence), so short periods cover every real cell; a
+// larger cap only delays the adversarial fallback (a period-9 string must
+// run fully simulated — steady_test.go pins it).
 const steadyPeriodMax = 8
 
 // periodTracker is the pure cycle-detection core: a stream of
@@ -65,7 +65,7 @@ type periodTracker struct {
 	kmax, window int
 	// diagKmax extends the ring and match bookkeeping one period past
 	// the larger of kmax and the global cap, for diagnosis only: a
-	// period-9 adversary (or a period-2 orbit under PeriodK 1) then
+	// period-9 adversary (or a period-2 orbit under a cap of 1) then
 	// shows up as a candidate that *did* prove itself beyond the cap.
 	// The firing loop never consults k > kmax, and a ring larger than
 	// kmax holds every lag ≤ kmax entry at the same slot age, so
@@ -247,8 +247,9 @@ type steadyDetector struct {
 }
 
 // newSteadyDetector builds a detector with the given confirmation window
-// (0 = default 3) and period cap kmax (0 = default 8; 1 restricts to the
-// original period-one detection).
+// (0 = default 3) and period cap kmax (0 = steadyPeriodMax). Runs always
+// use the full cap; white-box tests pass 1 to restrict detection to
+// period-one orbits.
 func newSteadyDetector(m *machine.Machine, eng *kmig.Engine, u *upm.UPM, window, kmax int, withRows bool) *steadyDetector {
 	if window <= 0 {
 		window = steadyWindowDefault
@@ -315,16 +316,6 @@ func (d *steadyDetector) observe(iterPS, phasePS int64) bool {
 // period returns the proven orbit length. Valid only after observe has
 // returned true.
 func (d *steadyDetector) period() int { return d.trk.period }
-
-// lastDelta returns the most recent per-iteration delta vector (nil until
-// two observations exist). The campaign observer reads it: detector and
-// observer share one snapshot per iteration.
-func (d *steadyDetector) lastDelta() []int64 {
-	if d.trk.n == 0 {
-		return nil
-	}
-	return d.trk.ring[d.trk.n%d.trk.diagKmax]
-}
 
 // cycleIterPhase returns the proven per-iteration and per-phase durations
 // at cycle position p — the values extrapolated iterations at that
@@ -406,7 +397,7 @@ func (d *steadyDetector) diagnose(perturbAt int) *WhyNot {
 	switch {
 	case g.beyondCap:
 		// The orbit proved itself at a period the cap excludes: the
-		// adversarial fallback, or an explicit PeriodK restriction.
+		// adversarial fallback.
 		w.Reason = WhyNotPeriodBeyondCap
 	case perturbAt > 0:
 		w.Reason = WhyNotPerturbed

@@ -1,12 +1,10 @@
 package nas
 
-// White-box tests of the period-k cycle detector and the campaign
-// observer's analytic-path gate, on synthetic observation streams — no
-// kernel, no timed loop. The system-level bit-identity contracts live in
-// steady_test.go and campaign_test.go.
+// White-box tests of the period-k cycle detector, on synthetic
+// observation streams — no kernel, no timed loop. The system-level
+// bit-identity contracts live in steady_test.go and synth_test.go.
 
 import (
-	"math/rand"
 	"testing"
 
 	"upmgo/internal/kmig"
@@ -92,114 +90,55 @@ func TestPeriodTrackerAdversaries(t *testing.T) {
 	}
 }
 
-// campaignRig drives a campaignObserver with a synthetic iteration stream:
-// per iteration one barrier, one scan moving moves[i] pages at the
-// engine's real per-page cost, uniform compute time around it. Everything
-// but the per-scan moved series is structurally identical, so the
-// observer's verdict isolates exactly the monotone-decay gate.
-func campaignRig(t *testing.T, moves []int) []bool {
+// period3Detector drives a detector capped at kmax over iters iterations
+// of a one-CPU loop whose compute time cycles with period 3: every
+// iteration reads a small resident array, every third charges extra
+// flops. It returns the detector and the iteration it fired at (0 =
+// never).
+func period3Detector(t *testing.T, kmax, iters int) (*steadyDetector, int) {
 	t.Helper()
-	mc := machine.DefaultConfig()
-	mc.Nodes, mc.CPUsPerNode = 2, 1
-	mc.ArenaPages = 64
-	m, err := machine.New(mc)
+	m, err := machine.New(machine.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := kmig.Attach(m, kmig.Config{})
-	camp := newCampaignObserver(m, eng, 3)
-
-	stride := m.CountersPerCPU()
-	M := m.NumCPUs() * stride
-	E := M + 4
-	perPage := m.MigrationCost()
-
-	now := int64(0)
-	camp.observe(nil, 0, 0, now) // prime: first call only records the end time
-	verdicts := make([]bool, 0, len(moves))
-	for _, mv := range moves {
-		cost := int64(mv) * perPage
-		barT := now + 500
-		camp.barT = append(camp.barT[:0], barT)
-		camp.barCost = append(camp.barCost[:0], cost)
-		camp.scanSeq = append(camp.scanSeq[:0], mv)
-		end := barT + cost + 500
-		dIter := end - now
-		delta := make([]int64, m.CounterLen()+eng.CounterLen()+2)
-		delta[0] = dIter // CPU 0 is the only loop member
-		delta[M+1] = int64(mv)
-		delta[E] = 1 // barriers
-		delta[E+1] = 1
-		delta[E+2] = int64(mv)
-		delta[E+4] = cost
-		delta[E+eng.CounterLen()] = dIter // cumIter
-		verdicts = append(verdicts, camp.observe(delta, dIter, 0, end))
-		now = end
+	eng.SetEnabled(false)
+	det := newSteadyDetector(m, eng, nil, 0, kmax, false)
+	a := m.NewArray("hot", 64)
+	c := m.CPU(0)
+	for step := 1; step <= iters; step++ {
+		start := c.Now()
+		a.GetRun(c, 0, a.Len())
+		extra := 0
+		if step%3 == 0 {
+			extra = 5000
+		}
+		c.Flops(100 + extra)
+		if det.observe(c.Now()-start, 0) {
+			return det, step
+		}
 	}
-	return verdicts
+	return det, 0
 }
 
-// TestCampaignMonotoneGate: the analytic path arms only for a
-// non-increasing per-scan move series with ongoing activity. A throttled
-// plateau proposes at the window; any increase in the series — the
-// signature of a campaign still being fed — resets the streak and must
-// never propose.
-func TestCampaignMonotoneGate(t *testing.T) {
-	verdicts := campaignRig(t, []int{16, 16, 16, 16, 12, 8})
-	for i, v := range verdicts {
-		if want := i >= 2; v != want {
-			t.Errorf("plateau campaign: iteration %d proposed=%v, want %v", i, v, want)
-		}
+// TestWhyNotPeriodBeyondCapRestricted: a genuine period-3 orbit, which
+// the full cap proves, is refused by a detector capped at period one, and
+// the diagnosis names it as periodic beyond the cap with the true period
+// as the best candidate.
+func TestWhyNotPeriodBeyondCapRestricted(t *testing.T) {
+	full, at := period3Detector(t, steadyPeriodMax, 24)
+	if at == 0 || full.period() != 3 {
+		t.Fatalf("full cap: fired at %d with period %d, want a period-3 orbit", at, full.period())
 	}
-	for _, adversary := range [][]int{
-		{8, 10, 8, 10, 8, 10, 8, 10},
-		{16, 16, 12, 16, 16, 16, 16},
-		{4, 3, 2, 1, 2, 3, 4, 5, 6},
-	} {
-		for i, v := range campaignRig(t, adversary) {
-			if v && adversary[i] > adversary[i-1] {
-				t.Errorf("non-monotone series %v proposed at iteration %d", adversary, i)
-			}
-			if v {
-				// Any proposal needs a fully non-increasing trailing window.
-				for j := i - 2; j < i; j++ {
-					if adversary[j] < adversary[j+1] {
-						t.Errorf("series %v proposed at %d across an increase at %d", adversary, i, j)
-					}
-				}
-			}
-		}
+	det, at := period3Detector(t, 1, 24)
+	if at != 0 {
+		t.Fatalf("cap-1 detector claimed an orbit at iteration %d (period %d)", at, det.period())
 	}
-}
-
-// TestCampaignGateProperty: for random move series, every proposal implies
-// (a) the streak spans at least the window, (b) the trailing window of
-// moves is non-increasing, and (c) the proposing iteration still moved
-// pages — the formal statement of the issue's decay-determinism
-// precondition.
-func TestCampaignGateProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := 6 + rng.Intn(10)
-		moves := make([]int, n)
-		for i := range moves {
-			moves[i] = rng.Intn(4)
-		}
-		for i, v := range campaignRig(t, moves) {
-			if !v {
-				continue
-			}
-			if i < 2 {
-				t.Errorf("trial %d %v: proposed at iteration %d, before the window", trial, moves, i)
-			}
-			if moves[i] == 0 {
-				t.Errorf("trial %d %v: proposed a quiet iteration %d", trial, moves, i)
-			}
-			for j := max(0, i-2); j < i; j++ {
-				if moves[j] < moves[j+1] {
-					t.Errorf("trial %d %v: proposed at %d despite increase at %d", trial, moves, i, j)
-				}
-			}
-		}
+	w := det.diagnose(0)
+	if w.Reason != WhyNotPeriodBeyondCap {
+		t.Fatalf("reason = %q, want %q (%s)", w.Reason, WhyNotPeriodBeyondCap, w)
+	}
+	if w.BestPeriod != 3 {
+		t.Errorf("best candidate period = %d, want 3", w.BestPeriod)
 	}
 }

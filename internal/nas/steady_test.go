@@ -23,8 +23,6 @@ func maskSteady(r nas.Result) nas.Result {
 	r.SteadyAt = 0
 	r.SteadyPeriod = 0
 	r.ExtrapolatedIters = 0
-	r.CampaignAt = 0
-	r.CampaignIters = 0
 	r.FastPath = nas.FastPath{}
 	return r
 }

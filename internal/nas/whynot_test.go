@@ -23,8 +23,8 @@ func runWhy(t *testing.T, build nas.Builder, cfg nas.Config) *nas.WhyNot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ExtrapolatedIters > 0 || res.CampaignIters > 0 {
-		t.Fatalf("fast path engaged (%d extrapolated, %d campaign); the case should decline", res.ExtrapolatedIters, res.CampaignIters)
+	if res.ExtrapolatedIters > 0 {
+		t.Fatalf("fast path engaged (%d extrapolated); the case should decline", res.ExtrapolatedIters)
 	}
 	if res.FastPath.WhyNot == nil {
 		t.Fatalf("declined fast-forward carries no WhyNot: %+v", res.FastPath)
@@ -60,24 +60,8 @@ func TestWhyNotPerturbed(t *testing.T) {
 	}
 }
 
-// TestWhyNotPeriodBeyondCapRestricted: a genuine period-3 orbit under
-// PeriodK=1 must be diagnosed as periodic-beyond-the-cap with the true
-// period as the best candidate — the evidence that raising PeriodK would
-// recover the fast path.
-func TestWhyNotPeriodBeyondCapRestricted(t *testing.T) {
-	cfg := steadyCfg(24)
-	cfg.PeriodK = 1
-	w := runWhy(t, synthBuilder(0, 3), cfg)
-	if w.Reason != nas.WhyNotPeriodBeyondCap {
-		t.Fatalf("reason = %q, want %q (%s)", w.Reason, nas.WhyNotPeriodBeyondCap, w)
-	}
-	if w.BestPeriod != 3 {
-		t.Errorf("best candidate period = %d, want 3", w.BestPeriod)
-	}
-}
-
 // TestWhyNotPeriodBeyondCapAdversary: the period-9 reference string of
-// campaign_test exceeds the global cap (8). The run simulates in full by
+// synth_test exceeds the global cap (8). The run simulates in full by
 // design, and the diagnosis must identify the hidden period rather than
 // calling the stream aperiodic.
 func TestWhyNotPeriodBeyondCapAdversary(t *testing.T) {
@@ -94,15 +78,13 @@ func TestWhyNotPeriodBeyondCapAdversary(t *testing.T) {
 
 // TestWhyNotHomesMoving: a kernel-migration campaign that outlasts the
 // run keeps the page-home map in motion, so no counter orbit can close.
-// With the analytic drain off (the incompressible-campaign stand-in: the
-// drain's determinism proof never applies), the diagnosis must blame the
-// moving homes, not the counters.
+// The diagnosis must blame the moving homes, not the counters.
 func TestWhyNotHomesMoving(t *testing.T) {
 	cfg := nas.Config{
 		Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
 		Iterations: 10, KernelMig: true,
 		Kmig:        kmig.Config{DecayEvery: -1, MinScanPS: -1},
-		SteadyState: true, Extrapolate: true, NoCampaignFF: true,
+		SteadyState: true, Extrapolate: true,
 	}
 	w := runWhy(t, synthBuilder(1000, 0), cfg)
 	if w.Reason != nas.WhyNotHomesMoving {

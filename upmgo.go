@@ -454,7 +454,9 @@ const (
 	WhyNotAperiodic     = nas.WhyNotAperiodic
 )
 
-// FastPathKind values, cheapest first.
+// FastPathKind values, cheapest first. FastPathCampaign is a legacy kind
+// that appears only in reports written before the analytic campaign drain
+// was removed.
 const (
 	FastPathRecalled = exp.FastPathRecalled
 	FastPathCampaign = exp.FastPathCampaign
