@@ -70,11 +70,8 @@ type Event struct {
 // Output ordering is deterministic: results come back in spec
 // (presentation) order regardless of completion order, so rendered
 // figures are byte-stable across Jobs values. The Jobs level never
-// influences a cell's numbers — each cell simulates on its own Machine.
-// Cross-run bit-identity of an individual cell follows the simulator's
-// own contract: exact at SweepOptions.Threads 1, statistical at full
-// team width, where the simulated coherence protocol resolves races in
-// host arrival order (see internal/nas's equivalence tests).
+// influences a cell's numbers — each cell simulates on its own Machine,
+// and the simulator is bit-reproducible at every team width.
 type Runner struct {
 	// Jobs bounds the number of concurrently simulated cells.
 	// 0 or negative means runtime.GOMAXPROCS(0).

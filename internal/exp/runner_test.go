@@ -302,3 +302,22 @@ func TestCellSpecKeyCanonicalisation(t *testing.T) {
 		t.Errorf("Figure5 shares %d cells with Figure4, want 3 (ft-IRIX, ft-IRIXmig, ft-upmlib)", shared)
 	}
 }
+
+// TestRunnerJobsEquivalenceFullWidth: at the paper's full team width too,
+// -jobs 1 and -jobs 4 return identical cells; each cell is bit-reproducible
+// on its own, whatever else the host is running.
+func TestRunnerJobsEquivalenceFullWidth(t *testing.T) {
+	ctx := context.Background()
+	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT", "CG"}, Seed: 42}
+	serial, err := Runner{Jobs: 1}.Figure4(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := Runner{Jobs: 4}.Figure4(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Error("full-width Figure4 cells differ between -jobs 1 and -jobs 4")
+	}
+}

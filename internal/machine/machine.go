@@ -7,19 +7,18 @@
 // N-hop remote memory — exactly the ladder of the paper's Table 1.
 //
 // Virtual time and determinism: each CPU carries its own clock. Within a
-// parallel region CPUs never read each other's clocks, so goroutines can
-// execute truly in parallel on the host; at every barrier the runtime
-// calls Settle, which applies the memory-node contention model to the
-// region just finished and synchronises all clocks to the barrier time.
-// The result is bit-reproducible regardless of host scheduling (up to
-// first-touch fault races on chunk-boundary pages, which static loop
-// schedules make rare; the omp package also offers a serial mode).
+// parallel region CPUs never read each other's clocks; at every barrier
+// the runtime calls Settle, which applies the memory-node contention
+// model to the region just finished and synchronises all clocks to the
+// barrier time. A Machine is driven by one goroutine at a time: the omp
+// package runs a team's members as coroutines in a fixed thread-id order,
+// so first-touch faults and coherence on shared lines resolve the same
+// way on every run and results are bit-reproducible.
 package machine
 
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"upmgo/internal/memsys"
 	"upmgo/internal/topology"
@@ -946,31 +945,20 @@ func (c *CPU) touch(addr uint64, write bool) {
 //     copy at its next use), take ownership, clear the shared flag.
 func (c *CPU) coherence(unit uint64, write bool) (ver, newVer uint32) {
 	p := &c.m.lineState[unit]
-	word := atomic.LoadUint32(p)
+	word := *p
 	ver = word >> 9
 	me := uint32(c.ID)
 	if !write {
 		if (word>>1)&0xff != me && word&1 == 0 {
-			// Best effort: losing this race only delays the shared
-			// flag to the next read.
-			atomic.CompareAndSwapUint32(p, word, word|1)
+			*p = word | 1
 		}
 		return ver, ver
 	}
 	if (word>>1)&0xff == me && word&1 == 0 {
 		return ver, ver // exclusive owner
 	}
-	for {
-		next := (ver+1)<<9 | me<<1
-		if atomic.CompareAndSwapUint32(p, word, next) {
-			return ver, ver + 1
-		}
-		word = atomic.LoadUint32(p)
-		ver = word >> 9
-		if (word>>1)&0xff == me && word&1 == 0 {
-			return ver, ver
-		}
-	}
+	*p = (ver+1)<<9 | me<<1
+	return ver, ver + 1
 }
 
 // FlushCaches empties the CPU's caches and TLB (used by tests and by the

@@ -51,14 +51,10 @@ func TestDriverEndToEnd(t *testing.T) {
 }
 
 // The control property: EP has (almost) no shared data, so even the
-// worst-case placement must cost only a few percent. Threads 1 pins the
-// comparison to one exactly reproducible run per placement: at full team
-// width host-order race resolution occasionally more than doubles the
-// virtual time of a single run. Deterministic full-width simulation
-// (ROADMAP item 1) is the work that must remove this pin.
+// worst-case placement must cost only a few percent.
 func TestEPIsPlacementInsensitive(t *testing.T) {
 	run := func(p vm.Policy) float64 {
-		r, err := nas.Run(New, nas.Config{Class: nas.ClassS, Placement: p, Seed: 9, Threads: 1})
+		r, err := nas.Run(New, nas.Config{Class: nas.ClassS, Placement: p, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

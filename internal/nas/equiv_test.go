@@ -1,6 +1,7 @@
 package nas_test
 
 import (
+	"reflect"
 	"testing"
 
 	"upmgo/internal/machine"
@@ -18,8 +19,7 @@ import (
 // *accounting* optimisation only. For every benchmark, both placement
 // extremes, the full Class S run under Config.ScalarRuns=true (per-element
 // simulation) and the default bulk path must agree bit-for-bit on every
-// virtual-time figure and every hardware counter. Threads=1 keeps the
-// interleaving deterministic so the comparison is exact, not statistical.
+// virtual-time figure and every hardware counter, at the full team width.
 func TestBulkScalarEquivalence(t *testing.T) {
 	builders := []struct {
 		name  string
@@ -35,7 +35,6 @@ func TestBulkScalarEquivalence(t *testing.T) {
 					r, err := nas.Run(b.build, nas.Config{
 						Class:     nas.ClassS,
 						Placement: p,
-						Threads:   1,
 						Tweak: func(mc *machine.Config) {
 							mc.ScalarRuns = scalar
 						},
@@ -92,5 +91,24 @@ func BenchmarkBTChargingMode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestFullWidthRunsReproduce: two fresh runs of the same config at the
+// paper's full team width return equal Results — the omp runtime drives
+// the members in a fixed order, so no host scheduling leaks into the
+// simulation.
+func TestFullWidthRunsReproduce(t *testing.T) {
+	cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Seed: 42} // Threads 0: all 16 CPUs
+	a, err := nas.Run(bt.New, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := nas.Run(bt.New, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("full-width runs differ:\n first  %+v\n second %+v", a, b)
 	}
 }

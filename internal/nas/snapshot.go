@@ -53,10 +53,8 @@ func (p *Prefix) Key() string { return p.key }
 // verification on the fork: arm engines, iterate, verify — everything Run
 // does after the divergence point. cfg must have the same prefix
 // fingerprint as the config the Prefix was built from; the engine fields
-// are free. At Threads 1 the returned Result is bit-identical to
-// Run(build, cfg) from scratch (the snapshot invariant; at full team
-// width both paths are statistical per the simulator's coherence
-// contract, see DESIGN.md §8).
+// are free. The returned Result is bit-identical to Run(build, cfg) from
+// scratch (the snapshot invariant, see DESIGN.md §8).
 func (p *Prefix) RunFromSnapshot(cfg Config) (Result, error) {
 	key, ok := cfg.PrefixFingerprint()
 	if !ok {

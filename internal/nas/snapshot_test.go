@@ -21,8 +21,9 @@ import (
 // the clone must reproduce a from-scratch run of the same config exactly
 // — every virtual time, every per-iteration span, every hardware counter,
 // every engine statistic. One prefix per (benchmark, placement) serves
-// all engine variants, which doubles as the sharing proof. Threads=1
-// keeps the interleaving deterministic so the comparison is exact.
+// all engine variants, which doubles as the sharing proof. It runs at
+// the full team width: the omp runtime's fixed member interleaving makes
+// every run exactly reproducible there too.
 func TestForkVsScratchBitIdentity(t *testing.T) {
 	builders := []struct {
 		name  string
@@ -42,7 +43,7 @@ func TestForkVsScratchBitIdentity(t *testing.T) {
 	for _, b := range builders {
 		for _, p := range []vm.Policy{vm.FirstTouch, vm.WorstCase} {
 			t.Run(b.name+"/"+p.String(), func(t *testing.T) {
-				base := nas.Config{Class: nas.ClassS, Placement: p, Threads: 1}
+				base := nas.Config{Class: nas.ClassS, Placement: p}
 				prefix, err := nas.RunPrefix(b.build, base)
 				if err != nil {
 					t.Fatal(err)

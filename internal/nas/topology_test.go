@@ -131,9 +131,7 @@ func TestTopoFingerprintCompatibility(t *testing.T) {
 // drives the whole stack through the hierarchical code path — mixed-radix
 // distance matrix, generic ByDistance, hierarchical machine assembly —
 // yet every virtual-time quantity, counter and page-home outcome is
-// bit-identical to the legacy hypercube run. Threads 1 pins exact
-// reproducibility (full-width teams are deterministic only up to
-// intra-team interleaving). cmd/sweep's TestSweepTopoBitIdentity proves
+// bit-identical to the legacy hypercube run. cmd/sweep's TestSweepTopoBitIdentity proves
 // the same at the CLI/store level; CI runs both under -race.
 func TestHierarchyBitIdentity(t *testing.T) {
 	engines := []nas.Config{

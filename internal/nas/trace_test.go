@@ -34,11 +34,7 @@ func runTraced(t *testing.T, build nas.Builder, cfg nas.Config) (nas.Result, *tr
 // bit-identical to the same config untraced. The config turns on both
 // migration engines and uses the worst-case placement so every emission
 // path (faults, scans, UPM invocations, shootdowns, barriers, regions)
-// actually fires during the comparison. Threads 1 for the same reason as
-// TestBulkScalarEquivalence: only there is an individual run exactly
-// reproducible (at full width the simulated coherence protocol resolves
-// races in host arrival order), which is what lets two separate runs be
-// compared bit for bit.
+// actually fires during the comparison, at the full team width.
 func TestTracingOffOnEquivalence(t *testing.T) {
 	builders := []struct {
 		name  string
@@ -54,7 +50,6 @@ func TestTracingOffOnEquivalence(t *testing.T) {
 				Placement: vm.WorstCase,
 				KernelMig: true,
 				UPM:       nas.UPMDistribute,
-				Threads:   1,
 			}
 			plain, err := nas.Run(b.build, cfg)
 			if err != nil {

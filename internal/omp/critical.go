@@ -1,12 +1,8 @@
 package omp
 
-import (
-	"sync"
+import "upmgo/internal/machine"
 
-	"upmgo/internal/machine"
-)
-
-// Critical sections (OpenMP CRITICAL): real mutual exclusion plus
+// Critical sections (OpenMP CRITICAL): mutual exclusion plus
 // virtual-time serialisation — a thread entering a section that another
 // thread occupied until virtual time T resumes no earlier than T, so the
 // simulated cost of contended critical sections is the serialised sum of
@@ -14,14 +10,14 @@ import (
 // synchronisation overhead as OpenMP's scalability limit is exactly about
 // constructs like this one.
 //
-// Entry order between concurrently arriving threads follows host
-// scheduling, so — unlike barriers and loops — programs whose *results*
-// depend on critical-section order are not bit-reproducible. (OpenMP
-// gives the same non-guarantee.)
+// Members only interleave where one blocks, so exclusion matters only
+// when a section body itself waits (say, on an EventSet): a member that
+// finds the section occupied yields until it is free. Entry order is
+// therefore fixed by thread ids, not host scheduling.
 
 type critSection struct {
-	mu  sync.Mutex
-	end int64 // virtual time the section was last held until
+	busy bool  // a member is inside
+	end  int64 // virtual time the section was last held until
 }
 
 // critCosts: acquiring an uncontended lock and releasing it (a couple of
@@ -36,7 +32,6 @@ const (
 // anonymous section.
 func (tr *Thread) Critical(name string, f func(c *machine.CPU)) {
 	t := tr.team
-	t.critMu.Lock()
 	if t.crit == nil {
 		t.crit = make(map[string]*critSection)
 	}
@@ -45,10 +40,13 @@ func (tr *Thread) Critical(name string, f func(c *machine.CPU)) {
 		cs = &critSection{}
 		t.crit[name] = cs
 	}
-	t.critMu.Unlock()
-
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	if cs.busy {
+		l := tr.lane
+		l.crit, l.name = cs, name
+		l.block(atCritical)
+	}
+	cs.busy = true
+	defer func() { cs.busy = false }()
 	if cs.end > tr.CPU.Now() {
 		tr.CPU.SetClock(cs.end)
 	}

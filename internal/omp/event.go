@@ -1,9 +1,6 @@
 package omp
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // EventSet provides point-to-point post/wait synchronisation between team
 // members — the pipelining idiom NAS LU builds from !$OMP FLUSH and flag
@@ -28,8 +25,6 @@ type EventSet struct {
 }
 
 type eventCell struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
 	posted bool
 	clock  int64
 }
@@ -40,11 +35,7 @@ func NewEventSet(t *Team, tags int) *EventSet {
 	if tags <= 0 {
 		panic(fmt.Sprintf("omp: EventSet with %d tags", tags))
 	}
-	e := &EventSet{team: t, tags: tags, cells: make([]eventCell, t.n*tags)}
-	for i := range e.cells {
-		e.cells[i].cond = sync.NewCond(&e.cells[i].mu)
-	}
-	return e
+	return &EventSet{team: t, tags: tags, cells: make([]eventCell, t.n*tags)}
 }
 
 func (e *EventSet) cell(owner, tag int) *eventCell {
@@ -59,11 +50,8 @@ func (e *EventSet) cell(owner, tag int) *eventCell {
 func (e *EventSet) Post(tr *Thread, tag int) {
 	tr.CPU.Advance(postCost)
 	c := e.cell(tr.ID, tag)
-	c.mu.Lock()
 	c.posted = true
 	c.clock = tr.CPU.Now()
-	c.mu.Unlock()
-	c.cond.Broadcast()
 }
 
 // Wait blocks until (owner, tag) has been posted and advances the
@@ -73,20 +61,17 @@ func (e *EventSet) Wait(tr *Thread, owner, tag int) {
 	if e.team.serial {
 		// See the type comment: in serial mode an unposted event cannot
 		// ever be posted while we block; proceed (results discarded).
-		c.mu.Lock()
-		post := c.clock
-		c.mu.Unlock()
-		if post > tr.CPU.Now() {
-			tr.CPU.SetClock(post + waitCost)
+		if c.clock > tr.CPU.Now() {
+			tr.CPU.SetClock(c.clock + waitCost)
 		}
 		return
 	}
-	c.mu.Lock()
-	for !c.posted {
-		c.cond.Wait()
+	if !c.posted {
+		l := tr.lane
+		l.cell, l.owner, l.tag = c, owner, tag
+		l.block(atEvent)
 	}
 	post := c.clock
-	c.mu.Unlock()
 	if post+waitCost > tr.CPU.Now() {
 		tr.CPU.SetClock(post + waitCost)
 	} else {
@@ -98,13 +83,7 @@ func (e *EventSet) Wait(tr *Thread, owner, tag int) {
 // parallel regions, or by a Single inside one) before the events are
 // reused for the next sweep.
 func (e *EventSet) Reset() {
-	for i := range e.cells {
-		c := &e.cells[i]
-		c.mu.Lock()
-		c.posted = false
-		c.clock = 0
-		c.mu.Unlock()
-	}
+	clear(e.cells)
 }
 
 // Post/wait costs: a cache-line flag write plus the spin-read on the

@@ -84,10 +84,11 @@ func TestEventSetPanicsOutOfRange(t *testing.T) {
 			t.Error("no panic on out-of-range event")
 		}
 	}()
-	// White-box: drive Post directly so the panic lands on this
-	// goroutine (panics inside Parallel workers crash the process).
-	tr := &Thread{ID: 0, CPU: tm.Machine().CPU(0), team: tm}
-	ev.Post(tr, 5)
+	tm.Parallel(func(tr *Thread) {
+		if tr.ID == 1 {
+			ev.Post(tr, 5)
+		}
+	})
 }
 
 func TestCriticalMutualExclusionAndSerialisedTime(t *testing.T) {

@@ -3,8 +3,11 @@
 // loops with the OpenMP SCHEDULE kinds (static, static-chunked, dynamic,
 // guided), barriers, master/single/critical constructs and reductions.
 //
-// The runtime executes each team member on its own goroutine bound to one
-// simulated CPU, so simulations use real host parallelism, while all
+// The runtime executes each team member as a coroutine bound to one
+// simulated CPU. The goroutine that calls Parallel drives the members in
+// thread-id order, each until it blocks, so a run's host interleaving —
+// and with it first-touch faults and coherence on shared lines — depends
+// on thread ids alone and full-width runs are bit-reproducible. All
 // *simulated* timing flows through the per-CPU virtual clocks and the
 // barrier settlement in the machine package. Fork, join and barrier
 // overheads are charged explicitly; the paper's discussion of OpenMP
@@ -14,9 +17,6 @@ package omp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"upmgo/internal/machine"
 	"upmgo/internal/trace"
@@ -47,13 +47,14 @@ func Static() Schedule { return Schedule{kind: schedStatic} }
 // (SCHEDULE(STATIC, chunk)).
 func StaticChunk(chunk int) Schedule { return Schedule{kind: schedStaticChunk, chunk: chunk} }
 
-// Dynamic hands out chunks first-come-first-served (SCHEDULE(DYNAMIC,
-// chunk)). Chunk assignment depends on host scheduling, so runs using it
-// are not bit-reproducible; the NAS reproductions do not use it.
+// Dynamic hands out chunks on demand (SCHEDULE(DYNAMIC, chunk)). Each
+// member yields after every chunk, so chunks go round-robin in thread-id
+// order while every member is in the loop; the NAS reproductions do not
+// use it.
 func Dynamic(chunk int) Schedule { return Schedule{kind: schedDynamic, chunk: max(1, chunk)} }
 
-// Guided hands out exponentially shrinking chunks (SCHEDULE(GUIDED)).
-// Like Dynamic, it is first-come-first-served.
+// Guided hands out exponentially shrinking chunks (SCHEDULE(GUIDED)),
+// dealt like Dynamic's.
 func Guided(minChunk int) Schedule { return Schedule{kind: schedGuided, chunk: max(1, minChunk)} }
 
 // Team is a fork/join group of simulated threads pinned 1:1 onto the
@@ -63,29 +64,21 @@ type Team struct {
 	m        *machine.Machine
 	n        int
 	serial   bool
-	binding  []int // thread i runs on CPU binding[i]
-	barrier  *clockBarrier
+	binding  []int          // thread i runs on CPU binding[i]
+	cpuList  []*machine.CPU // cpus() cache; SetBinding clears it
+	barrier  clockBarrier
 	lastJoin int64 // time of the previous join; serial sections span from here
 
-	// Persistent worker lanes: member i>0 of every non-serial region runs
-	// on lanes[i-1], a goroutine that lives for the team's lifetime, so a
-	// run's thousands of parallel regions reuse n-1 goroutines instead of
-	// spawning n fresh ones each. Member 0 runs on the caller's goroutine.
-	// Started lazily by the first non-serial region; each member needs its
-	// own lane (not a smaller pool) because region bodies block on
-	// mid-region barriers that only release once every member arrives.
-	// Workers reference only their channel — never the Team — so the
-	// finalizer set at startLanes can close the channels and let the
-	// workers exit once the team becomes unreachable.
-	lanes []chan func()
+	// crew.lanes[i] runs member i (see lane.go); started by the first
+	// non-serial region.
+	crew *crew
 
 	red struct {
 		vals []float64
 		out  float64
 	}
 
-	critMu sync.Mutex
-	crit   map[string]*critSection
+	crit map[string]*critSection
 }
 
 // NewTeam creates a team of n threads on m. n must be between 1 and the
@@ -98,7 +91,6 @@ func NewTeam(m *machine.Machine, n int) (*Team, error) {
 	for i := range t.binding {
 		t.binding[i] = i
 	}
-	t.barrier = newClockBarrier()
 	t.red.vals = make([]float64, n)
 	return t, nil
 }
@@ -119,9 +111,9 @@ func (t *Team) Size() int { return t.n }
 func (t *Team) Machine() *machine.Machine { return t.m }
 
 // SetSerial switches the team to serial execution: thread bodies run one
-// after another, to completion, on the calling goroutine. This makes
-// first-touch fault resolution fully deterministic, which is why the NAS
-// drivers use it for the cold-start placement iteration. Restrictions: in
+// after another, to completion, on the calling goroutine, so every
+// thread's first touches precede the next thread's. The NAS drivers use
+// it for the cold-start placement iteration. Restrictions: in
 // serial mode barriers degenerate (no cross-thread rendezvous is possible),
 // so region bodies must not consume values produced by *other* threads
 // between barriers — the cold-start iteration discards its results, so
@@ -151,6 +143,7 @@ func (t *Team) SetBinding(perm []int) error {
 	// The new CPUs inherit the team's notion of time.
 	now := t.Master().Now()
 	copy(t.binding, perm)
+	t.cpuList = nil
 	for _, c := range t.cpus() {
 		if c.Now() < now {
 			c.SetClock(now)
@@ -167,6 +160,7 @@ type Thread struct {
 	ID   int
 	CPU  *machine.CPU
 	team *Team
+	lane *lane
 }
 
 // Parallel runs body on every team member (the OpenMP PARALLEL
@@ -219,62 +213,16 @@ func (t *Team) parallel(name string, body func(tr *Thread)) {
 	}
 }
 
-// runBodies executes body once per member: sequentially in serial mode,
-// otherwise member 0 on the calling goroutine and members 1..n-1 on the
-// team's persistent lanes.
-func (t *Team) runBodies(body func(tr *Thread)) {
-	if t.serial {
-		for i := 0; i < t.n; i++ {
-			body(&Thread{ID: i, CPU: t.m.CPU(t.binding[i]), team: t})
-		}
-		return
-	}
-	if t.lanes == nil && t.n > 1 {
-		t.startLanes()
-	}
-	var wg sync.WaitGroup
-	wg.Add(t.n - 1)
-	for i := 1; i < t.n; i++ {
-		id := i
-		t.lanes[id-1] <- func() {
-			defer wg.Done()
-			body(&Thread{ID: id, CPU: t.m.CPU(t.binding[id]), team: t})
-		}
-	}
-	body(&Thread{ID: 0, CPU: t.m.CPU(t.binding[0]), team: t})
-	wg.Wait()
-}
-
-// startLanes spawns the persistent worker goroutines. The finalizer is
-// the teardown path: workers hold only their channel, so when the Team
-// becomes unreachable the finalizer closes the channels and every worker
-// returns. No work can be in flight then — dispatching requires a live
-// Team reference.
-func (t *Team) startLanes() {
-	t.lanes = make([]chan func(), t.n-1)
-	for i := range t.lanes {
-		ch := make(chan func(), 1)
-		t.lanes[i] = ch
-		go func() {
-			for f := range ch {
-				f()
-			}
-		}()
-	}
-	lanes := t.lanes
-	runtime.SetFinalizer(t, func(*Team) {
-		for _, ch := range lanes {
-			close(ch)
-		}
-	})
-}
-
+// cpus returns the CPUs the members run on, in thread order. Callers
+// must not modify the slice.
 func (t *Team) cpus() []*machine.CPU {
-	cpus := make([]*machine.CPU, t.n)
-	for i := range cpus {
-		cpus[i] = t.m.CPU(t.binding[i])
+	if t.cpuList == nil {
+		t.cpuList = make([]*machine.CPU, t.n)
+		for i := range t.cpuList {
+			t.cpuList[i] = t.m.CPU(t.binding[i])
+		}
 	}
-	return cpus
+	return t.cpuList
 }
 
 // Master returns the master CPU (thread 0's processor) for serial
@@ -311,39 +259,26 @@ func (tr *Thread) For(lo, hi int, s Schedule, body func(c *machine.CPU, from, to
 		for from := lo + tr.ID*s.chunk; from < hi; from += tr.team.n * s.chunk {
 			body(tr.CPU, from, min(from+s.chunk, hi))
 		}
-	case schedDynamic:
+	case schedDynamic, schedGuided:
 		if tr.team.serial {
-			panic("omp: Dynamic schedule is invalid in serial mode")
+			panic("omp: Dynamic and Guided schedules are invalid in serial mode")
 		}
-		for {
-			from := int(tr.team.barrier.dyn.Add(int64(s.chunk))) - s.chunk + lo
-			if from >= hi {
-				break
+		b := &tr.team.barrier
+		for from := lo + b.dyn; from < hi; from = lo + b.dyn {
+			take := s.chunk
+			if s.kind == schedGuided {
+				take = max(s.chunk, (hi-from)/(2*tr.team.n))
 			}
-			body(tr.CPU, from, min(from+s.chunk, hi))
-		}
-	case schedGuided:
-		if tr.team.serial {
-			panic("omp: Guided schedule is invalid in serial mode")
-		}
-		for {
-			remaining := hi - lo - int(tr.team.barrier.dyn.Load())
-			if remaining <= 0 {
-				break
-			}
-			take := max(s.chunk, remaining/(2*tr.team.n))
-			from := int(tr.team.barrier.dyn.Add(int64(take))) - take + lo
-			if from >= hi {
-				break
-			}
+			b.dyn += take
 			body(tr.CPU, from, min(from+take, hi))
+			tr.lane.block(ready) // the next chunk goes to the next member
 		}
 	}
 	if !o.nowait {
 		tr.Barrier()
 		if s.kind == schedDynamic || s.kind == schedGuided {
 			if tr.ID == 0 {
-				tr.team.barrier.dyn.Store(0)
+				tr.team.barrier.dyn = 0
 			}
 			tr.Barrier() // all see the reset before the next shared loop
 		}
@@ -415,34 +350,26 @@ func (tr *Thread) Sections(sections ...func(c *machine.CPU)) {
 	tr.Barrier()
 }
 
-// clockBarrier is a reusable sense-reversing barrier that also performs
+// clockBarrier is a reusable phase-counting barrier that also performs
 // virtual-time settlement: the last thread to arrive settles the region
 // with the machine's contention model and establishes the new region
 // start.
 type clockBarrier struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	team        *Team
-	count       int
-	phase       uint64
+	count       int    // members arrived in the current phase
+	phase       uint64 // completed barriers
 	regionStart int64
-	dyn         atomic.Int64 // shared iteration counter for dynamic/guided
-}
-
-func newClockBarrier() *clockBarrier {
-	b := &clockBarrier{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	dyn         int // iterations handed out by the current dynamic/guided loop
 }
 
 func (b *clockBarrier) reset(start int64) {
 	b.regionStart = start
 	b.count = 0
-	b.dyn.Store(0)
+	b.dyn = 0
 }
 
 // wait blocks until all team members arrive. The last arriver runs
-// lastFn (if any), settles clocks, and releases the others.
+// lastFn (if any), settles clocks, and opens the next phase. It yields
+// too, so every phase starts with the members in thread-id order.
 func (b *clockBarrier) wait(tr *Thread, lastFn func()) {
 	t := tr.team
 	if trc := t.m.Tracer(); trc != nil {
@@ -460,8 +387,7 @@ func (b *clockBarrier) wait(tr *Thread, lastFn func()) {
 		}
 		return
 	}
-	b.mu.Lock()
-	phase := b.phase
+	tr.lane.phase = b.phase
 	b.count++
 	if b.count == t.n {
 		if lastFn != nil {
@@ -470,14 +396,8 @@ func (b *clockBarrier) wait(tr *Thread, lastFn func()) {
 		b.settle(t)
 		b.count = 0
 		b.phase++
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
 	}
-	for phase == b.phase {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
+	tr.lane.block(atBarrier)
 }
 
 func (b *clockBarrier) settle(t *Team) {

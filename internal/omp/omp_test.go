@@ -1,6 +1,8 @@
 package omp
 
 import (
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -432,5 +434,107 @@ func TestSetBindingPreservesVirtualTime(t *testing.T) {
 	}
 	if tm.Master().Now() < before {
 		t.Errorf("time went backwards after rebinding: %d < %d", tm.Master().Now(), before)
+	}
+}
+
+// recovered runs f and returns the value it panicked with, or nil.
+func recovered(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
+}
+
+func TestMismatchedBarrierPanicsInsteadOfHanging(t *testing.T) {
+	tm := newTeam(t, 4)
+	p := recovered(func() {
+		tm.Parallel(func(tr *Thread) {
+			tr.Barrier()
+			if tr.ID == 2 {
+				tr.Barrier() // the others never arrive
+			}
+		})
+	})
+	msg, _ := p.(string)
+	for _, want := range []string{"deadlock", "thread 2 at barrier phase 1", "thread 0 finished", "thread 3 finished"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic %q does not mention %q", p, want)
+		}
+	}
+	// The team recovers: the next region runs normally.
+	var ran atomic.Int32
+	tm.Parallel(func(tr *Thread) {
+		tr.Barrier()
+		ran.Add(1)
+	})
+	if ran.Load() != 4 {
+		t.Errorf("region after the deadlock ran %d members, want 4", ran.Load())
+	}
+}
+
+func TestMemberPanicReachesParallelCaller(t *testing.T) {
+	tm := newTeam(t, 4)
+	var unwound, resumed atomic.Int32
+	p := recovered(func() {
+		tm.Parallel(func(tr *Thread) {
+			defer unwound.Add(1)
+			tr.Barrier()
+			if tr.ID == 2 {
+				panic("boom")
+			}
+			tr.Barrier()
+			resumed.Add(1)
+		})
+	})
+	if p != "boom" {
+		t.Fatalf("Parallel panicked with %v, want boom", p)
+	}
+	// Every member unwound (its deferred call ran) and none ran on past
+	// the barrier it was suspended at.
+	if unwound.Load() != 4 || resumed.Load() != 0 {
+		t.Errorf("after the panic %d members unwound and %d ran on, want 4 and 0", unwound.Load(), resumed.Load())
+	}
+	var ran atomic.Int32
+	tm.Parallel(func(tr *Thread) {
+		tr.Barrier()
+		ran.Add(1)
+	})
+	if ran.Load() != 4 {
+		t.Errorf("region after the panic ran %d members, want 4", ran.Load())
+	}
+}
+
+// Dynamic and Guided members yield after every chunk, so the chunks go
+// round-robin by thread id, in ascending order, the same on every run.
+func TestDynamicAndGuidedChunksRoundRobin(t *testing.T) {
+	for name, s := range map[string]Schedule{"dynamic": Dynamic(5), "guided": Guided(2)} {
+		t.Run(name, func(t *testing.T) {
+			run := func() [][3]int {
+				tm := newTeam(t, 4)
+				var chunks [][3]int // thread, from, to in execution order
+				tm.Parallel(func(tr *Thread) {
+					tr.For(0, 100, s, func(c *machine.CPU, from, to int) {
+						chunks = append(chunks, [3]int{tr.ID, from, to})
+					})
+				})
+				return chunks
+			}
+			chunks := run()
+			if len(chunks) < 8 {
+				t.Fatalf("only %d chunks: %v", len(chunks), chunks)
+			}
+			next := 0
+			for i, c := range chunks {
+				if c[0] != i%4 || c[1] != next || c[2] <= c[1] {
+					t.Fatalf("chunk %d is %v, want thread %d from %d (all: %v)", i, c, i%4, next, chunks)
+				}
+				next = c[2]
+			}
+			if next != 100 {
+				t.Errorf("chunks end at %d, want 100", next)
+			}
+			if again := run(); !reflect.DeepEqual(chunks, again) {
+				t.Errorf("chunk assignment differs between runs:\n %v\n %v", chunks, again)
+			}
+		})
 	}
 }

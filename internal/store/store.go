@@ -48,7 +48,7 @@ const SchemaVersion = 1
 // model tweak, a new charging rule): stale records then read as misses and
 // are re-simulated and overwritten, rather than serving another revision's
 // cells as this one's.
-const CodeVersion = "upmgo-sim-1"
+const CodeVersion = "upmgo-sim-2"
 
 // ErrNotFound reports a key with no (current) record: never written,
 // written by a different schema or code version, or evicted. Callers match

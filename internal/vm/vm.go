@@ -83,10 +83,10 @@ const CounterMax11 = 1<<11 - 1
 // hardware reference counters. The address space is a single contiguous
 // arena starting at page 0; the machine package allocates arrays from it.
 //
-// Concurrency: Resolve (page faults) and CountMiss run concurrently from
-// every simulated CPU and use atomics; Migrate and counter resets must be
-// called from quiescent points (barriers or serial sections), which is
-// where both migration engines operate.
+// Concurrency: like its machine, a page table is driven by one goroutine
+// at a time. Migrate and counter resets must be called from quiescent
+// points (barriers or serial sections), which is where both migration
+// engines operate.
 type PageTable struct {
 	topo       topology.Topology
 	policy     Policy
@@ -240,18 +240,13 @@ func (pt *PageTable) placeFor(vpn uint64, accessor int) int {
 // from any processor. faulted reports whether this call performed the
 // fault, so the caller can charge the fault cost.
 func (pt *PageTable) Resolve(vpn uint64, accessorNode int) (home int, gen uint32, faulted bool) {
-	h := atomic.LoadInt32(&pt.home[vpn])
-	if h >= 0 {
-		return int(h), atomic.LoadUint32(&pt.gen[vpn]), false
+	if h := pt.home[vpn]; h >= 0 {
+		return int(h), pt.gen[vpn], false
 	}
 	target := pt.admit(pt.placeFor(vpn, accessorNode))
-	if atomic.CompareAndSwapInt32(&pt.home[vpn], -1, int32(target)) {
-		pt.faults.Add(1)
-		return target, atomic.LoadUint32(&pt.gen[vpn]), true
-	}
-	// Another CPU faulted the page first; undo our capacity claim.
-	atomic.AddInt64(&pt.used[target], -1)
-	return int(atomic.LoadInt32(&pt.home[vpn])), atomic.LoadUint32(&pt.gen[vpn]), false
+	pt.home[vpn] = int32(target)
+	pt.faults.Add(1)
+	return target, pt.gen[vpn], true
 }
 
 // admit charges one page of capacity on the target node, overflowing to
@@ -282,15 +277,8 @@ func (pt *PageTable) Gen(vpn uint64) uint32 { return atomic.LoadUint32(&pt.gen[v
 // CountMiss records one memory access (an L2 miss) to vpn from the given
 // node in the hardware counters, saturating at the counter width.
 func (pt *PageTable) CountMiss(vpn uint64, node int) {
-	p := &pt.counters[int(vpn)*pt.topo.Nodes()+node]
-	for {
-		old := atomic.LoadUint32(p)
-		if old >= pt.counterMax {
-			return
-		}
-		if atomic.CompareAndSwapUint32(p, old, old+1) {
-			return
-		}
+	if p := &pt.counters[int(vpn)*pt.topo.Nodes()+node]; *p < pt.counterMax {
+		*p++
 	}
 }
 
@@ -303,18 +291,12 @@ func (pt *PageTable) CountMissN(vpn uint64, node int, n uint32) {
 		return
 	}
 	p := &pt.counters[int(vpn)*pt.topo.Nodes()+node]
-	for {
-		old := atomic.LoadUint32(p)
-		if old >= pt.counterMax {
-			return
-		}
+	if old := *p; old < pt.counterMax {
 		next := old + n
 		if next > pt.counterMax || next < old {
 			next = pt.counterMax
 		}
-		if atomic.CompareAndSwapUint32(p, old, next) {
-			return
-		}
+		*p = next
 	}
 }
 
