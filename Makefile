@@ -24,8 +24,8 @@ bench:
 
 # Host-side (wall clock) benchmarks, recorded machine-readably: the raw
 # scalar-vs-run sweep of the bulk-access fast path, the steady-detector
-# per-iteration overhead, all five Figure 1 cells, the end-to-end sweep
-# with prefix forking on and off, the 64-CPU hierarchical Figure 4
+# per-iteration overhead, all five Figure 1 cells, the end-to-end
+# prefix-forked Figure 4 sweep, the 64-CPU hierarchical Figure 4
 # column (the toposcale sweep's unit of work), and the paper-scale
 # Class W column with and without steady-state fast-forward. The combined
 # `go test -json` stream is distilled by ci/benchjson into
@@ -55,7 +55,7 @@ bench-check:
 	  -tol 'BenchmarkSteadyStateDetect/homes=100' -tol 'BenchmarkSteadyStateDetect/homes+rows=100' \
 	  -tol 'BenchmarkFigure1/BT=60' -tol 'BenchmarkFigure1/CG=60' -tol 'BenchmarkFigure1/FT=60' \
 	  -tol 'BenchmarkFigure1/MG=60' -tol 'BenchmarkFigure1/SP=60' \
-	  -tol 'BenchmarkSweepFigure4All/fork=40' -tol 'BenchmarkSweepFigure4All/nofork=40' \
+	  -tol 'BenchmarkSweepFigure4All/fork=40' \
 	  -tol 'BenchmarkSweepTopo64=60' \
 	  -tol 'BenchmarkSweepClassWSteady/plain=40' -tol 'BenchmarkSweepClassWSteady/steady=40'
 

@@ -39,6 +39,16 @@ func benchNAS(b *testing.B, name string, cfg upmgo.NASConfig) upmgo.NASResult {
 	return last
 }
 
+// benchSweep runs one sweep request on r.
+func benchSweep(b *testing.B, r upmgo.SweepRunner, kind upmgo.SweepKind, o upmgo.SweepOptions) upmgo.SweepResult {
+	b.Helper()
+	res, err := r.Sweep(context.Background(), upmgo.SweepRequest{Kind: kind, Options: o})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkTable1Latency probes the memory-hierarchy ladder (Table 1).
 func BenchmarkTable1Latency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -55,13 +65,10 @@ func BenchmarkFigure1(b *testing.B) {
 		b.Run(bench, func(b *testing.B) {
 			var ft, wc float64
 			for i := 0; i < b.N; i++ {
-				cells, err := upmgo.Figure1(upmgo.SweepOptions{
+				res := benchSweep(b, upmgo.SweepRunner{}, upmgo.KindFigure1, upmgo.SweepOptions{
 					Class: upmgo.ClassS, Benches: []string{bench}, Seed: benchSeed,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, c := range cells {
+				for _, c := range res.Cells {
 					switch c.Label {
 					case "ft-IRIX":
 						ft = c.Seconds()
@@ -83,13 +90,10 @@ func BenchmarkFigure4(b *testing.B) {
 		b.Run(bench, func(b *testing.B) {
 			var ft, wcFix float64
 			for i := 0; i < b.N; i++ {
-				cells, err := upmgo.Figure4(upmgo.SweepOptions{
+				res := benchSweep(b, upmgo.SweepRunner{}, upmgo.KindFigure4, upmgo.SweepOptions{
 					Class: upmgo.ClassS, Benches: []string{bench}, Seed: benchSeed,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, c := range cells {
+				for _, c := range res.Cells {
 					switch c.Label {
 					case "ft-IRIX":
 						ft = c.Seconds()
@@ -105,31 +109,22 @@ func BenchmarkFigure4(b *testing.B) {
 
 // BenchmarkSweepFigure4All is the end-to-end sweep benchmark tracked in
 // BENCH_host.json: the full Figure 4 (all five benchmarks × 12 cells) on
-// a fresh cache. The fork variant shares cold-start prefix snapshots
-// across the engine variants of each placement (the default); nofork
-// simulates every cell from scratch — the pre-snapshot behaviour — so
-// the pair measures what prefix forking buys end to end.
+// a fresh cache, every cell forked from the cold-start prefix snapshot
+// its engine variants share. The sub-benchmark keeps its "fork" name so
+// the recorded baseline still applies.
 func BenchmarkSweepFigure4All(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		noFork bool
-	}{{"fork", false}, {"nofork", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var st upmgo.SweepCacheStats
-			for i := 0; i < b.N; i++ {
-				cache := upmgo.NewSweepCache()
-				r := upmgo.SweepRunner{Cache: cache, NoFork: mode.noFork}
-				if _, err := r.Figure4(context.Background(), upmgo.SweepOptions{
-					Class: upmgo.ClassS, Seed: benchSeed,
-				}); err != nil {
-					b.Fatal(err)
-				}
-				st = cache.Stats()
-			}
-			b.ReportMetric(float64(st.Forked), "forked-cells")
-			b.ReportMetric(float64(st.Prefixes), "prefixes")
-		})
-	}
+	b.Run("fork", func(b *testing.B) {
+		var st upmgo.SweepCacheStats
+		for i := 0; i < b.N; i++ {
+			cache := upmgo.NewSweepCache()
+			benchSweep(b, upmgo.SweepRunner{Cache: cache}, upmgo.KindFigure4, upmgo.SweepOptions{
+				Class: upmgo.ClassS, Seed: benchSeed,
+			})
+			st = cache.Stats()
+		}
+		b.ReportMetric(float64(st.Forked), "forked-cells")
+		b.ReportMetric(float64(st.Prefixes), "prefixes")
+	})
 }
 
 // BenchmarkSweepTopo64 is the hierarchical-machine datapoint tracked in
@@ -141,18 +136,10 @@ func BenchmarkSweepFigure4All(b *testing.B) {
 func BenchmarkSweepTopo64(b *testing.B) {
 	var ft, wc float64
 	for i := 0; i < b.N; i++ {
-		r := upmgo.SweepRunner{Cache: upmgo.NewSweepCache()}
-		res, err := r.Sweep(context.Background(), upmgo.SweepRequest{
-			Kind: upmgo.KindTopoScale,
-			Options: upmgo.SweepOptions{
-				Class: upmgo.ClassS, Benches: []string{"CG"}, Seed: benchSeed, Topo: "hier64",
-			},
+		res := benchSweep(b, upmgo.SweepRunner{Cache: upmgo.NewSweepCache()}, upmgo.KindTopoScale, upmgo.SweepOptions{
+			Class: upmgo.ClassS, Benches: []string{"CG"}, Seed: benchSeed, Topo: "hier64",
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cells := res.Cells
-		for _, c := range cells {
+		for _, c := range res.Cells {
 			switch c.Label {
 			case "ft-IRIX@4x2x8":
 				ft = c.Seconds()
@@ -176,13 +163,10 @@ func BenchmarkSweepClassWSteady(b *testing.B) {
 	}{{"plain", false}, {"steady", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := upmgo.SweepRunner{Cache: upmgo.NewSweepCache()}
-				if _, err := r.Figure4(context.Background(), upmgo.SweepOptions{
+				benchSweep(b, upmgo.SweepRunner{Cache: upmgo.NewSweepCache()}, upmgo.KindFigure4, upmgo.SweepOptions{
 					Class: upmgo.ClassW, Benches: []string{"SP"}, Seed: benchSeed,
 					Steady: mode.steady, Extrapolate: true,
-				}); err != nil {
-					b.Fatal(err)
-				}
+				})
 			}
 		})
 	}
@@ -193,12 +177,9 @@ func BenchmarkSweepClassWSteady(b *testing.B) {
 func BenchmarkTable2Stats(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		rows, err := upmgo.Table2(upmgo.SweepOptions{Class: upmgo.ClassS, Seed: benchSeed})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := benchSweep(b, upmgo.SweepRunner{}, upmgo.KindTable2, upmgo.SweepOptions{Class: upmgo.ClassS, Seed: benchSeed})
 		worst = 0
-		for _, r := range rows {
+		for _, r := range res.Table2 {
 			for _, v := range r.SlowdownTail {
 				if v > worst {
 					worst = v
@@ -215,11 +196,8 @@ func BenchmarkTable2Stats(b *testing.B) {
 func BenchmarkFigure5RecordReplay(b *testing.B) {
 	var upmlib, recrep float64
 	for i := 0; i < b.N; i++ {
-		cells, err := upmgo.Figure5(upmgo.SweepOptions{Class: upmgo.ClassS, Seed: benchSeed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range cells {
+		res := benchSweep(b, upmgo.SweepRunner{}, upmgo.KindFigure5, upmgo.SweepOptions{Class: upmgo.ClassS, Seed: benchSeed})
+		for _, c := range res.Figure5 {
 			if c.Bench != "BT" {
 				continue
 			}
@@ -240,11 +218,8 @@ func BenchmarkFigure5RecordReplay(b *testing.B) {
 func BenchmarkFigure6ScaledBT(b *testing.B) {
 	var upmlib, recrep float64
 	for i := 0; i < b.N; i++ {
-		cells, err := upmgo.Figure6(upmgo.SweepOptions{Class: upmgo.ClassS, Seed: benchSeed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range cells {
+		res := benchSweep(b, upmgo.SweepRunner{}, upmgo.KindFigure6, upmgo.SweepOptions{Class: upmgo.ClassS, Seed: benchSeed})
+		for _, c := range res.Figure5 {
 			switch c.Label {
 			case "ft-upmlib":
 				upmlib = c.Seconds

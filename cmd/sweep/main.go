@@ -7,10 +7,8 @@
 // Figure 4, and Table 2 reuses Figure 4's UPMlib cells. Cells that do
 // simulate share cold-start prefixes: the engine variants of one
 // (benchmark, placement) fork clones of a single simulated cold start
-// instead of repeating it (-nofork falls back to from-scratch runs; the
-// results are identical either way). Output order is deterministic
-// regardless of completion order. Ctrl-C cancels the sweep between
-// cells.
+// instead of repeating it. Output order is deterministic regardless of
+// completion order. Ctrl-C cancels the sweep between cells.
 //
 // Examples:
 //
@@ -115,8 +113,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	csvOut := fs.Bool("csv", false, "emit figure 1/4 data as CSV instead of bars")
 	traceDir := fs.String("trace", "", "write per-cell Chrome traces and text summaries into this directory (disables memoization)")
 	steady := fs.Bool("steady", false, "detect each cell's steady state and fast-forward the remaining iterations (bit-identical results, much less host time)")
-	threads := fs.Int("threads", 0, "simulated team size per cell (0 = all CPUs; 1 = exactly reproducible)")
-	noFork := fs.Bool("nofork", false, "simulate every cell's cold start from scratch instead of forking shared prefix snapshots (bisection aid; results are identical)")
+	threads := fs.Int("threads", 0, "simulated team size per cell (0 = all CPUs; every width is exactly reproducible)")
 	topo := fs.String("topo", "", "machine shape for every figure/table-2 cell: a [cube:]LxLx...xC spec (last component = CPUs per node) or preset (origin, hier64, hier128, hier256); empty = the class default machine. Table 1 always shows the default ladder; use cmd/latency -topo for others")
 	topoScale := fs.Bool("toposcale", false, "run the hierarchical scaling sweep: the Figure 4 grid on the 64/128/256-CPU machine shapes (-topo narrows it to one shape)")
 	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile of the sweep to this file")
@@ -222,7 +219,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if st != nil {
 		cache.SetStore(st)
 	}
-	r := upmgo.SweepRunner{Jobs: *jobs, Cache: cache, TraceDir: *traceDir, NoFork: *noFork, MetricsDir: *metricsDir}
+	r := upmgo.SweepRunner{Jobs: *jobs, Cache: cache, TraceDir: *traceDir, MetricsDir: *metricsDir}
 
 	var reg *upmgo.MetricsRegistry
 	var served string
@@ -546,19 +543,23 @@ func (s *sweeper) runTable1() error {
 	return nil
 }
 
+// figureKinds maps the -fig numbers to their sweep requests.
+var figureKinds = map[int]upmgo.SweepKind{
+	1: upmgo.KindFigure1, 4: upmgo.KindFigure4, 5: upmgo.KindFigure5, 6: upmgo.KindFigure6,
+}
+
 func (s *sweeper) runFigure(ctx context.Context, r upmgo.SweepRunner, fig int, o upmgo.SweepOptions) error {
+	kind, ok := figureKinds[fig]
+	if !ok {
+		return fmt.Errorf("no figure %d in the paper's evaluation", fig)
+	}
+	res, err := r.Sweep(ctx, upmgo.SweepRequest{Kind: kind, Options: o})
+	if err != nil {
+		return fmt.Errorf("figure %d: %w", fig, err)
+	}
 	switch fig {
 	case 1, 4:
-		var cells []upmgo.ExperimentCell
-		var err error
-		if fig == 1 {
-			cells, err = r.Figure1(ctx, o)
-		} else {
-			cells, err = r.Figure4(ctx, o)
-		}
-		if err != nil {
-			return fmt.Errorf("figure %d: %w", fig, err)
-		}
+		cells := res.Cells
 		if s.collect {
 			s.cells = append(s.cells, cells...)
 		}
@@ -576,23 +577,11 @@ func (s *sweeper) runFigure(ctx context.Context, r upmgo.SweepRunner, fig int, o
 		s.writeCells(title+"\n"+sub, cells)
 		s.writeSummary(cells)
 	case 5, 6:
-		var cells []upmgo.Figure5Cell
-		var err error
-		if fig == 5 {
-			cells, err = r.Figure5(ctx, o)
-		} else {
-			cells, err = r.Figure6(ctx, o)
-		}
-		if err != nil {
-			return fmt.Errorf("figure %d: %w", fig, err)
-		}
 		title := "Figure 5. Record-replay data redistribution on BT and SP (ft placement)."
 		if fig == 6 {
 			title = "Figure 6. Record-replay on the synthetically scaled BT (each phase x4)."
 		}
-		s.writeFigure5(title, cells)
-	default:
-		return fmt.Errorf("no figure %d in the paper's evaluation", fig)
+		s.writeFigure5(title, res.Figure5)
 	}
 	fmt.Fprintln(s.out)
 	return nil
@@ -627,7 +616,7 @@ func (s *sweeper) runTopoScale(ctx context.Context, r upmgo.SweepRunner, o upmgo
 }
 
 func (s *sweeper) runTable2(ctx context.Context, r upmgo.SweepRunner, o upmgo.SweepOptions) error {
-	rows, err := r.Table2(ctx, o)
+	res, err := r.Sweep(ctx, upmgo.SweepRequest{Kind: upmgo.KindTable2, Options: o})
 	if err != nil {
 		return fmt.Errorf("table 2: %w", err)
 	}
@@ -635,7 +624,7 @@ func (s *sweeper) runTable2(ctx context.Context, r upmgo.SweepRunner, o upmgo.Sw
 	fmt.Fprintln(s.out, "iterations (left), and the fraction of page migrations performed by the")
 	fmt.Fprintln(s.out, "first invocation (right).")
 	fmt.Fprintf(s.out, "%-6s | %8s %8s %8s | %8s %8s %8s\n", "Bench", "rr", "rand", "wc", "rr", "rand", "wc")
-	for _, r := range rows {
+	for _, r := range res.Table2 {
 		fmt.Fprintf(s.out, "%-6s | %7.1f%% %7.1f%% %7.1f%% | %7.0f%% %7.0f%% %7.0f%%\n", r.Bench,
 			100*r.SlowdownTail["rr"], 100*r.SlowdownTail["rand"], 100*r.SlowdownTail["wc"],
 			100*r.FirstIterFrac["rr"], 100*r.FirstIterFrac["rand"], 100*r.FirstIterFrac["wc"])

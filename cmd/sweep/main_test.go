@@ -53,14 +53,15 @@ func TestRunTable1(t *testing.T) {
 	}
 }
 
-// TestRunAllForkNoForkByteIdentity is the CLI-level acceptance check for
-// prefix forking: `sweep -all` stdout must be byte-identical with
-// sharing on (the default) and off (-nofork) at -threads 1, while the
-// stderr summary shows the sharing — every simulated cell forked, ~3
-// engine variants per prefix snapshot.
-func TestRunAllForkNoForkByteIdentity(t *testing.T) {
-	var fork, nofork, errw bytes.Buffer
-	base := []string{"-all", "-class", "S", "-threads", "1", "-quiet"}
+// TestRunAllForkScratchByteIdentity is the CLI-level acceptance check
+// for prefix forking: `sweep -all` stdout at full width must be
+// byte-identical between the default run, whose summary shows the
+// sharing (every simulated cell forked, ~3 engine variants per prefix
+// snapshot), and a -trace run, whose cells cannot be memoized and so
+// simulate from scratch.
+func TestRunAllForkScratchByteIdentity(t *testing.T) {
+	var fork, scratch, errw bytes.Buffer
+	base := []string{"-all", "-class", "S", "-quiet"}
 	if err := run(base, &fork, &errw); err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +69,29 @@ func TestRunAllForkNoForkByteIdentity(t *testing.T) {
 		t.Errorf("summary lacks the prefix-reuse report:\n%s", errw.String())
 	}
 	errw.Reset()
-	if err := run(append(base, "-nofork"), &nofork, &errw); err != nil {
+	if err := run(append(base, "-trace", t.TempDir()), &scratch, &errw); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errw.String(), "(0 forked from 0 prefix snapshots)") {
-		t.Errorf("-nofork summary still reports forking:\n%s", errw.String())
+		t.Errorf("-trace summary reports forking:\n%s", errw.String())
 	}
-	if fork.String() != nofork.String() {
-		t.Error("sweep -all stdout differs between forking and -nofork")
+	if fork.String() != scratch.String() {
+		t.Error("sweep -all stdout differs between forked and from-scratch (-trace) cells")
+	}
+}
+
+// TestRunUnmemoizedCellsCounted: cells that -trace or -metrics keep out
+// of the cache still simulate, and the closing summary counts them.
+func TestRunUnmemoizedCellsCounted(t *testing.T) {
+	for _, flag := range []string{"-trace", "-metrics"} {
+		var out, errw bytes.Buffer
+		args := []string{"-fig", "4", "-class", "S", "-benches", "BT,CG", "-quiet", flag, t.TempDir()}
+		if err := run(args, &out, &errw); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(errw.String(), "sweep: 24 cells simulated (0 forked from 0 prefix snapshots), 0 recalled from cache") {
+			t.Errorf("%s summary miscounts the 24 simulated cells:\n%s", flag, errw.String())
+		}
 	}
 }
 

@@ -123,7 +123,7 @@ func TestJobLifecycle(t *testing.T) {
 	}
 
 	// The served result must match a direct, storeless, in-process sweep.
-	direct, err := upmgo.Sweep(testRequest)
+	direct, err := upmgo.SweepRunner{}.Sweep(context.Background(), testRequest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestCellsSharedWithCLIStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := upmgo.Sweep(testRequest)
+	direct, err := upmgo.SweepRunner{}.Sweep(context.Background(), testRequest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,8 +103,9 @@ type CacheStats struct {
 	// DiskHits counts cells recalled from the attached result store —
 	// simulated by an earlier process, never by this one.
 	DiskHits uint64
-	// Misses counts cells that ran a fresh simulation (from scratch or by
-	// forking a prefix snapshot).
+	// Misses counts cells that ran a fresh simulation: by forking a
+	// prefix snapshot, or from scratch when the cell cannot be memoized
+	// (traced, sampled or tweaked).
 	Misses uint64
 	// Forked counts the subset of Misses that skipped the cold start by
 	// forking a shared prefix snapshot.
@@ -330,6 +331,14 @@ func (c *Cache) prefix(ctx context.Context, key string, fn func() (*nas.Prefix, 
 		close(f.done)
 		return f.p, f.err
 	}
+}
+
+// noteScratch records one unmemoizable cell simulated from scratch: a
+// fresh simulation the Cache never saw, counted so Misses covers it.
+func (c *Cache) noteScratch() {
+	c.mu.Lock()
+	c.misses++
+	c.mu.Unlock()
 }
 
 // noteFork records one cell simulated by forking a prefix snapshot.

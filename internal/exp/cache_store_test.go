@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,11 +23,11 @@ func sweepWithStore(t *testing.T, dir string) ([]Cell, CacheStats) {
 	}
 	c := NewCache()
 	c.SetStore(st)
-	cells, err := Runner{Jobs: 2, Cache: c}.Figure1(context.Background(), storeOptions)
+	res, err := sweep(Runner{Jobs: 2, Cache: c}, KindFigure1, storeOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cells, c.Stats()
+	return res.Cells, c.Stats()
 }
 
 // TestStoreWarmStartBitIdentical is the acceptance invariant: a second
@@ -113,11 +112,11 @@ func TestStoreMixedWithRAMHits(t *testing.T) {
 	c := NewCache()
 	c.SetStore(st)
 	r := Runner{Jobs: 2, Cache: c}
-	if _, err := r.Figure4(context.Background(), storeOptions); err != nil {
+	if _, err := sweep(r, KindFigure4, storeOptions); err != nil {
 		t.Fatal(err)
 	}
 	mid := c.Stats()
-	if _, err := r.Figure1(context.Background(), storeOptions); err != nil {
+	if _, err := sweep(r, KindFigure1, storeOptions); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Stats()

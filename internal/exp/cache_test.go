@@ -118,7 +118,7 @@ func TestCacheCancelledCallerNeverSimulates(t *testing.T) {
 // traced batch writes a Chrome trace whose per-iteration spans (using the
 // exact args.ps picoseconds) sum to the cell's reported execution time,
 // plus a text summary — and traced cells bypass the memoization cache
-// entirely.
+// entirely, though its Misses still counts them.
 func TestRunnerTraceDir(t *testing.T) {
 	dir := t.TempDir()
 	cache := NewCache()
@@ -132,8 +132,10 @@ func TestRunnerTraceDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("traced cells must bypass the cache, saw %+v", st)
+	// Each traced cell is a fresh from-scratch simulation: counted as a
+	// miss, never memoized, never forked.
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 2 || st.Forked != 0 || st.Prefixes != 0 || cache.Len() != 0 {
+		t.Errorf("traced cells must bypass the cache and count as 2 misses, saw %+v (%d held)", st, cache.Len())
 	}
 	for i, spec := range specs {
 		base := fmt.Sprintf("bt-%s-classS", spec.Config.Label())

@@ -8,12 +8,9 @@
 package exp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"upmgo/internal/machine"
 	"upmgo/internal/nas"
@@ -195,10 +192,8 @@ type SweepOptions struct {
 	Scale      int `json:"scale,omitempty"`
 	Iterations int `json:"iterations,omitempty"` // 0 = class default
 	// Threads sets the simulated team size; 0 = all CPUs (the paper's
-	// setup). Threads 1 makes every cell's simulation exactly
-	// reproducible: multi-threaded teams are deterministic only up to
-	// the simulator's intra-team interleaving (see the equivalence
-	// contract in internal/nas).
+	// setup). Every width is exactly reproducible: internal/omp runs a
+	// team's members as coroutines in thread-id order.
 	Threads int `json:"threads,omitempty"`
 	// Steady arms the steady-state detector on every cell
 	// (nas.Config.SteadyState); with Extrapolate also set, each cell
@@ -310,23 +305,6 @@ func TopoScaleSpecs(o SweepOptions) []CellSpec {
 	return specs
 }
 
-// TopoScale runs the hierarchical scaling sweep with a default Runner.
-func TopoScale(o SweepOptions) ([]Cell, error) {
-	return Runner{}.Cells(context.Background(), TopoScaleSpecs(o))
-}
-
-// Figure1 reproduces the paper's Figure 1 with a default Runner
-// (parallel, unmemoized). For cancellation, shared caching and
-// progress, use Runner.Figure1.
-func Figure1(o SweepOptions) ([]Cell, error) {
-	return Runner{}.Figure1(context.Background(), o)
-}
-
-// Figure4 reproduces the paper's Figure 4 with a default Runner.
-func Figure4(o SweepOptions) ([]Cell, error) {
-	return Runner{}.Figure4(context.Background(), o)
-}
-
 // Table2Row is one line of the paper's Table 2.
 type Table2Row struct {
 	Bench string `json:"bench"`
@@ -360,11 +338,6 @@ func Table2Specs(o SweepOptions) []CellSpec {
 		}
 	}
 	return specs
-}
-
-// Table2 reproduces the paper's Table 2 with a default Runner.
-func Table2(o SweepOptions) ([]Table2Row, error) {
-	return Runner{}.Table2(context.Background(), o)
 }
 
 // tailSlowdown compares the last 75% of the iterations of a run against
@@ -444,109 +417,6 @@ func Figure5Specs(o SweepOptions) []CellSpec {
 	return specs
 }
 
-// Figure5 reproduces the paper's Figure 5 with a default Runner:
-// o.Benches (default BT and SP) at o.Scale (default 1).
-func Figure5(o SweepOptions) ([]Figure5Cell, error) {
-	return Runner{}.Figure5(context.Background(), o)
-}
-
-// Figure6 reproduces the paper's Figure 6: the synthetically scaled BT
-// (each phase repeated 4 times) under the Figure 5 configurations.
-func Figure6(o SweepOptions) ([]Figure5Cell, error) {
-	return Runner{}.Figure6(context.Background(), o)
-}
-
-// Summary aggregates a figure's cells the way the paper's Section 2.2
-// narrates them: average slowdown per placement relative to ft-IRIX.
-type Summary struct {
-	// Slowdown[label] is the mean over benchmarks of
-	// time(label)/time(ft with the same engine setting) - 1.
-	Slowdown map[string]float64
-}
-
-// Summarise computes per-label mean slowdowns vs the ft bar with the same
-// engine suffix.
-func Summarise(cells []Cell) Summary {
-	type key struct{ bench, label string }
-	times := map[key]float64{}
-	labels := map[string]bool{}
-	benches := map[string]bool{}
-	for _, c := range cells {
-		times[key{c.Bench, c.Label}] = c.Seconds()
-		labels[c.Label] = true
-		benches[c.Bench] = true
-	}
-	s := Summary{Slowdown: map[string]float64{}}
-	for label := range labels {
-		suffix := label[strings.Index(label, "-"):]
-		base := "ft" + suffix
-		var sum float64
-		var n int
-		for bench := range benches {
-			b, ok1 := times[key{bench, base}]
-			v, ok2 := times[key{bench, label}]
-			if ok1 && ok2 && b > 0 {
-				sum += v/b - 1
-				n++
-			}
-		}
-		if n > 0 {
-			s.Slowdown[label] = sum / float64(n)
-		}
-	}
-	return s
-}
-
-// WriteCells renders a figure's cells as grouped ASCII bars.
-func WriteCells(w io.Writer, title string, cells []Cell) {
-	fmt.Fprintln(w, title)
-	byBench := map[string][]Cell{}
-	for _, c := range cells {
-		byBench[c.Bench] = append(byBench[c.Bench], c)
-	}
-	var benches []string
-	for b := range byBench {
-		benches = append(benches, b)
-	}
-	sort.Slice(benches, func(i, j int) bool { return orderOf(benches[i]) < orderOf(benches[j]) })
-	for _, b := range benches {
-		group := byBench[b]
-		var max float64
-		for _, c := range group {
-			if s := c.Seconds(); s > max {
-				max = s
-			}
-		}
-		fmt.Fprintf(w, "\n%s (virtual seconds, %d iterations)\n", b, len(group[0].Result.IterPS))
-		for _, c := range group {
-			bar := strings.Repeat("#", int(40*c.Seconds()/max+0.5))
-			fmt.Fprintf(w, "  %-14s %9.4f  %s\n", c.Label, c.Seconds(), bar)
-		}
-	}
-}
-
-func orderOf(b string) int {
-	for i, n := range BenchOrder {
-		if n == b {
-			return i
-		}
-	}
-	return len(BenchOrder)
-}
-
-// WriteTable2 renders Table 2 to w.
-func WriteTable2(w io.Writer, rows []Table2Row) {
-	fmt.Fprintln(w, "Table 2. Slowdown (vs ft) in the last 75% of the iterations, and the")
-	fmt.Fprintln(w, "fraction of UPMlib migrations performed in the first iteration.")
-	fmt.Fprintf(w, "%-6s | %8s %8s %8s | %8s %8s %8s\n", "Bench",
-		"rr", "rand", "wc", "rr", "rand", "wc")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6s | %7.1f%% %7.1f%% %7.1f%% | %7.0f%% %7.0f%% %7.0f%%\n", r.Bench,
-			100*r.SlowdownTail["rr"], 100*r.SlowdownTail["rand"], 100*r.SlowdownTail["wc"],
-			100*r.FirstIterFrac["rr"], 100*r.FirstIterFrac["rand"], 100*r.FirstIterFrac["wc"])
-	}
-}
-
 // WriteCellsCSV renders a figure's cells as CSV (benchmark, label,
 // virtual seconds, remote ratio, migrations) for external plotting.
 func WriteCellsCSV(w io.Writer, cells []Cell) {
@@ -555,22 +425,5 @@ func WriteCellsCSV(w io.Writer, cells []Cell) {
 		fmt.Fprintf(w, "%s,%s,%.6f,%.4f,%d,%d\n",
 			c.Bench, c.Label, c.Seconds(), c.Result.Mach.RemoteRatio(),
 			c.Result.UPM.Migrations+c.Result.UPM.ReplayMigrations, c.Result.KmigMoves)
-	}
-}
-
-// WriteFigure5 renders Figure 5/6 cells.
-func WriteFigure5(w io.Writer, title string, cells []Figure5Cell) {
-	fmt.Fprintln(w, title)
-	var max float64
-	for _, c := range cells {
-		if c.Seconds > max {
-			max = c.Seconds
-		}
-	}
-	for _, c := range cells {
-		bar := strings.Repeat("#", int(40*(c.Seconds-c.OverheadS)/max+0.5))
-		over := strings.Repeat("/", int(40*c.OverheadS/max+0.5))
-		fmt.Fprintf(w, "  %-3s %-12s %9.4fs (phase %7.4fs, overhead %7.4fs, migs %4d) %s%s\n",
-			c.Bench, c.Label, c.Seconds, c.PhaseS, c.OverheadS, c.Migrations, bar, over)
 	}
 }

@@ -56,32 +56,36 @@ func TestWriteTable1Renders(t *testing.T) {
 }
 
 func TestFigure1ShapeBT(t *testing.T) {
-	cells, err := Figure1(SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42})
+	res, err := sweep(Runner{}, KindFigure1, SweepOptions{Class: nas.ClassS, Benches: []string{"BT", "CG"}, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 8 {
-		t.Fatalf("got %d cells, want 8 (4 placements x 2 engines)", len(cells))
+	if len(res.Cells) != 16 {
+		t.Fatalf("got %d cells, want 16 (2 benchmarks x 4 placements x 2 engines)", len(res.Cells))
 	}
 	byLabel := map[string]float64{}
-	for _, c := range cells {
-		byLabel[c.Label] = c.Seconds()
+	for _, c := range res.Cells {
+		byLabel[c.Bench+" "+c.Label] = c.Seconds()
 	}
-	if byLabel["ft-IRIX"] >= byLabel["wc-IRIX"] {
-		t.Errorf("ft (%.4f) not faster than wc (%.4f)", byLabel["ft-IRIX"], byLabel["wc-IRIX"])
+	// The paper's shape: worst-case placement is slower than first touch.
+	for _, b := range []string{"BT", "CG"} {
+		if ft, wc := byLabel[b+" ft-IRIX"], byLabel[b+" wc-IRIX"]; ft >= wc {
+			t.Errorf("%s: ft (%.4f) not faster than wc (%.4f)", b, ft, wc)
+		}
 	}
-	// Kernel migration must recover part of the worst case.
-	if byLabel["wc-IRIXmig"] >= byLabel["wc-IRIX"] {
+	// Kernel migration must recover part of BT's worst case.
+	if byLabel["BT wc-IRIXmig"] >= byLabel["BT wc-IRIX"] {
 		t.Errorf("kernel migration did not improve wc: %.4f vs %.4f",
-			byLabel["wc-IRIXmig"], byLabel["wc-IRIX"])
+			byLabel["BT wc-IRIXmig"], byLabel["BT wc-IRIX"])
 	}
 }
 
 func TestFigure4UPMlibRepairsWorstCase(t *testing.T) {
-	cells, err := Figure4(SweepOptions{Class: nas.ClassS, Benches: []string{"SP"}, Seed: 42})
+	res, err := sweep(Runner{}, KindFigure4, SweepOptions{Class: nas.ClassS, Benches: []string{"SP"}, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := res.Cells
 	if len(cells) != 12 {
 		t.Fatalf("got %d cells, want 12", len(cells))
 	}
@@ -101,25 +105,12 @@ func TestFigure4UPMlibRepairsWorstCase(t *testing.T) {
 	}
 }
 
-func TestSummarise(t *testing.T) {
-	cells, err := Figure1(SweepOptions{Class: nas.ClassS, Benches: []string{"CG"}, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Summarise(cells)
-	if got, ok := s.Slowdown["wc-IRIX"]; !ok || got <= 0 {
-		t.Errorf("wc slowdown = %v (ok=%v), want positive", got, ok)
-	}
-	if got := s.Slowdown["ft-IRIX"]; got != 0 {
-		t.Errorf("ft slowdown vs itself = %v, want 0", got)
-	}
-}
-
 func TestTable2Shapes(t *testing.T) {
-	rows, err := Table2(SweepOptions{Class: nas.ClassS, Benches: []string{"BT", "MG"}, Seed: 42})
+	res, err := sweep(Runner{}, KindTable2, SweepOptions{Class: nas.ClassS, Benches: []string{"BT", "MG"}, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Table2
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
@@ -133,18 +124,14 @@ func TestTable2Shapes(t *testing.T) {
 			}
 		}
 	}
-	var buf bytes.Buffer
-	WriteTable2(&buf, rows)
-	if !strings.Contains(buf.String(), "BT") {
-		t.Error("WriteTable2 output missing benchmark name")
-	}
 }
 
 func TestFigure5ShapesAndOverheadAccounting(t *testing.T) {
-	cells, err := Figure5(SweepOptions{Class: nas.ClassS, Seed: 42, Benches: []string{"BT"}})
+	res, err := sweep(Runner{}, KindFigure5, SweepOptions{Class: nas.ClassS, Seed: 42, Benches: []string{"BT"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := res.Figure5
 	if len(cells) != 4 {
 		t.Fatalf("got %d cells, want 4", len(cells))
 	}
@@ -169,14 +156,16 @@ func TestFigure5ShapesAndOverheadAccounting(t *testing.T) {
 }
 
 func TestFigure6UsesScaledBT(t *testing.T) {
-	base, err := Figure5(SweepOptions{Class: nas.ClassS, Seed: 42, Iterations: 3, Benches: []string{"BT"}})
+	res, err := sweep(Runner{}, KindFigure5, SweepOptions{Class: nas.ClassS, Seed: 42, Iterations: 3, Benches: []string{"BT"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := Figure6(SweepOptions{Class: nas.ClassS, Seed: 42, Iterations: 3})
+	base := res.Figure5
+	res, err = sweep(Runner{}, KindFigure6, SweepOptions{Class: nas.ClassS, Seed: 42, Iterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	scaled := res.Figure5
 	if scaled[0].Bench != "BT" {
 		t.Fatalf("Figure 6 ran %s, want BT", scaled[0].Bench)
 	}
@@ -187,20 +176,7 @@ func TestFigure6UsesScaledBT(t *testing.T) {
 }
 
 func TestUnknownBenchmarkRejected(t *testing.T) {
-	if _, err := Figure1(SweepOptions{Class: nas.ClassS, Benches: []string{"UA"}}); err == nil {
+	if _, err := sweep(Runner{}, KindFigure1, SweepOptions{Class: nas.ClassS, Benches: []string{"UA"}}); err == nil {
 		t.Error("unknown benchmark accepted")
-	}
-}
-
-func TestWriteCellsRenders(t *testing.T) {
-	cells, err := Figure1(SweepOptions{Class: nas.ClassS, Benches: []string{"FT"}, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	WriteCells(&buf, "test title", cells)
-	out := buf.String()
-	if !strings.Contains(out, "test title") || !strings.Contains(out, "ft-IRIX") || !strings.Contains(out, "#") {
-		t.Errorf("WriteCells output malformed:\n%s", out)
 	}
 }

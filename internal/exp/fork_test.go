@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -16,7 +15,7 @@ func TestRunnerPrefixSharing(t *testing.T) {
 	cache := NewCache()
 	r := Runner{Jobs: 4, Cache: cache}
 	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42}
-	if _, err := r.Figure4(context.Background(), o); err != nil {
+	if _, err := sweep(r, KindFigure4, o); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
@@ -25,7 +24,7 @@ func TestRunnerPrefixSharing(t *testing.T) {
 	}
 
 	// Figure 1 is a subset: everything recalled, nothing new forked.
-	if _, err := r.Figure1(context.Background(), o); err != nil {
+	if _, err := sweep(r, KindFigure1, o); err != nil {
 		t.Fatal(err)
 	}
 	st = cache.Stats()
@@ -35,7 +34,7 @@ func TestRunnerPrefixSharing(t *testing.T) {
 
 	// Figure 5's recrep cell is engine-only novelty: one new cell, forked
 	// from an already-held prefix — zero new cold starts.
-	if _, err := r.Figure5(context.Background(), o); err != nil {
+	if _, err := sweep(r, KindFigure5, o); err != nil {
 		t.Fatal(err)
 	}
 	st = cache.Stats()
@@ -44,29 +43,26 @@ func TestRunnerPrefixSharing(t *testing.T) {
 	}
 }
 
-// TestRunnerForkNoForkEquivalence is the exp-layer acceptance invariant:
-// at Threads 1 a forking runner and a NoFork runner return bit-identical
+// TestRunnerForkScratchEquivalence is the exp-layer acceptance
+// invariant: at the paper's full team width, a Runner with a Cache
+// (every cell forked from a shared prefix snapshot) and one without
+// (every cell simulated from scratch by nas.Run) return bit-identical
 // cells for the same sweep.
-func TestRunnerForkNoForkEquivalence(t *testing.T) {
-	o := SweepOptions{Class: nas.ClassS, Benches: []string{"CG"}, Seed: 42, Threads: 1}
+func TestRunnerForkScratchEquivalence(t *testing.T) {
+	o := SweepOptions{Class: nas.ClassS, Benches: []string{"CG"}, Seed: 42}
 	fork := Runner{Jobs: 4, Cache: NewCache()}
-	nofork := Runner{Jobs: 4, Cache: NewCache(), NoFork: true}
-
-	f, err := fork.Figure4(context.Background(), o)
+	f, err := sweep(fork, KindFigure4, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := nofork.Figure4(context.Background(), o)
+	n, err := sweep(Runner{Jobs: 4}, KindFigure4, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(f, n) {
 		t.Error("Figure4 cells differ between forked and from-scratch simulation")
 	}
-	if st := fork.Cache.Stats(); st.Forked == 0 {
-		t.Error("forking runner forked nothing")
-	}
-	if st := nofork.Cache.Stats(); st.Forked != 0 || st.Prefixes != 0 {
-		t.Errorf("NoFork runner touched the prefix store: %+v", st)
+	if st := fork.Cache.Stats(); st.Forked != uint64(len(f.Cells)) {
+		t.Errorf("forking runner forked %d of %d cells", st.Forked, len(f.Cells))
 	}
 }

@@ -88,12 +88,6 @@ type Runner struct {
 	// Traced configs are never memoizable (see nas.Config.Fingerprint),
 	// so every cell simulates fresh, bypassing the Cache.
 	TraceDir string
-	// NoFork disables prefix-snapshot sharing: every cell simulates its
-	// own cold start from scratch instead of forking the shared prefix
-	// held in the Cache. The results are identical either way (exactly so
-	// at Threads 1 — the snapshot invariant proven in internal/nas); the
-	// flag exists as a bisection escape hatch, like nas's ScalarRuns.
-	NoFork bool
 	// MetricsDir, when non-empty, attaches a fresh metrics.Sampler (with
 	// per-iteration heatmaps) to every cell and writes its virtual-time
 	// series into the directory as <bench>-<label>-class<C>.metrics.json
@@ -217,10 +211,11 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 	return cells, nil
 }
 
-// runCell executes or recalls one cell. Memoizable cells simulate by
+// runCell executes or recalls one cell. A memoizable cell simulates by
 // forking the benchmark's shared cold-start prefix (simulated once per
-// prefix fingerprint, held in the Cache) unless NoFork asks for the
-// from-scratch path; either way the Cell is the same.
+// prefix fingerprint, held in the Cache). Cells that cannot be memoized
+// (Tweak, tracing, metrics) or run without a Cache simulate from scratch
+// with nas.Run, the reference the fork is proven bit-identical to.
 //
 // The returned CellReport (never nil) carries the cell's provenance and
 // host-stage attribution; the caller fills HostSeconds via setHost once
@@ -251,16 +246,14 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 		})
 	}
 	if r.Cache != nil {
-		if key, ok := spec.Key(); ok {
-			sim := func() (Cell, error) { return run(spec.Bench, spec.Config) }
-			if !r.NoFork {
-				if pkey, ok := spec.Config.PrefixFingerprint(); ok {
-					sim = func() (Cell, error) { return r.forkCell(ctx, spec, pkey) }
-				}
-			}
-			c, _, err := r.Cache.cell(ctx, key, sim, meta)
+		key, ok := spec.Key()
+		pkey, pok := spec.Config.PrefixFingerprint()
+		if ok && pok {
+			fork := func() (Cell, error) { return r.forkCell(ctx, spec, pkey) }
+			c, _, err := r.Cache.cell(ctx, key, fork, meta)
 			return c, newCellReport(spec, c, meta, hs), err
 		}
+		r.Cache.noteScratch()
 	}
 	c, err := run(spec.Bench, spec.Config)
 	if err == nil && r.TraceDir != "" {
@@ -376,38 +369,4 @@ func (r Runner) writeMetrics(spec CellSpec, s *metrics.Sampler) error {
 		}
 	}
 	return nil
-}
-
-// Figure1 runs the paper's Figure 1 sweep (see Figure1Specs) on the pool.
-func (r Runner) Figure1(ctx context.Context, o SweepOptions) ([]Cell, error) {
-	res, err := r.Sweep(ctx, SweepRequest{Kind: KindFigure1, Options: o})
-	return res.Cells, err
-}
-
-// Figure4 runs the paper's Figure 4 sweep (see Figure4Specs) on the pool.
-func (r Runner) Figure4(ctx context.Context, o SweepOptions) ([]Cell, error) {
-	res, err := r.Sweep(ctx, SweepRequest{Kind: KindFigure4, Options: o})
-	return res.Cells, err
-}
-
-// Table2 runs the paper's Table 2 cells (see Table2Specs) on the pool
-// and assembles the rows.
-func (r Runner) Table2(ctx context.Context, o SweepOptions) ([]Table2Row, error) {
-	res, err := r.Sweep(ctx, SweepRequest{Kind: KindTable2, Options: o})
-	return res.Table2, err
-}
-
-// Figure5 runs the paper's Figure 5 sweep (see Figure5Specs) on the
-// pool: o.Benches (default BT and SP) under ft / ft-IRIXmig / ft-upmlib
-// / ft-recrep at o.Scale (default 1).
-func (r Runner) Figure5(ctx context.Context, o SweepOptions) ([]Figure5Cell, error) {
-	res, err := r.Sweep(ctx, SweepRequest{Kind: KindFigure5, Options: o})
-	return res.Figure5, err
-}
-
-// Figure6 is Figure5 with the paper's Figure 6 defaults: the
-// synthetically scaled BT (Scale 4) unless o overrides them.
-func (r Runner) Figure6(ctx context.Context, o SweepOptions) ([]Figure5Cell, error) {
-	res, err := r.Sweep(ctx, SweepRequest{Kind: KindFigure6, Options: o})
-	return res.Figure5, err
 }

@@ -22,80 +22,41 @@ func TestRunnerParallelSerialEquivalence(t *testing.T) {
 	serial := Runner{Jobs: 1}
 	parallel := Runner{Jobs: 8}
 	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42, Threads: 1}
+	for _, req := range []SweepRequest{
+		{Kind: KindFigure1, Options: o},
+		{Kind: KindFigure4, Options: o},
+		{Kind: KindTable2, Options: o},
+		{Kind: KindFigure5, Options: o},
+		{Kind: KindFigure6, Options: SweepOptions{Class: nas.ClassS, Seed: 42, Iterations: 3, Threads: 1}},
+	} {
+		s, err := serial.Sweep(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := parallel.Sweep(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s, p) {
+			t.Errorf("%s results differ between -jobs 1 and -jobs 8", req.Kind)
+		}
+	}
+}
 
-	s1, err := serial.Figure1(ctx, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := parallel.Figure1(ctx, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s1, p1) {
-		t.Error("Figure1 cells differ between -jobs 1 and -jobs 8")
-	}
-
-	s4, err := serial.Figure4(ctx, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4, err := parallel.Figure4(ctx, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s4, p4) {
-		t.Error("Figure4 cells differ between -jobs 1 and -jobs 8")
-	}
-
-	st, err := serial.Table2(ctx, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := parallel.Table2(ctx, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st, pt) {
-		t.Error("Table2 rows differ between -jobs 1 and -jobs 8")
-	}
-
-	f5 := SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42, Threads: 1}
-	s5, err := serial.Figure5(ctx, f5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p5, err := parallel.Figure5(ctx, f5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s5, p5) {
-		t.Error("Figure5 cells differ between -jobs 1 and -jobs 8")
-	}
-
-	f6 := SweepOptions{Class: nas.ClassS, Seed: 42, Iterations: 3, Threads: 1}
-	s6, err := serial.Figure6(ctx, f6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p6, err := parallel.Figure6(ctx, f6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s6, p6) {
-		t.Error("Figure6 cells differ between -jobs 1 and -jobs 8")
-	}
+// sweep runs one request of the given kind through r.
+func sweep(r Runner, kind Kind, o SweepOptions) (SweepResult, error) {
+	return r.Sweep(context.Background(), SweepRequest{Kind: kind, Options: o})
 }
 
 // TestRunnerCacheOverlap proves the -all memoization: Figure 1 after
 // Figure 4 performs zero new simulations, and so does Table 2, whose
 // four cells per benchmark are Figure 4's UPMlib cells.
 func TestRunnerCacheOverlap(t *testing.T) {
-	ctx := context.Background()
 	cache := NewCache()
 	r := Runner{Jobs: 4, Cache: cache}
 	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42}
 
-	f4, err := r.Figure4(ctx, o)
+	f4, err := sweep(r, KindFigure4, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +65,7 @@ func TestRunnerCacheOverlap(t *testing.T) {
 		t.Fatalf("after Figure4: %+v, want 12 misses, 0 hits", st)
 	}
 
-	f1, err := r.Figure1(ctx, o)
+	f1, err := sweep(r, KindFigure1, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +77,7 @@ func TestRunnerCacheOverlap(t *testing.T) {
 		t.Errorf("Figure1 after Figure4 hit %d cells, want 8", st.Hits)
 	}
 
-	if _, err := r.Table2(ctx, o); err != nil {
+	if _, err := sweep(r, KindTable2, o); err != nil {
 		t.Fatal(err)
 	}
 	st = cache.Stats()
@@ -126,10 +87,10 @@ func TestRunnerCacheOverlap(t *testing.T) {
 
 	// The recalled cells must be the very cells Figure 4 computed.
 	f4ByLabel := map[string]Cell{}
-	for _, c := range f4 {
+	for _, c := range f4.Cells {
 		f4ByLabel[c.Label] = c
 	}
-	for _, c := range f1 {
+	for _, c := range f1.Cells {
 		if !reflect.DeepEqual(c, f4ByLabel[c.Label]) {
 			t.Errorf("cached cell %s differs from Figure4's", c.Label)
 		}
@@ -137,7 +98,7 @@ func TestRunnerCacheOverlap(t *testing.T) {
 
 	// Figure 5 at native scale shares its ft-IRIX/ft-IRIXmig/ft-upmlib
 	// cells with Figures 1/4; only ft-recrep is new.
-	if _, err := r.Figure5(ctx, o); err != nil {
+	if _, err := sweep(r, KindFigure5, o); err != nil {
 		t.Fatal(err)
 	}
 	st = cache.Stats()
@@ -147,11 +108,11 @@ func TestRunnerCacheOverlap(t *testing.T) {
 }
 
 func TestRunnerContextCancellation(t *testing.T) {
-	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42}
+	req := SweepRequest{Kind: KindFigure1, Options: SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42}}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := (Runner{Jobs: 2}).Figure1(ctx, o); !errors.Is(err, context.Canceled) {
+	if _, err := (Runner{Jobs: 2}).Sweep(ctx, req); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled sweep returned %v, want context.Canceled", err)
 	}
 
@@ -163,7 +124,7 @@ func TestRunnerContextCancellation(t *testing.T) {
 			cancel()
 		}
 	}}
-	if _, err := r.Figure1(ctx, o); !errors.Is(err, context.Canceled) {
+	if _, err := r.Sweep(ctx, req); !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-batch cancellation returned %v, want context.Canceled", err)
 	}
 }
@@ -176,11 +137,11 @@ func TestRunnerProgressEvents(t *testing.T) {
 		events = append(events, ev)
 		mu.Unlock()
 	}}
-	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42}
-	cells, err := r.Figure1(context.Background(), o)
+	res, err := sweep(r, KindFigure1, SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := res.Cells
 	if len(events) != 2*len(cells) {
 		t.Fatalf("got %d events for %d cells, want one started + one finished each", len(events), len(cells))
 	}
@@ -212,33 +173,36 @@ func TestRunnerProgressEvents(t *testing.T) {
 }
 
 func TestRunnerUnknownBenchmarkSentinel(t *testing.T) {
-	_, err := Runner{Jobs: 2}.Figure1(context.Background(), SweepOptions{Class: nas.ClassS, Benches: []string{"UA"}})
+	_, err := sweep(Runner{Jobs: 2}, KindFigure1, SweepOptions{Class: nas.ClassS, Benches: []string{"UA"}})
 	if !errors.Is(err, ErrUnknownBenchmark) {
 		t.Errorf("unknown benchmark returned %v, want ErrUnknownBenchmark", err)
 	}
 }
 
-// TestSweepMatchesWrappers pins the unified entry point to the named
-// wrappers: Sweep(KindFigure6) and Figure6 must produce identical cells,
-// and an unknown kind must fail with the sentinel before any simulation.
+// TestSweepMatchesWrappers pins the Figure 6 request to the Figure 5
+// request it wraps — Figure 5's configurations on BT at Scale 4 — and
+// checks that an unknown kind fails with the sentinel before any
+// simulation.
 func TestSweepMatchesWrappers(t *testing.T) {
 	// Threads 1: comparing two fresh runs needs exact reproducibility.
 	o := SweepOptions{Class: nas.ClassS, Seed: 42, Iterations: 3, Threads: 1, Benches: []string{"BT"}}
-	res, err := Sweep(SweepRequest{Kind: KindFigure6, Options: o})
+	res, err := sweep(Runner{}, KindFigure6, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Figure6(o)
+	scaled := o
+	scaled.Scale = 4
+	direct, err := sweep(Runner{}, KindFigure5, scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Figure5, direct) {
-		t.Error("Sweep(KindFigure6) != Figure6 with the same options")
+	if !reflect.DeepEqual(res.Figure5, direct.Figure5) {
+		t.Error("Figure 6 != Figure 5 at Scale 4 with the same options")
 	}
-	if res.Kind != KindFigure6 || res.Len() != len(direct) {
-		t.Errorf("SweepResult kind/len = %s/%d, want %s/%d", res.Kind, res.Len(), KindFigure6, len(direct))
+	if res.Kind != KindFigure6 || res.Len() != len(direct.Figure5) {
+		t.Errorf("SweepResult kind/len = %s/%d, want %s/%d", res.Kind, res.Len(), KindFigure6, len(direct.Figure5))
 	}
-	if _, err := Sweep(SweepRequest{Kind: "figure9", Options: o}); !errors.Is(err, ErrUnknownKind) {
+	if _, err := sweep(Runner{}, "figure9", o); !errors.Is(err, ErrUnknownKind) {
 		t.Errorf("unknown kind returned %v, want ErrUnknownKind", err)
 	}
 	if _, err := SweepSpecs(SweepRequest{Kind: "figure9"}); !errors.Is(err, ErrUnknownKind) {
@@ -307,13 +271,12 @@ func TestCellSpecKeyCanonicalisation(t *testing.T) {
 // -jobs 1 and -jobs 4 return identical cells; each cell is bit-reproducible
 // on its own, whatever else the host is running.
 func TestRunnerJobsEquivalenceFullWidth(t *testing.T) {
-	ctx := context.Background()
 	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT", "CG"}, Seed: 42}
-	serial, err := Runner{Jobs: 1}.Figure4(ctx, o)
+	serial, err := sweep(Runner{Jobs: 1}, KindFigure4, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Runner{Jobs: 4}.Figure4(ctx, o)
+	parallel, err := sweep(Runner{Jobs: 4}, KindFigure4, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,44 +83,35 @@ type SweepResult struct {
 	Figure5 []Figure5Cell `json:"figure5,omitempty"`
 }
 
-// Sweep runs one sweep with a default Runner (parallel, unmemoized).
-// For cancellation, shared caching and progress, use Runner.Sweep.
-func Sweep(req SweepRequest) (SweepResult, error) {
-	return Runner{}.Sweep(context.Background(), req)
-}
-
-// Sweep dispatches one request to the pool. It is the single entry
-// point behind the Figure1/Figure4/Table2/Figure5/Figure6 wrappers and
-// behind cmd/sweepd's job executor; an unknown Kind fails with
+// Sweep runs one request on the pool. It is the one way to run a sweep:
+// cmd/sweep, cmd/sweepd's job executor and the bench harness all call
+// it. The cells come from SweepSpecs, so an unknown Kind fails with
 // ErrUnknownKind before any cell starts.
 func (r Runner) Sweep(ctx context.Context, req SweepRequest) (SweepResult, error) {
-	out := SweepResult{Kind: req.Kind}
-	var err error
-	switch req.Kind {
-	case KindFigure1:
-		out.Cells, err = r.Cells(ctx, Figure1Specs(req.Options))
-	case KindFigure4:
-		out.Cells, err = r.Cells(ctx, Figure4Specs(req.Options))
-	case KindTable2:
-		out.Table2, err = r.table2(ctx, req.Options)
-	case KindFigure5:
-		out.Figure5, err = r.figure5(ctx, req.Options)
-	case KindFigure6:
-		out.Figure5, err = r.figure5(ctx, figure6Options(req.Options))
-	case KindTopoScale:
-		out.Cells, err = r.Cells(ctx, TopoScaleSpecs(req.Options))
-	default:
-		return SweepResult{}, fmt.Errorf("exp: %w: %q", ErrUnknownKind, req.Kind)
-	}
+	specs, err := SweepSpecs(req)
 	if err != nil {
-		return SweepResult{Kind: req.Kind}, err
+		return SweepResult{}, err
+	}
+	cells, err := r.Cells(ctx, specs)
+	out := SweepResult{Kind: req.Kind}
+	if err != nil {
+		return out, err
+	}
+	switch req.Kind {
+	case KindTable2:
+		out.Table2 = table2Rows(cells)
+	case KindFigure5, KindFigure6:
+		out.Figure5 = figure5Cells(cells)
+	default:
+		out.Cells = cells
 	}
 	return out, nil
 }
 
-// SweepSpecs enumerates the cells a request would run, in presentation
-// order, without running them. cmd/sweepd uses it to size a job's
-// progress denominator at submission time.
+// SweepSpecs enumerates the cells a request runs, in presentation
+// order, without running them. Runner.Sweep runs exactly these cells;
+// cmd/sweepd also uses it to size a job's progress denominator at
+// submission time.
 func SweepSpecs(req SweepRequest) ([]CellSpec, error) {
 	switch req.Kind {
 	case KindFigure1:
@@ -152,20 +143,16 @@ func figure6Options(o SweepOptions) SweepOptions {
 	return o
 }
 
-// table2 runs the Table 2 cells and assembles the rows.
-func (r Runner) table2(ctx context.Context, o SweepOptions) ([]Table2Row, error) {
-	o.defaults()
-	cells, err := r.Cells(ctx, Table2Specs(o))
-	if err != nil {
-		return nil, err
-	}
+// table2Rows assembles Table 2 from its cells (Table2Specs order: per
+// benchmark, the ft baseline followed by one cell per table2Placements).
+func table2Rows(cells []Cell) []Table2Row {
 	per := 1 + len(table2Placements)
 	var out []Table2Row
-	for i, bench := range o.Benches {
-		ft := cells[i*per]
-		row := Table2Row{Bench: bench, SlowdownTail: map[string]float64{}, FirstIterFrac: map[string]float64{}}
+	for i := 0; i+per <= len(cells); i += per {
+		ft := cells[i]
+		row := Table2Row{Bench: ft.Bench, SlowdownTail: map[string]float64{}, FirstIterFrac: map[string]float64{}}
 		for j, p := range table2Placements {
-			c := cells[i*per+1+j]
+			c := cells[i+1+j]
 			row.SlowdownTail[p.String()] = tailSlowdown(c.Result.IterPS, ft.Result.IterPS)
 			if m := c.Result.UPM.Migrations; m > 0 {
 				row.FirstIterFrac[p.String()] = float64(c.Result.UPM.FirstInvocation) / float64(m)
@@ -175,15 +162,11 @@ func (r Runner) table2(ctx context.Context, o SweepOptions) ([]Table2Row, error)
 		}
 		out = append(out, row)
 	}
-	return out, nil
+	return out
 }
 
-// figure5 runs the Figure 5/6 cells and derives the bar segments.
-func (r Runner) figure5(ctx context.Context, o SweepOptions) ([]Figure5Cell, error) {
-	cells, err := r.Cells(ctx, Figure5Specs(o))
-	if err != nil {
-		return nil, err
-	}
+// figure5Cells derives the Figure 5/6 bar segments from their cells.
+func figure5Cells(cells []Cell) []Figure5Cell {
 	out := make([]Figure5Cell, len(cells))
 	for i, c := range cells {
 		var phase int64
@@ -199,7 +182,7 @@ func (r Runner) figure5(ctx context.Context, o SweepOptions) ([]Figure5Cell, err
 			Migrations: c.Result.UPM.Migrations + c.Result.UPM.ReplayMigrations + c.Result.UPM.UndoMigrations,
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Len reports the number of rows/cells in the result, whatever its

@@ -44,12 +44,13 @@ func TestTopoScaleSpecsShapes(t *testing.T) {
 // cell verified, labels carrying the @shape suffix, and the placement
 // gap still open at 64 CPUs (the question the sweep exists to ask).
 func TestTopoScale64CPUEndToEnd(t *testing.T) {
-	cells, err := TopoScale(SweepOptions{
+	res, err := sweep(Runner{}, KindTopoScale, SweepOptions{
 		Class: nas.ClassS, Benches: []string{"CG"}, Seed: 42, Topo: "hier64",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := res.Cells
 	if len(cells) != 12 {
 		t.Fatalf("got %d cells, want 12", len(cells))
 	}

@@ -176,8 +176,8 @@ type (
 	// engine-independent cold start (machine build, allocation,
 	// initialisation, the serial first-touch iteration). Build one with
 	// RunNASPrefix, then fork any number of engine variants from it with
-	// its RunFromSnapshot method; at Threads 1 a fork is bit-identical to
-	// RunNAS from scratch.
+	// its RunFromSnapshot method; a fork is bit-identical to RunNAS from
+	// scratch at any team width.
 	NASPrefix = nas.Prefix
 )
 
@@ -328,16 +328,15 @@ type (
 	// SweepRunner executes figure/table cells concurrently on a bounded
 	// host worker pool with deterministic (presentation-order) output:
 	// construct one, optionally attach a SweepCache and an OnEvent
-	// progress callback, and call its context-taking Figure1/Figure4/
-	// Table2/Figure5/Figure6 methods. The zero value runs with GOMAXPROCS
-	// workers and no memoization.
+	// progress callback, and pass a SweepRequest to its Sweep method. The
+	// zero value runs with GOMAXPROCS workers and no memoization.
 	SweepRunner = exp.Runner
 	// SweepCache memoizes completed cells across sweeps, so overlapping
 	// figures (Figure 1 ⊂ Figure 4; Table 2 reuses Figure 4's UPMlib
 	// cells) simulate each unique (benchmark, config) cell exactly once.
 	// It also holds the shared cold-start prefix snapshots (NASPrefix)
 	// that let engine variants of one placement fork a single simulated
-	// prefix instead of repeating it (disable with SweepRunner.NoFork).
+	// prefix instead of repeating it.
 	SweepCache = exp.Cache
 	// SweepCacheStats is a snapshot of a SweepCache's hit/miss counters.
 	SweepCacheStats = exp.CacheStats
@@ -352,10 +351,9 @@ type (
 func NewSweepCache() *SweepCache { return exp.NewCache() }
 
 // Unified sweep request surface. Every figure and table is one
-// SweepRequest — a SweepKind plus SweepOptions — dispatched through
-// Sweep or SweepRunner.Sweep; the named Figure/Table functions below are
-// wrappers over it. The request's JSON form is exactly the body of
-// cmd/sweepd's POST /v1/jobs.
+// SweepRequest — a SweepKind plus SweepOptions — run by
+// SweepRunner.Sweep, the one way to run a sweep. The request's JSON form
+// is exactly the body of cmd/sweepd's POST /v1/jobs.
 type (
 	// SweepKind names one of the paper's five sweeps.
 	SweepKind = exp.Kind
@@ -384,18 +382,14 @@ var TopoScaleShapes = exp.TopoScaleShapes
 // SweepKinds lists every valid SweepKind in presentation order.
 var SweepKinds = exp.Kinds
 
-// ErrUnknownSweepKind is the sentinel wrapped by Sweep and SweepSpecs
-// for a kind outside the paper's five; match it with errors.Is
-// (cmd/sweepd maps it to 400 Bad Request).
+// ErrUnknownSweepKind is the sentinel wrapped by SweepRunner.Sweep and
+// SweepSpecs for a kind outside the paper's five; match it with
+// errors.Is (cmd/sweepd maps it to 400 Bad Request).
 var ErrUnknownSweepKind = exp.ErrUnknownKind
 
 // ParseSweepKind converts a string ("figure1" … "figure6", "table2") to
 // a SweepKind, or ErrUnknownSweepKind.
 func ParseSweepKind(s string) (SweepKind, error) { return exp.ParseKind(s) }
-
-// Sweep runs one sweep request with a default SweepRunner. For
-// cancellation, shared caching and progress, use SweepRunner.Sweep.
-func Sweep(req SweepRequest) (SweepResult, error) { return exp.Sweep(req) }
 
 // SweepSpecs enumerates the cells a request would run, in presentation
 // order, without running them.
@@ -592,31 +586,3 @@ func NewTopologyHierarchy(levels []TopologyLevel) (*TopologyHierarchy, error) {
 
 // WriteCellsCSV renders Figure 1/4 cells as CSV for external plotting.
 func WriteCellsCSV(w io.Writer, cells []ExperimentCell) { exp.WriteCellsCSV(w, cells) }
-
-// The Figure/Table convenience functions below run a default SweepRunner
-// (parallel, unmemoized, background context). For cancellation, shared
-// caching across figures, or progress events, use a SweepRunner directly.
-
-// Figure1 regenerates the paper's Figure 1 (placement × kernel migration).
-func Figure1(o SweepOptions) ([]ExperimentCell, error) { return exp.Figure1(o) }
-
-// Figure4 regenerates the paper's Figure 4 (Figure 1 plus UPMlib).
-func Figure4(o SweepOptions) ([]ExperimentCell, error) { return exp.Figure4(o) }
-
-// TopoScale runs the hierarchical scaling sweep: the Figure 4
-// placement×engine grid on each TopoScaleShapes machine (o.Topo narrows
-// it to one shape) — the experiment that asks where the paper's
-// "balanced placement is enough" conclusion breaks past 16 CPUs.
-func TopoScale(o SweepOptions) ([]ExperimentCell, error) { return exp.TopoScale(o) }
-
-// Table2 regenerates the paper's Table 2 (steady-state slowdown and
-// first-iteration migration fractions).
-func Table2(o SweepOptions) ([]Table2Row, error) { return exp.Table2(o) }
-
-// Figure5 regenerates the paper's Figure 5 (record–replay) on
-// o.Benches (default BT and SP) at o.Scale (default 1).
-func Figure5(o SweepOptions) ([]Figure5Cell, error) { return exp.Figure5(o) }
-
-// Figure6 regenerates the paper's Figure 6: Figure 5 on the
-// synthetically scaled BT (o.Scale default 4).
-func Figure6(o SweepOptions) ([]Figure5Cell, error) { return exp.Figure6(o) }

@@ -114,27 +114,29 @@ func TestPublicRunNASUnknownName(t *testing.T) {
 	if !errors.Is(err, upmgo.ErrUnknownBenchmark) {
 		t.Errorf("RunNAS error %v does not wrap ErrUnknownBenchmark", err)
 	}
-	_, err = upmgo.Figure1(upmgo.SweepOptions{Class: upmgo.ClassS, Benches: []string{"UA"}})
+	_, err = upmgo.SweepRunner{}.Sweep(context.Background(), upmgo.SweepRequest{Kind: upmgo.KindFigure1,
+		Options: upmgo.SweepOptions{Class: upmgo.ClassS, Benches: []string{"UA"}}})
 	if !errors.Is(err, upmgo.ErrUnknownBenchmark) {
-		t.Errorf("Figure1 error %v does not wrap ErrUnknownBenchmark", err)
+		t.Errorf("Figure1 sweep error %v does not wrap ErrUnknownBenchmark", err)
 	}
 }
 
 func TestPublicSweepRunnerWithCache(t *testing.T) {
 	cache := upmgo.NewSweepCache()
 	r := upmgo.SweepRunner{Jobs: 2, Cache: cache}
-	o := upmgo.SweepOptions{Class: upmgo.ClassS, Benches: []string{"BT"}, Seed: 42}
-	first, err := r.Figure1(context.Background(), o)
+	req := upmgo.SweepRequest{Kind: upmgo.KindFigure1,
+		Options: upmgo.SweepOptions{Class: upmgo.ClassS, Benches: []string{"BT"}, Seed: 42}}
+	first, err := r.Sweep(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first) != 8 {
-		t.Fatalf("got %d cells, want 8", len(first))
+	if len(first.Cells) != 8 {
+		t.Fatalf("got %d cells, want 8", len(first.Cells))
 	}
 	if st := cache.Stats(); st.Misses != 8 || st.Hits != 0 {
 		t.Errorf("first sweep stats %+v, want 8 misses", st)
 	}
-	again, err := r.Figure1(context.Background(), o)
+	again, err := r.Sweep(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +202,13 @@ func TestPublicMetrics(t *testing.T) {
 		t.Errorf("/metrics lacks the published residency:\n%s", body)
 	}
 
-	cells, err := upmgo.SweepRunner{Jobs: 2}.Figure1(context.Background(),
-		upmgo.SweepOptions{Class: upmgo.ClassS, Benches: []string{"CG"}, Seed: 42})
+	fig1, err := upmgo.SweepRunner{Jobs: 2}.Sweep(context.Background(), upmgo.SweepRequest{Kind: upmgo.KindFigure1,
+		Options: upmgo.SweepOptions{Class: upmgo.ClassS, Benches: []string{"CG"}, Seed: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := upmgo.WriteLocalityTable(&buf, cells); err != nil {
+	if err := upmgo.WriteLocalityTable(&buf, fig1.Cells); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"| Bench | Placement |", "| CG | wc |", "IRIXmig", ":1"} {
@@ -220,7 +222,8 @@ func TestPublicSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := upmgo.SweepRunner{Jobs: 2}
-	_, err := r.Figure1(ctx, upmgo.SweepOptions{Class: upmgo.ClassS, Benches: []string{"BT"}})
+	_, err := r.Sweep(ctx, upmgo.SweepRequest{Kind: upmgo.KindFigure1,
+		Options: upmgo.SweepOptions{Class: upmgo.ClassS, Benches: []string{"BT"}}})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled sweep returned %v, want context.Canceled", err)
 	}
@@ -230,24 +233,22 @@ func TestPublicFigure5ScaleOption(t *testing.T) {
 	// Threads 1: the Figure6-vs-Figure5 comparison below needs two fresh
 	// runs to be exactly reproducible.
 	o := upmgo.SweepOptions{Class: upmgo.ClassS, Seed: 42, Iterations: 3, Benches: []string{"BT"}, Threads: 1}
-	base, err := upmgo.Figure5(o)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(kind upmgo.SweepKind, o upmgo.SweepOptions) []upmgo.Figure5Cell {
+		t.Helper()
+		res, err := upmgo.SweepRunner{}.Sweep(context.Background(), upmgo.SweepRequest{Kind: kind, Options: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Figure5
 	}
+	base := sweep(upmgo.KindFigure5, o)
 	scaled := o
 	scaled.Scale = 4
-	s, err := upmgo.Figure5(scaled)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := sweep(upmgo.KindFigure5, scaled)
 	if s[0].Seconds < 2*base[0].Seconds {
 		t.Errorf("Scale 4 BT (%.4fs) not clearly longer than native (%.4fs)", s[0].Seconds, base[0].Seconds)
 	}
-	f6, err := upmgo.Figure6(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f6, s) {
+	if f6 := sweep(upmgo.KindFigure6, o); !reflect.DeepEqual(f6, s) {
 		t.Error("Figure6 != Figure5 with Scale 4")
 	}
 }
