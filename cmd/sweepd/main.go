@@ -14,9 +14,10 @@
 //	GET  /debug/pprof/       host profiles; /debug/vars for expvar
 //
 // Jobs run one at a time off a bounded queue (each job's cells simulate
-// concurrently, -jobs wide); a full queue answers 503. SIGTERM/SIGINT
-// drains gracefully: the listener stops, the running job finishes,
-// still-queued jobs fail with "server draining", and the process exits.
+// concurrently, -jobs wide); a full queue answers 503 and a job body over
+// 1 MiB answers 413. SIGTERM/SIGINT drains gracefully: the listener
+// stops, the running job finishes, still-queued jobs fail with "server
+// draining", and the process exits.
 //
 // Examples:
 //

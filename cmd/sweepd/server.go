@@ -183,15 +183,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// maxJobBody caps the body of POST /v1/jobs. A sweep request is a few
+// hundred bytes; the cap stops a client from streaming an unbounded body
+// into the decoder.
+const maxJobBody = 1 << 20
+
 // handleSubmit validates a sweep request, enumerates its cells, and
-// enqueues it. A full queue answers 503 so the client can back off; the
-// submission itself never blocks on simulation.
+// enqueues it. A body over maxJobBody answers 413 and a full queue 503 so
+// the client can back off; the submission itself never blocks on
+// simulation.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
 	dec.DisallowUnknownFields()
 	var req upmgo.SweepRequest
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	// SweepSpecs re-validates the kind (decode already did, via the

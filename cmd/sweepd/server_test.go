@@ -237,6 +237,32 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyAnswers413: a job body past maxJobBody is refused
+// with 413 before it is decoded in full, and no job is queued.
+func TestOversizedBodyAnswers413(t *testing.T) {
+	_, ts := startServer(t)
+	body := `{"kind":"figure1","options":{"class":"` + strings.Repeat("S", maxJobBody) + `"}}`
+	j, resp := postJob(t, ts, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("got %s, want 413", resp.Status)
+	}
+	if j.ID != "" {
+		t.Errorf("oversized body queued job %q", j.ID)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct{ Jobs []job }
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 0 {
+		t.Errorf("job list has %d jobs after a refused body, want 0", len(list.Jobs))
+	}
+}
+
 // TestQueueFullAnswers503: with no worker draining the queue, the
 // (queueCap+1)-th submission is rejected with 503 and does not appear in
 // the job list.

@@ -11,6 +11,12 @@ import "fmt"
 // It tracks tags only (the simulator keeps array values in ordinary Go
 // memory); Access reports hit/miss and updates the replacement state.
 //
+// Each set keeps its ways in recency order, most recently used first: a
+// probe tries way 0 first, every hit, stale refill or fill moves the line
+// to way 0, and the LRU victim is always the last way. Invalid ways only
+// arise from construction and Flush, which clear whole sets, so they
+// always sit behind the valid ones and are filled first.
+//
 // Tags are derived from virtual addresses. A virtually-indexed,
 // virtually-tagged cache means a page migration does not displace cached
 // lines; the migration cost and TLB shootdown are charged explicitly
@@ -19,9 +25,8 @@ type Cache struct {
 	lineShift uint
 	setMask   uint64
 	ways      int
-	tags      []uint64 // sets*ways, 0 means invalid, otherwise lineAddr+1
+	tags      []uint64 // sets*ways, MRU first per set; 0 means invalid, otherwise lineAddr+1
 	vers      []uint32 // coherence version captured when the line was filled
-	age       []uint64 // LRU timestamps, parallel to tags
 	tick      uint64
 
 	hits, misses uint64
@@ -48,7 +53,6 @@ func NewCache(sizeBytes, lineBytes, ways int) (*Cache, error) {
 		ways: ways,
 		tags: make([]uint64, sets*ways),
 		vers: make([]uint32, sets*ways),
-		age:  make([]uint64, sets*ways),
 	}
 	for lineBytes > 1 {
 		lineBytes >>= 1
@@ -75,36 +79,7 @@ func MustCache(sizeBytes, lineBytes, ways int) *Cache {
 // fill, the entry's version becomes newVer; a writer passes newVer > ver
 // so its own copy stays valid while every other cache's copy goes stale.
 func (c *Cache) Access(addr uint64, ver, newVer uint32) bool {
-	line := addr >> c.lineShift
-	set := int(line&c.setMask) * c.ways
-	tag := line + 1
-	c.tick++
-	for w := 0; w < c.ways; w++ {
-		if c.tags[set+w] == tag {
-			c.age[set+w] = c.tick
-			if c.vers[set+w] != ver {
-				// Stale: treat as an invalidation-induced miss and
-				// refill in place.
-				c.vers[set+w] = newVer
-				c.misses++
-				return false
-			}
-			c.vers[set+w] = newVer
-			c.hits++
-			return true
-		}
-	}
-	c.misses++
-	victim := set
-	for w := 1; w < c.ways; w++ {
-		if c.age[set+w] < c.age[victim] {
-			victim = set + w
-		}
-	}
-	c.tags[victim] = tag
-	c.vers[victim] = newVer
-	c.age[victim] = c.tick
-	return false
+	return c.AccessRange(addr, 1, ver, newVer)
 }
 
 // AccessRange performs n consecutive accesses that all fall within the
@@ -112,138 +87,113 @@ func (c *Cache) Access(addr uint64, ver, newVer uint32) bool {
 // semantics of Access, and the remaining n-1 are the guaranteed hits that
 // immediately repeated references to a just-touched line produce. It
 // reports whether the first access hit. The replacement state it leaves
-// behind — tick, the line's age, hit and miss counts — is bit-identical
-// to n individual Access calls, which is what lets the bulk path of
-// internal/machine substitute one probe for a per-element loop.
+// behind — tick, the line's recency, hit and miss counts — is
+// bit-identical to n individual Access calls, which is what lets the bulk
+// path of internal/machine substitute one probe for a per-element loop.
+//
+// Callers pass n ≥ 1 (n ≤ 0 is a no-op that reports a hit): every access
+// then advances tick, so recency order is exactly the order a per-way
+// timestamp of the last access would give.
 func (c *Cache) AccessRange(addr uint64, n int, ver, newVer uint32) bool {
 	if n <= 0 {
 		return true
 	}
 	line := addr >> c.lineShift
-	set := int(line&c.setMask) * c.ways
-	tag := line + 1
 	c.tick += uint64(n)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[set+w] == tag {
-			c.age[set+w] = c.tick
-			if c.vers[set+w] != ver {
-				// Stale copy: the first access misses and refills in
-				// place; the rest hit the refreshed line.
-				c.vers[set+w] = newVer
-				c.misses++
-				c.hits += uint64(n - 1)
-				return false
-			}
-			c.vers[set+w] = newVer
-			c.hits += uint64(n)
-			return true
-		}
+	if c.probe(int(line&c.setMask)*c.ways, line+1, ver, newVer) {
+		c.hits += uint64(n)
+		return true
 	}
+	// A stale copy or a fill: the first access misses, the rest hit the
+	// refreshed line.
 	c.misses++
 	c.hits += uint64(n - 1)
-	victim := set
-	for w := 1; w < c.ways; w++ {
-		if c.age[set+w] < c.age[victim] {
-			victim = set + w
-		}
-	}
-	c.tags[victim] = tag
-	c.vers[victim] = newVer
-	c.age[victim] = c.tick
 	return false
+}
+
+// probe looks tag up in the set whose first way is set, refills a stale
+// copy or, on a miss, evicts the LRU (last) way, and moves the line to way
+// 0 with version newVer. It reports whether the line was resident at
+// version ver.
+func (c *Cache) probe(set int, tag uint64, ver, newVer uint32) bool {
+	tags, vers := c.tags, c.vers
+	if tags[set] == tag { // already MRU: nothing moves
+		hit := vers[set] == ver
+		vers[set] = newVer
+		return hit
+	}
+	// w stops at the line's way or, on a miss, at the LRU way it evicts;
+	// the ways in front of it shift back by one.
+	last := set + c.ways - 1
+	w := min(set+1, last)
+	for w < last && tags[w] != tag {
+		w++
+	}
+	hit := tags[w] == tag && vers[w] == ver
+	for ; w > set; w-- {
+		tags[w], vers[w] = tags[w-1], vers[w-1]
+	}
+	tags[set], vers[set] = tag, newVer
+	return hit
 }
 
 // AccessLines probes nLines consecutive cache lines in one call — the
 // whole-coherence-unit companion to AccessRange for contiguous runs whose
 // stride does not exceed the line size. The line containing addr holds
 // firstCount elements, full middle lines perLine each, and the last line
-// lastCount. The first element of the call validates against ver and
-// every later line against newVer (the caller has just stamped the unit's
-// new version), exactly as successive per-line AccessRange calls would;
-// tick, ages, hit and miss counts come out bit-identical. It returns the
-// number of missing lines plus the address and version of the first miss,
-// which the caller forwards to the next cache level.
+// lastCount; every count is ≥ 1, as AccessRange requires. The first
+// element of the call validates against ver and every later line against
+// newVer (the caller has just stamped the unit's new version), exactly as
+// successive per-line AccessRange calls would; tick, recency order, hit
+// and miss counts come out bit-identical. It returns the number of
+// missing lines plus the address and version of the first miss, which the
+// caller forwards to the next cache level.
 func (c *Cache) AccessLines(addr uint64, nLines, firstCount, perLine, lastCount int, ver, newVer uint32) (misses int, missAddr uint64, missVer uint32) {
-	line := addr >> c.lineShift
-	tags, vers, age := c.tags, c.vers, c.age
-	tick, hits, missCnt := c.tick, c.hits, c.misses
-	v := ver
+	// Each line's count goes to hits, less the one access of a missing
+	// line, so only the misses need counting per line.
+	n := firstCount
+	if nLines > 1 {
+		n += (nLines-2)*perLine + lastCount
+	}
+	tags, vers, shift, mask, ways := c.tags, c.vers, c.lineShift, c.setMask, c.ways
+	line, v := addr>>shift, ver
 	for i := 0; i < nLines; i++ {
-		n := perLine
-		if i == 0 {
-			n = firstCount
-		} else if i == nLines-1 {
-			n = lastCount
-		}
-		set := int(line&c.setMask) * c.ways
-		tag := line + 1
-		tick += uint64(n)
-		hit, resident := false, false
-		if c.ways == 2 {
-			// The paper machine's caches are 2-way; probing both ways
-			// branch-free keeps this innermost loop flat.
+		set, tag := int(line&mask)*ways, line+1
+		var hit bool
+		if ways == 2 {
+			// The paper machine's caches are 2-way: a hit in way 0 is
+			// already MRU, and a hit in way 1, a stale copy there or a
+			// fill all swap way 0 into the LRU slot.
 			if tags[set] == tag {
-				age[set] = tick
-				resident = true
 				hit = vers[set] == v
 				vers[set] = newVer
-			} else if tags[set+1] == tag {
-				age[set+1] = tick
-				resident = true
-				hit = vers[set+1] == v
-				vers[set+1] = newVer
+			} else {
+				hit = tags[set+1] == tag && vers[set+1] == v
+				tags[set+1], vers[set+1] = tags[set], vers[set]
+				tags[set], vers[set] = tag, newVer
 			}
 		} else {
-			for w := 0; w < c.ways; w++ {
-				if tags[set+w] == tag {
-					age[set+w] = tick
-					resident = true
-					hit = vers[set+w] == v
-					vers[set+w] = newVer
-					break
-				}
-			}
+			hit = c.probe(set, tag, v, newVer)
 		}
-		if hit {
-			hits += uint64(n)
-		} else {
-			if !resident {
-				victim := set
-				if c.ways == 2 {
-					// Matches the general scan below for the 2-way
-					// machine without paying the loop set-up.
-					if age[set+1] < age[set] {
-						victim = set + 1
-					}
-				} else {
-					for w := 1; w < c.ways; w++ {
-						if age[set+w] < age[victim] {
-							victim = set + w
-						}
-					}
-				}
-				tags[victim] = tag
-				vers[victim] = newVer
-				age[victim] = tick
-			}
-			missCnt++
-			hits += uint64(n - 1)
+		if !hit {
 			if misses == 0 {
-				missAddr, missVer = line<<c.lineShift, v
+				missAddr, missVer = line<<shift, v
 			}
 			misses++
 		}
 		v = newVer
 		line++
 	}
-	c.tick, c.hits, c.misses = tick, hits, missCnt
+	c.tick += uint64(n)
+	c.hits += uint64(n - misses)
+	c.misses += uint64(misses)
 	return misses, missAddr, missVer
 }
 
-// Clone returns a deep copy of the cache: tags, coherence versions, LRU
-// state and hit/miss counters. Subsequent accesses to either copy leave
-// the other bit-for-bit untouched, which is what lets a forked machine
-// resume a simulation exactly where its parent stopped.
+// Clone returns a deep copy of the cache: tags and coherence versions in
+// their recency order, tick and hit/miss counters. Subsequent accesses to
+// either copy leave the other bit-for-bit untouched, which is what lets a
+// forked machine resume a simulation exactly where its parent stopped.
 func (c *Cache) Clone() *Cache {
 	return &Cache{
 		lineShift: c.lineShift,
@@ -251,14 +201,14 @@ func (c *Cache) Clone() *Cache {
 		ways:      c.ways,
 		tags:      append([]uint64(nil), c.tags...),
 		vers:      append([]uint32(nil), c.vers...),
-		age:       append([]uint64(nil), c.age...),
 		tick:      c.tick,
 		hits:      c.hits,
 		misses:    c.misses,
 	}
 }
 
-// Contains reports whether addr is resident without disturbing LRU state.
+// Contains reports whether addr is resident without disturbing the
+// recency order.
 func (c *Cache) Contains(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line&c.setMask) * c.ways
@@ -272,12 +222,7 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // Flush invalidates the whole cache.
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.age[i] = 0
-	}
-}
+func (c *Cache) Flush() { clear(c.tags) }
 
 // LineBytes returns the line size in bytes.
 func (c *Cache) LineBytes() int { return 1 << c.lineShift }
@@ -291,7 +236,7 @@ func (c *Cache) Ways() int { return c.ways }
 // Stats returns cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
-// Tick returns the LRU timestamp counter, which advances by exactly one
+// Tick returns the access counter, which advances by exactly one
 // per simulated access. The steady-state detector includes it in the
 // per-iteration counter vector: equal tick deltas across iterations are a
 // necessary condition for the replacement state to be on a periodic
@@ -301,7 +246,7 @@ func (c *Cache) Tick() uint64 { return c.tick }
 // FastForward advances the cache's monotone counters by k repetitions of
 // the per-iteration deltas (dHits, dMisses, dTick) without simulating the
 // accesses behind them. The steady-state fast-forward engine calls this
-// after proving the deltas repeat; tags, versions and relative LRU ages
+// after proving the deltas repeat; tags, versions and recency order
 // are left untouched, which is sound because an extrapolated run performs
 // no further simulated accesses that could consult them.
 func (c *Cache) FastForward(dHits, dMisses, dTick uint64, k int64) {

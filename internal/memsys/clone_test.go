@@ -6,8 +6,9 @@ import (
 )
 
 // TestCacheCloneIsolation: a clone is bit-identical to its parent
-// (contents, LRU age, hit/miss stats) and the two diverge independently
-// afterwards — the memsys half of the machine snapshot invariant.
+// (tags and versions in recency order, tick, hit/miss stats) and the two
+// diverge independently afterwards — the memsys half of the machine
+// snapshot invariant.
 func TestCacheCloneIsolation(t *testing.T) {
 	c := MustCache(4*1024, 64, 2)
 	for i := uint64(0); i < 512; i++ {
