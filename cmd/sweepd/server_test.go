@@ -237,6 +237,35 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestCrashShapesAnswer400: topologies that once killed the daemon (an
+// overflowing CPU count, 40 arity-1 levels, a CPU count that wraps to 0)
+// are refused at submission with 400, and the daemon keeps serving.
+func TestCrashShapesAnswer400(t *testing.T) {
+	_, ts := startServer(t)
+	for _, topo := range []string{
+		"2x4611686018427387904",
+		"2x" + strings.Repeat("1x", 40) + "2x2",
+		"4x4611686018427387904",
+	} {
+		body := `{"kind":"figure1","options":{"class":"S","benches":["BT"],"topo":"` + topo + `"}}`
+		_, resp := postJob(t, ts, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("topo %q: got %s, want 400", topo, resp.Status)
+		}
+	}
+	body, err := json.Marshal(testRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, resp := postJob(t, ts, string(body))
+	if resp.StatusCode != http.StatusAccepted || j.ID != "job-1" {
+		t.Fatalf("valid job after the refusals: %s, id %q; want 202, job-1", resp.Status, j.ID)
+	}
+	if j = waitDone(t, ts, j.ID); j.State != jobDone {
+		t.Errorf("valid job ended %s", j.State)
+	}
+}
+
 // TestOversizedBodyAnswers413: a job body past maxJobBody is refused
 // with 413 before it is decoded in full, and no job is queued.
 func TestOversizedBodyAnswers413(t *testing.T) {

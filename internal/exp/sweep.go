@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"upmgo/internal/topology"
 )
 
 // Kind names one of the paper's five sweeps. It is the discriminator of
@@ -111,8 +113,13 @@ func (r Runner) Sweep(ctx context.Context, req SweepRequest) (SweepResult, error
 // SweepSpecs enumerates the cells a request runs, in presentation
 // order, without running them. Runner.Sweep runs exactly these cells;
 // cmd/sweepd also uses it to size a job's progress denominator at
-// submission time.
+// submission time. An Options.Topo that ParseShape rejects fails here.
 func SweepSpecs(req SweepRequest) ([]CellSpec, error) {
+	if req.Options.Topo != "" {
+		if _, err := topology.ParseShape(req.Options.Topo); err != nil {
+			return nil, fmt.Errorf("exp: %w", err)
+		}
+	}
 	switch req.Kind {
 	case KindFigure1:
 		return Figure1Specs(req.Options), nil

@@ -230,6 +230,18 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.CPUsPerNode <= 0 {
 		return nil, fmt.Errorf("machine: %d CPUs per node invalid", cfg.CPUsPerNode)
 	}
+	// The CPU cap, checked before anything is allocated.
+	factors := []int{cfg.CPUsPerNode, cfg.Nodes}
+	if cfg.Topo != nil {
+		factors = factors[:1]
+		for _, lv := range cfg.Topo {
+			factors = append(factors, lv.Arity)
+		}
+	}
+	ncpu, ok := topology.CountCPUs(factors...)
+	if !ok {
+		return nil, fmt.Errorf("machine: CPUs per node and node counts %v do not make 1 to %d CPUs (the coherence directory's 8-bit writer field)", factors, topology.MaxCPUs)
+	}
 	var topo topology.Topology
 	if cfg.Topo != nil {
 		h, err := topology.NewHierarchy(cfg.Topo)
@@ -278,10 +290,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.bulkOK = !cfg.ScalarRuns && cfg.L1Line <= cfg.L2Line && cfg.L2Line <= cfg.PageBytes
 	m.lineState = make([]uint32, (uint64(cfg.ArenaPages)<<m.pageShift)>>m.cohShift)
-	if ncpu := cfg.Nodes * cfg.CPUsPerNode; ncpu > 256 {
-		return nil, fmt.Errorf("machine: %d CPUs exceed the coherence directory's 8-bit writer field", ncpu)
-	}
-	ncpu := cfg.Nodes * cfg.CPUsPerNode
 	m.cpus = make([]*CPU, ncpu)
 	for i := range m.cpus {
 		l1, err := memsys.NewCache(cfg.L1Bytes, cfg.L1Line, cfg.L1Ways)

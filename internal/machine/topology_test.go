@@ -107,15 +107,30 @@ func TestNewCubeHierarchyKeepsLadder(t *testing.T) {
 }
 
 // TestNewHierarchicalMachineRejectsTooManyCPUs: the coherence directory's
-// 8-bit writer field caps machines at 256 CPUs; a 512-CPU shape must be
-// rejected, not wrapped.
+// 8-bit writer field caps machines at 256 CPUs; a 512-CPU machine must be
+// rejected, not wrapped, and so must CPU counts whose product overflows.
+// ParseShape already refuses such shapes, so the levels are set directly.
 func TestNewHierarchicalMachineRejectsTooManyCPUs(t *testing.T) {
-	cfg := DefaultConfig()
-	if err := cfg.SetTopology("8x8x8"); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		arities []int
+		perNode int
+	}{
+		{[]int{8, 8}, 8},    // 512 CPUs
+		{[]int{2}, 1 << 62}, // overflows int
+		{[]int{4}, 1 << 62}, // wraps to 0
+		{nil, 1 << 62},      // the hypercube path, 8 nodes
+	} {
+		cfg := DefaultConfig()
+		cfg.CPUsPerNode = tc.perNode
+		for _, a := range tc.arities {
+			cfg.Topo = append(cfg.Topo, topology.Level{Name: "l", Arity: a, Hop: 1})
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%v nodes × %d CPUs accepted", tc.arities, tc.perNode)
+		}
 	}
-	if _, err := New(cfg); err == nil {
-		t.Error("512-CPU machine accepted")
+	if err := new(Config).SetTopology("8x8x8"); err == nil {
+		t.Error("SetTopology accepted a 512-CPU shape")
 	}
 }
 

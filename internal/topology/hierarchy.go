@@ -52,9 +52,26 @@ type Level struct {
 }
 
 // MaxHierarchyNodes bounds the node count of a Hierarchy; the cached
-// distance matrix is n², and the simulator's coherence directory caps
-// machines at 256 CPUs anyway.
+// distance matrix is n², and MaxCPUs caps machines tighter anyway.
 const MaxHierarchyNodes = 1024
+
+// MaxCPUs caps a machine's CPU count: the coherence directory records a
+// line's last writer in an 8-bit field.
+const MaxCPUs = 256
+
+// CountCPUs returns the product of a machine's CPUs per node and node
+// counts, and whether each is ≥ 1 and the product ≤ MaxCPUs. It checks
+// before each multiplication, so no input overflows it.
+func CountCPUs(factors ...int) (int, bool) {
+	n := 1
+	for _, f := range factors {
+		if f < 1 || f > MaxCPUs/n {
+			return 0, false
+		}
+		n *= f
+	}
+	return n, true
+}
 
 // Hierarchy is an arbitrary tree of levels — e.g. 4 sockets × 2 dies,
 // with CPUs per node handled by the machine layer. Node ids are mixed-radix

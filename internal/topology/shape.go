@@ -60,7 +60,13 @@ func levelNames(k int) []string {
 	return out
 }
 
-// ParseShape parses a shape string or preset name.
+// maxShapeLevels, log2(MaxHierarchyNodes), bounds a shape's node levels:
+// more levels of arity ≥ 2 exceed the node cap, and arity-1 levels only
+// double the hop weights, whose sum sizes the LatencyExtras ladder.
+const maxShapeLevels = 10
+
+// ParseShape parses a shape string or preset name. It rejects shapes of
+// more than MaxCPUs CPUs or maxShapeLevels node levels.
 func ParseShape(s string) (Shape, error) {
 	spec := strings.TrimSpace(s)
 	if p, ok := Presets[strings.ToLower(spec)]; ok {
@@ -83,14 +89,13 @@ func ParseShape(s string) (Shape, error) {
 		}
 		arities[i] = v
 	}
+	if _, ok := CountCPUs(arities...); !ok {
+		return Shape{}, fmt.Errorf("topology: shape %q exceeds %d CPUs", s, MaxCPUs)
+	}
 	sh.CPUsPerNode = arities[len(arities)-1]
 	arities = arities[:len(arities)-1]
-	nodes := 1
-	for _, a := range arities {
-		if nodes > MaxHierarchyNodes/a {
-			return Shape{}, fmt.Errorf("topology: shape %q exceeds %d nodes", s, MaxHierarchyNodes)
-		}
-		nodes *= a
+	if len(arities) > maxShapeLevels {
+		return Shape{}, fmt.Errorf("topology: shape %q has %d node levels, more than %d", s, len(arities), maxShapeLevels)
 	}
 	names := levelNames(len(arities))
 	sh.Levels = make([]Level, len(arities))

@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseShape(t *testing.T) {
 	sh, err := ParseShape("4x2x8")
@@ -103,6 +106,65 @@ func TestParseShapeErrors(t *testing.T) {
 	for _, s := range []string{"", "8", "0x2", "2x-1", "ax2", "cube:", "2xx2", "64x64x1"} {
 		if _, err := ParseShape(s); err == nil {
 			t.Errorf("ParseShape(%q) succeeded, want error", s)
+		}
+	}
+}
+
+// crashShapes once parsed and then killed the simulator: a CPU count
+// that overflows int, hop weights doubled through 40 arity-1 levels to
+// 2^41 (an out-of-memory latency ladder), and a CPU count that wraps to 0.
+var crashShapes = []string{
+	"2x4611686018427387904",
+	"2x" + strings.Repeat("1x", 40) + "2x2",
+	"4x4611686018427387904",
+}
+
+// TestParseShapeCaps: the crash shapes are errors, and the CPU and level
+// caps sit exactly at MaxCPUs and maxShapeLevels.
+func TestParseShapeCaps(t *testing.T) {
+	for _, tc := range []struct {
+		shape string
+		ok    bool
+	}{
+		{crashShapes[0], false},
+		{crashShapes[1], false},
+		{crashShapes[2], false},
+		{"8x4x8", true},  // 256 CPUs
+		{"8x4x9", false}, // 288
+		{"1x256", true},  // 256 on one node
+		{"256x1", true},  // 256 nodes of one CPU
+		{"2x129", false}, // 258
+		{"8x8x8", false}, // 512
+		{"2x" + strings.Repeat("1x", 8) + "2x2", true},  // 10 node levels
+		{"2x" + strings.Repeat("1x", 9) + "2x2", false}, // 11
+	} {
+		sh, err := ParseShape(tc.shape)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseShape(%q) error %v, want ok=%t", tc.shape, err, tc.ok)
+			continue
+		}
+		if err == nil && sh.CPUCount() > MaxCPUs {
+			t.Errorf("ParseShape(%q): %d CPUs", tc.shape, sh.CPUCount())
+		}
+	}
+}
+
+func TestCountCPUs(t *testing.T) {
+	for _, tc := range []struct {
+		factors []int
+		n       int
+		ok      bool
+	}{
+		{nil, 1, true},
+		{[]int{8, 4, 8}, 256, true},
+		{[]int{2, 1 << 62}, 0, false},
+		{[]int{4, 1 << 62}, 0, false},
+		{[]int{1 << 62, 4}, 0, false},
+		{[]int{2, 0}, 0, false},
+		{[]int{-1, -4}, 0, false},
+	} {
+		if n, ok := CountCPUs(tc.factors...); n != tc.n || ok != tc.ok {
+			t.Errorf("CountCPUs(%v) = %d, %t; want %d, %t", tc.factors, n, ok, tc.n, tc.ok)
 		}
 	}
 }
