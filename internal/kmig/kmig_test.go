@@ -27,7 +27,7 @@ func TestMigratesOnThresholdExcess(t *testing.T) {
 	m, lo := mkMachine(t)
 	e := Attach(m, Config{Threshold: 10})
 	for i := 0; i < 100; i++ {
-		m.PT.CountMiss(lo, 5) // remote node 5 hammers page lo
+		m.PT.CountMissN(lo, 5, 1) // remote node 5 hammers page lo
 	}
 	m.Settle(m.CPUs()[:1], 0)
 	if e.Migrations() != 1 {
@@ -42,7 +42,7 @@ func TestNoMigrationBelowThreshold(t *testing.T) {
 	m, lo := mkMachine(t)
 	e := Attach(m, Config{Threshold: 200})
 	for i := 0; i < 100; i++ {
-		m.PT.CountMiss(lo, 5)
+		m.PT.CountMissN(lo, 5, 1)
 	}
 	m.Settle(m.CPUs()[:1], 0)
 	if e.Migrations() != 0 {
@@ -54,10 +54,10 @@ func TestNoMigrationWhenHomeDominates(t *testing.T) {
 	m, lo := mkMachine(t)
 	e := Attach(m, Config{Threshold: 10})
 	for i := 0; i < 300; i++ {
-		m.PT.CountMiss(lo, 0) // home node accesses dominate
+		m.PT.CountMissN(lo, 0, 1) // home node accesses dominate
 	}
 	for i := 0; i < 100; i++ {
-		m.PT.CountMiss(lo, 5)
+		m.PT.CountMissN(lo, 5, 1)
 	}
 	m.Settle(m.CPUs()[:1], 0)
 	if e.Migrations() != 0 {
@@ -70,7 +70,7 @@ func TestThrottleLimitsMigrationsPerScan(t *testing.T) {
 	e := Attach(m, Config{Threshold: 10, MaxPerScan: 2, DecayEvery: -1, MinScanPS: -1})
 	for p := lo; p < lo+8; p++ {
 		for i := 0; i < 100; i++ {
-			m.PT.CountMiss(p, 3)
+			m.PT.CountMissN(p, 3, 1)
 		}
 	}
 	m.Settle(m.CPUs()[:1], 0)
@@ -92,7 +92,7 @@ func TestDisabledEngineDoesNothing(t *testing.T) {
 	e := Attach(m, Config{Threshold: 10})
 	e.SetEnabled(false)
 	for i := 0; i < 500; i++ {
-		m.PT.CountMiss(lo, 7)
+		m.PT.CountMissN(lo, 7, 1)
 	}
 	m.Settle(m.CPUs()[:1], 0)
 	if e.Migrations() != 0 || e.Cost() != 0 {
@@ -107,7 +107,7 @@ func TestMigrationCostChargedToBarrier(t *testing.T) {
 	m, lo := mkMachine(t)
 	e := Attach(m, Config{Threshold: 10})
 	for i := 0; i < 100; i++ {
-		m.PT.CountMiss(lo, 5)
+		m.PT.CountMissN(lo, 5, 1)
 	}
 	tb := m.Settle(m.CPUs()[:1], 0)
 	wantCost := m.MigrationCost()
@@ -123,7 +123,7 @@ func TestCountersResetAfterMigration(t *testing.T) {
 	m, lo := mkMachine(t)
 	Attach(m, Config{Threshold: 10})
 	for i := 0; i < 100; i++ {
-		m.PT.CountMiss(lo, 5)
+		m.PT.CountMissN(lo, 5, 1)
 	}
 	m.Settle(m.CPUs()[:1], 0)
 	row := m.PT.Counters(lo, nil)
@@ -138,7 +138,7 @@ func TestScanEverySkipsBarriers(t *testing.T) {
 	m, lo := mkMachine(t)
 	e := Attach(m, Config{Threshold: 10, ScanEvery: 3, MinScanPS: -1})
 	for i := 0; i < 100; i++ {
-		m.PT.CountMiss(lo, 5)
+		m.PT.CountMissN(lo, 5, 1)
 	}
 	m.Settle(m.CPUs()[:1], 0) // barrier 1: skipped
 	m.Settle(m.CPUs()[:1], 0) // barrier 2: skipped
@@ -157,7 +157,7 @@ func TestDecayHalvesCounters(t *testing.T) {
 	// interferes.
 	Attach(m, Config{Threshold: 2000, DecayEvery: 1, MinScanPS: -1})
 	for i := 0; i < 100; i++ {
-		m.PT.CountMiss(lo, 5)
+		m.PT.CountMissN(lo, 5, 1)
 	}
 	m.Settle(m.CPUs()[:1], 0)
 	if got := m.PT.Counters(lo, nil)[5]; got != 50 {

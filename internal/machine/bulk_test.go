@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -156,6 +157,84 @@ func TestStoreRunWriteTrackingAndReplicas(t *testing.T) {
 	compareMachines(t, bulk, scalar, 64)
 	if bulk.PT.Collapses() != scalar.PT.Collapses() {
 		t.Errorf("collapses %d (bulk) != %d (scalar)", bulk.PT.Collapses(), scalar.PT.Collapses())
+	}
+}
+
+// TestRandomStreamMatchesScalar drives a bulk and a scalar machine with
+// one seeded stream of LoadRun, StoreRun, Load and Store on several CPUs,
+// and compares them after every operation. Runs use misaligned bases and
+// strides up to past an L2 line, including non-power-of-two ones (24, 40,
+// 96) that take segLen's division branch. Mid-stream the page table
+// migrates pages (a generation bump: every TLB's copy goes stale),
+// replicates them, and turns write tracking on, so stores collapse
+// replicas; barriers settle the per-node contention tallies.
+func TestRandomStreamMatchesScalar(t *testing.T) {
+	const ops, pages = 4000, 24
+	cfg := bulkTestConfig()
+	bulk, scalar := pair(t, cfg)
+	rng := rand.New(rand.NewSource(17))
+	strides := []uint64{1, 2, 4, 8, 16, 24, 32, 40, 64, 96, 128, 256}
+	span := uint64(pages * cfg.PageBytes)
+	both := func(f func(m *Machine)) {
+		f(bulk)
+		f(scalar)
+	}
+	var start int64
+	for op := 0; op < ops; op++ {
+		cpu := rng.Intn(bulk.NumCPUs())
+		stride := strides[rng.Intn(len(strides))]
+		n := 1 + rng.Intn(80)
+		if rng.Intn(4) == 0 {
+			n = 1 + rng.Intn(4) // short runs: the single-unit early-out
+		}
+		base := uint64(rng.Int63n(int64(span)))
+		if end := base + uint64(n-1)*stride; end >= span {
+			n = int((span-1-base)/stride) + 1
+		}
+		var what string
+		switch r := rng.Intn(100); {
+		case r < 38:
+			what = "LoadRun"
+			drive(bulk, scalar, cpu, func(c *CPU) { c.LoadRun(base, n, stride) })
+		case r < 76:
+			what = "StoreRun"
+			drive(bulk, scalar, cpu, func(c *CPU) { c.StoreRun(base, n, stride) })
+		case r < 85:
+			what = "Load"
+			drive(bulk, scalar, cpu, func(c *CPU) { c.Load(base) })
+		case r < 94:
+			what = "Store"
+			drive(bulk, scalar, cpu, func(c *CPU) { c.Store(base) })
+		case r < 96:
+			what = "Migrate"
+			vpn, to := base>>bulk.PageShift(), rng.Intn(cfg.Nodes)
+			both(func(m *Machine) { m.PT.Migrate(vpn, to) })
+		case r < 98:
+			what = "Replicate"
+			vpn, to := base>>bulk.PageShift(), rng.Intn(cfg.Nodes)
+			both(func(m *Machine) { m.PT.Replicate(vpn, to) })
+		default:
+			what = "Settle"
+			sb, ss := bulk.Settle(bulk.CPUs(), start), scalar.Settle(scalar.CPUs(), start)
+			if sb != ss {
+				t.Fatalf("op %d: Settle %d (bulk) != %d (scalar)", op, sb, ss)
+			}
+			start = sb
+		}
+		if op == ops/3 {
+			both(func(m *Machine) { m.PT.SetWriteTracking(true) })
+		}
+		compareMachines(t, bulk, scalar, pages)
+		if bulk.PT.Collapses() != scalar.PT.Collapses() || bulk.PT.StateHash(pages, true) != scalar.PT.StateHash(pages, true) {
+			t.Errorf("page tables differ")
+		}
+		if t.Failed() {
+			t.Fatalf("op %d (%s on cpu %d: base %d, n %d, stride %d) diverged", op, what, cpu, base, n, stride)
+		}
+	}
+	st := bulk.Stats()
+	if st.TLBMiss == 0 || st.RemoteMem == 0 || st.Migrations == 0 || bulk.PT.Collapses() == 0 {
+		t.Fatalf("stream too tame: %+v, %d collapses", st, bulk.PT.Collapses())
 	}
 }
 

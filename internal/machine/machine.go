@@ -152,9 +152,9 @@ type Machine struct {
 	// counters have already been advanced analytically.
 	freeRun bool
 
-	// refCounting gates page reference-counter accumulation (CountMiss /
-	// CountMissN on L2 misses). The NAS driver clears it for runs in which
-	// no attached engine or sampler can ever read the counters — the rows
+	// refCounting gates page reference-counter accumulation (CountMissN
+	// on L2 misses). The NAS driver clears it for runs in which no
+	// attached engine or sampler can ever read the counters — the rows
 	// are then dead state whose upkeep is pure host cost. Counter-visible
 	// outputs are unaffected by construction: the rows feed only kmig
 	// scans, UPMlib invocations and the metrics sampler.
@@ -634,12 +634,12 @@ func (c *CPU) LoadRun(addr uint64, n int, stride uint64) { c.touchRun(addr, n, s
 func (c *CPU) StoreRun(addr uint64, n int, stride uint64) { c.touchRun(addr, n, stride, true) }
 
 // touchRun is the bulk-access engine behind LoadRun and StoreRun. The run
-// is segmented page -> coherence unit (L2 line) -> L1 line; each level
-// does its bookkeeping once per segment while advancing clocks and
-// counters by the element count, so the machine state it leaves behind is
-// bit-identical to the per-element ladder in touch. Strides wider than an
-// L2 line (and degenerate strides) gain nothing from batching and fall
-// back to the scalar loop.
+// is segmented page -> coherence unit (L2 line); touchUnit charges each
+// unit's cache traffic and memory charges the page's L2 misses once, while
+// clocks and counters advance by the element count, so the machine state
+// it leaves behind is bit-identical to the per-element ladder in touch.
+// Strides wider than an L2 line (and degenerate strides) gain nothing from
+// batching and fall back to the scalar loop.
 func (c *CPU) touchRun(addr uint64, n int, stride uint64, write bool) {
 	m := c.m
 	if n <= 0 || m.freeRun {
@@ -651,151 +651,65 @@ func (c *CPU) touchRun(addr uint64, n int, stride uint64, write bool) {
 		}
 		return
 	}
-	lat := &m.Lat
 	c.stat.Accesses += uint64(n)
 	tracking := write && m.PT.WriteTracking()
-	// Short vector runs (the solvers' per-point component blocks) almost
-	// always land inside a single coherence unit; charge them on a flat
-	// path with no segmentation loops.
-	if last := addr + uint64(n-1)*stride; last>>m.cohShift == addr>>m.cohShift && !tracking {
-		c.touchUnit(addr, last, n, stride, write)
-		return
-	}
-	// Segment lengths divide the distance to the next boundary by the
-	// stride; for the power-of-two strides every caller uses, a shift
-	// replaces the (hot) hardware division.
 	shift := uint(bits.TrailingZeros64(stride))
-	pow2 := stride == 1<<shift
-	segLen := func(rem uint64) int {
-		if pow2 {
-			return int(rem>>shift) + 1
+	// Short vector runs (the solvers' per-point component blocks) almost
+	// always land inside a single coherence unit; charge them with no
+	// segmentation loops.
+	if last := addr + uint64(n-1)*stride; last>>m.cohShift == addr>>m.cohShift && !tracking {
+		if c.touchUnit(addr, last, n, stride, shift, write) {
+			c.memory(addr>>m.pageShift, write, 1)
 		}
-		return int(rem/stride) + 1
+		return
 	}
 	for i := 0; i < n; {
 		a := addr + uint64(i)*stride
 		vpn := a >> m.pageShift
-		nPage := n - i
-		if l := segLen((vpn+1)<<m.pageShift - 1 - a); l < nPage {
-			nPage = l
-		}
+		nPage := min(n-i, segLen((vpn+1)<<m.pageShift-1-a, stride, shift))
 		if tracking {
-			// As in touch: the write log and replica collapse fire even
-			// when every store in the run hits a cache.
-			if dropped := m.PT.MarkWritten(vpn); dropped > 0 {
-				c.clock += lat.MigratePage + m.ShootdownCost()
-				if m.tracer != nil {
-					m.tracer.Emit(trace.Event{Time: c.clock, CPU: c.ID,
-						Kind: trace.EvShootdown, Name: "collapse", Arg0: 1, Arg1: int64(vpn)})
-				}
-			}
+			c.markWritten(vpn)
 		}
-		// Walk the page's coherence units, counting L2 misses; the memory
-		// path below is charged once for all of them.
-		l2misses := 0
+		// The memory path is charged once for all of the page's L2
+		// misses, and only when there is one, as the scalar path resolves
+		// the page only when an access reaches memory.
+		misses := 0
 		for j := 0; j < nPage; {
 			aj := a + uint64(j)*stride
-			unit := aj >> m.cohShift
-			nUnit := nPage - j
-			if l := segLen((unit+1)<<m.cohShift - 1 - aj); l < nUnit {
-				nUnit = l
-			}
-			ver, newVer := c.coherence(unit, write)
-			c.clock += int64(nUnit) * lat.L1Hit
-			// L1-line segments inside the unit. The first element of the
-			// unit validates against ver; every later element sees the
-			// just-stamped newVer, exactly as repeated scalar touches
-			// would. L2 is probed once per L1-missing segment, with the
-			// version pair of the first missing segment deciding the
-			// (at most one) L2 miss.
-			probes := 0
-			var probeAddr uint64
-			var probeVer, probeNewVer uint32
-			if lastA := aj + uint64(nUnit-1)*stride; pow2 && stride <= uint64(m.Cfg.L1Line) && lastA>>m.l1Shift > aj>>m.l1Shift {
-				// The unit's lines are consecutive and evenly filled:
-				// one batched probe covers them all.
-				nLines := int(lastA>>m.l1Shift - aj>>m.l1Shift + 1)
-				first := int(((aj>>m.l1Shift+1)<<m.l1Shift-1-aj)>>shift) + 1
-				perLine := int(uint64(m.Cfg.L1Line) >> shift)
-				miss, mAddr, mVer := c.l1.AccessLines(aj, nLines, first, perLine, nUnit-first-(nLines-2)*perLine, ver, newVer)
-				if miss > 0 {
-					c.stat.L1Miss += uint64(miss)
-					probes, probeAddr, probeVer, probeNewVer = miss, mAddr, mVer, newVer
-				}
-			} else {
-				v0 := ver
-				for k := 0; k < nUnit; {
-					ak := aj + uint64(k)*stride
-					nLine := nUnit - k
-					if l := segLen((ak>>m.l1Shift+1)<<m.l1Shift - 1 - ak); l < nLine {
-						nLine = l
-					}
-					if !c.l1.AccessRange(ak, nLine, v0, newVer) {
-						c.stat.L1Miss++
-						if probes == 0 {
-							probeAddr, probeVer, probeNewVer = ak, v0, newVer
-						}
-						probes++
-					}
-					v0 = newVer
-					k += nLine
-				}
-			}
-			if probes > 0 {
-				if c.l2.AccessRange(probeAddr, probes, probeVer, probeNewVer) {
-					c.clock += int64(probes) * lat.L2Hit
-				} else {
-					c.stat.L2Miss++
-					c.clock += int64(probes-1) * lat.L2Hit
-					l2misses++
-				}
+			nUnit := min(nPage-j, segLen((aj>>m.cohShift+1)<<m.cohShift-1-aj, stride, shift))
+			if c.touchUnit(aj, aj+uint64(nUnit-1)*stride, nUnit, stride, shift, write) {
+				misses++
 			}
 			j += nUnit
 		}
-		if l2misses > 0 {
-			// The scalar path resolves the page only when an access
-			// actually reaches memory, so the fault (and its charge)
-			// must stay behind the first L2 miss here too.
-			home, gen, faulted := m.PT.Resolve(vpn, c.NodeID)
-			if faulted {
-				c.stat.Faults++
-				c.clock += lat.PageFault
-				if m.tracer != nil {
-					m.tracer.Emit(trace.Event{Time: c.clock, CPU: c.ID,
-						Kind: trace.EvPageFault, Arg0: int64(vpn), Arg1: int64(home)})
-				}
-			}
-			if !write && m.PT.HasReplicas(vpn) {
-				home = m.PT.NearestCopy(vpn, c.NodeID)
-			}
-			if !c.tlb.LookupRun(vpn, gen, l2misses) {
-				c.stat.TLBMiss++
-				c.clock += lat.TLBRefill
-			}
-			hops := m.Topo.Hops(c.NodeID, home)
-			if hops == 0 {
-				c.stat.LocalMem += uint64(l2misses)
-			} else {
-				c.stat.RemoteMem += uint64(l2misses)
-			}
-			c.clock += int64(l2misses) * lat.MemLatency(hops)
-			if m.refCounting {
-				m.PT.CountMissN(vpn, c.NodeID, uint32(l2misses))
-			}
-			c.nodeAcc[home] += int64(l2misses)
+		if misses > 0 {
+			c.memory(vpn, write, misses)
 		}
 		i += nPage
 	}
 }
 
-// touchUnit charges a run that lies entirely within one coherence unit
-// (and therefore one page, spanning at most L2Line/L1Line L1 lines): the
-// flat common case touchRun peels off. Event for event it matches what
-// touchRun's general segmentation — and hence the scalar ladder — would
-// charge: one coherence decision, per-L1-line probes with the first
-// element of the unit validating against ver and the rest against newVer,
-// at most one L2 miss, and the memory path behind it.
-func (c *CPU) touchUnit(addr, last uint64, n int, stride uint64, write bool) {
+// segLen returns how many elements of a run with the given stride (shift
+// is its trailing-zero count) lie from the current one to a boundary rem
+// bytes ahead, inclusive. For the power-of-two strides every caller uses,
+// a shift replaces the (hot) hardware division.
+func segLen(rem, stride uint64, shift uint) int {
+	if stride == 1<<shift {
+		return int(rem>>shift) + 1
+	}
+	return int(rem/stride) + 1
+}
+
+// touchUnit charges the cache traffic of n accesses, addr to last, that
+// lie within one coherence unit (and therefore one page, spanning at most
+// L2Line/L1Line L1 lines), and reports whether they missed in L2; the
+// caller charges the memory path behind the miss. Event for event it
+// matches the scalar ladder: one coherence decision, then per-L1-line
+// probes in which the unit's first element validates against ver and
+// every later one sees the just-stamped newVer, as repeated scalar
+// touches would. L2 is probed once for all L1-missing lines, with the
+// version of the first missing line deciding the (at most one) L2 miss.
+func (c *CPU) touchUnit(addr, last uint64, n int, stride uint64, shift uint, write bool) bool {
 	m := c.m
 	lat := &m.Lat
 	ver, newVer := c.coherence(addr>>m.cohShift, write)
@@ -808,7 +722,9 @@ func (c *CPU) touchUnit(addr, last uint64, n int, stride uint64, write bool) {
 			c.stat.L1Miss++
 			probes, probeAddr, probeVer = 1, addr, ver
 		}
-	} else if shift := uint(bits.TrailingZeros64(stride)); stride == 1<<shift && stride <= uint64(m.Cfg.L1Line) {
+	} else if stride == 1<<shift && stride <= uint64(m.Cfg.L1Line) {
+		// The unit's lines are consecutive and evenly filled: one batched
+		// probe covers them all.
 		nLines := int(last>>m.l1Shift - addr>>m.l1Shift + 1)
 		first := int(((addr>>m.l1Shift+1)<<m.l1Shift-1-addr)>>shift) + 1
 		perLine := int(uint64(m.Cfg.L1Line) >> shift)
@@ -821,10 +737,7 @@ func (c *CPU) touchUnit(addr, last uint64, n int, stride uint64, write bool) {
 		v0 := ver
 		for k := 0; k < n; {
 			ak := addr + uint64(k)*stride
-			nLine := n - k
-			if l := int(((ak>>m.l1Shift+1)<<m.l1Shift-1-ak)/stride) + 1; l < nLine {
-				nLine = l
-			}
+			nLine := min(n-k, segLen((ak>>m.l1Shift+1)<<m.l1Shift-1-ak, stride, shift))
 			if !c.l1.AccessRange(ak, nLine, v0, newVer) {
 				c.stat.L1Miss++
 				if probes == 0 {
@@ -837,15 +750,52 @@ func (c *CPU) touchUnit(addr, last uint64, n int, stride uint64, write bool) {
 		}
 	}
 	if probes == 0 {
-		return
+		return false
 	}
 	if c.l2.AccessRange(probeAddr, probes, probeVer, newVer) {
 		c.clock += int64(probes) * lat.L2Hit
+		return false
+	}
+	c.clock += int64(probes-1) * lat.L2Hit
+	return true
+}
+
+// touch performs one simulated memory reference to addr, walking
+// L1 -> L2 -> memory and charging the clock at each level. It is the
+// per-element reference ladder the bulk path is tested against.
+func (c *CPU) touch(addr uint64, write bool) {
+	m := c.m
+	if m.freeRun {
 		return
 	}
-	c.stat.L2Miss++
-	c.clock += int64(probes-1) * lat.L2Hit
-	vpn := addr >> m.pageShift
+	lat := &m.Lat
+	c.stat.Accesses++
+	if write && m.PT.WriteTracking() {
+		c.markWritten(addr >> m.pageShift)
+	}
+	ver, newVer := c.coherence(addr>>m.cohShift, write)
+	c.clock += lat.L1Hit
+	if c.l1.Access(addr, ver, newVer) {
+		return
+	}
+	c.stat.L1Miss++
+	if c.l2.Access(addr, ver, newVer) {
+		c.clock += lat.L2Hit
+		return
+	}
+	c.memory(addr>>m.pageShift, write, 1)
+}
+
+// memory charges n L2 misses to page vpn: the first-touch fault, the TLB,
+// the local or remote memory latency, the page reference counters and the
+// node's contention tally. It is the only code that runs behind an L2
+// miss, so the only place page placement and migration enter a CPU's
+// clock. The Origin2000 counts *memory* accesses, i.e. L2 misses, which is
+// why cache-friendly code barely moves the counters.
+func (c *CPU) memory(vpn uint64, write bool, n int) {
+	m := c.m
+	lat := &m.Lat
+	c.stat.L2Miss += uint64(n)
 	home, gen, faulted := m.PT.Resolve(vpn, c.NodeID)
 	if faulted {
 		c.stat.Faults++
@@ -856,89 +806,38 @@ func (c *CPU) touchUnit(addr, last uint64, n int, stride uint64, write bool) {
 		}
 	}
 	if !write && m.PT.HasReplicas(vpn) {
+		// Reads are served by the closest copy (replication extension).
 		home = m.PT.NearestCopy(vpn, c.NodeID)
 	}
-	if !c.tlb.LookupRun(vpn, gen, 1) {
+	if !c.tlb.LookupRun(vpn, gen, n) {
 		c.stat.TLBMiss++
 		c.clock += lat.TLBRefill
 	}
 	hops := m.Topo.Hops(c.NodeID, home)
 	if hops == 0 {
-		c.stat.LocalMem++
+		c.stat.LocalMem += uint64(n)
 	} else {
-		c.stat.RemoteMem++
+		c.stat.RemoteMem += uint64(n)
 	}
-	c.clock += lat.MemLatency(hops)
+	c.clock += int64(n) * lat.MemLatency(hops)
 	if m.refCounting {
-		m.PT.CountMissN(vpn, c.NodeID, 1)
+		m.PT.CountMissN(vpn, c.NodeID, uint32(n))
 	}
-	c.nodeAcc[home]++
+	c.nodeAcc[home] += int64(n)
 }
 
-// touch performs one simulated memory reference to addr, walking
-// L1 -> L2 -> (TLB, page table) -> local or remote memory, charging the
-// clock at each level and updating the page reference counters on an L2
-// miss — the Origin2000 counts *memory* accesses, i.e. L2 misses, which is
-// why cache-friendly code barely moves the counters.
-func (c *CPU) touch(addr uint64, write bool) {
-	if c.m.freeRun {
-		return
-	}
-	lat := &c.m.Lat
-	c.stat.Accesses++
-	if write && c.m.PT.WriteTracking() {
-		// Replication extension: log the write; a write to a replicated
-		// page invalidates every read copy even when the store itself
-		// hits in a cache.
-		if dropped := c.m.PT.MarkWritten(addr >> c.m.pageShift); dropped > 0 {
-			c.clock += lat.MigratePage + c.m.ShootdownCost()
-			if c.m.tracer != nil {
-				c.m.tracer.Emit(trace.Event{Time: c.clock, CPU: c.ID,
-					Kind: trace.EvShootdown, Name: "collapse", Arg0: 1, Arg1: int64(addr >> c.m.pageShift)})
-			}
+// markWritten logs a store to vpn for the replication extension. A write
+// to a replicated page invalidates every read copy even when the store
+// itself hits in a cache; the collapse is charged here.
+func (c *CPU) markWritten(vpn uint64) {
+	m := c.m
+	if dropped := m.PT.MarkWritten(vpn); dropped > 0 {
+		c.clock += m.Lat.MigratePage + m.ShootdownCost()
+		if m.tracer != nil {
+			m.tracer.Emit(trace.Event{Time: c.clock, CPU: c.ID,
+				Kind: trace.EvShootdown, Name: "collapse", Arg0: 1, Arg1: int64(vpn)})
 		}
 	}
-	ver, newVer := c.coherence(addr>>c.m.cohShift, write)
-	c.clock += lat.L1Hit
-	if c.l1.Access(addr, ver, newVer) {
-		return
-	}
-	c.stat.L1Miss++
-	if c.l2.Access(addr, ver, newVer) {
-		c.clock += lat.L2Hit
-		return
-	}
-	c.stat.L2Miss++
-	vpn := addr >> c.m.pageShift
-	home, gen, faulted := c.m.PT.Resolve(vpn, c.NodeID)
-	if faulted {
-		c.stat.Faults++
-		c.clock += lat.PageFault
-		if c.m.tracer != nil {
-			c.m.tracer.Emit(trace.Event{Time: c.clock, CPU: c.ID,
-				Kind: trace.EvPageFault, Arg0: int64(vpn), Arg1: int64(home)})
-		}
-	}
-	if !write && c.m.PT.HasReplicas(vpn) {
-		// Reads are served by the closest copy (replication extension).
-		home = c.m.PT.NearestCopy(vpn, c.NodeID)
-	}
-	if !c.tlb.Lookup(vpn, gen) {
-		c.stat.TLBMiss++
-		c.clock += lat.TLBRefill
-		c.tlb.Insert(vpn, gen)
-	}
-	hops := c.m.Topo.Hops(c.NodeID, home)
-	if hops == 0 {
-		c.stat.LocalMem++
-	} else {
-		c.stat.RemoteMem++
-	}
-	c.clock += lat.MemLatency(hops)
-	if c.m.refCounting {
-		c.m.PT.CountMiss(vpn, c.NodeID)
-	}
-	c.nodeAcc[home]++
 }
 
 // coherence runs the directory protocol for one access to a unit and
@@ -953,19 +852,18 @@ func (c *CPU) touch(addr uint64, write bool) {
 //     copy at its next use), take ownership, clear the shared flag.
 func (c *CPU) coherence(unit uint64, write bool) (ver, newVer uint32) {
 	p := &c.m.lineState[unit]
-	word := *p
+	word, me := *p, uint32(c.ID)<<1
 	ver = word >> 9
-	me := uint32(c.ID)
-	if !write {
-		if (word>>1)&0xff != me && word&1 == 0 {
+	switch {
+	case !write:
+		if word&0x1fe != me {
 			*p = word | 1
 		}
 		return ver, ver
-	}
-	if (word>>1)&0xff == me && word&1 == 0 {
+	case word&0x1ff == me:
 		return ver, ver // exclusive owner
 	}
-	*p = (ver+1)<<9 | me<<1
+	*p = (ver+1)<<9 | me
 	return ver, ver + 1
 }
 

@@ -44,7 +44,7 @@ func exercise(m *Machine, rounds int) {
 	m.PT.Replicate(lo, int(lo+1)%m.Cfg.Nodes)
 	m.PT.Migrate(lo+1, 2)
 	m.PT.Freeze(lo + 2)
-	m.PT.CountMiss(lo+3, 1)
+	m.PT.CountMissN(lo+3, 1, 1)
 }
 
 // machinesEqual compares every piece of simulated state of two machines

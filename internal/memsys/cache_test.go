@@ -109,53 +109,52 @@ func TestCacheNoThrashWithinAssociativity(t *testing.T) {
 	}
 }
 
+// A lookup that misses loads the translation, so the next one hits.
 func TestTLBLookupInsert(t *testing.T) {
 	tlb := MustTLB(64, 8)
-	if tlb.Lookup(7, 0) {
+	if tlb.LookupRun(7, 0, 1) {
 		t.Error("empty TLB hit")
 	}
-	tlb.Insert(7, 0)
-	if !tlb.Lookup(7, 0) {
-		t.Error("inserted vpn missed")
+	if !tlb.LookupRun(7, 0, 1) {
+		t.Error("loaded vpn missed")
 	}
 }
 
 func TestTLBGenerationShootdown(t *testing.T) {
 	tlb := MustTLB(64, 8)
-	tlb.Insert(7, 0)
-	if tlb.Lookup(7, 1) {
+	tlb.LookupRun(7, 0, 1)
+	if tlb.LookupRun(7, 1, 1) {
 		t.Error("stale-generation entry hit; shootdown not applied")
 	}
-	// The stale entry must have been dropped: even the old generation
-	// misses now.
-	if tlb.Lookup(7, 0) {
-		t.Error("stale entry survived generation mismatch")
+	// The miss reloaded the translation at the new generation: it hits
+	// there, and the old generation is now the stale one.
+	if !tlb.LookupRun(7, 1, 1) {
+		t.Error("reloaded entry missed")
 	}
-	tlb.Insert(7, 1)
-	if !tlb.Lookup(7, 1) {
-		t.Error("reinserted entry missed")
+	if tlb.LookupRun(7, 0, 1) {
+		t.Error("old generation hit after the reload")
 	}
 }
 
 func TestTLBEvictionLRU(t *testing.T) {
 	tlb := MustTLB(2, 2) // one set, two ways
-	tlb.Insert(1, 0)
-	tlb.Insert(2, 0)
-	tlb.Lookup(1, 0) // 1 becomes MRU
-	tlb.Insert(3, 0) // evicts 2
-	if !tlb.Lookup(1, 0) {
+	tlb.LookupRun(1, 0, 1)
+	tlb.LookupRun(2, 0, 1)
+	tlb.LookupRun(1, 0, 1) // 1 becomes MRU
+	tlb.LookupRun(3, 0, 1) // evicts 2
+	if !tlb.LookupRun(1, 0, 1) {
 		t.Error("MRU entry evicted")
 	}
-	if tlb.Lookup(2, 0) {
+	if tlb.LookupRun(2, 0, 1) {
 		t.Error("LRU entry kept")
 	}
 }
 
 func TestTLBFlush(t *testing.T) {
 	tlb := MustTLB(64, 8)
-	tlb.Insert(3, 0)
+	tlb.LookupRun(3, 0, 1)
 	tlb.Flush()
-	if tlb.Lookup(3, 0) {
+	if tlb.LookupRun(3, 0, 1) {
 		t.Error("entry survived Flush")
 	}
 }
@@ -173,12 +172,12 @@ func TestTLBEntriesAndStats(t *testing.T) {
 	if tlb.Entries() != 64 {
 		t.Errorf("Entries = %d, want 64", tlb.Entries())
 	}
-	tlb.Lookup(1, 0) // miss
-	tlb.Insert(1, 0)
-	tlb.Lookup(1, 0) // hit
+	tlb.LookupRun(1, 0, 1) // miss
+	tlb.LookupRun(1, 0, 1) // hit
+	tlb.LookupRun(2, 0, 3) // miss, then two hits
 	h, m := tlb.Stats()
-	if h != 1 || m != 1 {
-		t.Errorf("stats = %d/%d, want 1/1", h, m)
+	if h != 3 || m != 2 {
+		t.Errorf("stats = %d/%d, want 3/2", h, m)
 	}
 }
 

@@ -56,11 +56,9 @@ func TestCacheCloneIsolation(t *testing.T) {
 func TestTLBCloneIsolation(t *testing.T) {
 	tl := MustTLB(64, 4)
 	for v := uint64(0); v < 100; v++ {
-		if !tl.Lookup(v, 1) {
-			tl.Insert(v, 1)
-		}
+		tl.LookupRun(v, 1, 1)
 	}
-	tl.Lookup(99, 1) // hit
+	tl.LookupRun(99, 1, 1) // hit
 
 	k := tl.Clone()
 	if !reflect.DeepEqual(tl, k) {
@@ -69,14 +67,13 @@ func TestTLBCloneIsolation(t *testing.T) {
 
 	hits, misses := tl.Stats()
 	for v := uint64(500); v < 600; v++ {
-		k.Insert(v, 2)
-		k.Lookup(v, 2)
+		k.LookupRun(v, 2, 2)
 	}
 	k.Flush()
 	if h, m := tl.Stats(); h != hits || m != misses {
 		t.Error("mutating the clone changed the parent's stats")
 	}
-	if !tl.Lookup(99, 1) {
+	if !tl.LookupRun(99, 1, 1) {
 		t.Error("mutating the clone evicted the parent's entries")
 	}
 }

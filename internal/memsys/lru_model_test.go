@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -207,6 +208,180 @@ func TestCacheMatchesTimestampLRU(t *testing.T) {
 			run(p.c, p.m, 200)
 		}
 		if h, mi := c.Stats(); h == 0 || mi == 0 {
+			t.Fatalf("ways=%d: stream produced %d hits, %d misses; want both", ways, h, mi)
+		}
+	}
+}
+
+// tlbModel is the timestamp-LRU TLB that TLB replaced: every way carries
+// the tick of its last use, a stale entry is invalidated where it sits,
+// and an insert takes the first invalid way or else the one with the
+// smallest stamp. It is kept only as the reference that recency-ordered
+// ways must match.
+type tlbModel struct {
+	ways         int
+	setMask      uint64
+	vpns         []uint64
+	gens         []uint32
+	age          []uint64
+	tick         uint64
+	hits, misses uint64
+}
+
+func newTLBModel(entries, ways int) *tlbModel {
+	return &tlbModel{ways: ways, setMask: uint64(entries/ways - 1),
+		vpns: make([]uint64, entries), gens: make([]uint32, entries), age: make([]uint64, entries)}
+}
+
+func (m *tlbModel) lookup(vpn uint64, gen uint32) bool {
+	set := int(vpn&m.setMask) * m.ways
+	m.tick++
+	for w := 0; w < m.ways; w++ {
+		if m.vpns[set+w] == vpn+1 {
+			if m.gens[set+w] != gen {
+				m.vpns[set+w] = 0
+				m.misses++
+				return false
+			}
+			m.age[set+w] = m.tick
+			m.hits++
+			return true
+		}
+	}
+	m.misses++
+	return false
+}
+
+func (m *tlbModel) insert(vpn uint64, gen uint32) {
+	set := int(vpn&m.setMask) * m.ways
+	m.tick++
+	victim := set
+	for w := 0; w < m.ways; w++ {
+		if m.vpns[set+w] == vpn+1 || m.vpns[set+w] == 0 {
+			victim = set + w
+			break
+		}
+		if m.age[set+w] < m.age[victim] {
+			victim = set + w
+		}
+	}
+	m.vpns[victim], m.gens[victim], m.age[victim] = vpn+1, gen, m.tick
+}
+
+// lookupRun is the reference for LookupRun: a lookup, an insert after a
+// miss, and n-1 further hits that refresh the entry's stamp.
+func (m *tlbModel) lookupRun(vpn uint64, gen uint32, n int) bool {
+	hit := m.lookup(vpn, gen)
+	if !hit {
+		m.insert(vpn, gen)
+	}
+	for i := 1; i < n; i++ {
+		m.lookup(vpn, gen)
+	}
+	return hit
+}
+
+func (m *tlbModel) clone() *tlbModel {
+	k := *m
+	k.vpns = append([]uint64(nil), m.vpns...)
+	k.gens = append([]uint32(nil), m.gens...)
+	k.age = append([]uint64(nil), m.age...)
+	return &k
+}
+
+// order returns set s's valid entries as (vpn+1, gen) pairs, most recently
+// used first: the way order a recency-ordered TLB must hold.
+func (m *tlbModel) order(s int) [][2]uint64 {
+	var ws []int
+	for w := s * m.ways; w < (s+1)*m.ways; w++ {
+		if m.vpns[w] != 0 {
+			ws = append(ws, w)
+		}
+	}
+	sort.Slice(ws, func(i, j int) bool { return m.age[ws[i]] > m.age[ws[j]] })
+	out := make([][2]uint64, len(ws))
+	for i, w := range ws {
+		out[i] = [2]uint64{m.vpns[w], uint64(m.gens[w])}
+	}
+	return out
+}
+
+// TestTLBMatchesTimestampLRU drives TLB and the timestamp-LRU model with
+// one seeded random stream of LookupRun (n ≥ 1, at the page's current
+// generation, after a migration bumped it, or at an older one), Flush and
+// Clone, and after every operation compares the return values, Stats and,
+// set by set, the resident translations in recency order, with invalid
+// ways behind the valid ones. The span of pages is a few times the TLB,
+// so sets see hits, stale refills and evictions.
+func TestTLBMatchesTimestampLRU(t *testing.T) {
+	const sets, ops = 4, 6000
+	for _, ways := range []int{1, 2, 4, 8} {
+		rng := rand.New(rand.NewSource(int64(200 + ways)))
+		entries := sets * ways
+		span := 3 * entries // pages the stream touches
+		cur := make([]uint32, span)
+		tl, m := MustTLB(entries, ways), newTLBModel(entries, ways)
+		type pair struct {
+			t *TLB
+			m *tlbModel
+		}
+		var frozen []pair // originals left behind by Clone; must not move
+		check := func(op int, what string, tl *TLB, m *tlbModel) {
+			t.Helper()
+			if h, mi := tl.Stats(); h != m.hits || mi != m.misses {
+				t.Fatalf("ways=%d op %d (%s): stats %d/%d, model %d/%d", ways, op, what, h, mi, m.hits, m.misses)
+			}
+			for s := 0; s < sets; s++ {
+				want := m.order(s)
+				for w := 0; w < ways; w++ {
+					i := s*ways + w
+					got := [2]uint64{tl.vpns[i], uint64(tl.gens[i])}
+					if w >= len(want) && got[0] != 0 || w < len(want) && got != want[w] {
+						t.Fatalf("ways=%d op %d (%s): set %d way %d holds %v, model order %v", ways, op, what, s, w, got, want)
+					}
+				}
+			}
+		}
+		run := func(tl *TLB, m *tlbModel, count int) (*TLB, *tlbModel) {
+			for op := 0; op < count; op++ {
+				vpn := uint64(rng.Intn(span))
+				var what string
+				switch r := rng.Intn(100); {
+				case r < 94:
+					what = "LookupRun"
+					gen := cur[vpn]
+					switch g := rng.Intn(10); {
+					case g == 0:
+						cur[vpn]++ // a migration: resident copies go stale
+						gen = cur[vpn]
+					case g == 1 && gen > 0:
+						gen-- // an older generation than the resident one
+					}
+					n := 1 + rng.Intn(5)
+					if got, want := tl.LookupRun(vpn, gen, n), m.lookupRun(vpn, gen, n); got != want {
+						t.Fatalf("ways=%d op %d: LookupRun(%d, %d, %d) = %v, model %v", ways, op, vpn, gen, n, got, want)
+					}
+				case r < 97:
+					what = "Flush"
+					tl.Flush()
+					clear(m.vpns)
+				default:
+					what = "Clone"
+					frozen = append(frozen, pair{tl, m})
+					tl, m = tl.Clone(), m.clone()
+				}
+				check(op, what, tl, m)
+			}
+			return tl, m
+		}
+		tl, m = run(tl, m, ops)
+		// Clone isolation: each original left behind still matches its
+		// model, and keeps matching when driven on its own.
+		for _, p := range frozen {
+			check(-1, "clone original", p.t, p.m)
+			run(p.t, p.m, 200)
+		}
+		if h, mi := tl.Stats(); h == 0 || mi == 0 {
 			t.Fatalf("ways=%d: stream produced %d hits, %d misses; want both", ways, h, mi)
 		}
 	}

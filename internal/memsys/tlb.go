@@ -8,13 +8,17 @@ import "fmt"
 // stale entries miss on their next use. This models lazy TLB shootdown —
 // the eager interprocessor-interrupt cost of a shootdown is charged by the
 // migration engines themselves.
+//
+// Each set keeps its valid ways in recency order, most recently used
+// first, with invalid ways behind them: a hit, a stale refill or a fill
+// moves the entry to way 0, so the LRU victim is always the last way.
+// LookupRun is the only probe, which keeps the order exact: a translation
+// is loaded only after it missed, so it is never resident twice.
 type TLB struct {
 	ways    int
 	setMask uint64
-	vpns    []uint64 // vpn+1, 0 invalid
+	vpns    []uint64 // sets*ways, MRU first per set; vpn+1, 0 invalid
 	gens    []uint32
-	age     []uint64
-	tick    uint64
 
 	hits, misses uint64
 }
@@ -34,7 +38,6 @@ func NewTLB(entries, ways int) (*TLB, error) {
 		setMask: uint64(sets - 1),
 		vpns:    make([]uint64, entries),
 		gens:    make([]uint32, entries),
-		age:     make([]uint64, entries),
 	}, nil
 }
 
@@ -47,61 +50,44 @@ func MustTLB(entries, ways int) *TLB {
 	return t
 }
 
-// Lookup reports whether vpn has a translation loaded at generation gen.
-// An entry whose generation does not match is invalidated (a shootdown
-// took effect) and the lookup misses.
-func (t *TLB) Lookup(vpn uint64, gen uint32) bool {
-	set := int(vpn&t.setMask) * t.ways
-	tag := vpn + 1
-	t.tick++
-	for w := 0; w < t.ways; w++ {
-		if t.vpns[set+w] == tag {
-			if t.gens[set+w] != gen {
-				t.vpns[set+w] = 0
-				t.misses++
-				return false
-			}
-			t.age[set+w] = t.tick
-			t.hits++
-			return true
-		}
-	}
-	t.misses++
-	return false
-}
-
-// LookupRun performs n lookups of vpn at generation gen: the first has the
-// full semantics of Lookup, with the translation loaded via Insert when it
-// misses, and the remaining n-1 are the guaranteed hits a just-loaded
-// translation gives. It reports whether the first lookup hit (the caller
-// charges one refill when it did not). Tick, the entry's age, and the
-// hit/miss counters end up bit-identical to n Lookup calls plus the one
-// Insert a scalar caller would have issued.
+// LookupRun performs n lookups of vpn at generation gen and reports
+// whether the first hit (the caller charges one refill when it did not).
+// The first lookup hits only if vpn is loaded at generation gen; an entry
+// of another generation is stale (a shootdown took effect) and misses.
+// A miss loads the translation at gen, evicting the LRU way, so the
+// remaining n-1 lookups are the guaranteed hits a just-loaded translation
+// gives. Hit and miss counts and the recency order come out exactly as n
+// lookups against per-way timestamps of the last use would leave them.
+// n ≤ 0 is a no-op that reports a hit.
 func (t *TLB) LookupRun(vpn uint64, gen uint32, n int) bool {
 	if n <= 0 {
 		return true
 	}
-	hit := t.Lookup(vpn, gen)
-	if !hit {
-		t.Insert(vpn, gen)
+	set, tag := int(vpn&t.setMask)*t.ways, vpn+1
+	vpns, gens := t.vpns, t.gens
+	// w stops at the entry's way or, on a miss, at the last way, which
+	// holds the LRU entry or an invalid one; the ways in front of it shift
+	// back by one and the entry moves to way 0.
+	w, last := set, set+t.ways-1
+	for w < last && vpns[w] != tag {
+		w++
 	}
-	if n > 1 {
-		t.tick += uint64(n - 1)
+	hit := vpns[w] == tag && gens[w] == gen
+	for ; w > set; w-- {
+		vpns[w], gens[w] = vpns[w-1], gens[w-1]
+	}
+	vpns[set], gens[set] = tag, gen
+	if hit {
+		t.hits += uint64(n)
+	} else {
+		t.misses++
 		t.hits += uint64(n - 1)
-		set := int(vpn&t.setMask) * t.ways
-		tag := vpn + 1
-		for w := 0; w < t.ways; w++ {
-			if t.vpns[set+w] == tag {
-				t.age[set+w] = t.tick
-				break
-			}
-		}
 	}
 	return hit
 }
 
 // Clone returns a deep copy of the TLB: resident translations with their
-// shootdown generations, LRU state and hit/miss counters. See
+// shootdown generations in recency order, and the hit/miss counters. See
 // Cache.Clone for the snapshot/fork use.
 func (t *TLB) Clone() *TLB {
 	return &TLB{
@@ -109,39 +95,13 @@ func (t *TLB) Clone() *TLB {
 		setMask: t.setMask,
 		vpns:    append([]uint64(nil), t.vpns...),
 		gens:    append([]uint32(nil), t.gens...),
-		age:     append([]uint64(nil), t.age...),
-		tick:    t.tick,
 		hits:    t.hits,
 		misses:  t.misses,
 	}
 }
 
-// Insert loads the translation for vpn at generation gen, evicting LRU.
-func (t *TLB) Insert(vpn uint64, gen uint32) {
-	set := int(vpn&t.setMask) * t.ways
-	tag := vpn + 1
-	t.tick++
-	victim := set
-	for w := 0; w < t.ways; w++ {
-		if t.vpns[set+w] == tag || t.vpns[set+w] == 0 {
-			victim = set + w
-			break
-		}
-		if t.age[set+w] < t.age[victim] {
-			victim = set + w
-		}
-	}
-	t.vpns[victim] = tag
-	t.gens[victim] = gen
-	t.age[victim] = t.tick
-}
-
 // Flush drops every translation.
-func (t *TLB) Flush() {
-	for i := range t.vpns {
-		t.vpns[i] = 0
-	}
-}
+func (t *TLB) Flush() { clear(t.vpns) }
 
 // Entries returns the TLB capacity.
 func (t *TLB) Entries() int { return len(t.vpns) }

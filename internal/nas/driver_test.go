@@ -211,7 +211,7 @@ func TestElevenBitCountersSaturateUnderWorstCase(t *testing.T) {
 	lo, _ := a.PageRange()
 	m.PT.Resolve(lo, 0)
 	for i := 0; i < 3000; i++ {
-		m.PT.CountMiss(lo, 2)
+		m.PT.CountMissN(lo, 2, 1)
 	}
 	if got := m.PT.Counters(lo, nil)[2]; got != vm.CounterMax11 {
 		t.Errorf("counter = %d, want saturation at %d", got, vm.CounterMax11)

@@ -661,7 +661,7 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 
 	// With no counter consumer — no kernel engine, no UPMlib, no sampler —
 	// the per-page reference-counter rows are dead state: nothing reads
-	// them before the run ends, so the per-miss CountMiss bookkeeping can
+	// them before the run ends, so the per-miss CountMissN bookkeeping can
 	// be skipped outright. This is the hot path of the plain-IRIX cells.
 	if !cfg.KernelMig && cfg.UPM == UPMOff && cfg.Metrics == nil {
 		m.SetRefCounting(false)

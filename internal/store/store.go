@@ -16,7 +16,8 @@
 // never observe a partial record, and any number of processes (sweep CLIs,
 // sweepd servers) may share one directory without locks — two writers
 // racing on the same address rename equivalent records over each other
-// (same key ⇒ same simulation ⇒ same bytes at Threads 1), which is the
+// (same key ⇒ same simulation ⇒ same bytes, at any team width, since
+// simulation is deterministic in virtual time), which is the
 // single-flight-by-rename discipline. There is no read-modify-write
 // anywhere: corruption can only come from outside (truncation, bit rot),
 // and Get detects it by payload hash and re-reports it as ErrCorrupt so
@@ -255,7 +256,8 @@ func DecodeRecord(blob []byte) (Record, error) {
 }
 
 // readRecord loads and integrity-checks one record by address: parseable,
-// current schema and code version, payload hash intact.
+// current schema and code version, payload hash intact. A missing file is
+// ErrNotFound itself, unwrapped; a stale record wraps it.
 func (s *Store) readRecord(addr string) (Record, error) {
 	blob, err := os.ReadFile(s.path(addr))
 	if err != nil {
@@ -311,6 +313,11 @@ func (s *Store) Scan() ([]Meta, error) {
 		}
 		rec, err := s.readRecord(addr)
 		switch {
+		case err == ErrNotFound:
+			// Removed since the Glob (a concurrent GC): not in the store,
+			// and not stale, or GC would delete whatever a writer renames
+			// into its place.
+			continue
 		case errors.Is(err, ErrCorrupt):
 			m.Corrupt = true
 		case errors.Is(err, ErrNotFound):

@@ -26,7 +26,7 @@ func mk(t *testing.T, npages int, opt Options) (*machine.Machine, *UPM, uint64) 
 
 func hammer(m *machine.Machine, vpn uint64, node int, n int) {
 	for i := 0; i < n; i++ {
-		m.PT.CountMiss(vpn, node)
+		m.PT.CountMissN(vpn, node, 1)
 	}
 }
 

@@ -166,7 +166,7 @@ func New(topo topology.Topology, cfg Config) (*PageTable, error) {
 // freeze bits, ping-pong history, reference counters, replica masks, the
 // write log, capacity tallies and event counters — sharing only the
 // immutable topology. The copy must be taken at a quiescent point (no
-// concurrent Resolve/CountMiss in flight); machine.Machine.Clone
+// concurrent Resolve/CountMissN in flight); machine.Machine.Clone
 // documents the full snapshot contract.
 func (pt *PageTable) Clone() *PageTable {
 	n := &PageTable{
@@ -274,18 +274,10 @@ func (pt *PageTable) Home(vpn uint64) int { return int(atomic.LoadInt32(&pt.home
 // Gen returns the current translation generation of vpn.
 func (pt *PageTable) Gen(vpn uint64) uint32 { return atomic.LoadUint32(&pt.gen[vpn]) }
 
-// CountMiss records one memory access (an L2 miss) to vpn from the given
-// node in the hardware counters, saturating at the counter width.
-func (pt *PageTable) CountMiss(vpn uint64, node int) {
-	if p := &pt.counters[int(vpn)*pt.topo.Nodes()+node]; *p < pt.counterMax {
-		*p++
-	}
-}
-
-// CountMissN records n memory accesses to vpn from node in one saturating
-// update, leaving the counter exactly where n CountMiss calls would: the
-// bulk-access path of internal/machine batches every miss a run takes on
-// one page into a single call.
+// CountMissN records n memory accesses (L2 misses) to vpn from node in the
+// hardware counters in one update, saturating at the counter width as n
+// single increments would: the memory path of internal/machine charges
+// every miss a run takes on one page in a single call.
 func (pt *PageTable) CountMissN(vpn uint64, node int, n uint32) {
 	if n == 0 {
 		return

@@ -105,7 +105,7 @@ func TestCountersSaturateAt11Bits(t *testing.T) {
 	pt := newPT(t, 4, FirstTouch)
 	pt.Resolve(0, 0)
 	for i := 0; i < CounterMax11+500; i++ {
-		pt.CountMiss(0, 3)
+		pt.CountMissN(0, 3, 1)
 	}
 	row := pt.Counters(0, nil)
 	if row[3] != CounterMax11 {
@@ -122,7 +122,7 @@ func TestConfigurableCounterWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		pt.CountMiss(1, 2)
+		pt.CountMissN(1, 2, 1)
 	}
 	if row := pt.Counters(1, nil); row[2] != 15 {
 		t.Errorf("4-bit counter = %d, want 15", row[2])
@@ -131,13 +131,13 @@ func TestConfigurableCounterWidth(t *testing.T) {
 
 func TestResetCounters(t *testing.T) {
 	pt := newPT(t, 4, FirstTouch)
-	pt.CountMiss(2, 1)
+	pt.CountMissN(2, 1, 1)
 	pt.ResetCounters(2)
 	if row := pt.Counters(2, nil); row[1] != 0 {
 		t.Errorf("counter = %d after reset, want 0", row[1])
 	}
-	pt.CountMiss(1, 0)
-	pt.CountMiss(3, 7)
+	pt.CountMissN(1, 0, 1)
+	pt.CountMissN(3, 7, 1)
 	pt.ResetAllCounters()
 	if pt.Counters(1, nil)[0] != 0 || pt.Counters(3, nil)[7] != 0 {
 		t.Error("ResetAllCounters left residue")

@@ -60,7 +60,7 @@ func TestPublicUPMEngine(t *testing.T) {
 	u := upmgo.NewUPM(m, upmgo.UPMOptions{})
 	u.MemRefCnt(lo, hi)
 	for i := 0; i < 100; i++ {
-		m.PT.CountMiss(lo, 3)
+		m.PT.CountMissN(lo, 3, 1)
 	}
 	if n := u.MigrateMemory(m.CPU(0)); n != 1 {
 		t.Errorf("MigrateMemory moved %d pages, want 1", n)
@@ -83,7 +83,7 @@ func TestPublicKernelEngine(t *testing.T) {
 	lo, _ := a.PageRange()
 	m.PT.Resolve(lo, 0)
 	for i := 0; i < 100; i++ {
-		m.PT.CountMiss(lo, 6)
+		m.PT.CountMissN(lo, 6, 1)
 	}
 	m.Settle(m.CPUs()[:1], 0)
 	if e.Migrations() != 1 {
