@@ -109,11 +109,11 @@ func BenchmarkFigure4(b *testing.B) {
 
 // BenchmarkSweepFigure4All is a developer's end-to-end sweep benchmark:
 // the full Figure 4 (all five benchmarks × 12 cells) at Class S on a
-// fresh cache, every cell forked from the cold-start prefix snapshot its
-// engine variants share. The benchmark gate (ci/benchcompare) judges
+// fresh cache, one L2-miss stream recorded per benchmark and every other
+// cell replayed from it. The benchmark gate (ci/benchcompare) judges
 // sweeps through bench/run.sh instead; CI runs this once as a smoke.
 func BenchmarkSweepFigure4All(b *testing.B) {
-	b.Run("fork", func(b *testing.B) {
+	b.Run("replay", func(b *testing.B) {
 		var st upmgo.SweepCacheStats
 		for i := 0; i < b.N; i++ {
 			cache := upmgo.NewSweepCache()
@@ -122,8 +122,8 @@ func BenchmarkSweepFigure4All(b *testing.B) {
 			})
 			st = cache.Stats()
 		}
-		b.ReportMetric(float64(st.Forked), "forked-cells")
-		b.ReportMetric(float64(st.Prefixes), "prefixes")
+		b.ReportMetric(float64(st.Replayed), "replayed-cells")
+		b.ReportMetric(float64(st.Streams), "streams")
 	})
 }
 
@@ -131,7 +131,7 @@ func BenchmarkSweepFigure4All(b *testing.B) {
 // (the gate's wide-s workload covers the 256-CPU hierarchy end to end):
 // CG's full Figure 4 column (12 placement×engine cells)
 // on the 64-CPU hier64 machine — 4× the Origin's CPUs through the
-// mixed-radix distance path — with prefix forking as in a real sweep.
+// mixed-radix distance path — with miss-stream replay as in a real sweep.
 // The wc-slowdown metric records whether the placement gap is still open
 // at 64 CPUs.
 func BenchmarkSweepTopo64(b *testing.B) {

@@ -5,10 +5,12 @@
 // memoized across figures, so `sweep -all` simulates each unique
 // (benchmark, config) cell exactly once — Figure 1 is a subset of
 // Figure 4, and Table 2 reuses Figure 4's UPMlib cells. Cells that do
-// simulate share cold-start prefixes: the engine variants of one
-// (benchmark, placement) fork clones of a single simulated cold start
-// instead of repeating it. Output order is deterministic regardless of
-// completion order. Ctrl-C cancels the sweep between cells.
+// simulate share their cache simulation: the placement and engine
+// variants of one benchmark replay a single recorded L2-miss stream.
+// Steady cells, and cells whose recording declined, instead fork clones
+// of a simulated cold start shared per (benchmark, placement). Output
+// order is deterministic regardless of completion order. Ctrl-C cancels
+// the sweep between cells.
 //
 // Examples:
 //
@@ -39,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net"
 	"net/http"
 	"os"
@@ -46,6 +49,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -89,6 +93,9 @@ type sweeper struct {
 	// — Figure 1 is a subset of Figure 4 — so they are keyed by their
 	// memoization fingerprint to count each exactly once.
 	steady map[string]upmgo.SweepEvent
+	// declined maps each benchmark whose miss-stream recording declined
+	// to the reason, for the closing summary.
+	declined map[string]string
 }
 
 // metricsServed is a test seam: when a -metrics-addr server is up, run
@@ -239,7 +246,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "sweep: serving /metrics, /debug/vars and /debug/pprof/ on http://%s/\n", served)
 	}
 
-	var handlers []func(upmgo.SweepEvent)
+	handlers := []func(upmgo.SweepEvent){s.recordDeclined}
 	if reg != nil {
 		handlers = append(handlers, func(ev upmgo.SweepEvent) { upmgo.PublishSweepEvent(reg, cache, ev) })
 	}
@@ -308,14 +315,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	cs := cache.Stats()
 	if *storeDir != "" {
-		fmt.Fprintf(stderr, "sweep: %d cells simulated (%d forked from %d prefix snapshots), %d recalled from cache, %d from store (%d newly stored), done in %s (host time, -jobs %d)\n",
-			cs.Misses, cs.Forked, cs.Prefixes, cs.Hits, cs.DiskHits, cs.StorePuts, time.Since(t0).Round(time.Millisecond), njobs)
+		fmt.Fprintf(stderr, "sweep: %d cells simulated (%d replayed from %d streams, %d forked from %d prefix snapshots), %d recalled from cache, %d from store (%d newly stored), done in %s (host time, -jobs %d)\n",
+			cs.Misses, cs.Replayed, cs.Streams, cs.Forked, cs.Prefixes, cs.Hits, cs.DiskHits, cs.StorePuts, time.Since(t0).Round(time.Millisecond), njobs)
 		if cs.StoreErrors > 0 {
 			fmt.Fprintf(stderr, "sweep: warning: %d store errors (last: %v); affected cells re-simulated or left unpersisted\n", cs.StoreErrors, cs.StoreErr)
 		}
 	} else {
-		fmt.Fprintf(stderr, "sweep: %d cells simulated (%d forked from %d prefix snapshots), %d recalled from cache, done in %s (host time, -jobs %d)\n",
-			cs.Misses, cs.Forked, cs.Prefixes, cs.Hits, time.Since(t0).Round(time.Millisecond), njobs)
+		fmt.Fprintf(stderr, "sweep: %d cells simulated (%d replayed from %d streams, %d forked from %d prefix snapshots), %d recalled from cache, done in %s (host time, -jobs %d)\n",
+			cs.Misses, cs.Replayed, cs.Streams, cs.Forked, cs.Prefixes, cs.Hits, time.Since(t0).Round(time.Millisecond), njobs)
+	}
+	for _, b := range slices.Sorted(maps.Keys(s.declined)) {
+		fmt.Fprintf(stderr, "sweep: %s miss-stream replay declined (%s); its cells forked prefix snapshots\n", b, s.declined[b])
 	}
 	if line := s.steadySummary(); line != "" {
 		fmt.Fprintln(stderr, line)
@@ -443,6 +453,18 @@ func (s *sweeper) recordSteady(ev upmgo.SweepEvent) {
 		k = ev.Spec.Bench + "\x00" + ev.Spec.Config.Label()
 	}
 	s.steady[k] = ev
+}
+
+// recordDeclined notes the benchmarks whose miss-stream recording
+// declined, with the reason.
+func (s *sweeper) recordDeclined(ev upmgo.SweepEvent) {
+	if !ev.Done || ev.Report == nil || ev.Report.ReplayDeclined == "" {
+		return
+	}
+	if s.declined == nil {
+		s.declined = map[string]string{}
+	}
+	s.declined[ev.Spec.Bench] = ev.Report.ReplayDeclined
 }
 
 // steadySummary renders the -steady footer: how many unique cells

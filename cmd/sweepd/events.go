@@ -26,6 +26,7 @@ type jobEvent struct {
 	// cell_done only: outcome and host cost.
 	Kind           string  `json:"kind,omitempty"` // exp.FastPathKind
 	WhyNot         string  `json:"why_not,omitempty"`
+	ReplayDeclined string  `json:"replay_declined,omitempty"`
 	HostSeconds    float64 `json:"host_seconds,omitempty"`
 	VirtualSeconds float64 `json:"virtual_seconds,omitempty"`
 
@@ -62,7 +63,12 @@ func cellEvent(j *job, ev upmgo.SweepEvent) jobEvent {
 	je.HostSeconds = ev.Host.Seconds()
 	je.VirtualSeconds = ev.VirtualS
 	if rep := ev.Report; rep != nil {
+		if rep.Address != "" {
+			// The runner's own record of the cell's identity.
+			je.Address = rep.Address
+		}
 		je.Kind = string(rep.Kind)
+		je.ReplayDeclined = rep.ReplayDeclined
 		if w := rep.FastPath.WhyNot; w != nil {
 			je.WhyNot = string(w.Reason)
 		}

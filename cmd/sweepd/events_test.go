@@ -83,6 +83,9 @@ func TestJobEventsStream(t *testing.T) {
 			}
 		case "cell_done":
 			done++
+			if want := j.Cells[ev.Index-1].Address; ev.Address != want {
+				t.Errorf("cell_done address %q, want the submitted cell's %q", ev.Address, want)
+			}
 			if ev.Kind == "" {
 				t.Errorf("cell_done lacks a fast-path kind: %+v", ev)
 			}

@@ -217,8 +217,17 @@ func writeReport(w io.Writer, sr upmgo.SweepReport) {
 	if len(sr.Slowest) > 0 {
 		fmt.Fprintln(w, "\nSlowest cells:")
 		for i, c := range sr.Slowest {
-			fmt.Fprintf(w, "  %d. %-3s %-14s class%-2s %-15s %9.4fs host (%8.4fs virtual, %s)\n",
+			fmt.Fprintf(w, "  %d. %-3s %-14s class%-2s %-15s %9.4fs host (%8.4fs virtual, %s)",
 				i+1, c.Bench, c.Label, c.Class, c.Kind, c.HostSeconds, c.VirtualSeconds, c.Source)
+			if c.Address != "" {
+				// The store address is the cell's identity; 16 hex digits
+				// tell cells apart as well as the full digest does here.
+				fmt.Fprintf(w, " @%.16s", c.Address)
+			}
+			if c.ReplayDeclined != "" {
+				fmt.Fprintf(w, " replay declined: %s", c.ReplayDeclined)
+			}
+			fmt.Fprintln(w)
 		}
 	}
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,6 +175,46 @@ func writeReportFile(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestRunReportReplay: a replayed cell renders under its own kind with
+// the record stage and its store address, and a cell whose stream
+// declined names the reason.
+func TestRunReportReplay(t *testing.T) {
+	reps := []*upmgo.CellReport{
+		{Bench: "BT", Label: "rr-IRIX", Class: "W", Source: upmgo.CellSourceSimulated,
+			Kind: upmgo.FastPathReplayed, HostSeconds: 0.4, VirtualSeconds: 30,
+			Address: "0123456789abcdef0123456789abcdef",
+			Stages:  upmgo.CellStageSeconds{Record: 0.3, TimedLoop: 0.1}},
+		{Bench: "LU", Label: "wc-IRIX", Class: "W", Source: upmgo.CellSourceSimulated,
+			Kind: upmgo.FastPathFullSim, HostSeconds: 0.2, VirtualSeconds: 10,
+			Address: "fedcba9876543210fedcba9876543210", ReplayDeclined: "EventSet",
+			Stages: upmgo.CellStageSeconds{Record: 0.05, Prefix: 0.05, TimedLoop: 0.1}},
+	}
+	blob, err := json.Marshal(upmgo.BuildSweepReport(reps, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"report", "-in", path}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	for _, want := range []string{
+		"replayed             1",
+		"record",
+		"1. BT  rr-IRIX",
+		"@0123456789abcdef",
+		"@fedcba9876543210 replay declined: EventSet",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("report lacks %q:\n%s", want, text)
+		}
+	}
 }
 
 // TestRunReport renders a sweep report and checks every section: the

@@ -25,14 +25,19 @@ type Cache struct {
 	hits     uint64
 	misses   uint64
 
+	// Recorded L2-miss streams (see nas.Stream), keyed by
+	// bench + nas.Config.StreamFingerprint. Every placement and engine
+	// variant of one stream replays the single recording.
+	streams  flights[*nas.Stream]
+	replayed uint64
+
 	// Cold-start prefix snapshots (see nas.Prefix), keyed by
-	// bench + nas.Config.PrefixFingerprint. Engine variants of one
-	// (bench, class, placement, seed, scale, threads) tuple share a single
-	// simulated prefix and fork clones from it.
-	prefixes     map[string]*nas.Prefix
-	prefixFlight map[string]*inflightPrefix
-	prefixSims   uint64
-	forked       uint64
+	// bench + nas.Config.PrefixFingerprint. The cells a stream cannot
+	// serve (steady, or declined) share a single simulated prefix per
+	// (bench, class, placement, seed, scale, threads) tuple and fork
+	// clones from it.
+	prefixes flights[*nas.Prefix]
+	forked   uint64
 
 	// Shared verification outcomes (see nas.VerifyCache): cells whose
 	// numerics are identical — same benchmark, class, iterations,
@@ -69,6 +74,11 @@ type cellMeta struct {
 	source string
 	// storeProbe is the host time spent in store.Get, hit or miss.
 	storeProbe time.Duration
+	// replayed: the cell replayed its benchmark's miss stream. declined
+	// is why the stream could not be replayed ("" when it could, or when
+	// the cell had no stream).
+	replayed bool
+	declined string
 }
 
 // Cell provenance values, shared with exp.CellReport.
@@ -78,20 +88,26 @@ const (
 	SourceSimulated = "simulated"
 )
 
-type inflightPrefix struct {
+// flights memoizes immutable values built at most once per key at a
+// time — prefix snapshots and miss streams. Guarded by Cache.mu.
+type flights[T any] struct {
+	done     map[string]T
+	inflight map[string]*flight[T]
+	built    uint64 // values built (successfully or not)
+}
+
+type flight[T any] struct {
 	done chan struct{}
-	p    *nas.Prefix
+	v    T
 	err  error
 }
 
 // NewCache returns an empty cell cache.
 func NewCache() *Cache {
 	return &Cache{
-		cells:        map[string]Cell{},
-		inflight:     map[string]*inflightCell{},
-		prefixes:     map[string]*nas.Prefix{},
-		prefixFlight: map[string]*inflightPrefix{},
-		verify:       nas.NewVerifyCache(),
+		cells:    map[string]Cell{},
+		inflight: map[string]*inflightCell{},
+		verify:   nas.NewVerifyCache(),
 	}
 }
 
@@ -103,10 +119,18 @@ type CacheStats struct {
 	// DiskHits counts cells recalled from the attached result store —
 	// simulated by an earlier process, never by this one.
 	DiskHits uint64
-	// Misses counts cells that ran a fresh simulation: by forking a
-	// prefix snapshot, or from scratch when the cell cannot be memoized
-	// (traced, sampled or tweaked).
+	// Misses counts cells that ran a fresh simulation: by replaying a
+	// miss stream, by forking a prefix snapshot, or from scratch when the
+	// cell cannot be memoized (traced, sampled or tweaked).
 	Misses uint64
+	// Replayed counts the subset of Misses that replayed a recorded
+	// L2-miss stream instead of simulating the caches.
+	Replayed uint64
+	// Streams counts miss-stream recordings (each shared by every
+	// replayed cell with the same stream fingerprint, declined ones
+	// included); StreamBytes is the size of the logs held.
+	Streams     uint64
+	StreamBytes uint64
 	// Forked counts the subset of Misses that skipped the cold start by
 	// forking a shared prefix snapshot.
 	Forked uint64
@@ -125,8 +149,13 @@ type CacheStats struct {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var sb uint64
+	for _, s := range c.streams.done {
+		sb += uint64(s.Bytes())
+	}
 	return CacheStats{Hits: c.hits, DiskHits: c.diskHits, Misses: c.misses,
-		Forked: c.forked, Prefixes: c.prefixSims,
+		Replayed: c.replayed, Streams: c.streams.built, StreamBytes: sb,
+		Forked: c.forked, Prefixes: c.prefixes.built,
 		StorePuts: c.storePuts, StoreErrors: c.storeErrs, StoreErr: c.lastStoreErr}
 }
 
@@ -284,52 +313,69 @@ func (c *Cache) noteStoreErr(err error) {
 }
 
 // prefix returns the cached prefix snapshot for key, simulating it with
-// fn at most once per key at a time. The single-flight discipline is
-// cell's: errors are not cached, a leader's failure is not inherited,
-// and a surviving waiter retries as the new leader. Prefixes are
-// immutable once built (forks only ever clone them), so one snapshot may
-// be handed to any number of concurrent callers.
+// fn at most once per key at a time (see once). Prefixes are immutable
+// once built (forks only ever clone them), so one snapshot may be handed
+// to any number of concurrent callers.
 func (c *Cache) prefix(ctx context.Context, key string, fn func() (*nas.Prefix, error)) (*nas.Prefix, error) {
+	return once(ctx, c, &c.prefixes, key, fn)
+}
+
+// stream returns the recorded miss stream for key, recording it with fn
+// at most once per key at a time (see once). A stream is immutable, so
+// any number of cells may replay it concurrently.
+func (c *Cache) stream(ctx context.Context, key string, fn func() (*nas.Stream, error)) (*nas.Stream, error) {
+	return once(ctx, c, &c.streams, key, fn)
+}
+
+// once returns fl's value for key, building it with fn at most once per
+// key at a time. The single-flight discipline is cell's: errors are not
+// cached, a leader's failure is not inherited, a surviving waiter
+// retries as the new leader, and a waiter whose ctx ends stops waiting.
+func once[T any](ctx context.Context, c *Cache, fl *flights[T], key string, fn func() (T, error)) (T, error) {
+	var zero T
 	for {
 		c.mu.Lock()
-		if p, ok := c.prefixes[key]; ok {
+		if v, ok := fl.done[key]; ok {
 			c.mu.Unlock()
-			return p, nil
+			return v, nil
 		}
-		if f, ok := c.prefixFlight[key]; ok {
+		if f, ok := fl.inflight[key]; ok {
 			c.mu.Unlock()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return zero, ctx.Err()
 			}
 			if f.err == nil {
-				return f.p, nil
+				return f.v, nil
 			}
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return zero, err
 			}
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			c.mu.Unlock()
-			return nil, err
+			return zero, err
 		}
-		f := &inflightPrefix{done: make(chan struct{})}
-		c.prefixFlight[key] = f
-		c.prefixSims++
+		if fl.inflight == nil {
+			fl.done, fl.inflight = map[string]T{}, map[string]*flight[T]{}
+		}
+		f := &flight[T]{done: make(chan struct{})}
+		fl.inflight[key] = f
+		fl.built++
 		c.mu.Unlock()
 
-		f.p, f.err = fn()
+		f.v, f.err = fn()
 
 		c.mu.Lock()
-		delete(c.prefixFlight, key)
+		delete(fl.inflight, key)
 		if f.err == nil {
-			c.prefixes[key] = f.p
+			fl.done[key] = f.v
 		}
 		c.mu.Unlock()
 		close(f.done)
-		return f.p, f.err
+		return f.v, f.err
 	}
 }
 
@@ -338,6 +384,13 @@ func (c *Cache) prefix(ctx context.Context, key string, fn func() (*nas.Prefix, 
 func (c *Cache) noteScratch() {
 	c.mu.Lock()
 	c.misses++
+	c.mu.Unlock()
+}
+
+// noteReplay records one cell simulated by replaying a miss stream.
+func (c *Cache) noteReplay() {
+	c.mu.Lock()
+	c.replayed++
 	c.mu.Unlock()
 }
 

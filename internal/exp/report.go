@@ -17,6 +17,9 @@ const (
 	// FastPathRecalled: served from the RAM cache, an in-flight
 	// duplicate, or the on-disk store — no simulation at all.
 	FastPathRecalled FastPathKind = "recalled"
+	// FastPathReplayed: the cell replayed its benchmark's recorded
+	// L2-miss stream instead of simulating the caches.
+	FastPathReplayed FastPathKind = "replayed"
 	// FastPathCampaign is a legacy kind: it appears only in reports
 	// written before the analytic campaign drain was removed, and no
 	// current run is classified as it.
@@ -34,7 +37,7 @@ const (
 // FastPathKinds is the presentation order of the kinds (cheapest first),
 // shared with cmd/traceview's report renderer.
 var FastPathKinds = []FastPathKind{
-	FastPathRecalled, FastPathSteadyPK, FastPathSteadyP1, FastPathFullSim,
+	FastPathRecalled, FastPathReplayed, FastPathSteadyPK, FastPathSteadyP1, FastPathFullSim,
 }
 
 // StageSeconds is a cell's (or a sweep's) host wall-time split by stage,
@@ -47,6 +50,7 @@ var FastPathKinds = []FastPathKind{
 type StageSeconds struct {
 	StoreProbe  float64 `json:"store_probe,omitempty"`
 	Recall      float64 `json:"recall,omitempty"`
+	Record      float64 `json:"record,omitempty"`
 	Prefix      float64 `json:"prefix,omitempty"`
 	Fork        float64 `json:"fork,omitempty"`
 	TimedLoop   float64 `json:"timed_loop,omitempty"`
@@ -57,7 +61,7 @@ type StageSeconds struct {
 
 // Sum returns the total seconds attributed to named stages.
 func (s StageSeconds) Sum() float64 {
-	return s.StoreProbe + s.Recall + s.Prefix + s.Fork +
+	return s.StoreProbe + s.Recall + s.Record + s.Prefix + s.Fork +
 		s.TimedLoop + s.Extrapolate + s.FreeRunTail + s.Verify
 }
 
@@ -65,6 +69,7 @@ func (s StageSeconds) Sum() float64 {
 func (s *StageSeconds) add(o StageSeconds) {
 	s.StoreProbe += o.StoreProbe
 	s.Recall += o.Recall
+	s.Record += o.Record
 	s.Prefix += o.Prefix
 	s.Fork += o.Fork
 	s.TimedLoop += o.TimedLoop
@@ -78,6 +83,7 @@ func (s *StageSeconds) add(o StageSeconds) {
 func (s StageSeconds) Each(f func(name string, seconds float64)) {
 	f("store_probe", s.StoreProbe)
 	f("recall", s.Recall)
+	f("record", s.Record)
 	f("prefix", s.Prefix)
 	f("fork", s.Fork)
 	f("timed_loop", s.TimedLoop)
@@ -95,9 +101,16 @@ type CellReport struct {
 	Bench string `json:"bench"`
 	Label string `json:"label"`
 	Class string `json:"class"`
+	// Address is the cell's store address (store.Address of its memo
+	// key): its identity, unlike the label. Empty for cells that cannot
+	// be memoized.
+	Address string `json:"address,omitempty"`
 	// Source is SourceMemory, SourceStore or SourceSimulated.
 	Source string       `json:"source"`
 	Kind   FastPathKind `json:"kind"`
+	// ReplayDeclined names why the cell's miss-stream recording could
+	// not be replayed (the cell forked a prefix instead).
+	ReplayDeclined string `json:"replay_declined,omitempty"`
 	// HostSeconds is the cell's total host wall-time as seen by the
 	// worker that ran (or waited for) it; Stages attributes it.
 	HostSeconds    float64      `json:"host_seconds"`
@@ -120,10 +133,12 @@ func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *C
 		Label:          label,
 		Class:          spec.Config.Class.String(),
 		Source:         meta.source,
+		ReplayDeclined: meta.declined,
 		VirtualSeconds: c.Seconds(),
 		FastPath:       c.Result.FastPath,
 		Stages: StageSeconds{
 			StoreProbe:  meta.storeProbe.Seconds(),
+			Record:      hs.Record.Seconds(),
 			Prefix:      hs.Prefix.Seconds(),
 			Fork:        hs.Fork.Seconds(),
 			TimedLoop:   hs.TimedLoop.Seconds(),
@@ -132,7 +147,7 @@ func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *C
 			Verify:      hs.Verify.Seconds(),
 		},
 	}
-	rep.Kind = classifyFastPath(rep.Source, c.Result)
+	rep.Kind = classifyFastPath(rep.Source, meta.replayed, c.Result)
 	return rep
 }
 
@@ -152,10 +167,12 @@ func (cr *CellReport) setHost(d time.Duration) {
 
 // classifyFastPath folds provenance and the run's fast-path flags into
 // the single strongest kind.
-func classifyFastPath(source string, r nas.Result) FastPathKind {
+func classifyFastPath(source string, replayed bool, r nas.Result) FastPathKind {
 	switch {
 	case source != SourceSimulated:
 		return FastPathRecalled
+	case replayed:
+		return FastPathReplayed
 	case r.ExtrapolatedIters > 0 && r.SteadyPeriod > 1:
 		return FastPathSteadyPK
 	case r.ExtrapolatedIters > 0:

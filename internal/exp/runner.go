@@ -14,6 +14,7 @@ import (
 
 	"upmgo/internal/metrics"
 	"upmgo/internal/nas"
+	"upmgo/internal/store"
 	"upmgo/internal/trace"
 )
 
@@ -211,11 +212,14 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 	return cells, nil
 }
 
-// runCell executes or recalls one cell. A memoizable cell simulates by
-// forking the benchmark's shared cold-start prefix (simulated once per
-// prefix fingerprint, held in the Cache). Cells that cannot be memoized
-// (Tweak, tracing, metrics) or run without a Cache simulate from scratch
-// with nas.Run, the reference the fork is proven bit-identical to.
+// runCell executes or recalls one cell. A memoizable cell replays the
+// benchmark's L2-miss stream (recorded once per stream fingerprint, held
+// in the Cache). Steady cells, which have no stream fingerprint, and
+// cells whose recording declined simulate by forking the shared
+// cold-start prefix (simulated once per prefix fingerprint). Cells that
+// cannot be memoized (Tweak, tracing, metrics) or run without a Cache
+// simulate from scratch with nas.Run, the reference both paths are
+// proven bit-identical to.
 //
 // The returned CellReport (never nil) carries the cell's provenance and
 // host-stage attribution; the caller fills HostSeconds via setHost once
@@ -249,9 +253,14 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 		key, ok := spec.Key()
 		pkey, pok := spec.Config.PrefixFingerprint()
 		if ok && pok {
-			fork := func() (Cell, error) { return r.forkCell(ctx, spec, pkey) }
-			c, _, err := r.Cache.cell(ctx, key, fork, meta)
-			return c, newCellReport(spec, c, meta, hs), err
+			sim := func() (Cell, error) { return r.forkCell(ctx, spec, pkey) }
+			if skey, sok := spec.Config.StreamFingerprint(); sok {
+				sim = func() (Cell, error) { return r.replayCell(ctx, spec, skey, pkey, meta) }
+			}
+			c, _, err := r.Cache.cell(ctx, key, sim, meta)
+			rep := newCellReport(spec, c, meta, hs)
+			rep.Address = store.Address(key)
+			return c, rep, err
 		}
 		r.Cache.noteScratch()
 	}
@@ -263,6 +272,56 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 		err = r.writeMetrics(spec, spec.Config.Metrics)
 	}
 	return c, newCellReport(spec, c, meta, hs), err
+}
+
+// replayCell answers spec from the benchmark's miss stream for skey,
+// recording the stream first if this is the fingerprint's first cell.
+// The stream's own cell takes the recording's Result; every other cell
+// replays. When the recording declined, the cell forks the prefix for
+// pkey instead and meta carries the reason.
+func (r Runner) replayCell(ctx context.Context, spec CellSpec, skey, pkey string, meta *cellMeta) (Cell, error) {
+	b, ok := Builder(spec.Bench)
+	if !ok {
+		return Cell{}, fmt.Errorf("exp: %w: %q", ErrUnknownBenchmark, spec.Bench)
+	}
+	// Each cell charges its own wait for the shared recording, as a
+	// forked cell charges its wait for the prefix — except the canonical
+	// cell leading the flight, whose own run the recording is and whose
+	// stages RecordStream charges.
+	hs := spec.Config.HostStages
+	var t0 time.Time
+	if hs != nil {
+		t0 = time.Now()
+	}
+	led := false
+	s, err := r.Cache.stream(ctx, spec.Bench+"\x00"+skey, func() (*nas.Stream, error) {
+		led = true
+		return nas.RecordStream(b, spec.Config)
+	})
+	if err != nil {
+		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
+	}
+	own := s.Recorded(spec.Config)
+	if hs != nil && !(led && own) {
+		hs.Record += time.Since(t0)
+	}
+	meta.declined = s.Declined
+	res := s.Result
+	switch {
+	case own:
+	case s.Declined != "":
+		return r.forkCell(ctx, spec, pkey)
+	default:
+		if res, err = s.Replay(spec.Config); err != nil {
+			return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
+		}
+		meta.replayed = true
+		r.Cache.noteReplay()
+	}
+	if res.VerifyErr != nil {
+		return Cell{}, fmt.Errorf("exp: %s %s failed verification: %w", spec.Bench, spec.Config.Label(), res.VerifyErr)
+	}
+	return Cell{Bench: spec.Bench, Label: res.Label, Result: res}, nil
 }
 
 // forkCell simulates spec from the shared prefix snapshot for pkey,

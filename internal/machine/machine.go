@@ -143,6 +143,7 @@ type Machine struct {
 
 	hooks  []BarrierHook
 	tracer trace.Tracer
+	rec    *Recorder // L2-miss stream recorder (stream.go), nil when not recording
 
 	// freeRun suspends every virtual-time effect of execution: touches
 	// charge nothing, clocks freeze, barrier settlement (and its hooks)
@@ -401,6 +402,11 @@ func (m *Machine) Settle(cpus []*CPU, start int64) int64 {
 		// barrier hooks (the kernel migration engine) must not fire.
 		return start
 	}
+	if m.rec != nil {
+		for _, c := range cpus {
+			m.rec.check(c)
+		}
+	}
 	tmax := start
 	for _, c := range cpus {
 		if c.clock > tmax {
@@ -437,6 +443,9 @@ func (m *Machine) Settle(cpus []*CPU, start int64) int64 {
 	}
 	for _, c := range cpus {
 		c.clock = tb
+		if m.rec != nil {
+			m.rec.rebase(c)
+		}
 	}
 	return tb
 }
@@ -591,7 +600,14 @@ func (c *CPU) SetClock(t int64) {
 	if c.m.freeRun {
 		return
 	}
+	r := c.m.rec
+	if r != nil {
+		r.check(c)
+	}
 	c.clock = t
+	if r != nil {
+		r.rebase(c)
+	}
 }
 
 // Advance adds ps picoseconds of pure computation to the clock.
@@ -599,7 +615,14 @@ func (c *CPU) Advance(ps int64) {
 	if c.m.freeRun {
 		return
 	}
+	r := c.m.rec
+	if r != nil {
+		r.check(c)
+	}
 	c.clock += ps
+	if r != nil {
+		r.rebase(c)
+	}
 }
 
 // Flops charges n floating-point operations of computation.
@@ -795,6 +818,9 @@ func (c *CPU) touch(addr uint64, write bool) {
 func (c *CPU) memory(vpn uint64, write bool, n int) {
 	m := c.m
 	lat := &m.Lat
+	if m.rec != nil {
+		m.rec.miss(c, vpn, write, n)
+	}
 	c.stat.L2Miss += uint64(n)
 	home, gen, faulted := m.PT.Resolve(vpn, c.NodeID)
 	if faulted {
@@ -824,6 +850,9 @@ func (c *CPU) memory(vpn uint64, write bool, n int) {
 		m.PT.CountMissN(vpn, c.NodeID, uint32(n))
 	}
 	c.nodeAcc[home] += int64(n)
+	if m.rec != nil {
+		m.rec.rebase(c)
+	}
 }
 
 // markWritten logs a store to vpn for the replication extension. A write
@@ -831,6 +860,9 @@ func (c *CPU) memory(vpn uint64, write bool, n int) {
 // itself hits in a cache; the collapse is charged here.
 func (c *CPU) markWritten(vpn uint64) {
 	m := c.m
+	if m.rec != nil {
+		m.rec.Decline("write tracking")
+	}
 	if dropped := m.PT.MarkWritten(vpn); dropped > 0 {
 		c.clock += m.Lat.MigratePage + m.ShootdownCost()
 		if m.tracer != nil {

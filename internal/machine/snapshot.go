@@ -17,7 +17,7 @@ package machine
 //     parent, so the clone starts hook-free and engines re-attach to the
 //     copy they drive (a disabled engine's hook is a no-op, so a
 //     hook-free prefix is equivalent to one carrying disabled hooks);
-//   - the tracer: trace streams are per-run observers.
+//   - the tracer and the stream recorder: both are per-run observers.
 //
 // Cloning must happen at a quiescent point (all CPUs settled, no team
 // mid-region, no concurrent accesses). At such a point a forked run is

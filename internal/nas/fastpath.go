@@ -138,6 +138,9 @@ type HostStages struct {
 	// StoreProbe: looking the cell up in the on-disk result store
 	// (charged by exp.Cache, not by the run itself).
 	StoreProbe time.Duration `json:"store_probe,omitempty"`
+	// Record: waiting for the benchmark's shared L2-miss stream
+	// recording (charged by exp, like a forked cell's prefix wait).
+	Record time.Duration `json:"record,omitempty"`
 	// Prefix: the engine-independent cold start (machine build, init
 	// touch, cold iteration, reset) — or, for a forked cell, the wait
 	// for the shared prefix snapshot.
@@ -160,5 +163,5 @@ func (h *HostStages) Sum() time.Duration {
 	if h == nil {
 		return 0
 	}
-	return h.StoreProbe + h.Prefix + h.Fork + h.TimedLoop + h.Extrapolate + h.FreeRunTail + h.Verify
+	return h.StoreProbe + h.Record + h.Prefix + h.Fork + h.TimedLoop + h.Extrapolate + h.FreeRunTail + h.Verify
 }

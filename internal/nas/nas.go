@@ -149,6 +149,9 @@ type Hooks struct {
 // PhaseEnter must be called by the kernel right before the marked phase's
 // parallel region (after BeforePhase side effects are charged).
 func (h *Hooks) PhaseEnter(c *machine.CPU) {
+	if rec := c.Machine().Recorder(); rec != nil {
+		rec.Mark(machine.OpPhaseEnter, c)
+	}
 	if h == nil {
 		return
 	}
@@ -163,6 +166,9 @@ func (h *Hooks) PhaseEnter(c *machine.CPU) {
 
 // PhaseExit must be called right after the marked phase's join.
 func (h *Hooks) PhaseExit(c *machine.CPU) {
+	if rec := c.Machine().Recorder(); rec != nil {
+		rec.Mark(machine.OpPhaseExit, c)
+	}
 	if h == nil {
 		return
 	}

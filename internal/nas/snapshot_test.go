@@ -63,8 +63,7 @@ func TestForkVsScratchBitIdentity(t *testing.T) {
 						t.Fatalf("%s fork failed verification: %v", eng.name, forked.VerifyErr)
 					}
 					if !reflect.DeepEqual(scratch, forked) {
-						t.Errorf("%s: fork diverges from scratch:\n scratch %+v\n fork    %+v",
-							eng.name, scratch, forked)
+						t.Errorf("%s: fork diverges from scratch at %s", eng.name, nas.Diverge(scratch, forked))
 					}
 				}
 			})
@@ -98,8 +97,7 @@ func TestForkRecRepAndPerturbationBitIdentity(t *testing.T) {
 			t.Fatalf("%s fork: %v", cfg.Label(), err)
 		}
 		if !reflect.DeepEqual(scratch, forked) {
-			t.Errorf("%s: fork diverges from scratch:\n scratch %+v\n fork    %+v",
-				cfg.Label(), scratch, forked)
+			t.Errorf("%s: fork diverges from scratch at %s", cfg.Label(), nas.Diverge(scratch, forked))
 		}
 	}
 }

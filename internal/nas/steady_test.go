@@ -252,7 +252,7 @@ func TestSteadyForkBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(scratch, forked) {
-		t.Errorf("steady fork diverges from scratch:\n scratch %+v\n fork    %+v", scratch, forked)
+		t.Errorf("steady fork diverges from scratch at %s", nas.Diverge(scratch, forked))
 	}
 }
 

@@ -32,6 +32,10 @@ const (
 // anonymous section.
 func (tr *Thread) Critical(name string, f func(c *machine.CPU)) {
 	t := tr.team
+	if rec := t.m.Recorder(); rec != nil {
+		// Entry order and the section's clock hand-off depend on timing.
+		rec.Decline("critical section")
+	}
 	if t.crit == nil {
 		t.crit = make(map[string]*critSection)
 	}

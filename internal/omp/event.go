@@ -48,6 +48,7 @@ func (e *EventSet) cell(owner, tag int) *eventCell {
 // Post publishes (tr.ID, tag) at the caller's current virtual time and
 // charges a small flag-write cost.
 func (e *EventSet) Post(tr *Thread, tag int) {
+	e.decline()
 	tr.CPU.Advance(postCost)
 	c := e.cell(tr.ID, tag)
 	c.posted = true
@@ -57,6 +58,7 @@ func (e *EventSet) Post(tr *Thread, tag int) {
 // Wait blocks until (owner, tag) has been posted and advances the
 // caller's clock past the post time plus the synchronisation cost.
 func (e *EventSet) Wait(tr *Thread, owner, tag int) {
+	e.decline()
 	c := e.cell(owner, tag)
 	if e.team.serial {
 		// See the type comment: in serial mode an unposted event cannot
@@ -76,6 +78,14 @@ func (e *EventSet) Wait(tr *Thread, owner, tag int) {
 		tr.CPU.SetClock(post + waitCost)
 	} else {
 		tr.CPU.Advance(waitCost)
+	}
+}
+
+// decline abandons a stream recording: a waiter's clock takes its
+// poster's, which the stream replay does not reproduce.
+func (e *EventSet) decline() {
+	if rec := e.team.m.Recorder(); rec != nil {
+		rec.Decline("EventSet")
 	}
 }
 

@@ -185,6 +185,17 @@ func (t *Team) parallel(name string, body func(tr *Thread)) {
 		return
 	}
 	master := t.Master()
+	rec := t.m.Recorder()
+	if rec != nil {
+		// Log the region for stream replay; each member's share ends
+		// with an end record (see machine.Recorder).
+		rec.Fork(name)
+		inner := body
+		body = func(tr *Thread) {
+			inner(tr)
+			rec.End(tr.CPU)
+		}
+	}
 	// Settle the serial section the master executed since the last join,
 	// so its access tallies do not leak into the parallel region.
 	master.SetClock(t.m.Settle([]*machine.CPU{master}, t.lastJoin))
@@ -202,6 +213,9 @@ func (t *Team) parallel(name string, body func(tr *Thread)) {
 	}
 	t.barrier.reset(start)
 	t.runBodies(body)
+	if rec != nil {
+		rec.Join()
+	}
 	// Implicit join barrier: settle the last region.
 	end := t.m.Settle(cpus, t.barrier.regionStart) + t.m.Lat.BarrierBase + int64(t.n)*t.m.Lat.BarrierPerCPU
 	for _, c := range cpus {
@@ -264,6 +278,11 @@ func (tr *Thread) For(lo, hi int, s Schedule, body func(c *machine.CPU, from, to
 			panic("omp: Dynamic and Guided schedules are invalid in serial mode")
 		}
 		b := &tr.team.barrier
+		if rec := tr.team.m.Recorder(); rec != nil {
+			// Chunks go to whichever member asks next, which the stream
+			// replay does not reproduce.
+			rec.Decline("dynamic or guided schedule")
+		}
 		for from := lo + b.dyn; from < hi; from = lo + b.dyn {
 			take := s.chunk
 			if s.kind == schedGuided {
@@ -374,6 +393,9 @@ func (b *clockBarrier) wait(tr *Thread, lastFn func()) {
 	t := tr.team
 	if trc := t.m.Tracer(); trc != nil {
 		trc.Emit(trace.Event{Time: tr.CPU.Now(), CPU: tr.CPU.ID, Kind: trace.EvBarrierArrive})
+	}
+	if rec := t.m.Recorder(); rec != nil {
+		rec.Arrive(tr.CPU)
 	}
 	if t.serial {
 		// In serial mode all members of the "parallel" region run

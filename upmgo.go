@@ -334,9 +334,10 @@ type (
 	// SweepCache memoizes completed cells across sweeps, so overlapping
 	// figures (Figure 1 ⊂ Figure 4; Table 2 reuses Figure 4's UPMlib
 	// cells) simulate each unique (benchmark, config) cell exactly once.
-	// It also holds the shared cold-start prefix snapshots (NASPrefix)
-	// that let engine variants of one placement fork a single simulated
-	// prefix instead of repeating it.
+	// It also holds each benchmark's recorded L2-miss stream, which every
+	// placement and engine variant replays instead of simulating the
+	// caches again, and the shared cold-start prefix snapshots (NASPrefix)
+	// that the cells a stream cannot serve (steady, or declined) fork.
 	SweepCache = exp.Cache
 	// SweepCacheStats is a snapshot of a SweepCache's hit/miss counters.
 	SweepCacheStats = exp.CacheStats
@@ -453,6 +454,7 @@ const (
 // was removed.
 const (
 	FastPathRecalled = exp.FastPathRecalled
+	FastPathReplayed = exp.FastPathReplayed
 	FastPathCampaign = exp.FastPathCampaign
 	FastPathSteadyPK = exp.FastPathSteadyPK
 	FastPathSteadyP1 = exp.FastPathSteadyP1
