@@ -155,8 +155,7 @@ func BenchmarkSweepTopo64(b *testing.B) {
 // BenchmarkSweepClassWSteady measures what the steady-state fast-forward
 // buys at the paper-scale class: SP's full Figure 4 column (12 cells) at
 // Class W, simulated in full versus detected-and-extrapolated. Both
-// variants share cold-start prefixes and the tail-verify cache through
-// the sweep cache.
+// variants replay one recorded L2-miss stream through the sweep cache.
 func BenchmarkSweepClassWSteady(b *testing.B) {
 	for _, mode := range []struct {
 		name   string

@@ -54,47 +54,47 @@ func TestRunTable1(t *testing.T) {
 }
 
 // TestRunAllForkScratchByteIdentity is the CLI-level acceptance check
-// for miss-stream replay and prefix forking: `sweep -all` stdout at full
-// width must be byte-identical between the default run, whose summary
-// shows the replay split (one stream per benchmark and cell shape, every
-// other cell replayed from it), a -steady run, whose cells fork prefix
-// snapshots (~3 engine variants per snapshot), and a -trace run, whose
-// cells cannot be memoized and so simulate from scratch.
+// for miss-stream replay: `sweep -all` stdout at full width must be
+// byte-identical between the default run, whose summary shows the replay
+// split (one stream per benchmark and cell shape, every other cell
+// replayed from it), a -steady run, whose cells all replay the same
+// streams (the recordings' own cells are not steady), and a -trace run,
+// whose cells cannot be memoized and so simulate from scratch.
 func TestRunAllForkScratchByteIdentity(t *testing.T) {
-	var replay, fork, scratch, errw bytes.Buffer
+	var replay, steady, scratch, errw bytes.Buffer
 	base := []string{"-all", "-class", "S", "-quiet"}
 	if err := run(base, &replay, &errw); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errw.String(), "66 cells simulated (60 replayed from 6 streams, 0 forked from 0 prefix snapshots)") {
+	if !strings.Contains(errw.String(), "66 cells simulated (60 replayed from 6 streams)") {
 		t.Errorf("summary lacks the replay report:\n%s", errw.String())
 	}
 	errw.Reset()
-	if err := run(append(base, "-steady"), &fork, &errw); err != nil {
+	if err := run(append(base, "-steady"), &steady, &errw); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errw.String(), "66 cells simulated (0 replayed from 0 streams, 66 forked from 21 prefix snapshots)") {
-		t.Errorf("-steady summary lacks the prefix-reuse report:\n%s", errw.String())
+	if !strings.Contains(errw.String(), "66 cells simulated (66 replayed from 6 streams)") {
+		t.Errorf("-steady summary lacks the replay report:\n%s", errw.String())
 	}
 	errw.Reset()
 	if err := run(append(base, "-trace", t.TempDir()), &scratch, &errw); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errw.String(), "(0 replayed from 0 streams, 0 forked from 0 prefix snapshots)") {
-		t.Errorf("-trace summary reports replay or forking:\n%s", errw.String())
+	if !strings.Contains(errw.String(), "(0 replayed from 0 streams)") {
+		t.Errorf("-trace summary reports replay:\n%s", errw.String())
 	}
 	if replay.String() != scratch.String() {
 		t.Error("sweep -all stdout differs between replayed and from-scratch (-trace) cells")
 	}
-	if fork.String() != scratch.String() {
-		t.Error("sweep -all stdout differs between forked (-steady) and from-scratch (-trace) cells")
+	if steady.String() != scratch.String() {
+		t.Error("sweep -all stdout differs between replayed steady (-steady) and from-scratch (-trace) cells")
 	}
 }
 
 // TestRunDeclinedStreamFallsBack: LU's pipelined sweeps synchronise
 // through an EventSet, so its miss-stream recording declines. The
-// recording still answers LU's ft-IRIX cell, the other cells fork prefix
-// snapshots, the summary names the reason, and stdout matches a -trace
+// recording still answers LU's ft-IRIX cell, the other cells run from
+// scratch, the summary names the reason, and stdout matches a -trace
 // run's.
 func TestRunDeclinedStreamFallsBack(t *testing.T) {
 	var cached, scratch, errw bytes.Buffer
@@ -103,8 +103,8 @@ func TestRunDeclinedStreamFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"8 cells simulated (0 replayed from 1 streams, 7 forked from 4 prefix snapshots)",
-		"sweep: LU miss-stream replay declined (EventSet); its cells forked prefix snapshots",
+		"8 cells simulated (0 replayed from 1 streams)",
+		"sweep: LU miss-stream replay declined (EventSet); its cells ran from scratch",
 	} {
 		if !strings.Contains(errw.String(), want) {
 			t.Errorf("summary lacks %q:\n%s", want, errw.String())
@@ -127,7 +127,7 @@ func TestRunUnmemoizedCellsCounted(t *testing.T) {
 		if err := run(args, &out, &errw); err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(errw.String(), "sweep: 24 cells simulated (0 replayed from 0 streams, 0 forked from 0 prefix snapshots), 0 recalled from cache") {
+		if !strings.Contains(errw.String(), "sweep: 24 cells simulated (0 replayed from 0 streams), 0 recalled from cache") {
 			t.Errorf("%s summary miscounts the 24 simulated cells:\n%s", flag, errw.String())
 		}
 	}
@@ -154,7 +154,7 @@ func TestRunStoreWarmStart(t *testing.T) {
 	}
 	// 66 unique cells come off disk; the overlapping figure requests
 	// (Figure 1 ⊂ Figure 4, Table 2 ⊆ Figure 4) still hit RAM.
-	if !strings.Contains(errw.String(), "0 cells simulated (0 replayed from 0 streams, 0 forked from 0 prefix snapshots), 66 recalled from cache, 66 from store (0 newly stored)") {
+	if !strings.Contains(errw.String(), "0 cells simulated (0 replayed from 0 streams), 66 recalled from cache, 66 from store (0 newly stored)") {
 		t.Errorf("warm summary shows simulation:\n%s", errw.String())
 	}
 	if cold.String() != warm.String() {

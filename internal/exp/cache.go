@@ -26,24 +26,10 @@ type Cache struct {
 	misses   uint64
 
 	// Recorded L2-miss streams (see nas.Stream), keyed by
-	// bench + nas.Config.StreamFingerprint. Every placement and engine
-	// variant of one stream replays the single recording.
-	streams  flights[*nas.Stream]
+	// bench + nas.Config.StreamFingerprint. Every placement, engine and
+	// steady-state variant of one stream replays the single recording.
+	streams  flights
 	replayed uint64
-
-	// Cold-start prefix snapshots (see nas.Prefix), keyed by
-	// bench + nas.Config.PrefixFingerprint. The cells a stream cannot
-	// serve (steady, or declined) share a single simulated prefix per
-	// (bench, class, placement, seed, scale, threads) tuple and fork
-	// clones from it.
-	prefixes flights[*nas.Prefix]
-	forked   uint64
-
-	// Shared verification outcomes (see nas.VerifyCache): cells whose
-	// numerics are identical — same benchmark, class, iterations,
-	// threads, seed and scale, regardless of placement or engine —
-	// verify once; extrapolating cells then skip their free-run tails.
-	verify *nas.VerifyCache
 
 	// Second level: the on-disk content-addressed result store, when
 	// attached with SetStore. Reads go through (RAM, then disk, then
@@ -88,17 +74,17 @@ const (
 	SourceSimulated = "simulated"
 )
 
-// flights memoizes immutable values built at most once per key at a
-// time — prefix snapshots and miss streams. Guarded by Cache.mu.
-type flights[T any] struct {
-	done     map[string]T
-	inflight map[string]*flight[T]
-	built    uint64 // values built (successfully or not)
+// flights memoizes miss streams, each recorded at most once per key at
+// a time. Guarded by Cache.mu.
+type flights struct {
+	done     map[string]*nas.Stream
+	inflight map[string]*flight
+	built    uint64 // recordings made (successfully or not)
 }
 
-type flight[T any] struct {
+type flight struct {
 	done chan struct{}
-	v    T
+	v    *nas.Stream
 	err  error
 }
 
@@ -107,7 +93,7 @@ func NewCache() *Cache {
 	return &Cache{
 		cells:    map[string]Cell{},
 		inflight: map[string]*inflightCell{},
-		verify:   nas.NewVerifyCache(),
+		streams:  flights{done: map[string]*nas.Stream{}, inflight: map[string]*flight{}},
 	}
 }
 
@@ -120,8 +106,8 @@ type CacheStats struct {
 	// simulated by an earlier process, never by this one.
 	DiskHits uint64
 	// Misses counts cells that ran a fresh simulation: by replaying a
-	// miss stream, by forking a prefix snapshot, or from scratch when the
-	// cell cannot be memoized (traced, sampled or tweaked).
+	// miss stream, or from scratch when the cell cannot be memoized
+	// (traced, sampled or tweaked) or its recording declined.
 	Misses uint64
 	// Replayed counts the subset of Misses that replayed a recorded
 	// L2-miss stream instead of simulating the caches.
@@ -131,11 +117,10 @@ type CacheStats struct {
 	// included); StreamBytes is the size of the logs held.
 	Streams     uint64
 	StreamBytes uint64
-	// Forked counts the subset of Misses that skipped the cold start by
-	// forking a shared prefix snapshot.
-	Forked uint64
-	// Prefixes counts cold-start prefix simulations (each is shared by
-	// every forked cell with the same prefix fingerprint).
+	// Forked and Prefixes are always 0: the runner no longer forks
+	// prefix snapshots. They stay for the benchmark harness, which still
+	// reads them.
+	Forked   uint64
 	Prefixes uint64
 	// StorePuts counts cells persisted to the store; StoreErrors counts
 	// store reads or writes that failed (the cells themselves still
@@ -155,7 +140,6 @@ func (c *Cache) Stats() CacheStats {
 	}
 	return CacheStats{Hits: c.hits, DiskHits: c.diskHits, Misses: c.misses,
 		Replayed: c.replayed, Streams: c.streams.built, StreamBytes: sb,
-		Forked: c.forked, Prefixes: c.prefixes.built,
 		StorePuts: c.storePuts, StoreErrors: c.storeErrs, StoreErr: c.lastStoreErr}
 }
 
@@ -312,27 +296,14 @@ func (c *Cache) noteStoreErr(err error) {
 	c.mu.Unlock()
 }
 
-// prefix returns the cached prefix snapshot for key, simulating it with
-// fn at most once per key at a time (see once). Prefixes are immutable
-// once built (forks only ever clone them), so one snapshot may be handed
-// to any number of concurrent callers.
-func (c *Cache) prefix(ctx context.Context, key string, fn func() (*nas.Prefix, error)) (*nas.Prefix, error) {
-	return once(ctx, c, &c.prefixes, key, fn)
-}
-
 // stream returns the recorded miss stream for key, recording it with fn
-// at most once per key at a time (see once). A stream is immutable, so
-// any number of cells may replay it concurrently.
+// at most once per key at a time. A stream is immutable, so any number of
+// cells may replay it concurrently. The single-flight discipline is
+// cell's: errors are not cached, a leader's failure is not inherited, a
+// surviving waiter retries as the new leader, and a waiter whose ctx ends
+// stops waiting.
 func (c *Cache) stream(ctx context.Context, key string, fn func() (*nas.Stream, error)) (*nas.Stream, error) {
-	return once(ctx, c, &c.streams, key, fn)
-}
-
-// once returns fl's value for key, building it with fn at most once per
-// key at a time. The single-flight discipline is cell's: errors are not
-// cached, a leader's failure is not inherited, a surviving waiter
-// retries as the new leader, and a waiter whose ctx ends stops waiting.
-func once[T any](ctx context.Context, c *Cache, fl *flights[T], key string, fn func() (T, error)) (T, error) {
-	var zero T
+	fl := &c.streams
 	for {
 		c.mu.Lock()
 		if v, ok := fl.done[key]; ok {
@@ -344,24 +315,21 @@ func once[T any](ctx context.Context, c *Cache, fl *flights[T], key string, fn f
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return zero, ctx.Err()
+				return nil, ctx.Err()
 			}
 			if f.err == nil {
 				return f.v, nil
 			}
 			if err := ctx.Err(); err != nil {
-				return zero, err
+				return nil, err
 			}
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			c.mu.Unlock()
-			return zero, err
+			return nil, err
 		}
-		if fl.inflight == nil {
-			fl.done, fl.inflight = map[string]T{}, map[string]*flight[T]{}
-		}
-		f := &flight[T]{done: make(chan struct{})}
+		f := &flight{done: make(chan struct{})}
 		fl.inflight[key] = f
 		fl.built++
 		c.mu.Unlock()
@@ -391,12 +359,5 @@ func (c *Cache) noteScratch() {
 func (c *Cache) noteReplay() {
 	c.mu.Lock()
 	c.replayed++
-	c.mu.Unlock()
-}
-
-// noteFork records one cell simulated by forking a prefix snapshot.
-func (c *Cache) noteFork() {
-	c.mu.Lock()
-	c.forked++
 	c.mu.Unlock()
 }

@@ -47,8 +47,8 @@ func TestStoreWarmStartBitIdentical(t *testing.T) {
 	if s2.DiskHits != s1.Misses {
 		t.Errorf("warm run recalled %d cells from disk, want %d", s2.DiskHits, s1.Misses)
 	}
-	if s2.Prefixes != 0 {
-		t.Errorf("warm run simulated %d cold-start prefixes, want 0", s2.Prefixes)
+	if s2.Streams != 0 {
+		t.Errorf("warm run recorded %d miss streams, want 0", s2.Streams)
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Error("store-recalled cells differ from the simulated originals")

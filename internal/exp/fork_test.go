@@ -33,12 +33,10 @@ func TestRunnerStreamSharing(t *testing.T) {
 	}
 }
 
-// TestRunnerPrefixSharing pins the fork economics on steady Figure 4
-// cells, which have no stream fingerprint: 12 cells per benchmark (4
-// placements × 3 engines) share 4 cold-start prefixes (one per
-// placement), so every simulated cell is a fork and the prefix count
-// shows the ~3× sharing the snapshot layer exists for.
-func TestRunnerPrefixSharing(t *testing.T) {
+// TestRunnerSteadyStreamSharing pins the economics of steady cells: the
+// stream's canonical cell is not steady, so a steady Figure 4 batch
+// records the one stream and replays all 12 cells from it. Nothing forks.
+func TestRunnerSteadyStreamSharing(t *testing.T) {
 	cache := NewCache()
 	r := Runner{Jobs: 4, Cache: cache}
 	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42, Steady: true, Extrapolate: true}
@@ -46,36 +44,23 @@ func TestRunnerPrefixSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
-	if st.Misses != 12 || st.Forked != 12 || st.Prefixes != 4 {
-		t.Errorf("Figure4 stats %+v, want 12 misses, 12 forked, 4 prefixes", st)
+	if st.Misses != 12 || st.Streams != 1 || st.Replayed != 12 || st.Forked != 0 || st.Prefixes != 0 {
+		t.Errorf("Figure4 stats %+v, want 12 misses, 1 stream, 12 replayed, nothing forked", st)
 	}
-
-	// Figure 1 is a subset: everything recalled, nothing new forked.
+	// Figure 1 is a subset: everything recalled, nothing new replayed.
 	if _, err := sweep(r, KindFigure1, o); err != nil {
 		t.Fatal(err)
 	}
-	st = cache.Stats()
-	if st.Misses != 12 || st.Forked != 12 || st.Prefixes != 4 {
+	if st = cache.Stats(); st.Misses != 12 || st.Replayed != 12 {
 		t.Errorf("after Figure1 stats %+v, want no new simulations", st)
-	}
-
-	// Figure 5's recrep cell is engine-only novelty: one new cell, forked
-	// from an already-held prefix — zero new cold starts.
-	if _, err := sweep(r, KindFigure5, o); err != nil {
-		t.Fatal(err)
-	}
-	st = cache.Stats()
-	if st.Misses != 13 || st.Forked != 13 || st.Prefixes != 4 {
-		t.Errorf("after Figure5 stats %+v, want 13 misses, 13 forked, still 4 prefixes", st)
 	}
 }
 
 // TestRunnerForkScratchEquivalence is the exp-layer acceptance
 // invariant: at the paper's full team width, a Runner with a Cache and
 // one without (every cell simulated from scratch by nas.Run) return
-// bit-identical cells for the same sweep — plain cells, which replay a
-// shared miss stream, and steady cells, which fork a shared prefix
-// snapshot.
+// bit-identical cells for the same sweep — plain and steady cells, both
+// of which replay one shared miss stream.
 func TestRunnerForkScratchEquivalence(t *testing.T) {
 	for _, steady := range []bool{false, true} {
 		o := SweepOptions{Class: nas.ClassS, Benches: []string{"CG"}, Seed: 42, Steady: steady, Extrapolate: steady}
@@ -97,8 +82,8 @@ func TestRunnerForkScratchEquivalence(t *testing.T) {
 			t.Errorf("steady=%v: Figure4 cells differ between cached and from-scratch simulation", steady)
 		}
 		st := cached.Cache.Stats()
-		if steady && st.Forked != uint64(len(f.Cells)) {
-			t.Errorf("steady: forked %d of %d cells", st.Forked, len(f.Cells))
+		if steady && st.Replayed != uint64(len(f.Cells)) {
+			t.Errorf("steady: replayed %d of %d cells, want all", st.Replayed, len(f.Cells))
 		}
 		if !steady && st.Replayed != uint64(len(f.Cells)-1) {
 			t.Errorf("plain: replayed %d of %d cells, want all but the recorded one", st.Replayed, len(f.Cells))

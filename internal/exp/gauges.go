@@ -11,8 +11,6 @@ func DescribeSweepGauges(reg *metrics.Registry) {
 	reg.Describe("upmgo_sweep_cells_done", "counter", "Finished cells by outcome (simulated vs recalled from the memo cache).")
 	reg.Describe("upmgo_sweep_cells_replayed", "gauge", "Cells that replayed a recorded L2-miss stream instead of simulating the caches.")
 	reg.Describe("upmgo_sweep_miss_streams", "gauge", "Distinct L2-miss streams recorded.")
-	reg.Describe("upmgo_sweep_cells_forked", "gauge", "Cells whose cold start was forked from a shared prefix snapshot.")
-	reg.Describe("upmgo_sweep_prefix_snapshots", "gauge", "Distinct cold-start prefixes simulated and snapshotted.")
 	reg.Describe("upmgo_sweep_cells_disk_hits", "gauge", "Cells recalled from the on-disk result store instead of simulating.")
 	reg.Describe("upmgo_sweep_cells_stored", "gauge", "Cells persisted to the on-disk result store.")
 	metrics.DescribeCellSeconds(reg)
@@ -39,8 +37,6 @@ func PublishSweepEvent(reg *metrics.Registry, cache *Cache, ev Event) {
 	st := cache.Stats()
 	reg.Set("upmgo_sweep_cells_replayed", nil, float64(st.Replayed))
 	reg.Set("upmgo_sweep_miss_streams", nil, float64(st.Streams))
-	reg.Set("upmgo_sweep_cells_forked", nil, float64(st.Forked))
-	reg.Set("upmgo_sweep_prefix_snapshots", nil, float64(st.Prefixes))
 	reg.Set("upmgo_sweep_cells_disk_hits", nil, float64(st.DiskHits))
 	reg.Set("upmgo_sweep_cells_stored", nil, float64(st.StorePuts))
 }

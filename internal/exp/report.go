@@ -109,7 +109,7 @@ type CellReport struct {
 	Source string       `json:"source"`
 	Kind   FastPathKind `json:"kind"`
 	// ReplayDeclined names why the cell's miss-stream recording could
-	// not be replayed (the cell forked a prefix instead).
+	// not be replayed (the cell ran from scratch instead).
 	ReplayDeclined string `json:"replay_declined,omitempty"`
 	// HostSeconds is the cell's total host wall-time as seen by the
 	// worker that ran (or waited for) it; Stages attributes it.
@@ -166,17 +166,19 @@ func (cr *CellReport) setHost(d time.Duration) {
 }
 
 // classifyFastPath folds provenance and the run's fast-path flags into
-// the single strongest kind.
+// the single strongest kind. A replayed cell that extrapolated keeps its
+// steady kind, so steady cells are counted as such whichever way their
+// caches were served.
 func classifyFastPath(source string, replayed bool, r nas.Result) FastPathKind {
 	switch {
 	case source != SourceSimulated:
 		return FastPathRecalled
-	case replayed:
-		return FastPathReplayed
 	case r.ExtrapolatedIters > 0 && r.SteadyPeriod > 1:
 		return FastPathSteadyPK
 	case r.ExtrapolatedIters > 0:
 		return FastPathSteadyP1
+	case replayed:
+		return FastPathReplayed
 	default:
 		return FastPathFullSim
 	}

@@ -94,7 +94,7 @@ type Runner struct {
 	// series into the directory as <bench>-<label>-class<C>.metrics.json
 	// / .metrics.csv / .prom. Sampled configs are never memoizable (see
 	// nas.Config.Fingerprint), so every cell simulates fresh, bypassing
-	// the Cache and the prefix snapshots.
+	// the Cache and the miss streams.
 	MetricsDir string
 	// MetricsRegistry, when non-nil, attaches a sampler to every cell
 	// that publishes the cell's latest iteration sample as live labelled
@@ -214,12 +214,11 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 
 // runCell executes or recalls one cell. A memoizable cell replays the
 // benchmark's L2-miss stream (recorded once per stream fingerprint, held
-// in the Cache). Steady cells, which have no stream fingerprint, and
-// cells whose recording declined simulate by forking the shared
-// cold-start prefix (simulated once per prefix fingerprint). Cells that
-// cannot be memoized (Tweak, tracing, metrics) or run without a Cache
-// simulate from scratch with nas.Run, the reference both paths are
-// proven bit-identical to.
+// in the Cache); steady cells replay it too, their detector reading the
+// cache counters the log keeps. Cells that cannot be memoized (Tweak,
+// tracing, metrics), cells run without a Cache and cells whose recording
+// declined simulate from scratch with nas.Run, the reference the replay
+// is proven bit-identical to.
 //
 // The returned CellReport (never nil) carries the cell's provenance and
 // host-stage attribution; the caller fills HostSeconds via setHost once
@@ -230,15 +229,6 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 	hs := &nas.HostStages{}
 	meta := &cellMeta{source: SourceSimulated}
 	spec.Config.HostStages = hs
-	if r.Cache != nil {
-		// Share verification outcomes across the batch: placement and
-		// engine variants of one benchmark compute identical numerics, so
-		// the first to verify spares every later extrapolating cell its
-		// free-run tail. Attached before Key() on purpose — the
-		// fingerprint canonicalises the cache away, results being
-		// bit-identical with or without it.
-		spec.Config.TailCache = r.Cache.verify
-	}
 	if r.TraceDir != "" {
 		spec.Config.Tracer = trace.NewRecorder()
 	}
@@ -251,13 +241,11 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 	}
 	if r.Cache != nil {
 		key, ok := spec.Key()
-		pkey, pok := spec.Config.PrefixFingerprint()
-		if ok && pok {
-			sim := func() (Cell, error) { return r.forkCell(ctx, spec, pkey) }
-			if skey, sok := spec.Config.StreamFingerprint(); sok {
-				sim = func() (Cell, error) { return r.replayCell(ctx, spec, skey, pkey, meta) }
-			}
-			c, _, err := r.Cache.cell(ctx, key, sim, meta)
+		skey, sok := spec.Config.StreamFingerprint()
+		if ok && sok {
+			c, _, err := r.Cache.cell(ctx, key, func() (Cell, error) {
+				return r.replayCell(ctx, spec, skey, meta)
+			}, meta)
 			rep := newCellReport(spec, c, meta, hs)
 			rep.Address = store.Address(key)
 			return c, rep, err
@@ -277,17 +265,16 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 // replayCell answers spec from the benchmark's miss stream for skey,
 // recording the stream first if this is the fingerprint's first cell.
 // The stream's own cell takes the recording's Result; every other cell
-// replays. When the recording declined, the cell forks the prefix for
-// pkey instead and meta carries the reason.
-func (r Runner) replayCell(ctx context.Context, spec CellSpec, skey, pkey string, meta *cellMeta) (Cell, error) {
+// replays. When the recording declined, the cell runs from scratch and
+// meta carries the reason.
+func (r Runner) replayCell(ctx context.Context, spec CellSpec, skey string, meta *cellMeta) (Cell, error) {
 	b, ok := Builder(spec.Bench)
 	if !ok {
 		return Cell{}, fmt.Errorf("exp: %w: %q", ErrUnknownBenchmark, spec.Bench)
 	}
-	// Each cell charges its own wait for the shared recording, as a
-	// forked cell charges its wait for the prefix — except the canonical
-	// cell leading the flight, whose own run the recording is and whose
-	// stages RecordStream charges.
+	// Each cell charges its own wait for the shared recording, except
+	// the canonical cell leading the flight, whose own run the recording
+	// is and whose stages RecordStream charges.
 	hs := spec.Config.HostStages
 	var t0 time.Time
 	if hs != nil {
@@ -310,7 +297,7 @@ func (r Runner) replayCell(ctx context.Context, spec CellSpec, skey, pkey string
 	switch {
 	case own:
 	case s.Declined != "":
-		return r.forkCell(ctx, spec, pkey)
+		return run(spec.Bench, spec.Config)
 	default:
 		if res, err = s.Replay(spec.Config); err != nil {
 			return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
@@ -321,48 +308,6 @@ func (r Runner) replayCell(ctx context.Context, spec CellSpec, skey, pkey string
 	if res.VerifyErr != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s failed verification: %w", spec.Bench, spec.Config.Label(), res.VerifyErr)
 	}
-	return Cell{Bench: spec.Bench, Label: res.Label, Result: res}, nil
-}
-
-// forkCell simulates spec from the shared prefix snapshot for pkey,
-// building the snapshot first if this is the fingerprint's first cell.
-// Concurrent cells with the same prefix coalesce onto one cold-start
-// simulation and fork independent clones from it.
-func (r Runner) forkCell(ctx context.Context, spec CellSpec, pkey string) (Cell, error) {
-	b, ok := Builder(spec.Bench)
-	if !ok {
-		return Cell{}, fmt.Errorf("exp: %w: %q", ErrUnknownBenchmark, spec.Bench)
-	}
-	// The prefix snapshot is shared by every cell with the same
-	// fingerprint, so its simulation cost cannot fairly be charged to
-	// whichever cell happened to lead the flight. Each cell instead
-	// charges its own wait for the snapshot — the leader's wait IS the
-	// simulation, a joiner's is shorter — which both attributes the time
-	// and avoids double-counting it inside the timed-loop stage.
-	hs := spec.Config.HostStages
-	pcfg := spec.Config
-	pcfg.HostStages = nil
-	var t0 time.Time
-	if hs != nil {
-		t0 = time.Now()
-	}
-	p, err := r.Cache.prefix(ctx, spec.Bench+"\x00"+pkey, func() (*nas.Prefix, error) {
-		return nas.RunPrefix(b, pcfg)
-	})
-	if hs != nil {
-		hs.Prefix += time.Since(t0)
-	}
-	if err != nil {
-		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
-	}
-	res, err := p.RunFromSnapshot(spec.Config)
-	if err != nil {
-		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
-	}
-	if res.VerifyErr != nil {
-		return Cell{}, fmt.Errorf("exp: %s %s failed verification: %w", spec.Bench, spec.Config.Label(), res.VerifyErr)
-	}
-	r.Cache.noteFork()
 	return Cell{Bench: spec.Bench, Label: res.Label, Result: res}, nil
 }
 

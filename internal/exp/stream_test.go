@@ -52,16 +52,31 @@ func TestCacheStreamSingleFlight(t *testing.T) {
 	}
 }
 
-// TestRunnerDeclinedStreamForks: LU synchronises through an EventSet, so
-// its recording declines. The recording still answers the ft-IRIX cell;
-// the other cells fork prefix snapshots, and every report names the
-// reason and carries the cell's store address.
-func TestRunnerDeclinedStreamForks(t *testing.T) {
+// TestRunnerDeclinedStreamRunsFromScratch: LU synchronises through an
+// EventSet, so its recording declines. The recording still answers the
+// ft-IRIX cell; the other cells run from scratch, bit-identically to a
+// Runner without a Cache, and every report names the reason and carries
+// the cell's store address.
+func TestRunnerDeclinedStreamRunsFromScratch(t *testing.T) {
 	specs := Figure1Specs(SweepOptions{Class: nas.ClassS, Benches: []string{"LU"}, Seed: 42})
 	cache := NewCache()
-	reports := collectReports(t, Runner{Jobs: 2, Cache: cache}, specs)
-	if st := cache.Stats(); st.Streams != 1 || st.Replayed != 0 || st.Forked != uint64(len(specs)-1) {
-		t.Errorf("stats %+v, want 1 stream, 0 replayed, %d forked", st, len(specs)-1)
+	r := Runner{Jobs: 2, Cache: cache}
+	reports := collectReports(t, r, specs)
+	if st := cache.Stats(); st.Streams != 1 || st.Replayed != 0 || st.Misses != uint64(len(specs)) {
+		t.Errorf("stats %+v, want 1 stream, 0 replayed, %d misses", st, len(specs))
+	}
+	cells, err := r.Cells(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := Runner{Jobs: 2}.Cells(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cells {
+		if d := nas.Diverge(scratch[i].Result, cells[i].Result); d != "" {
+			t.Errorf("%s: cell diverges from scratch at %s", cells[i].Label, d)
+		}
 	}
 	for i, rep := range reports {
 		if rep.ReplayDeclined != "EventSet" {

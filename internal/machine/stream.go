@@ -14,7 +14,8 @@ import (
 // engine. A Recorder attached to a machine logs that placement-free part
 // once: every memory call with the CPU's placement-free clock advance
 // since its previous log point, each CPU's access and L1-miss counts at
-// its sync points, and the structure (regions, barriers, serial
+// its sync points, each CPU's cache hit, miss and tick counts at every
+// kernel-call boundary, and the structure (regions, barriers, serial
 // sections, phase and kernel-call boundaries) the omp and nas layers
 // report. A Stream replays the log against a fresh machine whose page
 // table, TLBs, counters, contention model and engines are live, without
@@ -34,7 +35,8 @@ const (
 	// calls, made on CPU Op.CPU.
 	OpPhaseEnter
 	OpPhaseExit
-	// OpReturn ends one kernel call (InitTouch or Step).
+	// OpReturn ends one kernel call (InitTouch or Step). Every CPU's log
+	// holds a cache record for it.
 	OpReturn
 )
 
@@ -50,6 +52,7 @@ const (
 	recMiss    = 0 // tag = (n<<1|write)<<2; then zigzag Δvpn, advance
 	recBarrier = 1 // then advance, Δaccesses, ΔL1 misses
 	recEnd     = 2 // as recBarrier
+	recCaches  = 3 // then ΔL1 hits, misses, tick, ΔL2 hits, misses, tick
 )
 
 // Recorder logs the placement-independent part of a run; see the
@@ -71,10 +74,11 @@ type Recorder struct {
 // log point.
 type cpuLog struct {
 	buf     []byte
-	vpn     uint64 // page of the previous miss record
-	clock   int64  // clock at the previous log point
-	acc, l1 uint64 // Accesses and L1Miss at the previous sync record
-	dirty   bool   // miss records since the previous sync record
+	vpn     uint64    // page of the previous miss record
+	clock   int64     // clock at the previous log point
+	acc, l1 uint64    // Accesses and L1Miss at the previous sync record
+	caches  [6]uint64 // cache counts at the previous OpReturn
+	dirty   bool      // miss records since the previous sync record
 }
 
 // NewRecorder returns a recorder for m's CPUs. The CPUs' current
@@ -82,7 +86,7 @@ type cpuLog struct {
 func NewRecorder(m *Machine) *Recorder {
 	r := &Recorder{m: m, logs: make([]cpuLog, len(m.cpus)), serial: -1}
 	for i, c := range m.cpus {
-		r.logs[i] = cpuLog{clock: c.clock, acc: c.stat.Accesses, l1: c.stat.L1Miss}
+		r.logs[i] = cpuLog{clock: c.clock, acc: c.stat.Accesses, l1: c.stat.L1Miss, caches: c.cacheCounts()}
 	}
 	return r
 }
@@ -228,6 +232,17 @@ func (r *Recorder) Mark(kind OpKind, c *CPU) {
 	if c != nil {
 		op.CPU = c.ID
 	}
+	if kind == OpReturn {
+		for i, c := range r.m.cpus {
+			l := &r.logs[i]
+			now := c.cacheCounts()
+			l.buf = binary.AppendUvarint(l.buf, recCaches)
+			for j, v := range now {
+				l.buf = binary.AppendUvarint(l.buf, v-l.caches[j])
+			}
+			l.caches = now
+		}
+	}
 	r.ops = append(r.ops, op)
 }
 
@@ -319,4 +334,34 @@ func (c *CPU) replayMiss(vpn uint64, write bool, n int) {
 		return
 	}
 	c.memory(vpn, write, n)
+}
+
+// ReplayCaches feeds every CPU of m the cache hit, miss and tick counts
+// logged at the end of a kernel call (OpReturn), so the counters
+// AppendCounters reports match the recorded run's at every kernel-call
+// boundary although the replay never touches a cache.
+func (rd *StreamReader) ReplayCaches(m *Machine) {
+	for _, c := range m.cpus {
+		var d [7]uint64
+		for j := range d {
+			buf, pos := rd.s.logs[c.ID], rd.pos[c.ID]
+			v, k := binary.Uvarint(buf[pos:])
+			if k <= 0 || (j == 0 && v != recCaches) {
+				panic(fmt.Sprintf("machine: cpu %d stream has no cache record at byte %d", c.ID, pos))
+			}
+			d[j], rd.pos[c.ID] = v, pos+k
+		}
+		if !m.freeRun {
+			c.l1.FastForward(d[1], d[2], d[3], 1)
+			c.l2.FastForward(d[4], d[5], d[6], 1)
+		}
+	}
+}
+
+// cacheCounts returns c's L1 hits, misses and tick and its L2 hits,
+// misses and tick, the order of a cache record.
+func (c *CPU) cacheCounts() [6]uint64 {
+	h1, m1 := c.l1.Stats()
+	h2, m2 := c.l2.Stats()
+	return [6]uint64{h1, m1, c.l1.Tick(), h2, m2, c.l2.Tick()}
 }

@@ -101,7 +101,8 @@ func streamMachine(t *testing.T, p vm.Policy) (*Machine, *Array) {
 // machines under every placement, leaves every CPU's clock and counters,
 // the machine's statistics and every page's reference counters exactly
 // where simulating the same work under that placement does — without
-// touching a cache.
+// touching a cache. Charging the OpReturn's cache counts then makes the
+// whole counter vector the steady-state detector reads equal.
 func TestStreamReplayMatchesSimulation(t *testing.T) {
 	m, a := streamMachine(t, vm.FirstTouch)
 	rec := NewRecorder(m)
@@ -122,7 +123,8 @@ func TestStreamReplayMatchesSimulation(t *testing.T) {
 		sim, sa := streamMachine(t, p)
 		program(sim, sa, nil)
 		rep, _ := streamMachine(t, p)
-		program(rep, nil, s.NewReader())
+		rd := s.NewReader()
+		program(rep, nil, rd)
 		pages := sim.AllocatedPages()
 		for i, c := range sim.CPUs() {
 			r := rep.CPU(i)
@@ -135,6 +137,10 @@ func TestStreamReplayMatchesSimulation(t *testing.T) {
 		}
 		if sim.Stats() != rep.Stats() {
 			t.Errorf("%v: replay stats %+v, simulation %+v", p, rep.Stats(), sim.Stats())
+		}
+		rd.ReplayCaches(rep)
+		if cs, cr := sim.AppendCounters(nil), rep.AppendCounters(nil); !reflect.DeepEqual(cs, cr) {
+			t.Errorf("%v: replay counters %v, simulation %v", p, cr, cs)
 		}
 		var cs, cr []uint32
 		for vpn := uint64(0); vpn < pages; vpn++ {
@@ -160,9 +166,14 @@ func TestStreamReplayHonoursFreeRun(t *testing.T) {
 	}
 	rep, _ := streamMachine(t, vm.FirstTouch)
 	rep.SetFreeRun(true)
-	s.NewReader().Replay(rep.CPU(0))
+	rd := s.NewReader()
+	rd.Replay(rep.CPU(0))
+	rd.ReplayCaches(rep)
 	if c := rep.CPU(0); c.Now() != 0 || c.Stat() != (CPUStats{}) {
 		t.Errorf("free-run replay charged clock %d stats %+v", c.Now(), c.Stat())
+	}
+	if h1, m1, h2, m2 := rep.CPU(0).CacheStats(); h1|m1|h2|m2 != 0 {
+		t.Errorf("free-run replay charged cache counts %d %d %d %d", h1, m1, h2, m2)
 	}
 }
 

@@ -21,9 +21,6 @@ type FastPath struct {
 	// Extrapolated: the trailing iterations were fast-forwarded
 	// analytically (Result.ExtrapolatedIters of them).
 	Extrapolated bool `json:"extrapolated,omitempty"`
-	// TailCacheHit: the free-run verification tail was skipped because a
-	// numerically identical run had already verified (Config.TailCache).
-	TailCacheHit bool `json:"tail_cache_hit,omitempty"`
 	// WhyNot explains why fast-forwarding declined. Nil when it engaged
 	// (Extrapolated), or when SteadyState was never armed.
 	WhyNot *WhyNot `json:"why_not,omitempty"`
@@ -139,13 +136,13 @@ type HostStages struct {
 	// (charged by exp.Cache, not by the run itself).
 	StoreProbe time.Duration `json:"store_probe,omitempty"`
 	// Record: waiting for the benchmark's shared L2-miss stream
-	// recording (charged by exp, like a forked cell's prefix wait).
+	// recording (charged by exp).
 	Record time.Duration `json:"record,omitempty"`
 	// Prefix: the engine-independent cold start (machine build, init
-	// touch, cold iteration, reset) — or, for a forked cell, the wait
-	// for the shared prefix snapshot.
+	// touch, cold iteration, reset).
 	Prefix time.Duration `json:"prefix,omitempty"`
-	// Fork: cloning the prefix snapshot and rebuilding the kernel on it.
+	// Fork: cloning a prefix snapshot and rebuilding the kernel on it
+	// (Prefix.RunFromSnapshot; the sweep runner does not fork).
 	Fork time.Duration `json:"fork,omitempty"`
 	// TimedLoop: the simulated iterations of the timed main loop.
 	TimedLoop time.Duration `json:"timed_loop,omitempty"`

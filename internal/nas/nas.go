@@ -218,7 +218,7 @@ type Builder func(m *machine.Machine, class Class, scale int, seed uint64) Kerne
 // used by sweep requests (cmd/sweepd's POST /v1/jobs) and store records:
 // enums encode as their figure labels (Class "W", Placement "ft", UPM
 // "upmlib") via their MarshalText methods, and the non-serializable
-// observation hooks (Tweak, Tracer, Metrics, TailCache) are excluded —
+// observation hooks (Tweak, Tracer, Metrics, HostStages) are excluded —
 // exactly the fields Fingerprint refuses to encode.
 type Config struct {
 	Class      Class       `json:"class"`
@@ -278,21 +278,14 @@ type Config struct {
 	// SteadyWindow is the number of consecutive identical deltas that
 	// proves steadiness. 0 means the default (3).
 	SteadyWindow int `json:"steady_window,omitempty"`
-	// TailCache, when non-nil, shares verification outcomes between runs
-	// with identical numerics (see VerifyCache). An extrapolating run
-	// that finds its trajectory already verified skips the free-run
-	// re-execution of its tail; every verified run seeds the cache.
-	// Attach one cache per sweep. Results are bit-identical with or
-	// without it, so it does not partition the fingerprint space.
-	TailCache *VerifyCache `json:"-"`
 	// HostStages, when non-nil, receives the run's host wall-clock cost
 	// split by stage (prefix, fork, timed loop, extrapolation, free-run
 	// tail, verification). Pure observation of the host clock: nothing
 	// simulated reads it, no virtual time is charged, and without a sink
 	// not even time.Now is called, so armed and unarmed runs are
-	// bit-identical in every virtual quantity. Like TailCache it never
-	// partitions the fingerprint space — it is simply absent from the
-	// fingerprint encoding.
+	// bit-identical in every virtual quantity. It never partitions the
+	// fingerprint space — it is simply absent from the fingerprint
+	// encoding.
 	HostStages *HostStages `json:"-"`
 	// Topo selects the machine's shape: a topology.ParseShape string or
 	// preset ("4x2x8", "hier64", "cube:2x2x2"). It overrides the class
@@ -364,9 +357,10 @@ func (c Config) Fingerprint() (string, bool) {
 // record was keyed by before Topo existed. The topology joins the key
 // only as an explicit suffix, and only when canonTopo is non-empty —
 // which is the fingerprint compatibility guarantee: default-shape runs
-// keep their historical keys. The hook fields (Tweak, Tracer, Metrics,
-// TailCache) are retained as always-nil placeholders because their
-// "<nil>" renderings are part of the historical byte layout. Do not
+// keep their historical keys. The hook fields (Tweak, Tracer, Metrics)
+// are retained as always-nil placeholders because their "<nil>"
+// renderings are part of the historical byte layout; so is TailCache,
+// whose Config field (a shared verification cache) is gone. Do not
 // reorder, rename or extend this struct; fingerprint_test.go pins its
 // rendering against golden strings.
 type fingerprintView struct {
@@ -388,7 +382,7 @@ type fingerprintView struct {
 	SteadyState  bool
 	Extrapolate  bool
 	SteadyWindow int
-	TailCache    *VerifyCache
+	TailCache    *struct{}
 }
 
 // canonTopo returns the canonical topology component of the config's
@@ -695,9 +689,6 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 	trc := cfg.tracer()
 	start := master.Now()
 	reactivated := false
-	nkey := numericKey(k.Name(), cfg, niter, len(team.Binding()))
-	var tailVerdict verdict
-	haveTail := false
 	// Host-stage accounting: accumulated locally and folded into the
 	// sink after the loop, so TimedLoop is the loop's wall time minus
 	// the analytic and free-run spans it contains.
@@ -810,17 +801,10 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 				Kind: trace.EvExtrapolate, Arg0: r, Arg1: addedIter})
 		}
 		// The tail's numerics have exactly one consumer: Verify. When
-		// its answer is already known — the check is skipped, or a run
-		// with the same numeric trajectory verified it (VerifyCache) —
-		// re-executing the remaining steps is pure waste.
+		// the check is skipped, re-executing the remaining steps is pure
+		// waste.
 		if cfg.SkipVerify {
 			break
-		}
-		if cfg.TailCache != nil {
-			if v, ok := cfg.TailCache.get(nkey); ok {
-				tailVerdict, haveTail = v, true
-				break
-			}
 		}
 		// Re-execute the remaining steps in free-run mode: clocks are
 		// frozen and accesses charge nothing, but the kernel's data
@@ -862,15 +846,8 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 		if hs != nil {
 			t0 = time.Now()
 		}
-		if haveTail {
-			res.Verified, res.VerifyErr = tailVerdict.verified, tailVerdict.err
-		} else {
-			res.VerifyErr = k.Verify()
-			res.Verified = res.VerifyErr == nil
-			if cfg.TailCache != nil {
-				cfg.TailCache.put(nkey, verdict{res.Verified, res.VerifyErr})
-			}
-		}
+		res.VerifyErr = k.Verify()
+		res.Verified = res.VerifyErr == nil
 		if hs != nil {
 			hs.Verify += time.Since(t0)
 		}
@@ -878,7 +855,6 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 	res.FastPath = FastPath{
 		SteadyDetected: res.SteadyAt > 0,
 		Extrapolated:   res.ExtrapolatedIters > 0,
-		TailCacheHit:   haveTail,
 	}
 	if cfg.SteadyState && res.ExtrapolatedIters == 0 {
 		res.FastPath.WhyNot = runWhyNot(cfg, det, res)

@@ -256,54 +256,6 @@ func TestSteadyForkBitIdentity(t *testing.T) {
 	}
 }
 
-// TestSteadyTailCache: runs that share a numeric trajectory share one
-// verification — an extrapolating run that finds its trajectory already
-// verified skips the free-run tail yet reports a Result bit-identical to
-// the fully simulated run of its own engine. Placement and engine
-// variants land on one cache entry; a different seed gets its own.
-func TestSteadyTailCache(t *testing.T) {
-	vc := nas.NewVerifyCache()
-	base := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
-		Iterations: 12, SteadyState: true, Extrapolate: true, TailCache: vc}
-	engines := []func(c *nas.Config){
-		func(c *nas.Config) {},
-		func(c *nas.Config) { c.KernelMig = true },
-		func(c *nas.Config) { c.UPM = nas.UPMDistribute; c.Placement = vm.WorstCase },
-	}
-	for i, set := range engines {
-		cfg := base
-		set(&cfg)
-		cached, err := nas.Run(sp.New, cfg)
-		if err != nil {
-			t.Fatalf("engine %d: %v", i, err)
-		}
-		plain := cfg
-		plain.SteadyState, plain.Extrapolate, plain.TailCache = false, false, nil
-		want, err := nas.Run(sp.New, plain)
-		if err != nil {
-			t.Fatalf("engine %d plain: %v", i, err)
-		}
-		if !reflect.DeepEqual(want, maskSteady(cached)) {
-			t.Errorf("engine %d: tail-cached run diverges from simulated:\n plain  %+v\n cached %+v",
-				i, want, cached)
-		}
-		if !cached.Verified {
-			t.Errorf("engine %d: tail-cached run not verified", i)
-		}
-	}
-	if vc.Len() != 1 {
-		t.Errorf("engine variants filled %d cache entries, want 1 shared trajectory", vc.Len())
-	}
-	other := base
-	other.Seed = 7
-	if _, err := nas.Run(sp.New, other); err != nil {
-		t.Fatal(err)
-	}
-	if vc.Len() != 2 {
-		t.Errorf("distinct seed reused the trajectory entry: %d entries, want 2", vc.Len())
-	}
-}
-
 // TestSteadySkipVerifyTail: with SkipVerify nothing ever observes the
 // kernel's final numerics, so an extrapolating run drops the free-run
 // tail outright — and still matches the fully simulated run bit for bit.
@@ -356,11 +308,5 @@ func TestSteadyFingerprintCanonicalisation(t *testing.T) {
 	fsteady, _ := a.Fingerprint()
 	if fsteady == fplain {
 		t.Error("steady and plain configs share a fingerprint; SteadyAt would go stale in the cache")
-	}
-	d := base
-	d.TailCache = nas.NewVerifyCache()
-	fd, _ := d.Fingerprint()
-	if fd != fplain {
-		t.Errorf("attaching a tail cache changed the fingerprint:\n %q\n %q", fd, fplain)
 	}
 }

@@ -22,16 +22,15 @@ import (
 
 // StreamFingerprint returns the key of cfg's L2-miss stream: the
 // Fingerprint of the stream's canonical cell, cfg with first-touch
-// placement and every engine off. Placement, KernelMig, UPM, UPMOptions
-// and Kmig are the fields it drops; class, topology, threads,
+// placement, every engine off and the steady-state detector off.
+// Placement, KernelMig, UPM, UPMOptions, Kmig, SteadyState, Extrapolate
+// and SteadyWindow are the fields it drops; class, topology, threads,
 // iterations, scale, PerturbAt, seed and SkipVerify stay (PerturbAt
 // rotates threads by CPUsPerNode, so the machine shape matters). The
-// second result is false where Fingerprint's is, and for SteadyState
-// configs, whose detector reads cache counters the replay does not keep.
+// recording is therefore always a full run, and the steady and plain
+// cells of one grid share it: the log keeps every counter the detector
+// reads. The second result is false where Fingerprint's is.
 func (c Config) StreamFingerprint() (string, bool) {
-	if c.SteadyState {
-		return "", false
-	}
 	fp, ok := c.streamCell().Fingerprint()
 	if !ok {
 		return "", false
@@ -40,11 +39,12 @@ func (c Config) StreamFingerprint() (string, bool) {
 }
 
 // streamCell returns the stream's canonical cell for cfg: first touch,
-// engines off.
+// engines and steady-state detector off.
 func (c Config) streamCell() Config {
 	c.Placement = vm.FirstTouch
 	c.KernelMig, c.UPM = false, UPMOff
 	c.UPMOptions, c.Kmig = upm.Options{}, kmig.Config{}
+	c.SteadyState, c.Extrapolate, c.SteadyWindow = false, false, 0
 	return c
 }
 
@@ -75,7 +75,7 @@ type Stream struct {
 // recording's stages, since the recording is that cell's run.
 func RecordStream(build Builder, cfg Config) (*Stream, error) {
 	if _, ok := cfg.StreamFingerprint(); !ok {
-		return nil, fmt.Errorf("nas: config without a stream fingerprint (steady, traced, sampled or tweaked) cannot be recorded")
+		return nil, fmt.Errorf("nas: config without a stream fingerprint (traced, sampled or tweaked) cannot be recorded")
 	}
 	s := &Stream{}
 	own, _ := cfg.Fingerprint()
@@ -186,12 +186,19 @@ func (k *replayKernel) HotPages() [][2]uint64  { return k.s.hot }
 func (k *replayKernel) Reinit() {}
 
 // Verify returns the recording's verdict: the numerics do not depend on
-// placement or engines.
+// placement, engines or extrapolation.
 func (k *replayKernel) Verify() error { return k.s.Result.VerifyErr }
 
 func (k *replayKernel) InitTouch(t *omp.Team) { k.replay(t, nil) }
 
-func (k *replayKernel) Step(t *omp.Team, h *Hooks) { k.replay(t, h) }
+// Step replays one timestep. In free-run mode (the tail after an
+// extrapolation) it returns at once: the replay has no numerics to
+// advance, and Verify already knows the answer.
+func (k *replayKernel) Step(t *omp.Team, h *Hooks) {
+	if !k.m.FreeRun() {
+		k.replay(t, h)
+	}
+}
 
 // replay runs the recorded steps up to the end of the current kernel
 // call.
@@ -206,6 +213,7 @@ func (k *replayKernel) replay(t *omp.Team, h *Hooks) {
 		k.op++
 		switch op.Kind {
 		case machine.OpReturn:
+			k.rd.ReplayCaches(k.m)
 			return
 		case machine.OpSerial:
 			k.rd.Replay(k.m.CPU(op.CPU))

@@ -335,9 +335,8 @@ type (
 	// figures (Figure 1 ⊂ Figure 4; Table 2 reuses Figure 4's UPMlib
 	// cells) simulate each unique (benchmark, config) cell exactly once.
 	// It also holds each benchmark's recorded L2-miss stream, which every
-	// placement and engine variant replays instead of simulating the
-	// caches again, and the shared cold-start prefix snapshots (NASPrefix)
-	// that the cells a stream cannot serve (steady, or declined) fork.
+	// placement, engine and steady-state variant replays instead of
+	// simulating the caches again.
 	SweepCache = exp.Cache
 	// SweepCacheStats is a snapshot of a SweepCache's hit/miss counters.
 	SweepCacheStats = exp.CacheStats
