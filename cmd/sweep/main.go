@@ -372,8 +372,10 @@ func newLogger(format string, w io.Writer) (*slog.Logger, error) {
 	}
 }
 
-// logCell emits one structured line per finished cell: identity, host
-// and virtual cost, provenance, fast-path kind and (when the steady
+// logCell emits one structured line per finished cell: identity (the
+// label, plus the store address of a memoizable cell, which unlike the
+// label tells apart cells of different scale, iterations or threads),
+// host and virtual cost, provenance, fast-path kind and (when the steady
 // detector gave up) the typed why-not reason.
 func logCell(logger *slog.Logger, ev upmgo.SweepEvent) {
 	if !ev.Done {
@@ -382,6 +384,9 @@ func logCell(logger *slog.Logger, ev upmgo.SweepEvent) {
 	args := []any{"bench", ev.Spec.Bench, "label", ev.Spec.Config.Label(),
 		"host", ev.Host, "virtual_s", ev.VirtualS}
 	if rep := ev.Report; rep != nil {
+		if rep.Address != "" {
+			args = append(args, "address", rep.Address)
+		}
 		args = append(args, "source", rep.Source, "kind", string(rep.Kind))
 		if w := rep.FastPath.WhyNot; w != nil {
 			args = append(args, "why_not", string(w.Reason))

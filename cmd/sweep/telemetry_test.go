@@ -68,6 +68,29 @@ func TestRunTelemetryByteIdentity(t *testing.T) {
 	if !strings.Contains(logText, "report written to") {
 		t.Error("stderr does not announce the report file")
 	}
+	// Every cell line names its store address, the identity the label
+	// lacks: each address is a record in the run's store, and distinct
+	// addresses outnumber distinct labels (Figure 5's scaled cells share
+	// Figure 4's labels).
+	addrs, labels := map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(logText, "\n") {
+		var rec struct{ Msg, Bench, Label, Address string }
+		if json.Unmarshal([]byte(line), &rec) != nil || rec.Msg != "cell" {
+			continue
+		}
+		if rec.Address == "" {
+			t.Errorf("cell line lacks an address: %s", line)
+			continue
+		}
+		if _, err := os.Stat(filepath.Join(store2, rec.Address+".json")); err != nil {
+			t.Errorf("logged address %s has no store record: %v", rec.Address, err)
+		}
+		addrs[rec.Address] = true
+		labels[rec.Bench+" "+rec.Label] = true
+	}
+	if len(addrs) <= len(labels) {
+		t.Errorf("%d logged addresses for %d labels, want more addresses", len(addrs), len(labels))
+	}
 
 	// The report file loads back as a SweepReport with the host-time
 	// story: every finished cell counted, stages attributed, the
@@ -130,5 +153,22 @@ func TestRunTelemetryFlagValidation(t *testing.T) {
 	err = run([]string{"-table", "1", "-quiet", "-report", bad}, &out, &errw)
 	if err == nil || !strings.Contains(err.Error(), "-report") {
 		t.Errorf("unwritable -report: err = %v, want it named after the flag", err)
+	}
+}
+
+// TestLogCellOmitsMissingAddress: a cell that cannot be memoized has no
+// store address, and its log line leaves the attribute out rather than
+// printing an empty one.
+func TestLogCellOmitsMissingAddress(t *testing.T) {
+	for _, addr := range []string{"", "abc123"} {
+		var buf bytes.Buffer
+		logger, err := newLogger("text", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logCell(logger, upmgo.SweepEvent{Done: true, Report: &upmgo.CellReport{Address: addr}})
+		if got := strings.Contains(buf.String(), "address="); got != (addr != "") {
+			t.Errorf("address %q: log line %q", addr, buf.String())
+		}
 	}
 }

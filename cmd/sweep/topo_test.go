@@ -8,14 +8,15 @@ import (
 	"testing"
 )
 
-// TestRunTopoBitIdentity is the CLI-level acceptance check for the
-// topology refactor: the full `sweep -all` pipeline with the Origin2000
-// re-specified as a cube-shaped Hierarchy (-topo cube:2x2x2, the class-S
-// 4-node machine) must be indistinguishable from the legacy hypercube
-// run — byte-identical stdout AND byte-identical store records under the
-// same addresses, since a cube-equivalent shape canonicalises out of the
-// fingerprint. -threads 1 pins exact reproducibility. CI runs this under
-// -race alongside internal/nas's TestHierarchyBitIdentity.
+// TestRunTopoBitIdentity is the CLI-level check of fingerprint
+// canonicalisation: the full `sweep -all` pipeline with the Origin2000
+// spelled as a cube shape (-topo cube:2x2x2, the class-S 4-node machine)
+// must be indistinguishable from the run without -topo — byte-identical
+// stdout AND byte-identical store records under the same addresses,
+// since a cube-equivalent shape builds the default machine's hierarchy
+// and canonicalises out of the fingerprint. -threads 1 pins exact
+// reproducibility. CI runs this under -race alongside internal/nas's
+// TestHierarchyBitIdentity.
 func TestRunTopoBitIdentity(t *testing.T) {
 	dir := t.TempDir()
 	cubeStore := filepath.Join(dir, "cube")
@@ -30,7 +31,7 @@ func TestRunTopoBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cube.String() != hier.String() {
-		t.Error("sweep -all stdout differs between the hypercube and the cube-shaped hierarchy")
+		t.Error("sweep -all stdout differs between the default machine and -topo cube:2x2x2")
 	}
 
 	names, err := filepath.Glob(filepath.Join(cubeStore, "*.json"))
@@ -38,14 +39,14 @@ func TestRunTopoBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(names) == 0 {
-		t.Fatal("legacy run stored no records")
+		t.Fatal("default run stored no records")
 	}
 	hierNames, err := filepath.Glob(filepath.Join(hierStore, "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hierNames) != len(names) {
-		t.Fatalf("stores diverge: %d legacy records, %d hierarchy records", len(names), len(hierNames))
+		t.Fatalf("stores diverge: %d default records, %d cube-shape records", len(names), len(hierNames))
 	}
 	for _, name := range names {
 		a, err := os.ReadFile(name)
@@ -54,7 +55,7 @@ func TestRunTopoBitIdentity(t *testing.T) {
 		}
 		b, err := os.ReadFile(filepath.Join(hierStore, filepath.Base(name)))
 		if err != nil {
-			t.Fatalf("hierarchy run missed a record the legacy run stored: %v", err)
+			t.Fatalf("cube-shape run missed a record the default run stored: %v", err)
 		}
 		if !bytes.Equal(a, b) {
 			t.Errorf("record %s differs between topologies", filepath.Base(name))

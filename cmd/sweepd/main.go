@@ -15,7 +15,9 @@
 //
 // Jobs run one at a time off a bounded queue (each job's cells simulate
 // concurrently, -jobs wide); a full queue answers 503 and a job body over
-// 1 MiB answers 413. SIGTERM/SIGINT drains gracefully: the listener
+// 1 MiB answers 413. The daemon remembers the 64 most recent finished
+// jobs; an older finished job's status and events answer 404, while its
+// cells stay in the store. SIGTERM/SIGINT drains gracefully: the listener
 // stops, the running job finishes, still-queued jobs fail with "server
 // draining", and the process exits.
 //

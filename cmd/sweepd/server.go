@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -14,9 +15,16 @@ import (
 	"upmgo"
 )
 
-// ErrJobNotFound reports a job id the server has never issued. The HTTP
-// layer maps it to 404 Not Found; matched with errors.Is.
+// ErrJobNotFound reports a job id the server has never issued or has
+// since forgotten (see maxTerminalJobs). The HTTP layer maps it to 404
+// Not Found; matched with errors.Is.
 var ErrJobNotFound = errors.New("sweepd: job not found")
+
+// maxTerminalJobs caps how many finished (done or failed) jobs the server
+// remembers. Each submission forgets the oldest finished jobs past it —
+// status, result and event history — so a long-lived daemon's memory
+// stays bounded. Queued and running jobs are never forgotten.
+const maxTerminalJobs = 64
 
 // jobState is a job's place in its lifecycle. States only move forward:
 // queued → running → done|failed.
@@ -242,6 +250,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
+	s.forgetTerminal()
 	s.appendEvent(j, jobEvent{Type: "job_queued", Total: len(cells)})
 	snap := *j
 	s.publishJobGauges()
@@ -252,7 +261,26 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, snap)
 }
 
-// handleList serves every job's status, oldest first.
+// forgetTerminal drops the oldest terminal jobs past maxTerminalJobs.
+// Caller holds s.mu.
+func (s *server) forgetTerminal() {
+	excess := -maxTerminalJobs
+	for _, j := range s.jobs {
+		if j.State.terminal() {
+			excess++
+		}
+	}
+	s.order = slices.DeleteFunc(s.order, func(id string) bool {
+		if excess <= 0 || !s.jobs[id].State.terminal() {
+			return false
+		}
+		delete(s.jobs, id)
+		excess--
+		return true
+	})
+}
+
+// handleList serves every remembered job's status, oldest first.
 func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	out := make([]job, 0, len(s.order))

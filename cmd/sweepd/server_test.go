@@ -325,6 +325,75 @@ func TestQueueFullAnswers503(t *testing.T) {
 	}
 }
 
+// TestTerminalJobsForgotten: past maxTerminalJobs finished jobs, each
+// submission forgets the oldest finished ones — the list drops them and
+// their status and event stream answer 404 — while a running job older
+// than all of them and a queued one survive. The test plays the worker:
+// it takes each job off the queue and fails it at once.
+func TestTerminalJobsForgotten(t *testing.T) {
+	const extra = 3
+	s := newServer(1, 1, nil, nil) // worker never started
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	blob, _ := json.Marshal(testRequest)
+	submit := func() job {
+		j, resp := postJob(t, ts, string(blob))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submission: %s", resp.Status)
+		}
+		return j
+	}
+	running := submit()
+	j := <-s.queue
+	s.mu.Lock()
+	j.State = jobRunning
+	s.mu.Unlock()
+	var finished []string
+	for i := 0; i < maxTerminalJobs+extra; i++ {
+		finished = append(finished, submit().ID)
+		s.fail(<-s.queue, fmt.Errorf("finished"))
+	}
+	queued := submit()
+
+	want := append(append([]string{running.ID}, finished[extra:]...), queued.ID)
+	list, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer list.Body.Close()
+	var body struct {
+		Jobs []job `json:"jobs"`
+	}
+	if err := json.NewDecoder(list.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, j := range body.Jobs {
+		got = append(got, j.ID)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("job list %v, want %v", got, want)
+	}
+	for _, id := range finished[:extra] {
+		for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs/" + id + "/events"} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET %s of a forgotten job: %s, want 404", path, resp.Status)
+			}
+		}
+	}
+	if got := getJob(t, ts, running.ID); got.State != jobRunning {
+		t.Errorf("running job is %s", got.State)
+	}
+	if got := getJob(t, ts, queued.ID); got.State != jobQueued {
+		t.Errorf("queued job is %s", got.State)
+	}
+}
+
 // TestDrainFailsQueuedJobs: cancelling the worker context fails
 // still-queued jobs fast and closes the drain barrier.
 func TestDrainFailsQueuedJobs(t *testing.T) {

@@ -91,8 +91,9 @@ func Table1() ([]Row, error) { return Table1Topo("") }
 // topology.ParseShape string or preset; empty = the paper's default
 // Origin2000). The row set follows the topology: after the cache and
 // local rows, one remote row per hop distance at which some CPU exists —
-// a 3-level hierarchy yields a longer ladder than the hypercube's three
-// remote rows.
+// three for the default machine's cube of three binary unit-hop levels,
+// seven for a 3-level hierarchy whose doubling hop weights give every
+// level subset its own distance.
 func Table1Topo(topo string) ([]Row, error) {
 	mc := machine.DefaultConfig()
 	if topo != "" {

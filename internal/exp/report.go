@@ -78,7 +78,7 @@ func (s *StageSeconds) add(o StageSeconds) {
 	s.Verify += o.Verify
 }
 
-// stageNames pairs each stage with its value in presentation order,
+// Each calls f with each stage's name and value in presentation order,
 // shared by cmd/traceview's renderer.
 func (s StageSeconds) Each(f func(name string, seconds float64)) {
 	f("store_probe", s.StoreProbe)

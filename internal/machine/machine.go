@@ -1,10 +1,11 @@
 // Package machine assembles the simulated ccNUMA multiprocessor: CPUs with
-// private caches and TLBs, hypercube-connected memory nodes, a paged
-// address space, and integer-picosecond virtual time. Application code
-// (the NAS kernels, the examples) performs every array element access
-// through this package, which charges the access to the accessing CPU's
-// clock according to where it is served — L1, L2, local memory, or an
-// N-hop remote memory — exactly the ladder of the paper's Table 1.
+// private caches and TLBs, memory nodes on a hierarchical interconnect
+// (the Origin2000's hypercube by default), a paged address space, and
+// integer-picosecond virtual time. Application code (the NAS kernels, the
+// examples) performs every array element access through this package,
+// which charges the access to the accessing CPU's clock according to
+// where it is served — L1, L2, local memory, or an N-hop remote memory —
+// exactly the ladder of the paper's Table 1.
 //
 // Virtual time and determinism: each CPU carries its own clock. Within a
 // parallel region CPUs never read each other's clocks; at every barrier
@@ -42,15 +43,14 @@ type Config struct {
 
 	Lat memsys.Latency
 
-	// Topo, when non-nil, replaces the default hypercube interconnect
-	// with a hierarchical topology built from these levels (outermost
-	// first; see topology.Hierarchy). Nodes is overridden by the level
-	// product. When any level carries ExtraPS, the memory ladder is
-	// re-derived per hop distance as local latency + the level extras —
-	// the per-level generalization of the paper's Table 1; otherwise the
-	// configured (or default Origin2000) ladder stays in force, which is
-	// how a cube-shaped hierarchy remains bit-identical to the legacy
-	// path. Nil keeps the hypercube over Nodes.
+	// Topo, when non-nil, gives the interconnect's levels (outermost
+	// first; see topology.Hierarchy) and Nodes is overridden by their
+	// product. Nil builds the hypercube over Nodes, topology.Cube. When
+	// any level carries ExtraPS, the memory ladder is re-derived per hop
+	// distance as local latency + the level extras — the per-level
+	// generalization of the paper's Table 1; otherwise the configured
+	// (or default Origin2000) ladder stays in force, which is why a
+	// cube-shaped Topo runs bit-identically to a nil one.
 	Topo []topology.Level
 
 	Placement   vm.Policy
@@ -112,7 +112,7 @@ type BarrierHook func(now int64) int64
 // a Machine between concurrently running teams.
 type Machine struct {
 	Cfg  Config
-	Topo topology.Topology
+	Topo *topology.Hierarchy
 	PT   *vm.PageTable
 	Lat  memsys.Latency
 
@@ -243,30 +243,26 @@ func New(cfg Config) (*Machine, error) {
 	if !ok {
 		return nil, fmt.Errorf("machine: CPUs per node and node counts %v do not make 1 to %d CPUs (the coherence directory's 8-bit writer field)", factors, topology.MaxCPUs)
 	}
-	var topo topology.Topology
+	var topo *topology.Hierarchy
+	var err error
 	if cfg.Topo != nil {
-		h, err := topology.NewHierarchy(cfg.Topo)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Nodes = h.Nodes()
-		if extras := h.LatencyExtras(); extras != nil {
-			// Per-level latency ladder: local latency plus the summed
-			// extras of the levels each distance crosses. A fresh slice —
-			// the configured ladder may be shared (DefaultConfig's).
-			mb := make([]int64, len(extras))
-			for d, ex := range extras {
-				mb[d] = cfg.Lat.MemByHops[0] + ex
-			}
-			cfg.Lat.MemByHops = mb
-		}
-		topo = h
+		topo, err = topology.NewHierarchy(cfg.Topo)
 	} else {
-		hc, err := topology.NewHypercube(cfg.Nodes)
-		if err != nil {
-			return nil, err
+		topo, err = topology.Cube(cfg.Nodes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	cfg.Nodes = topo.Nodes()
+	if extras := topo.LatencyExtras(); extras != nil {
+		// Per-level latency ladder: local latency plus the summed
+		// extras of the levels each distance crosses. A fresh slice —
+		// the configured ladder may be shared (DefaultConfig's).
+		mb := make([]int64, len(extras))
+		for d, ex := range extras {
+			mb[d] = cfg.Lat.MemByHops[0] + ex
 		}
-		topo = hc
+		cfg.Lat.MemByHops = mb
 	}
 	pt, err := vm.New(topo, vm.Config{
 		Pages:         cfg.ArenaPages,

@@ -49,9 +49,6 @@ func TestNewHierarchicalMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Topo.(*topology.Hierarchy); !ok {
-		t.Fatalf("interconnect is %T, want *topology.Hierarchy", m.Topo)
-	}
 	if m.Topo.Nodes() != 8 || m.NumCPUs() != 64 {
 		t.Errorf("machine is %d nodes / %d CPUs, want 8 / 64", m.Topo.Nodes(), m.NumCPUs())
 	}
@@ -75,8 +72,9 @@ func TestNewHierarchicalMachine(t *testing.T) {
 }
 
 // TestNewCubeHierarchyKeepsLadder: a cube shape carries no extras, so the
-// configured Origin2000 ladder stays in force — the property the
-// bit-identity harness in internal/nas rests on.
+// configured Origin2000 ladder stays in force, and it builds the very
+// hierarchy the default machine does — the property the bit-identity
+// harness in internal/nas rests on.
 func TestNewCubeHierarchyKeepsLadder(t *testing.T) {
 	cfg := DefaultConfig()
 	if err := cfg.SetTopology("cube:2x2x2x2"); err != nil {
@@ -92,17 +90,38 @@ func TestNewCubeHierarchyKeepsLadder(t *testing.T) {
 	if !reflect.DeepEqual(m.Lat.MemByHops, memsys.Origin2000().MemByHops) {
 		t.Errorf("cube shape changed the ladder: %v", m.Lat.MemByHops)
 	}
-	// And its distance metric matches the hypercube's on every pair.
-	hc, err := topology.NewHypercube(8)
-	if err != nil {
-		t.Fatal(err)
+	if def := MustNew(DefaultConfig()); !reflect.DeepEqual(m.Topo, def.Topo) {
+		t.Error("cube:2x2x2x2 built a different interconnect from the default machine")
 	}
-	for a := 0; a < 8; a++ {
-		for b := 0; b < 8; b++ {
-			if m.Topo.Hops(a, b) != hc.Hops(a, b) {
-				t.Fatalf("Hops(%d,%d) = %d, hypercube %d", a, b, m.Topo.Hops(a, b), hc.Hops(a, b))
-			}
+}
+
+// TestDefaultMachineIsCube: with no Topo, New builds the cube hierarchy
+// of Config.Nodes — the paper's machine is cube:2x2x2x2, its 4-node
+// Class S variant cube:2x2x2 — and a node count that is not a power of
+// two is rejected.
+func TestDefaultMachineIsCube(t *testing.T) {
+	for _, c := range []struct {
+		nodes, perNode int
+		spec           string
+	}{
+		{8, 2, "cube:2x2x2x2"},
+		{4, 2, "cube:2x2x2"},
+		{1, 2, "cube:1x2"},
+	} {
+		cfg := DefaultConfig()
+		cfg.Nodes, cfg.CPUsPerNode = c.nodes, c.perNode
+		sh, err := topology.ParseShape(c.spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got, want := MustNew(cfg).Topo, topology.MustHierarchy(sh.Levels); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d-node default interconnect differs from %s", c.nodes, c.spec)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Nodes = 3
+	if _, err := New(cfg); err == nil {
+		t.Error("Config{Nodes: 3} accepted")
 	}
 }
 
@@ -118,7 +137,7 @@ func TestNewHierarchicalMachineRejectsTooManyCPUs(t *testing.T) {
 		{[]int{8, 8}, 8},    // 512 CPUs
 		{[]int{2}, 1 << 62}, // overflows int
 		{[]int{4}, 1 << 62}, // wraps to 0
-		{nil, 1 << 62},      // the hypercube path, 8 nodes
+		{nil, 1 << 62},      // the default cube, 8 nodes
 	} {
 		cfg := DefaultConfig()
 		cfg.CPUsPerNode = tc.perNode

@@ -292,9 +292,10 @@ type Config struct {
 	// default machine's node/CPU counts and, for shapes with per-level
 	// latency, its memory ladder. Empty keeps the class default. Shapes
 	// that are cube-equivalent to the class default canonicalise to
-	// empty in Fingerprint/Label — such runs are bit-identical to the
-	// legacy hypercube path, so they share its cache entries and store
-	// records (the compatibility guarantee topology_test.go pins).
+	// empty in Fingerprint/Label — they build the same cube hierarchy
+	// as the class default, so their runs are bit-identical to it and
+	// share its cache entries and store records (the compatibility
+	// guarantee topology_test.go pins).
 	Topo string `json:"topo,omitempty"`
 }
 
@@ -387,11 +388,12 @@ type fingerprintView struct {
 
 // canonTopo returns the canonical topology component of the config's
 // identity: empty when Topo is unset or names a shape indistinguishable
-// from the class's default hypercube machine (cube levels of arity 2,
-// matching node and CPU counts — such runs are proven bit-identical to
-// the legacy path), else the canonical shape spelling, so "HIER64" and
-// "4x2x8" collide. Unparseable strings are returned verbatim: Run will
-// reject them, and two configs that fail identically may share the key.
+// from the class's default machine (cube levels of arity 2, matching
+// node and CPU counts — the hierarchy the default machine builds, so
+// such runs are bit-identical to it), else the canonical shape spelling,
+// so "HIER64" and "4x2x8" collide. Unparseable strings are returned
+// verbatim: Run will reject them, and two configs that fail identically
+// may share the key.
 func (c Config) canonTopo() string {
 	if c.Topo == "" {
 		return ""

@@ -127,12 +127,14 @@ func TestTopoFingerprintCompatibility(t *testing.T) {
 	}
 }
 
-// TestHierarchyBitIdentity: the Origin expressed as a cube Hierarchy
-// drives the whole stack through the hierarchical code path — mixed-radix
-// distance matrix, generic ByDistance, hierarchical machine assembly —
-// yet every virtual-time quantity, counter and page-home outcome is
-// bit-identical to the legacy hypercube run. cmd/sweep's TestSweepTopoBitIdentity proves
-// the same at the CLI/store level; CI runs both under -race.
+// TestHierarchyBitIdentity: the Origin spelled as a cube shape
+// (cube:2x2x2) is the default machine — the shape's levels and the
+// default's topology.Cube build the same hierarchy — so every
+// virtual-time quantity, counter and page-home outcome is bit-identical
+// to the run without a shape. That is what makes it sound for the
+// fingerprint to fold such shapes into the default's key.
+// cmd/sweep's TestRunTopoBitIdentity proves the same at the CLI/store
+// level; CI runs both under -race.
 func TestHierarchyBitIdentity(t *testing.T) {
 	engines := []nas.Config{
 		{},
@@ -152,14 +154,14 @@ func TestHierarchyBitIdentity(t *testing.T) {
 
 			want, err := nas.Run(bt.New, cfg)
 			if err != nil {
-				t.Fatalf("%s hypercube: %v", cfg.Label(), err)
+				t.Fatalf("%s default: %v", cfg.Label(), err)
 			}
 			got, err := nas.Run(bt.New, hier)
 			if err != nil {
-				t.Fatalf("%s hierarchy: %v", cfg.Label(), err)
+				t.Fatalf("%s cube shape: %v", cfg.Label(), err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: hierarchy-expressed Origin diverged from the hypercube run:\nhier %+v\ncube %+v",
+				t.Errorf("%s: cube-shaped Origin diverged from the default run:\nshape   %+v\ndefault %+v",
 					cfg.Label(), got, want)
 			}
 		}
@@ -181,7 +183,7 @@ func TestHierarchyBitIdentityRecRep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("recrep: hierarchy run diverged from hypercube run")
+		t.Errorf("recrep: cube-shaped run diverged from the default run")
 	}
 
 	ccfg := nas.Config{Class: nas.ClassS, Placement: vm.RoundRobin, KernelMig: true, Threads: 1}
@@ -196,7 +198,7 @@ func TestHierarchyBitIdentityRecRep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cgot, cwant) {
-		t.Errorf("CG: hierarchy run diverged from hypercube run")
+		t.Errorf("CG: cube-shaped run diverged from the default run")
 	}
 }
 

@@ -32,9 +32,9 @@ func FuzzParseShape(f *testing.F) {
 		if n := sh.CPUCount(); n < 1 || n > MaxCPUs {
 			t.Fatalf("ParseShape(%q): %d CPUs", s, n)
 		}
-		h, err := sh.Build()
+		h, err := NewHierarchy(sh.Levels)
 		if err != nil {
-			t.Fatalf("ParseShape(%q) accepted a shape Build rejects: %v", s, err)
+			t.Fatalf("ParseShape(%q) accepted a shape NewHierarchy rejects: %v", s, err)
 		}
 		if n := len(h.LatencyExtras()); n > 1<<maxShapeLevels {
 			t.Fatalf("ParseShape(%q): latency ladder of %d entries", s, n)

@@ -1,34 +1,18 @@
+// Package topology models the interconnection network of a ccNUMA
+// multiprocessor as a tree of levels (a Hierarchy). The SGI Origin2000
+// the paper evaluates is a (fat) hypercube: Cube builds it as one binary
+// unit-hop level per dimension, so the distance between two nodes is the
+// Hamming distance of their identifiers. The only property the memory
+// system needs from the network is the hop distance between the node of
+// an accessing processor and the node that homes a page; the latency
+// ladder of Table 1 in the paper is indexed by that distance.
 package topology
 
-import "fmt"
-
-// Topology is the interconnect surface the memory system consumes. The
-// simulator needs only the hop distance between two nodes (indexing the
-// latency ladder), the closest-node order for best-effort page forwarding,
-// and — for display and ladder derivation — the level structure. Hypercube
-// and Hierarchy both implement it; Machine holds one.
-type Topology interface {
-	// Nodes returns the number of memory nodes.
-	Nodes() int
-	// Hops returns the network distance between nodes a and b; 0 for
-	// a == b. Implementations panic on out-of-range ids, because a bad
-	// node id always indicates memory-system corruption upstream.
-	Hops(a, b int) int
-	// Distance is Hops under its metric name. Hierarchical topologies
-	// serve it from the cached per-level distance matrix.
-	Distance(a, b int) int
-	// Neighbors returns the node ids adjacent to a (distance equal to
-	// one level's hop contribution), nearest level first.
-	Neighbors(a int) []int
-	// ByDistance returns all nodes ordered by increasing distance from
-	// a, ties broken by ascending node id; the first element is a.
-	ByDistance(a int) []int
-	// MaxHops returns the network diameter.
-	MaxHops() int
-	// Levels returns the level structure, outermost first. For a
-	// hypercube each dimension is a binary unit-hop level.
-	Levels() []Level
-}
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Level is one tier of a hierarchical NUMA machine (a rack, board, socket
 // or die). A node id decomposes into one coordinate digit per level,
@@ -78,11 +62,10 @@ func CountCPUs(factors ...int) (int, bool) {
 // numbers over the level arities (outermost level most significant), and
 // the distance between two nodes is the sum of the Hop contributions of
 // every level where their digits differ. That sum is a true metric
-// (symmetric, zero iff equal, triangle inequality per level), and a
-// hierarchy of k binary unit-hop levels reproduces the 2^k-node
-// hypercube's Hamming distances exactly — the bridge the bit-identity
-// tests lean on. Distances are precomputed into an n×n matrix at
-// construction; lookups never walk the tree.
+// (symmetric, zero iff equal, triangle inequality per level), and on a
+// hierarchy of k binary unit-hop levels (Cube) it is the 2^k-node
+// hypercube's Hamming distance. Distances are precomputed into an n×n
+// matrix at construction; lookups never walk the tree.
 type Hierarchy struct {
 	levels  []Level
 	stride  []int // stride[i]: id units per digit of level i
@@ -143,6 +126,22 @@ func NewHierarchy(levels []Level) (*Hierarchy, error) {
 	return h, nil
 }
 
+// Cube returns the n-node hypercube: log2(n) binary unit-hop levels
+// without extra latency (one arity-1 level when n is 1). The levels are
+// those ParseShape gives the matching "cube:" spec, names included, so
+// the default machine and a "cube:2x2x2x2" shape build the same
+// hierarchy. n must be a power of two.
+func Cube(n int) (*Hierarchy, error) {
+	if n < 1 || n&(n-1) != 0 {
+		return nil, fmt.Errorf("topology: node count %d is not a power of two", n)
+	}
+	arities := []int{1}
+	if n > 1 {
+		arities = slices.Repeat([]int{2}, bits.TrailingZeros(uint(n)))
+	}
+	return NewHierarchy(shapeLevels(arities, true))
+}
+
 // MustHierarchy is NewHierarchy for statically known shapes; it panics on
 // a bad one.
 func MustHierarchy(levels []Level) *Hierarchy {
@@ -156,8 +155,9 @@ func MustHierarchy(levels []Level) *Hierarchy {
 // Nodes returns the number of nodes (the product of the level arities).
 func (h *Hierarchy) Nodes() int { return h.n }
 
-// Hops returns the cached distance between nodes a and b. It panics on
-// out-of-range ids, matching Hypercube.Hops.
+// Hops returns the cached distance between nodes a and b; 0 for a == b.
+// It panics on out-of-range ids, because a bad node id here always
+// indicates memory-system corruption upstream.
 func (h *Hierarchy) Hops(a, b int) int {
 	if a < 0 || a >= h.n || b < 0 || b >= h.n {
 		panic(fmt.Sprintf("topology: node out of range: Hops(%d,%d) on %d nodes", a, b, h.n))
@@ -165,35 +165,10 @@ func (h *Hierarchy) Hops(a, b int) int {
 	return int(h.dist[a*h.n+b])
 }
 
-// Distance is Hops: the full metric served from the cached matrix.
-func (h *Hierarchy) Distance(a, b int) int { return h.Hops(a, b) }
-
-// Neighbors returns the nodes that differ from a in exactly one level's
-// digit, innermost level first, digits ascending within a level — the
-// order Hypercube.Neighbors produces on binary levels.
-func (h *Hierarchy) Neighbors(a int) []int {
-	if a < 0 || a >= h.n {
-		panic(fmt.Sprintf("topology: node %d out of range (%d nodes)", a, h.n))
-	}
-	var out []int
-	for i := len(h.levels) - 1; i >= 0; i-- {
-		ar := h.levels[i].Arity
-		own := (a / h.stride[i]) % ar
-		base := a - own*h.stride[i]
-		for d := 0; d < ar; d++ {
-			if d != own {
-				out = append(out, base+d*h.stride[i])
-			}
-		}
-	}
-	return out
-}
-
 // ByDistance returns all nodes ordered by increasing distance from a, ties
 // broken by ascending node id; the first element is a itself. The memory
 // manager uses this for best-effort forwarding when a migration target is
-// full. The algorithm is the same distance-bucket sweep as Hypercube's, so
-// identical metrics yield identical orders.
+// full, mirroring the IRIX behaviour the paper describes.
 func (h *Hierarchy) ByDistance(a int) []int {
 	out := make([]int, 0, h.n)
 	for d := 0; d <= h.maxHops; d++ {
@@ -210,9 +185,6 @@ func (h *Hierarchy) ByDistance(a int) []int {
 // of every level with more than one child.
 func (h *Hierarchy) MaxHops() int { return h.maxHops }
 
-// Levels returns a copy of the level structure, outermost first.
-func (h *Hierarchy) Levels() []Level { return append([]Level(nil), h.levels...) }
-
 // LatencyExtras returns, per hop distance 0..MaxHops, the extra memory
 // latency in picoseconds that distance implies: the maximum over level
 // subsets whose hop contributions sum to the distance of their summed
@@ -220,8 +192,8 @@ func (h *Hierarchy) Levels() []Level { return append([]Level(nil), h.levels...) 
 // uniquely, so the maximum is exact, not conservative. Distances no subset
 // reaches inherit the previous entry, keeping the ladder monotone. The
 // result is nil when no level carries extra latency — the machine then
-// keeps its configured ladder, which is how a cube-shaped hierarchy stays
-// bit-identical to the hypercube path.
+// keeps its configured ladder, which is how a cube keeps the paper's
+// Table 1 ladder.
 func (h *Hierarchy) LatencyExtras() []int64 {
 	any := false
 	for _, lv := range h.levels {
@@ -257,21 +229,3 @@ func (h *Hierarchy) LatencyExtras() []int64 {
 	}
 	return ext
 }
-
-// Distance on Hypercube is Hops under its metric name.
-func (h *Hypercube) Distance(a, b int) int { return h.Hops(a, b) }
-
-// Levels reports the hypercube as dim binary unit-hop levels, so ladder
-// rendering and shape display treat both topologies uniformly.
-func (h *Hypercube) Levels() []Level {
-	out := make([]Level, h.dim)
-	for d := range out {
-		out[d] = Level{Name: fmt.Sprintf("dim%d", h.dim-1-d), Arity: 2, Hop: 1}
-	}
-	return out
-}
-
-var (
-	_ Topology = (*Hypercube)(nil)
-	_ Topology = (*Hierarchy)(nil)
-)

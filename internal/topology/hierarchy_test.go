@@ -1,8 +1,10 @@
 package topology
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -32,7 +34,7 @@ func genHierarchy(raw []byte, r *rand.Rand) *Hierarchy {
 }
 
 // Property: Hops is a metric on every generated hierarchy — zero iff
-// equal, symmetric, triangle inequality — and agrees with Distance.
+// equal, symmetric, triangle inequality.
 func TestHierarchyHopsIsAMetric(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	f := func(raw []byte, ai, bi, ci uint16) bool {
@@ -45,41 +47,39 @@ func TestHierarchyHopsIsAMetric(t *testing.T) {
 		if h.Hops(a, b) != h.Hops(b, a) {
 			return false
 		}
-		if h.Hops(a, c) > h.Hops(a, b)+h.Hops(b, c) {
-			return false
-		}
-		return h.Distance(a, b) == h.Hops(a, b)
+		return h.Hops(a, c) <= h.Hops(a, b)+h.Hops(b, c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: a hierarchy of k binary unit-hop levels reproduces the
-// 2^k-node hypercube exactly — distances, diameter, neighbour order and
-// ByDistance order. This is the bridge the bit-identity harness stands on.
+// hamming is the hypercube's distance: the number of differing id bits.
+func hamming(a, b int) int { return bits.OnesCount(uint(a ^ b)) }
+
+// Property: Cube(2^k) is the 2^k-node hypercube — Hamming distances, a
+// diameter of k, and ByDistance equal to a brute-force sort of all nodes
+// by (distance, id). The default machine and every bit-identity proof
+// stand on this.
 func TestBinaryHierarchyMatchesHypercube(t *testing.T) {
 	for k := 1; k <= 6; k++ {
-		levels := make([]Level, k)
-		for i := range levels {
-			levels[i] = Level{Arity: 2, Hop: 1}
+		n := 1 << k
+		h := mustCube(t, n)
+		if h.Nodes() != n || h.MaxHops() != k {
+			t.Fatalf("k=%d: nodes/diameter %d/%d, want %d/%d", k, h.Nodes(), h.MaxHops(), n, k)
 		}
-		h := MustHierarchy(levels)
-		cube := MustHypercube(1 << k)
-		if h.Nodes() != cube.Nodes() || h.MaxHops() != cube.MaxHops() {
-			t.Fatalf("k=%d: nodes/diameter %d/%d, want %d/%d",
-				k, h.Nodes(), h.MaxHops(), cube.Nodes(), cube.MaxHops())
-		}
-		for a := 0; a < h.Nodes(); a++ {
-			for b := 0; b < h.Nodes(); b++ {
-				if h.Hops(a, b) != cube.Hops(a, b) {
-					t.Fatalf("k=%d: Hops(%d,%d) = %d, want %d", k, a, b, h.Hops(a, b), cube.Hops(a, b))
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				if got, want := h.Hops(a, b), hamming(a, b); got != want {
+					t.Fatalf("k=%d: Hops(%d,%d) = %d, want %d", k, a, b, got, want)
 				}
 			}
-			if got, want := h.Neighbors(a), cube.Neighbors(a); !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d: Neighbors(%d) = %v, want %v", k, a, got, want)
+			want := make([]int, n)
+			for b := range want {
+				want[b] = b
 			}
-			if got, want := h.ByDistance(a), cube.ByDistance(a); !reflect.DeepEqual(got, want) {
+			sort.SliceStable(want, func(i, j int) bool { return hamming(a, want[i]) < hamming(a, want[j]) })
+			if got := h.ByDistance(a); !reflect.DeepEqual(got, want) {
 				t.Fatalf("k=%d: ByDistance(%d) = %v, want %v", k, a, got, want)
 			}
 		}
@@ -90,7 +90,6 @@ func TestBinaryHierarchyMatchesHypercube(t *testing.T) {
 // hypercube distances survive only where they are 0 or the full level hop.
 func TestOneLevelHierarchyDistances(t *testing.T) {
 	h := MustHierarchy([]Level{{Arity: 8, Hop: 1}})
-	cube := MustHypercube(8)
 	for a := 0; a < 8; a++ {
 		for b := 0; b < 8; b++ {
 			want := 0
@@ -100,7 +99,7 @@ func TestOneLevelHierarchyDistances(t *testing.T) {
 			if got := h.Hops(a, b); got != want {
 				t.Fatalf("Hops(%d,%d) = %d, want %d", a, b, got, want)
 			}
-			if cube.Hops(a, b) <= 1 && h.Hops(a, b) != cube.Hops(a, b) {
+			if hamming(a, b) <= 1 && h.Hops(a, b) != hamming(a, b) {
 				t.Fatalf("Hops(%d,%d) diverges from hypercube at distance <= 1", a, b)
 			}
 		}
@@ -146,15 +145,6 @@ func TestHierarchyHopsPanicsOutOfRange(t *testing.T) {
 			h.Hops(c[0], c[1])
 		}()
 	}
-}
-
-func TestHierarchyNeighborsPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Neighbors(4) on 4 nodes did not panic")
-		}
-	}()
-	MustHierarchy([]Level{{Arity: 4, Hop: 1}}).Neighbors(4)
 }
 
 func TestNewHierarchyRejectsBadLevels(t *testing.T) {
@@ -212,12 +202,14 @@ func TestHierarchyByDistanceSorted(t *testing.T) {
 	}
 }
 
+// TestHierarchyLevelsCopies: NewHierarchy keeps its own copy of the
+// levels, so a caller reusing its slice cannot reshape a built machine.
 func TestHierarchyLevelsCopies(t *testing.T) {
-	h := MustHierarchy([]Level{{Name: "socket", Arity: 2, Hop: 1}})
-	ls := h.Levels()
+	ls := []Level{{Name: "socket", Arity: 2, Hop: 1}}
+	h := MustHierarchy(ls)
 	ls[0].Arity = 99
-	if h.Levels()[0].Arity != 2 {
-		t.Error("Levels() exposed internal state")
+	if h.levels[0].Arity != 2 || h.Nodes() != 2 {
+		t.Error("NewHierarchy aliased the caller's levels")
 	}
 }
 
@@ -234,7 +226,7 @@ func TestLatencyExtras(t *testing.T) {
 		t.Fatalf("LatencyExtras = %v, want %v", got, want)
 	}
 
-	// No extras anywhere -> nil, the hypercube-compatible ladder.
+	// No extras anywhere -> nil: the machine keeps its configured ladder.
 	if ex := MustHierarchy([]Level{{Arity: 2, Hop: 1}}).LatencyExtras(); ex != nil {
 		t.Fatalf("LatencyExtras without ExtraPS = %v, want nil", ex)
 	}
@@ -245,20 +237,5 @@ func TestLatencyExtras(t *testing.T) {
 	want2 := []int64{0, 0, 0, 700_000}
 	if got2 := h2.LatencyExtras(); !reflect.DeepEqual(got2, want2) {
 		t.Fatalf("LatencyExtras (sparse) = %v, want %v", got2, want2)
-	}
-}
-
-func TestHypercubeLevels(t *testing.T) {
-	ls := MustHypercube(8).Levels()
-	if len(ls) != 3 {
-		t.Fatalf("Levels() on 8 nodes = %d levels, want 3", len(ls))
-	}
-	for _, lv := range ls {
-		if lv.Arity != 2 || lv.Hop != 1 || lv.ExtraPS != 0 {
-			t.Errorf("hypercube level %+v, want binary unit-hop", lv)
-		}
-	}
-	if MustHypercube(8).Distance(1, 2) != MustHypercube(8).Hops(1, 2) {
-		t.Error("Hypercube.Distance != Hops")
 	}
 }

@@ -22,9 +22,9 @@ const DefaultExtraPerHopPS = 235_000
 // 8 CPUs per node). Hop weights default to 1 at the innermost node level
 // and double outward, so every level subset has a distinct distance; each
 // level carries hop × DefaultExtraPerHopPS of extra latency. The "cube:"
-// prefix zeroes the extras and makes every level unit-hop — the flat
-// distance semantics of the legacy hypercube — so "cube:2x2x2" is the
-// paper's 4-node class-S machine expressed as a hierarchy. Preset names
+// prefix zeroes the extras and makes every level unit-hop — the Hamming
+// distance of a hypercube — so "cube:2x2x2" is the paper's 4-node class-S
+// machine, the hierarchy Cube(4) builds. Preset names
 // (see Presets) parse to their spec.
 type Shape struct {
 	// Levels are the node levels, outermost first.
@@ -97,18 +97,25 @@ func ParseShape(s string) (Shape, error) {
 	if len(arities) > maxShapeLevels {
 		return Shape{}, fmt.Errorf("topology: shape %q has %d node levels, more than %d", s, len(arities), maxShapeLevels)
 	}
+	sh.Levels = shapeLevels(arities, sh.Cube)
+	return sh, nil
+}
+
+// shapeLevels names and weighs node levels of the given arities,
+// outermost first, as the shape grammar describes.
+func shapeLevels(arities []int, cube bool) []Level {
 	names := levelNames(len(arities))
-	sh.Levels = make([]Level, len(arities))
+	levels := make([]Level, len(arities))
 	hop := 1
 	for i := len(arities) - 1; i >= 0; i-- {
 		lv := Level{Name: names[i], Arity: arities[i], Hop: hop}
-		if !sh.Cube {
+		if !cube {
 			lv.ExtraPS = int64(hop) * DefaultExtraPerHopPS
 			hop *= 2
 		}
-		sh.Levels[i] = lv
+		levels[i] = lv
 	}
-	return sh, nil
+	return levels
 }
 
 // String renders the canonical shape spec; ParseShape(sh.String()) is
@@ -138,15 +145,11 @@ func (sh Shape) NodeCount() int {
 // CPUCount returns NodeCount × CPUsPerNode.
 func (sh Shape) CPUCount() int { return sh.NodeCount() * sh.CPUsPerNode }
 
-// Build constructs the Hierarchy for the node levels.
-func (sh Shape) Build() (*Hierarchy, error) { return NewHierarchy(sh.Levels) }
-
-// CubeEquivalent reports whether the shape is indistinguishable from the
-// legacy hypercube machine with the given node and CPU counts: a cube
-// shape (unit hops, no extras) of all-binary levels with matching counts
-// has exactly the Hamming distance metric, the same ByDistance orders and
-// the same ladder, so a run on it is bit-identical to the hypercube path.
-// Fingerprinting canonicalises such shapes away, keeping every legacy
+// CubeEquivalent reports whether the shape is the default machine with the
+// given node and CPU counts: a cube shape (unit hops, no extras) of
+// all-binary levels with matching counts builds the hierarchy Cube(nodes)
+// builds, so a run on it is bit-identical to a run without a shape.
+// Fingerprinting canonicalises such shapes away, keeping every historical
 // cache entry and store record valid.
 func (sh Shape) CubeEquivalent(nodes, cpusPerNode int) bool {
 	if !sh.Cube || sh.CPUsPerNode != cpusPerNode || sh.NodeCount() != nodes {

@@ -75,8 +75,8 @@ func TestParseShapePresets(t *testing.T) {
 		if sh.NodeCount() != c.nodes || sh.CPUCount() != c.total {
 			t.Errorf("%s: %d nodes / %d CPUs, want %d/%d", c.name, sh.NodeCount(), sh.CPUCount(), c.nodes, c.total)
 		}
-		if _, err := sh.Build(); err != nil {
-			t.Errorf("%s: Build: %v", c.name, err)
+		if _, err := NewHierarchy(sh.Levels); err != nil {
+			t.Errorf("%s: NewHierarchy: %v", c.name, err)
 		}
 	}
 	// origin is the paper's machine expressed as a hierarchy.

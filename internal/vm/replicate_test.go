@@ -3,8 +3,6 @@ package vm
 import (
 	"testing"
 	"testing/quick"
-
-	"upmgo/internal/topology"
 )
 
 func TestWriteTrackingLifecycle(t *testing.T) {
@@ -117,7 +115,7 @@ func TestMarkWrittenCollapses(t *testing.T) {
 }
 
 func TestReplicateCapacity(t *testing.T) {
-	topo := topology.MustHypercube(8)
+	topo := mustCube(t, 8)
 	pt, err := New(topo, Config{Pages: 4, Policy: FirstTouch, CapacityPages: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +132,7 @@ func TestReplicateCapacity(t *testing.T) {
 
 // Property: NearestCopy never returns a node farther than the home.
 func TestNearestCopyNeverWorse(t *testing.T) {
-	topo := topology.MustHypercube(8)
+	topo := mustCube(t, 8)
 	pt, _ := New(topo, Config{Pages: 1, Policy: FirstTouch})
 	pt.Resolve(0, 0)
 	pt.Replicate(0, 5)

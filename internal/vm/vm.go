@@ -88,7 +88,7 @@ const CounterMax11 = 1<<11 - 1
 // points (barriers or serial sections), which is where both migration
 // engines operate.
 type PageTable struct {
-	topo       topology.Topology
+	topo       *topology.Hierarchy
 	policy     Policy
 	seed       uint64
 	counterMax uint32
@@ -130,7 +130,7 @@ type Config struct {
 }
 
 // New builds a page table over topo with the given configuration.
-func New(topo topology.Topology, cfg Config) (*PageTable, error) {
+func New(topo *topology.Hierarchy, cfg Config) (*PageTable, error) {
 	if cfg.Pages <= 0 {
 		return nil, fmt.Errorf("vm: page count %d invalid", cfg.Pages)
 	}

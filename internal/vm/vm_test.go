@@ -7,9 +7,19 @@ import (
 	"upmgo/internal/topology"
 )
 
+// mustCube builds the n-node hypercube the tests' page tables span.
+func mustCube(t testing.TB, n int) *topology.Hierarchy {
+	t.Helper()
+	topo, err := topology.Cube(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
 func newPT(t *testing.T, pages int, pol Policy) *PageTable {
 	t.Helper()
-	pt, err := New(topology.MustHypercube(8), Config{Pages: pages, Policy: pol, Seed: 42})
+	pt, err := New(mustCube(t, 8), Config{Pages: pages, Policy: pol, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +27,7 @@ func newPT(t *testing.T, pages int, pol Policy) *PageTable {
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	topo := topology.MustHypercube(8)
+	topo := mustCube(t, 8)
 	if _, err := New(topo, Config{Pages: 0}); err == nil {
 		t.Error("zero pages accepted")
 	}
@@ -73,7 +83,7 @@ func TestRandomIsDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestRandomSeedChangesPlacement(t *testing.T) {
-	topo := topology.MustHypercube(8)
+	topo := mustCube(t, 8)
 	a, _ := New(topo, Config{Pages: 256, Policy: Random, Seed: 1})
 	b, _ := New(topo, Config{Pages: 256, Policy: Random, Seed: 2})
 	diff := 0
@@ -117,7 +127,7 @@ func TestCountersSaturateAt11Bits(t *testing.T) {
 }
 
 func TestConfigurableCounterWidth(t *testing.T) {
-	pt, err := New(topology.MustHypercube(8), Config{Pages: 2, CounterBits: 4})
+	pt, err := New(mustCube(t, 8), Config{Pages: 2, CounterBits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +207,7 @@ func TestFreezeBlocksMigration(t *testing.T) {
 }
 
 func TestCapacityForwarding(t *testing.T) {
-	topo := topology.MustHypercube(8)
+	topo := mustCube(t, 8)
 	pt, err := New(topo, Config{Pages: 16, Policy: WorstCase, CapacityPages: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +234,7 @@ func TestCapacityForwarding(t *testing.T) {
 }
 
 func TestMigrateRespectsCapacityWithForwarding(t *testing.T) {
-	topo := topology.MustHypercube(8)
+	topo := mustCube(t, 8)
 	pt, err := New(topo, Config{Pages: 9, Policy: RoundRobin, CapacityPages: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +262,9 @@ func (pt *PageTable) topoHops(a, b int) int { return pt.topo.Hops(a, b) }
 // Property: after any sequence of resolves, every mapped page has a valid
 // home node and the used[] histogram matches the home[] histogram.
 func TestUsedMatchesHomes(t *testing.T) {
+	topo := mustCube(t, 4)
 	f := func(seed uint64, accessors []uint8) bool {
-		pt, err := New(topology.MustHypercube(4), Config{Pages: 32, Policy: Random, Seed: seed})
+		pt, err := New(topo, Config{Pages: 32, Policy: Random, Seed: seed})
 		if err != nil {
 			return false
 		}

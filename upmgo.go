@@ -8,9 +8,10 @@
 // directives needed — rests on experiments this library regenerates on a
 // simulated SGI Origin2000:
 //
-//   - a ccNUMA machine simulator (hypercube topology, caches, TLB, paged
-//     memory with per-page per-node reference counters, virtual time,
-//     memory-node contention) — package internal/machine and friends;
+//   - a ccNUMA machine simulator (a level-tree interconnect, the
+//     Origin2000's hypercube by default, caches, TLB, paged memory with
+//     per-page per-node reference counters, virtual time, memory-node
+//     contention) — package internal/machine and friends;
 //   - an OpenMP-like fork/join runtime — internal/omp;
 //   - the IRIX-style kernel competitive page migration engine —
 //     internal/kmig;
@@ -550,16 +551,14 @@ func WriteTable1(w io.Writer) error { return exp.WriteTable1(w) }
 func WriteTable1Topo(w io.Writer, topo string) error { return exp.WriteTable1Topo(w, topo) }
 
 // Machine topologies. The simulator's interconnect is a
-// topology.Topology — the paper's hypercube or an arbitrary hierarchy of
-// levels (sockets × dies × …) with per-level distance and latency
-// contributions. A NASConfig/SweepOptions Topo string selects a shape by
-// ParseTopoShape grammar; shapes cube-equivalent to the class default
-// machine canonicalise away and share the legacy hypercube path's
-// fingerprints, cache entries and store records bit-identically.
+// topology.Hierarchy: a tree of levels (sockets × dies × …) with
+// per-level distance and latency contributions. The paper's hypercube is
+// the cube of binary unit-hop levels the default machine builds. A
+// NASConfig/SweepOptions Topo string selects a shape by ParseTopoShape
+// grammar; shapes cube-equivalent to the class default machine
+// canonicalise away and share the default machine's fingerprints, cache
+// entries and store records bit-identically.
 type (
-	// Topology is the interconnect interface (nodes, hop distances,
-	// closest-node orders, level structure).
-	Topology = topology.Topology
 	// TopologyLevel is one tier of a hierarchical machine.
 	TopologyLevel = topology.Level
 	// TopologyHierarchy is an arbitrary tree of levels with a cached
