@@ -4,7 +4,7 @@
 //
 // Examples:
 //
-//	nasbench -bench BT -class W -placement wc -upm dist
+//	nasbench -bench BT -class W -placement wc -upm upmlib
 //	nasbench -bench SP -placement ft -upm recrep -iters 30
 //	nasbench -bench FT -class W -placement rand -kmig
 //	nasbench -bench SP -class W -steady -v
@@ -34,15 +34,16 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("nasbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	cfg := upmgo.NASConfig{Class: upmgo.ClassW, Placement: upmgo.FirstTouch}
 	bench := fs.String("bench", "BT", "benchmark: BT, SP, CG, MG, FT or LU (extension)")
-	class := fs.String("class", "W", "problem class: S, W or A")
-	placement := fs.String("placement", "ft", "page placement: ft, rr, rand or wc")
-	kmigOn := fs.Bool("kmig", false, "enable the IRIX-style kernel migration engine")
-	upmMode := fs.String("upm", "off", "UPMlib mode: off, dist (data distribution) or recrep (record-replay)")
-	iters := fs.Int("iters", 0, "main-loop iterations (0 = class default)")
-	scale := fs.Int("scale", 1, "repeat each phase body N times (the paper's Figure 6 scaling)")
-	seed := fs.Uint64("seed", 42, "workload seed")
-	threads := fs.Int("threads", 0, "team size (0 = all simulated CPUs)")
+	fs.TextVar(&cfg.Class, "class", cfg.Class, "problem class: S, W or A")
+	fs.TextVar(&cfg.Placement, "placement", cfg.Placement, "page placement: ft, rr, rand or wc")
+	fs.BoolVar(&cfg.KernelMig, "kmig", false, "enable the IRIX-style kernel migration engine")
+	fs.TextVar(&cfg.UPM, "upm", cfg.UPM, "UPMlib mode: off, upmlib (data distribution) or recrep (record-replay)")
+	fs.IntVar(&cfg.Iterations, "iters", 0, "main-loop iterations (0 = class default)")
+	fs.IntVar(&cfg.ComputeScale, "scale", 1, "repeat each phase body N times (the paper's Figure 6 scaling)")
+	fs.Uint64Var(&cfg.Seed, "seed", 42, "workload seed")
+	fs.IntVar(&cfg.Threads, "threads", 0, "team size (0 = all simulated CPUs)")
 	steady := fs.Bool("steady", false, "detect the steady state and fast-forward the remaining iterations")
 	verbose := fs.Bool("v", false, "print per-iteration times")
 	if err := fs.Parse(args); err != nil {
@@ -51,49 +52,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
-
-	cfg := upmgo.NASConfig{
-		Iterations:   *iters,
-		ComputeScale: *scale,
-		Seed:         *seed,
-		Threads:      *threads,
-		KernelMig:    *kmigOn,
-		SkipVerify:   *scale > 1,
-		SteadyState:  *steady,
-		Extrapolate:  *steady,
-	}
-	switch strings.ToUpper(*class) {
-	case "S":
-		cfg.Class = upmgo.ClassS
-	case "W":
-		cfg.Class = upmgo.ClassW
-	case "A":
-		cfg.Class = upmgo.ClassA
-	default:
-		return fmt.Errorf("unknown class %q", *class)
-	}
-	switch *placement {
-	case "ft":
-		cfg.Placement = upmgo.FirstTouch
-	case "rr":
-		cfg.Placement = upmgo.RoundRobin
-	case "rand":
-		cfg.Placement = upmgo.Random
-	case "wc":
-		cfg.Placement = upmgo.WorstCase
-	default:
-		return fmt.Errorf("unknown placement %q", *placement)
-	}
-	switch *upmMode {
-	case "off":
-		cfg.UPM = upmgo.UPMOff
-	case "dist":
-		cfg.UPM = upmgo.UPMDistribute
-	case "recrep":
-		cfg.UPM = upmgo.UPMRecRep
-	default:
-		return fmt.Errorf("unknown upm mode %q", *upmMode)
-	}
+	cfg.SkipVerify = cfg.ComputeScale > 1
+	cfg.SteadyState, cfg.Extrapolate = *steady, *steady
 
 	r, err := upmgo.RunNAS(strings.ToUpper(*bench), cfg)
 	if err != nil {

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"upmgo"
 )
 
 func TestRunFlagErrors(t *testing.T) {
@@ -13,12 +16,31 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-class", "Q"},
 		{"-placement", "best"},
 		{"-upm", "sometimes"},
+		{"-upm", "dist"},
 		{"stray"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
 		if err := run(args, &out, &errw); err == nil {
 			t.Errorf("run(%v) succeeded, want an error", args)
+		}
+	}
+	// Every spelling the config types print parses; the unknown
+	// benchmark then stops the run before any simulation.
+	var spellings [][]string
+	for _, c := range []upmgo.NASClass{upmgo.ClassS, upmgo.ClassW, upmgo.ClassA} {
+		spellings = append(spellings, []string{"-class", c.String()})
+	}
+	for _, p := range upmgo.Policies {
+		spellings = append(spellings, []string{"-placement", p.String()})
+	}
+	for _, m := range []upmgo.UPMMode{upmgo.UPMOff, upmgo.UPMDistribute, upmgo.UPMRecRep} {
+		spellings = append(spellings, []string{"-upm", m.String()})
+	}
+	for _, args := range spellings {
+		var out, errw bytes.Buffer
+		if err := run(append(args, "-bench", "NOPE"), &out, &errw); !errors.Is(err, upmgo.ErrUnknownBenchmark) {
+			t.Errorf("run(%v) = %v, want only the unknown-benchmark error", args, err)
 		}
 	}
 }
@@ -28,7 +50,7 @@ func TestRunFlagErrors(t *testing.T) {
 // and verification passed.
 func TestRunBaseline(t *testing.T) {
 	var out, errw bytes.Buffer
-	args := []string{"-bench", "CG", "-class", "S", "-placement", "wc", "-upm", "dist",
+	args := []string{"-bench", "CG", "-class", "S", "-placement", "wc", "-upm", "upmlib",
 		"-iters", "4", "-v"}
 	if err := run(args, &out, &errw); err != nil {
 		t.Fatal(err)

@@ -1,5 +1,6 @@
-// Command pagemap runs a NAS benchmark and prints, after selected
-// iterations, where every hot page lives — a text heatmap of the data
+// Command pagemap runs a NAS benchmark through nas.Run (seed 42, the
+// nasbench default) and prints, after the cold start and after each
+// iteration, where every hot page lives — a text heatmap of the data
 // distribution that page placement and the migration engines produce.
 // Each character is one page; its symbol is the node id (0-7) holding the
 // page, '*' marks pages with read replicas, '!' frozen pages.
@@ -7,7 +8,8 @@
 // Example — watch UPMlib turn a worst-case placement into a block
 // distribution after the first iteration:
 //
-//	pagemap -bench BT -placement wc -upm dist
+//	pagemap -bench BT -placement wc -upm upmlib
+//	pagemap -bench SP -placement ft -upm recrep
 //
 // With -from, pagemap renders a metrics series captured earlier by
 // `sweep -metrics` instead of running a simulation: each character is
@@ -27,11 +29,9 @@ import (
 
 	"upmgo"
 	"upmgo/internal/exp"
-	"upmgo/internal/kmig"
 	"upmgo/internal/machine"
 	"upmgo/internal/nas"
-	"upmgo/internal/omp"
-	"upmgo/internal/upm"
+	"upmgo/internal/trace"
 	"upmgo/internal/vm"
 )
 
@@ -48,11 +48,13 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pagemap", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	cfg := nas.Config{Class: nas.ClassW, Placement: vm.WorstCase, UPM: nas.UPMDistribute,
+		Seed: 42, SkipVerify: true}
 	bench := fs.String("bench", "BT", "benchmark: BT, SP, CG, MG, FT or LU (extension)")
-	class := fs.String("class", "W", "problem class: S, W or A")
-	placement := fs.String("placement", "wc", "page placement: ft, rr, rand or wc")
-	upmMode := fs.String("upm", "dist", "UPMlib mode: off or dist")
-	iters := fs.Int("iters", 4, "iterations to run")
+	fs.TextVar(&cfg.Class, "class", cfg.Class, "problem class: S, W or A")
+	fs.TextVar(&cfg.Placement, "placement", cfg.Placement, "page placement: ft, rr, rand or wc")
+	fs.TextVar(&cfg.UPM, "upm", cfg.UPM, "UPMlib mode: off, upmlib (data distribution) or recrep (record-replay)")
+	fs.IntVar(&cfg.Iterations, "iters", 4, "iterations to run (0 = class default)")
 	width := fs.Int("width", 96, "pages per output row")
 	from := fs.String("from", "", "render this metrics series (a .metrics.json from `sweep -metrics`) instead of simulating")
 	if err := fs.Parse(args); err != nil {
@@ -62,6 +64,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
+	if *width < 1 {
+		return fmt.Errorf("-width must be at least 1, not %d", *width)
+	}
 	if *from != "" {
 		return renderSeries(*from, *width, stdout)
 	}
@@ -70,74 +75,37 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q", *bench)
 	}
-	var cls nas.Class
-	switch strings.ToUpper(*class) {
-	case "S":
-		cls = nas.ClassS
-	case "W":
-		cls = nas.ClassW
-	case "A":
-		cls = nas.ClassA
-	default:
-		return fmt.Errorf("unknown class %q", *class)
-	}
-	mc := machine.DefaultConfig()
-	cls.MachineTweak(&mc)
-	switch *placement {
-	case "ft":
-		mc.Placement = vm.FirstTouch
-	case "rr":
-		mc.Placement = vm.RoundRobin
-	case "rand":
-		mc.Placement = vm.Random
-	case "wc":
-		mc.Placement = vm.WorstCase
-	default:
-		return fmt.Errorf("unknown placement %q", *placement)
-	}
-	switch *upmMode {
-	case "off", "dist":
-	default:
-		return fmt.Errorf("unknown upm mode %q (want off or dist)", *upmMode)
-	}
-	m, err := machine.New(mc)
-	if err != nil {
+	hm := &homeMaps{w: stdout, width: *width, header: fmt.Sprintf("%s placement, upm=%s", cfg.Placement, cfg.UPM)}
+	cfg.Tracer = hm
+	if _, err := nas.Run(func(m *machine.Machine, class nas.Class, scale int, seed uint64) nas.Kernel {
+		hm.m, hm.k = m, build(m, class, scale, seed)
+		return hm.k
+	}, cfg); err != nil {
 		return err
 	}
-	k := build(m, cls, 1, 42)
-	kmig.Attach(m, kmig.Config{}).SetEnabled(false)
-	team, err := omp.NewTeam(m, m.NumCPUs())
-	if err != nil {
-		return err
-	}
-
-	team.SetSerial(true)
-	k.InitTouch(team)
-	k.Step(team, nil)
-	team.SetSerial(false)
-	k.Reinit()
-	m.PT.ResetAllCounters()
-
-	var u *upm.UPM
-	if *upmMode == "dist" {
-		u = upm.Init(m, upm.Options{})
-		for _, r := range k.HotPages() {
-			u.MemRefCnt(r[0], r[1])
-		}
-	}
-
-	fmt.Fprintf(stdout, "%s, %s placement, upm=%s — page homes by node (one char per page)\n\n",
-		k.Name(), mc.Placement, *upmMode)
-	dump(stdout, m, k, *width, "after cold start")
-	for step := 1; step <= *iters; step++ {
-		k.Step(team, nil)
-		if u != nil && (step == 1 || (u.Active() && u.LastMigrations() > 0)) {
-			u.MigrateMemory(team.Master())
-		}
-		dump(stdout, m, k, *width, fmt.Sprintf("after iteration %d", step))
-	}
-	fmt.Fprintf(stdout, "pages per node: %v\n", m.PT.HomeHistogram())
+	fmt.Fprintf(stdout, "pages per node: %v\n", hm.m.PT.HomeHistogram())
 	return nil
+}
+
+// homeMaps is the trace.Tracer that draws the run: the page-home map at
+// the head of the timed loop and again after each iteration's engine
+// invocation.
+type homeMaps struct {
+	w      io.Writer
+	width  int
+	header string
+	m      *machine.Machine
+	k      nas.Kernel
+}
+
+func (h *homeMaps) Emit(ev trace.Event) {
+	switch {
+	case ev.Kind == trace.EvIterStart && ev.Arg0 == 1:
+		fmt.Fprintf(h.w, "%s, %s — page homes by node (one char per page)\n\n", h.k.Name(), h.header)
+		dump(h.w, h.m, h.k, h.width, "after cold start")
+	case ev.Kind == trace.EvIterEnd:
+		dump(h.w, h.m, h.k, h.width, fmt.Sprintf("after iteration %d", ev.Arg0))
+	}
 }
 
 // renderSeries prints one map per captured iteration from a metrics

@@ -8,6 +8,10 @@ import (
 	"testing"
 
 	"upmgo"
+	"upmgo/internal/exp"
+	"upmgo/internal/machine"
+	"upmgo/internal/nas"
+	"upmgo/internal/vm"
 )
 
 func TestRunFlagErrors(t *testing.T) {
@@ -17,6 +21,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-class", "Q"},
 		{"-placement", "best"},
 		{"-upm", "sometimes"},
+		{"-upm", "dist"},
+		{"-width", "0"},
 		{"stray"},
 		{"-from", "/does/not/exist.json"},
 	}
@@ -26,6 +32,51 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want an error", args)
 		}
 	}
+	// Every spelling the config types print parses; the unknown
+	// benchmark then stops the run before any simulation.
+	var spellings [][]string
+	for _, c := range []nas.Class{nas.ClassS, nas.ClassW, nas.ClassA} {
+		spellings = append(spellings, []string{"-class", c.String()})
+	}
+	for _, p := range vm.Policies {
+		spellings = append(spellings, []string{"-placement", p.String()})
+	}
+	for _, m := range []nas.Mode{nas.UPMOff, nas.UPMDistribute, nas.UPMRecRep} {
+		spellings = append(spellings, []string{"-upm", m.String()})
+	}
+	for _, args := range spellings {
+		var out, errw bytes.Buffer
+		err := run(append(args, "-bench", "NOPE"), &out, &errw)
+		if err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+			t.Errorf("run(%v) = %v, want only the unknown-benchmark error", args, err)
+		}
+	}
+}
+
+// TestRunRandomMatchesNASRun: pagemap runs its cell through nas.Run at
+// nasbench's seed, so a random placement draws exactly the page homes a
+// seed-42 nas.Run of the same cell does.
+func TestRunRandomMatchesNASRun(t *testing.T) {
+	var out, errw bytes.Buffer
+	args := []string{"-bench", "CG", "-class", "S", "-placement", "rand", "-upm", "off", "-iters", "1"}
+	if err := run(args, &out, &errw); err != nil {
+		t.Fatal(err)
+	}
+	build, _ := exp.Builder("CG")
+	var m *machine.Machine
+	var k nas.Kernel
+	cfg := nas.Config{Class: nas.ClassS, Placement: vm.Random, Seed: 42, Iterations: 1, SkipVerify: true}
+	if _, err := nas.Run(func(mm *machine.Machine, class nas.Class, scale int, seed uint64) nas.Kernel {
+		m, k = mm, build(mm, class, scale, seed)
+		return k
+	}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	dump(&want, m, k, 96, "after iteration 1")
+	if !strings.Contains(out.String(), want.String()) {
+		t.Errorf("pagemap's map differs from nas.Run's:\n--- pagemap\n%s\n--- nas.Run\n%s", out.String(), want.String())
+	}
 }
 
 // TestRunSimulated drives the live-simulation path on the fast class and
@@ -33,14 +84,14 @@ func TestRunFlagErrors(t *testing.T) {
 // closing histogram, and only legal page symbols.
 func TestRunSimulated(t *testing.T) {
 	var out, errw bytes.Buffer
-	args := []string{"-bench", "CG", "-class", "S", "-placement", "wc", "-upm", "dist",
+	args := []string{"-bench", "CG", "-class", "S", "-placement", "wc", "-upm", "upmlib",
 		"-iters", "3", "-width", "32"}
 	if err := run(args, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
 	for _, want := range []string{
-		"wc placement, upm=dist",
+		"wc placement, upm=upmlib",
 		"after cold start:",
 		"after iteration 1:",
 		"after iteration 3:",

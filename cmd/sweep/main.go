@@ -110,7 +110,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fig := fs.Int("fig", 0, "figure to regenerate: 1, 4, 5 or 6")
 	table := fs.Int("table", 0, "table to regenerate: 1 or 2")
 	all := fs.Bool("all", false, "regenerate every table and figure")
-	class := fs.String("class", "W", "problem class: S, W or A")
+	o := upmgo.SweepOptions{Class: upmgo.ClassW}
+	fs.TextVar(&o.Class, "class", o.Class, "problem class: S, W or A")
 	benches := fs.String("benches", "", "comma-separated benchmark subset (default: all)")
 	seed := fs.Uint64("seed", 42, "workload seed")
 	iters := fs.Int("iters", 0, "override iteration count (0 = class default)")
@@ -137,18 +138,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
 
-	o := upmgo.SweepOptions{Seed: *seed, Iterations: *iters, Threads: *threads,
-		Steady: *steady, Extrapolate: *steady, Topo: *topo}
-	switch strings.ToUpper(*class) {
-	case "S":
-		o.Class = upmgo.ClassS
-	case "W":
-		o.Class = upmgo.ClassW
-	case "A":
-		o.Class = upmgo.ClassA
-	default:
-		return fmt.Errorf("unknown class %q", *class)
-	}
+	o.Seed, o.Iterations, o.Threads, o.Topo = *seed, *iters, *threads, *topo
+	o.Steady, o.Extrapolate = *steady, *steady
 	if *benches != "" {
 		o.Benches = strings.Split(strings.ToUpper(*benches), ",")
 	}

@@ -38,6 +38,16 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want an error", args)
 		}
 	}
+	// Every class letter parses, in either case; with nothing selected
+	// the run then stops at the usage error.
+	for _, c := range []upmgo.NASClass{upmgo.ClassS, upmgo.ClassW, upmgo.ClassA} {
+		for _, s := range []string{c.String(), strings.ToLower(c.String())} {
+			var out, errw bytes.Buffer
+			if err := run([]string{"-class", s}, &out, &errw); !errors.Is(err, errUsage) {
+				t.Errorf("run(-class %s) = %v, want only the usage error", s, err)
+			}
+		}
+	}
 }
 
 func TestRunTable1(t *testing.T) {

@@ -8,7 +8,7 @@
 // Examples:
 //
 //	traceview -bench BT                            # ft baseline summary
-//	traceview -bench FT -placement wc -upm distribute
+//	traceview -bench FT -placement wc -upm upmlib
 //	traceview -bench SP -upm recrep -chrome sp.json # + Chrome trace dump
 //
 // The heatmap subcommand renders the per-page × node reference-counter
@@ -59,14 +59,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	cfg := upmgo.NASConfig{Class: upmgo.ClassS, Placement: upmgo.FirstTouch}
 	bench := fs.String("bench", "BT", "benchmark: BT, SP, CG, MG, FT (or LU, EP, IS)")
-	class := fs.String("class", "S", "problem class: S, W or A")
-	placement := fs.String("placement", "ft", "initial page placement: ft, rr, rand or wc")
-	upmMode := fs.String("upm", "off", "UPMlib protocol: off, distribute or recrep")
-	kmig := fs.Bool("kmig", false, "enable the IRIX-style kernel migration engine")
-	threads := fs.Int("threads", 0, "team size (0 = all simulated CPUs)")
-	iters := fs.Int("iters", 0, "override iteration count (0 = class default)")
-	seed := fs.Uint64("seed", 42, "workload seed")
+	fs.TextVar(&cfg.Class, "class", cfg.Class, "problem class: S, W or A")
+	fs.TextVar(&cfg.Placement, "placement", cfg.Placement, "initial page placement: ft, rr, rand or wc")
+	fs.TextVar(&cfg.UPM, "upm", cfg.UPM, "UPMlib protocol: off, upmlib or recrep")
+	fs.BoolVar(&cfg.KernelMig, "kmig", false, "enable the IRIX-style kernel migration engine")
+	fs.IntVar(&cfg.Threads, "threads", 0, "team size (0 = all simulated CPUs)")
+	fs.IntVar(&cfg.Iterations, "iters", 0, "override iteration count (0 = class default)")
+	fs.Uint64Var(&cfg.Seed, "seed", 42, "workload seed")
 	chrome := fs.String("chrome", "", "also write the Chrome trace_event JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,41 +76,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
-
-	cfg := upmgo.NASConfig{Threads: *threads, Iterations: *iters, Seed: *seed}
-	switch strings.ToUpper(*class) {
-	case "S":
-		cfg.Class = upmgo.ClassS
-	case "W":
-		cfg.Class = upmgo.ClassW
-	case "A":
-		cfg.Class = upmgo.ClassA
-	default:
-		return fmt.Errorf("unknown class %q", *class)
-	}
-	switch strings.ToLower(*placement) {
-	case "ft":
-		cfg.Placement = upmgo.FirstTouch
-	case "rr":
-		cfg.Placement = upmgo.RoundRobin
-	case "rand":
-		cfg.Placement = upmgo.Random
-	case "wc":
-		cfg.Placement = upmgo.WorstCase
-	default:
-		return fmt.Errorf("unknown placement %q (want ft, rr, rand or wc)", *placement)
-	}
-	switch strings.ToLower(*upmMode) {
-	case "off":
-		cfg.UPM = upmgo.UPMOff
-	case "distribute":
-		cfg.UPM = upmgo.UPMDistribute
-	case "recrep":
-		cfg.UPM = upmgo.UPMRecRep
-	default:
-		return fmt.Errorf("unknown upm mode %q (want off, distribute or recrep)", *upmMode)
-	}
-	cfg.KernelMig = *kmig
 
 	rec := upmgo.NewTraceRecorder()
 	cfg.Tracer = rec

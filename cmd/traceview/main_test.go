@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -18,6 +19,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-class", "Q"},
 		{"-placement", "best"},
 		{"-upm", "sometimes"},
+		{"-upm", "distribute"},
 		{"-bench", "UA"},
 		{"stray"},
 	}
@@ -27,11 +29,29 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want an error", args)
 		}
 	}
+	// Every spelling the config types print parses; the unknown
+	// benchmark then stops the run before any simulation.
+	var spellings [][]string
+	for _, c := range []upmgo.NASClass{upmgo.ClassS, upmgo.ClassW, upmgo.ClassA} {
+		spellings = append(spellings, []string{"-class", c.String()})
+	}
+	for _, p := range upmgo.Policies {
+		spellings = append(spellings, []string{"-placement", p.String()})
+	}
+	for _, m := range []upmgo.UPMMode{upmgo.UPMOff, upmgo.UPMDistribute, upmgo.UPMRecRep} {
+		spellings = append(spellings, []string{"-upm", m.String()})
+	}
+	for _, args := range spellings {
+		var out, errw bytes.Buffer
+		if err := run(append(args, "-bench", "NOPE"), &out, &errw); !errors.Is(err, upmgo.ErrUnknownBenchmark) {
+			t.Errorf("run(%v) = %v, want only the unknown-benchmark error", args, err)
+		}
+	}
 }
 
 func TestRunSummary(t *testing.T) {
 	var out, errw bytes.Buffer
-	args := []string{"-bench", "FT", "-class", "S", "-placement", "wc", "-upm", "distribute"}
+	args := []string{"-bench", "FT", "-class", "S", "-placement", "wc", "-upm", "upmlib"}
 	if err := run(args, &out, &errw); err != nil {
 		t.Fatal(err)
 	}

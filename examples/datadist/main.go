@@ -84,15 +84,8 @@ func main() {
 		prevRemote, prevLocal = s.RemoteMem, s.LocalMem
 		fmt.Printf("%4d %10.3f %8.1f %12d\n",
 			it, float64(master.Now()-t0)/1e9,
-			100*float64(remote)/float64(max64(remote+local, 1)), u.Stats().Migrations)
+			100*float64(remote)/float64(max(remote+local, 1)), u.Stats().Migrations)
 	}
 	fmt.Printf("\nUPMlib moved %d pages (%d in the first invocation) and then deactivated itself: %v\n",
 		u.Stats().Migrations, u.Stats().FirstInvocation, !u.Active())
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -19,16 +19,15 @@ import (
 // It is safe for concurrent use, and duplicate in-flight requests
 // coalesce onto a single simulation.
 type Cache struct {
-	mu       sync.Mutex
-	cells    map[string]Cell
-	inflight map[string]*inflightCell
-	hits     uint64
-	misses   uint64
+	mu     sync.Mutex
+	cells  flights[Cell]
+	hits   uint64
+	misses uint64
 
 	// Recorded L2-miss streams (see nas.Stream), keyed by
 	// bench + nas.Config.StreamFingerprint. Every placement, engine and
 	// steady-state variant of one stream replays the single recording.
-	streams  flights
+	streams  flights[*nas.Stream]
 	replayed uint64
 
 	// Second level: the on-disk content-addressed result store, when
@@ -43,12 +42,6 @@ type Cache struct {
 	storePuts    uint64
 	storeErrs    uint64
 	lastStoreErr error
-}
-
-type inflightCell struct {
-	done chan struct{}
-	cell Cell
-	err  error
 }
 
 // cellMeta, when passed to cell, receives the serving path's provenance:
@@ -74,27 +67,84 @@ const (
 	SourceSimulated = "simulated"
 )
 
-// flights memoizes miss streams, each recorded at most once per key at
-// a time. Guarded by Cache.mu.
-type flights struct {
-	done     map[string]*nas.Stream
-	inflight map[string]*flight
-	built    uint64 // recordings made (successfully or not)
+// flights memoizes values by key, computing each at most once per key
+// at a time. Guarded by Cache.mu.
+type flights[V any] struct {
+	done     map[string]V
+	inflight map[string]*flight[V]
+	led      uint64 // computations started (successful or not)
 }
 
-type flight struct {
+type flight[V any] struct {
 	done chan struct{}
-	v    *nas.Stream
+	v    V
 	err  error
+}
+
+func newFlights[V any]() flights[V] {
+	return flights[V]{done: map[string]V{}, inflight: map[string]*flight[V]{}}
+}
+
+// do returns the value for key, running lead at most once per key at a
+// time: concurrent callers with the same key wait for the first. Errors
+// are not cached, and a leader's failure is not inherited by its waiters
+// — the leader may have failed only because *its* caller was cancelled,
+// which says nothing about a waiter's prospects. A waiter that survives a
+// failed flight (its own ctx still live) retries, becoming the new leader
+// if nobody beat it to the slot; a waiter whose ctx ends stops waiting.
+// The bool reports that the value came from the memo or a successful
+// in-flight duplicate rather than from this call's own lead. lead runs
+// without mu held, and the flight's waiters are released before do
+// returns.
+func (fl *flights[V]) do(mu *sync.Mutex, ctx context.Context, key string, lead func() (V, error)) (V, bool, error) {
+	var zero V
+	for {
+		mu.Lock()
+		if v, ok := fl.done[key]; ok {
+			mu.Unlock()
+			return v, true, nil
+		}
+		if f, ok := fl.inflight[key]; ok {
+			mu.Unlock()
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return zero, false, ctx.Err()
+			}
+			if f.err == nil {
+				return f.v, true, nil
+			}
+			if err := ctx.Err(); err != nil {
+				return zero, false, err
+			}
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			// Don't start a computation nobody will wait for.
+			mu.Unlock()
+			return zero, false, err
+		}
+		f := &flight[V]{done: make(chan struct{})}
+		fl.inflight[key] = f
+		fl.led++
+		mu.Unlock()
+
+		f.v, f.err = lead()
+
+		mu.Lock()
+		delete(fl.inflight, key)
+		if f.err == nil {
+			fl.done[key] = f.v
+		}
+		mu.Unlock()
+		close(f.done)
+		return f.v, false, f.err
+	}
 }
 
 // NewCache returns an empty cell cache.
 func NewCache() *Cache {
-	return &Cache{
-		cells:    map[string]Cell{},
-		inflight: map[string]*inflightCell{},
-		streams:  flights{done: map[string]*nas.Stream{}, inflight: map[string]*flight{}},
-	}
+	return &Cache{cells: newFlights[Cell](), streams: newFlights[*nas.Stream]()}
 }
 
 // CacheStats is a snapshot of memoization traffic.
@@ -139,7 +189,7 @@ func (c *Cache) Stats() CacheStats {
 		sb += uint64(s.Bytes())
 	}
 	return CacheStats{Hits: c.hits, DiskHits: c.diskHits, Misses: c.misses,
-		Replayed: c.replayed, Streams: c.streams.built, StreamBytes: sb,
+		Replayed: c.replayed, Streams: c.streams.led, StreamBytes: sb,
 		StorePuts: c.storePuts, StoreErrors: c.storeErrs, StoreErr: c.lastStoreErr}
 }
 
@@ -160,18 +210,14 @@ func (c *Cache) SetStore(s *store.Store) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.cells)
+	return len(c.cells.done)
 }
 
 // cell returns the cached cell for key, running fn at most once per key
-// at a time: concurrent callers with the same key wait for the first.
-// Errors are not cached, and a leader's failure is not inherited by its
-// waiters — the leader may have failed only because *its* caller was
-// cancelled, which says nothing about a waiter's prospects. A waiter that
-// survives a failed flight (its own ctx still live) retries, becoming the
-// new leader if nobody beat it to the slot. The bool reports whether the
-// cell was served from the cache (RAM, disk, or a successful in-flight
-// duplicate) rather than by this call's own simulation.
+// at a time under flights.do's single-flight discipline. The bool
+// reports whether the cell was served from the cache (RAM, disk, or a
+// successful in-flight duplicate) rather than by this call's own
+// simulation.
 //
 // With a store attached the leader reads through it before simulating —
 // an intact record short-circuits fn entirely — and writes behind it
@@ -179,50 +225,11 @@ func (c *Cache) Len() int {
 // ever waits on disk I/O. A corrupt record is counted, skipped and
 // repaired by the post-simulation write.
 func (c *Cache) cell(ctx context.Context, key string, fn func() (Cell, error), meta *cellMeta) (Cell, bool, error) {
-	for {
-		c.mu.Lock()
-		if cell, ok := c.cells[key]; ok {
-			c.hits++
-			c.mu.Unlock()
-			if meta != nil {
-				meta.source = SourceMemory
-			}
-			return cell, true, nil
-		}
-		if f, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return Cell{}, false, ctx.Err()
-			}
-			if f.err == nil {
-				c.mu.Lock()
-				c.hits++
-				c.mu.Unlock()
-				if meta != nil {
-					// A successful in-flight join is a RAM recall from
-					// the waiter's point of view: another worker in this
-					// process did the simulating.
-					meta.source = SourceMemory
-				}
-				return f.cell, true, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return Cell{}, false, err
-			}
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			// Don't start a simulation nobody will wait for.
-			c.mu.Unlock()
-			return Cell{}, false, err
-		}
-		f := &inflightCell{done: make(chan struct{})}
-		c.inflight[key] = f
-		st := c.store
-		c.mu.Unlock()
-
+	c.mu.Lock()
+	st := c.store
+	c.mu.Unlock()
+	recalled := false
+	cell, shared, err := c.cells.do(&c.mu, ctx, key, func() (Cell, error) {
 		// Read through the store: a cell another process already
 		// simulated is recalled, not recomputed. The disk read happens
 		// under the in-flight slot, so concurrent requests for the same
@@ -238,54 +245,52 @@ func (c *Cache) cell(ctx context.Context, key string, fn func() (Cell, error), m
 				meta.storeProbe += time.Since(t0)
 			}
 			if err == nil {
-				bench, _, _ := strings.Cut(key, "\x00")
-				f.cell = Cell{Bench: bench, Label: res.Label, Result: res}
+				recalled = true
 				c.mu.Lock()
-				c.cells[key] = f.cell
 				c.diskHits++
-				delete(c.inflight, key)
 				c.mu.Unlock()
-				close(f.done)
 				if meta != nil {
 					meta.source = SourceStore
 				}
-				return f.cell, true, nil
+				bench, _, _ := strings.Cut(key, "\x00")
+				return Cell{Bench: bench, Label: res.Label, Result: res}, nil
 			} else if !errors.Is(err, store.ErrNotFound) {
 				c.noteStoreErr(err)
 			}
 		}
-
 		c.mu.Lock()
 		c.misses++
 		c.mu.Unlock()
 		if meta != nil {
 			meta.source = SourceSimulated
 		}
-
-		f.cell, f.err = fn()
-
+		return fn()
+	})
+	if shared {
 		c.mu.Lock()
-		delete(c.inflight, key)
-		if f.err == nil {
-			c.cells[key] = f.cell
-		}
+		c.hits++
 		c.mu.Unlock()
-		close(f.done)
-
-		// Write behind: waiters are already released; only this cell's
-		// own caller pays for the persist, and a failure (disk full,
-		// permissions) degrades to an unpersisted cell, not a failed one.
-		if f.err == nil && st != nil {
-			if err := st.Put(key, f.cell.Bench, f.cell.Result); err != nil {
-				c.noteStoreErr(err)
-			} else {
-				c.mu.Lock()
-				c.storePuts++
-				c.mu.Unlock()
-			}
+		if meta != nil {
+			// A successful in-flight join is a RAM recall from the
+			// waiter's point of view: another worker in this process
+			// did the simulating.
+			meta.source = SourceMemory
 		}
-		return f.cell, false, f.err
+		return cell, true, nil
 	}
+	// Write behind: waiters are already released; only this cell's own
+	// caller pays for the persist, and a failure (disk full, permissions)
+	// degrades to an unpersisted cell, not a failed one.
+	if err == nil && !recalled && st != nil {
+		if err := st.Put(key, cell.Bench, cell.Result); err != nil {
+			c.noteStoreErr(err)
+		} else {
+			c.mu.Lock()
+			c.storePuts++
+			c.mu.Unlock()
+		}
+	}
+	return cell, recalled, err
 }
 
 // noteStoreErr records a non-fatal store failure for Stats.
@@ -297,54 +302,12 @@ func (c *Cache) noteStoreErr(err error) {
 }
 
 // stream returns the recorded miss stream for key, recording it with fn
-// at most once per key at a time. A stream is immutable, so any number of
-// cells may replay it concurrently. The single-flight discipline is
-// cell's: errors are not cached, a leader's failure is not inherited, a
-// surviving waiter retries as the new leader, and a waiter whose ctx ends
-// stops waiting.
+// at most once per key at a time under flights.do's single-flight
+// discipline. A stream is immutable, so any number of cells may replay
+// it concurrently.
 func (c *Cache) stream(ctx context.Context, key string, fn func() (*nas.Stream, error)) (*nas.Stream, error) {
-	fl := &c.streams
-	for {
-		c.mu.Lock()
-		if v, ok := fl.done[key]; ok {
-			c.mu.Unlock()
-			return v, nil
-		}
-		if f, ok := fl.inflight[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if f.err == nil {
-				return f.v, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
-		f := &flight{done: make(chan struct{})}
-		fl.inflight[key] = f
-		fl.built++
-		c.mu.Unlock()
-
-		f.v, f.err = fn()
-
-		c.mu.Lock()
-		delete(fl.inflight, key)
-		if f.err == nil {
-			fl.done[key] = f.v
-		}
-		c.mu.Unlock()
-		close(f.done)
-		return f.v, f.err
-	}
+	v, _, err := c.streams.do(&c.mu, ctx, key, fn)
+	return v, err
 }
 
 // noteScratch records one unmemoizable cell simulated from scratch: a

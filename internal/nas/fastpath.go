@@ -97,9 +97,9 @@ func (w *WhyNot) String() string {
 	case WhyNotSampler:
 		return "metrics sampler attached: every iteration must be simulated to be sampled"
 	case WhyNotDetectionOnly:
-		return fmt.Sprintf("steady orbit proven (period %d) but extrapolation not requested", maxInt(w.BestPeriod, 1))
+		return fmt.Sprintf("steady orbit proven (period %d) but extrapolation not requested", max(w.BestPeriod, 1))
 	case WhyNotNoTail:
-		return fmt.Sprintf("steady orbit proven (period %d) on the final iteration: no tail left to fast-forward", maxInt(w.BestPeriod, 1))
+		return fmt.Sprintf("steady orbit proven (period %d) on the final iteration: no tail left to fast-forward", max(w.BestPeriod, 1))
 	case WhyNotLoopTooShort:
 		return fmt.Sprintf("timed loop too short: %d iterations observed, a period-1 orbit needs %d", w.Observed, w.NeededStreak+2)
 	case WhyNotPerturbed:
@@ -115,13 +115,6 @@ func (w *WhyNot) String() string {
 			w.FirstDivergent, w.BestPeriod, w.BestStreak, w.NeededStreak)
 	}
 	return string(w.Reason)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // HostStages splits one run's host wall-clock cost by stage. A run

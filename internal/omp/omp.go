@@ -439,17 +439,3 @@ func (b *clockBarrier) settle(t *Team) {
 		trc.Emit(trace.Event{Time: end, CPU: trace.KernelCPU, Kind: trace.EvBarrierRelease, Arg0: int64(t.n)})
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
