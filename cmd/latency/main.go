@@ -20,14 +20,26 @@ import (
 	"upmgo"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if !errors.Is(err, flag.ErrHelp) {
-			fmt.Fprintf(os.Stderr, "latency: %v\n", err)
-		}
-		os.Exit(1)
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main without the process exit: it runs the command and reports
+// a failure on stderr once, returning the exit status.
+func cli(args []string, stdout, stderr io.Writer) int {
+	err := run(args, stdout, stderr)
+	if err == nil {
+		return 0
 	}
+	if !errors.As(err, new(flagError)) {
+		fmt.Fprintf(stderr, "latency: %v\n", err)
+	}
+	return 1
 }
+
+// flagError is a flag error the FlagSet has already printed, with the
+// usage, so cli does not print it again.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
 
 // run is main without the process exit, testable against any streams.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -35,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	topo := fs.String("topo", "", "machine shape: a [cube:]LxLx...xC spec (last component = CPUs per node) or preset (origin, hier64, hier128, hier256); empty = the paper's Origin2000")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))

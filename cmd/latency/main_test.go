@@ -8,10 +8,22 @@ import (
 )
 
 func TestRunRejectsArguments(t *testing.T) {
-	for _, args := range [][]string{{"-nope"}, {"stray"}} {
+	for _, args := range [][]string{{"-nope"}, {"stray"}, {"-topo", "9q"}} {
 		var out, errw bytes.Buffer
-		if err := run(args, &out, &errw); err == nil {
+		err := run(args, &out, &errw)
+		if err == nil {
 			t.Errorf("run(%v) succeeded, want an error", args)
+			continue
+		}
+		// The command prints the error once, whether the FlagSet or cli
+		// reports it.
+		out.Reset()
+		errw.Reset()
+		if code := cli(args, &out, &errw); code != 1 {
+			t.Errorf("cli(%v) exited %d, want 1", args, code)
+		}
+		if n := strings.Count(errw.String(), err.Error()); n != 1 {
+			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 }

@@ -21,14 +21,26 @@ import (
 	"upmgo"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if !errors.Is(err, flag.ErrHelp) {
-			fmt.Fprintf(os.Stderr, "nasbench: %v\n", err)
-		}
-		os.Exit(1)
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main without the process exit: it runs the command and reports
+// a failure on stderr once, returning the exit status.
+func cli(args []string, stdout, stderr io.Writer) int {
+	err := run(args, stdout, stderr)
+	if err == nil {
+		return 0
 	}
+	if !errors.As(err, new(flagError)) {
+		fmt.Fprintf(stderr, "nasbench: %v\n", err)
+	}
+	return 1
 }
+
+// flagError is a flag error the FlagSet has already printed, with the
+// usage, so cli does not print it again.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
 
 // run is main without the process exit, testable against any streams.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -47,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	steady := fs.Bool("steady", false, "detect the steady state and fast-forward the remaining iterations")
 	verbose := fs.Bool("v", false, "print per-iteration times")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))

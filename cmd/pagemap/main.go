@@ -35,14 +35,26 @@ import (
 	"upmgo/internal/vm"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if !errors.Is(err, flag.ErrHelp) {
-			fmt.Fprintf(os.Stderr, "pagemap: %v\n", err)
-		}
-		os.Exit(1)
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main without the process exit: it runs the command and reports
+// a failure on stderr once, returning the exit status.
+func cli(args []string, stdout, stderr io.Writer) int {
+	err := run(args, stdout, stderr)
+	if err == nil {
+		return 0
 	}
+	if !errors.As(err, new(flagError)) {
+		fmt.Fprintf(stderr, "pagemap: %v\n", err)
+	}
+	return 1
 }
+
+// flagError is a flag error the FlagSet has already printed, with the
+// usage, so cli does not print it again.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
 
 // run is main without the process exit, testable against any writers.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -58,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	width := fs.Int("width", 96, "pages per output row")
 	from := fs.String("from", "", "render this metrics series (a .metrics.json from `sweep -metrics`) instead of simulating")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	if fs.NArg() > 0 {
 		fs.Usage()

@@ -56,17 +56,28 @@ import (
 	"upmgo"
 )
 
-func main() {
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main without the process exit: it runs the sweep and reports a
+// failure on stderr once, returning the exit status.
+func cli(args []string, stdout, stderr io.Writer) int {
+	err := run(args, stdout, stderr)
 	switch {
 	case err == nil:
+		return 0
 	case errors.Is(err, flag.ErrHelp), errors.Is(err, errUsage):
-		os.Exit(2)
-	default:
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
+		return 2
+	case !errors.As(err, new(flagError)):
+		fmt.Fprintf(stderr, "sweep: %v\n", err)
 	}
+	return 1
 }
+
+// flagError is a flag error the FlagSet has already printed, with the
+// usage, so cli does not print it again.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
 
 // errUsage reports an invocation that selected nothing to run.
 var errUsage = errors.New("nothing selected: pass -all, -fig or -table")
@@ -119,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	quiet := fs.Bool("quiet", false, "suppress the live progress line on stderr")
 	csvOut := fs.Bool("csv", false, "emit figure 1/4 data as CSV instead of bars")
 	traceDir := fs.String("trace", "", "write per-cell Chrome traces and text summaries into this directory (disables memoization)")
-	steady := fs.Bool("steady", false, "detect each cell's steady state and extrapolate the remaining iterations instead of replaying them (bit-identical results; -all -class W on 2 vCPUs: 5.2-6.2 s with it, 5.9-7.3 s without)")
+	steady := fs.Bool("steady", false, "detect each cell's steady state and extrapolate the remaining iterations instead of replaying them (bit-identical results; -all -class W on 2 vCPUs: 3.0-3.3 s with it, 3.8-4.4 s without)")
 	threads := fs.Int("threads", 0, "simulated team size per cell (0 = all CPUs; every width is exactly reproducible)")
 	topo := fs.String("topo", "", "machine shape for every figure/table-2 cell: a [cube:]LxLx...xC spec (last component = CPUs per node) or preset (origin, hier64, hier128, hier256); empty = the class default machine. Table 1 always shows the default ladder; use cmd/latency -topo for others")
 	topoScale := fs.Bool("toposcale", false, "run the hierarchical scaling sweep: the Figure 4 grid on the 64/128/256-CPU machine shapes (-topo narrows it to one shape)")
@@ -131,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	reportPath := fs.String("report", "", "write a JSON sweep report (host time by stage, cells by fast-path kind, top slowest cells, why-not histogram) to this file; render it with `traceview report`")
 	logFormat := fs.String("log", "off", "structured per-cell completion log to stderr: text or json (slog; off = none, the default — pairs best with -quiet)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	if fs.NArg() > 0 {
 		fs.Usage()
@@ -313,6 +324,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	} else {
 		fmt.Fprintf(stderr, "sweep: %d cells simulated (%d replayed from %d streams), %d recalled from cache, done in %s (host time, -jobs %d)\n",
 			cs.Misses, cs.Replayed, cs.Streams, cs.Hits, time.Since(t0).Round(time.Millisecond), njobs)
+	}
+	if cs.StreamSteps > 0 {
+		fmt.Fprintf(stderr, "sweep: the recordings simulated %d of %d timed steps; the rest repeated\n",
+			cs.StreamStepsSimulated, cs.StreamSteps)
 	}
 	for _, b := range slices.Sorted(maps.Keys(s.declined)) {
 		fmt.Fprintf(stderr, "sweep: %s miss-stream replay declined (%s); its cells ran from scratch\n", b, s.declined[b])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -34,8 +35,20 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
-		if err := run(args, &out, &errw); err == nil {
+		err := run(args, &out, &errw)
+		if err == nil {
 			t.Errorf("run(%v) succeeded, want an error", args)
+			continue
+		}
+		// The command prints the error once, whether the FlagSet or cli
+		// reports it.
+		out.Reset()
+		errw.Reset()
+		if code := cli(args, &out, &errw); code == 0 {
+			t.Errorf("cli(%v) exited 0", args)
+		}
+		if n := strings.Count(errw.String(), err.Error()); n != 1 {
+			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 	// Every class letter parses, in either case; with nothing selected
@@ -78,6 +91,14 @@ func TestRunAllForkScratchByteIdentity(t *testing.T) {
 	}
 	if !strings.Contains(errw.String(), "66 cells simulated (60 replayed from 6 streams)") {
 		t.Errorf("summary lacks the replay report:\n%s", errw.String())
+	}
+	// The recordings compress: they simulate fewer timed steps than they
+	// record.
+	var sim, total int
+	if i := strings.Index(errw.String(), "sweep: the recordings simulated "); i < 0 {
+		t.Errorf("summary lacks the recordings' step count:\n%s", errw.String())
+	} else if _, err := fmt.Sscanf(errw.String()[i:], "sweep: the recordings simulated %d of %d", &sim, &total); err != nil || sim >= total {
+		t.Errorf("recordings simulated %d of %d timed steps (%v), want fewer than all", sim, total, err)
 	}
 	errw.Reset()
 	if err := run(append(base, "-steady"), &steady, &errw); err != nil {

@@ -67,6 +67,27 @@ func TestAdminNeedsStore(t *testing.T) {
 	}
 }
 
+// TestRunFlagErrors: every usage error is printed once, whether the
+// FlagSet or cli reports it.
+func TestRunFlagErrors(t *testing.T) {
+	for _, args := range [][]string{{"-nope"}, {"-jobs", "x"}, {"extra"}, {"-check"}, {"-log", "xml"}} {
+		var out, errw bytes.Buffer
+		err := run(context.Background(), args, &out, &errw)
+		if err == nil {
+			t.Errorf("run(%v) succeeded, want an error", args)
+			continue
+		}
+		out.Reset()
+		errw.Reset()
+		if code := cli(context.Background(), args, &out, &errw); code != 1 {
+			t.Errorf("cli(%v) exited %d, want 1", args, code)
+		}
+		if n := strings.Count(errw.String(), err.Error()); n != 1 {
+			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
+		}
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	var out, errw bytes.Buffer
 	if err := run(context.Background(), []string{"extra"}, &out, &errw); err == nil {

@@ -40,14 +40,26 @@ import (
 	"upmgo"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if !errors.Is(err, flag.ErrHelp) {
-			fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
-		}
-		os.Exit(1)
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main without the process exit: it runs the command and reports
+// a failure on stderr once, returning the exit status.
+func cli(args []string, stdout, stderr io.Writer) int {
+	err := run(args, stdout, stderr)
+	if err == nil {
+		return 0
 	}
+	if !errors.As(err, new(flagError)) {
+		fmt.Fprintf(stderr, "traceview: %v\n", err)
+	}
+	return 1
 }
+
+// flagError is a flag error the FlagSet has already printed, with the
+// usage, so cli does not print it again.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
 
 // run is main without the process exit, testable against any writers.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -70,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Uint64Var(&cfg.Seed, "seed", 42, "workload seed")
 	chrome := fs.String("chrome", "", "also write the Chrome trace_event JSON to this file")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	if fs.NArg() > 0 {
 		fs.Usage()
@@ -111,7 +123,7 @@ func runReport(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "sweep report to render (a JSON file from `sweep -report`)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	if fs.NArg() > 0 {
 		fs.Usage()
@@ -139,7 +151,8 @@ func runReport(args []string, stdout, stderr io.Writer) error {
 // writeReport prints one SweepReport: the headline, cells by fast-path
 // kind (cheapest first), host time by stage with the attribution ratio
 // the telemetry layer promises (≥90% on real sweeps), the slowest
-// cells, and the why-not histogram naming each refusing cell.
+// cells, how much of each miss-stream recording simulated its caches,
+// and the why-not histogram naming each refusing cell.
 func writeReport(w io.Writer, sr upmgo.SweepReport) {
 	fmt.Fprintf(w, "sweep report: %d cell runs, %.3fs host time", sr.Cells, sr.HostSeconds)
 	if sr.WallSeconds > 0 {
@@ -197,6 +210,13 @@ func writeReport(w io.Writer, sr upmgo.SweepReport) {
 		}
 	}
 
+	if len(sr.Recordings) > 0 {
+		fmt.Fprintln(w, "\nMiss-stream recordings:")
+		for _, r := range sr.Recordings {
+			fmt.Fprintf(w, "  %-3s %-14s class%-2s %v\n", r.Bench, r.Label, r.Class, r.Compression)
+		}
+	}
+
 	if len(sr.WhyNot) > 0 {
 		fmt.Fprintln(w, "\nWhy the fast path declined:")
 		for _, wn := range sr.WhyNot {
@@ -238,7 +258,7 @@ func runHeatmap(args []string, stdout, stderr io.Writer) error {
 	iter := fs.Int("iter", 0, "single iteration to render (0 = every captured iteration)")
 	width := fs.Int("width", 80, "heatmap columns; hot pages are bucketed to fit")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	if fs.NArg() > 0 {
 		fs.Usage()

@@ -25,8 +25,20 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
-		if err := run(args, &out, &errw); err == nil {
+		err := run(args, &out, &errw)
+		if err == nil {
 			t.Errorf("run(%v) succeeded, want an error", args)
+			continue
+		}
+		// The command prints the error once, whether the FlagSet or cli
+		// reports it.
+		out.Reset()
+		errw.Reset()
+		if code := cli(args, &out, &errw); code == 0 {
+			t.Errorf("cli(%v) exited 0", args)
+		}
+		if n := strings.Count(errw.String(), err.Error()); n != 1 {
+			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 	// Every spelling the config types print parses; the unknown
@@ -158,8 +170,20 @@ func TestRunHeatmapErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
-		if err := run(args, &out, &errw); err == nil {
+		err := run(args, &out, &errw)
+		if err == nil {
 			t.Errorf("run(%v) succeeded, want an error", args)
+			continue
+		}
+		// The command prints the error once, whether the FlagSet or cli
+		// reports it.
+		out.Reset()
+		errw.Reset()
+		if code := cli(args, &out, &errw); code == 0 {
+			t.Errorf("cli(%v) exited 0", args)
+		}
+		if n := strings.Count(errw.String(), err.Error()); n != 1 {
+			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 }
@@ -206,6 +230,10 @@ func TestRunReportReplay(t *testing.T) {
 			Kind: upmgo.FastPathReplayed, HostSeconds: 0.4, VirtualSeconds: 30,
 			Address: "0123456789abcdef0123456789abcdef",
 			Stages:  upmgo.CellStageSeconds{Record: 0.3, TimedLoop: 0.1}},
+		{Bench: "BT", Label: "ft-IRIX", Class: "W", Source: upmgo.CellSourceSimulated,
+			Kind: upmgo.FastPathFullSim, HostSeconds: 0.3, VirtualSeconds: 30,
+			Recording: &upmgo.StreamCompression{Steps: 15, At: 4, Period: 1},
+			Stages:    upmgo.CellStageSeconds{Prefix: 0.05, TimedLoop: 0.25}},
 		{Bench: "LU", Label: "wc-IRIX", Class: "W", Source: upmgo.CellSourceSimulated,
 			Kind: upmgo.FastPathFullSim, HostSeconds: 0.2, VirtualSeconds: 10,
 			Address: "fedcba9876543210fedcba9876543210", ReplayDeclined: "EventSet",
@@ -230,6 +258,7 @@ func TestRunReportReplay(t *testing.T) {
 		"1. BT  rr-IRIX",
 		"@0123456789abcdef",
 		"@fedcba9876543210 replay declined: EventSet",
+		"Miss-stream recordings:\n  BT  ft-IRIX        classW  simulated 4 of 15 timed steps (repeat at step 4, period 1)",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report lacks %q:\n%s", want, text)
@@ -300,8 +329,20 @@ func TestRunReportErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer
-		if err := run(args, &out, &errw); err == nil {
+		err := run(args, &out, &errw)
+		if err == nil {
 			t.Errorf("run(%v) succeeded, want an error", args)
+			continue
+		}
+		// The command prints the error once, whether the FlagSet or cli
+		// reports it.
+		out.Reset()
+		errw.Reset()
+		if code := cli(args, &out, &errw); code == 0 {
+			t.Errorf("cli(%v) exited 0", args)
+		}
+		if n := strings.Count(errw.String(), err.Error()); n != 1 {
+			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 }

@@ -58,6 +58,9 @@ type cellMeta struct {
 	// the cell had no stream).
 	replayed bool
 	declined string
+	// recording is how the stream this cell recorded compressed; nil
+	// unless the cell led the recording.
+	recording *nas.Compression
 }
 
 // Cell provenance values, shared with exp.CellReport.
@@ -167,6 +170,12 @@ type CacheStats struct {
 	// included); StreamBytes is the size of the logs held.
 	Streams     uint64
 	StreamBytes uint64
+	// StreamSteps counts the timed steps of the recorded streams;
+	// StreamStepsSimulated the ones whose caches were simulated, the
+	// rest having been copied once the cache-side state repeated
+	// (nas.Compression).
+	StreamSteps          uint64
+	StreamStepsSimulated uint64
 	// Forked and Prefixes are always 0: the runner no longer forks
 	// prefix snapshots. They stay for the benchmark harness, which still
 	// reads them.
@@ -184,12 +193,15 @@ type CacheStats struct {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var sb uint64
+	var sb, steps, simulated uint64
 	for _, s := range c.streams.done {
 		sb += uint64(s.Bytes())
+		steps += uint64(s.Compression.Steps)
+		simulated += uint64(s.Compression.Simulated())
 	}
 	return CacheStats{Hits: c.hits, DiskHits: c.diskHits, Misses: c.misses,
 		Replayed: c.replayed, Streams: c.streams.led, StreamBytes: sb,
+		StreamSteps: steps, StreamStepsSimulated: simulated,
 		StorePuts: c.storePuts, StoreErrors: c.storeErrs, StoreErr: c.lastStoreErr}
 }
 

@@ -111,6 +111,10 @@ type CellReport struct {
 	// ReplayDeclined names why the cell's miss-stream recording could
 	// not be replayed (the cell ran from scratch instead).
 	ReplayDeclined string `json:"replay_declined,omitempty"`
+	// Recording, on the cell that led its benchmark's miss-stream
+	// recording, says how many timed steps the recording simulated and
+	// where its cache-side state started to repeat, or why it never did.
+	Recording *nas.Compression `json:"recording,omitempty"`
 	// HostSeconds is the cell's total host wall-time as seen by the
 	// worker that ran (or waited for) it; Stages attributes it.
 	HostSeconds    float64      `json:"host_seconds"`
@@ -134,6 +138,7 @@ func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *C
 		Class:          spec.Config.Class.String(),
 		Source:         meta.source,
 		ReplayDeclined: meta.declined,
+		Recording:      meta.recording,
 		VirtualSeconds: c.Seconds(),
 		FastPath:       c.Result.FastPath,
 		Stages: StageSeconds{
@@ -217,6 +222,18 @@ type SweepReport struct {
 	// WhyNot is the histogram of typed fast-path refusals, largest
 	// bucket first (ties alphabetical).
 	WhyNot []WhyNotCount `json:"why_not,omitempty"`
+	// Recordings lists the miss-stream recordings the sweep made, in
+	// presentation order, each with the cell that led it.
+	Recordings []RecordingReport `json:"recordings,omitempty"`
+}
+
+// RecordingReport is one miss-stream recording of a sweep: the cell
+// that led it and how many of its timed steps simulated the caches.
+type RecordingReport struct {
+	Bench       string          `json:"bench"`
+	Label       string          `json:"label"`
+	Class       string          `json:"class"`
+	Compression nas.Compression `json:"compression"`
 }
 
 // Attributed returns the fraction of HostSeconds the named stages
@@ -253,6 +270,10 @@ func BuildSweepReport(reports []*CellReport, topN int) SweepReport {
 		sr.ByKind[r.Kind]++
 		sr.Stages.add(r.Stages)
 		kept = append(kept, *r)
+		if r.Recording != nil {
+			sr.Recordings = append(sr.Recordings, RecordingReport{
+				Bench: r.Bench, Label: r.Label, Class: r.Class, Compression: *r.Recording})
+		}
 		// Only cells simulated by this sweep belong in the histogram: a
 		// recalled cell carries the original run's WhyNot in its FastPath
 		// (RAM recall keeps the whole Result) but declined nothing itself,

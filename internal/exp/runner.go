@@ -293,6 +293,9 @@ func (r Runner) replayCell(ctx context.Context, spec CellSpec, skey string, meta
 		hs.Record += time.Since(t0)
 	}
 	meta.declined = s.Declined
+	if led {
+		meta.recording = &s.Compression
+	}
 	res := s.Result
 	switch {
 	case own:

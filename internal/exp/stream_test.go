@@ -8,6 +8,7 @@ import (
 	"upmgo/internal/machine"
 	"upmgo/internal/nas"
 	"upmgo/internal/store"
+	"upmgo/internal/vm"
 )
 
 // TestCacheStreamSingleFlight: a recording is single-flighted like a
@@ -104,5 +105,32 @@ func TestCellReportAddress(t *testing.T) {
 	}
 	if reports[1].Address != "" {
 		t.Errorf("tweaked cell has address %q, want none", reports[1].Address)
+	}
+}
+
+// TestRunnerRecordingReported: the cell that leads a recording reports
+// how it compressed, the cells that replay it do not, the sweep report
+// lists it, and the cache counts the timed steps it simulated.
+func TestRunnerRecordingReported(t *testing.T) {
+	cache := NewCache()
+	base := nas.Config{Class: nas.ClassS, Iterations: 12}
+	wc := base
+	wc.Placement = vm.WorstCase
+	specs := []CellSpec{{Bench: "BT", Config: base}, {Bench: "BT", Config: wc}}
+	reports := collectReports(t, Runner{Jobs: 1, Cache: cache}, specs)
+	rec := reports[0].Recording
+	if rec == nil || rec.At == 0 || rec.Steps != 12 {
+		t.Fatalf("leading cell's recording %+v, want a compressed 12-step recording", rec)
+	}
+	if reports[1].Recording != nil {
+		t.Errorf("replayed cell reports a recording: %+v", reports[1].Recording)
+	}
+	st := cache.Stats()
+	if st.StreamSteps != 12 || st.StreamStepsSimulated != uint64(rec.At) {
+		t.Errorf("stream steps %d simulated of %d, want %d of 12", st.StreamStepsSimulated, st.StreamSteps, rec.At)
+	}
+	sr := BuildSweepReport(reports, 5)
+	if len(sr.Recordings) != 1 || sr.Recordings[0].Label != "ft-IRIX" || sr.Recordings[0].Compression != *rec {
+		t.Errorf("sweep report recordings %+v, want the ft-IRIX recording", sr.Recordings)
 	}
 }

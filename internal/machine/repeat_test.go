@@ -1,0 +1,219 @@
+package machine
+
+import (
+	"testing"
+
+	"upmgo/internal/vm"
+)
+
+// repeatCall is one kernel call of the repeat tests: serial reads of
+// a's first 256 elements on CPU 0 and, with write set, stores to element
+// 0 by CPU 1 and then CPU 0, each bumping the unit's version. It ends the
+// call with an OpReturn mark.
+func repeatCall(m *Machine, a *Array, write bool) {
+	m.CPU(0).LoadRun(a.Addr(0), 256, 8)
+	if write {
+		m.CPU(1).Store(a.Addr(0))
+		m.CPU(0).Store(a.Addr(0))
+	}
+	m.Recorder().Mark(OpReturn, nil)
+}
+
+// recordCalls records n calls after a restart call, letting Repeat fire
+// when compress is set; mutate, when non-nil, runs after every call's
+// work and before its Repeat. It returns the recorder and the call at
+// which Repeat fired (0 when it did not).
+func recordCalls(t *testing.T, n int, write, compress bool, mutate func(m *Machine, a *Array, call int)) (*Recorder, int) {
+	t.Helper()
+	m, a := streamMachine(t, vm.FirstTouch)
+	rec := NewRecorder(m)
+	m.SetRecorder(rec)
+	for call := 0; call <= n; call++ {
+		repeatCall(m, a, write)
+		if mutate != nil {
+			mutate(m, a, call)
+		}
+		if !compress {
+			continue
+		}
+		if p := rec.Repeat(call == 0, n-call); p > 0 {
+			if m.Recorder() != nil {
+				t.Fatal("recorder still attached after firing")
+			}
+			if p != 1 {
+				t.Fatalf("fired with period %d, want 1", p)
+			}
+			return rec, call
+		}
+	}
+	return rec, 0
+}
+
+// TestRepeatCopiesTail: identical calls repeat from the first window
+// Repeat can compare, and the copied tail is byte-identical to a
+// recording of every call.
+func TestRepeatCopiesTail(t *testing.T) {
+	rec, at := recordCalls(t, 10, true, true, nil)
+	if at != minRepeatSteps {
+		t.Fatalf("fired at call %d, want %d", at, minRepeatSteps)
+	}
+	full, _ := recordCalls(t, 10, true, false, nil)
+	s, err := rec.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := s.Diff(want); d != "" {
+		t.Errorf("compressed stream differs from the full recording at %s", d)
+	}
+	ts, rd, op := rec.Tail()
+	if ts == nil || rd == nil || ts.Diff(want) != "" {
+		t.Fatal("Tail does not return the finished stream")
+	}
+	// The tail starts after the OpReturn of the call Repeat fired at.
+	if returns := countReturns(want.Ops[:op]); returns != at+1 {
+		t.Errorf("tail starts after %d calls, want %d", returns, at+1)
+	}
+}
+
+func countReturns(ops []Op) int {
+	n := 0
+	for _, o := range ops {
+		if o.Kind == OpReturn {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRepeatStateChangeBlocks mutates one part of the cache-side state
+// after the call Repeat would fire at. The log bytes and every other
+// part still repeat, so each mutation alone must block the repeat. The
+// valid-or-stale case bumps the version of a unit CPU 0 holds valid: the
+// tags, the directory's writer and shared bits and the logs repeat, and
+// only that line is now stale where the call before held it valid.
+func TestRepeatStateChangeBlocks(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(m *Machine, a *Array)
+	}{
+		{"stale line", func(m *Machine, a *Array) { m.lineState[a.Addr(0)>>m.cohShift] += 1 << 9 }},
+		{"shared bit", func(m *Machine, a *Array) { m.lineState[a.Addr(0)>>m.cohShift] ^= 1 }},
+		{"last vpn", func(m *Machine, a *Array) { m.rec.logs[0].vpn++ }},
+	} {
+		at := func(m *Machine, a *Array, call int) {
+			if call == minRepeatSteps {
+				c.mutate(m, a)
+			}
+		}
+		rec, fired := recordCalls(t, minRepeatSteps+1, false, true, at)
+		if fired != 0 {
+			t.Errorf("%s: fired at call %d over a changed state", c.name, fired)
+		}
+		if rec.Blocked() != "" {
+			t.Errorf("%s: Blocked %q, want no reason: nothing repeated", c.name, rec.Blocked())
+		}
+		// The hash already tells the states apart; the full comparison
+		// must as well, since it alone decides.
+		m, a := streamMachine(t, vm.FirstTouch)
+		rec = NewRecorder(m)
+		m.SetRecorder(rec)
+		repeatCall(m, a, false)
+		repeatCall(m, a, false)
+		before := rec.state()
+		repeatCall(m, a, false)
+		if !before.equal(rec.state()) {
+			t.Fatalf("%s: states of identical calls differ", c.name)
+		}
+		c.mutate(m, a)
+		if before.equal(rec.state()) {
+			t.Errorf("%s: the full comparison misses the change", c.name)
+		}
+	}
+	// The control: without a mutation it fires at that call.
+	if _, at := recordCalls(t, minRepeatSteps+1, false, true, nil); at != minRepeatSteps {
+		t.Errorf("control fired at call %d, want %d", at, minRepeatSteps)
+	}
+}
+
+// TestRepeatOpsBlock: calls that append the same log bytes but
+// alternate their structural steps repeat with period 2, not 1.
+func TestRepeatOpsBlock(t *testing.T) {
+	m, a := streamMachine(t, vm.FirstTouch)
+	rec := NewRecorder(m)
+	m.SetRecorder(rec)
+	for call := 0; call <= 12; call++ {
+		if call%2 == 1 {
+			rec.Mark(OpPhaseEnter, m.CPU(0))
+		}
+		repeatCall(m, a, false)
+		if p := rec.Repeat(call == 0, 12-call); p > 0 {
+			if p != 2 {
+				t.Errorf("fired with period %d at call %d, want period 2", p, call)
+			}
+			return
+		}
+	}
+	t.Error("never fired")
+}
+
+// TestRepeatVersionWrapBlocks: a unit whose version gains two per call
+// and sits near the top of its 23-bit field would wrap within the
+// remaining calls, so the repeat is refused with a reason until the
+// simulation itself has wrapped it and refreshed every copy; the log
+// then still equals a full recording.
+func TestRepeatVersionWrapBlocks(t *testing.T) {
+	high := func(m *Machine, a *Array, call int) {
+		if call == 0 {
+			u := a.Addr(0) >> m.cohShift
+			m.lineState[u] = (versionLimit-40)<<9 | m.lineState[u]&0x1ff
+		}
+	}
+	const n = 30
+	rec, at := recordCalls(t, n, true, true, high)
+	if at != 0 && at <= 20 {
+		t.Fatalf("fired at call %d, before the version wrapped", at)
+	}
+	if rec.Blocked() == "" {
+		t.Error("no reason given for the refused repeat")
+	}
+	full, _ := recordCalls(t, n, true, false, high)
+	s, err := rec.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := s.Diff(want); d != "" {
+		t.Errorf("stream differs from the full recording at %s", d)
+	}
+	if _, at := recordCalls(t, 12, true, true, high); at == 0 {
+		t.Error("a short run whose versions fit did not fire")
+	}
+}
+
+// TestRepeatWideL1Blocks: an L1 line wider than a coherence unit spans
+// several directory versions, so Repeat refuses to compare, with a
+// reason.
+func TestRepeatWideL1Blocks(t *testing.T) {
+	cfg := bulkTestConfig()
+	cfg.L1Bytes, cfg.L1Line = 1024, 256
+	m := MustNew(cfg)
+	a := m.NewArray("a", 8*1024)
+	rec := NewRecorder(m)
+	m.SetRecorder(rec)
+	for call := 0; call <= 10; call++ {
+		repeatCall(m, a, false)
+		if p := rec.Repeat(call == 0, 10-call); p > 0 {
+			t.Fatalf("fired with period %d at call %d", p, call)
+		}
+	}
+	if rec.Blocked() == "" {
+		t.Error("no reason given")
+	}
+}

@@ -68,6 +68,13 @@ type Recorder struct {
 	inRegion bool
 	serial   int // CPU with unflushed serial-section misses, or -1
 	declined string
+
+	// Repeat detection (repeat.go).
+	marks   []callMark
+	spare   *repeatState
+	blocked string
+	tail    *StreamReader // set once Repeat fired
+	tailOp  int
 }
 
 // cpuLog is one CPU's log and its baseline: the state at its previous
@@ -108,7 +115,7 @@ func (m *Machine) Recorder() *Recorder {
 func (r *Recorder) Decline(reason string) {
 	if r.declined == "" {
 		r.declined = reason
-		r.logs, r.ops = nil, nil
+		r.logs, r.ops, r.marks, r.spare = nil, nil, nil, nil
 	}
 }
 
@@ -274,6 +281,34 @@ func (s *Stream) Bytes() int {
 		n += len(l)
 	}
 	return n
+}
+
+// Diff names the first difference between s and o, an Ops index or a
+// CPU log's byte offset, or returns "" when the two are identical.
+func (s *Stream) Diff(o *Stream) string {
+	for i := range min(len(s.Ops), len(o.Ops)) {
+		if s.Ops[i] != o.Ops[i] {
+			return fmt.Sprintf("Ops[%d]: %+v vs %+v", i, s.Ops[i], o.Ops[i])
+		}
+	}
+	if len(s.Ops) != len(o.Ops) {
+		return fmt.Sprintf("len(Ops): %d vs %d", len(s.Ops), len(o.Ops))
+	}
+	if len(s.logs) != len(o.logs) {
+		return fmt.Sprintf("CPU logs: %d vs %d", len(s.logs), len(o.logs))
+	}
+	for c, a := range s.logs {
+		b := o.logs[c]
+		for i := range min(len(a), len(b)) {
+			if a[i] != b[i] {
+				return fmt.Sprintf("cpu %d log byte %d", c, i)
+			}
+		}
+		if len(a) != len(b) {
+			return fmt.Sprintf("cpu %d log length: %d vs %d", c, len(a), len(b))
+		}
+	}
+	return ""
 }
 
 // StreamReader is one replay's position in a Stream's per-CPU logs.

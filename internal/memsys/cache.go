@@ -221,6 +221,12 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
+// Lines returns the cache's tags and coherence versions: one entry per
+// way, sets in index order and each set's ways in recency order. A tag
+// is 0 for an invalid way, else the line address + 1. The slices are
+// the cache's own, so callers must not modify them.
+func (c *Cache) Lines() (tags []uint64, vers []uint32) { return c.tags, c.vers }
+
 // Flush invalidates the whole cache.
 func (c *Cache) Flush() { clear(c.tags) }
 

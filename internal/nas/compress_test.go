@@ -1,0 +1,148 @@
+package nas_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"upmgo/internal/nas"
+	"upmgo/internal/nas/bt"
+	"upmgo/internal/nas/cg"
+	"upmgo/internal/nas/ep"
+	"upmgo/internal/nas/ft"
+	"upmgo/internal/nas/mg"
+	"upmgo/internal/nas/sp"
+)
+
+// compressedMatchesFull records cfg twice, compressed and simulating
+// every step, and requires the same per-CPU log bytes and Ops, and a
+// Result equal to Run's of the canonical cell. It returns the compressed
+// stream.
+func compressedMatchesFull(t *testing.T, build nas.Builder, cfg nas.Config) *nas.Stream {
+	t.Helper()
+	s := record(t, build, cfg)
+	full, err := nas.RecordStreamFull(build, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := s.Log().Diff(full.Log()); d != "" {
+		t.Errorf("compressed log differs from the full recording at %s (%v)", d, s.Compression)
+	}
+	want, err := nas.Run(build, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := nas.Diverge(want, s.Result); d != "" {
+		t.Errorf("compressed recording's Result diverges from Run at %s (%v)", d, s.Compression)
+	}
+	if !reflect.DeepEqual(want, s.Result) {
+		t.Errorf("compressed recording's Result is not DeepEqual to Run's (%v)", s.Compression)
+	}
+	if !reflect.DeepEqual(full.Result, s.Result) {
+		t.Errorf("compressed and full recordings' Results differ (%v)", s.Compression)
+	}
+	return s
+}
+
+// TestCompressedStreamMatchesFull is the compression contract: for every
+// benchmark the sweeps record, on the default machine and on hier64, at
+// full and single-thread width, a compressed recording's log is
+// byte-identical to the full recording's and its Result is Run's. BT and
+// SP must actually compress, so the test cannot pass vacuously.
+func TestCompressedStreamMatchesFull(t *testing.T) {
+	type bench struct {
+		name  string
+		build nas.Builder
+	}
+	s := []bench{{"BT", bt.New}, {"SP", sp.New}, {"CG", cg.New}, {"MG", mg.New}, {"FT", ft.New}}
+	cases := []struct {
+		benches []bench
+		class   nas.Class
+		iters   int
+	}{
+		{s, nas.ClassS, 12},
+		{s[:2], nas.ClassW, 15},
+	}
+	for _, c := range cases {
+		for _, b := range c.benches {
+			for _, topo := range []string{"", "hier64"} {
+				for _, threads := range []int{16, 1} {
+					cfg := nas.Config{Class: c.class, Iterations: c.iters, Topo: topo, Threads: threads}
+					if topo == "" && c.class == nas.ClassS {
+						cfg.Threads = min(threads, 8) // the Class S machine's width
+					}
+					name := fmt.Sprintf("%s/%s/%s/t%d", b.name, c.class, map[string]string{"": "default", "hier64": "hier64"}[topo], cfg.Threads)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						st := compressedMatchesFull(t, b.build, cfg)
+						if (b.name == "BT" || b.name == "SP") && st.Compression.At == 0 {
+							t.Errorf("recording never compressed: %v", st.Compression)
+						}
+						t.Logf("%v", st.Compression)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestCompressedBTWFiresEarly: the BT W/15 recording the w16-full
+// benchmark workload leads settles by step 5.
+func TestCompressedBTWFiresEarly(t *testing.T) {
+	s := record(t, bt.New, nas.Config{Class: nas.ClassW, Iterations: 15})
+	if c := s.Compression; c.At == 0 || c.At > 5 || c.Simulated() != c.At || c.Steps != 15 {
+		t.Errorf("BT W/15 compression %+v, want a repeat by step 5 of 15", c)
+	}
+}
+
+// TestCompressedStepIndexedKernel: the synthetic kernel charges extra
+// compute every workPeriod-th step, so its cache-side state repeats
+// every step while its log does not. Condition (b) must hold the
+// recording back until a period that is a multiple of workPeriod, and
+// the copied tail must then equal the full recording.
+func TestCompressedStepIndexedKernel(t *testing.T) {
+	for _, period := range []int{2, 3} {
+		t.Run(fmt.Sprint("period", period), func(t *testing.T) {
+			cfg := nas.Config{Class: nas.ClassS, Threads: 2, Iterations: 20}
+			s := compressedMatchesFull(t, synthBuilder(0, period), cfg)
+			if c := s.Compression; c.At > 0 && c.Period%period != 0 {
+				t.Errorf("fired with period %d at step %d; the kernel's period is %d", c.Period, c.At, period)
+			}
+			t.Logf("%v", s.Compression)
+		})
+	}
+}
+
+// TestCompressedPerturbation: no comparison reaches across the
+// rebinding at PerturbAt, yet the steps after it may still compress.
+func TestCompressedPerturbation(t *testing.T) {
+	for _, p := range []int{2, 6} {
+		cfg := nas.Config{Class: nas.ClassS, PerturbAt: p, Iterations: 12}
+		s := compressedMatchesFull(t, bt.New, cfg)
+		c := s.Compression
+		if c.At > 0 && c.At-2*c.Period < p {
+			t.Errorf("PerturbAt %d: fired at step %d with period %d, comparing steps before the rebinding", p, c.At, c.Period)
+		}
+		if c.At == 0 {
+			t.Errorf("PerturbAt %d: never compressed: %v", p, c)
+		}
+	}
+	// A perturbation that leaves no room to compare says so.
+	s := compressedMatchesFull(t, bt.New, nas.Config{Class: nas.ClassS, PerturbAt: 11, Iterations: 12})
+	if c := s.Compression; c.At != 0 || c.Why != nas.WhyPerturbed {
+		t.Errorf("PerturbAt 11 of 12: compression %+v, want none with why %q", c, nas.WhyPerturbed)
+	}
+}
+
+// TestCompressionReasons: a recording too short to compare, a declined
+// one and a data-driven kernel each say why they simulated every step.
+func TestCompressionReasons(t *testing.T) {
+	s := compressedMatchesFull(t, bt.New, nas.Config{Class: nas.ClassS, Iterations: 2})
+	if c := s.Compression; c.At != 0 || c.Why != nas.WhyNoRepeat || c.Simulated() != 2 {
+		t.Errorf("2 steps: compression %+v, want none with why %q", c, nas.WhyNoRepeat)
+	}
+	s = compressedMatchesFull(t, ep.New, nas.Config{Class: nas.ClassS, Iterations: 6})
+	if c := s.Compression; c.At != 0 || c.Why != nas.WhyVarying {
+		t.Errorf("EP: compression %+v, want none with why %q", c, nas.WhyVarying)
+	}
+}

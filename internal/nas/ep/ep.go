@@ -56,6 +56,9 @@ func (e *EP) Name() string { return "EP" }
 // DefaultIterations returns the class's iteration count.
 func (e *EP) DefaultIterations() int { return e.iters }
 
+// VariesByStep marks EP as nas.Varying: the accepted pairs, and the flops they charge, follow the random stream.
+func (e *EP) VariesByStep() {}
+
 // HasPhase reports no phase change.
 func (e *EP) HasPhase() bool { return false }
 

@@ -66,6 +66,9 @@ func (s *IS) Name() string { return "IS" }
 // IS performs 10).
 func (s *IS) DefaultIterations() int { return s.iters }
 
+// VariesByStep marks IS as nas.Varying: the keys each step perturbs, and the buckets the keys select, change every step.
+func (s *IS) VariesByStep() {}
+
 // HasPhase reports no record–replay phase: the scatter's destinations
 // change with the data, so no per-phase plan is stable.
 func (s *IS) HasPhase() bool { return false }

@@ -195,7 +195,12 @@ type Kernel interface {
 	// region would shift every page's home by one node.
 	InitTouch(t *omp.Team)
 	// Step executes one timestep as a sequence of parallel regions on
-	// the team, invoking hooks around the marked phase if any.
+	// the team, invoking hooks around the marked phase if any. Its
+	// simulated accesses and charges may depend on the step only through
+	// machine state: started from equal cache-side state, two Steps issue
+	// the same accesses and charges, whatever the step index or the
+	// kernel's data. A compressed recording relies on it (DESIGN.md §17);
+	// a kernel that breaks it implements Varying.
 	Step(t *omp.Team, h *Hooks)
 	// Reinit restores the initial data (used to discard the cold-start
 	// iteration's results) without touching simulated memory.
@@ -209,6 +214,15 @@ type Kernel interface {
 	// HasPhase reports whether the kernel has a phase change usable by
 	// record–replay.
 	HasPhase() bool
+}
+
+// Varying marks a kernel whose Steps break the Kernel contract: their
+// simulated accesses or charges follow the kernel's data or its step
+// count (EP's accepted pairs, IS's key perturbation). Its recordings
+// simulate every step.
+type Varying interface {
+	// VariesByStep is a marker; it is never called.
+	VariesByStep()
 }
 
 // Builder constructs a kernel on a machine at a class and compute scale.

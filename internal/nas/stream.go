@@ -27,7 +27,7 @@ import (
 // and SteadyWindow are the fields it drops; class, topology, threads,
 // iterations, scale, PerturbAt, seed and SkipVerify stay (PerturbAt
 // rotates threads by CPUsPerNode, so the machine shape matters). The
-// recording is therefore always a full run, and the steady and plain
+// recording therefore never extrapolates, and the steady and plain
 // cells of one grid share it: the log keeps every counter the detector
 // reads. The second result is false where Fingerprint's is.
 func (c Config) StreamFingerprint() (string, bool) {
@@ -52,13 +52,16 @@ func (c Config) streamCell() Config {
 // could not be recorded. It is immutable once built, so concurrent
 // replays may share it.
 type Stream struct {
-	// Result is the recording's own result: the canonical cell's, from a
-	// full simulation.
+	// Result is the recording's own result: the canonical cell's,
+	// bit-identical to Run of that cell.
 	Result Result
 	// Declined, when non-empty, names the construct that made the run
 	// unreplayable (an EventSet, a critical section, a dynamic schedule
 	// or write tracking); such a stream holds no log.
 	Declined string
+	// Compression says how many timed steps the recording simulated and
+	// where its cache-side state started to repeat, or why it never did.
+	Compression Compression
 
 	key       string // Fingerprint of the canonical cell
 	log       *machine.Stream
@@ -69,11 +72,65 @@ type Stream struct {
 	heapPages uint64
 }
 
+// Compression reports how a recording ended (DESIGN.md §17). Once the
+// cache-side state at the end of a timed step repeats that of Period
+// steps earlier, the recorder copies the last period's log for the
+// remaining steps, and the recording runs them without simulating a
+// cache: the kernel's numerics in free-run mode and the copied log
+// replayed on the recording's own machine.
+type Compression struct {
+	// Steps is the number of timed steps the recording ran.
+	Steps int `json:"steps"`
+	// At is the timed step at whose end the state repeated, 0 when it
+	// never did; Period is the repeat's length in steps.
+	At     int `json:"at,omitempty"`
+	Period int `json:"period,omitempty"`
+	// Why says why every step was simulated, when At is 0: one of the
+	// Why* values, or the recorder's reason for refusing a repeat it
+	// found.
+	Why string `json:"why,omitempty"`
+}
+
+// Reasons a recording simulated every timed step.
+const (
+	WhyNoRepeat  = "no repeat before the last step"
+	WhyPerturbed = "no repeat after PerturbAt before the last step"
+	WhyDeclined  = "recording declined"
+	WhyVarying   = "the kernel's steps vary with its data"
+)
+
+// Simulated returns the number of timed steps whose caches the recording
+// simulated.
+func (c Compression) Simulated() int {
+	if c.At > 0 {
+		return c.At
+	}
+	return c.Steps
+}
+
+// String renders the compression for reports: "simulated 4 of 15 timed
+// steps (repeat at step 4, period 1)".
+func (c Compression) String() string {
+	s := fmt.Sprintf("simulated %d of %d timed steps", c.Simulated(), c.Steps)
+	if c.At > 0 {
+		return s + fmt.Sprintf(" (repeat at step %d, period %d)", c.At, c.Period)
+	}
+	return s + " (" + c.Why + ")"
+}
+
 // RecordStream runs cfg's canonical stream cell with a recorder attached
 // and returns the stream. cfg must have a stream fingerprint. When cfg
 // is the canonical cell itself, its HostStages sink receives the
-// recording's stages, since the recording is that cell's run.
+// recording's stages, since the recording is that cell's run. The
+// recording simulates the caches only until their state repeats (see
+// Compression); its log and Result are those of a full simulation.
 func RecordStream(build Builder, cfg Config) (*Stream, error) {
+	return recordStream(build, cfg, true)
+}
+
+// recordStream is RecordStream; with compress false it simulates every
+// step, the reference a compressed recording is tested against.
+func recordStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 	if _, ok := cfg.StreamFingerprint(); !ok {
 		return nil, fmt.Errorf("nas: config without a stream fingerprint (traced, sampled or tweaked) cannot be recorded")
 	}
@@ -84,23 +141,44 @@ func RecordStream(build Builder, cfg Config) (*Stream, error) {
 	if own != s.key {
 		cfg.HostStages = nil
 	}
-	var rec *machine.Recorder
-	var k Kernel
+	var k *recordingKernel
 	res, err := Run(func(m *machine.Machine, class Class, scale int, seed uint64) Kernel {
-		k = build(m, class, scale, seed)
+		k = &recordingKernel{Kernel: build(m, class, scale, seed), m: m,
+			perturbAt: cfg.PerturbAt, skipVerify: cfg.SkipVerify, compress: compress}
+		if _, ok := k.Kernel.(Varying); ok {
+			k.compress = false
+		}
 		s.heapPages = m.AllocatedPages()
-		rec = machine.NewRecorder(m)
-		m.SetRecorder(rec)
-		return recordingKernel{k, m}
+		k.rec = machine.NewRecorder(m)
+		m.SetRecorder(k.rec)
+		k.comp = &s.Compression
+		k.comp.Steps = cfg.Iterations
+		if k.comp.Steps == 0 {
+			k.comp.Steps = k.DefaultIterations()
+		}
+		return k
 	}, cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.Result = res
-	if s.Declined = rec.Declined(); s.Declined != "" {
+	switch c := &s.Compression; {
+	case c.At > 0:
+	case k.rec.Declined() != "":
+		c.Why = WhyDeclined
+	case !k.compress && compress:
+		c.Why = WhyVarying
+	case k.rec.Blocked() != "":
+		c.Why = k.rec.Blocked()
+	case cfg.PerturbAt > 0:
+		c.Why = WhyPerturbed
+	default:
+		c.Why = WhyNoRepeat
+	}
+	if s.Declined = k.rec.Declined(); s.Declined != "" {
 		return s, nil
 	}
-	if s.log, err = rec.Finish(); err != nil {
+	if s.log, err = k.rec.Finish(); err != nil {
 		return nil, err
 	}
 	s.name, s.iters, s.hasPhase, s.hot = k.Name(), k.DefaultIterations(), k.HasPhase(), k.HotPages()
@@ -141,27 +219,61 @@ func (s *Stream) build(m *machine.Machine, _ Class, _ int, _ uint64) Kernel {
 	if s.heapPages > 0 {
 		m.Alloc(int(s.heapPages << m.PageShift()))
 	}
-	return &replayKernel{s: s, m: m, rd: s.log.NewReader()}
+	return &replayKernel{s: s, streamCursor: streamCursor{m: m, ops: s.log.Ops, rd: s.log.NewReader()}}
 }
 
 // recordingKernel marks the end of every InitTouch and Step call in the
-// stream, so the replay kernel knows where each call's steps stop.
+// stream, so the replay kernel knows where each call's steps stop. With
+// compress set it also asks the recorder, at the end of every Step,
+// whether the cache-side state repeats. Once it does, each remaining
+// Step advances the real kernel's numerics in free-run mode and replays
+// the step's copied log on the recording's own machine.
 type recordingKernel struct {
 	Kernel
-	m *machine.Machine
+	m          *machine.Machine
+	rec        *machine.Recorder
+	comp       *Compression
+	perturbAt  int
+	skipVerify bool
+	compress   bool
+	calls      int           // Step calls so far, the cold start's included
+	tail       *streamCursor // the copied log, once the state repeated
 }
 
-func (k recordingKernel) InitTouch(t *omp.Team) {
+func (k *recordingKernel) InitTouch(t *omp.Team) {
 	k.Kernel.InitTouch(t)
 	k.mark()
 }
 
-func (k recordingKernel) Step(t *omp.Team, h *Hooks) {
+func (k *recordingKernel) Step(t *omp.Team, h *Hooks) {
+	if k.tail != nil {
+		if !k.skipVerify {
+			k.m.SetFreeRun(true)
+			k.Kernel.Step(t, &Hooks{})
+			k.m.SetFreeRun(false)
+		}
+		k.tail.replay(t, h)
+		return
+	}
 	k.Kernel.Step(t, h)
 	k.mark()
+	// Call 0 is the untimed cold start; the timed loop's step s is call
+	// s. No comparison reaches back into the cold start, and none starts
+	// before the rebinding at PerturbAt: a tail copied before it would
+	// miss the rebinding.
+	step := k.calls
+	k.calls++
+	if !k.compress || step < k.perturbAt {
+		return
+	}
+	if p := k.rec.Repeat(step == 0 || step == k.perturbAt, k.comp.Steps-step); p > 0 {
+		k.comp.At, k.comp.Period = step, p
+		s, rd, op := k.rec.Tail()
+		k.tail = &streamCursor{m: k.m, ops: s.Ops, rd: rd, op: op}
+	}
 }
 
-func (k recordingKernel) mark() {
+func (k *recordingKernel) mark() {
 	if rec := k.m.Recorder(); rec != nil {
 		rec.Mark(machine.OpReturn, nil)
 	}
@@ -171,10 +283,8 @@ func (k recordingKernel) mark() {
 // barriers, serial sections and phase hooks — feeding every CPU its
 // logged charges and misses.
 type replayKernel struct {
-	s  *Stream
-	m  *machine.Machine
-	rd *machine.StreamReader
-	op int // next step of s.log.Ops
+	s *Stream
+	streamCursor
 }
 
 func (k *replayKernel) Name() string           { return k.s.name }
@@ -200,16 +310,24 @@ func (k *replayKernel) Step(t *omp.Team, h *Hooks) {
 	}
 }
 
+// streamCursor is one replay's position in a recorded stream: the next
+// structural step and, through rd, each CPU log's next record.
+type streamCursor struct {
+	m   *machine.Machine
+	ops []machine.Op
+	rd  *machine.StreamReader
+	op  int
+}
+
 // replay runs the recorded steps up to the end of the current kernel
 // call.
-func (k *replayKernel) replay(t *omp.Team, h *Hooks) {
+func (k *streamCursor) replay(t *omp.Team, h *Hooks) {
 	if k.m.PT.WriteTracking() {
 		// Stores that hit in a cache are not in the log.
 		panic("nas: stream replay cannot track writes")
 	}
-	ops := k.s.log.Ops
 	for {
-		op := ops[k.op]
+		op := k.ops[k.op]
 		k.op++
 		switch op.Kind {
 		case machine.OpReturn:
@@ -228,7 +346,7 @@ func (k *replayKernel) replay(t *omp.Team, h *Hooks) {
 }
 
 // member replays one thread's share of a region.
-func (k *replayKernel) member(tr *omp.Thread) {
+func (k *streamCursor) member(tr *omp.Thread) {
 	for k.rd.Replay(tr.CPU) {
 		tr.Barrier()
 	}

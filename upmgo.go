@@ -435,6 +435,10 @@ type (
 	SweepReport = exp.SweepReport
 	// SweepWhyNotCount is one bucket of a SweepReport's why-not histogram.
 	SweepWhyNotCount = exp.WhyNotCount
+	// StreamCompression says how many timed steps a miss-stream recording
+	// simulated before its cache-side state repeated
+	// (CellReport.Recording).
+	StreamCompression = nas.Compression
 )
 
 // The typed reasons a steady-armed run declined its fast-forward.
