@@ -1,8 +1,9 @@
 // Command benchcompare is the benchmark gate (DESIGN.md §16). It runs
-// bench/run.sh in alternating pairs on a base revision, checked out into
-// a temporary git worktree, and on the working tree, and fails when the
-// working tree's runs are incorrect, fail more often, or read worse than
-// the base by more than a BENCHMARK.json bound on any end-to-end metric:
+// bench/run.sh in alternating pairs on a base revision, extracted into a
+// temporary directory with git archive, and on the working tree, and
+// fails when the working tree's runs are incorrect, fail more often, or
+// read worse than the base by more than a BENCHMARK.json bound on any
+// end-to-end metric:
 //
 //	go run ./ci/benchcompare HEAD~1
 package main
@@ -63,15 +64,9 @@ func gate(ctx context.Context, base string, stdout, stderr io.Writer) error {
 	}
 	defer os.RemoveAll(tmp)
 	baseDir := filepath.Join(tmp, "base")
-	if _, err := git(ctx, root, "worktree", "add", "--detach", baseDir, base); err != nil {
+	if err := extract(ctx, root, base, baseDir); err != nil {
 		return err
 	}
-	defer func() {
-		// Not ctx: the worktree is removed after an interrupt too.
-		if _, err := git(context.Background(), root, "worktree", "remove", "--force", baseDir); err != nil {
-			fmt.Fprintf(stderr, "benchcompare: %v\n", err)
-		}
-	}()
 	dirs := map[bool]string{false: baseDir, true: root}
 	bs, cs, err := measure(pairs, func(change bool) (result, error) {
 		return runHarness(ctx, dirs[change], stderr)
@@ -95,6 +90,23 @@ func git(ctx context.Context, dir string, args ...string) (string, error) {
 		return "", fmt.Errorf("git %s: %w: %s", strings.Join(args, " "), err, bytes.TrimSpace(out))
 	}
 	return strings.TrimSpace(string(out)), nil
+}
+
+// extract writes the tree of rev in repo into dir with git archive and
+// tar -x, leaving the repository's worktrees and index alone.
+func extract(ctx context.Context, repo, rev, dir string) error {
+	tarball := dir + ".tar"
+	defer os.Remove(tarball)
+	if _, err := git(ctx, repo, "archive", "-o", tarball, rev); err != nil {
+		return err
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		return err
+	}
+	if out, err := exec.CommandContext(ctx, "tar", "-xf", tarball, "-C", dir).CombinedOutput(); err != nil {
+		return fmt.Errorf("tar -x: %w: %s", err, bytes.TrimSpace(out))
+	}
+	return nil
 }
 
 // spec is the part of BENCHMARK.json the gate reads. Bound is the share

@@ -272,8 +272,8 @@ func TestGateUnknownRev(t *testing.T) {
 	}
 	var out, errb bytes.Buffer
 	err := gate(ctx, "no-such-rev-benchcompare", &out, &errb)
-	if err == nil || !strings.Contains(err.Error(), "worktree add") {
-		t.Errorf("gate error = %v, want the failed checkout named", err)
+	if err == nil || !strings.Contains(err.Error(), "git archive") {
+		t.Errorf("gate error = %v, want the failed extraction named", err)
 	}
 	list, err := git(ctx, "", "worktree", "list")
 	if err != nil {
@@ -281,5 +281,50 @@ func TestGateUnknownRev(t *testing.T) {
 	}
 	if strings.Contains(list, "benchcompare-") {
 		t.Errorf("worktree left behind:\n%s", list)
+	}
+}
+
+// TestExtractLeavesWorktrees: extracting a revision of a throwaway
+// repository writes its committed tree, not later edits, and adds no
+// worktree.
+func TestExtractLeavesWorktrees(t *testing.T) {
+	ctx := context.Background()
+	repo := t.TempDir()
+	if _, err := git(ctx, repo, "init", "-q"); err != nil {
+		t.Skipf("git unavailable: %v", err)
+	}
+	if err := os.MkdirAll(filepath.Join(repo, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(repo, "sub", "f.txt"), []byte("base\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"add", "sub/f.txt"},
+		{"-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "base"},
+	} {
+		if _, err := git(ctx, repo, args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(repo, "sub", "f.txt"), []byte("edited\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := git(ctx, repo, "worktree", "list")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "base")
+	if err := extract(ctx, repo, "HEAD", dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "sub", "f.txt")); err != nil || string(got) != "base\n" {
+		t.Errorf("extracted sub/f.txt = %q (%v), want the committed %q", got, err, "base\n")
+	}
+	if after, err := git(ctx, repo, "worktree", "list"); err != nil || after != before {
+		t.Errorf("worktree list changed (%v):\n%s\nwas:\n%s", err, after, before)
+	}
+	if err := extract(ctx, repo, "no-such-rev", filepath.Join(t.TempDir(), "x")); err == nil || !strings.Contains(err.Error(), "git archive") {
+		t.Errorf("extract of an unknown revision: %v, want a git archive error", err)
 	}
 }

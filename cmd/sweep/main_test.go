@@ -79,17 +79,17 @@ func TestRunTable1(t *testing.T) {
 // TestRunAllForkScratchByteIdentity is the CLI-level acceptance check
 // for miss-stream replay: `sweep -all` stdout at full width must be
 // byte-identical between the default run, whose summary shows the replay
-// split (one stream per benchmark and cell shape, every other cell
-// replayed from it), a -steady run, whose cells all replay the same
-// streams (the recordings' own cells are not steady), and a -trace run,
-// whose cells cannot be memoized and so simulate from scratch.
+// split (one stream per benchmark and cell shape, every cell replayed
+// from it), a -steady run, whose cells replay the same streams, and a
+// -trace run, whose cells cannot be memoized and so simulate from
+// scratch.
 func TestRunAllForkScratchByteIdentity(t *testing.T) {
 	var replay, steady, scratch, errw bytes.Buffer
 	base := []string{"-all", "-class", "S", "-quiet"}
 	if err := run(base, &replay, &errw); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errw.String(), "66 cells simulated (60 replayed from 6 streams)") {
+	if !strings.Contains(errw.String(), "66 cells simulated (66 replayed from 6 streams)") {
 		t.Errorf("summary lacks the replay report:\n%s", errw.String())
 	}
 	// The recordings compress: they simulate fewer timed steps than they

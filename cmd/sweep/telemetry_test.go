@@ -60,7 +60,7 @@ func TestRunTelemetryByteIdentity(t *testing.T) {
 	// The structured log carries per-cell completions and the final
 	// sweep summary as JSON slog lines.
 	logText := errw.String()
-	for _, want := range []string{`"msg":"cell"`, `"kind":"full_sim"`, `"virtual_s":`, `"msg":"sweep"`} {
+	for _, want := range []string{`"msg":"cell"`, `"kind":"replayed"`, `"virtual_s":`, `"msg":"sweep"`} {
 		if !strings.Contains(logText, want) {
 			t.Errorf("-log json stderr lacks %q", want)
 		}
@@ -109,8 +109,8 @@ func TestRunTelemetryByteIdentity(t *testing.T) {
 	if sr.HostSeconds <= 0 || sr.WallSeconds <= 0 {
 		t.Errorf("report lacks host/wall time: host=%v wall=%v", sr.HostSeconds, sr.WallSeconds)
 	}
-	if sr.ByKind[upmgo.FastPathFullSim] == 0 {
-		t.Errorf("report kinds lack full_sim cells: %v", sr.ByKind)
+	if sr.ByKind[upmgo.FastPathReplayed] == 0 || sr.ByKind[upmgo.FastPathFullSim] != 0 {
+		t.Errorf("report kinds %v, want replayed cells and no full_sim ones", sr.ByKind)
 	}
 	if sr.Stages.TimedLoop <= 0 {
 		t.Errorf("report stages lack timed-loop seconds: %+v", sr.Stages)

@@ -26,7 +26,8 @@ type Cache struct {
 
 	// Recorded L2-miss streams (see nas.Stream), keyed by
 	// bench + nas.Config.StreamFingerprint. Every placement, engine and
-	// steady-state variant of one stream replays the single recording.
+	// steady-state variant of one stream, the canonical cell the
+	// recording ran included, replays the single recording.
 	streams  flights[*nas.Stream]
 	replayed uint64
 

@@ -9,8 +9,8 @@ import (
 
 // TestRunnerStreamSharing pins the replay economics on Figure 4: the 12
 // cells of one benchmark (4 placements × 3 engines) share one L2-miss
-// stream, whose recording answers the ft-IRIX cell and which the other
-// 11 replay. No cell needs a cold-start prefix.
+// stream, which all 12 replay, the ft-IRIX cell it was recorded from
+// included. No cell needs a cold-start prefix.
 func TestRunnerStreamSharing(t *testing.T) {
 	cache := NewCache()
 	r := Runner{Jobs: 4, Cache: cache}
@@ -19,8 +19,8 @@ func TestRunnerStreamSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
-	if st.Misses != 12 || st.Streams != 1 || st.Replayed != 11 || st.Forked != 0 || st.Prefixes != 0 || st.StreamBytes == 0 {
-		t.Errorf("Figure4 stats %+v, want 12 misses, 1 stream, 11 replayed, nothing forked", st)
+	if st.Misses != 12 || st.Streams != 1 || st.Replayed != 12 || st.Forked != 0 || st.Prefixes != 0 || st.StreamBytes == 0 {
+		t.Errorf("Figure4 stats %+v, want 12 misses, 1 stream, 12 replayed, nothing forked", st)
 	}
 	// Figure 5's recrep cell is engine-only novelty: one more replay of
 	// the same stream.
@@ -28,14 +28,14 @@ func TestRunnerStreamSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = cache.Stats()
-	if st.Misses != 13 || st.Streams != 1 || st.Replayed != 12 {
-		t.Errorf("after Figure5 stats %+v, want 13 misses, still 1 stream, 12 replayed", st)
+	if st.Misses != 13 || st.Streams != 1 || st.Replayed != 13 {
+		t.Errorf("after Figure5 stats %+v, want 13 misses, still 1 stream, 13 replayed", st)
 	}
 }
 
-// TestRunnerSteadyStreamSharing pins the economics of steady cells: the
-// stream's canonical cell is not steady, so a steady Figure 4 batch
-// records the one stream and replays all 12 cells from it. Nothing forks.
+// TestRunnerSteadyStreamSharing pins the economics of steady cells: a
+// steady Figure 4 batch records the one stream and replays all 12 cells
+// from it, as a plain batch does. Nothing forks.
 func TestRunnerSteadyStreamSharing(t *testing.T) {
 	cache := NewCache()
 	r := Runner{Jobs: 4, Cache: cache}
@@ -81,12 +81,8 @@ func TestRunnerForkScratchEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(f, n) {
 			t.Errorf("steady=%v: Figure4 cells differ between cached and from-scratch simulation", steady)
 		}
-		st := cached.Cache.Stats()
-		if steady && st.Replayed != uint64(len(f.Cells)) {
-			t.Errorf("steady: replayed %d of %d cells, want all", st.Replayed, len(f.Cells))
-		}
-		if !steady && st.Replayed != uint64(len(f.Cells)-1) {
-			t.Errorf("plain: replayed %d of %d cells, want all but the recorded one", st.Replayed, len(f.Cells))
+		if st := cached.Cache.Stats(); st.Replayed != uint64(len(f.Cells)) {
+			t.Errorf("steady=%v: replayed %d of %d cells, want all", steady, st.Replayed, len(f.Cells))
 		}
 	}
 }

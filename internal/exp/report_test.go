@@ -40,9 +40,9 @@ func TestCellReportSimulated(t *testing.T) {
 	}
 	reports := collectReports(t, Runner{Jobs: 1, Cache: NewCache()}, specs)
 
-	steady, full := reports[0], reports[1]
-	if steady.Source != SourceSimulated || full.Source != SourceSimulated {
-		t.Fatalf("fresh cells not marked simulated: %q, %q", steady.Source, full.Source)
+	steady, plain := reports[0], reports[1]
+	if steady.Source != SourceSimulated || plain.Source != SourceSimulated {
+		t.Fatalf("fresh cells not marked simulated: %q, %q", steady.Source, plain.Source)
 	}
 	if steady.Kind != FastPathSteadyP1 {
 		t.Errorf("steady cell kind = %q, want %q (fastpath %+v)", steady.Kind, FastPathSteadyP1, steady.FastPath)
@@ -53,8 +53,8 @@ func TestCellReportSimulated(t *testing.T) {
 	if steady.Stages.Extrapolate <= 0 {
 		t.Errorf("steady cell charges no extrapolation time: %+v", steady.Stages)
 	}
-	if full.Kind != FastPathFullSim {
-		t.Errorf("plain cell kind = %q, want %q", full.Kind, FastPathFullSim)
+	if plain.Kind != FastPathReplayed {
+		t.Errorf("plain cell kind = %q, want %q", plain.Kind, FastPathReplayed)
 	}
 	for _, rep := range reports {
 		if rep.HostSeconds <= 0 {

@@ -262,24 +262,18 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 	return c, newCellReport(spec, c, meta, hs), err
 }
 
-// replayCell answers spec from the benchmark's miss stream for skey,
-// recording the stream first if this is the fingerprint's first cell.
-// The stream's own cell takes the recording's Result; every other cell
-// replays. When the recording declined, the cell runs from scratch and
-// meta carries the reason.
+// replayCell answers spec by replaying the benchmark's miss stream for
+// skey, recording the stream first if this is the fingerprint's first
+// cell. Every cell replays, the stream's canonical cell included; each
+// charges its wait for the recording to the record stage. When the
+// recording declined, the cell runs from scratch and meta carries the
+// reason.
 func (r Runner) replayCell(ctx context.Context, spec CellSpec, skey string, meta *cellMeta) (Cell, error) {
 	b, ok := Builder(spec.Bench)
 	if !ok {
 		return Cell{}, fmt.Errorf("exp: %w: %q", ErrUnknownBenchmark, spec.Bench)
 	}
-	// Each cell charges its own wait for the shared recording, except
-	// the canonical cell leading the flight, whose own run the recording
-	// is and whose stages RecordStream charges.
-	hs := spec.Config.HostStages
-	var t0 time.Time
-	if hs != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	led := false
 	s, err := r.Cache.stream(ctx, spec.Bench+"\x00"+skey, func() (*nas.Stream, error) {
 		led = true
@@ -288,26 +282,20 @@ func (r Runner) replayCell(ctx context.Context, spec CellSpec, skey string, meta
 	if err != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
 	}
-	own := s.Recorded(spec.Config)
-	if hs != nil && !(led && own) {
-		hs.Record += time.Since(t0)
-	}
+	spec.Config.HostStages.Record += time.Since(t0)
 	meta.declined = s.Declined
 	if led {
 		meta.recording = &s.Compression
 	}
-	res := s.Result
-	switch {
-	case own:
-	case s.Declined != "":
+	if s.Declined != "" {
 		return run(spec.Bench, spec.Config)
-	default:
-		if res, err = s.Replay(spec.Config); err != nil {
-			return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
-		}
-		meta.replayed = true
-		r.Cache.noteReplay()
 	}
+	res, err := s.Replay(spec.Config)
+	if err != nil {
+		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
+	}
+	meta.replayed = true
+	r.Cache.noteReplay()
 	if res.VerifyErr != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s failed verification: %w", spec.Bench, spec.Config.Label(), res.VerifyErr)
 	}

@@ -54,10 +54,9 @@ func TestCacheStreamSingleFlight(t *testing.T) {
 }
 
 // TestRunnerDeclinedStreamRunsFromScratch: LU synchronises through an
-// EventSet, so its recording declines. The recording still answers the
-// ft-IRIX cell; the other cells run from scratch, bit-identically to a
-// Runner without a Cache, and every report names the reason and carries
-// the cell's store address.
+// EventSet, so its recording declines. Every cell then runs from
+// scratch, bit-identically to a Runner without a Cache, and every report
+// names the reason and carries the cell's store address.
 func TestRunnerDeclinedStreamRunsFromScratch(t *testing.T) {
 	specs := Figure1Specs(SweepOptions{Class: nas.ClassS, Benches: []string{"LU"}, Seed: 42})
 	cache := NewCache()
@@ -132,5 +131,35 @@ func TestRunnerRecordingReported(t *testing.T) {
 	sr := BuildSweepReport(reports, 5)
 	if len(sr.Recordings) != 1 || sr.Recordings[0].Label != "ft-IRIX" || sr.Recordings[0].Compression != *rec {
 		t.Errorf("sweep report recordings %+v, want the ft-IRIX recording", sr.Recordings)
+	}
+}
+
+// TestRunnerEveryCellReplays: in a plain Figure 4 sweep every cell
+// replays the benchmark's stream, the canonical ft-IRIX cell included,
+// and the cell that leads the recording charges it to its record stage,
+// which the cells replaying the finished stream barely touch.
+func TestRunnerEveryCellReplays(t *testing.T) {
+	specs := Figure4Specs(SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42})
+	reports := collectReports(t, Runner{Jobs: 1, Cache: NewCache()}, specs)
+	var leader *CellReport
+	for _, rep := range reports {
+		if rep.Kind != FastPathReplayed {
+			t.Errorf("%s: kind %q, want %q", rep.Label, rep.Kind, FastPathReplayed)
+		}
+		if rep.Recording != nil {
+			leader = rep
+		}
+	}
+	if leader == nil {
+		t.Fatal("no cell reports leading the recording")
+	}
+	if leader.Stages.Record <= 0 {
+		t.Errorf("leader %s charges no record time: %+v", leader.Label, leader.Stages)
+	}
+	for _, rep := range reports {
+		if rep != leader && rep.Stages.Record >= leader.Stages.Record {
+			t.Errorf("%s waited %.6fs on a finished stream, no less than the leader's %.6fs recording",
+				rep.Label, rep.Stages.Record, leader.Stages.Record)
+		}
 	}
 }

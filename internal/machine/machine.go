@@ -108,6 +108,10 @@ func (c *Config) SetTopology(shape string) error {
 // kernel-initiated page migrations applied at this quiescent point).
 type BarrierHook func(now int64) int64
 
+// versionLimit is one past the largest version the directory word's
+// 23-bit version field holds (see Machine.lineState).
+const versionLimit = 1 << 23
+
 // Machine is one simulated ccNUMA multiprocessor. It is not safe to share
 // a Machine between concurrently running teams.
 type Machine struct {
@@ -129,7 +133,8 @@ type Machine struct {
 	// owner's repeated stores stay free as in the M state. This is what
 	// produces the paper's sustained memory traffic in iterative codes —
 	// without it, steady-state stencil sweeps would run entirely from
-	// private caches and page placement would stop mattering.
+	// private caches and page placement would stop mattering. Versions
+	// count modulo versionLimit.
 	cohShift  uint
 	lineState []uint32
 
@@ -891,8 +896,9 @@ func (c *CPU) coherence(unit uint64, write bool) (ver, newVer uint32) {
 	case word&0x1ff == me:
 		return ver, ver // exclusive owner
 	}
-	*p = (ver+1)<<9 | me
-	return ver, ver + 1
+	newVer = (ver + 1) & (versionLimit - 1)
+	*p = newVer<<9 | me
+	return ver, newVer
 }
 
 // FlushCaches empties the CPU's caches and TLB (used by tests and by the

@@ -145,6 +145,28 @@ func TestTouchUpdatesCountersOnL2MissOnly(t *testing.T) {
 	}
 }
 
+// TestCoherenceVersionWrap: a store that bumps a unit's version past the
+// top of its 23-bit field wraps it to 0 in the directory and in the
+// storing CPU's refreshed copy alike, so that CPU's next load hits L1.
+func TestCoherenceVersionWrap(t *testing.T) {
+	m := defMachine(t)
+	a := m.NewArray("x", 64)
+	addr := a.Addr(0)
+	m.CPU(0).Store(addr)
+	u := addr >> m.cohShift
+	m.lineState[u] = (versionLimit-1)<<9 | m.lineState[u]&0x1ff
+	c := m.CPU(1)
+	c.Store(addr)
+	if v := m.lineState[u] >> 9; v != 0 {
+		t.Fatalf("version after the bump = %d, want 0", v)
+	}
+	h, _, _, _ := c.CacheStats()
+	c.Load(addr)
+	if h2, _, _, _ := c.CacheStats(); h2 != h+1 {
+		t.Error("the storing CPU's load after the wrap missed L1")
+	}
+}
+
 func TestStatsLocalVsRemote(t *testing.T) {
 	m := defMachine(t)
 	a := m.NewArray("x", 2048*4)

@@ -27,10 +27,6 @@ const maxRepeatPeriod = 8
 // minRepeatSteps, then cannot pass (b) with a period q does not divide.
 const minRepeatSteps = 4
 
-// versionLimit is one past the largest version the directory word's
-// 23-bit version field holds.
-const versionLimit = 1 << 23
-
 // callMark is the recorder's position at the end of one kernel call.
 type callMark struct {
 	pos   []int        // every CPU log's length
@@ -72,10 +68,10 @@ type repeatState struct {
 // On firing it appends copies of the last p calls' records, cyclically,
 // for the remaining calls, detaches the recorder from its machine and
 // returns p: by determinism the log is byte-identical to one recorded by
-// simulating those calls. Tail then positions a replay at the copies.
-// It returns 0 when it does not fire.
+// simulating those calls. It returns 0 when it does not fire, and always
+// once the recorder has declined or been detached.
 func (r *Recorder) Repeat(restart bool, remaining int) int {
-	if r.declined != "" || r.tail != nil {
+	if r.declined != "" || r.m.rec != r {
 		return 0
 	}
 	if r.m.l1Shift > r.m.cohShift {
@@ -141,16 +137,6 @@ func (r *Recorder) echoes(j int) bool {
 
 // Blocked returns why a repeat Repeat found could not be used, or "".
 func (r *Recorder) Blocked() string { return r.blocked }
-
-// Tail returns, once Repeat has fired, the stream and a reader positioned
-// at the first copied call's records, with op the index of that call's
-// first step in the stream's Ops. Before that it returns nils.
-func (r *Recorder) Tail() (s *Stream, rd *StreamReader, op int) {
-	if r.tail == nil {
-		return nil, nil, 0
-	}
-	return r.tail.s, r.tail, r.tailOp
-}
 
 // mark returns the recorder's current position.
 func (r *Recorder) mark() callMark {
@@ -294,14 +280,11 @@ func (r *Recorder) versionsFit(j, p, remaining int) bool {
 }
 
 // materialise appends the records of the remaining calls, copied
-// cyclically from the last p, positions the tail reader at them and
-// stops recording.
+// cyclically from the last p, and stops recording.
 func (r *Recorder) materialise(j, p, remaining int) {
 	from, to := r.marks[j-p], r.marks[j]
 	full, part := remaining/p, remaining%p
 	cut := r.marks[j-p+part]
-	s := &Stream{logs: make([][]byte, len(r.logs))}
-	rd := &StreamReader{s: s, pos: make([]int, len(r.logs)), vpn: make([]uint64, len(r.logs))}
 	for c := range r.logs {
 		l := &r.logs[c]
 		block := l.buf[from.pos[c]:to.pos[c]]
@@ -309,9 +292,7 @@ func (r *Recorder) materialise(j, p, remaining int) {
 		for range full {
 			buf = append(buf, block...)
 		}
-		buf = append(buf, block[:cut.pos[c]-from.pos[c]]...)
-		rd.pos[c], rd.vpn[c] = len(l.buf), l.vpn
-		l.buf, s.logs[c] = buf, buf
+		l.buf = append(buf, block[:cut.pos[c]-from.pos[c]]...)
 	}
 	block := r.ops[from.ops:to.ops]
 	ops := slices.Grow(r.ops, full*len(block)+cut.ops-from.ops)
@@ -319,8 +300,6 @@ func (r *Recorder) materialise(j, p, remaining int) {
 		ops = append(ops, block...)
 	}
 	r.ops = append(ops, block[:cut.ops-from.ops]...)
-	s.Ops = r.ops
-	r.tail, r.tailOp = rd, to.ops
 	r.marks, r.spare = nil, nil
 	r.m.rec = nil
 }

@@ -73,8 +73,6 @@ type Recorder struct {
 	marks   []callMark
 	spare   *repeatState
 	blocked string
-	tail    *StreamReader // set once Repeat fired
-	tailOp  int
 }
 
 // cpuLog is one CPU's log and its baseline: the state at its previous

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"upmgo/internal/machine"
 	"upmgo/internal/nas"
 	"upmgo/internal/nas/bt"
 	"upmgo/internal/nas/cg"
@@ -12,12 +13,14 @@ import (
 	"upmgo/internal/nas/ft"
 	"upmgo/internal/nas/mg"
 	"upmgo/internal/nas/sp"
+	"upmgo/internal/omp"
+	"upmgo/internal/vm"
 )
 
-// compressedMatchesFull records cfg twice, compressed and simulating
-// every step, and requires the same per-CPU log bytes and Ops, and a
-// Result equal to Run's of the canonical cell. It returns the compressed
-// stream.
+// compressedMatchesFull records cfg, a canonical stream cell, twice,
+// compressed and simulating every step, and requires the same per-CPU
+// log bytes and Ops, and a replay of cfg equal to Run's. It returns the
+// compressed stream.
 func compressedMatchesFull(t *testing.T, build nas.Builder, cfg nas.Config) *nas.Stream {
 	t.Helper()
 	s := record(t, build, cfg)
@@ -32,14 +35,15 @@ func compressedMatchesFull(t *testing.T, build nas.Builder, cfg nas.Config) *nas
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := nas.Diverge(want, s.Result); d != "" {
-		t.Errorf("compressed recording's Result diverges from Run at %s (%v)", d, s.Compression)
+	got, err := s.Replay(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, s.Result) {
-		t.Errorf("compressed recording's Result is not DeepEqual to Run's (%v)", s.Compression)
+	if d := nas.Diverge(want, got); d != "" {
+		t.Errorf("replay of the compressed recording diverges from Run at %s (%v)", d, s.Compression)
 	}
-	if !reflect.DeepEqual(full.Result, s.Result) {
-		t.Errorf("compressed and full recordings' Results differ (%v)", s.Compression)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("replay of the compressed recording is not DeepEqual to Run (%v)", s.Compression)
 	}
 	return s
 }
@@ -47,7 +51,7 @@ func compressedMatchesFull(t *testing.T, build nas.Builder, cfg nas.Config) *nas
 // TestCompressedStreamMatchesFull is the compression contract: for every
 // benchmark the sweeps record, on the default machine and on hier64, at
 // full and single-thread width, a compressed recording's log is
-// byte-identical to the full recording's and its Result is Run's. BT and
+// byte-identical to the full recording's and its replay is Run's. BT and
 // SP must actually compress, so the test cannot pass vacuously.
 func TestCompressedStreamMatchesFull(t *testing.T) {
 	type bench struct {
@@ -144,5 +148,46 @@ func TestCompressionReasons(t *testing.T) {
 	s = compressedMatchesFull(t, ep.New, nas.Config{Class: nas.ClassS, Iterations: 6})
 	if c := s.Compression; c.At != 0 || c.Why != nas.WhyVarying {
 		t.Errorf("EP: compression %+v, want none with why %q", c, nas.WhyVarying)
+	}
+}
+
+// countingKernel counts the timed Steps its numerics take, and its
+// Verify always fails, naming that count.
+type countingKernel struct {
+	nas.Kernel
+	steps int
+}
+
+func (k *countingKernel) Step(t *omp.Team, h *nas.Hooks) {
+	k.steps++
+	k.Kernel.Step(t, h)
+}
+
+func (k *countingKernel) Reinit() {
+	k.steps = 0
+	k.Kernel.Reinit()
+}
+
+func (k *countingKernel) Verify() error { return fmt.Errorf("ran %d steps", k.steps) }
+
+// TestCompressedRecordingVerdict: after its repeat the recording still
+// advances the kernel's numerics through every timed step, and every
+// replay reports the recording's verdict, a failing one included.
+func TestCompressedRecordingVerdict(t *testing.T) {
+	build := func(m *machine.Machine, class nas.Class, scale int, seed uint64) nas.Kernel {
+		return &countingKernel{Kernel: synthBuilder(0, 0)(m, class, scale, seed)}
+	}
+	cfg := nas.Config{Class: nas.ClassS, Threads: 2, Iterations: 12}
+	s := compressedMatchesFull(t, build, cfg)
+	if s.Compression.At == 0 {
+		t.Fatalf("recording never compressed: %v", s.Compression)
+	}
+	cfg.Placement = vm.WorstCase
+	got, err := s.Replay(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.VerifyErr == nil || got.VerifyErr.Error() != "ran 12 steps" {
+		t.Errorf("replay's verdict %v, want the recording's %q", got.VerifyErr, "ran 12 steps")
 	}
 }

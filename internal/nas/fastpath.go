@@ -128,8 +128,8 @@ type HostStages struct {
 	// StoreProbe: looking the cell up in the on-disk result store
 	// (charged by exp.Cache, not by the run itself).
 	StoreProbe time.Duration `json:"store_probe,omitempty"`
-	// Record: waiting for the benchmark's shared L2-miss stream
-	// recording (charged by exp).
+	// Record: recording the benchmark's shared L2-miss stream, or
+	// waiting for it (charged by exp).
 	Record time.Duration `json:"record,omitempty"`
 	// Prefix: the engine-independent cold start (machine build, init
 	// touch, cold iteration, reset).

@@ -49,12 +49,10 @@ func (c Config) streamCell() Config {
 }
 
 // Stream is one benchmark's recorded L2-miss stream, or the reason it
-// could not be recorded. It is immutable once built, so concurrent
-// replays may share it.
+// could not be recorded. It answers no cell itself: every cell of the
+// stream, its canonical cell included, replays it. It is immutable once
+// built, so concurrent replays may share it.
 type Stream struct {
-	// Result is the recording's own result: the canonical cell's,
-	// bit-identical to Run of that cell.
-	Result Result
 	// Declined, when non-empty, names the construct that made the run
 	// unreplayable (an EventSet, a critical section, a dynamic schedule
 	// or write tracking); such a stream holds no log.
@@ -64,6 +62,7 @@ type Stream struct {
 	Compression Compression
 
 	key       string // Fingerprint of the canonical cell
+	verifyErr error  // the numerics' verdict, which every replay reports
 	log       *machine.Stream
 	name      string
 	iters     int
@@ -76,8 +75,8 @@ type Stream struct {
 // cache-side state at the end of a timed step repeats that of Period
 // steps earlier, the recorder copies the last period's log for the
 // remaining steps, and the recording runs them without simulating a
-// cache: the kernel's numerics in free-run mode and the copied log
-// replayed on the recording's own machine.
+// cache, advancing only the kernel's numerics in free-run mode for the
+// verify verdict.
 type Compression struct {
 	// Steps is the number of timed steps the recording ran.
 	Steps int `json:"steps"`
@@ -119,11 +118,11 @@ func (c Compression) String() string {
 }
 
 // RecordStream runs cfg's canonical stream cell with a recorder attached
-// and returns the stream. cfg must have a stream fingerprint. When cfg
-// is the canonical cell itself, its HostStages sink receives the
-// recording's stages, since the recording is that cell's run. The
-// recording simulates the caches only until their state repeats (see
-// Compression); its log and Result are those of a full simulation.
+// and returns the stream: its log, its Compression, the numerics' verify
+// verdict and, when the recording declined, the reason. cfg must have a
+// stream fingerprint; its HostStages sink is not charged. The recording
+// simulates the caches only until their state repeats (see Compression);
+// its log is that of a full simulation.
 func RecordStream(build Builder, cfg Config) (*Stream, error) {
 	return recordStream(build, cfg, true)
 }
@@ -135,13 +134,12 @@ func recordStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 		return nil, fmt.Errorf("nas: config without a stream fingerprint (traced, sampled or tweaked) cannot be recorded")
 	}
 	s := &Stream{}
-	own, _ := cfg.Fingerprint()
 	cfg = cfg.streamCell()
+	cfg.HostStages = nil
 	s.key, _ = cfg.Fingerprint()
-	if own != s.key {
-		cfg.HostStages = nil
-	}
 	var k *recordingKernel
+	// Run drives the recording; its Result is not a cell's, since the
+	// steps after a repeat or a decline simulate nothing.
 	res, err := Run(func(m *machine.Machine, class Class, scale int, seed uint64) Kernel {
 		k = &recordingKernel{Kernel: build(m, class, scale, seed), m: m,
 			perturbAt: cfg.PerturbAt, skipVerify: cfg.SkipVerify, compress: compress}
@@ -161,7 +159,6 @@ func recordStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.Result = res
 	switch c := &s.Compression; {
 	case c.At > 0:
 	case k.rec.Declined() != "":
@@ -181,6 +178,7 @@ func recordStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 	if s.log, err = k.rec.Finish(); err != nil {
 		return nil, err
 	}
+	s.verifyErr = res.VerifyErr
 	s.name, s.iters, s.hasPhase, s.hot = k.Name(), k.DefaultIterations(), k.HasPhase(), k.HotPages()
 	return s, nil
 }
@@ -191,13 +189,6 @@ func (s *Stream) Bytes() int {
 		return 0
 	}
 	return s.log.Bytes()
-}
-
-// Recorded reports whether cfg is the stream's canonical cell, the one
-// Result already answers.
-func (s *Stream) Recorded(cfg Config) bool {
-	fp, ok := cfg.Fingerprint()
-	return ok && fp == s.key
 }
 
 // Replay runs cfg against the stream: Run with a kernel that replays the
@@ -219,15 +210,15 @@ func (s *Stream) build(m *machine.Machine, _ Class, _ int, _ uint64) Kernel {
 	if s.heapPages > 0 {
 		m.Alloc(int(s.heapPages << m.PageShift()))
 	}
-	return &replayKernel{s: s, streamCursor: streamCursor{m: m, ops: s.log.Ops, rd: s.log.NewReader()}}
+	return &replayKernel{s: s, m: m, rd: s.log.NewReader()}
 }
 
 // recordingKernel marks the end of every InitTouch and Step call in the
 // stream, so the replay kernel knows where each call's steps stop. With
 // compress set it also asks the recorder, at the end of every Step,
 // whether the cache-side state repeats. Once it does, each remaining
-// Step advances the real kernel's numerics in free-run mode and replays
-// the step's copied log on the recording's own machine.
+// Step only advances the real kernel's numerics in free-run mode, for
+// the verify verdict; once the recorder declines, each does nothing.
 type recordingKernel struct {
 	Kernel
 	m          *machine.Machine
@@ -236,8 +227,7 @@ type recordingKernel struct {
 	perturbAt  int
 	skipVerify bool
 	compress   bool
-	calls      int           // Step calls so far, the cold start's included
-	tail       *streamCursor // the copied log, once the state repeated
+	calls      int // Step calls so far, the cold start's included
 }
 
 func (k *recordingKernel) InitTouch(t *omp.Team) {
@@ -246,13 +236,15 @@ func (k *recordingKernel) InitTouch(t *omp.Team) {
 }
 
 func (k *recordingKernel) Step(t *omp.Team, h *Hooks) {
-	if k.tail != nil {
+	switch {
+	case k.rec.Declined() != "":
+		return
+	case k.comp.At > 0:
 		if !k.skipVerify {
 			k.m.SetFreeRun(true)
 			k.Kernel.Step(t, &Hooks{})
 			k.m.SetFreeRun(false)
 		}
-		k.tail.replay(t, h)
 		return
 	}
 	k.Kernel.Step(t, h)
@@ -268,8 +260,6 @@ func (k *recordingKernel) Step(t *omp.Team, h *Hooks) {
 	}
 	if p := k.rec.Repeat(step == 0 || step == k.perturbAt, k.comp.Steps-step); p > 0 {
 		k.comp.At, k.comp.Period = step, p
-		s, rd, op := k.rec.Tail()
-		k.tail = &streamCursor{m: k.m, ops: s.Ops, rd: rd, op: op}
 	}
 }
 
@@ -281,10 +271,13 @@ func (k *recordingKernel) mark() {
 
 // replayKernel re-issues a recorded run's structure — regions,
 // barriers, serial sections and phase hooks — feeding every CPU its
-// logged charges and misses.
+// logged charges and misses. op is the next structural step and rd,
+// each CPU log's next record.
 type replayKernel struct {
-	s *Stream
-	streamCursor
+	s  *Stream
+	m  *machine.Machine
+	rd *machine.StreamReader
+	op int
 }
 
 func (k *replayKernel) Name() string           { return k.s.name }
@@ -297,7 +290,7 @@ func (k *replayKernel) Reinit() {}
 
 // Verify returns the recording's verdict: the numerics do not depend on
 // placement, engines or extrapolation.
-func (k *replayKernel) Verify() error { return k.s.Result.VerifyErr }
+func (k *replayKernel) Verify() error { return k.s.verifyErr }
 
 func (k *replayKernel) InitTouch(t *omp.Team) { k.replay(t, nil) }
 
@@ -310,24 +303,15 @@ func (k *replayKernel) Step(t *omp.Team, h *Hooks) {
 	}
 }
 
-// streamCursor is one replay's position in a recorded stream: the next
-// structural step and, through rd, each CPU log's next record.
-type streamCursor struct {
-	m   *machine.Machine
-	ops []machine.Op
-	rd  *machine.StreamReader
-	op  int
-}
-
 // replay runs the recorded steps up to the end of the current kernel
 // call.
-func (k *streamCursor) replay(t *omp.Team, h *Hooks) {
+func (k *replayKernel) replay(t *omp.Team, h *Hooks) {
 	if k.m.PT.WriteTracking() {
 		// Stores that hit in a cache are not in the log.
 		panic("nas: stream replay cannot track writes")
 	}
 	for {
-		op := k.ops[k.op]
+		op := k.s.log.Ops[k.op]
 		k.op++
 		switch op.Kind {
 		case machine.OpReturn:
@@ -346,7 +330,7 @@ func (k *streamCursor) replay(t *omp.Team, h *Hooks) {
 }
 
 // member replays one thread's share of a region.
-func (k *streamCursor) member(tr *omp.Thread) {
+func (k *replayKernel) member(tr *omp.Thread) {
 	for k.rd.Replay(tr.CPU) {
 		tr.Barrier()
 	}

@@ -192,7 +192,7 @@ func TestReplayShapes(t *testing.T) {
 
 // TestRecordStreamDeclines: LU's pipelined sweeps synchronise through an
 // EventSet, whose hand-off the replay cannot reproduce, so the recording
-// declines with that reason — and its own Result is still the full run.
+// declines with that reason and holds nothing to replay.
 func TestRecordStreamDeclines(t *testing.T) {
 	cfg := nas.Config{Class: nas.ClassS}
 	s, err := nas.RecordStream(lu.New, cfg)
@@ -202,14 +202,44 @@ func TestRecordStreamDeclines(t *testing.T) {
 	if s.Declined != "EventSet" {
 		t.Fatalf("Declined = %q, want EventSet", s.Declined)
 	}
-	want, err := nas.Run(lu.New, cfg)
+	if _, err := s.Replay(cfg); err == nil {
+		t.Error("replaying a declined stream succeeded")
+	}
+}
+
+// decliningKernel counts its Step calls and declines the recording at
+// the end of call declineAt (call 0 is the cold start).
+type decliningKernel struct {
+	nas.Kernel
+	m         *machine.Machine
+	declineAt int
+	calls     *int
+}
+
+func (k decliningKernel) Step(t *omp.Team, h *nas.Hooks) {
+	k.Kernel.Step(t, h)
+	if *k.calls == k.declineAt {
+		k.m.Recorder().Decline("synthetic")
+	}
+	*k.calls++
+}
+
+// TestRecordStreamDeclinedStopsStepping: once the recorder declines, the
+// recording has nothing left to record, so it calls the kernel's Step no
+// more.
+func TestRecordStreamDeclinedStopsStepping(t *testing.T) {
+	calls := 0
+	build := func(m *machine.Machine, class nas.Class, scale int, seed uint64) nas.Kernel {
+		return decliningKernel{synthBuilder(0, 0)(m, class, scale, seed), m, 3, &calls}
+	}
+	s, err := nas.RecordStream(build, nas.Config{Class: nas.ClassS, Threads: 2, Iterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := nas.Diverge(want, s.Result); d != "" {
-		t.Errorf("declined recording's Result diverges from Run at %s", d)
+	if s.Declined != "synthetic" {
+		t.Fatalf("Declined = %q, want synthetic", s.Declined)
 	}
-	if _, err := s.Replay(cfg); err == nil {
-		t.Error("replaying a declined stream succeeded")
+	if calls != 4 {
+		t.Errorf("the kernel's Step ran %d times, want 4: the cold start and timed steps 1 to 3", calls)
 	}
 }
