@@ -232,7 +232,7 @@ func TestRunReportReplay(t *testing.T) {
 			Stages:  upmgo.CellStageSeconds{Record: 0.3, TimedLoop: 0.1}},
 		{Bench: "BT", Label: "ft-IRIX", Class: "W", Source: upmgo.CellSourceSimulated,
 			Kind: upmgo.FastPathFullSim, HostSeconds: 0.3, VirtualSeconds: 30,
-			Recording: &upmgo.StreamCompression{Steps: 15, At: 4, Period: 1},
+			Recording: &upmgo.StreamCompression{Steps: 15, At: 4},
 			Stages:    upmgo.CellStageSeconds{Prefix: 0.05, TimedLoop: 0.25}},
 		{Bench: "LU", Label: "wc-IRIX", Class: "W", Source: upmgo.CellSourceSimulated,
 			Kind: upmgo.FastPathFullSim, HostSeconds: 0.2, VirtualSeconds: 10,
@@ -258,7 +258,7 @@ func TestRunReportReplay(t *testing.T) {
 		"1. BT  rr-IRIX",
 		"@0123456789abcdef",
 		"@fedcba9876543210 replay declined: EventSet",
-		"Miss-stream recordings:\n  BT  ft-IRIX        classW  simulated 4 of 15 timed steps (repeat at step 4, period 1)",
+		"Miss-stream recordings:\n  BT  ft-IRIX        classW  simulated 4 of 15 timed steps (repeat at step 4)",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report lacks %q:\n%s", want, text)

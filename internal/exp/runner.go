@@ -154,7 +154,7 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 	next := make(chan int)
 	go func() {
 		defer close(next)
-		for i := range specs {
+		for _, i := range r.dispatchOrder(specs) {
 			select {
 			case next <- i:
 			case <-cctx.Done():
@@ -210,6 +210,25 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 		}
 	}
 	return cells, nil
+}
+
+// dispatchOrder returns the order in which the workers take specs. With
+// a Cache, each stream's first cell leads, so every recording starts as
+// early as it can and no worker waits on one while cells of another
+// stream are queued; the rest follow in presentation order.
+func (r Runner) dispatchOrder(specs []CellSpec) []int {
+	var order, rest []int
+	seen := map[string]bool{}
+	for i, spec := range specs {
+		skey, ok := spec.Config.StreamFingerprint()
+		if key := spec.Bench + "\x00" + skey; r.Cache != nil && ok && !seen[key] {
+			seen[key] = true
+			order = append(order, i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	return append(order, rest...)
 }
 
 // runCell executes or recalls one cell. A memoizable cell replays the

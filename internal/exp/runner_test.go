@@ -284,3 +284,36 @@ func TestRunnerJobsEquivalenceFullWidth(t *testing.T) {
 		t.Error("full-width Figure4 cells differ between -jobs 1 and -jobs 4")
 	}
 }
+
+// TestRunnerStartsRecordingsFirst: with a Cache, the feeder hands out
+// each stream's first cell before every other cell, so no worker waits
+// on one recording while another stream's cells are queued. At Jobs 1
+// the start events follow dispatch order: BT's first cell, CG's, then
+// the rest in presentation order, which the results keep.
+func TestRunnerStartsRecordingsFirst(t *testing.T) {
+	specs := Figure1Specs(SweepOptions{Class: nas.ClassS, Benches: []string{"BT", "CG"}, Seed: 42})
+	var started []int
+	r := Runner{Jobs: 1, Cache: NewCache(), OnEvent: func(ev Event) {
+		if !ev.Done {
+			started = append(started, ev.Index)
+		}
+	}}
+	cells, err := r.Cells(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 8}
+	for i := range specs {
+		if i != 0 && i != 8 {
+			want = append(want, i)
+		}
+	}
+	if !reflect.DeepEqual(started, want) {
+		t.Errorf("cells started in order %v, want %v", started, want)
+	}
+	for i, c := range cells {
+		if c.Bench != specs[i].Bench || c.Label != specs[i].Config.Label() {
+			t.Errorf("cell %d is %s %s, want %s %s", i, c.Bench, c.Label, specs[i].Bench, specs[i].Config.Label())
+		}
+	}
+}

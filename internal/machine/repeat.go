@@ -14,25 +14,19 @@ import (
 // each cached line is still valid against the directory, the
 // directory's writer and shared bits, and each log's last page (the
 // base of its next Δvpn). Repeat compares that state at the end of
-// every kernel call with its value up to maxRepeatPeriod calls earlier;
-// once it provably repeats, the rest of the log is copied from the last
-// period instead of simulated.
+// every kernel call with its value at the end of the call before; once
+// it provably repeats, the rest of the log is copied from the last call
+// instead of simulated.
 
-// maxRepeatPeriod is the longest period Repeat looks for.
-const maxRepeatPeriod = 8
-
-// minRepeatSteps is the shortest span of calls condition (b) compares:
-// a window of at least 2p and at least this many calls. A kernel that
-// breaks the Kernel contract by charging extra every q-th call, q up to
-// minRepeatSteps, then cannot pass (b) with a period q does not divide.
+// minRepeatSteps is the number of calls condition (b) compares. A
+// kernel that breaks the Kernel contract by charging extra every q-th
+// call, q up to minRepeatSteps, then cannot pass (b).
 const minRepeatSteps = 4
 
 // callMark is the recorder's position at the end of one kernel call.
 type callMark struct {
-	pos   []int        // every CPU log's length
-	ops   int          // len(Ops)
-	hash  uint64       // of the call's cache-side state; 0 at a history's first mark
-	state *repeatState // nil once no later call can be compared with it
+	pos []int // every CPU log's length
+	ops int   // len(Ops)
 }
 
 // repeatState is the canonical cache-side state at a callMark.
@@ -43,75 +37,67 @@ type repeatState struct {
 }
 
 // Repeat ends one kernel call for repeat detection; call it right after
-// Mark(OpReturn). restart starts a new history at this call, so later
-// calls are compared only with calls after it: the driver restarts at
-// the end of the untimed cold start, and where it rebinds the team.
-// remaining is the number of kernel calls still to come.
+// Mark(OpReturn). The first call a recorder sees starts its history:
+// the driver makes it at the end of the untimed cold start. remaining is
+// the number of kernel calls still to come.
 //
-// Repeat fires for the smallest period p ≤ maxRepeatPeriod for which,
-// inside the history,
+// Repeat fires when
 //
-//   - (a) the cache-side state now equals the state p calls ago: equal
-//     cache tags in recency order, each resident line valid (its version
-//     equals its unit's) or stale alike, equal writer and shared bits of
-//     every directory word over the heap, and equal last vpns. A hash
-//     picks the candidates; the decision is a full comparison;
-//   - (b) over the last max(2p, minRepeatSteps) calls, each call
-//     appended the same log bytes and Ops as the call p before it,
-//     which catches kernels whose charges depend on the call index
-//     rather than on machine state;
+//   - (a) the cache-side state now equals the state at the end of the
+//     call before: equal cache tags in recency order, each resident line
+//     valid (its version equals its unit's) or stale alike, equal writer
+//     and shared bits of every directory word over the heap, and equal
+//     last vpns;
+//   - (b) the last minRepeatSteps calls appended identical log bytes
+//     and Ops, which catches kernels whose charges depend on the call
+//     index rather than on machine state;
 //   - and versions keep growing: no cached line is ahead of its unit's
 //     version, and no unit's version can outgrow its 23-bit field in
-//     the remaining calls, each gaining per period what it gained in
-//     the last.
+//     the remaining calls, each gaining what it gained in the last.
 //
-// On firing it appends copies of the last p calls' records, cyclically,
-// for the remaining calls, detaches the recorder from its machine and
-// returns p: by determinism the log is byte-identical to one recorded by
-// simulating those calls. It returns 0 when it does not fire, and always
-// once the recorder has declined or been detached.
-func (r *Recorder) Repeat(restart bool, remaining int) int {
-	if r.declined != "" || r.m.rec != r {
-		return 0
+// On firing it appends remaining copies of the last call's records,
+// detaches the recorder from its machine and returns true: by
+// determinism the log is byte-identical to one recorded by simulating
+// those calls. It returns false when it does not fire, and always once
+// the recorder has declined or been detached.
+func (r *Recorder) Repeat(remaining int) bool {
+	if r.declined != "" || r.m.rec != r || remaining <= 0 {
+		return false
 	}
 	if r.m.l1Shift > r.m.cohShift {
 		// An L1 line would span several units, and one valid bit could
 		// not say against which of them it is valid.
 		r.blocked = "L1 lines wider than a coherence unit"
-		return 0
+		return false
 	}
-	if restart || len(r.marks) == 0 {
-		r.marks = append(r.marks[:0], r.mark())
-		return 0
-	}
-	if remaining <= 0 {
-		return 0
+	if len(r.marks) > minRepeatSteps {
+		r.marks = append(r.marks[:0], r.marks[1:]...)
 	}
 	r.marks = append(r.marks, r.mark())
 	j := len(r.marks) - 1
+	prev := r.last
+	r.last = nil
 	// A state is built only where it can serve: some call from this one
-	// on can still fire, and this call's records echo one of the calls
-	// before it, as (b) requires of every call it compares.
-	if j+remaining-1 >= minRepeatSteps && r.echoes(j) {
-		st := r.state()
-		h := st.hash()
-		r.marks[j].state, r.marks[j].hash = st, h
-		for p := 1; p <= maxRepeatPeriod && j-max(2*p, minRepeatSteps) >= 0; p++ {
-			if old := r.marks[j-p]; old.state != nil && old.hash == h &&
-				r.repeats(j, p) && r.versionsFit(j, p, remaining) {
-				r.materialise(j, p, remaining)
-				return p
-			}
+	// on can still fire, and this call appended what the one before it
+	// did, as (b) requires of every call it compares.
+	if j >= 2 && j+remaining-1 >= minRepeatSteps && r.sameCalls(j, 1) {
+		r.last = r.state()
+		if j == minRepeatSteps && prev != nil && r.sameCalls(j, minRepeatSteps-1) &&
+			r.last.equal(prev) && r.versionsFit(prev, remaining) {
+			r.materialise(remaining)
+			return true
 		}
 	}
-	r.trim()
-	return 0
+	if prev != nil {
+		r.spare = prev
+	}
+	return false
 }
 
-// sameCalls reports whether the n calls ending at mark i appended the
-// same log bytes and Ops as the n calls ending at mark k.
-func (r *Recorder) sameCalls(i, k, n int) bool {
-	a0, a1, b0, b1 := r.marks[i-n], r.marks[i], r.marks[k-n], r.marks[k]
+// sameCalls reports whether the n calls ending at mark j appended the
+// same log bytes and Ops as the n calls ending one call earlier.
+func (r *Recorder) sameCalls(j, n int) bool {
+	a0, a1, b0, b1 := r.marks[j-n], r.marks[j], r.marks[j-n-1], r.marks[j-1]
 	if !slices.Equal(r.ops[a0.ops:a1.ops], r.ops[b0.ops:b1.ops]) {
 		return false
 	}
@@ -124,17 +110,6 @@ func (r *Recorder) sameCalls(i, k, n int) bool {
 	return true
 }
 
-// echoes reports whether call j appended what one of the
-// maxRepeatPeriod calls before it did.
-func (r *Recorder) echoes(j int) bool {
-	for q := 1; q <= maxRepeatPeriod && j-q >= 1; q++ {
-		if r.sameCalls(j, j-q, 1) {
-			return true
-		}
-	}
-	return false
-}
-
 // Blocked returns why a repeat Repeat found could not be used, or "".
 func (r *Recorder) Blocked() string { return r.blocked }
 
@@ -145,33 +120,6 @@ func (r *Recorder) mark() callMark {
 		pos[i] = len(r.logs[i].buf)
 	}
 	return callMark{pos: pos, ops: len(r.ops)}
-}
-
-// trim keeps what later calls can compare with: 2·maxRepeatPeriod+1
-// positions, and the states of the newest call and of the calls whose
-// hash matched one at least two calls before them, the candidates for a
-// period above one. (A cycle of period p that starts later is found p
-// calls later.) A dropped state's buffers are reused for the next one.
-func (r *Recorder) trim() {
-	j := len(r.marks) - 1
-	drop := func(i int) {
-		if i >= 0 && r.marks[i].state != nil {
-			r.spare, r.marks[i].state = r.marks[i].state, nil
-		}
-	}
-	drop(j - maxRepeatPeriod)
-	if prev := j - 1; prev >= 0 {
-		candidate := false
-		for k := max(prev-maxRepeatPeriod, 0); k <= prev-2; k++ {
-			candidate = candidate || r.marks[k].hash == r.marks[prev].hash
-		}
-		if !candidate {
-			drop(prev)
-		}
-	}
-	if len(r.marks) > 2*maxRepeatPeriod+1 {
-		r.marks = append(r.marks[:0], r.marks[1:]...)
-	}
 }
 
 // state builds the canonical cache-side state of the machine now.
@@ -220,29 +168,6 @@ func (r *Recorder) state() *repeatState {
 	return st
 }
 
-// hash is FNV-1a over the state's words and the writer and shared bits
-// of its directory words: what (a) compares.
-func (st *repeatState) hash() uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range st.words {
-		h = (h ^ v) * 1099511628211
-	}
-	for _, v := range st.dir {
-		h = (h ^ uint64(v&0x1ff)) * 1099511628211
-	}
-	return h
-}
-
-// repeats reports whether conditions (a) and (b) hold at mark j for
-// period p.
-func (r *Recorder) repeats(j, p int) bool {
-	a, b := r.marks[j].state, r.marks[j-p].state
-	// The window of the last max(2p, minRepeatSteps) calls is
-	// p-periodic when its calls after the first p equal its calls
-	// before the last p.
-	return r.sameCalls(j, j-p, max(2*p, minRepeatSteps)-p) && a.equal(b)
-}
-
 // equal is condition (a): the full comparison of two states.
 func (a *repeatState) equal(b *repeatState) bool {
 	if len(a.dir) != len(b.dir) || !slices.Equal(a.words, b.words) {
@@ -256,22 +181,20 @@ func (a *repeatState) equal(b *repeatState) bool {
 	return true
 }
 
-// versionsFit reports whether versions keep growing: no cached line is
-// ahead of its unit, so none wrapped so far, and every unit's version
-// stays inside its field over the remaining calls, when each period
-// adds to it what the last one did. Valid-or-stale stands in for a
-// version only while versions grow; a wrapped one could make a stale
-// copy valid again.
-func (r *Recorder) versionsFit(j, p, remaining int) bool {
-	if r.marks[j].state.ahead {
+// versionsFit reports whether versions keep growing from prev, the
+// previous call's state, to the newest: no cached line is ahead of its
+// unit, so none wrapped so far, and every unit's version stays inside
+// its field over the remaining calls, when each call adds to it what
+// the last one did. Valid-or-stale stands in for a version only while
+// versions grow; a wrapped one could make a stale copy valid again.
+func (r *Recorder) versionsFit(prev *repeatState, remaining int) bool {
+	if r.last.ahead {
 		r.blocked = "directory versions wrapped"
 		return false
 	}
-	a, b := r.marks[j].state.dir, r.marks[j-p].state.dir
-	cycles := uint64((remaining + p - 1) / p)
-	for i, w := range a {
-		v, dv := uint64(w>>9), uint64(w>>9-b[i]>>9)
-		if v+dv*cycles >= versionLimit {
+	for i, w := range r.last.dir {
+		v, dv := uint64(w>>9), uint64(w>>9-prev.dir[i]>>9)
+		if v+dv*uint64(remaining) >= versionLimit {
 			r.blocked = "directory versions would wrap"
 			return false
 		}
@@ -279,27 +202,25 @@ func (r *Recorder) versionsFit(j, p, remaining int) bool {
 	return true
 }
 
-// materialise appends the records of the remaining calls, copied
-// cyclically from the last p, and stops recording.
-func (r *Recorder) materialise(j, p, remaining int) {
-	from, to := r.marks[j-p], r.marks[j]
-	full, part := remaining/p, remaining%p
-	cut := r.marks[j-p+part]
+// materialise appends remaining copies of the last call's records and
+// stops recording.
+func (r *Recorder) materialise(remaining int) {
+	from, to := r.marks[len(r.marks)-2], r.marks[len(r.marks)-1]
 	for c := range r.logs {
 		l := &r.logs[c]
 		block := l.buf[from.pos[c]:to.pos[c]]
-		buf := slices.Grow(l.buf, full*len(block)+cut.pos[c]-from.pos[c])
-		for range full {
+		buf := slices.Grow(l.buf, remaining*len(block))
+		for range remaining {
 			buf = append(buf, block...)
 		}
-		l.buf = append(buf, block[:cut.pos[c]-from.pos[c]]...)
+		l.buf = buf
 	}
 	block := r.ops[from.ops:to.ops]
-	ops := slices.Grow(r.ops, full*len(block)+cut.ops-from.ops)
-	for range full {
+	ops := slices.Grow(r.ops, remaining*len(block))
+	for range remaining {
 		ops = append(ops, block...)
 	}
-	r.ops = append(ops, block[:cut.ops-from.ops]...)
-	r.marks, r.spare = nil, nil
+	r.ops = ops
+	r.marks, r.last, r.spare = nil, nil, nil
 	r.m.rec = nil
 }

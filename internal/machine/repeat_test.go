@@ -19,10 +19,11 @@ func repeatCall(m *Machine, a *Array, write bool) {
 	m.Recorder().Mark(OpReturn, nil)
 }
 
-// recordCalls records n calls after a restart call, letting Repeat fire
-// when compress is set; mutate, when non-nil, runs after every call's
-// work and before its Repeat. It returns the recorder and the call at
-// which Repeat fired (0 when it did not).
+// recordCalls records n calls after the call that starts Repeat's
+// history, letting Repeat fire when compress is set; mutate, when
+// non-nil, runs after every call's work and before its Repeat. It
+// returns the recorder and the call at which Repeat fired (0 when it
+// did not).
 func recordCalls(t *testing.T, n int, write, compress bool, mutate func(m *Machine, a *Array, call int)) (*Recorder, int) {
 	t.Helper()
 	m, a := streamMachine(t, vm.FirstTouch)
@@ -36,12 +37,9 @@ func recordCalls(t *testing.T, n int, write, compress bool, mutate func(m *Machi
 		if !compress {
 			continue
 		}
-		if p := rec.Repeat(call == 0, n-call); p > 0 {
+		if rec.Repeat(n - call) {
 			if m.Recorder() != nil {
 				t.Fatal("recorder still attached after firing")
-			}
-			if p != 1 {
-				t.Fatalf("fired with period %d, want 1", p)
 			}
 			return rec, call
 		}
@@ -72,8 +70,8 @@ func TestRepeatCopiesTail(t *testing.T) {
 	// A detached recorder compares nothing more, so it cannot copy the
 	// tail twice.
 	for range 2 * minRepeatSteps {
-		if p := rec.Repeat(false, 5); p != 0 {
-			t.Fatalf("Repeat fired again after detaching, with period %d", p)
+		if rec.Repeat(5) {
+			t.Fatal("Repeat fired again after detaching")
 		}
 	}
 }
@@ -105,8 +103,8 @@ func TestRepeatStateChangeBlocks(t *testing.T) {
 		if rec.Blocked() != "" {
 			t.Errorf("%s: Blocked %q, want no reason: nothing repeated", c.name, rec.Blocked())
 		}
-		// The hash already tells the states apart; the full comparison
-		// must as well, since it alone decides.
+		// The full comparison alone decides, so it must tell the states
+		// apart itself.
 		m, a := streamMachine(t, vm.FirstTouch)
 		rec = NewRecorder(m)
 		m.SetRecorder(rec)
@@ -129,7 +127,8 @@ func TestRepeatStateChangeBlocks(t *testing.T) {
 }
 
 // TestRepeatOpsBlock: calls that append the same log bytes but
-// alternate their structural steps repeat with period 2, not 1.
+// alternate their structural steps never repeat the call before them,
+// so Repeat never fires.
 func TestRepeatOpsBlock(t *testing.T) {
 	m, a := streamMachine(t, vm.FirstTouch)
 	rec := NewRecorder(m)
@@ -139,14 +138,10 @@ func TestRepeatOpsBlock(t *testing.T) {
 			rec.Mark(OpPhaseEnter, m.CPU(0))
 		}
 		repeatCall(m, a, false)
-		if p := rec.Repeat(call == 0, 12-call); p > 0 {
-			if p != 2 {
-				t.Errorf("fired with period %d at call %d, want period 2", p, call)
-			}
-			return
+		if rec.Repeat(12 - call) {
+			t.Fatalf("fired at call %d over alternating Ops", call)
 		}
 	}
-	t.Error("never fired")
 }
 
 // TestRepeatVersionWrapBlocks: a unit whose version gains two per call
@@ -198,8 +193,8 @@ func TestRepeatWideL1Blocks(t *testing.T) {
 	m.SetRecorder(rec)
 	for call := 0; call <= 10; call++ {
 		repeatCall(m, a, false)
-		if p := rec.Repeat(call == 0, 10-call); p > 0 {
-			t.Fatalf("fired with period %d at call %d", p, call)
+		if rec.Repeat(10 - call) {
+			t.Fatalf("fired at call %d", call)
 		}
 	}
 	if rec.Blocked() == "" {

@@ -70,8 +70,9 @@ type Recorder struct {
 	declined string
 
 	// Repeat detection (repeat.go).
-	marks   []callMark
-	spare   *repeatState
+	marks   []callMark   // the last minRepeatSteps+1 calls' ends
+	last    *repeatState // the newest call's state, if built
+	spare   *repeatState // a dropped state's buffers, for the next one
 	blocked string
 }
 
@@ -113,7 +114,7 @@ func (m *Machine) Recorder() *Recorder {
 func (r *Recorder) Decline(reason string) {
 	if r.declined == "" {
 		r.declined = reason
-		r.logs, r.ops, r.marks, r.spare = nil, nil, nil, nil
+		r.logs, r.ops, r.marks, r.last, r.spare = nil, nil, nil, nil, nil
 	}
 }
 

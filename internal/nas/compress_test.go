@@ -102,39 +102,29 @@ func TestCompressedBTWFiresEarly(t *testing.T) {
 // TestCompressedStepIndexedKernel: the synthetic kernel charges extra
 // compute every workPeriod-th step, so its cache-side state repeats
 // every step while its log does not. Condition (b) must hold the
-// recording back until a period that is a multiple of workPeriod, and
-// the copied tail must then equal the full recording.
+// recording back for good, and its log must equal the full recording.
 func TestCompressedStepIndexedKernel(t *testing.T) {
 	for _, period := range []int{2, 3} {
 		t.Run(fmt.Sprint("period", period), func(t *testing.T) {
 			cfg := nas.Config{Class: nas.ClassS, Threads: 2, Iterations: 20}
 			s := compressedMatchesFull(t, synthBuilder(0, period), cfg)
-			if c := s.Compression; c.At > 0 && c.Period%period != 0 {
-				t.Errorf("fired with period %d at step %d; the kernel's period is %d", c.Period, c.At, period)
+			if c := s.Compression; c.At != 0 || c.Why != nas.WhyNoRepeat {
+				t.Errorf("compression %+v, want none with why %q: the kernel's period is %d", c, nas.WhyNoRepeat, period)
 			}
-			t.Logf("%v", s.Compression)
 		})
 	}
 }
 
-// TestCompressedPerturbation: no comparison reaches across the
-// rebinding at PerturbAt, yet the steps after it may still compress.
+// TestCompressedPerturbation: a tail copied from one step would miss the
+// rebinding at PerturbAt, so a perturbed recording simulates every step,
+// says why, and still logs and replays exactly.
 func TestCompressedPerturbation(t *testing.T) {
-	for _, p := range []int{2, 6} {
+	for _, p := range []int{2, 6, 11} {
 		cfg := nas.Config{Class: nas.ClassS, PerturbAt: p, Iterations: 12}
 		s := compressedMatchesFull(t, bt.New, cfg)
-		c := s.Compression
-		if c.At > 0 && c.At-2*c.Period < p {
-			t.Errorf("PerturbAt %d: fired at step %d with period %d, comparing steps before the rebinding", p, c.At, c.Period)
+		if c := s.Compression; c.At != 0 || c.Why != nas.WhyPerturbed || c.Simulated() != 12 {
+			t.Errorf("PerturbAt %d of 12: compression %+v, want none with why %q", p, c, nas.WhyPerturbed)
 		}
-		if c.At == 0 {
-			t.Errorf("PerturbAt %d: never compressed: %v", p, c)
-		}
-	}
-	// A perturbation that leaves no room to compare says so.
-	s := compressedMatchesFull(t, bt.New, nas.Config{Class: nas.ClassS, PerturbAt: 11, Iterations: 12})
-	if c := s.Compression; c.At != 0 || c.Why != nas.WhyPerturbed {
-		t.Errorf("PerturbAt 11 of 12: compression %+v, want none with why %q", c, nas.WhyPerturbed)
 	}
 }
 

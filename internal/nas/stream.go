@@ -72,18 +72,17 @@ type Stream struct {
 }
 
 // Compression reports how a recording ended (DESIGN.md §17). Once the
-// cache-side state at the end of a timed step repeats that of Period
-// steps earlier, the recorder copies the last period's log for the
-// remaining steps, and the recording runs them without simulating a
-// cache, advancing only the kernel's numerics in free-run mode for the
-// verify verdict.
+// cache-side state at the end of a timed step repeats that of the step
+// before, the recorder copies the last step's log for the remaining
+// steps, and the recording runs them without simulating a cache,
+// advancing only the kernel's numerics in free-run mode for the verify
+// verdict. A recording with PerturbAt set simulates every step.
 type Compression struct {
 	// Steps is the number of timed steps the recording ran.
 	Steps int `json:"steps"`
 	// At is the timed step at whose end the state repeated, 0 when it
-	// never did; Period is the repeat's length in steps.
-	At     int `json:"at,omitempty"`
-	Period int `json:"period,omitempty"`
+	// never did.
+	At int `json:"at,omitempty"`
 	// Why says why every step was simulated, when At is 0: one of the
 	// Why* values, or the recorder's reason for refusing a repeat it
 	// found.
@@ -93,7 +92,7 @@ type Compression struct {
 // Reasons a recording simulated every timed step.
 const (
 	WhyNoRepeat  = "no repeat before the last step"
-	WhyPerturbed = "no repeat after PerturbAt before the last step"
+	WhyPerturbed = "PerturbAt rebinds the team"
 	WhyDeclined  = "recording declined"
 	WhyVarying   = "the kernel's steps vary with its data"
 )
@@ -108,11 +107,11 @@ func (c Compression) Simulated() int {
 }
 
 // String renders the compression for reports: "simulated 4 of 15 timed
-// steps (repeat at step 4, period 1)".
+// steps (repeat at step 4)".
 func (c Compression) String() string {
 	s := fmt.Sprintf("simulated %d of %d timed steps", c.Simulated(), c.Steps)
 	if c.At > 0 {
-		return s + fmt.Sprintf(" (repeat at step %d, period %d)", c.At, c.Period)
+		return s + fmt.Sprintf(" (repeat at step %d)", c.At)
 	}
 	return s + " (" + c.Why + ")"
 }
@@ -141,8 +140,10 @@ func recordStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 	// Run drives the recording; its Result is not a cell's, since the
 	// steps after a repeat or a decline simulate nothing.
 	res, err := Run(func(m *machine.Machine, class Class, scale int, seed uint64) Kernel {
+		// A tail copied from one step would miss the rebinding at
+		// PerturbAt, so such a recording simulates every step.
 		k = &recordingKernel{Kernel: build(m, class, scale, seed), m: m,
-			perturbAt: cfg.PerturbAt, skipVerify: cfg.SkipVerify, compress: compress}
+			skipVerify: cfg.SkipVerify, compress: compress && cfg.PerturbAt == 0}
 		if _, ok := k.Kernel.(Varying); ok {
 			k.compress = false
 		}
@@ -163,12 +164,12 @@ func recordStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 	case c.At > 0:
 	case k.rec.Declined() != "":
 		c.Why = WhyDeclined
+	case cfg.PerturbAt > 0:
+		c.Why = WhyPerturbed
 	case !k.compress && compress:
 		c.Why = WhyVarying
 	case k.rec.Blocked() != "":
 		c.Why = k.rec.Blocked()
-	case cfg.PerturbAt > 0:
-		c.Why = WhyPerturbed
 	default:
 		c.Why = WhyNoRepeat
 	}
@@ -224,7 +225,6 @@ type recordingKernel struct {
 	m          *machine.Machine
 	rec        *machine.Recorder
 	comp       *Compression
-	perturbAt  int
 	skipVerify bool
 	compress   bool
 	calls      int // Step calls so far, the cold start's included
@@ -249,17 +249,12 @@ func (k *recordingKernel) Step(t *omp.Team, h *Hooks) {
 	}
 	k.Kernel.Step(t, h)
 	k.mark()
-	// Call 0 is the untimed cold start; the timed loop's step s is call
-	// s. No comparison reaches back into the cold start, and none starts
-	// before the rebinding at PerturbAt: a tail copied before it would
-	// miss the rebinding.
+	// Call 0 is the untimed cold start, where the recorder's history
+	// starts; the timed loop's step s is call s.
 	step := k.calls
 	k.calls++
-	if !k.compress || step < k.perturbAt {
-		return
-	}
-	if p := k.rec.Repeat(step == 0 || step == k.perturbAt, k.comp.Steps-step); p > 0 {
-		k.comp.At, k.comp.Period = step, p
+	if k.compress && k.rec.Repeat(k.comp.Steps-step) {
+		k.comp.At = step
 	}
 }
 
