@@ -114,16 +114,21 @@ func BenchmarkFigure4(b *testing.B) {
 // sweeps through bench/run.sh instead; CI runs this once as a smoke.
 func BenchmarkSweepFigure4All(b *testing.B) {
 	b.Run("replay", func(b *testing.B) {
-		var st upmgo.SweepCacheStats
+		var replayed, streams int
 		for i := 0; i < b.N; i++ {
-			cache := upmgo.NewSweepCache()
-			benchSweep(b, upmgo.SweepRunner{Cache: cache}, upmgo.KindFigure4, upmgo.SweepOptions{
-				Class: upmgo.ClassS, Seed: benchSeed,
-			})
-			st = cache.Stats()
+			replayed, streams = 0, 0
+			r := upmgo.SweepRunner{Cache: upmgo.NewSweepCache(), OnEvent: func(ev upmgo.SweepEvent) {
+				if ev.Done && ev.Report.Replayed {
+					replayed++
+				}
+				if ev.Done && ev.Report.Recording != nil {
+					streams++
+				}
+			}}
+			benchSweep(b, r, upmgo.KindFigure4, upmgo.SweepOptions{Class: upmgo.ClassS, Seed: benchSeed})
 		}
-		b.ReportMetric(float64(st.Replayed), "replayed-cells")
-		b.ReportMetric(float64(st.Streams), "streams")
+		b.ReportMetric(float64(replayed), "replayed-cells")
+		b.ReportMetric(float64(streams), "streams")
 	})
 }
 

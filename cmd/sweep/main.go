@@ -1,15 +1,17 @@
 // Command sweep regenerates the paper's tables and figures on the
 // simulated machine and prints them as text tables with ASCII bars.
 //
-// Cells run concurrently on a bounded host worker pool (-jobs) and are
-// memoized across figures, so `sweep -all` simulates each unique
-// (benchmark, config) cell exactly once — Figure 1 is a subset of
-// Figure 4, and Table 2 reuses Figure 4's UPMlib cells. Cells that do
-// simulate share their cache simulation: the placement, engine and
-// steady-state variants of one benchmark replay a single recorded L2-miss
-// stream. Cells whose recording declined run from scratch. Output order
-// is deterministic regardless of completion order. Ctrl-C cancels the
-// sweep between cells.
+// Every selected figure and table runs as one batch of cells on a
+// bounded host worker pool (-jobs), and the results print in the paper's
+// order. The figures overlap — Figure 1 is a subset of Figure 4, and
+// Table 2 and Figure 5 re-read Figure 4's cells — so `sweep -all`
+// simulates each unique (benchmark, config) cell exactly once, and the
+// cells that do simulate share their cache simulation: every placement,
+// engine and steady-state variant of one benchmark replays a single
+// L2-miss stream, recorded once for the whole batch. Cells whose
+// recording declined run from scratch. Output order is deterministic
+// regardless of completion order. Ctrl-C cancels the sweep between
+// cells.
 //
 // Examples:
 //
@@ -80,7 +82,7 @@ type flagError struct{ error }
 func (e flagError) Unwrap() error { return e.error }
 
 // errUsage reports an invocation that selected nothing to run.
-var errUsage = errors.New("nothing selected: pass -all, -fig or -table")
+var errUsage = errors.New("nothing selected: pass -all, -fig, -table or -toposcale")
 
 // sweeper holds one invocation's output streams and rendering state, so
 // run is re-entrant and testable (main used package-level variables).
@@ -88,24 +90,29 @@ type sweeper struct {
 	out     io.Writer
 	errw    io.Writer
 	csv     bool
-	done    int  // finished cells on the current progress line
+	done    int  // finished cells on the progress line
 	collect bool // -metrics set: keep figure 1/4 cells for locality.md
 	cells   []upmgo.ExperimentCell
-	// Progress-line pacing state: when the current batch started and how
-	// much per-cell Host time has finished, for the elapsed/ETA readout.
+	// Progress-line pacing state: when the batch started and how much
+	// per-cell host time has finished, for the elapsed/ETA readout.
 	batchStart time.Time
 	hostSum    time.Duration
-	// reports accumulates every finished cell's host-time breakdown for
-	// the -report file (nil unless -report).
+	// reports accumulates every finished cell's report, for the closing
+	// summary and the -report file.
 	reports []*upmgo.CellReport
 	// steady accumulates each unique cell's steady-state accounting for
 	// the -steady footer (nil unless -steady). Cells recur across figures
 	// — Figure 1 is a subset of Figure 4 — so they are keyed by their
 	// memoization fingerprint to count each exactly once.
 	steady map[string]upmgo.SweepEvent
-	// declined maps each benchmark whose miss-stream recording declined
-	// to the reason, for the closing summary.
-	declined map[string]string
+	// The closing summary's counts, from the finished cells' reports:
+	// cells by source (CellSource*), cells replayed, and the miss-stream
+	// recordings made with the timed steps they simulated. declined maps
+	// each benchmark whose recording declined to the reason.
+	sources               map[string]int
+	replayed, streams     int
+	steps, stepsSimulated int
+	declined              map[string]string
 }
 
 // metricsServed is a test seam: when a -metrics-addr server is up, run
@@ -158,6 +165,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !*all && !*topoScale && *table == 0 && *fig == 0 {
 		fs.Usage()
 		return errUsage
+	}
+	if _, ok := figureKinds[*fig]; !ok && *fig != 0 {
+		return fmt.Errorf("-fig: no figure %d in the paper's evaluation", *fig)
+	}
+	if *table < 0 || *table > 2 {
+		return fmt.Errorf("-table: no table %d in the paper's evaluation", *table)
 	}
 	if *topo != "" {
 		// Fail a bad shape here, named after its flag, instead of once per
@@ -222,7 +235,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	s := &sweeper{out: stdout, errw: stderr, csv: *csvOut, collect: *metricsDir != ""}
+	s := &sweeper{out: stdout, errw: stderr, csv: *csvOut, collect: *metricsDir != "",
+		sources: map[string]int{}, declined: map[string]string{}}
 	cache := upmgo.NewSweepCache()
 	if st != nil {
 		cache.SetStore(st)
@@ -247,7 +261,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "sweep: serving /metrics, /debug/vars and /debug/pprof/ on http://%s/\n", served)
 	}
 
-	handlers := []func(upmgo.SweepEvent){s.recordDeclined}
+	handlers := []func(upmgo.SweepEvent){s.record}
 	if reg != nil {
 		handlers = append(handlers, func(ev upmgo.SweepEvent) { upmgo.PublishSweepEvent(reg, cache, ev) })
 	}
@@ -255,79 +269,60 @@ func run(args []string, stdout, stderr io.Writer) error {
 		s.steady = map[string]upmgo.SweepEvent{}
 		handlers = append(handlers, s.recordSteady)
 	}
-	if reportf != nil {
-		handlers = append(handlers, func(ev upmgo.SweepEvent) {
-			if ev.Done && ev.Report != nil {
-				s.reports = append(s.reports, ev.Report)
-			}
-		})
-	}
 	if logger != nil {
 		handlers = append(handlers, func(ev upmgo.SweepEvent) { logCell(logger, ev) })
 	}
 	if !*quiet {
 		handlers = append(handlers, s.progressLine)
 	}
-	if len(handlers) == 1 {
-		r.OnEvent = handlers[0]
-	} else if len(handlers) > 1 {
-		r.OnEvent = func(ev upmgo.SweepEvent) {
-			for _, h := range handlers {
-				h(ev)
-			}
+	r.OnEvent = func(ev upmgo.SweepEvent) {
+		for _, h := range handlers {
+			h(ev)
 		}
 	}
 
-	t0 := time.Now()
-	switch {
-	case *all:
-		err = s.runTable1()
-		for _, f := range []int{1, 4} {
-			if err == nil {
-				err = s.runFigure(ctx, r, f, o)
-			}
+	// The selected sweeps, in the paper's order (Kinds' order), run as one
+	// batch: cells shared between them simulate once and every benchmark's
+	// miss stream is recorded once.
+	var reqs []upmgo.SweepRequest
+	for _, k := range upmgo.SweepKinds {
+		if *all && k != upmgo.KindTopoScale || k == figureKinds[*fig] ||
+			k == upmgo.KindTable2 && *table == 2 || k == upmgo.KindTopoScale && *topoScale {
+			reqs = append(reqs, upmgo.SweepRequest{Kind: k, Options: o})
 		}
-		if err == nil {
-			err = s.runTable2(ctx, r, o)
-		}
-		for _, f := range []int{5, 6} {
-			if err == nil {
-				err = s.runFigure(ctx, r, f, o)
-			}
-		}
-		if err == nil && *topoScale {
-			err = s.runTopoScale(ctx, r, o)
-		}
-	case *topoScale:
-		err = s.runTopoScale(ctx, r, o)
-	case *table == 1:
-		err = s.runTable1()
-	case *table == 2:
-		err = s.runTable2(ctx, r, o)
-	default:
-		err = s.runFigure(ctx, r, *fig, o)
 	}
+	t0 := time.Now()
+	if *all || *table == 1 {
+		if err := s.runTable1(); err != nil {
+			return err
+		}
+	}
+	results, err := r.Sweeps(ctx, reqs)
 	if err != nil {
 		return err
+	}
+	for _, res := range results {
+		s.render(res, o)
 	}
 	njobs := *jobs
 	if njobs <= 0 {
 		njobs = runtime.GOMAXPROCS(0)
 	}
-	cs := cache.Stats()
+	simulated, memory := s.sources[upmgo.CellSourceSimulated], s.sources[upmgo.CellSourceMemory]
 	if *storeDir != "" {
+		cs := cache.Stats()
 		fmt.Fprintf(stderr, "sweep: %d cells simulated (%d replayed from %d streams), %d recalled from cache, %d from store (%d newly stored), done in %s (host time, -jobs %d)\n",
-			cs.Misses, cs.Replayed, cs.Streams, cs.Hits, cs.DiskHits, cs.StorePuts, time.Since(t0).Round(time.Millisecond), njobs)
+			simulated, s.replayed, s.streams, memory, s.sources[upmgo.CellSourceStore], cs.StorePuts, time.Since(t0).Round(time.Millisecond), njobs)
 		if cs.StoreErrors > 0 {
 			fmt.Fprintf(stderr, "sweep: warning: %d store errors (last: %v); affected cells re-simulated or left unpersisted\n", cs.StoreErrors, cs.StoreErr)
 		}
 	} else {
 		fmt.Fprintf(stderr, "sweep: %d cells simulated (%d replayed from %d streams), %d recalled from cache, done in %s (host time, -jobs %d)\n",
-			cs.Misses, cs.Replayed, cs.Streams, cs.Hits, time.Since(t0).Round(time.Millisecond), njobs)
+			simulated, s.replayed, s.streams, memory, time.Since(t0).Round(time.Millisecond), njobs)
 	}
-	if cs.StreamSteps > 0 {
+	if s.steps > 0 {
 		fmt.Fprintf(stderr, "sweep: the recordings simulated %d of %d timed steps; the rest repeated\n",
-			cs.StreamStepsSimulated, cs.StreamSteps)
+			s.stepsSimulated, s.steps)
 	}
 	for _, b := range slices.Sorted(maps.Keys(s.declined)) {
 		fmt.Fprintf(stderr, "sweep: %s miss-stream replay declined (%s); its cells ran from scratch\n", b, s.declined[b])
@@ -336,8 +331,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stderr, line)
 	}
 	if logger != nil {
-		logger.Info("sweep", "simulated", cs.Misses, "recalled", cs.Hits,
-			"from_store", cs.DiskHits, "elapsed", time.Since(t0), "jobs", njobs)
+		logger.Info("sweep", "simulated", simulated, "recalled", memory,
+			"from_store", s.sources[upmgo.CellSourceStore], "elapsed", time.Since(t0), "jobs", njobs)
 	}
 	if reportf != nil {
 		if err := s.writeReport(reportf, time.Since(t0)); err != nil {
@@ -387,22 +382,26 @@ func logCell(logger *slog.Logger, ev upmgo.SweepEvent) {
 	if !ev.Done {
 		return
 	}
+	rep := ev.Report
 	args := []any{"bench", ev.Spec.Bench, "label", ev.Spec.Config.Label(),
-		"host", ev.Host, "virtual_s", ev.VirtualS}
-	if rep := ev.Report; rep != nil {
-		if rep.Address != "" {
-			args = append(args, "address", rep.Address)
-		}
-		args = append(args, "source", rep.Source, "kind", string(rep.Kind))
-		if w := rep.FastPath.WhyNot; w != nil {
-			args = append(args, "why_not", string(w.Reason))
-		}
+		"host", hostTime(rep), "virtual_s", rep.VirtualSeconds}
+	if rep.Address != "" {
+		args = append(args, "address", rep.Address)
+	}
+	args = append(args, "source", rep.Source, "kind", string(rep.Kind))
+	if w := rep.FastPath.WhyNot; w != nil {
+		args = append(args, "why_not", string(w.Reason))
 	}
 	if ev.Err != nil {
 		logger.Error("cell", append(args, "err", ev.Err)...)
 		return
 	}
 	logger.Info("cell", args...)
+}
+
+// hostTime is a finished cell's host wall-time as a Duration.
+func hostTime(rep *upmgo.CellReport) time.Duration {
+	return time.Duration(rep.HostSeconds * float64(time.Second))
 }
 
 // writeReport aggregates the collected per-cell reports into one
@@ -465,16 +464,27 @@ func (s *sweeper) recordSteady(ev upmgo.SweepEvent) {
 	s.steady[k] = ev
 }
 
-// recordDeclined notes the benchmarks whose miss-stream recording
+// record keeps every finished cell's report, counts it for the closing
+// summary, and notes the benchmarks whose miss-stream recording
 // declined, with the reason.
-func (s *sweeper) recordDeclined(ev upmgo.SweepEvent) {
-	if !ev.Done || ev.Report == nil || ev.Report.ReplayDeclined == "" {
+func (s *sweeper) record(ev upmgo.SweepEvent) {
+	if !ev.Done {
 		return
 	}
-	if s.declined == nil {
-		s.declined = map[string]string{}
+	rep := ev.Report
+	s.reports = append(s.reports, rep)
+	s.sources[rep.Source]++
+	if rep.Replayed {
+		s.replayed++
 	}
-	s.declined[ev.Spec.Bench] = ev.Report.ReplayDeclined
+	if c := rep.Recording; c != nil {
+		s.streams++
+		s.steps += c.Steps
+		s.stepsSimulated += c.Simulated()
+	}
+	if d := rep.ReplayDeclined; d != "" {
+		s.declined[ev.Spec.Bench] = d
+	}
 }
 
 // steadySummary renders the -steady footer: how many unique cells
@@ -520,15 +530,16 @@ func (s *sweeper) progressLine(ev upmgo.SweepEvent) {
 		return
 	}
 	s.done++
-	s.hostSum += ev.Host
+	host := hostTime(ev.Report)
+	s.hostSum += host
 	src := "sim"
-	if ev.CacheHit {
+	if ev.Report.Source != upmgo.CellSourceSimulated {
 		src = "hit"
 	}
 	elapsed := time.Since(s.batchStart)
 	line := fmt.Sprintf("[%d/%d] %s %-12s %8.4fs %s %s | %s eta %s",
 		s.done, ev.Total, ev.Spec.Bench, ev.Spec.Config.Label(),
-		ev.VirtualS, src, ev.Host.Round(time.Millisecond),
+		ev.Report.VirtualSeconds, src, host.Round(time.Millisecond),
 		elapsed.Round(time.Millisecond), s.eta(elapsed, ev.Total))
 	// Pad AND truncate to one fixed width: a line longer than the pad
 	// width would leave residue from itself on the next, shorter repaint
@@ -538,18 +549,15 @@ func (s *sweeper) progressLine(ev upmgo.SweepEvent) {
 	}
 	fmt.Fprintf(s.errw, "\r%-*s", progressWidth, line)
 	if s.done == ev.Total {
-		// Batch complete: clear the line so the next figure starts clean.
-		s.done = 0
-		s.hostSum = 0
-		s.batchStart = time.Time{}
+		// Batch complete: clear the line before the summary.
 		fmt.Fprintf(s.errw, "\r%*s\r", progressWidth, "")
 	}
 }
 
-// eta projects the batch's remaining wall time: mean Host per finished
-// cell times the cells left, divided by the observed concurrency
-// (total Host time delivered per unit of wall time, floored at 1 so a
-// cache-hot batch never divides by ~0).
+// eta projects the batch's remaining wall time: mean host time per
+// finished cell times the cells left, divided by the observed
+// concurrency (total host time delivered per unit of wall time, floored
+// at 1 so a cache-hot batch never divides by ~0).
 func (s *sweeper) eta(elapsed time.Duration, total int) time.Duration {
 	if s.done == 0 || elapsed <= 0 {
 		return 0
@@ -580,89 +588,61 @@ var figureKinds = map[int]upmgo.SweepKind{
 	1: upmgo.KindFigure1, 4: upmgo.KindFigure4, 5: upmgo.KindFigure5, 6: upmgo.KindFigure6,
 }
 
-func (s *sweeper) runFigure(ctx context.Context, r upmgo.SweepRunner, fig int, o upmgo.SweepOptions) error {
-	kind, ok := figureKinds[fig]
-	if !ok {
-		return fmt.Errorf("no figure %d in the paper's evaluation", fig)
-	}
-	res, err := r.Sweep(ctx, upmgo.SweepRequest{Kind: kind, Options: o})
-	if err != nil {
-		return fmt.Errorf("figure %d: %w", fig, err)
-	}
-	switch fig {
-	case 1, 4:
-		cells := res.Cells
+// render prints one sweep's result: Figures 1 and 4 and the toposcale
+// sweep as bars (or -csv rows), Table 2 as a table, Figures 5 and 6 as
+// bars with their migration-overhead segments.
+func (s *sweeper) render(res upmgo.SweepResult, o upmgo.SweepOptions) {
+	switch res.Kind {
+	case upmgo.KindFigure1, upmgo.KindFigure4, upmgo.KindTopoScale:
 		if s.collect {
-			s.cells = append(s.cells, cells...)
+			s.cells = append(s.cells, res.Cells...)
 		}
 		if s.csv {
-			upmgo.WriteCellsCSV(s.out, cells)
-			return nil
+			upmgo.WriteCellsCSV(s.out, res.Cells)
+			return
 		}
-		title := fmt.Sprintf("Figure %d. NAS benchmarks, Class %s, execution time under the four page", fig, o.Class)
-		sub := "placement schemes"
-		if fig == 1 {
-			sub += " with and without the IRIX-style kernel migration engine."
-		} else {
-			sub += ", with kernel migration, and with UPMlib."
-		}
-		s.writeCells(title+"\n"+sub, cells)
-		s.writeSummary(cells)
-	case 5, 6:
-		title := "Figure 5. Record-replay data redistribution on BT and SP (ft placement)."
-		if fig == 6 {
-			title = "Figure 6. Record-replay on the synthetically scaled BT (each phase x4)."
-		}
-		s.writeFigure5(title, res.Figure5)
+		s.writeCells(cellsTitle(res.Kind, o), res.Cells)
+		s.writeSummary(res.Cells)
+	case upmgo.KindTable2:
+		s.writeTable2(res.Table2)
+	case upmgo.KindFigure5:
+		s.writeFigure5("Figure 5. Record-replay data redistribution on BT and SP (ft placement).", res.Figure5)
+	case upmgo.KindFigure6:
+		s.writeFigure5("Figure 6. Record-replay on the synthetically scaled BT (each phase x4).", res.Figure5)
 	}
 	fmt.Fprintln(s.out)
-	return nil
 }
 
-// runTopoScale renders the hierarchical scaling sweep: the Figure 4
-// placement×engine grid on each TopoScaleShapes machine (or just -topo's
-// shape), labels suffixed with "@shape".
-func (s *sweeper) runTopoScale(ctx context.Context, r upmgo.SweepRunner, o upmgo.SweepOptions) error {
-	res, err := r.Sweep(ctx, upmgo.SweepRequest{Kind: upmgo.KindTopoScale, Options: o})
-	if err != nil {
-		return fmt.Errorf("toposcale: %w", err)
-	}
-	cells := res.Cells
-	if s.collect {
-		s.cells = append(s.cells, cells...)
-	}
-	if s.csv {
-		upmgo.WriteCellsCSV(s.out, cells)
-		return nil
+// cellsTitle is the two-line title of a bar-chart sweep: Figure 1 or 4,
+// or the toposcale grid on TopoScaleShapes (or just -topo's shape),
+// whose labels carry an "@shape" suffix.
+func cellsTitle(kind upmgo.SweepKind, o upmgo.SweepOptions) string {
+	switch kind {
+	case upmgo.KindFigure1:
+		return fmt.Sprintf("Figure 1. NAS benchmarks, Class %s, execution time under the four page\n", o.Class) +
+			"placement schemes with and without the IRIX-style kernel migration engine."
+	case upmgo.KindFigure4:
+		return fmt.Sprintf("Figure 4. NAS benchmarks, Class %s, execution time under the four page\n", o.Class) +
+			"placement schemes, with kernel migration, and with UPMlib."
 	}
 	shapes := strings.Join(upmgo.TopoScaleShapes, ", ")
 	if o.Topo != "" {
 		shapes = o.Topo
 	}
-	title := fmt.Sprintf("Topology scaling. NAS benchmarks, Class %s, the Figure 4 grid on", o.Class)
-	sub := fmt.Sprintf("hierarchical machines (%s).", shapes)
-	s.writeCells(title+"\n"+sub, cells)
-	s.writeSummary(cells)
-	fmt.Fprintln(s.out)
-	return nil
+	return fmt.Sprintf("Topology scaling. NAS benchmarks, Class %s, the Figure 4 grid on\n", o.Class) +
+		fmt.Sprintf("hierarchical machines (%s).", shapes)
 }
 
-func (s *sweeper) runTable2(ctx context.Context, r upmgo.SweepRunner, o upmgo.SweepOptions) error {
-	res, err := r.Sweep(ctx, upmgo.SweepRequest{Kind: upmgo.KindTable2, Options: o})
-	if err != nil {
-		return fmt.Errorf("table 2: %w", err)
-	}
+func (s *sweeper) writeTable2(rows []upmgo.Table2Row) {
 	fmt.Fprintln(s.out, "Table 2. With UPMlib: slowdown vs first-touch over the last 75% of the")
 	fmt.Fprintln(s.out, "iterations (left), and the fraction of page migrations performed by the")
 	fmt.Fprintln(s.out, "first invocation (right).")
 	fmt.Fprintf(s.out, "%-6s | %8s %8s %8s | %8s %8s %8s\n", "Bench", "rr", "rand", "wc", "rr", "rand", "wc")
-	for _, r := range res.Table2 {
+	for _, r := range rows {
 		fmt.Fprintf(s.out, "%-6s | %7.1f%% %7.1f%% %7.1f%% | %7.0f%% %7.0f%% %7.0f%%\n", r.Bench,
 			100*r.SlowdownTail["rr"], 100*r.SlowdownTail["rand"], 100*r.SlowdownTail["wc"],
 			100*r.FirstIterFrac["rr"], 100*r.FirstIterFrac["rand"], 100*r.FirstIterFrac["wc"])
 	}
-	fmt.Fprintln(s.out)
-	return nil
 }
 
 func (s *sweeper) writeCells(title string, cells []upmgo.ExperimentCell) {

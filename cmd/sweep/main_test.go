@@ -63,6 +63,62 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
+// TestRunUnknownNumberNamesFlag: a figure or table the paper does not
+// have fails before anything runs, named after its own flag.
+func TestRunUnknownNumberNamesFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "3"}, "-fig: no figure 3 in the paper's evaluation"},
+		{[]string{"-table", "3"}, "-table: no table 3 in the paper's evaluation"},
+		{[]string{"-fig", "1", "-table", "3"}, "-table: no table 3"},
+	} {
+		var out, errw bytes.Buffer
+		err := run(tc.args, &out, &errw)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) printed before failing:\n%s", tc.args, out.String())
+		}
+	}
+}
+
+// TestRunSelectsEveryFlag: every selected figure and table runs, in the
+// paper's order whatever the flag order, as one batch that records each
+// benchmark's miss stream once.
+func TestRunSelectsEveryFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		titles  []string
+		summary string
+	}{
+		{[]string{"-table", "2", "-fig", "1", "-benches", "BT"},
+			[]string{"Figure 1.", "Table 2."}, "12 cells simulated (12 replayed from 1 streams)"},
+		{[]string{"-toposcale", "-fig", "1", "-topo", "hier64", "-benches", "CG"},
+			[]string{"Figure 1.", "Topology scaling."}, "12 cells simulated (12 replayed from 1 streams), 8 recalled"},
+		{[]string{"-table", "1", "-fig", "4", "-benches", "CG"},
+			[]string{"Table 1.", "Figure 4."}, "12 cells simulated (12 replayed from 1 streams)"},
+	} {
+		var out, errw bytes.Buffer
+		if err := run(append(tc.args, "-class", "S", "-quiet"), &out, &errw); err != nil {
+			t.Fatalf("run(%v): %v", tc.args, err)
+		}
+		at := -1
+		for _, title := range tc.titles {
+			i := strings.Index(out.String(), title)
+			if i <= at {
+				t.Errorf("run(%v): %q missing or out of order:\n%s", tc.args, title, out.String())
+			}
+			at = i
+		}
+		if !strings.Contains(errw.String(), tc.summary) {
+			t.Errorf("run(%v): summary lacks %q:\n%s", tc.args, tc.summary, errw.String())
+		}
+	}
+}
+
 func TestRunTable1(t *testing.T) {
 	var out, errw bytes.Buffer
 	if err := run([]string{"-table", "1", "-quiet"}, &out, &errw); err != nil {

@@ -60,18 +60,17 @@ func cellEvent(j *job, ev upmgo.SweepEvent) jobEvent {
 		return je
 	}
 	je.Type = "cell_done"
-	je.HostSeconds = ev.Host.Seconds()
-	je.VirtualSeconds = ev.VirtualS
-	if rep := ev.Report; rep != nil {
-		if rep.Address != "" {
-			// The runner's own record of the cell's identity.
-			je.Address = rep.Address
-		}
-		je.Kind = string(rep.Kind)
-		je.ReplayDeclined = rep.ReplayDeclined
-		if w := rep.FastPath.WhyNot; w != nil {
-			je.WhyNot = string(w.Reason)
-		}
+	rep := ev.Report
+	if rep.Address != "" {
+		// The runner's own record of the cell's identity.
+		je.Address = rep.Address
+	}
+	je.HostSeconds = rep.HostSeconds
+	je.VirtualSeconds = rep.VirtualSeconds
+	je.Kind = string(rep.Kind)
+	je.ReplayDeclined = rep.ReplayDeclined
+	if w := rep.FastPath.WhyNot; w != nil {
+		je.WhyNot = string(w.Reason)
 	}
 	if ev.Err != nil {
 		je.Error = ev.Err.Error()

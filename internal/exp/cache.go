@@ -11,25 +11,21 @@ import (
 	"upmgo/internal/store"
 )
 
-// Cache memoizes completed cells across sweeps, keyed by CellSpec.Key.
-// The paper's evaluation overlaps heavily: Figure 1's eight bars per
-// benchmark are a subset of Figure 4's twelve, and Table 2 re-reads
-// Figure 4's UPMlib cells; one Cache shared across a `sweep -all`
+// Cache memoizes completed cells within and across batches, keyed by
+// CellSpec.Key. The paper's evaluation overlaps heavily: Figure 1's
+// eight bars per benchmark are a subset of Figure 4's twelve, and Table
+// 2 re-reads Figure 4's UPMlib cells; one Cache under a `sweep -all`
 // therefore runs each unique (bench, config) simulation exactly once.
 // It is safe for concurrent use, and duplicate in-flight requests
-// coalesce onto a single simulation.
+// coalesce onto a single simulation. It holds results only: the miss
+// streams those results were replayed from belong to the batch that
+// recorded them (see Runner.Cells).
 type Cache struct {
-	mu     sync.Mutex
-	cells  flights[Cell]
+	cells flights[Cell]
+
+	mu     sync.Mutex // guards the counters and the store below
 	hits   uint64
 	misses uint64
-
-	// Recorded L2-miss streams (see nas.Stream), keyed by
-	// bench + nas.Config.StreamFingerprint. Every placement, engine and
-	// steady-state variant of one stream, the canonical cell the
-	// recording ran included, replays the single recording.
-	streams  flights[*nas.Stream]
-	replayed uint64
 
 	// Second level: the on-disk content-addressed result store, when
 	// attached with SetStore. Reads go through (RAM, then disk, then
@@ -72,21 +68,17 @@ const (
 )
 
 // flights memoizes values by key, computing each at most once per key
-// at a time. Guarded by Cache.mu.
+// at a time. The zero value is empty and ready for concurrent use.
 type flights[V any] struct {
+	mu       sync.Mutex
 	done     map[string]V
 	inflight map[string]*flight[V]
-	led      uint64 // computations started (successful or not)
 }
 
 type flight[V any] struct {
 	done chan struct{}
 	v    V
 	err  error
-}
-
-func newFlights[V any]() flights[V] {
-	return flights[V]{done: map[string]V{}, inflight: map[string]*flight[V]{}}
 }
 
 // do returns the value for key, running lead at most once per key at a
@@ -98,18 +90,18 @@ func newFlights[V any]() flights[V] {
 // if nobody beat it to the slot; a waiter whose ctx ends stops waiting.
 // The bool reports that the value came from the memo or a successful
 // in-flight duplicate rather than from this call's own lead. lead runs
-// without mu held, and the flight's waiters are released before do
+// without fl.mu held, and the flight's waiters are released before do
 // returns.
-func (fl *flights[V]) do(mu *sync.Mutex, ctx context.Context, key string, lead func() (V, error)) (V, bool, error) {
+func (fl *flights[V]) do(ctx context.Context, key string, lead func() (V, error)) (V, bool, error) {
 	var zero V
 	for {
-		mu.Lock()
+		fl.mu.Lock()
 		if v, ok := fl.done[key]; ok {
-			mu.Unlock()
+			fl.mu.Unlock()
 			return v, true, nil
 		}
 		if f, ok := fl.inflight[key]; ok {
-			mu.Unlock()
+			fl.mu.Unlock()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
@@ -125,22 +117,24 @@ func (fl *flights[V]) do(mu *sync.Mutex, ctx context.Context, key string, lead f
 		}
 		if err := ctx.Err(); err != nil {
 			// Don't start a computation nobody will wait for.
-			mu.Unlock()
+			fl.mu.Unlock()
 			return zero, false, err
+		}
+		if fl.inflight == nil {
+			fl.done, fl.inflight = map[string]V{}, map[string]*flight[V]{}
 		}
 		f := &flight[V]{done: make(chan struct{})}
 		fl.inflight[key] = f
-		fl.led++
-		mu.Unlock()
+		fl.mu.Unlock()
 
 		f.v, f.err = lead()
 
-		mu.Lock()
+		fl.mu.Lock()
 		delete(fl.inflight, key)
 		if f.err == nil {
 			fl.done[key] = f.v
 		}
-		mu.Unlock()
+		fl.mu.Unlock()
 		close(f.done)
 		return f.v, false, f.err
 	}
@@ -148,7 +142,7 @@ func (fl *flights[V]) do(mu *sync.Mutex, ctx context.Context, key string, lead f
 
 // NewCache returns an empty cell cache.
 func NewCache() *Cache {
-	return &Cache{cells: newFlights[Cell](), streams: newFlights[*nas.Stream]()}
+	return &Cache{}
 }
 
 // CacheStats is a snapshot of memoization traffic.
@@ -161,22 +155,10 @@ type CacheStats struct {
 	DiskHits uint64
 	// Misses counts cells that ran a fresh simulation: by replaying a
 	// miss stream, or from scratch when the cell cannot be memoized
-	// (traced, sampled or tweaked) or its recording declined.
+	// (traced, sampled or tweaked) or its recording declined. Which of
+	// the two a cell did, and which cells recorded the streams, its
+	// CellReport says.
 	Misses uint64
-	// Replayed counts the subset of Misses that replayed a recorded
-	// L2-miss stream instead of simulating the caches.
-	Replayed uint64
-	// Streams counts miss-stream recordings (each shared by every
-	// replayed cell with the same stream fingerprint, declined ones
-	// included); StreamBytes is the size of the logs held.
-	Streams     uint64
-	StreamBytes uint64
-	// StreamSteps counts the timed steps of the recorded streams;
-	// StreamStepsSimulated the ones whose caches were simulated, the
-	// rest having been copied once the cache-side state repeated
-	// (nas.Compression).
-	StreamSteps          uint64
-	StreamStepsSimulated uint64
 	// Forked and Prefixes are always 0: the runner no longer forks
 	// prefix snapshots. They stay for the benchmark harness, which still
 	// reads them.
@@ -194,15 +176,7 @@ type CacheStats struct {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var sb, steps, simulated uint64
-	for _, s := range c.streams.done {
-		sb += uint64(s.Bytes())
-		steps += uint64(s.Compression.Steps)
-		simulated += uint64(s.Compression.Simulated())
-	}
 	return CacheStats{Hits: c.hits, DiskHits: c.diskHits, Misses: c.misses,
-		Replayed: c.replayed, Streams: c.streams.led, StreamBytes: sb,
-		StreamSteps: steps, StreamStepsSimulated: simulated,
 		StorePuts: c.storePuts, StoreErrors: c.storeErrs, StoreErr: c.lastStoreErr}
 }
 
@@ -221,8 +195,8 @@ func (c *Cache) SetStore(s *store.Store) {
 
 // Len returns the number of completed cells held.
 func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.cells.mu.Lock()
+	defer c.cells.mu.Unlock()
 	return len(c.cells.done)
 }
 
@@ -242,7 +216,7 @@ func (c *Cache) cell(ctx context.Context, key string, fn func() (Cell, error), m
 	st := c.store
 	c.mu.Unlock()
 	recalled := false
-	cell, shared, err := c.cells.do(&c.mu, ctx, key, func() (Cell, error) {
+	cell, shared, err := c.cells.do(ctx, key, func() (Cell, error) {
 		// Read through the store: a cell another process already
 		// simulated is recalled, not recomputed. The disk read happens
 		// under the in-flight slot, so concurrent requests for the same
@@ -314,26 +288,10 @@ func (c *Cache) noteStoreErr(err error) {
 	c.mu.Unlock()
 }
 
-// stream returns the recorded miss stream for key, recording it with fn
-// at most once per key at a time under flights.do's single-flight
-// discipline. A stream is immutable, so any number of cells may replay
-// it concurrently.
-func (c *Cache) stream(ctx context.Context, key string, fn func() (*nas.Stream, error)) (*nas.Stream, error) {
-	v, _, err := c.streams.do(&c.mu, ctx, key, fn)
-	return v, err
-}
-
 // noteScratch records one unmemoizable cell simulated from scratch: a
 // fresh simulation the Cache never saw, counted so Misses covers it.
 func (c *Cache) noteScratch() {
 	c.mu.Lock()
 	c.misses++
-	c.mu.Unlock()
-}
-
-// noteReplay records one cell simulated by replaying a miss stream.
-func (c *Cache) noteReplay() {
-	c.mu.Lock()
-	c.replayed++
 	c.mu.Unlock()
 }

@@ -15,7 +15,7 @@ import (
 // so "recalled from disk" and "recomputed" are bit-comparable.
 var storeOptions = SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42, Threads: 1}
 
-func sweepWithStore(t *testing.T, dir string) ([]Cell, CacheStats) {
+func sweepWithStore(t *testing.T, dir string) ([]Cell, CacheStats, []*CellReport) {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -23,11 +23,8 @@ func sweepWithStore(t *testing.T, dir string) ([]Cell, CacheStats) {
 	}
 	c := NewCache()
 	c.SetStore(st)
-	res, err := sweep(Runner{Jobs: 2, Cache: c}, KindFigure1, storeOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Cells, c.Stats()
+	res, reports := sweepReports(t, Runner{Jobs: 2, Cache: c}, SweepRequest{Kind: KindFigure1, Options: storeOptions})
+	return res[0].Cells, c.Stats(), reports
 }
 
 // TestStoreWarmStartBitIdentical is the acceptance invariant: a second
@@ -36,19 +33,19 @@ func sweepWithStore(t *testing.T, dir string) ([]Cell, CacheStats) {
 // processes.
 func TestStoreWarmStartBitIdentical(t *testing.T) {
 	dir := t.TempDir()
-	cold, s1 := sweepWithStore(t, dir)
+	cold, s1, _ := sweepWithStore(t, dir)
 	if s1.Misses == 0 || s1.StorePuts != s1.Misses || s1.DiskHits != 0 {
 		t.Fatalf("cold run stats look wrong: %+v", s1)
 	}
-	warm, s2 := sweepWithStore(t, dir)
+	warm, s2, reports := sweepWithStore(t, dir)
 	if s2.Misses != 0 {
 		t.Errorf("warm run simulated %d cells, want 0 (stats %+v)", s2.Misses, s2)
 	}
 	if s2.DiskHits != s1.Misses {
 		t.Errorf("warm run recalled %d cells from disk, want %d", s2.DiskHits, s1.Misses)
 	}
-	if s2.Streams != 0 {
-		t.Errorf("warm run recorded %d miss streams, want 0", s2.Streams)
+	if n := countReports(reports).streams; n != 0 {
+		t.Errorf("warm run recorded %d miss streams, want 0", n)
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Error("store-recalled cells differ from the simulated originals")
@@ -59,7 +56,7 @@ func TestStoreWarmStartBitIdentical(t *testing.T) {
 // served), only that cell re-simulates, and the rewrite repairs it.
 func TestStoreCorruptRecordResimulated(t *testing.T) {
 	dir := t.TempDir()
-	cold, s1 := sweepWithStore(t, dir)
+	cold, s1, _ := sweepWithStore(t, dir)
 
 	// Bit-flip one record's payload on disk.
 	specs := Figure1Specs(storeOptions)
@@ -77,7 +74,7 @@ func TestStoreCorruptRecordResimulated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, s2 := sweepWithStore(t, dir)
+	warm, s2, _ := sweepWithStore(t, dir)
 	if s2.Misses != 1 {
 		t.Errorf("corrupt store re-simulated %d cells, want exactly the damaged 1 (stats %+v)", s2.Misses, s2)
 	}

@@ -134,7 +134,7 @@ func TestRunnerTraceDir(t *testing.T) {
 	}
 	// Each traced cell is a fresh from-scratch simulation: counted as a
 	// miss, never memoized, never replayed.
-	if st := cache.Stats(); st.Hits != 0 || st.Misses != 2 || st.Streams != 0 || st.Replayed != 0 || cache.Len() != 0 {
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 2 || cache.Len() != 0 {
 		t.Errorf("traced cells must bypass the cache and count as 2 misses, saw %+v (%d held)", st, cache.Len())
 	}
 	for i, spec := range specs {

@@ -23,7 +23,6 @@ import (
 	"upmgo/internal/nas/mg"
 	"upmgo/internal/nas/sp"
 	"upmgo/internal/topology"
-	"upmgo/internal/upm"
 	"upmgo/internal/vm"
 )
 
@@ -220,6 +219,17 @@ func (o *SweepOptions) defaults() {
 	}
 }
 
+// config returns the configuration every cell of a sweep starts from:
+// first-touch placement, no engine, and o's class, seed, iteration
+// count, team size, steady-state pair and machine shape.
+func (o SweepOptions) config() nas.Config {
+	return nas.Config{
+		Class: o.Class, Seed: o.Seed, Iterations: o.Iterations, Threads: o.Threads,
+		SteadyState: o.Steady, Extrapolate: o.Steady && o.Extrapolate,
+		Topo: o.Topo,
+	}
+}
+
 // run executes one configuration cell.
 func run(bench string, cfg nas.Config) (Cell, error) {
 	b, ok := Builder(bench)
@@ -245,37 +255,36 @@ func Figure1Specs(o SweepOptions) []CellSpec {
 	for _, bench := range o.Benches {
 		for _, p := range vm.Policies {
 			for _, km := range []bool{false, true} {
-				specs = append(specs, CellSpec{bench, nas.Config{
-					Class: o.Class, Placement: p, KernelMig: km,
-					Seed: o.Seed, Iterations: o.Iterations, Threads: o.Threads,
-					SteadyState: o.Steady, Extrapolate: o.Steady && o.Extrapolate,
-					Topo: o.Topo,
-				}})
+				cfg := o.config()
+				cfg.Placement, cfg.KernelMig = p, km
+				specs = append(specs, CellSpec{bench, cfg})
 			}
 		}
 	}
 	return specs
 }
 
+// engines are the migration engines of Figures 4 and 5 in presentation
+// order: none (IRIX), IRIX kernel migration, UPMlib, and record–replay,
+// which only Figure 5 runs.
+var engines = []struct {
+	km  bool
+	upm nas.Mode
+}{{false, nas.UPMOff}, {true, nas.UPMOff}, {false, nas.UPMDistribute}, {false, nas.UPMRecRep}}
+
 // Figure4Specs enumerates the paper's Figure 4 in presentation order:
 // Figure 1 plus a UPMlib cell per placement (12 cells per benchmark).
-// Figure 1's cells are a strict subset, so a shared Cache runs the
-// overlap once.
+// Figure 1's cells are a strict subset, so a Cache runs the overlap
+// once.
 func Figure4Specs(o SweepOptions) []CellSpec {
 	o.defaults()
 	var specs []CellSpec
 	for _, bench := range o.Benches {
 		for _, p := range vm.Policies {
-			for _, mode := range []struct {
-				km  bool
-				upm nas.Mode
-			}{{false, nas.UPMOff}, {true, nas.UPMOff}, {false, nas.UPMDistribute}} {
-				specs = append(specs, CellSpec{bench, nas.Config{
-					Class: o.Class, Placement: p, KernelMig: mode.km, UPM: mode.upm,
-					Seed: o.Seed, Iterations: o.Iterations, Threads: o.Threads,
-					SteadyState: o.Steady, Extrapolate: o.Steady && o.Extrapolate,
-					Topo: o.Topo,
-				}})
+			for _, mode := range engines[:3] {
+				cfg := o.config()
+				cfg.Placement, cfg.KernelMig, cfg.UPM = p, mode.km, mode.upm
+				specs = append(specs, CellSpec{bench, cfg})
 			}
 		}
 	}
@@ -323,19 +332,16 @@ var table2Placements = []vm.Policy{vm.RoundRobin, vm.Random, vm.WorstCase}
 
 // Table2Specs enumerates the paper's Table 2 cells in presentation
 // order: per benchmark, the UPMlib-enabled ft baseline followed by the
-// rr/rand/wc runs. All four also appear in Figure 4, so a shared Cache
-// reruns none of them.
+// rr/rand/wc runs. All four also appear in Figure 4, so a Cache reruns
+// none of them.
 func Table2Specs(o SweepOptions) []CellSpec {
 	o.defaults()
 	var specs []CellSpec
 	for _, bench := range o.Benches {
 		for _, p := range append([]vm.Policy{vm.FirstTouch}, table2Placements...) {
-			specs = append(specs, CellSpec{bench, nas.Config{
-				Class: o.Class, Placement: p, UPM: nas.UPMDistribute,
-				Seed: o.Seed, Iterations: o.Iterations, Threads: o.Threads,
-				SteadyState: o.Steady, Extrapolate: o.Steady && o.Extrapolate,
-				Topo: o.Topo,
-			}})
+			cfg := o.config()
+			cfg.Placement, cfg.UPM = p, nas.UPMDistribute
+			specs = append(specs, CellSpec{bench, cfg})
 		}
 	}
 	return specs
@@ -375,8 +381,8 @@ type Figure5Cell struct {
 // order: o.Benches (default BT and SP) with ft placement under IRIX /
 // IRIXmig / upmlib / record-replay, each phase body repeated o.Scale
 // times (default 1; Figure 6 uses 4). At Scale 1 the first three cells
-// per benchmark also appear in Figures 1 and 4, so a shared Cache
-// recalls them.
+// per benchmark also appear in Figures 1 and 4, so a Cache recalls
+// them.
 func Figure5Specs(o SweepOptions) []CellSpec {
 	if o.Benches == nil {
 		o.Benches = []string{"BT", "SP"}
@@ -390,28 +396,20 @@ func Figure5Specs(o SweepOptions) []CellSpec {
 	mc := machine.DefaultConfig()
 	o.Class.MachineTweak(&mc)
 	maxCritical := 20 * 16 * 1024 / mc.PageBytes
+	base := o.config()
+	base.ComputeScale = o.Scale
+	// Repeating each phase body in place (the paper's synthetic scaling)
+	// changes the numerics, exactly as in the paper, where the scaled
+	// experiment is timed but not verified.
+	base.SkipVerify = o.Scale > 1
 	var specs []CellSpec
 	for _, bench := range o.Benches {
-		cfgs := []nas.Config{
-			{Placement: vm.FirstTouch},
-			{Placement: vm.FirstTouch, KernelMig: true},
-			{Placement: vm.FirstTouch, UPM: nas.UPMDistribute},
-			{Placement: vm.FirstTouch, UPM: nas.UPMRecRep,
-				UPMOptions: upm.Options{MaxCritical: maxCritical}},
-		}
-		for _, cfg := range cfgs {
-			cfg.Class = o.Class
-			cfg.Seed = o.Seed
-			cfg.Iterations = o.Iterations
-			cfg.Threads = o.Threads
-			cfg.ComputeScale = o.Scale
-			cfg.SteadyState = o.Steady
-			cfg.Extrapolate = o.Steady && o.Extrapolate
-			cfg.Topo = o.Topo
-			// Repeating each phase body in place (the paper's synthetic
-			// scaling) changes the numerics, exactly as in the paper,
-			// where the scaled experiment is timed but not verified.
-			cfg.SkipVerify = o.Scale > 1
+		for _, mode := range engines {
+			cfg := base
+			cfg.KernelMig, cfg.UPM = mode.km, mode.upm
+			if mode.upm == nas.UPMRecRep {
+				cfg.UPMOptions.MaxCritical = maxCritical
+			}
 			specs = append(specs, CellSpec{bench, cfg})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"upmgo/internal/nas"
+	"upmgo/internal/store"
 )
 
 // FastPathKind classifies how a cell's answer was obtained, from
@@ -108,6 +109,10 @@ type CellReport struct {
 	// Source is SourceMemory, SourceStore or SourceSimulated.
 	Source string       `json:"source"`
 	Kind   FastPathKind `json:"kind"`
+	// Replayed: the cell replayed its benchmark's recorded miss stream.
+	// A steady cell that replayed keeps its steady Kind, so this, not
+	// Kind, counts a sweep's replays.
+	Replayed bool `json:"replayed,omitempty"`
 	// ReplayDeclined names why the cell's miss-stream recording could
 	// not be replayed (the cell ran from scratch instead).
 	ReplayDeclined string `json:"replay_declined,omitempty"`
@@ -137,6 +142,7 @@ func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *C
 		Label:          label,
 		Class:          spec.Config.Class.String(),
 		Source:         meta.source,
+		Replayed:       meta.replayed,
 		ReplayDeclined: meta.declined,
 		Recording:      meta.recording,
 		VirtualSeconds: c.Seconds(),
@@ -152,7 +158,10 @@ func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *C
 			Verify:      hs.Verify.Seconds(),
 		},
 	}
-	rep.Kind = classifyFastPath(rep.Source, meta.replayed, c.Result)
+	if key, ok := spec.Key(); ok {
+		rep.Address = store.Address(key)
+	}
+	rep.Kind = classifyFastPath(rep.Source, rep.Replayed, c.Result)
 	return rep
 }
 

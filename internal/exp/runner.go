@@ -8,13 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"upmgo/internal/metrics"
 	"upmgo/internal/nas"
-	"upmgo/internal/store"
 	"upmgo/internal/trace"
 )
 
@@ -46,10 +46,7 @@ type Event struct {
 	Total int  // number of cells in the batch
 	Done  bool // false: cell started; true: cell finished
 	// The remaining fields are set on finished events only.
-	CacheHit bool          // served from the cache, no new simulation
-	VirtualS float64       // simulated seconds of the cell's main loop
-	Host     time.Duration // host wall-clock spent on (or waiting for) the cell
-	Err      error
+	Err error
 	// Steady-state accounting of the finished cell, copied from its
 	// Result (zero when the cell simulated every iteration): the
 	// iteration the detector fired at, the proven orbit length (0 or 1 =
@@ -58,15 +55,15 @@ type Event struct {
 	SteadyAt          int
 	SteadyPeriod      int
 	ExtrapolatedIters int
-	// Report is the cell's full host-side telemetry record (provenance,
-	// fast-path flags and WhyNot, host time by stage). Set on finished
-	// events; never nil there. Aggregate with BuildSweepReport.
+	// Report is the cell's host-side telemetry record: provenance,
+	// fast-path kind, host and virtual seconds, host time by stage. Never
+	// nil on a finished event. Aggregate with BuildSweepReport.
 	Report *CellReport
 }
 
 // Runner executes batches of cells on a bounded host worker pool. The
-// zero value runs with GOMAXPROCS workers and no memoization; it is a
-// plain options struct and may be copied freely.
+// zero value runs with GOMAXPROCS workers and no memoization across
+// batches; it is a plain options struct and may be copied freely.
 //
 // Output ordering is deterministic: results come back in spec
 // (presentation) order regardless of completion order, so rendered
@@ -77,7 +74,8 @@ type Runner struct {
 	// Jobs bounds the number of concurrently simulated cells.
 	// 0 or negative means runtime.GOMAXPROCS(0).
 	Jobs int
-	// Cache, when non-nil, memoizes completed cells across batches.
+	// Cache, when non-nil, memoizes completed cells within and across
+	// batches.
 	Cache *Cache
 	// OnEvent, when non-nil, receives per-cell progress events. Calls
 	// are serialized by the runner, so the callback needs no locking.
@@ -110,6 +108,11 @@ type Runner struct {
 // have not started. Cancelling ctx stops the batch promptly — cells
 // already simulating run to completion, no new cell starts — and Cells
 // returns ctx.Err().
+//
+// The miss streams the cells replay are the batch's working state: each
+// is recorded at most once per batch and dropped when Cells returns.
+// Only the cells' results outlive the batch, in the Cache. Cells that
+// should share a stream therefore belong to one batch (Sweeps).
 func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -151,10 +154,13 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// The batch's miss streams, keyed by bench +
+	// nas.Config.StreamFingerprint.
+	var streams flights[*nas.Stream]
 	next := make(chan int)
 	go func() {
 		defer close(next)
-		for _, i := range r.dispatchOrder(specs) {
+		for _, i := range dispatchOrder(specs) {
 			select {
 			case next <- i:
 			case <-cctx.Done():
@@ -174,13 +180,10 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 				spec := specs[i]
 				emit(Event{Spec: spec, Index: i, Total: len(specs)})
 				start := time.Now()
-				c, rep, err := r.runCell(cctx, spec)
-				host := time.Since(start)
-				rep.setHost(host)
+				c, rep, err := r.runCell(cctx, &streams, spec)
+				rep.setHost(time.Since(start))
 				cells[i], errs[i] = c, err
-				emit(Event{Spec: spec, Index: i, Total: len(specs), Done: true,
-					CacheHit: err == nil && rep.Source != SourceSimulated,
-					VirtualS: c.Seconds(), Host: host, Err: err,
+				emit(Event{Spec: spec, Index: i, Total: len(specs), Done: true, Err: err,
 					SteadyAt: c.Result.SteadyAt, SteadyPeriod: c.Result.SteadyPeriod,
 					ExtrapolatedIters: c.Result.ExtrapolatedIters,
 					Report:            rep})
@@ -212,39 +215,49 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 	return cells, nil
 }
 
-// dispatchOrder returns the order in which the workers take specs. With
-// a Cache, each stream's first cell leads, so every recording starts as
-// early as it can and no worker waits on one while cells of another
-// stream are queued; the rest follow in presentation order.
-func (r Runner) dispatchOrder(specs []CellSpec) []int {
-	var order, rest []int
-	seen := map[string]bool{}
+// dispatchOrder returns the order in which the workers take specs:
+// each stream's first cell, so every recording starts as early as it
+// can; then the first cell of every other memo key and the unmemoizable
+// cells; then the repeats, which recall (or, without a Cache, replay
+// again) a cell already dispatched. A worker therefore takes a repeat,
+// which may wait on its in-flight duplicate, only once no first
+// occurrence is left. Results keep presentation order whatever this
+// order is.
+func dispatchOrder(specs []CellSpec) []int {
+	var leaders, firsts, repeats []int
+	streams, keys := map[string]bool{}, map[string]bool{}
 	for i, spec := range specs {
-		skey, ok := spec.Config.StreamFingerprint()
-		if key := spec.Bench + "\x00" + skey; r.Cache != nil && ok && !seen[key] {
-			seen[key] = true
-			order = append(order, i)
-		} else {
-			rest = append(rest, i)
+		key, ok := spec.Key()
+		skey, _ := spec.Config.StreamFingerprint()
+		switch skey = spec.Bench + "\x00" + skey; {
+		case !ok:
+			firsts = append(firsts, i)
+		case keys[key]:
+			repeats = append(repeats, i)
+		case !streams[skey]:
+			streams[skey], keys[key] = true, true
+			leaders = append(leaders, i)
+		default:
+			keys[key] = true
+			firsts = append(firsts, i)
 		}
 	}
-	return append(order, rest...)
+	return slices.Concat(leaders, firsts, repeats)
 }
 
-// runCell executes or recalls one cell. A memoizable cell replays the
-// benchmark's L2-miss stream (recorded once per stream fingerprint, held
-// in the Cache); steady cells replay it too, their detector reading the
-// cache counters the log keeps. Cells that cannot be memoized (Tweak,
-// tracing, metrics), cells run without a Cache and cells whose recording
-// declined simulate from scratch with nas.Run, the reference the replay
-// is proven bit-identical to.
+// runCell executes or recalls one cell. A memoizable cell replays its
+// benchmark's L2-miss stream, recorded once per batch; steady cells
+// replay it too, their detector reading the cache counters the log
+// keeps. Cells that cannot be memoized (Tweak, tracing, metrics) and
+// cells whose recording declined simulate from scratch with nas.Run, the
+// reference the replay is proven bit-identical to.
 //
 // The returned CellReport (never nil) carries the cell's provenance and
 // host-stage attribution; the caller fills HostSeconds via setHost once
 // it knows the total. The HostStages sink rides on the Config but is
 // observation-only: it is outside the fingerprint, charges no virtual
 // time, and leaves the cell bit-identical to an uninstrumented run.
-func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, error) {
+func (r Runner) runCell(ctx context.Context, streams *flights[*nas.Stream], spec CellSpec) (Cell, *CellReport, error) {
 	hs := &nas.HostStages{}
 	meta := &cellMeta{source: SourceSimulated}
 	spec.Config.HostStages = hs
@@ -258,45 +271,49 @@ func (r Runner) runCell(ctx context.Context, spec CellSpec) (Cell, *CellReport, 
 			Cell:     cellBase(spec),
 		})
 	}
-	if r.Cache != nil {
-		key, ok := spec.Key()
-		skey, sok := spec.Config.StreamFingerprint()
-		if ok && sok {
-			c, _, err := r.Cache.cell(ctx, key, func() (Cell, error) {
-				return r.replayCell(ctx, spec, skey, meta)
-			}, meta)
-			rep := newCellReport(spec, c, meta, hs)
-			rep.Address = store.Address(key)
-			return c, rep, err
+	var c Cell
+	var err error
+	key, ok := spec.Key()
+	switch {
+	case ok && r.Cache != nil:
+		c, _, err = r.Cache.cell(ctx, key, func() (Cell, error) {
+			return replayCell(ctx, streams, spec, meta)
+		}, meta)
+	case ok:
+		c, err = replayCell(ctx, streams, spec, meta)
+	default:
+		if r.Cache != nil {
+			r.Cache.noteScratch()
 		}
-		r.Cache.noteScratch()
-	}
-	c, err := run(spec.Bench, spec.Config)
-	if err == nil && r.TraceDir != "" {
-		err = r.writeTrace(spec, spec.Config.Tracer.(*trace.Recorder))
-	}
-	if err == nil && r.MetricsDir != "" {
-		err = r.writeMetrics(spec, spec.Config.Metrics)
+		c, err = run(spec.Bench, spec.Config)
+		if err == nil && r.TraceDir != "" {
+			err = r.writeTrace(spec, spec.Config.Tracer.(*trace.Recorder))
+		}
+		if err == nil && r.MetricsDir != "" {
+			err = r.writeMetrics(spec, spec.Config.Metrics)
+		}
 	}
 	return c, newCellReport(spec, c, meta, hs), err
 }
 
-// replayCell answers spec by replaying the benchmark's miss stream for
-// skey, recording the stream first if this is the fingerprint's first
-// cell. Every cell replays, the stream's canonical cell included; each
-// charges its wait for the recording to the record stage. When the
-// recording declined, the cell runs from scratch and meta carries the
-// reason.
-func (r Runner) replayCell(ctx context.Context, spec CellSpec, skey string, meta *cellMeta) (Cell, error) {
-	b, ok := Builder(spec.Bench)
+// replayCell answers spec by replaying the benchmark's miss stream from
+// the batch's streams, recording it first if this is the stream's first
+// cell in the batch. Every placement, engine and steady-state variant of
+// the stream, its canonical cell included, replays the one recording,
+// which is immutable and so shared by concurrent replays; each charges
+// its wait for the recording to the record stage. When the recording
+// declined, the cell runs from scratch and meta carries the reason.
+func replayCell(ctx context.Context, streams *flights[*nas.Stream], spec CellSpec, meta *cellMeta) (Cell, error) {
+	builder, ok := Builder(spec.Bench)
 	if !ok {
 		return Cell{}, fmt.Errorf("exp: %w: %q", ErrUnknownBenchmark, spec.Bench)
 	}
+	skey, _ := spec.Config.StreamFingerprint()
 	t0 := time.Now()
 	led := false
-	s, err := r.Cache.stream(ctx, spec.Bench+"\x00"+skey, func() (*nas.Stream, error) {
+	s, _, err := streams.do(ctx, spec.Bench+"\x00"+skey, func() (*nas.Stream, error) {
 		led = true
-		return nas.RecordStream(b, spec.Config)
+		return nas.RecordStream(builder, spec.Config)
 	})
 	if err != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
@@ -314,7 +331,6 @@ func (r Runner) replayCell(ctx context.Context, spec CellSpec, skey string, meta
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
 	}
 	meta.replayed = true
-	r.Cache.noteReplay()
 	if res.VerifyErr != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s failed verification: %w", spec.Bench, spec.Config.Label(), res.VerifyErr)
 	}

@@ -155,10 +155,10 @@ func TestRunnerProgressEvents(t *testing.T) {
 			if ev.Err != nil {
 				t.Errorf("cell %d finished with error %v", ev.Index, ev.Err)
 			}
-			if ev.VirtualS <= 0 {
-				t.Errorf("cell %d reported %v virtual seconds", ev.Index, ev.VirtualS)
+			if ev.Report.VirtualSeconds <= 0 {
+				t.Errorf("cell %d reported %v virtual seconds", ev.Index, ev.Report.VirtualSeconds)
 			}
-			if ev.Host < 0 {
+			if ev.Report.HostSeconds < 0 {
 				t.Errorf("cell %d reported negative host duration", ev.Index)
 			}
 		} else {
@@ -285,35 +285,78 @@ func TestRunnerJobsEquivalenceFullWidth(t *testing.T) {
 	}
 }
 
-// TestRunnerStartsRecordingsFirst: with a Cache, the feeder hands out
-// each stream's first cell before every other cell, so no worker waits
-// on one recording while another stream's cells are queued. At Jobs 1
-// the start events follow dispatch order: BT's first cell, CG's, then
-// the rest in presentation order, which the results keep.
+// TestRunnerStartsRecordingsFirst: the feeder hands out each stream's
+// first cell before every other cell, so no worker waits on one
+// recording while another stream's cells are queued, and every first
+// occurrence of a cell before its repeats, so no worker waits on an
+// in-flight duplicate while unique work is queued. At Jobs 1 the start
+// events follow dispatch order over Figure 1 + Figure 4 for BT and CG:
+// BT's first cell, CG's, the rest of Figure 1, Figure 4's UPMlib cells,
+// then Figure 4's repeats of Figure 1; the results keep presentation
+// order.
 func TestRunnerStartsRecordingsFirst(t *testing.T) {
-	specs := Figure1Specs(SweepOptions{Class: nas.ClassS, Benches: []string{"BT", "CG"}, Seed: 42})
+	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT", "CG"}, Seed: 42}
 	var started []int
 	r := Runner{Jobs: 1, Cache: NewCache(), OnEvent: func(ev Event) {
 		if !ev.Done {
 			started = append(started, ev.Index)
 		}
 	}}
-	cells, err := r.Cells(context.Background(), specs)
+	res, err := r.Sweeps(context.Background(), []SweepRequest{{KindFigure1, o}, {KindFigure4, o}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f1 := len(Figure1Specs(o))
 	want := []int{0, 8}
-	for i := range specs {
-		if i != 0 && i != 8 {
+	for i := 1; i < f1; i++ {
+		if i != 8 {
 			want = append(want, i)
 		}
 	}
+	var repeats []int
+	for i := f1; i < f1+len(Figure4Specs(o)); i++ {
+		if (i-f1)%3 == 2 { // upmlib: the third engine of each placement
+			want = append(want, i)
+		} else {
+			repeats = append(repeats, i)
+		}
+	}
+	want = append(want, repeats...)
 	if !reflect.DeepEqual(started, want) {
 		t.Errorf("cells started in order %v, want %v", started, want)
 	}
-	for i, c := range cells {
-		if c.Bench != specs[i].Bench || c.Label != specs[i].Config.Label() {
-			t.Errorf("cell %d is %s %s, want %s %s", i, c.Bench, c.Label, specs[i].Bench, specs[i].Config.Label())
+	for k, specs := range [][]CellSpec{Figure1Specs(o), Figure4Specs(o)} {
+		for i, c := range res[k].Cells {
+			if c.Bench != specs[i].Bench || c.Label != specs[i].Config.Label() {
+				t.Errorf("%s cell %d is %s %s, want %s %s", res[k].Kind, i, c.Bench, c.Label, specs[i].Bench, specs[i].Config.Label())
+			}
+		}
+	}
+}
+
+// TestRunnerSweepsOneBatch: Figure 1, Figure 4, Table 2 and Figure 5 for
+// BT run as one batch record BT's miss stream once, replay the 13
+// unique cells from it and recall the other 15, and shape each request's
+// result exactly as its own Sweep would.
+func TestRunnerSweepsOneBatch(t *testing.T) {
+	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42}
+	var reqs []SweepRequest
+	for _, k := range []Kind{KindFigure1, KindFigure4, KindTable2, KindFigure5} {
+		reqs = append(reqs, SweepRequest{Kind: k, Options: o})
+	}
+	r := Runner{Jobs: 2, Cache: NewCache()}
+	res, reports := sweepReports(t, r, reqs...)
+	if n, want := countReports(reports), (reportCounts{simulated: 13, recalled: 15, replayed: 13, streams: 1}); n != want {
+		t.Errorf("batch counts %+v, want %+v", n, want)
+	}
+	for i, req := range reqs {
+		// Every cell is cached now: each request alone recalls it.
+		alone, err := r.Sweep(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res[i], alone) {
+			t.Errorf("%s result from the batch differs from its own sweep", req.Kind)
 		}
 	}
 }

@@ -11,17 +11,18 @@ import (
 	"upmgo/internal/vm"
 )
 
-// TestCacheStreamSingleFlight: a recording is single-flighted like a
-// prefix — a waiter whose context dies mid-recording is released with
-// its context's error, a failed recording is not inherited, and the next
-// caller records afresh.
-func TestCacheStreamSingleFlight(t *testing.T) {
-	c := NewCache()
+// TestBatchStreamSingleFlight: a batch's recording is single-flighted
+// like a Cache's cell — a waiter whose context dies mid-recording is
+// released with its context's error, a failed recording is not
+// inherited, the next caller records afresh, and the batch holds what
+// it recorded.
+func TestBatchStreamSingleFlight(t *testing.T) {
+	var streams flights[*nas.Stream]
 	started, release := make(chan struct{}), make(chan struct{})
 	errAborted := errors.New("recording aborted")
 	leader := make(chan error)
 	go func() {
-		_, err := c.stream(context.Background(), "s", func() (*nas.Stream, error) {
+		_, _, err := streams.do(context.Background(), "s", func() (*nas.Stream, error) {
 			close(started)
 			<-release
 			return nil, errAborted
@@ -32,7 +33,7 @@ func TestCacheStreamSingleFlight(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	if _, err := c.stream(ctx, "s", nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := streams.do(ctx, "s", nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled waiter returned %v, want context.Canceled", err)
 	}
 	close(release)
@@ -41,41 +42,38 @@ func TestCacheStreamSingleFlight(t *testing.T) {
 	}
 
 	want := &nas.Stream{}
-	got, err := c.stream(context.Background(), "s", func() (*nas.Stream, error) { return want, nil })
+	got, _, err := streams.do(context.Background(), "s", func() (*nas.Stream, error) { return want, nil })
 	if err != nil || got != want {
 		t.Fatalf("retry got %p, %v; want its own recording", got, err)
 	}
-	if got, _ := c.stream(context.Background(), "s", nil); got != want {
+	if got, _, _ := streams.do(context.Background(), "s", nil); got != want {
 		t.Error("recorded stream not held")
-	}
-	if st := c.Stats(); st.Streams != 2 {
-		t.Errorf("Streams = %d, want 2 (the failed recording and the retry)", st.Streams)
 	}
 }
 
 // TestRunnerDeclinedStreamRunsFromScratch: LU synchronises through an
 // EventSet, so its recording declines. Every cell then runs from
-// scratch, bit-identically to a Runner without a Cache, and every report
-// names the reason and carries the cell's store address.
+// scratch, bit-identically to nas.Run, and every report names the
+// reason and carries the cell's store address.
 func TestRunnerDeclinedStreamRunsFromScratch(t *testing.T) {
 	specs := Figure1Specs(SweepOptions{Class: nas.ClassS, Benches: []string{"LU"}, Seed: 42})
 	cache := NewCache()
 	r := Runner{Jobs: 2, Cache: cache}
 	reports := collectReports(t, r, specs)
-	if st := cache.Stats(); st.Streams != 1 || st.Replayed != 0 || st.Misses != uint64(len(specs)) {
-		t.Errorf("stats %+v, want 1 stream, 0 replayed, %d misses", st, len(specs))
+	if n, want := countReports(reports), (reportCounts{simulated: len(specs), streams: 1}); n != want {
+		t.Errorf("counts %+v, want %+v", n, want)
 	}
 	cells, err := r.Cells(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := Runner{Jobs: 2}.Cells(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cells {
-		if d := nas.Diverge(scratch[i].Result, cells[i].Result); d != "" {
-			t.Errorf("%s: cell diverges from scratch at %s", cells[i].Label, d)
+	for i, spec := range specs {
+		scratch, err := run(spec.Bench, spec.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := nas.Diverge(scratch.Result, cells[i].Result); d != "" {
+			t.Errorf("%s: cell diverges from nas.Run at %s", cells[i].Label, d)
 		}
 	}
 	for i, rep := range reports {
@@ -108,15 +106,14 @@ func TestCellReportAddress(t *testing.T) {
 }
 
 // TestRunnerRecordingReported: the cell that leads a recording reports
-// how it compressed, the cells that replay it do not, the sweep report
-// lists it, and the cache counts the timed steps it simulated.
+// how it compressed, the cells that replay it do not, and the sweep
+// report lists it.
 func TestRunnerRecordingReported(t *testing.T) {
-	cache := NewCache()
 	base := nas.Config{Class: nas.ClassS, Iterations: 12}
 	wc := base
 	wc.Placement = vm.WorstCase
 	specs := []CellSpec{{Bench: "BT", Config: base}, {Bench: "BT", Config: wc}}
-	reports := collectReports(t, Runner{Jobs: 1, Cache: cache}, specs)
+	reports := collectReports(t, Runner{Jobs: 1, Cache: NewCache()}, specs)
 	rec := reports[0].Recording
 	if rec == nil || rec.At == 0 || rec.Steps != 12 {
 		t.Fatalf("leading cell's recording %+v, want a compressed 12-step recording", rec)
@@ -124,9 +121,8 @@ func TestRunnerRecordingReported(t *testing.T) {
 	if reports[1].Recording != nil {
 		t.Errorf("replayed cell reports a recording: %+v", reports[1].Recording)
 	}
-	st := cache.Stats()
-	if st.StreamSteps != 12 || st.StreamStepsSimulated != uint64(rec.At) {
-		t.Errorf("stream steps %d simulated of %d, want %d of 12", st.StreamStepsSimulated, st.StreamSteps, rec.At)
+	if rec.Simulated() != rec.At {
+		t.Errorf("recording simulated %d of 12 timed steps, want %d", rec.Simulated(), rec.At)
 	}
 	sr := BuildSweepReport(reports, 5)
 	if len(sr.Recordings) != 1 || sr.Recordings[0].Label != "ft-IRIX" || sr.Recordings[0].Compression != *rec {

@@ -85,33 +85,57 @@ type SweepResult struct {
 	Figure5 []Figure5Cell `json:"figure5,omitempty"`
 }
 
-// Sweep runs one request on the pool. It is the one way to run a sweep:
-// cmd/sweep, cmd/sweepd's job executor and the bench harness all call
-// it. The cells come from SweepSpecs, so an unknown Kind fails with
-// ErrUnknownKind before any cell starts.
+// Sweep runs one request on the pool: Sweeps with a single request.
 func (r Runner) Sweep(ctx context.Context, req SweepRequest) (SweepResult, error) {
-	specs, err := SweepSpecs(req)
+	res, err := r.Sweeps(ctx, []SweepRequest{req})
 	if err != nil {
-		return SweepResult{}, err
+		return SweepResult{Kind: req.Kind}, err
+	}
+	return res[0], nil
+}
+
+// Sweeps runs requests as one batch and returns their results in
+// request order; it is the one way to run sweeps. The paper's sweeps
+// overlap (Figure 1 ⊂ Figure 4; Table 2 and Figure 5 re-read Figure 4's
+// cells), and one batch records each benchmark's miss stream once for
+// all its requests; with a Cache each shared cell also simulates once.
+// Events index the concatenated cells. The cells come from SweepSpecs,
+// so an unknown Kind fails with ErrUnknownKind before any cell starts.
+func (r Runner) Sweeps(ctx context.Context, reqs []SweepRequest) ([]SweepResult, error) {
+	var specs []CellSpec
+	ends := make([]int, len(reqs))
+	for i, req := range reqs {
+		s, err := SweepSpecs(req)
+		if err != nil {
+			return nil, err
+		}
+		specs = append(specs, s...)
+		ends[i] = len(specs)
 	}
 	cells, err := r.Cells(ctx, specs)
-	out := SweepResult{Kind: req.Kind}
 	if err != nil {
-		return out, err
+		return nil, err
 	}
-	switch req.Kind {
-	case KindTable2:
-		out.Table2 = table2Rows(cells)
-	case KindFigure5, KindFigure6:
-		out.Figure5 = figure5Cells(cells)
-	default:
-		out.Cells = cells
+	out := make([]SweepResult, len(reqs))
+	start := 0
+	for i, req := range reqs {
+		c := cells[start:ends[i]:ends[i]]
+		start = ends[i]
+		out[i].Kind = req.Kind
+		switch req.Kind {
+		case KindTable2:
+			out[i].Table2 = table2Rows(c)
+		case KindFigure5, KindFigure6:
+			out[i].Figure5 = figure5Cells(c)
+		default:
+			out[i].Cells = c
+		}
 	}
 	return out, nil
 }
 
 // SweepSpecs enumerates the cells a request runs, in presentation
-// order, without running them. Runner.Sweep runs exactly these cells;
+// order, without running them. Runner.Sweeps runs exactly these cells;
 // cmd/sweepd also uses it to size a job's progress denominator at
 // submission time. An Options.Topo that ParseShape rejects fails here.
 func SweepSpecs(req SweepRequest) ([]CellSpec, error) {

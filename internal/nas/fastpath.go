@@ -119,15 +119,12 @@ func (w *WhyNot) String() string {
 
 // HostStages splits one run's host wall-clock cost by stage. A run
 // fills the stages it executes when Config.HostStages points here; the
-// remaining fields stay zero (a store-recalled cell, for instance, only
-// ever charges StoreProbe — in exp's accounting, not this struct's).
+// remaining fields stay zero (a store-recalled cell charges only exp's
+// store probe, which is not a stage of the run).
 // Timing is pure observation: no time.Now call is made unless the sink
 // is attached, and nothing simulated reads the values, so armed and
 // unarmed runs are bit-identical in every virtual quantity.
 type HostStages struct {
-	// StoreProbe: looking the cell up in the on-disk result store
-	// (charged by exp.Cache, not by the run itself).
-	StoreProbe time.Duration `json:"store_probe,omitempty"`
 	// Record: recording the benchmark's shared L2-miss stream, or
 	// waiting for it (charged by exp).
 	Record time.Duration `json:"record,omitempty"`
@@ -153,5 +150,5 @@ func (h *HostStages) Sum() time.Duration {
 	if h == nil {
 		return 0
 	}
-	return h.StoreProbe + h.Record + h.Prefix + h.Fork + h.TimedLoop + h.Extrapolate + h.FreeRunTail + h.Verify
+	return h.Record + h.Prefix + h.Fork + h.TimedLoop + h.Extrapolate + h.FreeRunTail + h.Verify
 }

@@ -329,15 +329,16 @@ type (
 	// SweepRunner executes figure/table cells concurrently on a bounded
 	// host worker pool with deterministic (presentation-order) output:
 	// construct one, optionally attach a SweepCache and an OnEvent
-	// progress callback, and pass a SweepRequest to its Sweep method. The
-	// zero value runs with GOMAXPROCS workers and no memoization.
+	// progress callback, and pass SweepRequests to its Sweeps method (or
+	// one to Sweep). One call is one batch: its cells replay each
+	// benchmark's recorded L2-miss stream, recorded once per batch,
+	// instead of simulating the caches again. The zero value runs with
+	// GOMAXPROCS workers and no memoization across batches.
 	SweepRunner = exp.Runner
-	// SweepCache memoizes completed cells across sweeps, so overlapping
-	// figures (Figure 1 ⊂ Figure 4; Table 2 reuses Figure 4's UPMlib
-	// cells) simulate each unique (benchmark, config) cell exactly once.
-	// It also holds each benchmark's recorded L2-miss stream, which every
-	// placement, engine and steady-state variant replays instead of
-	// simulating the caches again.
+	// SweepCache memoizes completed cell results within and across
+	// sweeps, so overlapping figures (Figure 1 ⊂ Figure 4; Table 2
+	// reuses Figure 4's UPMlib cells) simulate each unique (benchmark,
+	// config) cell exactly once.
 	SweepCache = exp.Cache
 	// SweepCacheStats is a snapshot of a SweepCache's hit/miss counters.
 	SweepCacheStats = exp.CacheStats
@@ -353,7 +354,8 @@ func NewSweepCache() *SweepCache { return exp.NewCache() }
 
 // Unified sweep request surface. Every figure and table is one
 // SweepRequest — a SweepKind plus SweepOptions — run by
-// SweepRunner.Sweep, the one way to run a sweep. The request's JSON form
+// SweepRunner.Sweeps (or Sweep), the one way to run a sweep. The
+// request's JSON form
 // is exactly the body of cmd/sweepd's POST /v1/jobs.
 type (
 	// SweepKind names one of the paper's five sweeps.
