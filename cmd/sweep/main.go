@@ -137,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	quiet := fs.Bool("quiet", false, "suppress the live progress line on stderr")
 	csvOut := fs.Bool("csv", false, "emit figure 1/4 data as CSV instead of bars")
 	traceDir := fs.String("trace", "", "write per-cell Chrome traces and text summaries into this directory (disables memoization)")
-	steady := fs.Bool("steady", false, "detect each cell's steady state and extrapolate the remaining iterations instead of replaying them (bit-identical results; -all -class W on 2 vCPUs: 3.0-3.3 s with it, 3.8-4.4 s without)")
+	steady := fs.Bool("steady", false, "detect each cell's steady state and extrapolate the remaining iterations instead of replaying them (bit-identical results)")
 	threads := fs.Int("threads", 0, "simulated team size per cell (0 = all CPUs; every width is exactly reproducible)")
 	topo := fs.String("topo", "", "machine shape for every figure/table-2 cell: a [cube:]LxLx...xC spec (last component = CPUs per node) or preset (origin, hier64, hier128, hier256); empty = the class default machine. Table 1 always shows the default ladder; use cmd/latency -topo for others")
 	topoScale := fs.Bool("toposcale", false, "run the hierarchical scaling sweep: the Figure 4 grid on the 64/128/256-CPU machine shapes (-topo narrows it to one shape)")
@@ -335,7 +335,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			"from_store", s.sources[upmgo.CellSourceStore], "elapsed", time.Since(t0), "jobs", njobs)
 	}
 	if reportf != nil {
-		if err := s.writeReport(reportf, time.Since(t0)); err != nil {
+		host := upmgo.SweepHostContext(njobs, *threads)
+		if err := s.writeReport(reportf, time.Since(t0), host); err != nil {
 			return fmt.Errorf("-report: %w", err)
 		}
 		fmt.Fprintf(stderr, "sweep: report written to %s (%d cell runs)\n", *reportPath, len(s.reports))
@@ -405,10 +406,12 @@ func hostTime(rep *upmgo.CellReport) time.Duration {
 }
 
 // writeReport aggregates the collected per-cell reports into one
-// SweepReport and writes it to f as indented JSON.
-func (s *sweeper) writeReport(f *os.File, wall time.Duration) error {
+// SweepReport, with the sweep's wall time and host context, and writes
+// it to f as indented JSON.
+func (s *sweeper) writeReport(f *os.File, wall time.Duration, host upmgo.SweepHost) error {
 	sr := upmgo.BuildSweepReport(s.reports, 5)
 	sr.WallSeconds = wall.Seconds()
+	sr.Host = &host
 	blob, err := json.MarshalIndent(sr, "", "  ")
 	if err != nil {
 		return err

@@ -121,6 +121,9 @@ func TestRunTelemetryByteIdentity(t *testing.T) {
 	if a := sr.Attributed(); a <= 0 || a > 1 {
 		t.Errorf("stage attribution %v outside (0, 1]", a)
 	}
+	if h := sr.Host; h == nil || h.NumCPU <= 0 || h.GOMAXPROCS <= 0 || h.Jobs <= 0 || h.Threads != 1 || h.CodeVersion == "" {
+		t.Errorf("report lacks its host context: %+v", sr.Host)
+	}
 }
 
 // TestRunProgressETA: the live progress line shows batch-elapsed time

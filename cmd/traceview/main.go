@@ -159,6 +159,9 @@ func writeReport(w io.Writer, sr upmgo.SweepReport) {
 		fmt.Fprintf(w, " over %.3fs wall (%.1fx parallel)", sr.WallSeconds, sr.HostSeconds/sr.WallSeconds)
 	}
 	fmt.Fprintln(w)
+	if sr.Host != nil {
+		fmt.Fprintf(w, "host: %s\n", sr.Host)
+	}
 
 	fmt.Fprintln(w, "\nCells by fast path (cheapest first):")
 	var maxKind int

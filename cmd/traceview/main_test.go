@@ -266,6 +266,30 @@ func TestRunReportReplay(t *testing.T) {
 	}
 }
 
+// TestRunReportHost: a report that carries its host context prints it
+// as one host: line under the headline.
+func TestRunReportHost(t *testing.T) {
+	sr := upmgo.BuildSweepReport([]*upmgo.CellReport{{Bench: "BT", Label: "ft-IRIX", Class: "W",
+		Source: upmgo.CellSourceSimulated, Kind: upmgo.FastPathReplayed, HostSeconds: 0.4}}, 5)
+	sr.Host = &upmgo.SweepHost{NumCPU: 2, GOMAXPROCS: 2, Jobs: 2, Threads: 16, CodeVersion: "v", Revision: "abc"}
+	blob, err := json.Marshal(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"report", "-in", path}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	want := "host time\nhost: num_cpu=2 gomaxprocs=2 jobs=2 threads=16 code_version=v revision=abc\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
+	}
+}
+
 // TestRunReport renders a sweep report and checks every section: the
 // headline with the parallelism ratio, the fast-path kind counts in
 // cheapest-first order, the stage breakdown with its attribution ratio,

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -234,6 +237,58 @@ type SweepReport struct {
 	// Recordings lists the miss-stream recordings the sweep made, in
 	// presentation order, each with the cell that led it.
 	Recordings []RecordingReport `json:"recordings,omitempty"`
+	// Host is the context the sweep ran in, when the caller recorded it
+	// (cmd/sweep does); nil otherwise.
+	Host *Host `json:"host,omitempty"`
+}
+
+// Host is the context a sweep's timings were measured in: the host's
+// CPUs, the Go scheduler's width, the sweep's worker count and team
+// size, and the simulator build.
+type Host struct {
+	NumCPU     int `json:"num_cpu"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	Jobs       int `json:"jobs"`
+	// Threads is the simulated team size of every cell, 0 for all of
+	// each machine's CPUs.
+	Threads     int    `json:"threads"`
+	CodeVersion string `json:"code_version"`
+	// Revision is the VCS revision the binary was built from, with
+	// "+dirty" when the tree had local changes; empty when the build
+	// recorded none (go run, go test).
+	Revision string `json:"revision,omitempty"`
+}
+
+// HostContext returns the Host of this process for a sweep run with
+// the given worker count and team size.
+func HostContext(jobs, threads int) Host {
+	h := Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Jobs: jobs, Threads: threads, CodeVersion: store.CodeVersion}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		dirty := false
+		for _, kv := range bi.Settings {
+			switch kv.Key {
+			case "vcs.revision":
+				h.Revision = kv.Value
+			case "vcs.modified":
+				dirty = kv.Value == "true"
+			}
+		}
+		if dirty && h.Revision != "" {
+			h.Revision += "+dirty"
+		}
+	}
+	return h
+}
+
+// String renders h as one line of key=value pairs.
+func (h Host) String() string {
+	s := fmt.Sprintf("num_cpu=%d gomaxprocs=%d jobs=%d threads=%d code_version=%s",
+		h.NumCPU, h.GOMAXPROCS, h.Jobs, h.Threads, h.CodeVersion)
+	if h.Revision != "" {
+		s += " revision=" + h.Revision
+	}
+	return s
 }
 
 // RecordingReport is one miss-stream recording of a sweep: the cell

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"upmgo/internal/nas"
@@ -204,5 +205,24 @@ func TestBuildSweepReport(t *testing.T) {
 	// finish cells in a racy order, and the report must not leak it.
 	if sr.WhyNot[0].Cells[0] != "FT ft-kmig classW" || sr.WhyNot[0].Cells[1] != "MG ft-kmig classW" {
 		t.Errorf("histogram cells = %+v", sr.WhyNot[0].Cells)
+	}
+}
+
+// TestHostContext: the host context names this process's CPUs and
+// scheduler width, the sweep's jobs and threads and the simulator's
+// code version, and renders as one line.
+func TestHostContext(t *testing.T) {
+	h := HostContext(3, 16)
+	if h.NumCPU != runtime.NumCPU() || h.GOMAXPROCS != runtime.GOMAXPROCS(0) ||
+		h.Jobs != 3 || h.Threads != 16 || h.CodeVersion != store.CodeVersion {
+		t.Errorf("HostContext(3, 16) = %+v", h)
+	}
+	h.NumCPU, h.GOMAXPROCS, h.CodeVersion, h.Revision = 2, 2, "v", ""
+	if got, want := h.String(), "num_cpu=2 gomaxprocs=2 jobs=3 threads=16 code_version=v"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	h.Revision = "abc+dirty"
+	if got, want := h.String(), "num_cpu=2 gomaxprocs=2 jobs=3 threads=16 code_version=v revision=abc+dirty"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

@@ -118,7 +118,9 @@ type Machine struct {
 	Cfg  Config
 	Topo *topology.Hierarchy
 	PT   *vm.PageTable
-	Lat  memsys.Latency
+	// Lat is the timing model. New derives each CPU's memory latency row
+	// from its ladder, so the ladder is fixed once the machine is built.
+	Lat memsys.Latency
 
 	cpus      []*CPU
 	pageShift uint
@@ -292,6 +294,10 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.bulkOK = !cfg.ScalarRuns && cfg.L1Line <= cfg.L2Line && cfg.L2Line <= cfg.PageBytes
 	m.lineState = make([]uint32, (uint64(cfg.ArenaPages)<<m.pageShift)>>m.cohShift)
+	if err := memsys.CheckTLB(cfg.TLBEntries, cfg.TLBWays); err != nil {
+		return nil, err
+	}
+	rows := memRows(topo, &m.Lat)
 	m.cpus = make([]*CPU, ncpu)
 	for i := range m.cpus {
 		l1, err := memsys.NewCache(cfg.L1Bytes, cfg.L1Line, cfg.L1Ways)
@@ -302,21 +308,36 @@ func New(cfg Config) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		tlb, err := memsys.NewTLB(cfg.TLBEntries, cfg.TLBWays)
-		if err != nil {
-			return nil, err
-		}
+		node := i / cfg.CPUsPerNode
 		m.cpus[i] = &CPU{
 			ID:      i,
-			NodeID:  i / cfg.CPUsPerNode,
+			NodeID:  node,
 			m:       m,
 			l1:      l1,
 			l2:      l2,
-			tlb:     tlb,
+			mem:     rows[node],
 			nodeAcc: make([]int64, cfg.Nodes),
 		}
 	}
 	return m, nil
+}
+
+// memRows returns, for every node, the cost of an L2 miss served by each
+// home node and whether that home is local (zero hops), both from
+// topo's distances and lat's ladder. CPUs of one node share a row.
+func memRows(topo *topology.Hierarchy, lat *memsys.Latency) [][]memCost {
+	n := topo.Nodes()
+	rows := make([][]memCost, n)
+	costs := make([]memCost, n*n)
+	for a := range rows {
+		row := costs[a*n : (a+1)*n]
+		for h := range row {
+			hops := topo.Hops(a, h)
+			row[h] = memCost{ps: lat.MemLatency(hops), local: hops == 0}
+		}
+		rows[a] = row
+	}
+	return rows
 }
 
 // MustNew is New for statically known configurations.
@@ -572,10 +593,20 @@ type CPU struct {
 	clock int64
 	l1    *memsys.Cache
 	l2    *memsys.Cache
-	tlb   *memsys.TLB
+	// tlb is built at the CPU's first simulated L2 miss: a stream replay
+	// takes its TLB outcomes from the log (replayMiss) and never has one.
+	tlb *memsys.TLB
+	mem []memCost // by home node: this CPU's memory latency row
 
 	nodeAcc []int64 // memory accesses per home node in the current region
 	stat    CPUStats
+}
+
+// memCost is the cost of an L2 miss served by one home node, and whether
+// that node is local to the missing CPU.
+type memCost struct {
+	ps    int64
+	local bool
 }
 
 // CPUStats counts this CPU's memory-system events.
@@ -812,48 +843,90 @@ func (c *CPU) touch(addr uint64, write bool) {
 
 // memory charges n L2 misses to page vpn: the first-touch fault, the TLB,
 // the local or remote memory latency, the page reference counters and the
-// node's contention tally. It is the only code that runs behind an L2
-// miss, so the only place page placement and migration enter a CPU's
-// clock. The Origin2000 counts *memory* accesses, i.e. L2 misses, which is
-// why cache-friendly code barely moves the counters.
+// node's contention tally. It and its replay twin replayMiss are the only
+// code that runs behind an L2 miss, so the only place page placement and
+// migration enter a CPU's clock. The Origin2000 counts *memory* accesses,
+// i.e. L2 misses, which is why cache-friendly code barely moves the
+// counters.
 func (c *CPU) memory(vpn uint64, write bool, n int) {
 	m := c.m
-	lat := &m.Lat
-	if m.rec != nil {
-		m.rec.miss(c, vpn, write, n)
+	if c.tlb == nil {
+		c.tlb = memsys.MustTLB(m.Cfg.TLBEntries, m.Cfg.TLBWays)
 	}
+	if m.rec != nil {
+		m.rec.miss(c, vpn, write, n, c.tlb.Resident(vpn))
+	}
+	home, gen := c.resolve(vpn, n)
+	if !c.tlb.LookupRun(vpn, gen, n) {
+		c.tlbMiss()
+	}
+	c.serve(vpn, home, write, n)
+	if m.rec != nil {
+		m.rec.rebase(c)
+	}
+}
+
+// replayMiss is memory for a stream replay (DESIGN.md §17): the TLB's
+// recency order depends only on the vpns looked up, so whether vpn was
+// resident comes from the log, and placement reaches the lookup only
+// through the page's generation. The lookup hits when vpn was resident
+// and its generation is the one this CPU saw at its previous lookup of
+// vpn, seen[vpn], which it then updates.
+func (c *CPU) replayMiss(vpn uint64, write bool, n int, resident bool, seen []uint32) {
+	if c.m.freeRun {
+		return
+	}
+	home, gen := c.resolve(vpn, n)
+	if !resident || seen[vpn] != gen {
+		c.tlbMiss()
+	}
+	seen[vpn] = gen
+	c.serve(vpn, home, write, n)
+}
+
+// resolve counts n L2 misses to vpn, faults the page in on its first
+// access, and returns the page's home and generation.
+func (c *CPU) resolve(vpn uint64, n int) (home int, gen uint32) {
+	m := c.m
 	c.stat.L2Miss += uint64(n)
 	home, gen, faulted := m.PT.Resolve(vpn, c.NodeID)
 	if faulted {
 		c.stat.Faults++
-		c.clock += lat.PageFault
+		c.clock += m.Lat.PageFault
 		if m.tracer != nil {
 			m.tracer.Emit(trace.Event{Time: c.clock, CPU: c.ID,
 				Kind: trace.EvPageFault, Arg0: int64(vpn), Arg1: int64(home)})
 		}
 	}
+	return home, gen
+}
+
+// tlbMiss charges one TLB refill.
+func (c *CPU) tlbMiss() {
+	c.stat.TLBMiss++
+	c.clock += c.m.Lat.TLBRefill
+}
+
+// serve charges n L2 misses to the resolved page vpn on home: the
+// memory latency, the page reference counters and the home's contention
+// tally.
+func (c *CPU) serve(vpn uint64, home int, write bool, n int) {
+	m := c.m
 	if !write && m.PT.HasReplicas(vpn) {
 		// Reads are served by the closest copy (replication extension).
 		home = m.PT.NearestCopy(vpn, c.NodeID)
 	}
-	if !c.tlb.LookupRun(vpn, gen, n) {
-		c.stat.TLBMiss++
-		c.clock += lat.TLBRefill
-	}
-	hops := m.Topo.Hops(c.NodeID, home)
-	if hops == 0 {
+	cost := c.mem[home]
+	if cost.local {
 		c.stat.LocalMem += uint64(n)
 	} else {
 		c.stat.RemoteMem += uint64(n)
 	}
-	c.clock += int64(n) * lat.MemLatency(hops)
+	c.clock += int64(n) * cost.ps
 	if m.refCounting {
 		m.PT.CountMissN(vpn, c.NodeID, uint32(n))
 	}
 	c.nodeAcc[home] += int64(n)
-	if m.rec != nil {
-		m.rec.rebase(c)
-	}
 }
 
 // markWritten logs a store to vpn for the replication extension. A write
@@ -906,7 +979,9 @@ func (c *CPU) coherence(unit uint64, write bool) (ver, newVer uint32) {
 func (c *CPU) FlushCaches() {
 	c.l1.Flush()
 	c.l2.Flush()
-	c.tlb.Flush()
+	if c.tlb != nil {
+		c.tlb.Flush()
+	}
 }
 
 // FlushL1 empties only the L1 cache (latency probe).

@@ -12,11 +12,12 @@ import (
 // the logs is a function of the accesses it issues and of the state in
 // front of memory — every CPU's cache tags in recency order, whether
 // each cached line is still valid against the directory, the
-// directory's writer and shared bits, and each log's last page (the
-// base of its next Δvpn). Repeat compares that state at the end of
-// every kernel call with its value at the end of the call before; once
-// it provably repeats, the rest of the log is copied from the last call
-// instead of simulated.
+// directory's writer and shared bits, every CPU's TLB vpns in recency
+// order (the source of each miss record's residency bit), and each
+// log's last page (the base of its next Δvpn). Repeat compares that
+// state at the end of every kernel call with its value at the end of
+// the call before; once it provably repeats, the rest of the log is
+// copied from the last call instead of simulated.
 
 // minRepeatSteps is the number of calls condition (b) compares. A
 // kernel that breaks the Kernel contract by charging extra every q-th
@@ -31,7 +32,7 @@ type callMark struct {
 
 // repeatState is the canonical cache-side state at a callMark.
 type repeatState struct {
-	words []uint64 // every CPU's cache state words, then each log's last vpn
+	words []uint64 // every CPU's cache state words and TLB ways, then each log's last vpn
 	dir   []uint32 // directory words over the heap (versions kept for the wrap bound)
 	ahead bool     // a cached line's version exceeds its unit's
 }
@@ -46,8 +47,8 @@ type repeatState struct {
 //   - (a) the cache-side state now equals the state at the end of the
 //     call before: equal cache tags in recency order, each resident line
 //     valid (its version equals its unit's) or stale alike, equal writer
-//     and shared bits of every directory word over the heap, and equal
-//     last vpns;
+//     and shared bits of every directory word over the heap, equal TLB
+//     vpns in recency order, and equal last vpns;
 //   - (b) the last minRepeatSteps calls appended identical log bytes
 //     and Ops, which catches kernels whose charges depend on the call
 //     index rather than on machine state;
@@ -152,13 +153,20 @@ func (r *Recorder) state() *repeatState {
 	}
 	t1, _ := m.cpus[0].l1.Lines()
 	t2, _ := m.cpus[0].l2.Lines()
-	if n := len(m.cpus)*(len(t1)+len(t2)) + len(r.logs); cap(st.words) < n {
+	ways := m.Cfg.TLBEntries
+	if n := len(m.cpus)*(len(t1)+len(t2)+ways) + len(r.logs); cap(st.words) < n {
 		st.words = make([]uint64, 0, n)
 	}
 	w := st.words[:0]
 	for _, c := range m.cpus {
 		w = appendCache(w, c.l1, m.l1Shift)
 		w = appendCache(w, c.l2, m.cohShift)
+		// A CPU that has not missed yet has no TLB: all ways invalid.
+		if c.tlb != nil {
+			w = append(w, c.tlb.Ways()...)
+		} else {
+			w = append(w, make([]uint64, ways)...)
+		}
 	}
 	for i := range r.logs {
 		w = append(w, r.logs[i].vpn)

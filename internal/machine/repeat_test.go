@@ -78,7 +78,9 @@ func TestRepeatCopiesTail(t *testing.T) {
 
 // TestRepeatStateChangeBlocks mutates one part of the cache-side state
 // after the call Repeat would fire at. The log bytes and every other
-// part still repeat, so each mutation alone must block the repeat. The
+// part still repeat, so each mutation alone must block the repeat: a
+// recording whose caches repeat while its TLB ways do not must not
+// compress, since the ways decide the next calls' residency bits. The
 // valid-or-stale case bumps the version of a unit CPU 0 holds valid: the
 // tags, the directory's writer and shared bits and the logs repeat, and
 // only that line is now stale where the call before held it valid.
@@ -90,6 +92,12 @@ func TestRepeatStateChangeBlocks(t *testing.T) {
 		{"stale line", func(m *Machine, a *Array) { m.lineState[a.Addr(0)>>m.cohShift] += 1 << 9 }},
 		{"shared bit", func(m *Machine, a *Array) { m.lineState[a.Addr(0)>>m.cohShift] ^= 1 }},
 		{"last vpn", func(m *Machine, a *Array) { m.rec.logs[0].vpn++ }},
+		// A lookup outside the log loads a page into the set of a's
+		// first page: CPU 0's TLB ways change, its caches do not.
+		{"tlb ways", func(m *Machine, a *Array) {
+			sets := uint64(m.Cfg.TLBEntries / m.Cfg.TLBWays)
+			m.CPU(0).tlb.LookupRun(m.VPN(a.Addr(0))+sets, 0, 1)
+		}},
 	} {
 		at := func(m *Machine, a *Array, call int) {
 			if call == minRepeatSteps {

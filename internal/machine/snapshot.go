@@ -9,7 +9,8 @@ package machine
 // Clone returns a deep copy of the machine at its current state: page
 // table, per-CPU caches, TLBs, clocks, per-node tallies, statistics,
 // coherence directory and heap cursor. Only immutable state — the
-// topology and the latency table's hop ladder — is shared.
+// topology, the latency table's hop ladder and the CPUs' latency rows —
+// is shared.
 //
 // Two things deliberately do not survive a clone:
 //
@@ -51,9 +52,12 @@ func (m *Machine) Clone() *Machine {
 			clock:   src.clock,
 			l1:      src.l1.Clone(),
 			l2:      src.l2.Clone(),
-			tlb:     src.tlb.Clone(),
+			mem:     src.mem,
 			nodeAcc: append([]int64(nil), src.nodeAcc...),
 			stat:    src.stat,
+		}
+		if src.tlb != nil {
+			c.cpus[i].tlb = src.tlb.Clone()
 		}
 	}
 	return c

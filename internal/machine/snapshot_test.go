@@ -50,7 +50,7 @@ func exercise(m *Machine, rounds int) {
 // machinesEqual compares every piece of simulated state of two machines
 // except the intentionally unshared parts (hooks, tracer) and the CPUs'
 // back-pointers. reflect.DeepEqual sees unexported fields, so the caches,
-// TLBs and page tables are compared in full.
+// TLBs, latency rows and page tables are compared in full.
 func machinesEqual(t *testing.T, a, b *Machine) bool {
 	t.Helper()
 	ok := true
@@ -75,6 +75,7 @@ func machinesEqual(t *testing.T, a, b *Machine) bool {
 		check("l1", ca.l1, cb.l1)
 		check("l2", ca.l2, cb.l2)
 		check("tlb", ca.tlb, cb.tlb)
+		check("mem", ca.mem, cb.mem)
 	}
 	return ok
 }

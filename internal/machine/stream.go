@@ -17,9 +17,13 @@ import (
 // its sync points, each CPU's cache hit, miss and tick counts at every
 // kernel-call boundary, and the structure (regions, barriers, serial
 // sections, phase and kernel-call boundaries) the omp and nas layers
-// report. A Stream replays the log against a fresh machine whose page
-// table, TLBs, counters, contention model and engines are live, without
-// touching a cache.
+// report. Each miss record also holds whether the page was resident in
+// the CPU's TLB: a lookup moves its vpn to the front whether it hits or
+// misses, so residency is placement-free too. A Stream replays the log
+// against a fresh machine whose page table, counters, contention model
+// and engines are live, without touching a cache or a TLB: a replayed
+// lookup hits when the page was resident and its generation is the one
+// the CPU saw at its previous lookup of the page.
 
 // OpKind classifies one structural step of a recorded run.
 type OpKind uint8
@@ -48,8 +52,10 @@ type Op struct {
 }
 
 // Record kinds of a per-CPU log: the low two bits of each record's tag.
+// A miss tag adds the write bit and the TLB residency bit (the vpn was
+// loaded in the recording CPU's TLB before the call) above them.
 const (
-	recMiss    = 0 // tag = (n<<1|write)<<2; then zigzag Δvpn, advance
+	recMiss    = 0 // tag = n<<4|resident<<3|write<<2; then zigzag Δvpn, advance
 	recBarrier = 1 // then advance, Δaccesses, ΔL1 misses
 	recEnd     = 2 // as recBarrier
 	recCaches  = 3 // then ΔL1 hits, misses, tick, ΔL2 hits, misses, tick
@@ -65,6 +71,7 @@ type Recorder struct {
 	m        *Machine
 	logs     []cpuLog
 	ops      []Op
+	pages    uint64 // one past the highest vpn logged
 	inRegion bool
 	serial   int // CPU with unflushed serial-section misses, or -1
 	declined string
@@ -128,8 +135,9 @@ func (r *Recorder) pending(c *CPU) bool {
 	return l.dirty || c.clock != l.clock || c.stat.Accesses != l.acc || c.stat.L1Miss != l.l1
 }
 
-// miss logs one memory call by c.
-func (r *Recorder) miss(c *CPU, vpn uint64, write bool, n int) {
+// miss logs one memory call by c; resident says whether vpn was loaded
+// in c's TLB before it.
+func (r *Recorder) miss(c *CPU, vpn uint64, write bool, n int, resident bool) {
 	if r.declined != "" {
 		return
 	}
@@ -142,10 +150,14 @@ func (r *Recorder) miss(c *CPU, vpn uint64, write bool, n int) {
 		r.serial = c.ID
 	}
 	l := &r.logs[c.ID]
-	tag := uint64(n) << 3
+	tag := uint64(n) << 4
+	if resident {
+		tag |= 1 << 3
+	}
 	if write {
 		tag |= 1 << 2
 	}
+	r.pages = max(r.pages, vpn+1)
 	d := int64(vpn - l.vpn)
 	l.buf = binary.AppendUvarint(l.buf, tag|recMiss)
 	l.buf = binary.AppendUvarint(l.buf, uint64(d<<1^d>>63))
@@ -258,7 +270,7 @@ func (r *Recorder) Finish() (*Stream, error) {
 	if r.declined != "" {
 		return nil, fmt.Errorf("machine: stream declined: %s", r.declined)
 	}
-	s := &Stream{Ops: r.ops, logs: make([][]byte, len(r.logs))}
+	s := &Stream{Ops: r.ops, logs: make([][]byte, len(r.logs)), pages: r.pages}
 	for i := range r.logs {
 		s.logs[i] = r.logs[i].buf
 	}
@@ -269,8 +281,9 @@ func (r *Recorder) Finish() (*Stream, error) {
 // one compact log per CPU. It is immutable; any number of replays may
 // read it concurrently, each through its own StreamReader.
 type Stream struct {
-	Ops  []Op
-	logs [][]byte
+	Ops   []Op
+	logs  [][]byte
+	pages uint64 // one past the highest vpn logged
 }
 
 // Bytes returns the size of the per-CPU logs.
@@ -310,16 +323,25 @@ func (s *Stream) Diff(o *Stream) string {
 	return ""
 }
 
-// StreamReader is one replay's position in a Stream's per-CPU logs.
+// StreamReader is one replay's position in a Stream's per-CPU logs, and
+// the replay's TLB state: the generation each CPU saw at its previous
+// lookup of each page the stream touches.
 type StreamReader struct {
-	s   *Stream
-	pos []int
-	vpn []uint64
+	s    *Stream
+	pos  []int
+	vpn  []uint64
+	seen [][]uint32
 }
 
 // NewReader returns a reader positioned at the start of every log.
 func (s *Stream) NewReader() *StreamReader {
-	return &StreamReader{s: s, pos: make([]int, len(s.logs)), vpn: make([]uint64, len(s.logs))}
+	n := len(s.logs)
+	rd := &StreamReader{s: s, pos: make([]int, n), vpn: make([]uint64, n), seen: make([][]uint32, n)}
+	seen := make([]uint32, uint64(n)*s.pages)
+	for c := range rd.seen {
+		rd.seen[c] = seen[uint64(c)*s.pages : uint64(c+1)*s.pages]
+	}
+	return rd
 }
 
 // Replay feeds CPU c its logged charges and misses up to its next sync
@@ -347,7 +369,7 @@ func (rd *StreamReader) Replay(c *CPU) bool {
 		z := next()
 		rd.vpn[c.ID] += uint64(int64(z>>1) ^ -int64(z&1))
 		c.replayAdvance(int64(next()), 0, 0)
-		c.replayMiss(rd.vpn[c.ID], tag&4 != 0, int(tag>>3))
+		c.replayMiss(rd.vpn[c.ID], tag&4 != 0, int(tag>>4), tag&8 != 0, rd.seen[c.ID])
 	}
 }
 
@@ -360,14 +382,6 @@ func (c *CPU) replayAdvance(adv int64, accesses, l1Miss uint64) {
 	c.clock += adv
 	c.stat.Accesses += accesses
 	c.stat.L1Miss += l1Miss
-}
-
-// replayMiss runs the memory path for n logged L2 misses to page vpn.
-func (c *CPU) replayMiss(vpn uint64, write bool, n int) {
-	if c.m.freeRun {
-		return
-	}
-	c.memory(vpn, write, n)
 }
 
 // ReplayCaches feeds every CPU of m the cache hit, miss and tick counts

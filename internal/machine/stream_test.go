@@ -101,8 +101,9 @@ func streamMachine(t *testing.T, p vm.Policy) (*Machine, *Array) {
 // machines under every placement, leaves every CPU's clock and counters,
 // the machine's statistics and every page's reference counters exactly
 // where simulating the same work under that placement does — without
-// touching a cache. Charging the OpReturn's cache counts then makes the
-// whole counter vector the steady-state detector reads equal.
+// touching a cache or building a TLB. Charging the OpReturn's cache
+// counts then makes the whole counter vector the steady-state detector
+// reads equal.
 func TestStreamReplayMatchesSimulation(t *testing.T) {
 	m, a := streamMachine(t, vm.FirstTouch)
 	rec := NewRecorder(m)
@@ -133,6 +134,9 @@ func TestStreamReplayMatchesSimulation(t *testing.T) {
 			}
 			if _, l1m, _, l2m := r.CacheStats(); l1m != 0 || l2m != 0 {
 				t.Errorf("%v cpu %d: replay touched its caches", p, i)
+			}
+			if r.tlb != nil {
+				t.Errorf("%v cpu %d: replay built a TLB", p, i)
 			}
 		}
 		if sim.Stats() != rep.Stats() {

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -233,8 +234,11 @@ func newTLBModel(entries, ways int) *tlbModel {
 		vpns: make([]uint64, entries), gens: make([]uint32, entries), age: make([]uint64, entries)}
 }
 
+// setOf returns the index of vpn's set's first way.
+func (m *tlbModel) setOf(vpn uint64) int { return int(vpn&m.setMask) * m.ways }
+
 func (m *tlbModel) lookup(vpn uint64, gen uint32) bool {
-	set := int(vpn&m.setMask) * m.ways
+	set := m.setOf(vpn)
 	m.tick++
 	for w := 0; w < m.ways; w++ {
 		if m.vpns[set+w] == vpn+1 {
@@ -306,6 +310,33 @@ func (m *tlbModel) order(s int) [][2]uint64 {
 	return out
 }
 
+// TestTLBResidencyIgnoresGenerations: two TLBs looked up with one
+// seeded vpn sequence, one always at generation 0 and one at
+// generations that change at random, hold the same vpns in the same
+// order after every lookup. A stream replay rests on this: residency
+// can be recorded once, and placement reaches a lookup only through the
+// generation.
+func TestTLBResidencyIgnoresGenerations(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fixed, moving := MustTLB(16, 4), MustTLB(16, 4)
+	gen := make([]uint32, 64)
+	for op := 0; op < 4000; op++ {
+		vpn := uint64(rng.Intn(len(gen)))
+		if rng.Intn(4) == 0 {
+			gen[vpn]++
+		}
+		if fixed.Resident(vpn) != moving.Resident(vpn) {
+			t.Fatalf("op %d: Resident(%d) differs", op, vpn)
+		}
+		n := 1 + rng.Intn(3)
+		fixed.LookupRun(vpn, 0, n)
+		moving.LookupRun(vpn, gen[vpn], n)
+		if !slices.Equal(fixed.Ways(), moving.Ways()) {
+			t.Fatalf("op %d: ways %v and %v differ", op, fixed.Ways(), moving.Ways())
+		}
+	}
+}
+
 // TestTLBMatchesTimestampLRU drives TLB and the timestamp-LRU model with
 // one seeded random stream of LookupRun (n ≥ 1, at the page's current
 // generation, after a migration bumped it, or at an older one), Flush and
@@ -335,7 +366,7 @@ func TestTLBMatchesTimestampLRU(t *testing.T) {
 				want := m.order(s)
 				for w := 0; w < ways; w++ {
 					i := s*ways + w
-					got := [2]uint64{tl.vpns[i], uint64(tl.gens[i])}
+					got := [2]uint64{tl.Ways()[i], uint64(tl.gens[i])}
 					if w >= len(want) && got[0] != 0 || w < len(want) && got != want[w] {
 						t.Fatalf("ways=%d op %d (%s): set %d way %d holds %v, model order %v", ways, op, what, s, w, got, want)
 					}
@@ -358,6 +389,9 @@ func TestTLBMatchesTimestampLRU(t *testing.T) {
 						gen-- // an older generation than the resident one
 					}
 					n := 1 + rng.Intn(5)
+					if got, want := tl.Resident(vpn), slices.Contains(m.vpns[m.setOf(vpn):m.setOf(vpn)+ways], vpn+1); got != want {
+						t.Fatalf("ways=%d op %d: Resident(%d) = %v, model %v", ways, op, vpn, got, want)
+					}
 					if got, want := tl.LookupRun(vpn, gen, n), m.lookupRun(vpn, gen, n); got != want {
 						t.Fatalf("ways=%d op %d: LookupRun(%d, %d, %d) = %v, model %v", ways, op, vpn, gen, n, got, want)
 					}

@@ -23,16 +23,25 @@ type TLB struct {
 	hits, misses uint64
 }
 
+// CheckTLB reports whether NewTLB accepts the shape: entries must be a
+// power-of-two multiple of ways.
+func CheckTLB(entries, ways int) error {
+	if ways <= 0 || entries <= 0 || entries%ways != 0 {
+		return fmt.Errorf("memsys: TLB shape %d entries / %d ways invalid", entries, ways)
+	}
+	if sets := entries / ways; sets&(sets-1) != 0 {
+		return fmt.Errorf("memsys: TLB set count %d not a power of two", sets)
+	}
+	return nil
+}
+
 // NewTLB builds a TLB with the given number of entries and associativity.
 // entries must be a power-of-two multiple of ways.
 func NewTLB(entries, ways int) (*TLB, error) {
-	if ways <= 0 || entries <= 0 || entries%ways != 0 {
-		return nil, fmt.Errorf("memsys: TLB shape %d entries / %d ways invalid", entries, ways)
+	if err := CheckTLB(entries, ways); err != nil {
+		return nil, err
 	}
 	sets := entries / ways
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("memsys: TLB set count %d not a power of two", sets)
-	}
 	return &TLB{
 		ways:    ways,
 		setMask: uint64(sets - 1),
@@ -85,6 +94,23 @@ func (t *TLB) LookupRun(vpn uint64, gen uint32, n int) bool {
 	}
 	return hit
 }
+
+// Resident reports whether vpn is loaded, at any generation. Lookups
+// move vpn to way 0 whether they hit or miss, so residency depends only
+// on the sequence of vpns looked up, never on their generations.
+func (t *TLB) Resident(vpn uint64) bool {
+	set := int(vpn&t.setMask) * t.ways
+	for _, v := range t.vpns[set : set+t.ways] {
+		if v == vpn+1 {
+			return true
+		}
+	}
+	return false
+}
+
+// Ways returns the resident vpns, set by set in recency order (vpn+1,
+// 0 for an invalid way). The slice is the TLB's own; do not modify it.
+func (t *TLB) Ways() []uint64 { return t.vpns }
 
 // Clone returns a deep copy of the TLB: resident translations with their
 // shootdown generations in recency order, and the hit/miss counters. See

@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 )
 
 // Read-only page replication. The paper notes that "read-only pages can be
@@ -42,10 +41,10 @@ func (pt *PageTable) WriteTracking() bool { return pt.trackWrites }
 // tracking is on). It also collapses any replicas, returning the number of
 // copies dropped so the caller can charge the invalidation.
 func (pt *PageTable) MarkWritten(vpn uint64) (dropped int) {
-	if pt.written != nil && atomic.LoadUint32(&pt.written[vpn]) == 0 {
-		atomic.StoreUint32(&pt.written[vpn], 1)
+	if pt.written != nil {
+		pt.written[vpn] = 1
 	}
-	if pt.repl != nil && atomic.LoadUint32(&pt.repl[vpn]) != 0 {
+	if pt.repl != nil && pt.repl[vpn] != 0 {
 		return pt.CollapseReplicas(vpn)
 	}
 	return 0
@@ -53,15 +52,11 @@ func (pt *PageTable) MarkWritten(vpn uint64) (dropped int) {
 
 // Written reports whether vpn has been written since the last reset.
 func (pt *PageTable) Written(vpn uint64) bool {
-	return pt.written != nil && atomic.LoadUint32(&pt.written[vpn]) != 0
+	return pt.written != nil && pt.written[vpn] != 0
 }
 
 // ResetWritten clears the write log.
-func (pt *PageTable) ResetWritten() {
-	for i := range pt.written {
-		atomic.StoreUint32(&pt.written[i], 0)
-	}
-}
+func (pt *PageTable) ResetWritten() { clear(pt.written) }
 
 // Replicate adds a read copy of vpn on node, charging one page of node
 // capacity (with the same best-effort forwarding as migrations — a full
@@ -71,7 +66,7 @@ func (pt *PageTable) Replicate(vpn uint64, node int) bool {
 	if pt.topo.Nodes() > MaxReplicationNodes {
 		panic("vm: replication unsupported on machines this large")
 	}
-	home := int(atomic.LoadInt32(&pt.home[vpn]))
+	home := int(pt.home[vpn])
 	if home < 0 || node == home {
 		return false
 	}
@@ -79,24 +74,16 @@ func (pt *PageTable) Replicate(vpn uint64, node int) bool {
 		pt.repl = make([]uint32, len(pt.home))
 	}
 	bit := uint32(1) << uint(node)
-	if atomic.LoadUint32(&pt.repl[vpn])&bit != 0 {
+	if pt.repl[vpn]&bit != 0 {
 		return false // already replicated there
 	}
-	if pt.capacity > 0 {
-		if atomic.AddInt64(&pt.used[node], 1) > pt.capacity {
-			atomic.AddInt64(&pt.used[node], -1)
-			return false
-		}
-	} else {
-		atomic.AddInt64(&pt.used[node], 1)
+	if pt.capacity > 0 && pt.used[node] >= pt.capacity {
+		return false
 	}
-	for {
-		old := atomic.LoadUint32(&pt.repl[vpn])
-		if atomic.CompareAndSwapUint32(&pt.repl[vpn], old, old|bit) {
-			pt.replicas.Add(1)
-			return true
-		}
-	}
+	pt.used[node]++
+	pt.repl[vpn] |= bit
+	pt.replicas++
+	return true
 }
 
 // Replicas returns the replica bitmask of vpn (home not included).
@@ -104,7 +91,7 @@ func (pt *PageTable) Replicas(vpn uint64) uint32 {
 	if pt.repl == nil {
 		return 0
 	}
-	return atomic.LoadUint32(&pt.repl[vpn])
+	return pt.repl[vpn]
 }
 
 // HasReplicas reports whether vpn has any read copies.
@@ -113,7 +100,7 @@ func (pt *PageTable) HasReplicas(vpn uint64) bool { return pt.Replicas(vpn) != 0
 // NearestCopy returns the node closest to from that holds vpn — the home
 // or any replica.
 func (pt *PageTable) NearestCopy(vpn uint64, from int) int {
-	home := int(atomic.LoadInt32(&pt.home[vpn]))
+	home := int(pt.home[vpn])
 	mask := pt.Replicas(vpn)
 	if mask == 0 || home < 0 {
 		return home
@@ -135,23 +122,23 @@ func (pt *PageTable) CollapseReplicas(vpn uint64) int {
 	if pt.repl == nil {
 		return 0
 	}
-	mask := atomic.SwapUint32(&pt.repl[vpn], 0)
+	mask := pt.repl[vpn]
 	if mask == 0 {
 		return 0
 	}
-	n := bits.OnesCount32(mask)
+	pt.repl[vpn] = 0
 	for m := mask; m != 0; m &= m - 1 {
-		atomic.AddInt64(&pt.used[bits.TrailingZeros32(m)], -1)
+		pt.used[bits.TrailingZeros32(m)]--
 	}
-	atomic.AddUint32(&pt.gen[vpn], 1)
-	pt.collapses.Add(1)
-	return n
+	pt.gen[vpn]++
+	pt.collapses++
+	return bits.OnesCount32(mask)
 }
 
 // ReplicaCount returns the number of live replica copies created so far
 // minus none dropped — i.e. cumulative creations; Collapses counts
 // write-invalidation events.
-func (pt *PageTable) ReplicaCreations() int64 { return pt.replicas.Load() }
+func (pt *PageTable) ReplicaCreations() int64 { return pt.replicas }
 
 // Collapses returns the number of write-invalidation events.
-func (pt *PageTable) Collapses() int64 { return pt.collapses.Load() }
+func (pt *PageTable) Collapses() int64 { return pt.collapses }

@@ -9,7 +9,7 @@ package vm
 
 import (
 	"fmt"
-	"sync/atomic"
+	"slices"
 
 	"upmgo/internal/topology"
 )
@@ -84,9 +84,10 @@ const CounterMax11 = 1<<11 - 1
 // arena starting at page 0; the machine package allocates arrays from it.
 //
 // Concurrency: like its machine, a page table is driven by one goroutine
-// at a time. Migrate and counter resets must be called from quiescent
-// points (barriers or serial sections), which is where both migration
-// engines operate.
+// at a time, so every field is read and written with plain loads and
+// stores (the race detector checks this in the test suite). Migrate and
+// counter resets must be called from quiescent points (barriers or
+// serial sections), which is where both migration engines operate.
 type PageTable struct {
 	topo       *topology.Hierarchy
 	policy     Policy
@@ -106,8 +107,8 @@ type PageTable struct {
 	repl        []uint32
 	written     []uint32
 	trackWrites bool
-	replicas    atomic.Int64
-	collapses   atomic.Int64
+	replicas    int64
+	collapses   int64
 
 	// used[node] counts resident pages; capacity is the per-node limit
 	// (0 = unlimited). Migrations respect it with best-effort
@@ -116,8 +117,8 @@ type PageTable struct {
 	used     []int64
 	capacity int64
 
-	faults     atomic.Int64
-	migrations atomic.Int64
+	faults     int64
+	migrations int64
 }
 
 // Config configures a page table.
@@ -169,33 +170,18 @@ func New(topo *topology.Hierarchy, cfg Config) (*PageTable, error) {
 // concurrent Resolve/CountMissN in flight); machine.Machine.Clone
 // documents the full snapshot contract.
 func (pt *PageTable) Clone() *PageTable {
-	n := &PageTable{
-		topo:        pt.topo,
-		policy:      pt.policy,
-		seed:        pt.seed,
-		counterMax:  pt.counterMax,
-		home:        append([]int32(nil), pt.home...),
-		gen:         append([]uint32(nil), pt.gen...),
-		frozen:      append([]uint32(nil), pt.frozen...),
-		prev:        append([]int32(nil), pt.prev...),
-		counters:    append([]uint32(nil), pt.counters...),
-		trackWrites: pt.trackWrites,
-		used:        append([]int64(nil), pt.used...),
-		capacity:    pt.capacity,
-	}
-	// repl and written are lazily allocated; preserve nil-ness so the
-	// clone takes the same allocation paths as the original.
-	if pt.repl != nil {
-		n.repl = append([]uint32(nil), pt.repl...)
-	}
-	if pt.written != nil {
-		n.written = append([]uint32(nil), pt.written...)
-	}
-	n.replicas.Store(pt.replicas.Load())
-	n.collapses.Store(pt.collapses.Load())
-	n.faults.Store(pt.faults.Load())
-	n.migrations.Store(pt.migrations.Load())
-	return n
+	n := *pt
+	// slices.Clone keeps a nil slice nil, so the lazily allocated repl
+	// and written take the same allocation paths in the clone.
+	n.home = slices.Clone(pt.home)
+	n.gen = slices.Clone(pt.gen)
+	n.frozen = slices.Clone(pt.frozen)
+	n.prev = slices.Clone(pt.prev)
+	n.counters = slices.Clone(pt.counters)
+	n.repl = slices.Clone(pt.repl)
+	n.written = slices.Clone(pt.written)
+	n.used = slices.Clone(pt.used)
+	return &n
 }
 
 // Pages returns the arena size in pages.
@@ -245,7 +231,7 @@ func (pt *PageTable) Resolve(vpn uint64, accessorNode int) (home int, gen uint32
 	}
 	target := pt.admit(pt.placeFor(vpn, accessorNode))
 	pt.home[vpn] = int32(target)
-	pt.faults.Add(1)
+	pt.faults++
 	return target, pt.gen[vpn], true
 }
 
@@ -253,26 +239,24 @@ func (pt *PageTable) Resolve(vpn uint64, accessorNode int) (home int, gen uint32
 // the closest node with room when the target is full. It returns the node
 // actually used.
 func (pt *PageTable) admit(target int) int {
-	if pt.capacity <= 0 {
-		atomic.AddInt64(&pt.used[target], 1)
-		return target
-	}
-	for _, n := range pt.topo.ByDistance(target) {
-		if atomic.AddInt64(&pt.used[n], 1) <= pt.capacity {
-			return n
+	if pt.capacity > 0 {
+		for _, n := range pt.topo.ByDistance(target) {
+			if pt.used[n] < pt.capacity {
+				pt.used[n]++
+				return n
+			}
 		}
-		atomic.AddInt64(&pt.used[n], -1)
+		// Everything full: best effort keeps the page on the target anyway.
 	}
-	// Everything full: best effort keeps the page on the target anyway.
-	atomic.AddInt64(&pt.used[target], 1)
+	pt.used[target]++
 	return target
 }
 
 // Home returns the current home node of vpn, or -1 if unmapped.
-func (pt *PageTable) Home(vpn uint64) int { return int(atomic.LoadInt32(&pt.home[vpn])) }
+func (pt *PageTable) Home(vpn uint64) int { return int(pt.home[vpn]) }
 
 // Gen returns the current translation generation of vpn.
-func (pt *PageTable) Gen(vpn uint64) uint32 { return atomic.LoadUint32(&pt.gen[vpn]) }
+func (pt *PageTable) Gen(vpn uint64) uint32 { return pt.gen[vpn] }
 
 // CountMissN records n memory accesses (L2 misses) to vpn from node in the
 // hardware counters in one update, saturating at the counter width as n
@@ -292,45 +276,38 @@ func (pt *PageTable) CountMissN(vpn uint64, node int, n uint32) {
 	}
 }
 
+// row returns the live reference-counter row of vpn.
+func (pt *PageTable) row(vpn uint64) []uint32 {
+	n := pt.topo.Nodes()
+	base := int(vpn) * n
+	return pt.counters[base : base+n : base+n]
+}
+
 // Counters copies the reference-counter row of vpn into dst (len >= nodes)
 // and returns it. Values are already saturated.
 func (pt *PageTable) Counters(vpn uint64, dst []uint32) []uint32 {
-	n := pt.topo.Nodes()
+	row := pt.row(vpn)
 	if dst == nil {
-		dst = make([]uint32, n)
+		dst = make([]uint32, len(row))
 	}
-	base := int(vpn) * n
-	for i := 0; i < n; i++ {
-		dst[i] = atomic.LoadUint32(&pt.counters[base+i])
-	}
-	return dst[:n]
+	return dst[:copy(dst, row)]
 }
 
 // ResetCounters zeroes the counter row of vpn.
-func (pt *PageTable) ResetCounters(vpn uint64) {
-	base := int(vpn) * pt.topo.Nodes()
-	for i := 0; i < pt.topo.Nodes(); i++ {
-		atomic.StoreUint32(&pt.counters[base+i], 0)
-	}
-}
+func (pt *PageTable) ResetCounters(vpn uint64) { clear(pt.row(vpn)) }
 
 // DecayCounters halves the counter row of vpn (the aging step kernel
 // engines apply so that stale history does not pin migration decisions,
 // and so saturated counters become informative again).
 func (pt *PageTable) DecayCounters(vpn uint64) {
-	base := int(vpn) * pt.topo.Nodes()
-	for i := 0; i < pt.topo.Nodes(); i++ {
-		p := &pt.counters[base+i]
-		atomic.StoreUint32(p, atomic.LoadUint32(p)/2)
+	row := pt.row(vpn)
+	for i := range row {
+		row[i] /= 2
 	}
 }
 
 // ResetAllCounters zeroes every counter.
-func (pt *PageTable) ResetAllCounters() {
-	for i := range pt.counters {
-		atomic.StoreUint32(&pt.counters[i], 0)
-	}
-}
+func (pt *PageTable) ResetAllCounters() { clear(pt.counters) }
 
 // MigrateResult describes the outcome of a migration request.
 type MigrateResult struct {
@@ -345,24 +322,24 @@ type MigrateResult struct {
 // so stale TLB entries miss, and records ping-pong history for Freeze
 // decisions. Migrate must run at a quiescent point.
 func (pt *PageTable) Migrate(vpn uint64, to int) MigrateResult {
-	cur := int(atomic.LoadInt32(&pt.home[vpn]))
+	cur := int(pt.home[vpn])
 	if cur < 0 || to == cur {
 		return MigrateResult{Moved: false, From: cur, Dest: cur}
 	}
-	if atomic.LoadUint32(&pt.frozen[vpn]) != 0 {
+	if pt.frozen[vpn] != 0 {
 		return MigrateResult{Moved: false, From: cur, Dest: cur}
 	}
 	// The move frees the source node first; best-effort forwarding may
 	// then land the page back on the source, which is a no-op.
-	atomic.AddInt64(&pt.used[cur], -1)
+	pt.used[cur]--
 	dest := pt.admit(to)
 	if dest == cur {
 		return MigrateResult{Moved: false, From: cur, Dest: cur}
 	}
 	pt.prev[vpn] = int32(cur)
-	atomic.StoreInt32(&pt.home[vpn], int32(dest))
-	atomic.AddUint32(&pt.gen[vpn], 1)
-	pt.migrations.Add(1)
+	pt.home[vpn] = int32(dest)
+	pt.gen[vpn]++
+	pt.migrations++
 	return MigrateResult{Moved: true, From: cur, Dest: dest}
 }
 
@@ -372,19 +349,19 @@ func (pt *PageTable) PrevHome(vpn uint64) int { return int(pt.prev[vpn]) }
 
 // Freeze pins vpn: subsequent Migrate calls refuse to move it. UPMlib
 // freezes pages that bounce between two nodes in consecutive iterations.
-func (pt *PageTable) Freeze(vpn uint64) { atomic.StoreUint32(&pt.frozen[vpn], 1) }
+func (pt *PageTable) Freeze(vpn uint64) { pt.frozen[vpn] = 1 }
 
 // Unfreeze releases a frozen page.
-func (pt *PageTable) Unfreeze(vpn uint64) { atomic.StoreUint32(&pt.frozen[vpn], 0) }
+func (pt *PageTable) Unfreeze(vpn uint64) { pt.frozen[vpn] = 0 }
 
 // Frozen reports whether vpn is frozen.
-func (pt *PageTable) Frozen(vpn uint64) bool { return atomic.LoadUint32(&pt.frozen[vpn]) != 0 }
+func (pt *PageTable) Frozen(vpn uint64) bool { return pt.frozen[vpn] != 0 }
 
 // Faults returns the number of page faults taken so far.
-func (pt *PageTable) Faults() int64 { return pt.faults.Load() }
+func (pt *PageTable) Faults() int64 { return pt.faults }
 
 // Migrations returns the number of successful page moves so far.
-func (pt *PageTable) Migrations() int64 { return pt.migrations.Load() }
+func (pt *PageTable) Migrations() int64 { return pt.migrations }
 
 // FastForwardCounters advances the page table's monotone event counters
 // without simulating the events behind them: the steady-state
@@ -394,10 +371,10 @@ func (pt *PageTable) Migrations() int64 { return pt.migrations.Load() }
 // iteration boundary they are on a period-one orbit, so their current
 // values are also their values after any number of further iterations.
 func (pt *PageTable) FastForwardCounters(dFaults, dMigrations, dReplicas, dCollapses int64) {
-	pt.faults.Add(dFaults)
-	pt.migrations.Add(dMigrations)
-	pt.replicas.Add(dReplicas)
-	pt.collapses.Add(dCollapses)
+	pt.faults += dFaults
+	pt.migrations += dMigrations
+	pt.replicas += dReplicas
+	pt.collapses += dCollapses
 }
 
 // StateHash returns an FNV-1a digest of the migration-relevant page-table
@@ -416,14 +393,12 @@ func (pt *PageTable) StateHash(npages uint64, withCounters bool) uint64 {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	n := pt.topo.Nodes()
 	for vpn := uint64(0); vpn < npages; vpn++ {
-		h ^= uint64(uint32(atomic.LoadInt32(&pt.home[vpn])))
+		h ^= uint64(uint32(pt.home[vpn]))
 		h *= prime64
 		if withCounters {
-			base := int(vpn) * n
-			for i := 0; i < n; i++ {
-				h ^= uint64(atomic.LoadUint32(&pt.counters[base+i]))
+			for _, c := range pt.row(vpn) {
+				h ^= uint64(c)
 				h *= prime64
 			}
 		}
@@ -432,20 +407,14 @@ func (pt *PageTable) StateHash(npages uint64, withCounters bool) uint64 {
 }
 
 // Used returns the number of pages resident on each node.
-func (pt *PageTable) Used() []int64 {
-	out := make([]int64, len(pt.used))
-	for i := range out {
-		out[i] = atomic.LoadInt64(&pt.used[i])
-	}
-	return out
-}
+func (pt *PageTable) Used() []int64 { return slices.Clone(pt.used) }
 
 // HomeHistogram returns how many mapped pages live on each node; the
 // placement tests use it to check balance properties.
 func (pt *PageTable) HomeHistogram() []int {
 	h := make([]int, pt.topo.Nodes())
-	for vpn := range pt.home {
-		if n := atomic.LoadInt32(&pt.home[vpn]); n >= 0 {
+	for _, n := range pt.home {
+		if n >= 0 {
 			h[n]++
 		}
 	}

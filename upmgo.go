@@ -435,6 +435,9 @@ type (
 	// SweepReport aggregates a sweep's CellReports (`sweep -report`,
 	// `traceview report`).
 	SweepReport = exp.SweepReport
+	// SweepHost is the host context a SweepReport's timings were
+	// measured in (SweepReport.Host).
+	SweepHost = exp.Host
 	// SweepWhyNotCount is one bucket of a SweepReport's why-not histogram.
 	SweepWhyNotCount = exp.WhyNotCount
 	// StreamCompression says how many timed steps a miss-stream recording
@@ -482,6 +485,10 @@ const (
 func BuildSweepReport(reports []*CellReport, topN int) SweepReport {
 	return exp.BuildSweepReport(reports, topN)
 }
+
+// SweepHostContext returns this process's host context for a sweep run
+// with the given worker count and team size (0 = all CPUs).
+func SweepHostContext(jobs, threads int) SweepHost { return exp.HostContext(jobs, threads) }
 
 // PublishBuildInfo sets the upmgo_build_info gauge on reg: constant 1,
 // with the Go runtime version and the simulator's code/schema versions
