@@ -58,6 +58,9 @@ type cellMeta struct {
 	// recording is how the stream this cell recorded compressed; nil
 	// unless the cell led the recording.
 	recording *nas.Compression
+	// verdict is the host time of the stream's verdict task, which ran
+	// on a slot of its own, when this cell led the recording.
+	verdict time.Duration
 }
 
 // Cell provenance values, shared with exp.CellReport.
@@ -66,6 +69,39 @@ const (
 	SourceStore     = "store"
 	SourceSimulated = "simulated"
 )
+
+// slot is one goroutine's claim on a batch's job slots (Runner.Jobs). A
+// cell's goroutine holds one while it simulates and gives it back while
+// it waits on an in-flight duplicate or on its stream's verdict, work
+// that may need a slot itself. A slot belongs to one goroutine; the nil
+// slot holds nothing and gives nothing back.
+type slot struct {
+	sem  chan struct{}
+	held bool
+}
+
+// acquire takes a slot, unless s already holds one, or returns ctx.Err()
+// when ctx ends first.
+func (s *slot) acquire(ctx context.Context) error {
+	if err := ctx.Err(); err != nil || s == nil || s.held {
+		return err
+	}
+	select {
+	case s.sem <- struct{}{}:
+		s.held = true
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// release gives the slot back, if s holds one.
+func (s *slot) release() {
+	if s != nil && s.held {
+		<-s.sem
+		s.held = false
+	}
+}
 
 // flights memoizes values by key, computing each at most once per key
 // at a time. The zero value is empty and ready for concurrent use.
@@ -91,8 +127,9 @@ type flight[V any] struct {
 // The bool reports that the value came from the memo or a successful
 // in-flight duplicate rather than from this call's own lead. lead runs
 // without fl.mu held, and the flight's waiters are released before do
-// returns.
-func (fl *flights[V]) do(ctx context.Context, key string, lead func() (V, error)) (V, bool, error) {
+// returns. A waiter gives sl back before it waits, and a leader takes it
+// (again) before it leads.
+func (fl *flights[V]) do(ctx context.Context, key string, sl *slot, lead func() (V, error)) (V, bool, error) {
 	var zero V
 	for {
 		fl.mu.Lock()
@@ -102,6 +139,7 @@ func (fl *flights[V]) do(ctx context.Context, key string, lead func() (V, error)
 		}
 		if f, ok := fl.inflight[key]; ok {
 			fl.mu.Unlock()
+			sl.release()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
@@ -127,7 +165,9 @@ func (fl *flights[V]) do(ctx context.Context, key string, lead func() (V, error)
 		fl.inflight[key] = f
 		fl.mu.Unlock()
 
-		f.v, f.err = lead()
+		if f.err = sl.acquire(ctx); f.err == nil {
+			f.v, f.err = lead()
+		}
 
 		fl.mu.Lock()
 		delete(fl.inflight, key)
@@ -201,7 +241,8 @@ func (c *Cache) Len() int {
 }
 
 // cell returns the cached cell for key, running fn at most once per key
-// at a time under flights.do's single-flight discipline. The bool
+// at a time under flights.do's single-flight discipline, sl held while
+// fn runs and given back while the call waits on a duplicate. The bool
 // reports whether the cell was served from the cache (RAM, disk, or a
 // successful in-flight duplicate) rather than by this call's own
 // simulation.
@@ -211,12 +252,12 @@ func (c *Cache) Len() int {
 // after: the RAM fill and waiter release happen first, so no other cell
 // ever waits on disk I/O. A corrupt record is counted, skipped and
 // repaired by the post-simulation write.
-func (c *Cache) cell(ctx context.Context, key string, fn func() (Cell, error), meta *cellMeta) (Cell, bool, error) {
+func (c *Cache) cell(ctx context.Context, key string, sl *slot, fn func() (Cell, error), meta *cellMeta) (Cell, bool, error) {
 	c.mu.Lock()
 	st := c.store
 	c.mu.Unlock()
 	recalled := false
-	cell, shared, err := c.cells.do(ctx, key, func() (Cell, error) {
+	cell, shared, err := c.cells.do(ctx, key, sl, func() (Cell, error) {
 		// Read through the store: a cell another process already
 		// simulated is recalled, not recomputed. The disk read happens
 		// under the in-flight slot, so concurrent requests for the same

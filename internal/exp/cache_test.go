@@ -33,7 +33,7 @@ func TestCacheWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.cell(context.Background(), "k", func() (Cell, error) {
+		_, _, err := c.cell(context.Background(), "k", nil, func() (Cell, error) {
 			close(leaderStarted)
 			<-releaseLeader
 			return Cell{}, errAborted
@@ -50,7 +50,7 @@ func TestCacheWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	var werr error
 	go func() {
 		defer close(waiterDone)
-		got, hit, werr = c.cell(context.Background(), "k", func() (Cell, error) {
+		got, hit, werr = c.cell(context.Background(), "k", nil, func() (Cell, error) {
 			return Cell{Bench: "BT"}, nil
 		}, nil)
 	}()
@@ -71,7 +71,7 @@ func TestCacheWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	if hit {
 		t.Error("waiter's retry ran its own simulation; served=true misreports it")
 	}
-	if _, served, err := c.cell(context.Background(), "k", nil, nil); err != nil || !served {
+	if _, served, err := c.cell(context.Background(), "k", nil, nil, nil); err != nil || !served {
 		t.Errorf("retried cell not cached: served=%v err=%v", served, err)
 	}
 }
@@ -84,7 +84,7 @@ func TestCacheWaiterHonoursOwnCancellation(t *testing.T) {
 	releaseLeader := make(chan struct{})
 	defer close(releaseLeader)
 
-	go c.cell(context.Background(), "k", func() (Cell, error) {
+	go c.cell(context.Background(), "k", nil, func() (Cell, error) {
 		close(leaderStarted)
 		<-releaseLeader
 		return Cell{Bench: "BT"}, nil
@@ -93,7 +93,7 @@ func TestCacheWaiterHonoursOwnCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	if _, _, err := c.cell(ctx, "k", nil, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.cell(ctx, "k", nil, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled waiter returned %v, want context.Canceled", err)
 	}
 }
@@ -105,7 +105,7 @@ func TestCacheCancelledCallerNeverSimulates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	_, _, err := c.cell(ctx, "k", func() (Cell, error) { ran = true; return Cell{}, nil }, nil)
+	_, _, err := c.cell(ctx, "k", nil, func() (Cell, error) { ran = true; return Cell{}, nil }, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("got %v, want context.Canceled", err)
 	}

@@ -124,7 +124,9 @@ type CellReport struct {
 	// where its cache-side state started to repeat, or why it never did.
 	Recording *nas.Compression `json:"recording,omitempty"`
 	// HostSeconds is the cell's total host wall-time as seen by the
-	// worker that ran (or waited for) it; Stages attributes it.
+	// goroutine that ran (or waited for) it, plus, on the cell that led
+	// a recording, the host time of the stream's verdict task; Stages
+	// attributes it.
 	HostSeconds    float64      `json:"host_seconds"`
 	VirtualSeconds float64      `json:"virtual_seconds"`
 	Stages         StageSeconds `json:"stages"`
@@ -132,9 +134,9 @@ type CellReport struct {
 }
 
 // newCellReport assembles the per-cell report from the run's host-stage
-// sink and the cache's provenance record. HostSeconds and the Recall
-// pseudo-stage are filled later by setHost, once the worker knows the
-// cell's total wall-time.
+// sink and the cache's provenance record. HostSeconds, which starts at
+// the verdict task the cell led, and the Recall pseudo-stage are
+// completed by setHost, once the goroutine knows the cell's wall-time.
 func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *CellReport {
 	label := c.Label
 	if label == "" {
@@ -148,6 +150,7 @@ func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *C
 		Replayed:       meta.replayed,
 		ReplayDeclined: meta.declined,
 		Recording:      meta.recording,
+		HostSeconds:    meta.verdict.Seconds(),
 		VirtualSeconds: c.Seconds(),
 		FastPath:       c.Result.FastPath,
 		Stages: StageSeconds{
@@ -168,13 +171,13 @@ func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *C
 	return rep
 }
 
-// setHost records the cell's total host wall-time and derives the
+// setHost adds the cell's wall-time to its host time and derives the
 // Recall pseudo-stage: a recalled cell's time is, by definition,
 // everything it spent that was not the store probe (map lookups,
 // waiting on an in-flight duplicate). This is what keeps the sweep
 // report's attribution near-total for warm sweeps.
 func (cr *CellReport) setHost(d time.Duration) {
-	cr.HostSeconds = d.Seconds()
+	cr.HostSeconds += d.Seconds()
 	if cr.Source != SourceSimulated {
 		if rec := cr.HostSeconds - cr.Stages.StoreProbe; rec > 0 {
 			cr.Stages.Recall = rec
@@ -218,8 +221,9 @@ type WhyNotCount struct {
 type SweepReport struct {
 	// Cells is the number of cells reported on.
 	Cells int `json:"cells"`
-	// HostSeconds is the sum of per-cell host wall-time. With J parallel
-	// jobs it exceeds the sweep's elapsed time by up to a factor of J.
+	// HostSeconds is the sum of per-cell host wall-time. It counts the
+	// time cells spend waiting without a job slot too, so with J jobs it
+	// can exceed the sweep's elapsed time by more than a factor of J.
 	HostSeconds float64 `json:"host_seconds"`
 	// WallSeconds is the sweep's elapsed wall-clock, when the caller
 	// measured it (cmd/sweep does); zero otherwise.

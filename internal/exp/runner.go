@@ -71,7 +71,10 @@ type Event struct {
 // influences a cell's numbers — each cell simulates on its own Machine,
 // and the simulator is bit-reproducible at every team width.
 type Runner struct {
-	// Jobs bounds the number of concurrently simulated cells.
+	// Jobs bounds the number of goroutines that simulate at once: cells,
+	// and the verdict tasks of compressed recordings (nas.Stream). A cell
+	// that waits on an in-flight duplicate or on its stream's verdict
+	// holds no slot meanwhile.
 	// 0 or negative means runtime.GOMAXPROCS(0).
 	Jobs int
 	// Cache, when non-nil, memoizes completed cells within and across
@@ -112,7 +115,10 @@ type Runner struct {
 // The miss streams the cells replay are the batch's working state: each
 // is recorded at most once per batch and dropped when Cells returns.
 // Only the cells' results outlive the batch, in the Cache. Cells that
-// should share a stream therefore belong to one batch (Sweeps).
+// should share a stream therefore belong to one batch (Sweeps). No cell
+// finishes, enters the Cache or reaches its store before its stream's
+// verdict has arrived, and a failing verdict fails every cell that
+// replayed the stream.
 func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -134,9 +140,6 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if jobs > len(specs) {
-		jobs = len(specs)
-	}
 
 	var emitMu sync.Mutex
 	emit := func(ev Event) {
@@ -148,52 +151,42 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 		r.OnEvent(ev)
 	}
 
-	// cctx stops the feeder on the first failure; the caller's ctx is
+	// cctx stops dispatching on the first failure; the caller's ctx is
 	// consulted afterwards so an internal abort is not mistaken for an
 	// external cancellation.
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// The batch's miss streams, keyed by bench +
-	// nas.Config.StreamFingerprint.
-	var streams flights[*nas.Stream]
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for _, i := range dispatchOrder(specs) {
-			select {
-			case next <- i:
-			case <-cctx.Done():
-				return
-			}
-		}
-	}()
-
+	// Each cell runs on a goroutine of its own, started in dispatch
+	// order once a slot is free; it holds the slot while it simulates.
+	b := &batch{sem: make(chan struct{}, jobs)}
 	cells := make([]Cell, len(specs))
 	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
+	for _, i := range dispatchOrder(specs) {
+		sl := &slot{sem: b.sem}
+		if sl.acquire(cctx) != nil {
+			break
+		}
+		b.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := range next {
-				spec := specs[i]
-				emit(Event{Spec: spec, Index: i, Total: len(specs)})
-				start := time.Now()
-				c, rep, err := r.runCell(cctx, &streams, spec)
-				rep.setHost(time.Since(start))
-				cells[i], errs[i] = c, err
-				emit(Event{Spec: spec, Index: i, Total: len(specs), Done: true, Err: err,
-					SteadyAt: c.Result.SteadyAt, SteadyPeriod: c.Result.SteadyPeriod,
-					ExtrapolatedIters: c.Result.ExtrapolatedIters,
-					Report:            rep})
-				if err != nil {
-					cancel()
-				}
+			defer b.wg.Done()
+			defer sl.release()
+			spec := specs[i]
+			emit(Event{Spec: spec, Index: i, Total: len(specs)})
+			start := time.Now()
+			c, rep, err := r.runCell(cctx, b, sl, spec)
+			rep.setHost(time.Since(start))
+			cells[i], errs[i] = c, err
+			emit(Event{Spec: spec, Index: i, Total: len(specs), Done: true, Err: err,
+				SteadyAt: c.Result.SteadyAt, SteadyPeriod: c.Result.SteadyPeriod,
+				ExtrapolatedIters: c.Result.ExtrapolatedIters,
+				Report:            rep})
+			if err != nil {
+				cancel()
 			}
 		}()
 	}
-	wg.Wait()
+	b.wg.Wait()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -215,14 +208,42 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 	return cells, nil
 }
 
-// dispatchOrder returns the order in which the workers take specs:
-// each stream's first cell, so every recording starts as early as it
-// can; then the first cell of every other memo key and the unmemoizable
-// cells; then the repeats, which recall (or, without a Cache, replay
-// again) a cell already dispatched. A worker therefore takes a repeat,
-// which may wait on its in-flight duplicate, only once no first
-// occurrence is left. Results keep presentation order whatever this
-// order is.
+// batch is one Cells call's shared state: the miss streams its cells
+// replay, the job slots and every goroutine it started, verdict tasks
+// included.
+type batch struct {
+	streams flights[*nas.Stream] // keyed by bench + nas.Config.StreamFingerprint
+	sem     chan struct{}
+	wg      sync.WaitGroup
+}
+
+// judge runs s's verdict task, if it is still pending, on a goroutine
+// of its own that holds a slot while it runs, charging its host time to
+// hs. It gives up when ctx ends, before or between steps.
+func (b *batch) judge(ctx context.Context, s *nas.Stream, hs *nas.HostStages) {
+	select {
+	case <-s.Judged():
+		return
+	default:
+	}
+	b.wg.Add(1)
+	go func() {
+		defer b.wg.Done()
+		sl := &slot{sem: b.sem}
+		if sl.acquire(ctx) == nil {
+			s.RunVerdict(ctx, hs)
+			sl.release()
+		}
+	}()
+}
+
+// dispatchOrder returns the order in which cells start: each stream's
+// first cell, so every recording starts as early as it can; then the
+// first cell of every other memo key and the unmemoizable cells; then
+// the repeats, which recall (or, without a Cache, replay again) a cell
+// already dispatched. A repeat, which may wait on its in-flight
+// duplicate, therefore starts only once no first occurrence is left.
+// Results keep presentation order whatever this order is.
 func dispatchOrder(specs []CellSpec) []int {
 	var leaders, firsts, repeats []int
 	streams, keys := map[string]bool{}, map[string]bool{}
@@ -250,14 +271,15 @@ func dispatchOrder(specs []CellSpec) []int {
 // replay it too, their detector reading the cache counters the log
 // keeps. Cells that cannot be memoized (Tweak, tracing, metrics) and
 // cells whose recording declined simulate from scratch with nas.Run, the
-// reference the replay is proven bit-identical to.
+// reference the replay is proven bit-identical to. sl is the cell's job
+// slot, held on entry.
 //
 // The returned CellReport (never nil) carries the cell's provenance and
 // host-stage attribution; the caller fills HostSeconds via setHost once
 // it knows the total. The HostStages sink rides on the Config but is
 // observation-only: it is outside the fingerprint, charges no virtual
 // time, and leaves the cell bit-identical to an uninstrumented run.
-func (r Runner) runCell(ctx context.Context, streams *flights[*nas.Stream], spec CellSpec) (Cell, *CellReport, error) {
+func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec) (Cell, *CellReport, error) {
 	hs := &nas.HostStages{}
 	meta := &cellMeta{source: SourceSimulated}
 	spec.Config.HostStages = hs
@@ -276,11 +298,11 @@ func (r Runner) runCell(ctx context.Context, streams *flights[*nas.Stream], spec
 	key, ok := spec.Key()
 	switch {
 	case ok && r.Cache != nil:
-		c, _, err = r.Cache.cell(ctx, key, func() (Cell, error) {
-			return replayCell(ctx, streams, spec, meta)
+		c, _, err = r.Cache.cell(ctx, key, sl, func() (Cell, error) {
+			return replayCell(ctx, b, sl, spec, meta)
 		}, meta)
 	case ok:
-		c, err = replayCell(ctx, streams, spec, meta)
+		c, err = replayCell(ctx, b, sl, spec, meta)
 	default:
 		if r.Cache != nil {
 			r.Cache.noteScratch()
@@ -300,37 +322,61 @@ func (r Runner) runCell(ctx context.Context, streams *flights[*nas.Stream], spec
 // the batch's streams, recording it first if this is the stream's first
 // cell in the batch. Every placement, engine and steady-state variant of
 // the stream, its canonical cell included, replays the one recording,
-// which is immutable and so shared by concurrent replays; each charges
-// its wait for the recording to the record stage. When the recording
-// declined, the cell runs from scratch and meta carries the reason.
-func replayCell(ctx context.Context, streams *flights[*nas.Stream], spec CellSpec, meta *cellMeta) (Cell, error) {
+// whose log is immutable and so shared by concurrent replays; each
+// charges its wait for the recording to the record stage. The recording
+// hands the stream over once its log is complete, and its leader starts
+// the verdict task (batch.judge), charged to its free-run tail. A replay
+// runs at once and waits for the verdict only once nas.Run has returned,
+// giving its slot back meanwhile; the wait is charged to the verify
+// stage. When the recording declined, the cell runs from scratch and
+// meta carries the reason.
+func replayCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, meta *cellMeta) (Cell, error) {
 	builder, ok := Builder(spec.Bench)
 	if !ok {
 		return Cell{}, fmt.Errorf("exp: %w: %q", ErrUnknownBenchmark, spec.Bench)
 	}
+	hs := spec.Config.HostStages
 	skey, _ := spec.Config.StreamFingerprint()
 	t0 := time.Now()
-	led := false
-	s, _, err := streams.do(ctx, spec.Bench+"\x00"+skey, func() (*nas.Stream, error) {
-		led = true
-		return nas.RecordStream(builder, spec.Config)
+	var task *nas.HostStages // the verdict task's, when this cell leads
+	// A cell waits for a recording in its slot: the recording needs no
+	// other slot to finish, and the replay needs this one next.
+	s, _, err := b.streams.do(ctx, spec.Bench+"\x00"+skey, nil, func() (*nas.Stream, error) {
+		s, err := nas.RecordStream(builder, spec.Config)
+		if err == nil {
+			task = &nas.HostStages{}
+			b.judge(ctx, s, task)
+		}
+		return s, err
 	})
 	if err != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
 	}
-	spec.Config.HostStages.Record += time.Since(t0)
+	hs.Record += time.Since(t0)
 	meta.declined = s.Declined
-	if led {
+	if task != nil {
 		meta.recording = &s.Compression
 	}
 	if s.Declined != "" {
 		return run(spec.Bench, spec.Config)
 	}
-	res, err := s.Replay(spec.Config)
+	res, err := s.ReplayUnjudged(spec.Config)
 	if err != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
 	}
 	meta.replayed = true
+	sl.release()
+	t1 := time.Now()
+	if err := s.Judge(ctx, &res); err != nil {
+		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
+	}
+	hs.Verify += time.Since(t1)
+	if task != nil {
+		// The verdict task ran on a slot of its own; its time is this
+		// cell's, since the cell led the recording.
+		hs.FreeRunTail += task.FreeRunTail
+		meta.verdict = task.FreeRunTail
+	}
 	if res.VerifyErr != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s failed verification: %w", spec.Bench, spec.Config.Label(), res.VerifyErr)
 	}

@@ -22,7 +22,7 @@ func TestBatchStreamSingleFlight(t *testing.T) {
 	errAborted := errors.New("recording aborted")
 	leader := make(chan error)
 	go func() {
-		_, _, err := streams.do(context.Background(), "s", func() (*nas.Stream, error) {
+		_, _, err := streams.do(context.Background(), "s", nil, func() (*nas.Stream, error) {
 			close(started)
 			<-release
 			return nil, errAborted
@@ -33,7 +33,7 @@ func TestBatchStreamSingleFlight(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	if _, _, err := streams.do(ctx, "s", nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := streams.do(ctx, "s", nil, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled waiter returned %v, want context.Canceled", err)
 	}
 	close(release)
@@ -42,11 +42,11 @@ func TestBatchStreamSingleFlight(t *testing.T) {
 	}
 
 	want := &nas.Stream{}
-	got, _, err := streams.do(context.Background(), "s", func() (*nas.Stream, error) { return want, nil })
+	got, _, err := streams.do(context.Background(), "s", nil, func() (*nas.Stream, error) { return want, nil })
 	if err != nil || got != want {
 		t.Fatalf("retry got %p, %v; want its own recording", got, err)
 	}
-	if got, _, _ := streams.do(context.Background(), "s", nil); got != want {
+	if got, _, _ := streams.do(context.Background(), "s", nil, nil); got != want {
 		t.Error("recorded stream not held")
 	}
 }

@@ -21,8 +21,9 @@ func bulkTestConfig() Config {
 }
 
 // pair builds two identical machines, one with the bulk fast path enabled
-// and one forced onto the scalar reference ladder. Driving both with the
-// same call sequence and comparing their full observable state is the
+// and one forced onto the scalar reference ladder, each with its whole
+// arena allocated, since the tests address it directly. Driving both with
+// the same call sequence and comparing their full observable state is the
 // equivalence contract of the bulk path.
 func pair(t *testing.T, cfg Config) (bulk, scalar *Machine) {
 	t.Helper()
@@ -30,7 +31,10 @@ func pair(t *testing.T, cfg Config) (bulk, scalar *Machine) {
 	b.ScalarRuns = false
 	s := cfg
 	s.ScalarRuns = true
-	return MustNew(b), MustNew(s)
+	bulk, scalar = MustNew(b), MustNew(s)
+	bulk.Alloc(cfg.ArenaPages * cfg.PageBytes)
+	scalar.Alloc(cfg.ArenaPages * cfg.PageBytes)
+	return bulk, scalar
 }
 
 // compareMachines asserts bit-identical clocks, event counters, cache

@@ -34,7 +34,7 @@ type Config struct {
 	CPUsPerNode int
 
 	PageBytes     int   // virtual memory page size
-	ArenaPages    int   // size of the simulated address space
+	ArenaPages    int   // size of the simulated address space, the bound on the heap
 	CapacityPages int64 // per-node page capacity, 0 = unlimited
 
 	L1Bytes, L1Line, L1Ways int
@@ -136,9 +136,11 @@ type Machine struct {
 	// produces the paper's sustained memory traffic in iterative codes —
 	// without it, steady-state stencil sweeps would run entirely from
 	// private caches and page placement would stop mattering. Versions
-	// count modulo versionLimit.
+	// count modulo versionLimit. Alloc grows the directory with the heap;
+	// noDir is set once DropCacheState has released it for good.
 	cohShift  uint
 	lineState []uint32
+	noDir     bool
 
 	// Bulk-access fast path: l1Shift segments runs by L1 line inside a
 	// coherence unit; bulkOK gates the path on the hierarchy nesting it
@@ -271,8 +273,11 @@ func New(cfg Config) (*Machine, error) {
 		}
 		cfg.Lat.MemByHops = mb
 	}
+	// The page table and the directory cover the heap, not the arena:
+	// Alloc grows both as it hands out pages. The table starts with one
+	// page, the least vm.New builds.
 	pt, err := vm.New(topo, vm.Config{
-		Pages:         cfg.ArenaPages,
+		Pages:         1,
 		Policy:        cfg.Placement,
 		Seed:          cfg.Seed,
 		CounterBits:   cfg.CounterBits,
@@ -293,7 +298,6 @@ func New(cfg Config) (*Machine, error) {
 		refCounting: true,
 	}
 	m.bulkOK = !cfg.ScalarRuns && cfg.L1Line <= cfg.L2Line && cfg.L2Line <= cfg.PageBytes
-	m.lineState = make([]uint32, (uint64(cfg.ArenaPages)<<m.pageShift)>>m.cohShift)
 	if err := memsys.CheckTLB(cfg.TLBEntries, cfg.TLBWays); err != nil {
 		return nil, err
 	}
@@ -371,7 +375,9 @@ func (m *Machine) VPN(addr uint64) uint64 { return addr >> m.pageShift }
 func (m *Machine) AddBarrierHook(fn BarrierHook) { m.hooks = append(m.hooks, fn) }
 
 // Alloc reserves n bytes of simulated address space, page-aligned so that
-// distinct arrays never share a page, and returns the base address.
+// distinct arrays never share a page, and returns the base address. It
+// grows the page table and the coherence directory to cover the heap;
+// the arena bounds the heap.
 func (m *Machine) Alloc(n int) uint64 {
 	if n <= 0 {
 		panic(fmt.Sprintf("machine: Alloc(%d)", n))
@@ -379,10 +385,41 @@ func (m *Machine) Alloc(n int) uint64 {
 	base := m.heap
 	pages := (uint64(n) + uint64(m.Cfg.PageBytes) - 1) >> m.pageShift
 	m.heap += pages << m.pageShift
-	if m.VPN(m.heap) > uint64(m.PT.Pages()) {
-		panic(fmt.Sprintf("machine: arena exhausted allocating %d bytes (%d pages in arena)", n, m.PT.Pages()))
+	if m.VPN(m.heap) > uint64(m.Cfg.ArenaPages) {
+		panic(fmt.Sprintf("machine: arena exhausted allocating %d bytes (%d pages in arena)", n, m.Cfg.ArenaPages))
+	}
+	m.PT.Grow(int(m.VPN(m.heap)))
+	if units := int((m.heap + 1<<m.cohShift - 1) >> m.cohShift); !m.noDir && units > len(m.lineState) {
+		m.lineState = append(m.lineState, make([]uint32, units-len(m.lineState))...)
 	}
 	return base
+}
+
+// DropCacheState releases the machine's cache-side state — the coherence
+// directory, every CPU's cache lines and its TLB — for a machine that
+// simulates no access from now on: a stream replay, which takes every
+// outcome from its log, or a compressed recording past its repeat, which
+// only runs free. The caches' counts survive. Alloc grows no directory
+// afterwards, and a simulated access panics.
+func (m *Machine) DropCacheState() {
+	m.lineState, m.noDir = nil, true
+	for _, c := range m.cpus {
+		c.l1.Release()
+		c.l2.Release()
+		c.tlb = nil
+	}
+}
+
+// CacheStateDropped reports whether DropCacheState has run.
+func (m *Machine) CacheStateDropped() bool { return m.noDir }
+
+// outsideHeap panics for a simulated access to addr that the directory
+// does not cover.
+func (m *Machine) outsideHeap(addr uint64) {
+	if m.noDir {
+		panic(fmt.Sprintf("machine: access to %#x on a machine without cache-side state (a replay, or a recording past its repeat)", addr))
+	}
+	panic(fmt.Sprintf("machine: access to %#x past the heap (%d bytes allocated)", addr, m.heap))
 }
 
 // AllocatedPages returns the number of pages allocated so far; migration
@@ -957,7 +994,11 @@ func (c *CPU) markWritten(vpn uint64) {
 //   - any other write: bump the version (invalidating every other cached
 //     copy at its next use), take ownership, clear the shared flag.
 func (c *CPU) coherence(unit uint64, write bool) (ver, newVer uint32) {
-	p := &c.m.lineState[unit]
+	dir := c.m.lineState
+	if unit >= uint64(len(dir)) {
+		c.m.outsideHeap(unit << c.m.cohShift)
+	}
+	p := &dir[unit]
 	word, me := *p, uint32(c.ID)<<1
 	ver = word >> 9
 	switch {

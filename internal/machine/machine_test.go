@@ -82,7 +82,8 @@ func TestTouchLatencyLadder(t *testing.T) {
 	m := defMachine(t)
 	lat := m.Lat
 	c := m.CPU(0) // node 0
-	a := m.NewArray("x", 8192)
+	// 3000 lines of four elements: the L1-evicting stream below reads it all.
+	a := m.NewArray("x", 3000*4)
 
 	// Cold access from CPU 0: first-touch fault + TLB miss + local memory.
 	t0 := c.Now()

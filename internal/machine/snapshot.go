@@ -36,6 +36,7 @@ func (m *Machine) Clone() *Machine {
 		heap:      m.heap,
 		cohShift:  m.cohShift,
 		lineState: append([]uint32(nil), m.lineState...),
+		noDir:     m.noDir,
 		l1Shift:   m.l1Shift,
 		bulkOK:    m.bulkOK,
 		settleAcc: make([]int64, len(m.settleAcc)),

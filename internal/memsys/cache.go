@@ -230,6 +230,11 @@ func (c *Cache) Lines() (tags []uint64, vers []uint32) { return c.tags, c.vers }
 // Flush invalidates the whole cache.
 func (c *Cache) Flush() { clear(c.tags) }
 
+// Release drops the cache's lines and keeps its hit, miss and tick
+// counts, for a cache that will only be fed counts from now on (a stream
+// replay's). A released cache holds no sets; probing it panics.
+func (c *Cache) Release() { c.tags, c.vers = nil, nil }
+
 // LineBytes returns the line size in bytes.
 func (c *Cache) LineBytes() int { return 1 << c.lineShift }
 

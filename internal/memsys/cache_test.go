@@ -69,6 +69,22 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
+// TestCacheRelease: a released cache holds no lines but keeps its
+// counts, and counts fed to it still add up.
+func TestCacheRelease(t *testing.T) {
+	c := MustCache(1024, 32, 2)
+	c.Access(0, 0, 0)
+	c.Access(0, 0, 0)
+	c.Release()
+	if tags, vers := c.Lines(); tags != nil || vers != nil || c.Sets() != 0 {
+		t.Errorf("released cache holds %d tags, %d versions, %d sets", len(tags), len(vers), c.Sets())
+	}
+	c.FastForward(1, 2, 3, 1)
+	if h, m := c.Stats(); h != 2 || m != 3 || c.Tick() != 5 {
+		t.Errorf("after Release and FastForward: %d hits, %d misses, tick %d; want 2, 3, 5", h, m, c.Tick())
+	}
+}
+
 func TestCacheStats(t *testing.T) {
 	c := MustCache(1024, 32, 2)
 	c.Access(0, 0, 0)

@@ -1,6 +1,8 @@
 package nas_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -179,5 +181,85 @@ func TestCompressedRecordingVerdict(t *testing.T) {
 	}
 	if got.VerifyErr == nil || got.VerifyErr.Error() != "ran 12 steps" {
 		t.Errorf("replay's verdict %v, want the recording's %q", got.VerifyErr, "ran 12 steps")
+	}
+}
+
+// stoppingKernel is a countingKernel that calls stop after its at-th
+// timed step.
+type stoppingKernel struct {
+	*countingKernel
+	at   int
+	stop func()
+}
+
+func (k stoppingKernel) Step(t *omp.Team, h *nas.Hooks) {
+	k.countingKernel.Step(t, h)
+	if k.steps == k.at {
+		k.stop()
+	}
+}
+
+// TestRecordStreamHandsOverAtRepeat: a compressed recording returns at
+// its repeat, its machine's cache-side state dropped and its verdict
+// still to run, while a full recording returns judged. A replay runs
+// before the verdict; Judge waits for it; RunVerdict stops between steps
+// when its context ends and resumes where it stopped; and the judged
+// replay is Replay's.
+func TestRecordStreamHandsOverAtRepeat(t *testing.T) {
+	stop := func() {}
+	build := func(m *machine.Machine, class nas.Class, scale int, seed uint64) nas.Kernel {
+		return stoppingKernel{&countingKernel{Kernel: synthBuilder(0, 0)(m, class, scale, seed)}, 8, func() { stop() }}
+	}
+	cfg := nas.Config{Class: nas.ClassS, Threads: 2, Iterations: 12}
+	full, err := nas.RecordStreamFull(build, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-full.Judged():
+	default:
+		t.Error("a full recording returned before its verdict")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stop = cancel
+	s := record(t, build, cfg)
+	if s.Compression.At == 0 || s.Compression.At >= 8 {
+		t.Fatalf("recording compressed at step %d, want one before step 8", s.Compression.At)
+	}
+	select {
+	case <-s.Judged():
+		t.Fatal("a compressed recording returned judged")
+	default:
+	}
+	if m := s.VerdictMachine(); m == nil || !m.CacheStateDropped() {
+		t.Error("the recording's machine kept its cache-side state past the repeat")
+	}
+	cfg.Placement = vm.WorstCase
+	res, err := s.ReplayUnjudged(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunVerdict(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunVerdict stopped at step 8 returned %v, want context.Canceled", err)
+	}
+	if err := s.Judge(ctx, &res); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Judge before the verdict returned %v, want context.Canceled", err)
+	}
+	if err := s.RunVerdict(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Judge(ctx, &res); err != nil {
+		t.Fatalf("Judge after the verdict returned %v", err)
+	}
+	if res.VerifyErr == nil || res.VerifyErr.Error() != "ran 12 steps" {
+		t.Errorf("judged replay's verdict %v, want %q", res.VerifyErr, "ran 12 steps")
+	}
+	want, err := s.Replay(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := nas.Diverge(want, res); d != "" {
+		t.Errorf("judged replay diverges from Replay at %s", d)
 	}
 }

@@ -14,3 +14,14 @@ func RecordStreamFull(build Builder, cfg Config) (*Stream, error) {
 
 // Log returns the stream's per-CPU logs and Ops.
 func (s *Stream) Log() *machine.Stream { return s.log }
+
+// VerdictMachine returns the machine of a compressed recording whose
+// verdict task is still pending, or nil.
+func (s *Stream) VerdictMachine() *machine.Machine {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.task == nil {
+		return nil
+	}
+	return s.task.m
+}

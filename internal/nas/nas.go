@@ -81,10 +81,6 @@ func (c Class) MachineTweak(mc *machine.Config) {
 	case ClassS:
 		mc.Nodes, mc.CPUsPerNode = 4, 2
 		mc.PageBytes = 1024
-		// 4 MB of arena is ample for every Class S working set; the
-		// default 512 MB worth of page-table state would dominate the
-		// host cost of building and resetting these tiny machines.
-		mc.ArenaPages = 1 << 12
 		mc.L1Bytes, mc.L1Line, mc.L1Ways = 4*1024, 32, 2
 		mc.L2Bytes, mc.L2Line, mc.L2Ways = 16*1024, 128, 2
 	case ClassW:

@@ -1,6 +1,7 @@
 package nas_test
 
 import (
+	"context"
 	"testing"
 
 	"upmgo/internal/nas"
@@ -21,6 +22,10 @@ func BenchmarkReplayMiss(b *testing.B) {
 	}
 	if s.Declined != "" {
 		b.Fatalf("recording declined: %s", s.Declined)
+	}
+	// The recording's verdict task runs once, outside the timed replays.
+	if err := s.RunVerdict(context.Background(), nil); err != nil {
+		b.Fatal(err)
 	}
 	for _, c := range []struct {
 		name string

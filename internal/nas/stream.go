@@ -1,7 +1,10 @@
 package nas
 
 import (
+	"context"
 	"fmt"
+	"sync"
+	"time"
 
 	"upmgo/internal/kmig"
 	"upmgo/internal/machine"
@@ -50,8 +53,14 @@ func (c Config) streamCell() Config {
 
 // Stream is one benchmark's recorded L2-miss stream, or the reason it
 // could not be recorded. It answers no cell itself: every cell of the
-// stream, its canonical cell included, replays it. It is immutable once
-// built, so concurrent replays may share it.
+// stream, its canonical cell included, replays it. Its log is immutable,
+// so concurrent replays may share it.
+//
+// A compressed recording hands its stream over at the repeat, before its
+// numerics have reached the last step: the stream's verdict task, the
+// remaining free-run steps and Verify, is still to run (RunVerdict), and
+// Judged is closed once it has. Every other stream is judged when
+// RecordStream returns.
 type Stream struct {
 	// Declined, when non-empty, names the construct that made the run
 	// unreplayable (an EventSet, a critical section, a dynamic schedule
@@ -61,22 +70,37 @@ type Stream struct {
 	// where its cache-side state started to repeat, or why it never did.
 	Compression Compression
 
-	key       string // Fingerprint of the canonical cell
-	verifyErr error  // the numerics' verdict, which every replay reports
-	log       *machine.Stream
-	name      string
-	iters     int
-	hasPhase  bool
-	hot       [][2]uint64
-	heapPages uint64
+	key        string // Fingerprint of the canonical cell
+	log        *machine.Stream
+	name       string
+	iters      int
+	hasPhase   bool
+	hot        [][2]uint64
+	heapPages  uint64
+	skipVerify bool
+
+	mu        sync.Mutex    // serialises RunVerdict
+	task      *verdictTask  // the verdict task's remainder; nil once judged
+	judged    chan struct{} // closed once verifyErr is final
+	verifyErr error         // the numerics' verdict, which every replay reports
+}
+
+// verdictTask is what a compressed recording leaves to run after its
+// handoff: the kernel's numerics through the remaining timed steps, in
+// free-run mode on the recording's machine, then Verify.
+type verdictTask struct {
+	k    Kernel
+	team *omp.Team
+	m    *machine.Machine
+	left int // free-run steps still to run
 }
 
 // Compression reports how a recording ended (DESIGN.md §17). Once the
 // cache-side state at the end of a timed step repeats that of the step
 // before, the recorder copies the last step's log for the remaining
-// steps, and the recording runs them without simulating a cache,
-// advancing only the kernel's numerics in free-run mode for the verify
-// verdict. A recording with PerturbAt set simulates every step.
+// steps and the stream is complete; only the kernel's numerics remain to
+// advance, in free-run mode, for the verify verdict (Stream.RunVerdict).
+// A recording with PerturbAt set simulates every step.
 type Compression struct {
 	// Steps is the number of timed steps the recording ran.
 	Steps int `json:"steps"`
@@ -117,11 +141,13 @@ func (c Compression) String() string {
 }
 
 // RecordStream runs cfg's canonical stream cell with a recorder attached
-// and returns the stream: its log, its Compression, the numerics' verify
-// verdict and, when the recording declined, the reason. cfg must have a
-// stream fingerprint; its HostStages sink is not charged. The recording
-// simulates the caches only until their state repeats (see Compression);
-// its log is that of a full simulation.
+// and returns the stream as soon as its log is complete: its log, its
+// Compression and, when the recording declined, the reason. cfg must
+// have a stream fingerprint; its HostStages sink is not charged. The
+// recording simulates the caches only until their state repeats (see
+// Compression); its log is that of a full simulation. A compressed
+// recording returns at the repeat, its verdict still to run
+// (RunVerdict); any other returns judged.
 func RecordStream(build Builder, cfg Config) (*Stream, error) {
 	return recordStream(build, cfg, true)
 }
@@ -132,18 +158,18 @@ func recordStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 	if _, ok := cfg.StreamFingerprint(); !ok {
 		return nil, fmt.Errorf("nas: config without a stream fingerprint (traced, sampled or tweaked) cannot be recorded")
 	}
-	s := &Stream{}
+	s := &Stream{judged: make(chan struct{}), skipVerify: cfg.SkipVerify}
 	cfg = cfg.streamCell()
 	cfg.HostStages = nil
 	s.key, _ = cfg.Fingerprint()
 	var k *recordingKernel
-	// Run drives the recording; its Result is not a cell's, since the
-	// steps after a repeat or a decline simulate nothing.
+	// Run drives the recording up to the handoff; its Result is not a
+	// cell's, since the steps after a repeat or a decline run nothing.
 	res, err := Run(func(m *machine.Machine, class Class, scale int, seed uint64) Kernel {
 		// A tail copied from one step would miss the rebinding at
 		// PerturbAt, so such a recording simulates every step.
 		k = &recordingKernel{Kernel: build(m, class, scale, seed), m: m,
-			skipVerify: cfg.SkipVerify, compress: compress && cfg.PerturbAt == 0}
+			compress: compress && cfg.PerturbAt == 0}
 		if _, ok := k.Kernel.(Varying); ok {
 			k.compress = false
 		}
@@ -174,14 +200,81 @@ func recordStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 		c.Why = WhyNoRepeat
 	}
 	if s.Declined = k.rec.Declined(); s.Declined != "" {
+		close(s.judged)
 		return s, nil
 	}
 	if s.log, err = k.rec.Finish(); err != nil {
 		return nil, err
 	}
-	s.verifyErr = res.VerifyErr
 	s.name, s.iters, s.hasPhase, s.hot = k.Name(), k.DefaultIterations(), k.HasPhase(), k.HotPages()
+	if c := s.Compression; c.At > 0 && !cfg.SkipVerify {
+		s.task = &verdictTask{k: k.Kernel, team: k.team, m: k.m, left: c.Steps - c.At}
+		return s, nil
+	}
+	s.verifyErr = res.VerifyErr
+	close(s.judged)
 	return s, nil
+}
+
+// Judged returns a channel that is closed once the stream's verdict is
+// known.
+func (s *Stream) Judged() <-chan struct{} { return s.judged }
+
+// RunVerdict runs what is left of the stream's verdict task in the
+// calling goroutine and returns nil once the verdict is known; a judged
+// stream returns at once. It checks ctx between steps: when ctx ends
+// first it returns ctx.Err() and leaves the remaining steps to the next
+// call. Concurrent calls run the task one at a time. hs, when non-nil,
+// is charged the task's host time as FreeRunTail.
+func (s *Stream) RunVerdict(ctx context.Context, hs *HostStages) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v := s.task
+	if v == nil {
+		return nil
+	}
+	var t0 time.Time
+	if hs != nil {
+		t0 = time.Now()
+	}
+	v.m.SetFreeRun(true)
+	for v.left > 0 && ctx.Err() == nil {
+		v.k.Step(v.team, &Hooks{})
+		v.left--
+	}
+	if v.left == 0 {
+		s.verifyErr, s.task = v.k.Verify(), nil
+	}
+	// hs is charged before the verdict is published: its reader waits
+	// on judged.
+	if hs != nil {
+		hs.FreeRunTail += time.Since(t0)
+	}
+	if s.task != nil {
+		return ctx.Err()
+	}
+	close(s.judged)
+	return nil
+}
+
+// Judge waits for the stream's verdict and sets res, a Result of
+// ReplayUnjudged, to report it as Run would. It returns ctx.Err() when
+// ctx ends before the verdict is known.
+func (s *Stream) Judge(ctx context.Context, res *Result) error {
+	select {
+	case <-s.judged:
+	case <-ctx.Done():
+		select {
+		case <-s.judged:
+		default:
+			return ctx.Err()
+		}
+	}
+	if !s.skipVerify {
+		res.VerifyErr = s.verifyErr
+		res.Verified = s.verifyErr == nil
+	}
+	return nil
 }
 
 // Bytes returns the size of the stream's per-CPU logs.
@@ -193,9 +286,25 @@ func (s *Stream) Bytes() int {
 }
 
 // Replay runs cfg against the stream: Run with a kernel that replays the
-// log. cfg must have the stream's fingerprint; the Result is
-// bit-identical to Run on the real kernel.
+// log. cfg must have the stream's fingerprint; the Result, the
+// recording's verdict included, is bit-identical to Run on the real
+// kernel. It runs the stream's verdict task first if it is still
+// pending.
 func (s *Stream) Replay(cfg Config) (Result, error) {
+	res, err := s.ReplayUnjudged(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := s.RunVerdict(context.Background(), nil); err != nil {
+		return Result{}, err
+	}
+	return res, s.Judge(context.Background(), &res)
+}
+
+// ReplayUnjudged is Replay without the verdict: it does not wait for the
+// stream's verdict task, and the Result's VerifyErr and Verified are
+// Judge's to set.
+func (s *Stream) ReplayUnjudged(cfg Config) (Result, error) {
 	if s.log == nil {
 		return Result{}, fmt.Errorf("nas: stream declined (%s); nothing to replay", s.Declined)
 	}
@@ -205,9 +314,11 @@ func (s *Stream) Replay(cfg Config) (Result, error) {
 	return Run(s.build, cfg)
 }
 
-// build is the replay's Builder: it allocates the recorded heap, so
+// build is the replay's Builder: it drops the machine's cache-side state,
+// which a replay never reads, and allocates the recorded heap, so
 // AllocatedPages and the hot page spans match the real kernel's.
 func (s *Stream) build(m *machine.Machine, _ Class, _ int, _ uint64) Kernel {
+	m.DropCacheState()
 	if s.heapPages > 0 {
 		m.Alloc(int(s.heapPages << m.PageShift()))
 	}
@@ -217,17 +328,18 @@ func (s *Stream) build(m *machine.Machine, _ Class, _ int, _ uint64) Kernel {
 // recordingKernel marks the end of every InitTouch and Step call in the
 // stream, so the replay kernel knows where each call's steps stop. With
 // compress set it also asks the recorder, at the end of every Step,
-// whether the cache-side state repeats. Once it does, each remaining
-// Step only advances the real kernel's numerics in free-run mode, for
-// the verify verdict; once the recorder declines, each does nothing.
+// whether the cache-side state repeats. Once it does, the log is
+// complete: the machine drops its cache-side state and each remaining
+// Step does nothing, leaving the numerics to the stream's verdict task.
+// Once the recorder declines, each does nothing too.
 type recordingKernel struct {
 	Kernel
-	m          *machine.Machine
-	rec        *machine.Recorder
-	comp       *Compression
-	skipVerify bool
-	compress   bool
-	calls      int // Step calls so far, the cold start's included
+	m        *machine.Machine
+	rec      *machine.Recorder
+	comp     *Compression
+	compress bool
+	calls    int       // Step calls so far, the cold start's included
+	team     *omp.Team // the team the verdict task steps, once compressed
 }
 
 func (k *recordingKernel) InitTouch(t *omp.Team) {
@@ -236,15 +348,7 @@ func (k *recordingKernel) InitTouch(t *omp.Team) {
 }
 
 func (k *recordingKernel) Step(t *omp.Team, h *Hooks) {
-	switch {
-	case k.rec.Declined() != "":
-		return
-	case k.comp.At > 0:
-		if !k.skipVerify {
-			k.m.SetFreeRun(true)
-			k.Kernel.Step(t, &Hooks{})
-			k.m.SetFreeRun(false)
-		}
+	if k.rec.Declined() != "" || k.comp.At > 0 {
 		return
 	}
 	k.Kernel.Step(t, h)
@@ -254,8 +358,19 @@ func (k *recordingKernel) Step(t *omp.Team, h *Hooks) {
 	step := k.calls
 	k.calls++
 	if k.compress && k.rec.Repeat(k.comp.Steps-step) {
-		k.comp.At = step
+		k.comp.At, k.team = step, t
+		k.m.DropCacheState()
 	}
+}
+
+// Verify is the real kernel's, unless the recording compressed: its
+// numerics then stop at the repeat, and the verdict is the verdict
+// task's.
+func (k *recordingKernel) Verify() error {
+	if k.comp.At > 0 {
+		return nil
+	}
+	return k.Kernel.Verify()
 }
 
 func (k *recordingKernel) mark() {
@@ -283,9 +398,10 @@ func (k *replayKernel) HotPages() [][2]uint64  { return k.s.hot }
 // Reinit has nothing to restore: the replay holds no numerics.
 func (k *replayKernel) Reinit() {}
 
-// Verify returns the recording's verdict: the numerics do not depend on
-// placement, engines or extrapolation.
-func (k *replayKernel) Verify() error { return k.s.verifyErr }
+// Verify passes: the replay holds no numerics. The verdict is the
+// recording's, which Stream.Judge reports, since the numerics do not
+// depend on placement, engines or extrapolation.
+func (k *replayKernel) Verify() error { return nil }
 
 func (k *replayKernel) InitTouch(t *omp.Team) { k.replay(t, nil) }
 

@@ -131,12 +131,13 @@ func TestReplicationCapacityRespected(t *testing.T) {
 	m := machine.MustNew(cfg)
 	a := m.NewArray("x", 2048)
 	lo, hi := a.PageRange()
+	m.NewArray("y", 1)  // allocates page hi
 	m.PT.Resolve(lo, 0) // first-touch from node 0
 	u := Init(m, Options{})
 	u.MemRefCnt(lo, hi)
 	u.EnableWriteTracking()
 	// Node 3 already full: fault an unrelated page onto it.
-	m.PT.Resolve(hi, 3) // hi is outside the hot range but inside the arena
+	m.PT.Resolve(hi, 3) // hi is outside the hot range but inside the heap
 	hammer(m, lo, 3, 200)
 	hammer(m, lo, 5, 200)
 	created := u.ReplicateReadOnly(m.CPU(0), ReplicationOptions{})

@@ -81,7 +81,9 @@ const CounterMax11 = 1<<11 - 1
 
 // PageTable maps virtual page numbers to home nodes and carries the
 // hardware reference counters. The address space is a single contiguous
-// arena starting at page 0; the machine package allocates arrays from it.
+// arena starting at page 0; the machine package allocates arrays from it
+// and grows the table with its heap (Grow), so the table covers the
+// allocated pages rather than the whole arena.
 //
 // Concurrency: like its machine, a page table is driven by one goroutine
 // at a time, so every field is read and written with plain loads and
@@ -123,7 +125,7 @@ type PageTable struct {
 
 // Config configures a page table.
 type Config struct {
-	Pages         int    // size of the arena in pages
+	Pages         int    // pages the table covers at first, at least one; Grow adds more
 	Policy        Policy // initial placement scheme
 	Seed          uint64 // seed for Random placement
 	CounterBits   int    // hardware counter width; 0 means 11 (Origin2000)
@@ -142,24 +144,15 @@ func New(topo *topology.Hierarchy, cfg Config) (*PageTable, error) {
 	if bits < 1 || bits > 32 {
 		return nil, fmt.Errorf("vm: counter width %d invalid", bits)
 	}
-	n := topo.Nodes()
 	pt := &PageTable{
 		topo:       topo,
 		policy:     cfg.Policy,
 		seed:       cfg.Seed,
 		counterMax: uint32(1<<bits - 1),
-		home:       make([]int32, cfg.Pages),
-		gen:        make([]uint32, cfg.Pages),
-		frozen:     make([]uint32, cfg.Pages),
-		prev:       make([]int32, cfg.Pages),
-		counters:   make([]uint32, cfg.Pages*n),
-		used:       make([]int64, n),
+		used:       make([]int64, topo.Nodes()),
 		capacity:   cfg.CapacityPages,
 	}
-	for i := range pt.home {
-		pt.home[i] = -1
-		pt.prev[i] = -1
-	}
+	pt.Grow(cfg.Pages)
 	return pt, nil
 }
 
@@ -184,8 +177,34 @@ func (pt *PageTable) Clone() *PageTable {
 	return &n
 }
 
-// Pages returns the arena size in pages.
+// Pages returns the number of pages the table covers.
 func (pt *PageTable) Pages() int { return len(pt.home) }
+
+// Grow extends the table to cover pages pages, when it covers fewer: the
+// new pages are unmapped and unfrozen, with generation 0 and zero
+// counters. The machine grows the table with its heap
+// (machine.Machine.Alloc).
+func (pt *PageTable) Grow(pages int) {
+	old := len(pt.home)
+	if pages <= old {
+		return
+	}
+	n := pages - old
+	pt.home = append(pt.home, make([]int32, n)...)
+	pt.prev = append(pt.prev, make([]int32, n)...)
+	for i := old; i < pages; i++ {
+		pt.home[i], pt.prev[i] = -1, -1
+	}
+	pt.gen = append(pt.gen, make([]uint32, n)...)
+	pt.frozen = append(pt.frozen, make([]uint32, n)...)
+	pt.counters = append(pt.counters, make([]uint32, n*pt.topo.Nodes())...)
+	if pt.repl != nil {
+		pt.repl = append(pt.repl, make([]uint32, n)...)
+	}
+	if pt.written != nil {
+		pt.written = append(pt.written, make([]uint32, n)...)
+	}
+}
 
 // Nodes returns the node count.
 func (pt *PageTable) Nodes() int { return pt.topo.Nodes() }
@@ -261,12 +280,17 @@ func (pt *PageTable) Gen(vpn uint64) uint32 { return pt.gen[vpn] }
 // CountMissN records n memory accesses (L2 misses) to vpn from node in the
 // hardware counters in one update, saturating at the counter width as n
 // single increments would: the memory path of internal/machine charges
-// every miss a run takes on one page in a single call.
+// every miss a run takes on one page in a single call. A page the table
+// does not cover yet grows it first.
 func (pt *PageTable) CountMissN(vpn uint64, node int, n uint32) {
 	if n == 0 {
 		return
 	}
-	p := &pt.counters[int(vpn)*pt.topo.Nodes()+node]
+	i := int(vpn)*pt.topo.Nodes() + node
+	if i >= len(pt.counters) {
+		pt.Grow(int(vpn) + 1)
+	}
+	p := &pt.counters[i]
 	if old := *p; old < pt.counterMax {
 		next := old + n
 		if next > pt.counterMax || next < old {

@@ -296,3 +296,43 @@ func TestPolicyStrings(t *testing.T) {
 		t.Error("unknown policy has empty string")
 	}
 }
+
+// TestGrow: growing a table keeps every page it covered and adds
+// unmapped, unfrozen pages with generation 0 and zero counters, to the
+// replica masks and the write log too once they exist; counting a miss
+// to a page past the table grows it first.
+func TestGrow(t *testing.T) {
+	pt := newPT(t, 2, FirstTouch)
+	pt.Resolve(1, 3)
+	pt.CountMissN(1, 3, 5)
+	pt.SetWriteTracking(true)
+	pt.Resolve(0, 2)
+	pt.Replicate(0, 4)
+	pt.Grow(6)
+	pt.Grow(4) // never shrinks
+	if pt.Pages() != 6 {
+		t.Fatalf("Pages = %d after Grow(6), want 6", pt.Pages())
+	}
+	if pt.Home(1) != 3 || pt.Counters(1, nil)[3] != 5 || pt.Replicas(0) != 1<<4 {
+		t.Error("growing lost a page's home, counters or replicas")
+	}
+	for vpn := uint64(2); vpn < 6; vpn++ {
+		if pt.Home(vpn) != -1 || pt.PrevHome(vpn) != -1 || pt.Gen(vpn) != 0 || pt.Frozen(vpn) ||
+			pt.Replicas(vpn) != 0 || pt.Written(vpn) {
+			t.Errorf("grown page %d is not fresh", vpn)
+		}
+		for n, c := range pt.Counters(vpn, nil) {
+			if c != 0 {
+				t.Errorf("grown page %d node %d counter %d", vpn, n, c)
+			}
+		}
+	}
+	pt.MarkWritten(5)
+	if !pt.Written(5) {
+		t.Error("write to a grown page not logged")
+	}
+	pt.CountMissN(9, 1, 2)
+	if pt.Pages() != 10 || pt.Counters(9, nil)[1] != 2 || pt.Home(9) != -1 {
+		t.Errorf("counting a miss on page 9 of %d: counter %d, home %d", pt.Pages(), pt.Counters(9, nil)[1], pt.Home(9))
+	}
+}

@@ -326,14 +326,14 @@ type (
 	Table2Row = exp.Table2Row
 	// Figure5Cell is one bar of Figure 5/6 with its overhead split.
 	Figure5Cell = exp.Figure5Cell
-	// SweepRunner executes figure/table cells concurrently on a bounded
-	// host worker pool with deterministic (presentation-order) output:
-	// construct one, optionally attach a SweepCache and an OnEvent
+	// SweepRunner executes figure/table cells concurrently, at most Jobs
+	// of them simulating at once, with deterministic (presentation-order)
+	// output: construct one, optionally attach a SweepCache and an OnEvent
 	// progress callback, and pass SweepRequests to its Sweeps method (or
 	// one to Sweep). One call is one batch: its cells replay each
 	// benchmark's recorded L2-miss stream, recorded once per batch,
 	// instead of simulating the caches again. The zero value runs with
-	// GOMAXPROCS workers and no memoization across batches.
+	// GOMAXPROCS slots and no memoization across batches.
 	SweepRunner = exp.Runner
 	// SweepCache memoizes completed cell results within and across
 	// sweeps, so overlapping figures (Figure 1 ⊂ Figure 4; Table 2
