@@ -82,12 +82,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  UPMlib cost    %.4f virtual s on the critical path\n", float64(r.UPM.OverheadPS)/1e12)
 	}
 	if r.SteadyAt != 0 {
-		period := r.SteadyPeriod
-		if period == 0 {
-			period = 1
-		}
-		fmt.Fprintf(stdout, "  steady state   period %d detected at iteration %d; %d iterations extrapolated\n",
-			period, r.SteadyAt, r.ExtrapolatedIters)
+		fmt.Fprintf(stdout, "  steady state   detected at iteration %d; %d iterations extrapolated\n",
+			r.SteadyAt, r.ExtrapolatedIters)
 	} else if *steady {
 		// The typed diagnosis replaces the old guesswork string: the
 		// detector reports what actually blocked it (reason + evidence).

@@ -95,7 +95,7 @@ func TestRunSteady(t *testing.T) {
 	if err := run(append(base, "-steady"), &steady, &errw); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(steady.String(), "steady state   period 1 detected at iteration") {
+	if !strings.Contains(steady.String(), "steady state   detected at iteration") {
 		t.Errorf("steady run did not report detection:\n%s", steady.String())
 	}
 	// Identical except for the added steady-state line: drop it and compare.

@@ -491,28 +491,23 @@ func (s *sweeper) record(ev upmgo.SweepEvent) {
 }
 
 // steadySummary renders the -steady footer: how many unique cells
-// extrapolated, split by proven period, and the median iteration at which
-// detection fired. Empty when -steady was off or nothing finished.
+// extrapolated and the median iteration at which detection fired. Empty
+// when -steady was off or nothing finished.
 func (s *sweeper) steadySummary() string {
 	if len(s.steady) == 0 {
 		return ""
 	}
-	var p1, pk int
+	var n int
 	var ats []int
 	for _, ev := range s.steady {
 		if ev.SteadyAt > 0 {
 			ats = append(ats, ev.SteadyAt)
 		}
 		if ev.ExtrapolatedIters > 0 {
-			if ev.SteadyPeriod > 1 {
-				pk++
-			} else {
-				p1++
-			}
+			n++
 		}
 	}
-	line := fmt.Sprintf("sweep: %d of %d cells extrapolated (period-1: %d, period-k: %d)",
-		p1+pk, len(s.steady), p1, pk)
+	line := fmt.Sprintf("sweep: %d of %d cells extrapolated", n, len(s.steady))
 	if len(ats) > 0 {
 		sort.Ints(ats)
 		line += fmt.Sprintf(", median SteadyAt=%d", ats[len(ats)/2])

@@ -28,8 +28,9 @@ const (
 	// written before the analytic campaign drain was removed, and no
 	// current run is classified as it.
 	FastPathCampaign FastPathKind = "campaign_ff"
-	// FastPathSteadyPK: a period-k (k ≥ 2) orbit was proven and the
-	// tail extrapolated.
+	// FastPathSteadyPK is a legacy kind: it appears only in reports
+	// written while the detector also proved longer orbits, and no
+	// current run is classified as it.
 	FastPathSteadyPK FastPathKind = "steady_period_k"
 	// FastPathSteadyP1: a period-one steady state was proven and the
 	// tail extrapolated.
@@ -41,7 +42,7 @@ const (
 // FastPathKinds is the presentation order of the kinds (cheapest first),
 // shared with cmd/traceview's report renderer.
 var FastPathKinds = []FastPathKind{
-	FastPathRecalled, FastPathReplayed, FastPathSteadyPK, FastPathSteadyP1, FastPathFullSim,
+	FastPathRecalled, FastPathReplayed, FastPathSteadyP1, FastPathFullSim,
 }
 
 // StageSeconds is a cell's (or a sweep's) host wall-time split by stage,
@@ -193,8 +194,6 @@ func classifyFastPath(source string, replayed bool, r nas.Result) FastPathKind {
 	switch {
 	case source != SourceSimulated:
 		return FastPathRecalled
-	case r.ExtrapolatedIters > 0 && r.SteadyPeriod > 1:
-		return FastPathSteadyPK
 	case r.ExtrapolatedIters > 0:
 		return FastPathSteadyP1
 	case replayed:

@@ -49,11 +49,10 @@ type Event struct {
 	Err error
 	// Steady-state accounting of the finished cell, copied from its
 	// Result (zero when the cell simulated every iteration): the
-	// iteration the detector fired at, the proven orbit length (0 or 1 =
-	// period one), and the iterations covered by detector extrapolation.
-	// cmd/sweep aggregates these into its -steady summary line.
+	// iteration the detector fired at and the iterations covered by
+	// detector extrapolation. cmd/sweep aggregates these into its -steady
+	// summary line.
 	SteadyAt          int
-	SteadyPeriod      int
 	ExtrapolatedIters int
 	// Report is the cell's host-side telemetry record: provenance,
 	// fast-path kind, host and virtual seconds, host time by stage. Never
@@ -178,9 +177,8 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 			rep.setHost(time.Since(start))
 			cells[i], errs[i] = c, err
 			emit(Event{Spec: spec, Index: i, Total: len(specs), Done: true, Err: err,
-				SteadyAt: c.Result.SteadyAt, SteadyPeriod: c.Result.SteadyPeriod,
-				ExtrapolatedIters: c.Result.ExtrapolatedIters,
-				Report:            rep})
+				SteadyAt: c.Result.SteadyAt, ExtrapolatedIters: c.Result.ExtrapolatedIters,
+				Report: rep})
 			if err != nil {
 				cancel()
 			}

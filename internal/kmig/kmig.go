@@ -157,10 +157,10 @@ func (e *Engine) AppendCounterNames(dst []string) []string {
 // ApplyCounterDelta advances the counters by k repetitions of a
 // per-iteration delta (laid out as AppendCounters), extrapolating the
 // work the engine would have done over k more identical iterations.
-// lastScan advances with its proven delta too: on a periodic orbit the
-// last scan time moves forward by exactly the cycle's span, which keeps
-// the MinScanPS gate's phase correct if charged simulation ever resumes
-// after the jump.
+// lastScan advances with its proven delta too: on a period-one orbit
+// the last scan time moves forward by exactly k iterations' span, which
+// keeps the MinScanPS gate's phase correct if charged simulation ever
+// resumes after the jump.
 func (e *Engine) ApplyCounterDelta(delta []int64, k int64) {
 	if len(delta) != e.CounterLen() {
 		panic("kmig: counter delta length mismatch")

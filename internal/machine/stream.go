@@ -71,7 +71,6 @@ type Recorder struct {
 	m        *Machine
 	logs     []cpuLog
 	ops      []Op
-	pages    uint64 // one past the highest vpn logged
 	inRegion bool
 	serial   int // CPU with unflushed serial-section misses, or -1
 	declined string
@@ -157,7 +156,6 @@ func (r *Recorder) miss(c *CPU, vpn uint64, write bool, n int, resident bool) {
 	if write {
 		tag |= 1 << 2
 	}
-	r.pages = max(r.pages, vpn+1)
 	d := int64(vpn - l.vpn)
 	l.buf = binary.AppendUvarint(l.buf, tag|recMiss)
 	l.buf = binary.AppendUvarint(l.buf, uint64(d<<1^d>>63))
@@ -270,7 +268,7 @@ func (r *Recorder) Finish() (*Stream, error) {
 	if r.declined != "" {
 		return nil, fmt.Errorf("machine: stream declined: %s", r.declined)
 	}
-	s := &Stream{Ops: r.ops, logs: make([][]byte, len(r.logs)), pages: r.pages}
+	s := &Stream{Ops: r.ops, logs: make([][]byte, len(r.logs))}
 	for i := range r.logs {
 		s.logs[i] = r.logs[i].buf
 	}
@@ -281,9 +279,8 @@ func (r *Recorder) Finish() (*Stream, error) {
 // one compact log per CPU. It is immutable; any number of replays may
 // read it concurrently, each through its own StreamReader.
 type Stream struct {
-	Ops   []Op
-	logs  [][]byte
-	pages uint64 // one past the highest vpn logged
+	Ops  []Op
+	logs [][]byte
 }
 
 // Bytes returns the size of the per-CPU logs.
@@ -325,7 +322,7 @@ func (s *Stream) Diff(o *Stream) string {
 
 // StreamReader is one replay's position in a Stream's per-CPU logs, and
 // the replay's TLB state: the generation each CPU saw at its previous
-// lookup of each page the stream touches.
+// lookup of each page of the replay machine's heap.
 type StreamReader struct {
 	s    *Stream
 	pos  []int
@@ -333,13 +330,15 @@ type StreamReader struct {
 	seen [][]uint32
 }
 
-// NewReader returns a reader positioned at the start of every log.
-func (s *Stream) NewReader() *StreamReader {
-	n := len(s.logs)
+// NewReader returns a reader positioned at the start of every log, for
+// a replay on m. m must have allocated its heap: every page the stream
+// misses on lies in it, and the TLB table covers it.
+func (s *Stream) NewReader(m *Machine) *StreamReader {
+	n, pages := uint64(len(s.logs)), m.AllocatedPages()
 	rd := &StreamReader{s: s, pos: make([]int, n), vpn: make([]uint64, n), seen: make([][]uint32, n)}
-	seen := make([]uint32, uint64(n)*s.pages)
+	seen := make([]uint32, n*pages)
 	for c := range rd.seen {
-		rd.seen[c] = seen[uint64(c)*s.pages : uint64(c+1)*s.pages]
+		rd.seen[c] = seen[uint64(c)*pages : uint64(c+1)*pages]
 	}
 	return rd
 }

@@ -124,7 +124,7 @@ func TestStreamReplayMatchesSimulation(t *testing.T) {
 		sim, sa := streamMachine(t, p)
 		program(sim, sa, nil)
 		rep, _ := streamMachine(t, p)
-		rd := s.NewReader()
+		rd := s.NewReader(rep)
 		program(rep, nil, rd)
 		pages := sim.AllocatedPages()
 		for i, c := range sim.CPUs() {
@@ -170,7 +170,7 @@ func TestStreamReplayHonoursFreeRun(t *testing.T) {
 	}
 	rep, _ := streamMachine(t, vm.FirstTouch)
 	rep.SetFreeRun(true)
-	rd := s.NewReader()
+	rd := s.NewReader(rep)
 	rd.Replay(rep.CPU(0))
 	rd.ReplayCaches(rep)
 	if c := rep.CPU(0); c.Now() != 0 || c.Stat() != (CPUStats{}) {

@@ -200,11 +200,12 @@ func (k stoppingKernel) Step(t *omp.Team, h *nas.Hooks) {
 }
 
 // TestRecordStreamHandsOverAtRepeat: a compressed recording returns at
-// its repeat, its machine's cache-side state dropped and its verdict
-// still to run, while a full recording returns judged. A replay runs
-// before the verdict; Judge waits for it; RunVerdict stops between steps
-// when its context ends and resumes where it stopped; and the judged
-// replay is Replay's.
+// its repeat, and a full one at its last step, each with its machine's
+// cache-side state dropped and its verdict still to run; the full
+// recording's verdict task only verifies. A replay runs before the
+// verdict; Judge waits for it; RunVerdict stops between steps when its
+// context ends and resumes where it stopped; and the judged replay is
+// Replay's.
 func TestRecordStreamHandsOverAtRepeat(t *testing.T) {
 	stop := func() {}
 	build := func(m *machine.Machine, class nas.Class, scale int, seed uint64) nas.Kernel {
@@ -217,8 +218,16 @@ func TestRecordStreamHandsOverAtRepeat(t *testing.T) {
 	}
 	select {
 	case <-full.Judged():
+		t.Error("a full recording returned judged")
 	default:
-		t.Error("a full recording returned before its verdict")
+	}
+	if m := full.VerdictMachine(); m == nil || !m.CacheStateDropped() {
+		t.Error("a full recording's machine kept its cache-side state past the handoff")
+	}
+	if got, err := full.Replay(cfg); err != nil {
+		t.Fatal(err)
+	} else if got.VerifyErr == nil || got.VerifyErr.Error() != "ran 12 steps" {
+		t.Errorf("full recording's verdict %v, want %q", got.VerifyErr, "ran 12 steps")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -15,7 +15,7 @@ func RecordStreamFull(build Builder, cfg Config) (*Stream, error) {
 // Log returns the stream's per-CPU logs and Ops.
 func (s *Stream) Log() *machine.Stream { return s.log }
 
-// VerdictMachine returns the machine of a compressed recording whose
+// VerdictMachine returns the machine of a recording whose
 // verdict task is still pending, or nil.
 func (s *Stream) VerdictMachine() *machine.Machine {
 	s.mu.Lock()

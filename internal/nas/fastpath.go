@@ -15,7 +15,7 @@ import (
 // exist for the *telemetry* surfaces (exp.CellReport, the sweepd events
 // stream), which serialise the report deliberately.
 type FastPath struct {
-	// SteadyDetected: the detector proved a periodic orbit
+	// SteadyDetected: the detector proved a period-one orbit
 	// (Result.SteadyAt is the firing iteration).
 	SteadyDetected bool `json:"steady_detected,omitempty"`
 	// Extrapolated: the trailing iterations were fast-forwarded
@@ -40,41 +40,34 @@ const (
 	// was nothing left to fast-forward.
 	WhyNotNoTail WhyNotReason = "no_tail"
 	// WhyNotLoopTooShort: the timed loop ended before the detector could
-	// have confirmed even a period-one orbit (fewer than window+1
-	// observed iterations).
+	// have confirmed an orbit (fewer than window+1 observed iterations).
 	WhyNotLoopTooShort WhyNotReason = "loop_too_short"
 	// WhyNotPerturbed: a scheduler perturbation (Config.PerturbAt) broke
 	// or delayed the orbit and it never re-closed in the iterations that
 	// remained.
 	WhyNotPerturbed WhyNotReason = "perturbed"
-	// WhyNotPeriodBeyondCap: the reference string does repeat, but with a
-	// period above the detector's cap (8) — the adversarial fallback:
-	// such runs simulate in full by design.
-	WhyNotPeriodBeyondCap WhyNotReason = "period_beyond_cap"
 	// WhyNotHomesMoving: the page-home map never went stationary — an
 	// ongoing migration campaign (the incompressible kmig cells).
 	WhyNotHomesMoving WhyNotReason = "homes_moving"
-	// WhyNotAperiodic: the counter deltas themselves never repeated; the
-	// reference string is genuinely aperiodic at every period tried.
+	// WhyNotAperiodic: no counter delta repeated the one before it long
+	// enough: the reference string is aperiodic, or repeats only over
+	// more than one iteration.
 	WhyNotAperiodic WhyNotReason = "aperiodic"
 )
 
 // WhyNot is the typed diagnosis behind a declined fast-forward: the
 // reason plus the supporting evidence the detector gathered while
-// failing — the best candidate period and how close it came, the first
-// counter that refused to repeat, and the perturbation or home-map
-// motion that broke the orbit.
+// failing — how close it came, the first counter that refused to
+// repeat, and the perturbation or home-map motion that broke the orbit.
 type WhyNot struct {
 	Reason WhyNotReason `json:"reason"`
-	// BestPeriod is the candidate orbit length that came closest to
-	// proving itself; BestStreak is its longest run of successful lag-k
-	// delta comparisons, against the NeededStreak ((window−1)·k) that
-	// would have fired.
-	BestPeriod   int `json:"best_period,omitempty"`
+	// BestStreak is the longest run of deltas that each equalled the one
+	// before them, against the NeededStreak (window−1) that would have
+	// fired.
 	BestStreak   int `json:"best_streak,omitempty"`
 	NeededStreak int `json:"needed_streak,omitempty"`
-	// FirstDivergent names the first counter whose delta broke the best
-	// candidate's most recent comparison — "page_homes" when the
+	// FirstDivergent names the first counter whose delta broke the most
+	// recent comparison — "page_homes" when the
 	// page-home hash itself moved, else a counter name from the
 	// AppendCounterNames layout (e.g. "cpu3_remote_mem", "kmig_scans").
 	FirstDivergent string `json:"first_divergent,omitempty"`
@@ -97,22 +90,20 @@ func (w *WhyNot) String() string {
 	case WhyNotSampler:
 		return "metrics sampler attached: every iteration must be simulated to be sampled"
 	case WhyNotDetectionOnly:
-		return fmt.Sprintf("steady orbit proven (period %d) but extrapolation not requested", max(w.BestPeriod, 1))
+		return "steady orbit proven but extrapolation not requested"
 	case WhyNotNoTail:
-		return fmt.Sprintf("steady orbit proven (period %d) on the final iteration: no tail left to fast-forward", max(w.BestPeriod, 1))
+		return "steady orbit proven on the final iteration: no tail left to fast-forward"
 	case WhyNotLoopTooShort:
-		return fmt.Sprintf("timed loop too short: %d iterations observed, a period-1 orbit needs %d", w.Observed, w.NeededStreak+2)
+		return fmt.Sprintf("timed loop too short: %d iterations observed, a steady orbit needs %d", w.Observed, w.NeededStreak+2)
 	case WhyNotPerturbed:
-		return fmt.Sprintf("scheduler perturbation at iteration %d broke the orbit and it never re-closed (best candidate: period %d, streak %d/%d)",
-			w.PerturbIter, w.BestPeriod, w.BestStreak, w.NeededStreak)
-	case WhyNotPeriodBeyondCap:
-		return fmt.Sprintf("reference string repeats with period %d, beyond the detector's cap: simulated in full by design", w.BestPeriod)
+		return fmt.Sprintf("scheduler perturbation at iteration %d broke the orbit and it never re-closed (best streak %d/%d)",
+			w.PerturbIter, w.BestStreak, w.NeededStreak)
 	case WhyNotHomesMoving:
 		return fmt.Sprintf("page-home map kept moving (%d of %d iterations): an ongoing migration campaign",
 			w.HomeMoves, w.Observed)
 	case WhyNotAperiodic:
-		return fmt.Sprintf("counter deltas never repeated: %s diverged on the best candidate (period %d, streak %d/%d)",
-			w.FirstDivergent, w.BestPeriod, w.BestStreak, w.NeededStreak)
+		return fmt.Sprintf("counter deltas never repeated: %s diverged (best streak %d/%d)",
+			w.FirstDivergent, w.BestStreak, w.NeededStreak)
 	}
 	return string(w.Reason)
 }
@@ -136,7 +127,7 @@ type HostStages struct {
 	Fork time.Duration `json:"fork,omitempty"`
 	// TimedLoop: the simulated iterations of the timed main loop.
 	TimedLoop time.Duration `json:"timed_loop,omitempty"`
-	// Extrapolate: applying the proven cycle deltas analytically.
+	// Extrapolate: applying the proven delta analytically.
 	Extrapolate time.Duration `json:"extrapolate,omitempty"`
 	// FreeRunTail: re-executing remaining steps in free-run mode for the
 	// numerics (the extrapolation tail).

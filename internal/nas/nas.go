@@ -521,10 +521,6 @@ type Result struct {
 	// hold exactly as in a fully simulated run.
 	SteadyAt          int `json:"steady_at,omitempty"`
 	ExtrapolatedIters int `json:"extrapolated_iters,omitempty"`
-	// SteadyPeriod is the proven orbit length behind SteadyAt; omitted
-	// (0) when detection never fired and elided when 1, so records from
-	// the period-one era decode identically.
-	SteadyPeriod int `json:"steady_period,omitempty"`
 	// CampaignAt/CampaignIters are legacy fields that Run never sets.
 	// They stay so that older store records which carry them still
 	// decode.
@@ -684,7 +680,7 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 	// iteration simulated to sample it.
 	var det *steadyDetector
 	if cfg.SteadyState && cfg.Metrics == nil {
-		det = newSteadyDetector(m, eng, u, cfg.SteadyWindow, steadyPeriodMax, cfg.KernelMig)
+		det = newSteadyDetector(m, eng, u, cfg.SteadyWindow, cfg.KernelMig)
 	}
 	master := team.Master()
 	res := Result{Kernel: k.Name(), Label: cfg.Label(), Class: cfg.Class, ColdPS: master.Now()}
@@ -776,9 +772,6 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 			continue
 		}
 		res.SteadyAt = step
-		if p := det.period(); p > 1 {
-			res.SteadyPeriod = p
-		}
 		if trc != nil {
 			trc.Emit(trace.Event{Time: master.Now(), CPU: master.ID,
 				Kind: trace.EvSteadyState, Arg0: int64(step), Arg1: int64(det.window)})
@@ -795,13 +788,10 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 		}
 		det.fastForward(r)
 		res.ExtrapolatedIters = int(r)
-		period := det.period()
-		var addedIter int64
+		dIter, dPhase := det.iterPhase()
 		for i := int64(0); i < r; i++ {
-			dIter, dPhase := det.cycleIterPhase(int(i) % period)
 			res.IterPS = append(res.IterPS, dIter)
 			res.PhasePS = append(res.PhasePS, dPhase)
-			addedIter += dIter
 		}
 		if hs != nil {
 			extraHost += time.Since(t0)
@@ -810,7 +800,7 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 			// Stamped with the post-jump clock; Summarize treats it as
 			// the timed loop's final mark.
 			trc.Emit(trace.Event{Time: master.Now(), CPU: master.ID,
-				Kind: trace.EvExtrapolate, Arg0: r, Arg1: addedIter})
+				Kind: trace.EvExtrapolate, Arg0: r, Arg1: dIter * r})
 		}
 		// The tail's numerics have exactly one consumer: Verify. When
 		// the check is skipped, re-executing the remaining steps is pure
@@ -883,11 +873,7 @@ func runWhyNot(cfg Config, det *steadyDetector, res Result) *WhyNot {
 	case cfg.Metrics != nil:
 		return &WhyNot{Reason: WhyNotSampler}
 	case res.SteadyAt > 0:
-		p := res.SteadyPeriod
-		if p == 0 {
-			p = 1
-		}
-		w := &WhyNot{BestPeriod: p, Observed: res.SteadyAt}
+		w := &WhyNot{Observed: res.SteadyAt}
 		if cfg.Extrapolate {
 			w.Reason = WhyNotNoTail
 		} else {

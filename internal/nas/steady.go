@@ -3,13 +3,11 @@ package nas
 // Steady-state fast-forward. The NAS main loops are iterative solvers on
 // fixed partitionings: once the migration engines stop moving pages the
 // reference string repeats exactly, so every later iteration advances
-// every virtual-time quantity by the same delta — or, when an engine's
-// scan cadence divides the loop unevenly (kmig's ScanEvery), by a short
-// repeating cycle of deltas. The detector proves the repetition from the
-// counters themselves — it fingerprints nothing about the kernel — and
-// the driver then extrapolates the remaining iterations by multiplying
-// the proven cycle of per-iteration deltas into the machine, engine and
-// per-phase counters instead of simulating them.
+// every virtual-time quantity by the same delta. The detector proves the
+// repetition from the counters themselves — it fingerprints nothing
+// about the kernel — and the driver then extrapolates the remaining
+// iterations by multiplying the proven per-iteration delta into the
+// machine, engine and per-phase counters instead of simulating them.
 //
 // Soundness. The simulator is a deterministic function of (kernel data,
 // page homes + counter rows, cache/TLB/clock state, engine decision
@@ -18,18 +16,16 @@ package nas
 // hit/miss/tick counters, page-table fault/migration tallies, both
 // engines' cumulative statistics and decision cursors, the per-iteration
 // and per-phase durations, and a hash of the page-home map (plus the
-// reference-counter rows when the kernel engine — the only consumer whose
-// decisions read them — is enabled). If the last (window−1)·k deltas each
-// equal the delta k iterations before them, with the home-map hash
-// equally periodic, the system is on a period-k orbit: window−1 full
-// cycles reproduced the cycle before them, so the next iteration starts
-// from the same relative state as the one k back and must reproduce its
-// delta. Summing the cycle's deltas with the right multiplicities (the
-// remaining iterations walk the cycle positions in order) therefore lands
-// on exactly the counters a full simulation would reach — the
-// bit-identity tests in steady_test.go assert this per benchmark, engine,
-// placement and period. k=1 reduces to the original period-one detector:
-// same firing iteration, same extrapolation.
+// reference-counter rows and the scan gate's phase when the kernel
+// engine — the only consumer whose decisions read them — is enabled). If
+// window−1 consecutive deltas each equal the one before them, with the
+// hash unchanged, the system is on a period-one orbit: the next
+// iteration starts from the same relative state as the last and must
+// reproduce its delta. Multiplying that delta into the counters therefore
+// lands on exactly the counters a full simulation would reach — the
+// bit-identity tests in steady_test.go assert this per benchmark, engine
+// and placement. Longer orbits (an engine's scan cadence dividing the
+// loop unevenly) are never proven; such cells simulate in full.
 //
 // The kernel's numerics are not extrapolated: the driver re-executes the
 // remaining steps in the machine's free-run mode, where data movement is
@@ -43,161 +39,61 @@ import (
 )
 
 // steadyWindowDefault is the number of consecutive identical
-// per-iteration cycles required before the loop is declared steady.
+// per-iteration deltas required before the loop is declared steady.
 // Three balances confidence against wasted simulation: the engines'
 // transients (UPMlib deactivation, kernel-engine decay convergence)
 // produce at most pairwise-equal deltas, never three in a row.
 const steadyWindowDefault = 3
 
-// steadyPeriodMax caps the orbit length the detector considers. Kernel
-// migration cells cycle through a small set of scan states (kmig's
-// ScanEvery and decay cadence), so short periods cover every real cell; a
-// larger cap only delays the adversarial fallback (a period-9 string must
-// run fully simulated — steady_test.go pins it).
-const steadyPeriodMax = 8
-
-// periodTracker is the pure cycle-detection core: a stream of
-// (delta-vector, state-hash) observations in, the minimal proven period
-// out. Split from steadyDetector so synthetic streams — period-2..8
-// cycles, the period-9 adversary, aperiodic noise — can be unit-tested
-// without building a machine.
+// periodTracker is the pure detection core: a stream of (delta-vector,
+// state-hash) observations in, a proven period-one orbit out. Split from
+// steadyDetector so synthetic streams — a repeating delta, longer cycles,
+// aperiodic noise — can be unit-tested without building a machine.
 type periodTracker struct {
-	kmax, window int
-	// diagKmax extends the ring and match bookkeeping one period past
-	// the larger of kmax and the global cap, for diagnosis only: a
-	// period-9 adversary (or a period-2 orbit under a cap of 1) then
-	// shows up as a candidate that *did* prove itself beyond the cap.
-	// The firing loop never consults k > kmax, and a ring larger than
-	// kmax holds every lag ≤ kmax entry at the same slot age, so
-	// detection behaviour — and Result.SteadyAt — is bit-identical to
-	// the exact-size ring.
-	diagKmax int
-	ring     [][]int64 // last diagKmax delta vectors, slot = index % diagKmax
-	hashes   []uint64  // state hash observed with each ring entry
-	n        int       // observations pushed so far
-	matches  []int     // matches[k-1]: consecutive successful lag-k compares
-	period   int       // proven period, set when push returns true
+	window int
+	last   []int64 // the previous delta; the proven delta once fired
+	hash   uint64  // the state hash observed with last
+	n      int     // observations pushed so far
+	streak int     // consecutive pushes equal to their predecessor
 
 	// Diagnostic state (never read by the firing rule).
-	maxMatches []int      // longest streak ever seen per candidate k
-	lastFail   []failInfo // why the most recent lag-k compare failed
-	homeMoves  int        // pushes whose state hash differed from the previous
-	lastHash   uint64
+	maxStreak int      // longest streak ever seen
+	lastFail  failInfo // why the most recent comparison failed
+	homeMoves int      // pushes whose state hash differed from the previous
 }
 
-// failInfo records why one lag-k comparison failed: the state hash moved
+// failInfo records why one comparison failed: the state hash moved
 // (hash true), or delta element idx was the first to diverge.
 type failInfo struct {
 	hash bool
 	idx  int
 }
 
-func newPeriodTracker(kmax, window int) *periodTracker {
-	if kmax < 1 {
-		kmax = 1
-	}
-	if window < 2 {
-		window = 2
-	}
-	diag := steadyPeriodMax
-	if kmax > diag {
-		diag = kmax
-	}
-	diag++
-	return &periodTracker{
-		kmax:       kmax,
-		window:     window,
-		diagKmax:   diag,
-		ring:       make([][]int64, diag),
-		hashes:     make([]uint64, diag),
-		matches:    make([]int, diag),
-		maxMatches: make([]int, diag),
-		lastFail:   make([]failInfo, diag),
-	}
+func newPeriodTracker(window int) *periodTracker {
+	return &periodTracker{window: max(window, 2), lastFail: failInfo{idx: -1}}
 }
 
-// push records one observation and reports whether a period has just been
-// proven. The firing rule for period k is matches[k] ≥ (window−1)·k:
-// the last window−1 whole cycles each reproduced the cycle before them.
-// Candidates are tested in ascending k, so the proven period is minimal —
-// and for k=1 the rule degenerates to window−1 consecutive identical
-// deltas, exactly the original period-one detector's streak ≥ window.
+// push records one observation and reports whether a period-one orbit
+// has just been proven: the last window−1 deltas each equal the one
+// before them, under an unchanged state hash.
 func (t *periodTracker) push(delta []int64, hash uint64) bool {
-	j := t.n + 1
-	if j > 1 && hash != t.lastHash {
+	t.n++
+	switch {
+	case t.n == 1:
+	case hash != t.hash:
 		t.homeMoves++
+		t.lastFail = failInfo{hash: true, idx: -1}
+		t.streak = 0
+	case !int64sEqual(delta, t.last):
+		t.lastFail = failInfo{idx: firstDiff(delta, t.last)}
+		t.streak = 0
+	default:
+		t.streak++
+		t.maxStreak = max(t.maxStreak, t.streak)
 	}
-	t.lastHash = hash
-	// Compare out to diagKmax so candidates beyond the cap accumulate
-	// diagnostic streaks; only k ≤ kmax may fire below.
-	for k := 1; k <= t.diagKmax && k < j; k++ {
-		s := (j - k) % t.diagKmax
-		switch {
-		case hash != t.hashes[s]:
-			t.lastFail[k-1] = failInfo{hash: true, idx: -1}
-			t.matches[k-1] = 0
-		case !int64sEqual(delta, t.ring[s]):
-			t.lastFail[k-1] = failInfo{idx: firstDiff(delta, t.ring[s])}
-			t.matches[k-1] = 0
-		default:
-			t.matches[k-1]++
-			if t.matches[k-1] > t.maxMatches[k-1] {
-				t.maxMatches[k-1] = t.matches[k-1]
-			}
-		}
-	}
-	s := j % t.diagKmax
-	t.ring[s] = append(t.ring[s][:0], delta...)
-	t.hashes[s] = hash
-	t.n = j
-	for k := 1; k <= t.kmax && k < j; k++ {
-		if t.matches[k-1] >= (t.window-1)*k {
-			t.period = k
-			return true
-		}
-	}
-	return false
-}
-
-// trackerDiag summarises a tracker that never fired: the candidate
-// period that came closest (or proved itself beyond the cap), its best
-// streak against the firing requirement, why its latest comparison
-// failed, and how often the state hash moved.
-type trackerDiag struct {
-	observed   int // deltas pushed
-	bestPeriod int
-	bestStreak int
-	needed     int
-	fail       failInfo
-	beyondCap  bool
-	homeMoves  int
-}
-
-// diagnose picks the best candidate orbit. A candidate beyond the
-// firing cap that reproduced at least two full cycles (streak ≥ 2k)
-// wins outright — the loop is periodic, just longer than the detector
-// may prove, which is the adversarial-fallback evidence the firing rule
-// itself might never accumulate under a large window. Otherwise the
-// candidate with the highest streak-to-requirement ratio is reported
-// together with its most recent failure.
-func (t *periodTracker) diagnose() trackerDiag {
-	d := trackerDiag{observed: t.n, homeMoves: t.homeMoves, fail: failInfo{idx: -1}}
-	best := -1.0
-	for k := 1; k <= t.diagKmax; k++ {
-		need := (t.window - 1) * k
-		streak := t.maxMatches[k-1]
-		if k > t.kmax && streak >= 2*k {
-			return trackerDiag{observed: t.n, homeMoves: t.homeMoves,
-				bestPeriod: k, bestStreak: streak, needed: need,
-				beyondCap: true, fail: failInfo{idx: -1}}
-		}
-		if prog := float64(streak) / float64(need); prog > best {
-			best = prog
-			d.bestPeriod, d.bestStreak, d.needed = k, streak, need
-			d.fail = t.lastFail[k-1]
-		}
-	}
-	return d
+	t.last = append(t.last[:0], delta...)
+	t.hash = hash
+	return t.streak >= t.window-1
 }
 
 // firstDiff returns the first index where a and b differ, or -1 when
@@ -214,16 +110,8 @@ func firstDiff(a, b []int64) int {
 	return -1
 }
 
-// cycleDelta returns the proven cycle's delta at position p (0 ≤ p <
-// period) in chronological order: position 0 is the delta the iteration
-// after detection will reproduce. Valid only after push returned true.
-func (t *periodTracker) cycleDelta(p int) []int64 {
-	k := t.period
-	return t.ring[(t.n-k+1+p)%t.diagKmax]
-}
-
 // steadyDetector accumulates one counter snapshot per timed iteration and
-// reports when the trailing deltas prove a period-k orbit.
+// reports when the trailing deltas prove a period-one orbit.
 type steadyDetector struct {
 	m      *machine.Machine
 	eng    *kmig.Engine
@@ -247,15 +135,10 @@ type steadyDetector struct {
 }
 
 // newSteadyDetector builds a detector with the given confirmation window
-// (0 = default 3) and period cap kmax (0 = steadyPeriodMax). Runs always
-// use the full cap; white-box tests pass 1 to restrict detection to
-// period-one orbits.
-func newSteadyDetector(m *machine.Machine, eng *kmig.Engine, u *upm.UPM, window, kmax int, withRows bool) *steadyDetector {
+// (0 = default 3).
+func newSteadyDetector(m *machine.Machine, eng *kmig.Engine, u *upm.UPM, window int, withRows bool) *steadyDetector {
 	if window <= 0 {
 		window = steadyWindowDefault
-	}
-	if kmax <= 0 || kmax > steadyPeriodMax {
-		kmax = steadyPeriodMax
 	}
 	n := m.CounterLen() + eng.CounterLen() + 2
 	if u != nil {
@@ -263,7 +146,7 @@ func newSteadyDetector(m *machine.Machine, eng *kmig.Engine, u *upm.UPM, window,
 	}
 	return &steadyDetector{
 		m: m, eng: eng, u: u, window: window, withRows: withRows,
-		trk:   newPeriodTracker(kmax, window),
+		trk:   newPeriodTracker(window),
 		prev:  make([]int64, 0, n),
 		cur:   make([]int64, 0, n),
 		delta: make([]int64, 0, n),
@@ -282,10 +165,8 @@ func (d *steadyDetector) snapshot(dst []int64) []int64 {
 
 // observe records the counter state at the end of one timed iteration
 // (iterPS and phasePS are that iteration's durations) and reports whether
-// the loop has just been proven steady; period() then yields the orbit
-// length. The hash is folded into the periodicity test by value, not by
-// delta: counters advance, the home map must cycle through the same k
-// states.
+// the loop has just been proven steady. The hash is compared by value,
+// not by delta: counters advance, the home map must stand still.
 func (d *steadyDetector) observe(iterPS, phasePS int64) bool {
 	d.observed++
 	d.cumIter += iterPS
@@ -313,53 +194,31 @@ func (d *steadyDetector) observe(iterPS, phasePS int64) bool {
 	return d.trk.push(d.delta, hash)
 }
 
-// period returns the proven orbit length. Valid only after observe has
-// returned true.
-func (d *steadyDetector) period() int { return d.trk.period }
-
-// cycleIterPhase returns the proven per-iteration and per-phase durations
-// at cycle position p — the values extrapolated iterations at that
-// position append to IterPS/PhasePS. Valid only after observe has
-// returned true.
-func (d *steadyDetector) cycleIterPhase(p int) (int64, int64) {
-	dd := d.trk.cycleDelta(p)
+// iterPhase returns the proven per-iteration and per-phase durations —
+// the values every extrapolated iteration appends to IterPS/PhasePS.
+// Valid only after observe has returned true.
+func (d *steadyDetector) iterPhase() (int64, int64) {
+	dd := d.trk.last
 	return dd[len(dd)-2], dd[len(dd)-1]
 }
 
-// fastForward advances machine and engine counters by r further
-// iterations of the proven orbit: the remaining iterations walk the cycle
-// positions in order starting at position 0, so position p occurs
-// ⌈(r−p)/k⌉ times. Valid only after observe has returned true. For
-// period 1 this is exactly r applications of the single proven delta.
+// fastForward adds r repetitions of the proven delta to the machine,
+// engine and cumulative counters. Valid only after observe has returned
+// true.
 func (d *steadyDetector) fastForward(r int64) {
-	k := int64(d.trk.period)
-	for p := int64(0); p < k; p++ {
-		mult := r / k
-		if p < r%k {
-			mult++
-		}
-		if mult == 0 {
-			continue
-		}
-		d.applyDelta(d.trk.cycleDelta(int(p)), mult)
-	}
-}
-
-// applyDelta adds mult repetitions of one per-iteration delta vector to
-// the machine, engine and cumulative counters.
-func (d *steadyDetector) applyDelta(dd []int64, mult int64) {
+	dd := d.trk.last
 	off := d.m.CounterLen()
-	d.m.ApplyCounterDelta(dd[:off], mult)
+	d.m.ApplyCounterDelta(dd[:off], r)
 	n := d.eng.CounterLen()
-	d.eng.ApplyCounterDelta(dd[off:off+n], mult)
+	d.eng.ApplyCounterDelta(dd[off:off+n], r)
 	off += n
 	if d.u != nil {
 		n = d.u.CounterLen()
-		d.u.ApplyCounterDelta(dd[off:off+n], mult)
+		d.u.ApplyCounterDelta(dd[off:off+n], r)
 		off += n
 	}
-	d.cumIter += dd[off] * mult
-	d.cumPhase += dd[off+1] * mult
+	d.cumIter += dd[off] * r
+	d.cumPhase += dd[off+1] * r
 }
 
 // counterName maps a delta-vector index to the name of the counter at
@@ -386,32 +245,27 @@ func (d *steadyDetector) counterName(idx int) string {
 // diagnose explains why the detector never fired, as a typed WhyNot.
 // Called only on a detector whose observe never returned true.
 func (d *steadyDetector) diagnose(perturbAt int) *WhyNot {
-	g := d.trk.diagnose()
+	t := d.trk
 	w := &WhyNot{
 		Observed:     d.observed,
-		BestPeriod:   g.bestPeriod,
-		BestStreak:   g.bestStreak,
-		NeededStreak: g.needed,
-		HomeMoves:    g.homeMoves,
+		BestStreak:   t.maxStreak,
+		NeededStreak: d.window - 1,
+		HomeMoves:    t.homeMoves,
 	}
 	switch {
-	case g.beyondCap:
-		// The orbit proved itself at a period the cap excludes: the
-		// adversarial fallback.
-		w.Reason = WhyNotPeriodBeyondCap
 	case perturbAt > 0:
 		w.Reason = WhyNotPerturbed
 		w.PerturbIter = perturbAt
 	case d.observed < d.window+1:
-		// Even a perfectly period-one loop needs window+1 observations
-		// (window deltas) before the streak can reach window−1.
+		// A period-one loop needs window+1 observations (window deltas)
+		// before the streak can reach window−1.
 		w.Reason = WhyNotLoopTooShort
-	case g.fail.hash:
+	case t.lastFail.hash:
 		w.Reason = WhyNotHomesMoving
 		w.FirstDivergent = "page_homes"
 	default:
 		w.Reason = WhyNotAperiodic
-		w.FirstDivergent = d.counterName(g.fail.idx)
+		w.FirstDivergent = d.counterName(t.lastFail.idx)
 	}
 	return w
 }

@@ -21,7 +21,6 @@ import (
 // bit-identical between an extrapolated and a fully simulated run.
 func maskSteady(r nas.Result) nas.Result {
 	r.SteadyAt = 0
-	r.SteadyPeriod = 0
 	r.ExtrapolatedIters = 0
 	r.FastPath = nas.FastPath{}
 	return r

@@ -56,10 +56,11 @@ func (c Config) streamCell() Config {
 // stream, its canonical cell included, replays it. Its log is immutable,
 // so concurrent replays may share it.
 //
-// A compressed recording hands its stream over at the repeat, before its
-// numerics have reached the last step: the stream's verdict task, the
-// remaining free-run steps and Verify, is still to run (RunVerdict), and
-// Judged is closed once it has. Every other stream is judged when
+// A recording hands its stream over once its log is complete, at the
+// repeat when it compressed, before its numerics have been verified: the
+// stream's verdict task, the remaining free-run steps and Verify, is
+// still to run (RunVerdict), and Judged is closed once it has. A stream
+// that skips verification, or whose recording declined, is judged when
 // RecordStream returns.
 type Stream struct {
 	// Declined, when non-empty, names the construct that made the run
@@ -76,7 +77,7 @@ type Stream struct {
 	iters      int
 	hasPhase   bool
 	hot        [][2]uint64
-	heapPages  uint64
+	heapPages  uint64 // the recorded heap, which every replay allocates
 	skipVerify bool
 
 	mu        sync.Mutex    // serialises RunVerdict
@@ -85,9 +86,10 @@ type Stream struct {
 	verifyErr error         // the numerics' verdict, which every replay reports
 }
 
-// verdictTask is what a compressed recording leaves to run after its
-// handoff: the kernel's numerics through the remaining timed steps, in
-// free-run mode on the recording's machine, then Verify.
+// verdictTask is what a recording leaves to run after its handoff: the
+// kernel's numerics through the timed steps it did not simulate (none
+// when it never compressed), in free-run mode on the recording's
+// machine, then Verify.
 type verdictTask struct {
 	k    Kernel
 	team *omp.Team
@@ -145,9 +147,9 @@ func (c Compression) String() string {
 // Compression and, when the recording declined, the reason. cfg must
 // have a stream fingerprint; its HostStages sink is not charged. The
 // recording simulates the caches only until their state repeats (see
-// Compression); its log is that of a full simulation. A compressed
-// recording returns at the repeat, its verdict still to run
-// (RunVerdict); any other returns judged.
+// Compression); its log is that of a full simulation. The recording
+// never verifies: a verifying stream returns with its verdict still to
+// run (RunVerdict), any other returns judged.
 func RecordStream(build Builder, cfg Config) (*Stream, error) {
 	return recordStream(build, cfg, true)
 }
@@ -162,10 +164,11 @@ func recordStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 	cfg = cfg.streamCell()
 	cfg.HostStages = nil
 	s.key, _ = cfg.Fingerprint()
+	cfg.SkipVerify = true
 	var k *recordingKernel
 	// Run drives the recording up to the handoff; its Result is not a
 	// cell's, since the steps after a repeat or a decline run nothing.
-	res, err := Run(func(m *machine.Machine, class Class, scale int, seed uint64) Kernel {
+	_, err := Run(func(m *machine.Machine, class Class, scale int, seed uint64) Kernel {
 		// A tail copied from one step would miss the rebinding at
 		// PerturbAt, so such a recording simulates every step.
 		k = &recordingKernel{Kernel: build(m, class, scale, seed), m: m,
@@ -207,12 +210,13 @@ func recordStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 		return nil, err
 	}
 	s.name, s.iters, s.hasPhase, s.hot = k.Name(), k.DefaultIterations(), k.HasPhase(), k.HotPages()
-	if c := s.Compression; c.At > 0 && !cfg.SkipVerify {
-		s.task = &verdictTask{k: k.Kernel, team: k.team, m: k.m, left: c.Steps - c.At}
+	k.m.DropCacheState()
+	if s.skipVerify {
+		close(s.judged)
 		return s, nil
 	}
-	s.verifyErr = res.VerifyErr
-	close(s.judged)
+	c := s.Compression
+	s.task = &verdictTask{k: k.Kernel, team: k.team, m: k.m, left: c.Steps - c.Simulated()}
 	return s, nil
 }
 
@@ -322,16 +326,16 @@ func (s *Stream) build(m *machine.Machine, _ Class, _ int, _ uint64) Kernel {
 	if s.heapPages > 0 {
 		m.Alloc(int(s.heapPages << m.PageShift()))
 	}
-	return &replayKernel{s: s, m: m, rd: s.log.NewReader()}
+	return &replayKernel{s: s, m: m, rd: s.log.NewReader(m)}
 }
 
 // recordingKernel marks the end of every InitTouch and Step call in the
 // stream, so the replay kernel knows where each call's steps stop. With
 // compress set it also asks the recorder, at the end of every Step,
 // whether the cache-side state repeats. Once it does, the log is
-// complete: the machine drops its cache-side state and each remaining
-// Step does nothing, leaving the numerics to the stream's verdict task.
-// Once the recorder declines, each does nothing too.
+// complete: each remaining Step does nothing, leaving the numerics to
+// the stream's verdict task. Once the recorder declines, each does
+// nothing too.
 type recordingKernel struct {
 	Kernel
 	m        *machine.Machine
@@ -339,7 +343,7 @@ type recordingKernel struct {
 	comp     *Compression
 	compress bool
 	calls    int       // Step calls so far, the cold start's included
-	team     *omp.Team // the team the verdict task steps, once compressed
+	team     *omp.Team // the team the verdict task steps
 }
 
 func (k *recordingKernel) InitTouch(t *omp.Team) {
@@ -353,24 +357,14 @@ func (k *recordingKernel) Step(t *omp.Team, h *Hooks) {
 	}
 	k.Kernel.Step(t, h)
 	k.mark()
+	k.team = t
 	// Call 0 is the untimed cold start, where the recorder's history
 	// starts; the timed loop's step s is call s.
 	step := k.calls
 	k.calls++
 	if k.compress && k.rec.Repeat(k.comp.Steps-step) {
-		k.comp.At, k.team = step, t
-		k.m.DropCacheState()
+		k.comp.At = step
 	}
-}
-
-// Verify is the real kernel's, unless the recording compressed: its
-// numerics then stop at the repeat, and the verdict is the verdict
-// task's.
-func (k *recordingKernel) Verify() error {
-	if k.comp.At > 0 {
-		return nil
-	}
-	return k.Kernel.Verify()
 }
 
 func (k *recordingKernel) mark() {

@@ -154,9 +154,10 @@ func TestReplayCountersMatchRun(t *testing.T) {
 
 // TestReplayShapes covers the stream fields the engine matrix leaves at
 // their defaults: a scheduler perturbation, a team narrower than the
-// machine, and a hierarchical machine; and a kernel-migration cell whose
-// steady replay proves a period-2 orbit (TestSteadyPeriod2EngineCadence's
-// config).
+// machine, and a hierarchical machine; and cells on orbits longer than
+// one iteration (TestSteadyPeriod2EngineCadence's kernel-migration cell
+// and TestSteadyPeriod3Compute's kernel), which the steady replay must
+// refuse as Run does.
 func TestReplayShapes(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -179,13 +180,23 @@ func TestReplayShapes(t *testing.T) {
 		})
 	}
 	t.Run("periodk", func(t *testing.T) {
-		build := synthBuilder(0, 0)
 		cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1, Iterations: 24}
-		s := record(t, build, cfg)
-		cfg.KernelMig = true
-		cfg.Kmig = kmig.Config{ScanEvery: 2, DecayEvery: -1, MinScanPS: -1}
-		if r := replayMatchesRun(t, s, build, cfg); r.SteadyPeriod != 2 {
-			t.Errorf("steady replay proved period %d at iteration %d, want period 2", r.SteadyPeriod, r.SteadyAt)
+		period2 := cfg
+		period2.KernelMig = true
+		period2.Kmig = kmig.Config{ScanEvery: 2, DecayEvery: -1, MinScanPS: -1}
+		for _, c := range []struct {
+			build nas.Builder
+			cfg   nas.Config
+			why   nas.WhyNotReason
+		}{
+			{synthBuilder(0, 0), period2, nas.WhyNotHomesMoving},
+			{synthBuilder(0, 3), cfg, nas.WhyNotAperiodic},
+		} {
+			r := replayMatchesRun(t, record(t, c.build, cfg), c.build, c.cfg)
+			if r.SteadyAt != 0 || r.FastPath.WhyNot == nil || r.FastPath.WhyNot.Reason != c.why {
+				t.Errorf("%s: steady replay fired at iteration %d (WhyNot %v), want no orbit, reason %q",
+					c.cfg.Label(), r.SteadyAt, r.FastPath.WhyNot, c.why)
+			}
 		}
 	})
 }

@@ -26,12 +26,16 @@ func streamRegion(a *machine.Array) func(tr *Thread) {
 
 // streamTeam runs a serial section on the master and then one region on
 // an 8-thread team of a fresh machine with placement p: simulated when
-// rd is nil (recorded when rec is set), otherwise replayed from rd.
-func streamTeam(p vm.Policy, serial bool, rec bool, rd *machine.StreamReader) (*machine.Machine, *machine.Recorder) {
+// s is nil (recorded when rec is set), otherwise replayed from s.
+func streamTeam(p vm.Policy, serial bool, rec bool, s *machine.Stream) (*machine.Machine, *machine.Recorder) {
 	cfg := machine.DefaultConfig()
 	cfg.Placement = p
 	m := machine.MustNew(cfg)
 	a := m.NewArray("a", 1<<14)
+	var rd *machine.StreamReader
+	if s != nil {
+		rd = s.NewReader(m)
+	}
 	var r *machine.Recorder
 	if rec {
 		r = machine.NewRecorder(m)
@@ -70,7 +74,7 @@ func TestRecorderReplaysTeam(t *testing.T) {
 			t.Errorf("serial=%v: ops %+v, want %+v", serial, s.Ops, want)
 		}
 		sim, _ := streamTeam(vm.RoundRobin, serial, false, nil)
-		rep, _ := streamTeam(vm.RoundRobin, serial, false, s.NewReader())
+		rep, _ := streamTeam(vm.RoundRobin, serial, false, s)
 		for i, c := range sim.CPUs() {
 			if r := rep.CPU(i); r.Now() != c.Now() || r.Stat() != c.Stat() {
 				t.Errorf("serial=%v cpu %d: replay clock %d stats %+v, simulation %d %+v",

@@ -453,14 +453,14 @@ const (
 	WhyNotNoTail        = nas.WhyNotNoTail
 	WhyNotLoopTooShort  = nas.WhyNotLoopTooShort
 	WhyNotPerturbed     = nas.WhyNotPerturbed
-	WhyNotPeriodBeyond  = nas.WhyNotPeriodBeyondCap
 	WhyNotHomesMoving   = nas.WhyNotHomesMoving
 	WhyNotAperiodic     = nas.WhyNotAperiodic
 )
 
-// FastPathKind values, cheapest first. FastPathCampaign is a legacy kind
-// that appears only in reports written before the analytic campaign drain
-// was removed.
+// FastPathKind values, cheapest first. FastPathCampaign and
+// FastPathSteadyPK are legacy kinds that appear only in reports written
+// before the analytic campaign drain, and the detector's longer orbits,
+// were removed.
 const (
 	FastPathRecalled = exp.FastPathRecalled
 	FastPathReplayed = exp.FastPathReplayed
