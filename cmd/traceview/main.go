@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"upmgo"
@@ -164,13 +165,25 @@ func writeReport(w io.Writer, sr upmgo.SweepReport) {
 	}
 
 	fmt.Fprintln(w, "\nCells by fast path (cheapest first):")
+	// A report written by an older build may hold kinds this one no
+	// longer produces (steady_period_k, campaign_ff): they follow the
+	// known kinds, sorted.
+	kinds := slices.Clone(upmgo.FastPathKinds)
+	var legacy []upmgo.FastPathKind
+	for k := range sr.ByKind {
+		if !slices.Contains(kinds, k) {
+			legacy = append(legacy, k)
+		}
+	}
+	slices.Sort(legacy)
+	kinds = append(kinds, legacy...)
 	var maxKind int
-	for _, k := range upmgo.FastPathKinds {
+	for _, k := range kinds {
 		if n := sr.ByKind[k]; n > maxKind {
 			maxKind = n
 		}
 	}
-	for _, k := range upmgo.FastPathKinds {
+	for _, k := range kinds {
 		n := sr.ByKind[k]
 		if n == 0 {
 			continue

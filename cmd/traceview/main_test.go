@@ -266,6 +266,38 @@ func TestRunReportReplay(t *testing.T) {
 	}
 }
 
+// TestRunReportLegacyKinds: a report written by an older build lists
+// kinds this one no longer produces; they render after the known ones.
+func TestRunReportLegacyKinds(t *testing.T) {
+	sr := upmgo.BuildSweepReport([]*upmgo.CellReport{{Bench: "CG", Label: "ft-IRIXmig", Class: "A",
+		Source: upmgo.CellSourceSimulated, Kind: upmgo.FastPathReplayed, HostSeconds: 0.4}}, 5)
+	sr.ByKind[upmgo.FastPathSteadyPK] = 4
+	sr.ByKind[upmgo.FastPathCampaign] = 2
+	sr.Cells += 6
+	blob, err := json.Marshal(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"report", "-in", path}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	replayed := strings.Index(text, "  replayed             1  ")
+	campaign := strings.Index(text, "  campaign_ff          2  ")
+	periodK := strings.Index(text, "  steady_period_k      4  ")
+	if replayed < 0 || campaign < 0 || periodK < 0 {
+		t.Fatalf("report lacks a kind line:\n%s", text)
+	}
+	if !(replayed < campaign && campaign < periodK) {
+		t.Errorf("legacy kinds do not follow the known ones, sorted:\n%s", text)
+	}
+}
+
 // TestRunReportHost: a report that carries its host context prints it
 // as one host: line under the headline.
 func TestRunReportHost(t *testing.T) {

@@ -3,7 +3,10 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"upmgo/internal/memsys"
 )
 
 // bulkTestConfig returns a deliberately tiny machine so that short runs
@@ -38,7 +41,8 @@ func pair(t *testing.T, cfg Config) (bulk, scalar *Machine) {
 }
 
 // compareMachines asserts bit-identical clocks, event counters, cache
-// counters and page reference counters between the two machines.
+// lines and versions and TLB entries, each in recency order, and page
+// reference counters between the two machines.
 func compareMachines(t *testing.T, bulk, scalar *Machine, pages uint64) {
 	t.Helper()
 	for i := range bulk.CPUs() {
@@ -49,11 +53,19 @@ func compareMachines(t *testing.T, bulk, scalar *Machine, pages uint64) {
 		if cb.Stat() != cs.Stat() {
 			t.Errorf("cpu %d: stats %+v (bulk) != %+v (scalar)", i, cb.Stat(), cs.Stat())
 		}
-		bh1, bm1, bh2, bm2 := cb.CacheStats()
-		sh1, sm1, sh2, sm2 := cs.CacheStats()
-		if bh1 != sh1 || bm1 != sm1 || bh2 != sh2 || bm2 != sm2 {
-			t.Errorf("cpu %d: cache stats L1 %d/%d vs %d/%d, L2 %d/%d vs %d/%d",
-				i, bh1, bm1, sh1, sm1, bh2, bm2, sh2, sm2)
+		for _, l := range []struct {
+			name string
+			b, s *memsys.Cache
+		}{{"L1", cb.l1, cs.l1}, {"L2", cb.l2, cs.l2}} {
+			bt, bv := l.b.Lines()
+			st, sv := l.s.Lines()
+			if !slices.Equal(bt, st) || !slices.Equal(bv, sv) {
+				t.Errorf("cpu %d: %s lines differ between bulk and scalar", i, l.name)
+			}
+		}
+		// A CPU builds its TLB at its first L2 miss.
+		if (cb.tlb == nil) != (cs.tlb == nil) || cb.tlb != nil && !slices.Equal(cb.tlb.Ways(), cs.tlb.Ways()) {
+			t.Errorf("cpu %d: TLB entries differ between bulk and scalar", i)
 		}
 	}
 	if bulk.Stats() != scalar.Stats() {

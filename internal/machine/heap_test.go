@@ -66,13 +66,13 @@ func TestAccessPastHeapPanics(t *testing.T) {
 
 // TestDropCacheState: a replay's machine drops its cache-side state
 // before it allocates, so it holds no directory, no cache lines and no
-// TLB, however much it allocates; its caches keep their counts.
+// TLB, however much it allocates; its CPUStats survive.
 func TestDropCacheState(t *testing.T) {
 	cfg := DefaultConfig()
 	m := MustNew(cfg)
 	a := m.NewArray("x", 64)
 	m.CPU(1).LoadRun(a.Addr(0), a.Len(), 8)
-	h1, m1, _, _ := m.CPU(1).CacheStats()
+	st := m.CPU(1).Stat()
 	m.DropCacheState()
 	m.Alloc(4 * cfg.PageBytes)
 	if m.lineState != nil {
@@ -86,8 +86,8 @@ func TestDropCacheState(t *testing.T) {
 			t.Errorf("cpu %d keeps L2 lines", c.ID)
 		}
 	}
-	if h, mi, _, _ := m.CPU(1).CacheStats(); h != h1 || mi != m1 {
-		t.Errorf("L1 counts %d/%d after the drop, want %d/%d", h, mi, h1, m1)
+	if got := m.CPU(1).Stat(); got != st {
+		t.Errorf("CPUStats %+v after the drop, want %+v", got, st)
 	}
 	if got, want := m.PT.Pages(), int(m.AllocatedPages()); got != want {
 		t.Errorf("page table covers %d pages, want the heap's %d", got, want)

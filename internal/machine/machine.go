@@ -399,8 +399,8 @@ func (m *Machine) Alloc(n int) uint64 {
 // directory, every CPU's cache lines and its TLB — for a machine that
 // simulates no access from now on: a stream replay, which takes every
 // outcome from its log, or a compressed recording past its repeat, which
-// only runs free. The caches' counts survive. Alloc grows no directory
-// afterwards, and a simulated access panics.
+// only runs free. CPUStats, the only count of cache traffic, survives.
+// Alloc grows no directory afterwards, and a simulated access panics.
 func (m *Machine) DropCacheState() {
 	m.lineState, m.noDir = nil, true
 	for _, c := range m.cpus {
@@ -510,34 +510,32 @@ func (m *Machine) Settle(cpus []*CPU, start int64) int64 {
 }
 
 // countersPerCPU is the number of AppendCounters slots each CPU
-// contributes: clock, the seven CPUStats fields, and hits/misses/tick for
-// each private cache.
-const countersPerCPU = 1 + 7 + 3 + 3
+// contributes: clock and the seven CPUStats fields.
+const countersPerCPU = 1 + 7
 
 // AppendCounters appends the machine's complete monotone counter state to
-// dst and returns the extended slice: per CPU the virtual clock, the
-// seven CPUStats fields and each private cache's hits, misses and LRU
-// tick; then the page table's fault, migration, replica and collapse
-// totals. The layout is fixed so that the element-wise difference of two
-// snapshots taken at consecutive iteration boundaries is the iteration's
-// delta vector, and so that ApplyCounterDelta can fast-forward the same
-// state by a multiple of that delta.
+// dst and returns the extended slice: per CPU the virtual clock and the
+// seven CPUStats fields; then the page table's migration, replica and
+// collapse totals. CPUStats is the only count of a CPU's cache, TLB and
+// fault traffic: its L1 and L2 hits and misses are Accesses − L1Miss,
+// L1Miss, L1Miss − L2Miss and L2Miss, and the page table's faults are
+// the sum of every CPU's Faults. The layout is fixed so that the
+// element-wise difference of two snapshots taken at consecutive
+// iteration boundaries is the iteration's delta vector, and so that
+// ApplyCounterDelta can fast-forward the same state by a multiple of
+// that delta.
 func (m *Machine) AppendCounters(dst []int64) []int64 {
 	for _, c := range m.cpus {
 		dst = append(dst, c.clock,
 			int64(c.stat.Accesses), int64(c.stat.L1Miss), int64(c.stat.L2Miss),
 			int64(c.stat.TLBMiss), int64(c.stat.LocalMem), int64(c.stat.RemoteMem),
 			int64(c.stat.Faults))
-		h1, m1 := c.l1.Stats()
-		h2, m2 := c.l2.Stats()
-		dst = append(dst, int64(h1), int64(m1), int64(c.l1.Tick()),
-			int64(h2), int64(m2), int64(c.l2.Tick()))
 	}
-	return append(dst, m.PT.Faults(), m.PT.Migrations(), m.PT.ReplicaCreations(), m.PT.Collapses())
+	return append(dst, m.PT.Migrations(), m.PT.ReplicaCreations(), m.PT.Collapses())
 }
 
 // CounterLen returns the length AppendCounters adds to its argument.
-func (m *Machine) CounterLen() int { return len(m.cpus)*countersPerCPU + 4 }
+func (m *Machine) CounterLen() int { return len(m.cpus)*countersPerCPU + 3 }
 
 // AppendCounterNames appends one name per AppendCounters slot, in the
 // same order, so index i of a counter delta vector can be reported by
@@ -546,12 +544,11 @@ func (m *Machine) CounterLen() int { return len(m.cpus)*countersPerCPU + 4 }
 func (m *Machine) AppendCounterNames(dst []string) []string {
 	for i := range m.cpus {
 		for _, s := range [...]string{"clock", "accesses", "l1_miss", "l2_miss",
-			"tlb_miss", "local_mem", "remote_mem", "faults",
-			"l1_hits", "l1_misses", "l1_tick", "l2_hits", "l2_misses", "l2_tick"} {
+			"tlb_miss", "local_mem", "remote_mem", "faults"} {
 			dst = append(dst, fmt.Sprintf("cpu%d_%s", i, s))
 		}
 	}
-	return append(dst, "pt_faults", "pt_migrations", "pt_replicas", "pt_collapses")
+	return append(dst, "pt_migrations", "pt_replicas", "pt_collapses")
 }
 
 // ApplyCounterDelta advances every counter AppendCounters reports by k
@@ -573,11 +570,9 @@ func (m *Machine) ApplyCounterDelta(delta []int64, k int64) {
 		c.stat.LocalMem += uint64(d[5] * k)
 		c.stat.RemoteMem += uint64(d[6] * k)
 		c.stat.Faults += uint64(d[7] * k)
-		c.l1.FastForward(uint64(d[8]), uint64(d[9]), uint64(d[10]), k)
-		c.l2.FastForward(uint64(d[11]), uint64(d[12]), uint64(d[13]), k)
 		i += countersPerCPU
 	}
-	m.PT.FastForwardCounters(delta[i]*k, delta[i+1]*k, delta[i+2]*k, delta[i+3]*k)
+	m.PT.FastForwardCounters(delta[i]*k, delta[i+1]*k, delta[i+2]*k)
 }
 
 // Stats aggregates the memory-system counters of every CPU.
@@ -810,17 +805,15 @@ func (c *CPU) touchUnit(addr, last uint64, n int, stride uint64, shift uint, wri
 	var probeAddr uint64
 	var probeVer uint32
 	if addr>>m.l1Shift == last>>m.l1Shift {
-		if !c.l1.AccessRange(addr, n, ver, newVer) {
+		if !c.l1.Access(addr, ver, newVer) {
 			c.stat.L1Miss++
 			probes, probeAddr, probeVer = 1, addr, ver
 		}
-	} else if stride == 1<<shift && stride <= uint64(m.Cfg.L1Line) {
-		// The unit's lines are consecutive and evenly filled: one batched
-		// probe covers them all.
+	} else if stride <= uint64(m.Cfg.L1Line) {
+		// The unit's lines are consecutive: one batched probe covers
+		// them all.
 		nLines := int(last>>m.l1Shift - addr>>m.l1Shift + 1)
-		first := int(((addr>>m.l1Shift+1)<<m.l1Shift-1-addr)>>shift) + 1
-		perLine := int(uint64(m.Cfg.L1Line) >> shift)
-		miss, mAddr, mVer := c.l1.AccessLines(addr, nLines, first, perLine, n-first-(nLines-2)*perLine, ver, newVer)
+		miss, mAddr, mVer := c.l1.AccessLines(addr, nLines, 0, 0, 0, ver, newVer)
 		if miss > 0 {
 			c.stat.L1Miss += uint64(miss)
 			probes, probeAddr, probeVer = miss, mAddr, mVer
@@ -830,7 +823,7 @@ func (c *CPU) touchUnit(addr, last uint64, n int, stride uint64, shift uint, wri
 		for k := 0; k < n; {
 			ak := addr + uint64(k)*stride
 			nLine := min(n-k, segLen((ak>>m.l1Shift+1)<<m.l1Shift-1-ak, stride, shift))
-			if !c.l1.AccessRange(ak, nLine, v0, newVer) {
+			if !c.l1.Access(ak, v0, newVer) {
 				c.stat.L1Miss++
 				if probes == 0 {
 					probeAddr, probeVer = ak, v0
@@ -844,7 +837,7 @@ func (c *CPU) touchUnit(addr, last uint64, n int, stride uint64, shift uint, wri
 	if probes == 0 {
 		return false
 	}
-	if c.l2.AccessRange(probeAddr, probes, probeVer, newVer) {
+	if c.l2.Access(probeAddr, probeVer, newVer) {
 		c.clock += int64(probes) * lat.L2Hit
 		return false
 	}
@@ -910,9 +903,6 @@ func (c *CPU) memory(vpn uint64, write bool, n int) {
 // and its generation is the one this CPU saw at its previous lookup of
 // vpn, seen[vpn], which it then updates.
 func (c *CPU) replayMiss(vpn uint64, write bool, n int, resident bool, seen []uint32) {
-	if c.m.freeRun {
-		return
-	}
 	home, gen := c.resolve(vpn, n)
 	if !resident || seen[vpn] != gen {
 		c.tlbMiss()
@@ -1032,11 +1022,4 @@ func (c *CPU) FlushL1() { c.l1.Flush() }
 func (c *CPU) FlushL1L2() {
 	c.l1.Flush()
 	c.l2.Flush()
-}
-
-// CacheStats exposes hit/miss counters of the private caches.
-func (c *CPU) CacheStats() (l1Hits, l1Misses, l2Hits, l2Misses uint64) {
-	l1Hits, l1Misses = c.l1.Stats()
-	l2Hits, l2Misses = c.l2.Stats()
-	return
 }

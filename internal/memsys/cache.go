@@ -27,9 +27,6 @@ type Cache struct {
 	ways      int
 	tags      []uint64 // sets*ways, MRU first per set; 0 means invalid, otherwise lineAddr+1
 	vers      []uint32 // coherence version captured when the line was filled
-	tick      uint64
-
-	hits, misses uint64
 }
 
 // NewCache builds a cache of sizeBytes with lineBytes lines and the given
@@ -78,37 +75,13 @@ func MustCache(sizeBytes, lineBytes, ways int) *Cache {
 // invalidation a real protocol would have delivered). On both hit and
 // fill, the entry's version becomes newVer; a writer passes newVer > ver
 // so its own copy stays valid while every other cache's copy goes stale.
+// Immediately repeated references to a just-touched line are guaranteed
+// hits that move nothing, so one Access stands for a run of accesses
+// within one line: the bulk path of internal/machine probes once per run.
+// The cache keeps no counts; the caller's CPUStats does.
 func (c *Cache) Access(addr uint64, ver, newVer uint32) bool {
-	return c.AccessRange(addr, 1, ver, newVer)
-}
-
-// AccessRange performs n consecutive accesses that all fall within the
-// line containing addr: the first has the full lookup/fill/invalidate
-// semantics of Access, and the remaining n-1 are the guaranteed hits that
-// immediately repeated references to a just-touched line produce. It
-// reports whether the first access hit. The replacement state it leaves
-// behind — tick, the line's recency, hit and miss counts — is
-// bit-identical to n individual Access calls, which is what lets the bulk
-// path of internal/machine substitute one probe for a per-element loop.
-//
-// Callers pass n ≥ 1 (n ≤ 0 is a no-op that reports a hit): every access
-// then advances tick, so recency order is exactly the order a per-way
-// timestamp of the last access would give.
-func (c *Cache) AccessRange(addr uint64, n int, ver, newVer uint32) bool {
-	if n <= 0 {
-		return true
-	}
 	line := addr >> c.lineShift
-	c.tick += uint64(n)
-	if c.probe(int(line&c.setMask)*c.ways, line+1, ver, newVer) {
-		c.hits += uint64(n)
-		return true
-	}
-	// A stale copy or a fill: the first access misses, the rest hit the
-	// refreshed line.
-	c.misses++
-	c.hits += uint64(n - 1)
-	return false
+	return c.probe(int(line&c.setMask)*c.ways, line+1, ver, newVer)
 }
 
 // probe looks tag up in the set whose first way is set, refills a stale
@@ -138,23 +111,15 @@ func (c *Cache) probe(set int, tag uint64, ver, newVer uint32) bool {
 }
 
 // AccessLines probes nLines consecutive cache lines in one call — the
-// whole-coherence-unit companion to AccessRange for contiguous runs whose
-// stride does not exceed the line size. The line containing addr holds
-// firstCount elements, full middle lines perLine each, and the last line
-// lastCount; every count is ≥ 1, as AccessRange requires. The first
-// element of the call validates against ver and every later line against
-// newVer (the caller has just stamped the unit's new version), exactly as
-// successive per-line AccessRange calls would; tick, recency order, hit
-// and miss counts come out bit-identical. It returns the number of
-// missing lines plus the address and version of the first miss, which the
-// caller forwards to the next cache level.
-func (c *Cache) AccessLines(addr uint64, nLines, firstCount, perLine, lastCount int, ver, newVer uint32) (misses int, missAddr uint64, missVer uint32) {
-	// Each line's count goes to hits, less the one access of a missing
-	// line, so only the misses need counting per line.
-	n := firstCount
-	if nLines > 1 {
-		n += (nLines-2)*perLine + lastCount
-	}
+// whole-coherence-unit companion to Access for contiguous runs whose
+// stride does not exceed the line size. The first line validates against
+// ver and every later line against newVer (the caller has just stamped
+// the unit's new version), exactly as successive per-line Access calls
+// would, and the recency order comes out bit-identical. The three
+// per-line element counts are not read. It returns the number of missing
+// lines plus the address and version of the first miss, which the caller
+// forwards to the next cache level.
+func (c *Cache) AccessLines(addr uint64, nLines, _, _, _ int, ver, newVer uint32) (misses int, missAddr uint64, missVer uint32) {
 	tags, vers, shift, mask, ways := c.tags, c.vers, c.lineShift, c.setMask, c.ways
 	line, v := addr>>shift, ver
 	for i := 0; i < nLines; i++ {
@@ -184,16 +149,13 @@ func (c *Cache) AccessLines(addr uint64, nLines, firstCount, perLine, lastCount 
 		v = newVer
 		line++
 	}
-	c.tick += uint64(n)
-	c.hits += uint64(n - misses)
-	c.misses += uint64(misses)
 	return misses, missAddr, missVer
 }
 
 // Clone returns a deep copy of the cache: tags and coherence versions in
-// their recency order, tick and hit/miss counters. Subsequent accesses to
-// either copy leave the other bit-for-bit untouched, which is what lets a
-// forked machine resume a simulation exactly where its parent stopped.
+// their recency order. Subsequent accesses to either copy leave the other
+// bit-for-bit untouched, which is what lets a forked machine resume a
+// simulation exactly where its parent stopped.
 func (c *Cache) Clone() *Cache {
 	return &Cache{
 		lineShift: c.lineShift,
@@ -201,9 +163,6 @@ func (c *Cache) Clone() *Cache {
 		ways:      c.ways,
 		tags:      append([]uint64(nil), c.tags...),
 		vers:      append([]uint32(nil), c.vers...),
-		tick:      c.tick,
-		hits:      c.hits,
-		misses:    c.misses,
 	}
 }
 
@@ -230,9 +189,9 @@ func (c *Cache) Lines() (tags []uint64, vers []uint32) { return c.tags, c.vers }
 // Flush invalidates the whole cache.
 func (c *Cache) Flush() { clear(c.tags) }
 
-// Release drops the cache's lines and keeps its hit, miss and tick
-// counts, for a cache that will only be fed counts from now on (a stream
-// replay's). A released cache holds no sets; probing it panics.
+// Release drops the cache's lines, for a cache that is never probed
+// again (a stream replay's). A released cache holds no sets; probing it
+// panics.
 func (c *Cache) Release() { c.tags, c.vers = nil, nil }
 
 // LineBytes returns the line size in bytes.
@@ -243,25 +202,3 @@ func (c *Cache) Sets() int { return len(c.tags) / c.ways }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
-
-// Stats returns cumulative hit and miss counts.
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// Tick returns the access counter, which advances by exactly one
-// per simulated access. The steady-state detector includes it in the
-// per-iteration counter vector: equal tick deltas across iterations are a
-// necessary condition for the replacement state to be on a periodic
-// orbit.
-func (c *Cache) Tick() uint64 { return c.tick }
-
-// FastForward advances the cache's monotone counters by k repetitions of
-// the per-iteration deltas (dHits, dMisses, dTick) without simulating the
-// accesses behind them. The steady-state fast-forward engine calls this
-// after proving the deltas repeat; tags, versions and recency order
-// are left untouched, which is sound because an extrapolated run performs
-// no further simulated accesses that could consult them.
-func (c *Cache) FastForward(dHits, dMisses, dTick uint64, k int64) {
-	c.hits += dHits * uint64(k)
-	c.misses += dMisses * uint64(k)
-	c.tick += dTick * uint64(k)
-}

@@ -14,47 +14,54 @@ const (
 )
 
 func BenchmarkAccessLines(b *testing.B) {
-	run := func(c *Cache, lines int) {
+	run := func(c *Cache, lines int) (misses int) {
 		per := c.LineBytes() / 8
 		for a := 0; a < lines; a += benchChunk {
-			c.AccessLines(uint64(a*c.LineBytes()), benchChunk, per, per, per, 0, 0)
+			m, _, _ := c.AccessLines(uint64(a*c.LineBytes()), benchChunk, per, per, per, 0, 0)
+			misses += m
 		}
+		return misses
 	}
 	b.Run("hit", func(b *testing.B) { benchSweep(b, false, run) })
 	b.Run("miss", func(b *testing.B) { benchSweep(b, true, run) })
 }
 
-func BenchmarkAccessRange(b *testing.B) {
-	run := func(c *Cache, lines int) {
-		per := c.LineBytes() / 8
+// BenchmarkAccess probes once per line, as the bulk path does for a run
+// of accesses within one line.
+func BenchmarkAccess(b *testing.B) {
+	run := func(c *Cache, lines int) (misses int) {
 		for a := 0; a < lines; a++ {
-			c.AccessRange(uint64(a*c.LineBytes()), per, 0, 0)
+			if !c.Access(uint64(a*c.LineBytes()), 0, 0) {
+				misses++
+			}
 		}
+		return misses
 	}
 	b.Run("hit", func(b *testing.B) { benchSweep(b, false, run) })
 	b.Run("miss", func(b *testing.B) { benchSweep(b, true, run) })
 }
 
 // benchSweep times sweep over the hit or the miss footprint, reports ns
-// per line, and checks that every timed line hit or missed as intended.
-func benchSweep(b *testing.B, miss bool, sweep func(c *Cache, lines int)) {
+// per line, and checks that every timed line hit or missed as intended:
+// sweep returns the number of lines that missed.
+func benchSweep(b *testing.B, miss bool, sweep func(c *Cache, lines int) int) {
 	c, lines := MustCache(benchL1Bytes, benchL1Line, benchWays), benchL1Bytes/2/benchL1Line
 	if miss {
 		c, lines = MustCache(benchL2Bytes, benchL2Line, benchWays), 4*benchL2Bytes/benchL2Line
 	}
 	sweep(c, lines)
-	_, m0 := c.Stats()
+	misses := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sweep(c, lines)
+		misses += sweep(c, lines)
 	}
 	b.StopTimer()
-	want := uint64(0)
+	want := 0
 	if miss {
-		want = uint64(b.N * lines)
+		want = b.N * lines
 	}
-	if _, m := c.Stats(); m-m0 != want {
-		b.Fatalf("%d timed misses, want %d", m-m0, want)
+	if misses != want {
+		b.Fatalf("%d timed misses, want %d", misses, want)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
 }

@@ -6,35 +6,34 @@ import (
 )
 
 // TestCacheCloneIsolation: a clone is bit-identical to its parent
-// (tags and versions in recency order, tick, hit/miss stats) and the two
-// diverge independently afterwards — the memsys half of the machine
-// snapshot invariant.
+// (tags and versions in recency order) and the two diverge independently
+// afterwards — the memsys half of the machine snapshot invariant.
 func TestCacheCloneIsolation(t *testing.T) {
 	c := MustCache(4*1024, 64, 2)
 	for i := uint64(0); i < 512; i++ {
 		c.Access(i*64, 0, 0)
 	}
-	c.Access(0, 0, 0) // a hit, so the stats are non-trivial
+	c.Access(0, 0, 0) // a hit, which moves line 0 to its set's MRU way
 
 	k := c.Clone()
 	if !reflect.DeepEqual(c, k) {
 		t.Fatal("clone differs from parent")
 	}
 
-	// Disturb the clone: new lines evict, stats advance, a version bump
-	// invalidates. The parent must not move.
-	before := *c
+	// Disturb the clone: new lines evict, a version bump invalidates.
+	// The parent must not move.
 	beforeTags := append([]uint64(nil), c.tags...)
+	beforeVers := append([]uint32(nil), c.vers...)
 	for i := uint64(1000); i < 1100; i++ {
 		k.Access(i*64, 0, 0)
 	}
 	k.Access(0, 1, 1)
 	k.Flush()
-	if h, m := c.Stats(); h != before.hits || m != before.misses {
-		t.Error("mutating the clone changed the parent's stats")
+	if !reflect.DeepEqual(c.tags, beforeTags) || !reflect.DeepEqual(c.vers, beforeVers) {
+		t.Error("mutating the clone changed the parent's lines")
 	}
-	if !reflect.DeepEqual(c.tags, beforeTags) {
-		t.Error("mutating the clone changed the parent's tags")
+	if !c.Access(0, 0, 0) {
+		t.Error("mutating the clone invalidated the parent's copy of line 0")
 	}
 
 	// And the reverse: the parent keeps running, the clone's snapshot of
@@ -46,7 +45,7 @@ func TestCacheCloneIsolation(t *testing.T) {
 	if reflect.DeepEqual(c, k2) {
 		t.Error("parent did not diverge from the clone")
 	}
-	if hits, _ := k2.Stats(); hits != before.hits {
+	if !reflect.DeepEqual(k2.tags, beforeTags) || !reflect.DeepEqual(k2.vers, beforeVers) {
 		t.Error("mutating the parent changed the clone")
 	}
 }
@@ -65,13 +64,13 @@ func TestTLBCloneIsolation(t *testing.T) {
 		t.Fatal("clone differs from parent")
 	}
 
-	hits, misses := tl.Stats()
+	before := append([]uint64(nil), tl.Ways()...)
 	for v := uint64(500); v < 600; v++ {
 		k.LookupRun(v, 2, 2)
 	}
 	k.Flush()
-	if h, m := tl.Stats(); h != hits || m != misses {
-		t.Error("mutating the clone changed the parent's stats")
+	if !reflect.DeepEqual(tl.Ways(), before) {
+		t.Error("mutating the clone changed the parent's entries")
 	}
 	if !tl.LookupRun(99, 1, 1) {
 		t.Error("mutating the clone evicted the parent's entries")

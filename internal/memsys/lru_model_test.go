@@ -12,14 +12,13 @@ import (
 // smallest stamp (the first one on a tie, so invalid ways fill first). It
 // is kept only as the reference that recency-ordered ways must match.
 type lruModel struct {
-	lineShift    uint
-	setMask      uint64
-	ways         int
-	tags         []uint64
-	vers         []uint32
-	age          []uint64
-	tick         uint64
-	hits, misses uint64
+	lineShift uint
+	setMask   uint64
+	ways      int
+	tags      []uint64
+	vers      []uint32
+	age       []uint64
+	tick      uint64
 }
 
 func newLRUModel(sizeBytes, lineBytes, ways int) *lruModel {
@@ -33,31 +32,20 @@ func newLRUModel(sizeBytes, lineBytes, ways int) *lruModel {
 	return m
 }
 
-// accessRange is the reference for AccessRange (and, with n = 1, Access).
-func (m *lruModel) accessRange(addr uint64, n int, ver, newVer uint32) bool {
-	if n <= 0 {
-		return true
-	}
+// access is the reference for Access.
+func (m *lruModel) access(addr uint64, ver, newVer uint32) bool {
 	line := addr >> m.lineShift
 	set := int(line&m.setMask) * m.ways
 	tag := line + 1
-	m.tick += uint64(n)
+	m.tick++
 	for w := 0; w < m.ways; w++ {
 		if m.tags[set+w] == tag {
 			m.age[set+w] = m.tick
 			hit := m.vers[set+w] == ver
 			m.vers[set+w] = newVer
-			if !hit {
-				m.misses++
-				m.hits += uint64(n - 1)
-				return false
-			}
-			m.hits += uint64(n)
-			return true
+			return hit
 		}
 	}
-	m.misses++
-	m.hits += uint64(n - 1)
 	victim := set
 	for w := 1; w < m.ways; w++ {
 		if m.age[set+w] < m.age[victim] {
@@ -69,18 +57,12 @@ func (m *lruModel) accessRange(addr uint64, n int, ver, newVer uint32) bool {
 }
 
 // accessLines is the reference for AccessLines: successive per-line
-// accessRange calls, the first validating against ver and the rest
-// against newVer.
-func (m *lruModel) accessLines(addr uint64, nLines, firstCount, perLine, lastCount int, ver, newVer uint32) (misses int, missAddr uint64, missVer uint32) {
+// access calls, the first validating against ver and the rest against
+// newVer.
+func (m *lruModel) accessLines(addr uint64, nLines int, ver, newVer uint32) (misses int, missAddr uint64, missVer uint32) {
 	line, v := addr>>m.lineShift, ver
 	for i := 0; i < nLines; i++ {
-		n := perLine
-		if i == 0 {
-			n = firstCount
-		} else if i == nLines-1 {
-			n = lastCount
-		}
-		if !m.accessRange(line<<m.lineShift, n, v, newVer) {
+		if !m.access(line<<m.lineShift, v, newVer) {
 			if misses == 0 {
 				missAddr, missVer = line<<m.lineShift, v
 			}
@@ -103,15 +85,26 @@ func (m *lruModel) contains(addr uint64) bool {
 	return false
 }
 
+// order returns set s's valid lines as (tag, version) pairs, most
+// recently used first: the way order a recency-ordered cache must hold.
+func (m *lruModel) order(s int) [][2]uint64 {
+	var ws []int
+	for w := s * m.ways; w < (s+1)*m.ways; w++ {
+		if m.tags[w] != 0 {
+			ws = append(ws, w)
+		}
+	}
+	sort.Slice(ws, func(i, j int) bool { return m.age[ws[i]] > m.age[ws[j]] })
+	out := make([][2]uint64, len(ws))
+	for i, w := range ws {
+		out[i] = [2]uint64{m.tags[w], uint64(m.vers[w])}
+	}
+	return out
+}
+
 func (m *lruModel) flush() {
 	clear(m.tags)
 	clear(m.age)
-}
-
-func (m *lruModel) fastForward(dHits, dMisses, dTick uint64, k int64) {
-	m.hits += dHits * uint64(k)
-	m.misses += dMisses * uint64(k)
-	m.tick += dTick * uint64(k)
 }
 
 func (m *lruModel) clone() *lruModel {
@@ -123,13 +116,13 @@ func (m *lruModel) clone() *lruModel {
 }
 
 // TestCacheMatchesTimestampLRU drives Cache and the timestamp-LRU model
-// with one seeded random stream of Access, AccessRange and AccessLines
-// (counts ≥ 1, current and stale versions), Flush, FastForward and Clone,
-// and after every operation compares the return values, Stats, Tick and
-// residency of every line the stream can touch. The span of addresses is
-// a few times the cache, so sets see hits, stale refills and evictions.
-// Every benchmark machine is 2-way, so this is the only coverage of the
-// general probe.
+// with one seeded random stream of Access and AccessLines (current and
+// stale versions), Flush and Clone, and after every operation compares
+// the return values, every set's lines and versions in recency order
+// (invalid ways behind the valid ones) and the residency of every line
+// the stream can touch. The span of addresses is a few times the cache,
+// so sets see hits, stale refills and evictions. Every benchmark machine
+// is 2-way, so this is the only coverage of the general probe.
 func TestCacheMatchesTimestampLRU(t *testing.T) {
 	const line, sets, ops = 32, 8, 6000
 	for _, ways := range []int{1, 2, 4, 8} {
@@ -142,12 +135,19 @@ func TestCacheMatchesTimestampLRU(t *testing.T) {
 			m *lruModel
 		}
 		var frozen []pair // originals left behind by Clone; must not move
+		hits, misses := 0, 0
 		check := func(op int, what string, c *Cache, m *lruModel) {
 			t.Helper()
-			ch, cm := c.Stats()
-			if ch != m.hits || cm != m.misses || c.Tick() != m.tick {
-				t.Fatalf("ways=%d op %d (%s): stats %d/%d tick %d, model %d/%d tick %d",
-					ways, op, what, ch, cm, c.Tick(), m.hits, m.misses, m.tick)
+			tags, vers := c.Lines()
+			for s := 0; s < sets; s++ {
+				want := m.order(s)
+				for w := 0; w < ways; w++ {
+					i := s*ways + w
+					got := [2]uint64{tags[i], uint64(vers[i])}
+					if w >= len(want) && got[0] != 0 || w < len(want) && got != want[w] {
+						t.Fatalf("ways=%d op %d (%s): set %d way %d holds %v, model order %v", ways, op, what, s, w, got, want)
+					}
+				}
 			}
 			for l := uint64(0); l < span; l++ {
 				if got, want := c.Contains(l*line), m.contains(l*line); got != want {
@@ -164,34 +164,30 @@ func TestCacheMatchesTimestampLRU(t *testing.T) {
 				newVer := ver + uint32(rng.Intn(2))
 				var what string
 				switch r := rng.Intn(100); {
-				case r < 30:
+				case r < 60:
 					what = "Access"
-					if got, want := c.Access(addr, ver, newVer), m.accessRange(addr, 1, ver, newVer); got != want {
+					got, want := c.Access(addr, ver, newVer), m.access(addr, ver, newVer)
+					if got != want {
 						t.Fatalf("ways=%d op %d: Access = %v, model %v", ways, op, got, want)
 					}
-				case r < 60:
-					what = "AccessRange"
-					n := 1 + rng.Intn(6)
-					if got, want := c.AccessRange(addr, n, ver, newVer), m.accessRange(addr, n, ver, newVer); got != want {
-						t.Fatalf("ways=%d op %d: AccessRange(n=%d) = %v, model %v", ways, op, n, got, want)
+					if got {
+						hits++
+					} else {
+						misses++
 					}
-				case r < 94:
+				case r < 96:
 					what = "AccessLines"
-					nLines, first, per, last := 1+rng.Intn(2*ways+2), 1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(4)
-					gm, ga, gv := c.AccessLines(addr, nLines, first, per, last, ver, newVer)
-					wm, wa, wv := m.accessLines(addr, nLines, first, per, last, ver, newVer)
+					nLines := 1 + rng.Intn(2*ways+2)
+					gm, ga, gv := c.AccessLines(addr, nLines, 1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(4), ver, newVer)
+					wm, wa, wv := m.accessLines(addr, nLines, ver, newVer)
 					if gm != wm || ga != wa || gv != wv {
 						t.Fatalf("ways=%d op %d: AccessLines = (%d,%#x,%d), model (%d,%#x,%d)", ways, op, gm, ga, gv, wm, wa, wv)
 					}
-				case r < 96:
+					hits, misses = hits+nLines-gm, misses+gm
+				case r < 98:
 					what = "Flush"
 					c.Flush()
 					m.flush()
-				case r < 98:
-					what = "FastForward"
-					dh, dm, dt, k := uint64(rng.Intn(50)), uint64(rng.Intn(20)), uint64(rng.Intn(70)), int64(rng.Intn(4))
-					c.FastForward(dh, dm, dt, k)
-					m.fastForward(dh, dm, dt, k)
 				default:
 					what = "Clone"
 					frozen = append(frozen, pair{c, m})
@@ -208,8 +204,8 @@ func TestCacheMatchesTimestampLRU(t *testing.T) {
 			check(-1, "clone original", p.c, p.m)
 			run(p.c, p.m, 200)
 		}
-		if h, mi := c.Stats(); h == 0 || mi == 0 {
-			t.Fatalf("ways=%d: stream produced %d hits, %d misses; want both", ways, h, mi)
+		if hits == 0 || misses == 0 {
+			t.Fatalf("ways=%d: stream produced %d hits, %d misses; want both", ways, hits, misses)
 		}
 	}
 }
@@ -220,13 +216,12 @@ func TestCacheMatchesTimestampLRU(t *testing.T) {
 // smallest stamp. It is kept only as the reference that recency-ordered
 // ways must match.
 type tlbModel struct {
-	ways         int
-	setMask      uint64
-	vpns         []uint64
-	gens         []uint32
-	age          []uint64
-	tick         uint64
-	hits, misses uint64
+	ways    int
+	setMask uint64
+	vpns    []uint64
+	gens    []uint32
+	age     []uint64
+	tick    uint64
 }
 
 func newTLBModel(entries, ways int) *tlbModel {
@@ -244,15 +239,12 @@ func (m *tlbModel) lookup(vpn uint64, gen uint32) bool {
 		if m.vpns[set+w] == vpn+1 {
 			if m.gens[set+w] != gen {
 				m.vpns[set+w] = 0
-				m.misses++
 				return false
 			}
 			m.age[set+w] = m.tick
-			m.hits++
 			return true
 		}
 	}
-	m.misses++
 	return false
 }
 
@@ -340,9 +332,9 @@ func TestTLBResidencyIgnoresGenerations(t *testing.T) {
 // TestTLBMatchesTimestampLRU drives TLB and the timestamp-LRU model with
 // one seeded random stream of LookupRun (n ≥ 1, at the page's current
 // generation, after a migration bumped it, or at an older one), Flush and
-// Clone, and after every operation compares the return values, Stats and,
-// set by set, the resident translations in recency order, with invalid
-// ways behind the valid ones. The span of pages is a few times the TLB,
+// Clone, and after every operation compares the return values and, set
+// by set, the resident translations in recency order, with invalid ways
+// behind the valid ones. The span of pages is a few times the TLB,
 // so sets see hits, stale refills and evictions.
 func TestTLBMatchesTimestampLRU(t *testing.T) {
 	const sets, ops = 4, 6000
@@ -357,11 +349,9 @@ func TestTLBMatchesTimestampLRU(t *testing.T) {
 			m *tlbModel
 		}
 		var frozen []pair // originals left behind by Clone; must not move
+		hits, misses := 0, 0
 		check := func(op int, what string, tl *TLB, m *tlbModel) {
 			t.Helper()
-			if h, mi := tl.Stats(); h != m.hits || mi != m.misses {
-				t.Fatalf("ways=%d op %d (%s): stats %d/%d, model %d/%d", ways, op, what, h, mi, m.hits, m.misses)
-			}
 			for s := 0; s < sets; s++ {
 				want := m.order(s)
 				for w := 0; w < ways; w++ {
@@ -392,8 +382,14 @@ func TestTLBMatchesTimestampLRU(t *testing.T) {
 					if got, want := tl.Resident(vpn), slices.Contains(m.vpns[m.setOf(vpn):m.setOf(vpn)+ways], vpn+1); got != want {
 						t.Fatalf("ways=%d op %d: Resident(%d) = %v, model %v", ways, op, vpn, got, want)
 					}
-					if got, want := tl.LookupRun(vpn, gen, n), m.lookupRun(vpn, gen, n); got != want {
+					got, want := tl.LookupRun(vpn, gen, n), m.lookupRun(vpn, gen, n)
+					if got != want {
 						t.Fatalf("ways=%d op %d: LookupRun(%d, %d, %d) = %v, model %v", ways, op, vpn, gen, n, got, want)
+					}
+					if got {
+						hits++
+					} else {
+						misses++
 					}
 				case r < 97:
 					what = "Flush"
@@ -415,8 +411,8 @@ func TestTLBMatchesTimestampLRU(t *testing.T) {
 			check(-1, "clone original", p.t, p.m)
 			run(p.t, p.m, 200)
 		}
-		if h, mi := tl.Stats(); h == 0 || mi == 0 {
-			t.Fatalf("ways=%d: stream produced %d hits, %d misses; want both", ways, h, mi)
+		if hits == 0 || misses == 0 {
+			t.Fatalf("ways=%d: stream produced %d hits, %d misses; want both", ways, hits, misses)
 		}
 	}
 }

@@ -19,8 +19,6 @@ type TLB struct {
 	setMask uint64
 	vpns    []uint64 // sets*ways, MRU first per set; vpn+1, 0 invalid
 	gens    []uint32
-
-	hits, misses uint64
 }
 
 // CheckTLB reports whether NewTLB accepts the shape: entries must be a
@@ -65,9 +63,9 @@ func MustTLB(entries, ways int) *TLB {
 // of another generation is stale (a shootdown took effect) and misses.
 // A miss loads the translation at gen, evicting the LRU way, so the
 // remaining n-1 lookups are the guaranteed hits a just-loaded translation
-// gives. Hit and miss counts and the recency order come out exactly as n
-// lookups against per-way timestamps of the last use would leave them.
-// n ≤ 0 is a no-op that reports a hit.
+// gives. The recency order comes out exactly as n lookups against per-way
+// timestamps of the last use would leave it. n ≤ 0 is a no-op that
+// reports a hit. The TLB keeps no counts; the caller's CPUStats does.
 func (t *TLB) LookupRun(vpn uint64, gen uint32, n int) bool {
 	if n <= 0 {
 		return true
@@ -86,12 +84,6 @@ func (t *TLB) LookupRun(vpn uint64, gen uint32, n int) bool {
 		vpns[w], gens[w] = vpns[w-1], gens[w-1]
 	}
 	vpns[set], gens[set] = tag, gen
-	if hit {
-		t.hits += uint64(n)
-	} else {
-		t.misses++
-		t.hits += uint64(n - 1)
-	}
 	return hit
 }
 
@@ -113,16 +105,14 @@ func (t *TLB) Resident(vpn uint64) bool {
 func (t *TLB) Ways() []uint64 { return t.vpns }
 
 // Clone returns a deep copy of the TLB: resident translations with their
-// shootdown generations in recency order, and the hit/miss counters. See
-// Cache.Clone for the snapshot/fork use.
+// shootdown generations in recency order. See Cache.Clone for the
+// snapshot/fork use.
 func (t *TLB) Clone() *TLB {
 	return &TLB{
 		ways:    t.ways,
 		setMask: t.setMask,
 		vpns:    append([]uint64(nil), t.vpns...),
 		gens:    append([]uint32(nil), t.gens...),
-		hits:    t.hits,
-		misses:  t.misses,
 	}
 }
 
@@ -131,6 +121,3 @@ func (t *TLB) Flush() { clear(t.vpns) }
 
 // Entries returns the TLB capacity.
 func (t *TLB) Entries() int { return len(t.vpns) }
-
-// Stats returns cumulative hit and miss counts.
-func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }

@@ -56,9 +56,10 @@ type Options struct {
 // whatever engine last reset or decayed them — while MachLocal and
 // MachRemote are the machine's cumulative main-memory access split
 // (L2 misses served by the page's home node vs remotely), monotone over
-// the whole run. Migrations, Faults and Collapses are cumulative
-// page-table counters; the event tallies (Shootdowns, engine moves,
-// Barriers, BarrierImbalancePS) are cumulative over the timed loop.
+// the whole run. Migrations and Collapses are cumulative page-table
+// counters and Faults the sum of every CPU's page faults; the event
+// tallies (Shootdowns, engine moves, Barriers, BarrierImbalancePS) are
+// cumulative over the timed loop.
 type Sample struct {
 	Step   int    `json:"step"`              // 1-based iteration; 0 = baseline
 	Kind   string `json:"kind"`              // "baseline", "iter" or "phase"
@@ -270,6 +271,7 @@ func (s *Sampler) Emit(ev trace.Event) {
 func (s *Sampler) snapshot(step int, kind string, now int64) Sample {
 	pt := s.m.PT
 	nodes := pt.Nodes()
+	st := s.m.Stats()
 	sm := Sample{
 		Step:       step,
 		Kind:       kind,
@@ -278,7 +280,7 @@ func (s *Sampler) snapshot(step int, kind string, now int64) Sample {
 		HotHomes:   make([]int64, nodes),
 		NodeRefs:   make([]uint64, nodes),
 		Migrations: pt.Migrations(),
-		Faults:     pt.Faults(),
+		Faults:     int64(st.Faults),
 		Collapses:  pt.Collapses(),
 
 		UPMMoves:           s.upmMoves,
@@ -321,7 +323,6 @@ func (s *Sampler) snapshot(step int, kind string, now int64) Sample {
 			}
 		}
 	}
-	st := s.m.Stats()
 	sm.MachLocal, sm.MachRemote = st.LocalMem, st.RemoteMem
 	return sm
 }

@@ -401,7 +401,9 @@ func (k *replayKernel) InitTouch(t *omp.Team) { k.replay(t, nil) }
 
 // Step replays one timestep. In free-run mode (the tail after an
 // extrapolation) it returns at once: the replay has no numerics to
-// advance, and Verify already knows the answer.
+// advance, and Verify already knows the answer. No replay therefore
+// reads its log in free-run mode, and the machine's replay charges
+// carry no free-run guard.
 func (k *replayKernel) Step(t *omp.Team, h *Hooks) {
 	if !k.m.FreeRun() {
 		k.replay(t, h)
@@ -420,7 +422,6 @@ func (k *replayKernel) replay(t *omp.Team, h *Hooks) {
 		k.op++
 		switch op.Kind {
 		case machine.OpReturn:
-			k.rd.ReplayCaches(k.m)
 			return
 		case machine.OpSerial:
 			k.rd.Replay(k.m.CPU(op.CPU))

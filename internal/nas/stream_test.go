@@ -129,8 +129,7 @@ func stepCounters(t *testing.T, build nas.Builder, cfg nas.Config) [][]int64 {
 
 // TestReplayCountersMatchRun: at the end of every Step, where the
 // steady-state detector observes, a replay's machine reports the counter
-// vector of the simulation — cache hits, misses and ticks included,
-// although the replay never touches a cache.
+// vector of the simulation, although the replay never touches a cache.
 func TestReplayCountersMatchRun(t *testing.T) {
 	base := nas.Config{Class: nas.ClassS, Iterations: 6}
 	s := record(t, bt.New, base)

@@ -119,7 +119,6 @@ type PageTable struct {
 	used     []int64
 	capacity int64
 
-	faults     int64
 	migrations int64
 }
 
@@ -250,7 +249,6 @@ func (pt *PageTable) Resolve(vpn uint64, accessorNode int) (home int, gen uint32
 	}
 	target := pt.admit(pt.placeFor(vpn, accessorNode))
 	pt.home[vpn] = int32(target)
-	pt.faults++
 	return target, pt.gen[vpn], true
 }
 
@@ -381,9 +379,6 @@ func (pt *PageTable) Unfreeze(vpn uint64) { pt.frozen[vpn] = 0 }
 // Frozen reports whether vpn is frozen.
 func (pt *PageTable) Frozen(vpn uint64) bool { return pt.frozen[vpn] != 0 }
 
-// Faults returns the number of page faults taken so far.
-func (pt *PageTable) Faults() int64 { return pt.faults }
-
 // Migrations returns the number of successful page moves so far.
 func (pt *PageTable) Migrations() int64 { return pt.migrations }
 
@@ -394,8 +389,7 @@ func (pt *PageTable) Migrations() int64 { return pt.migrations }
 // reference-counter rows are left exactly as they are — at a steady
 // iteration boundary they are on a period-one orbit, so their current
 // values are also their values after any number of further iterations.
-func (pt *PageTable) FastForwardCounters(dFaults, dMigrations, dReplicas, dCollapses int64) {
-	pt.faults += dFaults
+func (pt *PageTable) FastForwardCounters(dMigrations, dReplicas, dCollapses int64) {
 	pt.migrations += dMigrations
 	pt.replicas += dReplicas
 	pt.collapses += dCollapses

@@ -47,9 +47,6 @@ func TestFirstTouchPlacesOnAccessor(t *testing.T) {
 	if faulted || home != 5 {
 		t.Errorf("second Resolve = (%d,%v), want (5,false)", home, faulted)
 	}
-	if pt.Faults() != 1 {
-		t.Errorf("faults = %d, want 1", pt.Faults())
-	}
 }
 
 func TestRoundRobinStripes(t *testing.T) {
