@@ -45,11 +45,12 @@ func TestCellReportSimulated(t *testing.T) {
 	if steady.Source != SourceSimulated || plain.Source != SourceSimulated {
 		t.Fatalf("fresh cells not marked simulated: %q, %q", steady.Source, plain.Source)
 	}
+	// The kind is FastPathSteadyP1 exactly when Result.ExtrapolatedIters > 0.
 	if steady.Kind != FastPathSteadyP1 {
 		t.Errorf("steady cell kind = %q, want %q (fastpath %+v)", steady.Kind, FastPathSteadyP1, steady.FastPath)
 	}
-	if !steady.FastPath.Extrapolated || steady.FastPath.WhyNot != nil {
-		t.Errorf("steady cell fastpath = %+v, want extrapolated with nil WhyNot", steady.FastPath)
+	if steady.FastPath.WhyNot != nil {
+		t.Errorf("steady cell fastpath = %+v, want nil WhyNot", steady.FastPath)
 	}
 	if steady.Stages.Extrapolate <= 0 {
 		t.Errorf("steady cell charges no extrapolation time: %+v", steady.Stages)

@@ -17,6 +17,7 @@ package kmig
 import (
 	"math"
 
+	"upmgo/internal/counter"
 	"upmgo/internal/machine"
 	"upmgo/internal/trace"
 )
@@ -127,50 +128,27 @@ func (e *Engine) Rejected() int64 { return e.rejected }
 // Cost returns the total picoseconds of migration overhead charged.
 func (e *Engine) Cost() int64 { return e.costPS }
 
-// CounterLen returns the length AppendCounters appends.
-func (e *Engine) CounterLen() int { return 6 }
-
-// AppendCounters appends the engine's cumulative counters — barriers
+// CounterTable appends the engine's cumulative counters to t: barriers
 // seen, scans run, pages migrated, candidates rejected, picoseconds
-// charged, and the lastScan time cursor — to dst and returns it. The
-// steady-state detector folds them into the per-iteration delta vector:
-// equal deltas mean the engine does the same work (possibly none) every
-// iteration. lastScan must be included: it is decision state (the
-// MinScanPS gate reads it), and equal scan-count deltas alone do not pin
-// the scan-spacing phase — a time-gated scan cadence that divides the
-// iteration time unevenly drifts through the iterations while keeping
-// per-iteration scan counts equal, until an iteration suddenly gets one
-// scan more or fewer (FT's short Class S iterations exhibit exactly
-// this). With lastScan in the vector such drift breaks delta equality
-// and the detector rightly refuses to fire.
-func (e *Engine) AppendCounters(dst []int64) []int64 {
-	return append(dst, e.barriers, e.scans, e.migrations, e.rejected, e.costPS, e.lastScan)
-}
-
-// AppendCounterNames appends one name per AppendCounters slot, in the
-// same order, for by-name reporting of delta-vector indices.
-func (e *Engine) AppendCounterNames(dst []string) []string {
-	return append(dst, "kmig_barriers", "kmig_scans", "kmig_migrations",
-		"kmig_rejected", "kmig_cost_ps", "kmig_last_scan")
-}
-
-// ApplyCounterDelta advances the counters by k repetitions of a
-// per-iteration delta (laid out as AppendCounters), extrapolating the
-// work the engine would have done over k more identical iterations.
-// lastScan advances with its proven delta too: on a period-one orbit
-// the last scan time moves forward by exactly k iterations' span, which
-// keeps the MinScanPS gate's phase correct if charged simulation ever
-// resumes after the jump.
-func (e *Engine) ApplyCounterDelta(delta []int64, k int64) {
-	if len(delta) != e.CounterLen() {
-		panic("kmig: counter delta length mismatch")
-	}
-	e.barriers += delta[0] * k
-	e.scans += delta[1] * k
-	e.migrations += delta[2] * k
-	e.rejected += delta[3] * k
-	e.costPS += delta[4] * k
-	e.lastScan += delta[5] * k
+// charged, and the lastScan time cursor. The steady-state detector folds
+// them into the per-iteration delta vector: equal deltas mean the engine
+// does the same work (possibly none) every iteration. lastScan must be
+// included: it is decision state (the MinScanPS gate reads it), and
+// equal scan-count deltas alone do not pin the scan-spacing phase — a
+// time-gated scan cadence that divides the iteration time unevenly
+// drifts through the iterations while keeping per-iteration scan counts
+// equal, until an iteration suddenly gets one scan more or fewer (FT's
+// short Class S iterations exhibit exactly this). With lastScan in the
+// vector such drift breaks delta equality and the detector rightly
+// refuses to fire. The fast-forward advances lastScan with its proven
+// delta too: on a period-one orbit the last scan time moves forward by
+// exactly k iterations' span, which keeps the MinScanPS gate's phase
+// correct if charged simulation ever resumes after the jump.
+func (e *Engine) CounterTable(t counter.Table) counter.Table {
+	return append(t, counter.Of("kmig_barriers", &e.barriers),
+		counter.Of("kmig_scans", &e.scans), counter.Of("kmig_migrations", &e.migrations),
+		counter.Of("kmig_rejected", &e.rejected), counter.Of("kmig_cost_ps", &e.costPS),
+		counter.Of("kmig_last_scan", &e.lastScan))
 }
 
 // GatePhase returns the ScanEvery gate's modular position — the one piece

@@ -204,3 +204,57 @@ func TestEndToEndWorstCaseGetsRepaired(t *testing.T) {
 		t.Errorf("only %d/16 pages repaired to their accessor's node", good)
 	}
 }
+
+// TestCounterTable: the engine's table names its six counters in layout
+// order, and Advance lands every one of them — lastScan included — on
+// snapshot + k*delta, the arithmetic of the steady-state fast-forward.
+func TestCounterTable(t *testing.T) {
+	m, lo := mkMachine(t)
+	e := Attach(m, Config{Threshold: 10, MinScanPS: 1})
+	tab := e.CounterTable(nil)
+	want := []string{"kmig_barriers", "kmig_scans", "kmig_migrations",
+		"kmig_rejected", "kmig_cost_ps", "kmig_last_scan"}
+	if len(tab) != len(want) {
+		t.Fatalf("table has %d entries, want %d", len(tab), len(want))
+	}
+	for i, c := range tab {
+		if c.Name != want[i] {
+			t.Errorf("entry %d named %q, want %q", i, c.Name, want[i])
+		}
+	}
+	// One migrating scan before the first snapshot and one after, so
+	// every counter moves by one scan's worth.
+	for i := 0; i < 100; i++ {
+		m.PT.CountMissN(lo, 5, 1)
+	}
+	tb := m.Settle(m.CPUs()[:1], 0)
+	s0 := tab.Snapshot(nil)
+	for i := 0; i < 100; i++ {
+		m.PT.CountMissN(lo+1, 3, 1)
+	}
+	m.Settle(m.CPUs()[:1], tb)
+	s1 := tab.Snapshot(nil)
+	delta := make([]int64, len(s1))
+	for i := range s1 {
+		delta[i] = s1[i] - s0[i]
+	}
+	if delta[0] != 1 || delta[1] != 1 || delta[2] != 1 || delta[4] != m.MigrationCost() {
+		t.Fatalf("barriers, scans, migrations, cost deltas = %d, %d, %d, %d; want 1, 1, 1, %d",
+			delta[0], delta[1], delta[2], delta[4], m.MigrationCost())
+	}
+	if delta[5] != tb {
+		t.Fatalf("last-scan delta %d, want %d", delta[5], tb)
+	}
+
+	const k = 4
+	tab.Advance(delta, k)
+	s2 := tab.Snapshot(nil)
+	for i := range s2 {
+		if want := s1[i] + k*delta[i]; s2[i] != want {
+			t.Errorf("counter %s: got %d, want %d after fast-forward", tab[i].Name, s2[i], want)
+		}
+	}
+	if e.Migrations() != 2+k || e.Cost() != (2+k)*m.MigrationCost() {
+		t.Errorf("migrations %d, cost %d; want %d, %d", e.Migrations(), e.Cost(), 2+k, (2+k)*m.MigrationCost())
+	}
+}

@@ -1,6 +1,9 @@
 package machine
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // touchSome drives a small mixed read/write workload across two CPUs so
 // every counter family (clocks, stats, cache hit/miss/tick, page-table
@@ -15,18 +18,36 @@ func touchSome(m *Machine, a *Array) {
 	}
 }
 
+// TestAppendCountersLayout: the machine's table lists, per CPU, the
+// clock and the seven CPUStats fields, then the page table's three
+// totals; a snapshot has one value per entry and appends in place.
 func TestAppendCountersLayout(t *testing.T) {
 	m := defMachine(t)
 	a := m.NewArray("x", 4096)
 	touchSome(m, a)
-	snap := m.AppendCounters(nil)
-	if len(snap) != m.CounterLen() {
-		t.Fatalf("AppendCounters produced %d elements, CounterLen says %d", len(snap), m.CounterLen())
+	tab := m.CounterTable(nil)
+	if want := m.NumCPUs()*8 + 3; len(tab) != want {
+		t.Fatalf("table has %d entries, want %d", len(tab), want)
+	}
+	last := (m.NumCPUs() - 1) * 8
+	for i, want := range map[int]string{0: "cpu0_clock", 1: "cpu0_accesses", 7: "cpu0_faults",
+		8: "cpu1_clock", last + 7: fmt.Sprintf("cpu%d_faults", m.NumCPUs()-1),
+		last + 8: "pt_migrations", last + 9: "pt_replicas", last + 10: "pt_collapses"} {
+		if tab[i].Name != want {
+			t.Errorf("entry %d named %q, want %q", i, tab[i].Name, want)
+		}
+	}
+	snap := tab.Snapshot(nil)
+	if len(snap) != len(tab) {
+		t.Fatalf("Snapshot produced %d elements for %d entries", len(snap), len(tab))
+	}
+	if snap[0] != m.CPU(0).Now() || snap[2] != int64(m.CPU(0).Stat().L1Miss) {
+		t.Errorf("cpu0 clock, l1_miss = %d, %d; want %d, %d", snap[0], snap[2], m.CPU(0).Now(), m.CPU(0).Stat().L1Miss)
 	}
 	// Re-appending onto an existing slice extends it in place.
-	twice := m.AppendCounters(snap)
-	if len(twice) != 2*m.CounterLen() {
-		t.Fatalf("second append: %d elements, want %d", len(twice), 2*m.CounterLen())
+	twice := tab.Snapshot(snap)
+	if len(twice) != 2*len(tab) {
+		t.Fatalf("second append: %d elements, want %d", len(twice), 2*len(tab))
 	}
 	var moved bool
 	for _, v := range snap {
@@ -46,33 +67,30 @@ func TestAppendCountersLayout(t *testing.T) {
 func TestApplyCounterDelta(t *testing.T) {
 	m := defMachine(t)
 	a := m.NewArray("x", 4096)
-	s0 := m.AppendCounters(nil)
+	tab := m.CounterTable(nil)
+	s0 := tab.Snapshot(nil)
 	touchSome(m, a)
-	s1 := m.AppendCounters(nil)
+	s1 := tab.Snapshot(nil)
 
 	delta := make([]int64, len(s1))
 	for i := range s1 {
 		delta[i] = s1[i] - s0[i]
 	}
 	const k = 5
-	m.ApplyCounterDelta(delta, k)
-	s2 := m.AppendCounters(nil)
+	tab.Advance(delta, k)
+	s2 := tab.Snapshot(nil)
 	for i := range s2 {
 		if want := s1[i] + k*delta[i]; s2[i] != want {
-			t.Errorf("counter %d: got %d, want %d after fast-forward", i, s2[i], want)
+			t.Errorf("counter %s: got %d, want %d after fast-forward", tab[i].Name, s2[i], want)
 		}
 	}
-	// The per-CPU clocks advanced too, visible through the CPU API.
+	// The per-CPU clocks and stats advanced too, visible through the CPU API.
 	if m.CPU(0).Now() <= s1[0] {
 		t.Errorf("CPU 0 clock did not advance: %d", m.CPU(0).Now())
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on a wrong-length delta")
-		}
-	}()
-	m.ApplyCounterDelta(delta[:3], 1)
+	if got, want := m.CPU(1).Stat().Accesses, uint64(s1[9]+k*delta[9]); got != want {
+		t.Errorf("CPU 1 accesses = %d, want %d", got, want)
+	}
 }
 
 // TestFreeRun: in free-run mode data movement is real but nothing is
@@ -82,7 +100,8 @@ func TestFreeRun(t *testing.T) {
 	a := m.NewArray("x", 4096)
 	touchSome(m, a) // fault the pages in before entering free-run
 	c := m.CPU(0)
-	before := m.AppendCounters(nil)
+	tab := m.CounterTable(nil)
+	before := tab.Snapshot(nil)
 
 	if m.FreeRun() {
 		t.Fatal("free-run on by default")
@@ -99,7 +118,7 @@ func TestFreeRun(t *testing.T) {
 	}
 	m.SetFreeRun(false)
 
-	after := m.AppendCounters(nil)
+	after := tab.Snapshot(nil)
 	for i := range after {
 		if after[i] != before[i] {
 			t.Errorf("free-run charged counter %d: %d -> %d", i, before[i], after[i])

@@ -79,11 +79,8 @@ func TestDropCacheState(t *testing.T) {
 		t.Errorf("directory of %d units after DropCacheState and Alloc", len(m.lineState))
 	}
 	for _, c := range m.CPUs() {
-		if tags, _ := c.l1.Lines(); tags != nil || c.tlb != nil {
-			t.Errorf("cpu %d keeps cache lines or a TLB", c.ID)
-		}
-		if tags, _ := c.l2.Lines(); tags != nil {
-			t.Errorf("cpu %d keeps L2 lines", c.ID)
+		if c.l1 != nil || c.l2 != nil || c.tlb != nil {
+			t.Errorf("cpu %d keeps its caches or its TLB", c.ID)
 		}
 	}
 	if got := m.CPU(1).Stat(); got != st {
@@ -94,6 +91,34 @@ func TestDropCacheState(t *testing.T) {
 	}
 	if !m.CacheStateDropped() || m.Clone().lineState != nil || !m.Clone().CacheStateDropped() {
 		t.Error("a clone of a dropped machine grew back its state")
+	}
+}
+
+// TestCachesBuiltAtFirstAlloc: a new machine holds no caches or TLBs
+// until its first Alloc builds them with the directory; flushing or
+// cloning it before then is fine, and the clone builds its own.
+func TestCachesBuiltAtFirstAlloc(t *testing.T) {
+	m := MustNew(DefaultConfig())
+	for _, c := range m.CPUs() {
+		if c.l1 != nil || c.l2 != nil || c.tlb != nil {
+			t.Fatalf("cpu %d has caches or a TLB before the first Alloc", c.ID)
+		}
+		c.FlushCaches()
+		c.FlushL1()
+		c.FlushL1L2()
+	}
+	cl := m.Clone()
+	m.Alloc(1)
+	cl.Alloc(1)
+	for _, mm := range []*Machine{m, cl} {
+		for _, c := range mm.CPUs() {
+			if c.l1 == nil || c.l2 == nil || c.tlb == nil {
+				t.Fatalf("cpu %d has no caches or TLB after Alloc", c.ID)
+			}
+		}
+	}
+	if m.CPU(0).l1 == cl.CPU(0).l1 || m.CPU(0).tlb == cl.CPU(0).tlb {
+		t.Error("a clone shares its parent's caches")
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"upmgo/internal/counter"
 	"upmgo/internal/memsys"
 	"upmgo/internal/topology"
 	"upmgo/internal/trace"
@@ -298,27 +299,22 @@ func New(cfg Config) (*Machine, error) {
 		refCounting: true,
 	}
 	m.bulkOK = !cfg.ScalarRuns && cfg.L1Line <= cfg.L2Line && cfg.L2Line <= cfg.PageBytes
-	if err := memsys.CheckTLB(cfg.TLBEntries, cfg.TLBWays); err != nil {
-		return nil, err
+	// The caches and TLBs are built with the directory, by Alloc.
+	for _, err := range []error{memsys.CheckCache(cfg.L1Bytes, cfg.L1Line, cfg.L1Ways),
+		memsys.CheckCache(cfg.L2Bytes, cfg.L2Line, cfg.L2Ways),
+		memsys.CheckTLB(cfg.TLBEntries, cfg.TLBWays)} {
+		if err != nil {
+			return nil, err
+		}
 	}
 	rows := memRows(topo, &m.Lat)
 	m.cpus = make([]*CPU, ncpu)
 	for i := range m.cpus {
-		l1, err := memsys.NewCache(cfg.L1Bytes, cfg.L1Line, cfg.L1Ways)
-		if err != nil {
-			return nil, err
-		}
-		l2, err := memsys.NewCache(cfg.L2Bytes, cfg.L2Line, cfg.L2Ways)
-		if err != nil {
-			return nil, err
-		}
 		node := i / cfg.CPUsPerNode
 		m.cpus[i] = &CPU{
 			ID:      i,
 			NodeID:  node,
 			m:       m,
-			l1:      l1,
-			l2:      l2,
 			mem:     rows[node],
 			nodeAcc: make([]int64, cfg.Nodes),
 		}
@@ -377,7 +373,9 @@ func (m *Machine) AddBarrierHook(fn BarrierHook) { m.hooks = append(m.hooks, fn)
 // Alloc reserves n bytes of simulated address space, page-aligned so that
 // distinct arrays never share a page, and returns the base address. It
 // grows the page table and the coherence directory to cover the heap;
-// the arena bounds the heap.
+// the arena bounds the heap. The directory's first growth also builds
+// every CPU's caches and TLB, so a machine that drops its cache-side
+// state before it allocates (a stream replay's) never builds them.
 func (m *Machine) Alloc(n int) uint64 {
 	if n <= 0 {
 		panic(fmt.Sprintf("machine: Alloc(%d)", n))
@@ -390,6 +388,14 @@ func (m *Machine) Alloc(n int) uint64 {
 	}
 	m.PT.Grow(int(m.VPN(m.heap)))
 	if units := int((m.heap + 1<<m.cohShift - 1) >> m.cohShift); !m.noDir && units > len(m.lineState) {
+		if m.lineState == nil {
+			cfg := &m.Cfg
+			for _, c := range m.cpus {
+				c.l1 = memsys.MustCache(cfg.L1Bytes, cfg.L1Line, cfg.L1Ways)
+				c.l2 = memsys.MustCache(cfg.L2Bytes, cfg.L2Line, cfg.L2Ways)
+				c.tlb = memsys.MustTLB(cfg.TLBEntries, cfg.TLBWays)
+			}
+		}
 		m.lineState = append(m.lineState, make([]uint32, units-len(m.lineState))...)
 	}
 	return base
@@ -404,9 +410,7 @@ func (m *Machine) Alloc(n int) uint64 {
 func (m *Machine) DropCacheState() {
 	m.lineState, m.noDir = nil, true
 	for _, c := range m.cpus {
-		c.l1.Release()
-		c.l2.Release()
-		c.tlb = nil
+		c.l1, c.l2, c.tlb = nil, nil, nil
 	}
 }
 
@@ -509,70 +513,22 @@ func (m *Machine) Settle(cpus []*CPU, start int64) int64 {
 	return tb
 }
 
-// countersPerCPU is the number of AppendCounters slots each CPU
-// contributes: clock and the seven CPUStats fields.
-const countersPerCPU = 1 + 7
-
-// AppendCounters appends the machine's complete monotone counter state to
-// dst and returns the extended slice: per CPU the virtual clock and the
-// seven CPUStats fields; then the page table's migration, replica and
-// collapse totals. CPUStats is the only count of a CPU's cache, TLB and
-// fault traffic: its L1 and L2 hits and misses are Accesses − L1Miss,
-// L1Miss, L1Miss − L2Miss and L2Miss, and the page table's faults are
-// the sum of every CPU's Faults. The layout is fixed so that the
-// element-wise difference of two snapshots taken at consecutive
-// iteration boundaries is the iteration's delta vector, and so that
-// ApplyCounterDelta can fast-forward the same state by a multiple of
-// that delta.
-func (m *Machine) AppendCounters(dst []int64) []int64 {
+// CounterTable appends the machine's complete monotone counter state to t:
+// per CPU the virtual clock and the seven CPUStats fields, then the page
+// table's. CPUStats is the only count of a CPU's cache, TLB and fault
+// traffic: its L1 and L2 hits and misses are Accesses − L1Miss, L1Miss,
+// L1Miss − L2Miss and L2Miss, and the page table's faults are the sum of
+// every CPU's Faults.
+func (m *Machine) CounterTable(t counter.Table) counter.Table {
 	for _, c := range m.cpus {
-		dst = append(dst, c.clock,
-			int64(c.stat.Accesses), int64(c.stat.L1Miss), int64(c.stat.L2Miss),
-			int64(c.stat.TLBMiss), int64(c.stat.LocalMem), int64(c.stat.RemoteMem),
-			int64(c.stat.Faults))
+		p, s := fmt.Sprintf("cpu%d_", c.ID), &c.stat
+		t = append(t, counter.Of(p+"clock", &c.clock),
+			counter.Of(p+"accesses", &s.Accesses), counter.Of(p+"l1_miss", &s.L1Miss),
+			counter.Of(p+"l2_miss", &s.L2Miss), counter.Of(p+"tlb_miss", &s.TLBMiss),
+			counter.Of(p+"local_mem", &s.LocalMem), counter.Of(p+"remote_mem", &s.RemoteMem),
+			counter.Of(p+"faults", &s.Faults))
 	}
-	return append(dst, m.PT.Migrations(), m.PT.ReplicaCreations(), m.PT.Collapses())
-}
-
-// CounterLen returns the length AppendCounters adds to its argument.
-func (m *Machine) CounterLen() int { return len(m.cpus)*countersPerCPU + 3 }
-
-// AppendCounterNames appends one name per AppendCounters slot, in the
-// same order, so index i of a counter delta vector can be reported by
-// name (the steady-state detector's why-not diagnostics do). Names, not
-// values: nothing here reads simulation state.
-func (m *Machine) AppendCounterNames(dst []string) []string {
-	for i := range m.cpus {
-		for _, s := range [...]string{"clock", "accesses", "l1_miss", "l2_miss",
-			"tlb_miss", "local_mem", "remote_mem", "faults"} {
-			dst = append(dst, fmt.Sprintf("cpu%d_%s", i, s))
-		}
-	}
-	return append(dst, "pt_migrations", "pt_replicas", "pt_collapses")
-}
-
-// ApplyCounterDelta advances every counter AppendCounters reports by k
-// repetitions of the per-iteration delta vector — the steady-state
-// fast-forward. delta must have CounterLen elements laid out exactly as
-// AppendCounters produces them.
-func (m *Machine) ApplyCounterDelta(delta []int64, k int64) {
-	if len(delta) != m.CounterLen() {
-		panic(fmt.Sprintf("machine: counter delta has %d elements, want %d", len(delta), m.CounterLen()))
-	}
-	i := 0
-	for _, c := range m.cpus {
-		d := delta[i : i+countersPerCPU]
-		c.clock += d[0] * k
-		c.stat.Accesses += uint64(d[1] * k)
-		c.stat.L1Miss += uint64(d[2] * k)
-		c.stat.L2Miss += uint64(d[3] * k)
-		c.stat.TLBMiss += uint64(d[4] * k)
-		c.stat.LocalMem += uint64(d[5] * k)
-		c.stat.RemoteMem += uint64(d[6] * k)
-		c.stat.Faults += uint64(d[7] * k)
-		i += countersPerCPU
-	}
-	m.PT.FastForwardCounters(delta[i]*k, delta[i+1]*k, delta[i+2]*k)
+	return m.PT.CounterTable(t)
 }
 
 // Stats aggregates the memory-system counters of every CPU.
@@ -623,10 +579,11 @@ type CPU struct {
 
 	m     *Machine
 	clock int64
-	l1    *memsys.Cache
-	l2    *memsys.Cache
-	// tlb is built at the CPU's first simulated L2 miss: a stream replay
-	// takes its TLB outcomes from the log (replayMiss) and never has one.
+	// The caches and the TLB are nil until the machine's first Alloc,
+	// and again once DropCacheState has run: a stream replay takes its
+	// outcomes from the log (replayMiss) and never has them.
+	l1  *memsys.Cache
+	l2  *memsys.Cache
 	tlb *memsys.TLB
 	mem []memCost // by home node: this CPU's memory latency row
 
@@ -880,9 +837,6 @@ func (c *CPU) touch(addr uint64, write bool) {
 // counters.
 func (c *CPU) memory(vpn uint64, write bool, n int) {
 	m := c.m
-	if c.tlb == nil {
-		c.tlb = memsys.MustTLB(m.Cfg.TLBEntries, m.Cfg.TLBWays)
-	}
 	if m.rec != nil {
 		m.rec.miss(c, vpn, write, n, c.tlb.Resident(vpn))
 	}
@@ -1006,20 +960,27 @@ func (c *CPU) coherence(unit uint64, write bool) (ver, newVer uint32) {
 }
 
 // FlushCaches empties the CPU's caches and TLB (used by tests and by the
-// latency probe to construct known hierarchy states).
+// latency probe to construct known hierarchy states). The flushes are
+// no-ops on a CPU without them: nothing is cached before the first
+// Alloc or after DropCacheState.
 func (c *CPU) FlushCaches() {
-	c.l1.Flush()
-	c.l2.Flush()
+	c.FlushL1L2()
 	if c.tlb != nil {
 		c.tlb.Flush()
 	}
 }
 
 // FlushL1 empties only the L1 cache (latency probe).
-func (c *CPU) FlushL1() { c.l1.Flush() }
+func (c *CPU) FlushL1() {
+	if c.l1 != nil {
+		c.l1.Flush()
+	}
+}
 
 // FlushL1L2 empties both caches but keeps the TLB warm (latency probe).
 func (c *CPU) FlushL1L2() {
-	c.l1.Flush()
-	c.l2.Flush()
+	if c.l2 != nil {
+		c.l1.Flush()
+		c.l2.Flush()
+	}
 }

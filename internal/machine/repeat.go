@@ -153,20 +153,14 @@ func (r *Recorder) state() *repeatState {
 	}
 	t1, _ := m.cpus[0].l1.Lines()
 	t2, _ := m.cpus[0].l2.Lines()
-	ways := m.Cfg.TLBEntries
-	if n := len(m.cpus)*(len(t1)+len(t2)+ways) + len(r.logs); cap(st.words) < n {
+	if n := len(m.cpus)*(len(t1)+len(t2)+m.Cfg.TLBEntries) + len(r.logs); cap(st.words) < n {
 		st.words = make([]uint64, 0, n)
 	}
 	w := st.words[:0]
 	for _, c := range m.cpus {
 		w = appendCache(w, c.l1, m.l1Shift)
 		w = appendCache(w, c.l2, m.cohShift)
-		// A CPU that has not missed yet has no TLB: all ways invalid.
-		if c.tlb != nil {
-			w = append(w, c.tlb.Ways()...)
-		} else {
-			w = append(w, make([]uint64, ways)...)
-		}
+		w = append(w, c.tlb.Ways()...)
 	}
 	for i := range r.logs {
 		w = append(w, r.logs[i].vpn)

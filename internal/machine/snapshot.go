@@ -51,14 +51,12 @@ func (m *Machine) Clone() *Machine {
 			NodeID:  src.NodeID,
 			m:       c,
 			clock:   src.clock,
-			l1:      src.l1.Clone(),
-			l2:      src.l2.Clone(),
 			mem:     src.mem,
 			nodeAcc: append([]int64(nil), src.nodeAcc...),
 			stat:    src.stat,
 		}
-		if src.tlb != nil {
-			c.cpus[i].tlb = src.tlb.Clone()
+		if src.l1 != nil { // not before the first Alloc, nor after a drop
+			c.cpus[i].l1, c.cpus[i].l2, c.cpus[i].tlb = src.l1.Clone(), src.l2.Clone(), src.tlb.Clone()
 		}
 	}
 	return c

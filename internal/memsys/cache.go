@@ -29,23 +29,32 @@ type Cache struct {
 	vers      []uint32 // coherence version captured when the line was filled
 }
 
-// NewCache builds a cache of sizeBytes with lineBytes lines and the given
-// associativity. sizeBytes must be a multiple of lineBytes*ways and all
-// shape parameters must be powers of two.
-func NewCache(sizeBytes, lineBytes, ways int) (*Cache, error) {
+// CheckCache reports whether NewCache accepts the shape: sizeBytes must
+// be a multiple of lineBytes*ways and all shape parameters must be
+// powers of two.
+func CheckCache(sizeBytes, lineBytes, ways int) error {
 	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("memsys: line size %d not a power of two", lineBytes)
+		return fmt.Errorf("memsys: line size %d not a power of two", lineBytes)
 	}
 	if ways <= 0 {
-		return nil, fmt.Errorf("memsys: associativity %d invalid", ways)
+		return fmt.Errorf("memsys: associativity %d invalid", ways)
 	}
 	if sizeBytes <= 0 || sizeBytes%(lineBytes*ways) != 0 {
-		return nil, fmt.Errorf("memsys: size %d not divisible by line*ways = %d", sizeBytes, lineBytes*ways)
+		return fmt.Errorf("memsys: size %d not divisible by line*ways = %d", sizeBytes, lineBytes*ways)
+	}
+	if sets := sizeBytes / (lineBytes * ways); sets&(sets-1) != 0 {
+		return fmt.Errorf("memsys: set count %d not a power of two", sets)
+	}
+	return nil
+}
+
+// NewCache builds a cache of sizeBytes with lineBytes lines and the given
+// associativity, a shape CheckCache accepts.
+func NewCache(sizeBytes, lineBytes, ways int) (*Cache, error) {
+	if err := CheckCache(sizeBytes, lineBytes, ways); err != nil {
+		return nil, err
 	}
 	sets := sizeBytes / (lineBytes * ways)
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("memsys: set count %d not a power of two", sets)
-	}
 	c := &Cache{
 		ways: ways,
 		tags: make([]uint64, sets*ways),
@@ -188,11 +197,6 @@ func (c *Cache) Lines() (tags []uint64, vers []uint32) { return c.tags, c.vers }
 
 // Flush invalidates the whole cache.
 func (c *Cache) Flush() { clear(c.tags) }
-
-// Release drops the cache's lines, for a cache that is never probed
-// again (a stream replay's). A released cache holds no sets; probing it
-// panics.
-func (c *Cache) Release() { c.tags, c.vers = nil, nil }
 
 // LineBytes returns the line size in bytes.
 func (c *Cache) LineBytes() int { return 1 << c.lineShift }

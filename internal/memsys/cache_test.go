@@ -70,17 +70,6 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
-// TestCacheRelease: a released cache holds no lines.
-func TestCacheRelease(t *testing.T) {
-	c := MustCache(1024, 32, 2)
-	c.Access(0, 0, 0)
-	c.Access(0, 0, 0)
-	c.Release()
-	if tags, vers := c.Lines(); tags != nil || vers != nil || c.Sets() != 0 {
-		t.Errorf("released cache holds %d tags, %d versions, %d sets", len(tags), len(vers), c.Sets())
-	}
-}
-
 // TestCacheStats: the outcomes of a miss, a hit and a miss on the next
 // line, and the lines they leave resident in recency order. The cache
 // keeps no counts of its own; a CPU's CPUStats counts the outcomes.

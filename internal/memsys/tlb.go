@@ -57,19 +57,17 @@ func MustTLB(entries, ways int) *TLB {
 	return t
 }
 
-// LookupRun performs n lookups of vpn at generation gen and reports
-// whether the first hit (the caller charges one refill when it did not).
-// The first lookup hits only if vpn is loaded at generation gen; an entry
-// of another generation is stale (a shootdown took effect) and misses.
-// A miss loads the translation at gen, evicting the LRU way, so the
-// remaining n-1 lookups are the guaranteed hits a just-loaded translation
-// gives. The recency order comes out exactly as n lookups against per-way
-// timestamps of the last use would leave it. n ≤ 0 is a no-op that
-// reports a hit. The TLB keeps no counts; the caller's CPUStats does.
-func (t *TLB) LookupRun(vpn uint64, gen uint32, n int) bool {
-	if n <= 0 {
-		return true
-	}
+// LookupRun performs a run of n ≥ 1 lookups of vpn at generation gen
+// and reports whether the first hit (the caller charges one refill when
+// it did not). The first lookup hits only if vpn is loaded at generation
+// gen; an entry of another generation is stale (a shootdown took effect)
+// and misses. A miss loads the translation at gen, evicting the LRU way,
+// so the remaining n-1 lookups are the guaranteed hits a just-loaded
+// translation gives, and the recency order comes out exactly as n
+// lookups against per-way timestamps of the last use would leave it:
+// the outcome does not depend on n, which LookupRun does not read. The
+// TLB keeps no counts; the caller's CPUStats does.
+func (t *TLB) LookupRun(vpn uint64, gen uint32, _ int) bool {
 	set, tag := int(vpn&t.setMask)*t.ways, vpn+1
 	vpns, gens := t.vpns, t.gens
 	// w stops at the entry's way or, on a miss, at the last way, which

@@ -5,24 +5,18 @@ import (
 	"time"
 )
 
-// FastPath reports which of the run's host-time accelerations engaged,
-// and — when the steady-state machinery was armed but the tail was still
-// simulated in full — a typed diagnosis of why it declined. It is
-// host-side metadata in the strict PR-3 sense: populated from the same
-// observations the run makes anyway, charging zero virtual time, and
-// excluded from the Result's JSON form so store records and job-API
-// payloads are byte-identical with or without it. The JSON tags below
-// exist for the *telemetry* surfaces (exp.CellReport, the sweepd events
-// stream), which serialise the report deliberately.
+// FastPath reports — when the steady-state machinery was armed but the
+// tail was still simulated in full — a typed diagnosis of why it
+// declined; Result.SteadyAt and ExtrapolatedIters say what engaged. It is
+// host-side metadata: populated from the same observations the run makes
+// anyway, charging zero virtual time, and excluded from the Result's JSON
+// form so store records and job-API payloads are byte-identical with or
+// without it. The JSON tag below exists for the *telemetry* surfaces
+// (exp.CellReport, the sweepd events stream), which serialise the report
+// deliberately.
 type FastPath struct {
-	// SteadyDetected: the detector proved a period-one orbit
-	// (Result.SteadyAt is the firing iteration).
-	SteadyDetected bool `json:"steady_detected,omitempty"`
-	// Extrapolated: the trailing iterations were fast-forwarded
-	// analytically (Result.ExtrapolatedIters of them).
-	Extrapolated bool `json:"extrapolated,omitempty"`
 	// WhyNot explains why fast-forwarding declined. Nil when it engaged
-	// (Extrapolated), or when SteadyState was never armed.
+	// (Result.ExtrapolatedIters > 0), or when SteadyState was never armed.
 	WhyNot *WhyNot `json:"why_not,omitempty"`
 }
 
@@ -68,8 +62,8 @@ type WhyNot struct {
 	NeededStreak int `json:"needed_streak,omitempty"`
 	// FirstDivergent names the first counter whose delta broke the most
 	// recent comparison — "page_homes" when the
-	// page-home hash itself moved, else a counter name from the
-	// AppendCounterNames layout (e.g. "cpu3_remote_mem", "kmig_scans").
+	// page-home hash itself moved, else the name of a counter in the
+	// detector's table (e.g. "cpu3_remote_mem", "kmig_scans").
 	FirstDivergent string `json:"first_divergent,omitempty"`
 	// Observed is the number of timed iterations the detector saw.
 	Observed int `json:"observed,omitempty"`

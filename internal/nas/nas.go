@@ -527,9 +527,8 @@ type Result struct {
 	CampaignAt    int `json:"campaign_at,omitempty"`
 	CampaignIters int `json:"campaign_iters,omitempty"`
 
-	// FastPath reports which host-time accelerations engaged and, when
-	// the steady-state machinery was armed but declined, the typed
-	// WhyNot diagnosis. Host-side metadata: excluded from the JSON form,
+	// FastPath carries, when the steady-state machinery was armed but
+	// declined, the typed WhyNot diagnosis. Host-side metadata: excluded from the JSON form,
 	// so store records and job-API payloads are byte-identical with or
 	// without it, and zeroed by the bit-identity comparisons the steady
 	// tests run (it describes the host's path, not the simulated physics).
@@ -853,10 +852,6 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 		if hs != nil {
 			hs.Verify += time.Since(t0)
 		}
-	}
-	res.FastPath = FastPath{
-		SteadyDetected: res.SteadyAt > 0,
-		Extrapolated:   res.ExtrapolatedIters > 0,
 	}
 	if cfg.SteadyState && res.ExtrapolatedIters == 0 {
 		res.FastPath.WhyNot = runWhyNot(cfg, det, res)

@@ -33,6 +33,7 @@ package nas
 // the same floating-point state as a fully simulated run.
 
 import (
+	"upmgo/internal/counter"
 	"upmgo/internal/kmig"
 	"upmgo/internal/machine"
 	"upmgo/internal/upm"
@@ -115,7 +116,6 @@ func firstDiff(a, b []int64) int {
 type steadyDetector struct {
 	m      *machine.Machine
 	eng    *kmig.Engine
-	u      *upm.UPM // nil when the config runs without UPMlib
 	window int
 	// withRows extends the page-table hash over the reference-counter
 	// rows. Required exactly when the kernel engine is enabled: its scans
@@ -124,6 +124,10 @@ type steadyDetector struct {
 	// would never repeat, masking genuinely steady loops.
 	withRows bool
 
+	// table is the snapshot layout: the machine's counters (per CPU, then
+	// the page table's), the kernel engine's, UPMlib's when attached, then
+	// the cumulative pseudo-counters below.
+	table counter.Table
 	// Cumulative pseudo-counters folded into the snapshot so that their
 	// per-iteration values participate in the delta comparison.
 	cumIter, cumPhase int64
@@ -135,32 +139,21 @@ type steadyDetector struct {
 }
 
 // newSteadyDetector builds a detector with the given confirmation window
-// (0 = default 3).
+// (0 = default 3). u is nil when the config runs without UPMlib.
 func newSteadyDetector(m *machine.Machine, eng *kmig.Engine, u *upm.UPM, window int, withRows bool) *steadyDetector {
 	if window <= 0 {
 		window = steadyWindowDefault
 	}
-	n := m.CounterLen() + eng.CounterLen() + 2
+	d := &steadyDetector{m: m, eng: eng, window: window, withRows: withRows,
+		trk: newPeriodTracker(window)}
+	t := eng.CounterTable(m.CounterTable(nil))
 	if u != nil {
-		n += u.CounterLen()
+		t = u.CounterTable(t)
 	}
-	return &steadyDetector{
-		m: m, eng: eng, u: u, window: window, withRows: withRows,
-		trk:   newPeriodTracker(window),
-		prev:  make([]int64, 0, n),
-		cur:   make([]int64, 0, n),
-		delta: make([]int64, 0, n),
-	}
-}
-
-// snapshot appends the full counter vector to dst and returns it.
-func (d *steadyDetector) snapshot(dst []int64) []int64 {
-	dst = d.m.AppendCounters(dst)
-	dst = d.eng.AppendCounters(dst)
-	if d.u != nil {
-		dst = d.u.AppendCounters(dst)
-	}
-	return append(dst, d.cumIter, d.cumPhase)
+	d.table = append(t, counter.Of("iter_ps", &d.cumIter), counter.Of("phase_ps", &d.cumPhase))
+	n := len(d.table)
+	d.prev, d.cur, d.delta = make([]int64, 0, n), make([]int64, 0, n), make([]int64, 0, n)
+	return d
 }
 
 // observe records the counter state at the end of one timed iteration
@@ -171,7 +164,7 @@ func (d *steadyDetector) observe(iterPS, phasePS int64) bool {
 	d.observed++
 	d.cumIter += iterPS
 	d.cumPhase += phasePS
-	d.cur = d.snapshot(d.cur[:0])
+	d.cur = d.table.Snapshot(d.cur[:0])
 	hash := d.m.PT.StateHash(d.m.AllocatedPages(), d.withRows)
 	if d.withRows {
 		// The kernel engine's ScanEvery gate position is decision state the
@@ -202,44 +195,18 @@ func (d *steadyDetector) iterPhase() (int64, int64) {
 	return dd[len(dd)-2], dd[len(dd)-1]
 }
 
-// fastForward adds r repetitions of the proven delta to the machine,
-// engine and cumulative counters. Valid only after observe has returned
-// true.
-func (d *steadyDetector) fastForward(r int64) {
-	dd := d.trk.last
-	off := d.m.CounterLen()
-	d.m.ApplyCounterDelta(dd[:off], r)
-	n := d.eng.CounterLen()
-	d.eng.ApplyCounterDelta(dd[off:off+n], r)
-	off += n
-	if d.u != nil {
-		n = d.u.CounterLen()
-		d.u.ApplyCounterDelta(dd[off:off+n], r)
-		off += n
-	}
-	d.cumIter += dd[off] * r
-	d.cumPhase += dd[off+1] * r
-}
+// fastForward adds r repetitions of the proven delta to every counter of
+// the table. Valid only after observe has returned true.
+func (d *steadyDetector) fastForward(r int64) { d.table.Advance(d.trk.last, r) }
 
-// counterName maps a delta-vector index to the name of the counter at
-// that position, following the snapshot layout exactly: machine, kernel
-// engine, UPMlib (when present), then the iteration/phase
-// pseudo-counters. Out-of-range indices (and the hash pseudo-position
-// −1) name the page-home map itself.
+// counterName maps a delta-vector index to the name of the table's
+// counter at that position. Out-of-range indices (and the hash
+// pseudo-position −1) name the page-home map itself.
 func (d *steadyDetector) counterName(idx int) string {
-	if idx < 0 {
+	if idx < 0 || idx >= len(d.table) {
 		return "page_homes"
 	}
-	names := d.m.AppendCounterNames(nil)
-	names = d.eng.AppendCounterNames(names)
-	if d.u != nil {
-		names = d.u.AppendCounterNames(names)
-	}
-	names = append(names, "iter_ps", "phase_ps")
-	if idx >= len(names) {
-		return "page_homes"
-	}
-	return names[idx]
+	return d.table[idx].Name
 }
 
 // diagnose explains why the detector never fired, as a typed WhyNot.

@@ -9,6 +9,7 @@ import (
 
 	"upmgo/internal/kmig"
 	"upmgo/internal/machine"
+	"upmgo/internal/upm"
 )
 
 // TestPeriodTrackerDetectsSmallPeriods: of strict period-k streams of
@@ -146,5 +147,35 @@ func TestWhyNotPeriodBeyondCapRestricted(t *testing.T) {
 	if w.Observed != 24 || w.BestStreak >= w.NeededStreak {
 		t.Errorf("observed %d, best streak %d/%d: want 24 observed and a streak short of the window",
 			w.Observed, w.BestStreak, w.NeededStreak)
+	}
+}
+
+// TestDetectorLayout pins the detector's counter layout with both engines
+// attached on the paper's 16-CPU machine: the machine's per-CPU counters,
+// then the page table's, the kernel engine's, UPMlib's and the iteration
+// and phase pseudo-counters, in that order; index −1 and any index past
+// the end name the page-home map.
+func TestDetectorLayout(t *testing.T) {
+	m := machine.MustNew(machine.DefaultConfig())
+	eng := kmig.Attach(m, kmig.Config{})
+	det := newSteadyDetector(m, eng, upm.Init(m, upm.Options{}), 0, true)
+	last := m.NumCPUs()*8 - 1
+	for idx, want := range map[int]string{
+		-1:        "page_homes",
+		0:         "cpu0_clock",
+		last:      "cpu15_faults",
+		last + 1:  "pt_migrations",
+		last + 3:  "pt_collapses",
+		last + 4:  "kmig_barriers",
+		last + 9:  "kmig_last_scan",
+		last + 10: "upm_invocations",
+		last + 19: "upm_last_migs",
+		last + 20: "iter_ps",
+		last + 21: "phase_ps",
+		last + 22: "page_homes",
+	} {
+		if got := det.counterName(idx); got != want {
+			t.Errorf("counterName(%d) = %q, want %q", idx, got, want)
+		}
 	}
 }

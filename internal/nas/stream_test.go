@@ -110,7 +110,7 @@ type counterKernel struct {
 
 func (k counterKernel) Step(t *omp.Team, h *nas.Hooks) {
 	k.Kernel.Step(t, h)
-	*k.snaps = append(*k.snaps, k.m.AppendCounters(nil))
+	*k.snaps = append(*k.snaps, k.m.CounterTable(nil).Snapshot(nil))
 }
 
 // stepCounters runs cfg on build and returns the counter vector at the end

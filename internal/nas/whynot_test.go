@@ -117,8 +117,8 @@ func TestWhyNotDeclinedModes(t *testing.T) {
 	if w == nil || w.Reason != nas.WhyNotDetectionOnly {
 		t.Fatalf("detection-only WhyNot = %+v, want reason %q", w, nas.WhyNotDetectionOnly)
 	}
-	if !res.FastPath.SteadyDetected || res.FastPath.Extrapolated {
-		t.Errorf("detection-only flags wrong: %+v", res.FastPath)
+	if res.ExtrapolatedIters != 0 {
+		t.Errorf("detection-only run extrapolated %d iterations", res.ExtrapolatedIters)
 	}
 
 	scfg := steadyCfg(12)
@@ -134,7 +134,7 @@ func TestWhyNotDeclinedModes(t *testing.T) {
 }
 
 // TestWhyNotEngagedIsNil: when the fast path engages the report carries
-// flags, not excuses.
+// no excuse.
 func TestWhyNotEngagedIsNil(t *testing.T) {
 	res, err := nas.Run(bt.New, steadyCfg(12))
 	if err != nil {
@@ -143,9 +143,8 @@ func TestWhyNotEngagedIsNil(t *testing.T) {
 	if res.ExtrapolatedIters == 0 {
 		t.Fatalf("BT/12 did not extrapolate: %+v", res)
 	}
-	fp := res.FastPath
-	if !fp.SteadyDetected || !fp.Extrapolated || fp.WhyNot != nil {
-		t.Errorf("engaged FastPath = %+v, want detected+extrapolated with nil WhyNot", fp)
+	if res.SteadyAt == 0 || res.FastPath.WhyNot != nil {
+		t.Errorf("engaged run: SteadyAt %d, WhyNot %+v; want detected with nil WhyNot", res.SteadyAt, res.FastPath.WhyNot)
 	}
 }
 

@@ -3,15 +3,24 @@ package upm
 import "testing"
 
 // TestCounterVector: the steady-state detector's view of the engine —
-// AppendCounters layout matches CounterLen, a MigrateMemory invocation
-// moves the vector (and LastMigrations), and ApplyCounterDelta lands
+// the table names its ten counters in layout order, a MigrateMemory
+// invocation moves the vector (and LastMigrations), and Advance lands
 // exactly on snapshot + k*delta.
 func TestCounterVector(t *testing.T) {
 	m, u, lo := mk(t, 4, Options{})
-	s0 := u.AppendCounters(nil)
-	if len(s0) != u.CounterLen() {
-		t.Fatalf("AppendCounters produced %d elements, CounterLen says %d", len(s0), u.CounterLen())
+	tab := u.CounterTable(nil)
+	want := []string{"upm_invocations", "upm_migrations", "upm_first_invocation",
+		"upm_frozen", "upm_replay_migrations", "upm_undo_migrations",
+		"upm_replications", "upm_overhead_ps", "upm_cursor", "upm_last_migs"}
+	if len(tab) != len(want) {
+		t.Fatalf("table has %d entries, want %d", len(tab), len(want))
 	}
+	for i, c := range tab {
+		if c.Name != want[i] {
+			t.Errorf("entry %d named %q, want %q", i, c.Name, want[i])
+		}
+	}
+	s0 := tab.Snapshot(nil)
 
 	hammer(m, lo, 3, 200)
 	hammer(m, lo, 0, 50)
@@ -21,7 +30,7 @@ func TestCounterVector(t *testing.T) {
 	if u.LastMigrations() != 1 {
 		t.Errorf("LastMigrations = %d, want 1", u.LastMigrations())
 	}
-	s1 := u.AppendCounters(nil)
+	s1 := tab.Snapshot(nil)
 	delta := make([]int64, len(s1))
 	var moved bool
 	for i := range s1 {
@@ -33,23 +42,19 @@ func TestCounterVector(t *testing.T) {
 	}
 
 	const k = 7
-	u.ApplyCounterDelta(delta, k)
-	s2 := u.AppendCounters(nil)
+	tab.Advance(delta, k)
+	s2 := tab.Snapshot(nil)
 	for i := range s2 {
 		if want := s1[i] + k*delta[i]; s2[i] != want {
-			t.Errorf("counter %d: got %d, want %d after fast-forward", i, s2[i], want)
+			t.Errorf("counter %s: got %d, want %d after fast-forward", tab[i].Name, s2[i], want)
 		}
 	}
 	if got := u.Stats().Migrations; got != (k+1)*1 {
 		t.Errorf("Stats().Migrations = %d, want %d", got, k+1)
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on a wrong-length delta")
-		}
-	}()
-	u.ApplyCounterDelta(delta[:2], 1)
+	if got := u.Stats().Invocations; got != k+1 {
+		t.Errorf("Stats().Invocations = %d, want %d", got, k+1)
+	}
 }
 
 // TestResetHotCounters zeroes every hot row so the next decision sees a

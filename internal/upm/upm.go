@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"sort"
 
+	"upmgo/internal/counter"
 	"upmgo/internal/machine"
 	"upmgo/internal/trace"
 )
@@ -493,49 +494,25 @@ func (u *UPM) ResetHotCounters() {
 	u.hotPages(u.m.PT.ResetCounters)
 }
 
-// CounterLen returns the length AppendCounters appends.
-func (u *UPM) CounterLen() int { return 10 }
-
-// AppendCounters appends the engine's cumulative statistics plus its
+// CounterTable appends the engine's cumulative statistics plus its
 // per-iteration decision state (replay cursor, last migration count) to
-// dst and returns it. The steady-state detector folds the vector into
-// the per-iteration delta: repeating deltas mean the engine repeats the
-// same work every iteration — for a deactivated engine all deltas are
-// zero, for record–replay the same plans move the same pages — and a
-// stationary cursor (zero delta, the cursor wraps mod Plans() once per
-// iteration) guarantees the plan sequence is aligned identically.
-func (u *UPM) AppendCounters(dst []int64) []int64 {
-	return append(dst,
-		int64(u.stats.Invocations), u.stats.Migrations, u.stats.FirstInvocation,
-		u.stats.Frozen, u.stats.ReplayMigrations, u.stats.UndoMigrations,
-		u.stats.Replications, u.stats.OverheadPS,
-		int64(u.cursor), int64(u.lastMigs))
-}
-
-// AppendCounterNames appends one name per AppendCounters slot, in the
-// same order, for by-name reporting of delta-vector indices.
-func (u *UPM) AppendCounterNames(dst []string) []string {
-	return append(dst, "upm_invocations", "upm_migrations", "upm_first_invocation",
-		"upm_frozen", "upm_replay_migrations", "upm_undo_migrations",
-		"upm_replications", "upm_overhead_ps", "upm_cursor", "upm_last_migs")
-}
-
-// ApplyCounterDelta advances the statistics by k repetitions of a
-// per-iteration delta (laid out as AppendCounters), extrapolating k more
-// identical iterations. Cursor and lastMigs receive their deltas too,
-// which for a detected steady state are zero by construction.
-func (u *UPM) ApplyCounterDelta(delta []int64, k int64) {
-	if len(delta) != u.CounterLen() {
-		panic("upm: counter delta length mismatch")
-	}
-	u.stats.Invocations += int(delta[0] * k)
-	u.stats.Migrations += delta[1] * k
-	u.stats.FirstInvocation += delta[2] * k
-	u.stats.Frozen += delta[3] * k
-	u.stats.ReplayMigrations += delta[4] * k
-	u.stats.UndoMigrations += delta[5] * k
-	u.stats.Replications += delta[6] * k
-	u.stats.OverheadPS += delta[7] * k
-	u.cursor += int(delta[8] * k)
-	u.lastMigs += int(delta[9] * k)
+// t. The steady-state detector folds them into the per-iteration delta:
+// repeating deltas mean the engine repeats the same work every
+// iteration — for a deactivated engine all deltas are zero, for
+// record–replay the same plans move the same pages — and a stationary
+// cursor (zero delta, the cursor wraps mod Plans() once per iteration)
+// guarantees the plan sequence is aligned identically. The fast-forward
+// advances cursor and lastMigs by their deltas too, which for a detected
+// steady state are zero by construction.
+func (u *UPM) CounterTable(t counter.Table) counter.Table {
+	s := &u.stats
+	return append(t, counter.Of("upm_invocations", &s.Invocations),
+		counter.Of("upm_migrations", &s.Migrations),
+		counter.Of("upm_first_invocation", &s.FirstInvocation),
+		counter.Of("upm_frozen", &s.Frozen),
+		counter.Of("upm_replay_migrations", &s.ReplayMigrations),
+		counter.Of("upm_undo_migrations", &s.UndoMigrations),
+		counter.Of("upm_replications", &s.Replications),
+		counter.Of("upm_overhead_ps", &s.OverheadPS),
+		counter.Of("upm_cursor", &u.cursor), counter.Of("upm_last_migs", &u.lastMigs))
 }

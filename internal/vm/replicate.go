@@ -135,10 +135,5 @@ func (pt *PageTable) CollapseReplicas(vpn uint64) int {
 	return bits.OnesCount32(mask)
 }
 
-// ReplicaCount returns the number of live replica copies created so far
-// minus none dropped — i.e. cumulative creations; Collapses counts
-// write-invalidation events.
-func (pt *PageTable) ReplicaCreations() int64 { return pt.replicas }
-
 // Collapses returns the number of write-invalidation events.
 func (pt *PageTable) Collapses() int64 { return pt.collapses }

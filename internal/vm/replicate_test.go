@@ -57,8 +57,8 @@ func TestReplicateAndNearestCopy(t *testing.T) {
 	if got := pt.NearestCopy(0, 6); got != 7 {
 		t.Errorf("NearestCopy(from 6) = %d, want 7", got)
 	}
-	if pt.ReplicaCreations() != 1 {
-		t.Errorf("ReplicaCreations = %d, want 1", pt.ReplicaCreations())
+	if pt.replicas != 1 {
+		t.Errorf("replica creations = %d, want 1", pt.replicas)
 	}
 }
 

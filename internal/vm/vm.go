@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 
+	"upmgo/internal/counter"
 	"upmgo/internal/topology"
 )
 
@@ -382,17 +383,17 @@ func (pt *PageTable) Frozen(vpn uint64) bool { return pt.frozen[vpn] != 0 }
 // Migrations returns the number of successful page moves so far.
 func (pt *PageTable) Migrations() int64 { return pt.migrations }
 
-// FastForwardCounters advances the page table's monotone event counters
-// without simulating the events behind them: the steady-state
-// fast-forward engine adds k-iteration multiples of the per-iteration
-// deltas it proved constant. Homes, generations, freeze bits and the
-// reference-counter rows are left exactly as they are — at a steady
-// iteration boundary they are on a period-one orbit, so their current
-// values are also their values after any number of further iterations.
-func (pt *PageTable) FastForwardCounters(dMigrations, dReplicas, dCollapses int64) {
-	pt.migrations += dMigrations
-	pt.replicas += dReplicas
-	pt.collapses += dCollapses
+// CounterTable appends the page table's monotone event counters to t: the
+// migration, replica and collapse totals. The steady-state fast-forward
+// advances them without simulating the events behind them. Homes,
+// generations, freeze bits and the reference-counter rows are not
+// counters: at a steady iteration boundary they are on a period-one
+// orbit, so their current values are also their values after any number
+// of further iterations.
+func (pt *PageTable) CounterTable(t counter.Table) counter.Table {
+	return append(t, counter.Of("pt_migrations", &pt.migrations),
+		counter.Of("pt_replicas", &pt.replicas),
+		counter.Of("pt_collapses", &pt.collapses))
 }
 
 // StateHash returns an FNV-1a digest of the migration-relevant page-table
