@@ -229,7 +229,11 @@ func writeReport(w io.Writer, sr upmgo.SweepReport) {
 	if len(sr.Recordings) > 0 {
 		fmt.Fprintln(w, "\nMiss-stream recordings:")
 		for _, r := range sr.Recordings {
-			fmt.Fprintf(w, "  %-3s %-14s class%-2s %v\n", r.Bench, r.Label, r.Class, r.Compression)
+			fmt.Fprintf(w, "  %-3s %-14s class%-2s %v", r.Bench, r.Label, r.Class, r.Compression)
+			if r.Stored.HeadBytes > 0 {
+				fmt.Fprintf(w, "; stored %v", r.Stored)
+			}
+			fmt.Fprintln(w)
 		}
 	}
 

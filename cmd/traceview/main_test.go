@@ -233,6 +233,7 @@ func TestRunReportReplay(t *testing.T) {
 		{Bench: "BT", Label: "ft-IRIX", Class: "W", Source: upmgo.CellSourceSimulated,
 			Kind: upmgo.FastPathFullSim, HostSeconds: 0.3, VirtualSeconds: 30,
 			Recording: &upmgo.StreamCompression{Steps: 15, At: 4},
+			Stored:    &upmgo.StreamSize{HeadBytes: 1_234_567, BlockBytes: 180_300, Repeat: 11, DecodedBytes: 540_100},
 			Stages:    upmgo.CellStageSeconds{Prefix: 0.05, TimedLoop: 0.25}},
 		{Bench: "LU", Label: "wc-IRIX", Class: "W", Source: upmgo.CellSourceSimulated,
 			Kind: upmgo.FastPathFullSim, HostSeconds: 0.2, VirtualSeconds: 10,
@@ -258,7 +259,8 @@ func TestRunReportReplay(t *testing.T) {
 		"1. BT  rr-IRIX",
 		"@0123456789abcdef",
 		"@fedcba9876543210 replay declined: EventSet",
-		"Miss-stream recordings:\n  BT  ft-IRIX        classW  simulated 4 of 15 timed steps (repeat at step 4)",
+		"Miss-stream recordings:\n  BT  ft-IRIX        classW  simulated 4 of 15 timed steps (repeat at step 4)" +
+			"; stored head 1.2 MB, block 180.3 kB ×11, 540.1 kB decoded\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report lacks %q:\n%s", want, text)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"upmgo/internal/machine"
 	"upmgo/internal/nas"
 	"upmgo/internal/store"
 )
@@ -55,9 +56,11 @@ type cellMeta struct {
 	// the cell had no stream).
 	replayed bool
 	declined string
-	// recording is how the stream this cell recorded compressed; nil
-	// unless the cell led the recording.
+	// recording is how the stream this cell recorded compressed, and
+	// stored what the stream stores; nil unless the cell led the
+	// recording.
 	recording *nas.Compression
+	stored    *machine.StreamSize
 	// verdict is the host time of the stream's verdict task, which ran
 	// on a slot of its own, when this cell led the recording.
 	verdict time.Duration

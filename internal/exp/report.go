@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"upmgo/internal/machine"
 	"upmgo/internal/nas"
 	"upmgo/internal/store"
 )
@@ -124,6 +125,10 @@ type CellReport struct {
 	// recording, says how many timed steps the recording simulated and
 	// where its cache-side state started to repeat, or why it never did.
 	Recording *nas.Compression `json:"recording,omitempty"`
+	// Stored, on the same cell, is what the recorded stream stores: its
+	// varint head and, once it repeated, its block and the block's
+	// decoded records.
+	Stored *machine.StreamSize `json:"stored,omitempty"`
 	// HostSeconds is the cell's total host wall-time as seen by the
 	// goroutine that ran (or waited for) it, plus, on the cell that led
 	// a recording, the host time of the stream's verdict task; Stages
@@ -151,6 +156,7 @@ func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *C
 		Replayed:       meta.replayed,
 		ReplayDeclined: meta.declined,
 		Recording:      meta.recording,
+		Stored:         meta.stored,
 		HostSeconds:    meta.verdict.Seconds(),
 		VirtualSeconds: c.Seconds(),
 		FastPath:       c.Result.FastPath,
@@ -295,12 +301,15 @@ func (h Host) String() string {
 }
 
 // RecordingReport is one miss-stream recording of a sweep: the cell
-// that led it and how many of its timed steps simulated the caches.
+// that led it, how many of its timed steps simulated the caches, and
+// what its stream stores: head bytes, block bytes, the block's repeat
+// count and its decoded bytes.
 type RecordingReport struct {
-	Bench       string          `json:"bench"`
-	Label       string          `json:"label"`
-	Class       string          `json:"class"`
-	Compression nas.Compression `json:"compression"`
+	Bench       string             `json:"bench"`
+	Label       string             `json:"label"`
+	Class       string             `json:"class"`
+	Compression nas.Compression    `json:"compression"`
+	Stored      machine.StreamSize `json:"stored"`
 }
 
 // Attributed returns the fraction of HostSeconds the named stages
@@ -338,8 +347,11 @@ func BuildSweepReport(reports []*CellReport, topN int) SweepReport {
 		sr.Stages.add(r.Stages)
 		kept = append(kept, *r)
 		if r.Recording != nil {
-			sr.Recordings = append(sr.Recordings, RecordingReport{
-				Bench: r.Bench, Label: r.Label, Class: r.Class, Compression: *r.Recording})
+			rr := RecordingReport{Bench: r.Bench, Label: r.Label, Class: r.Class, Compression: *r.Recording}
+			if r.Stored != nil {
+				rr.Stored = *r.Stored
+			}
+			sr.Recordings = append(sr.Recordings, rr)
 		}
 		// Only cells simulated by this sweep belong in the histogram: a
 		// recalled cell carries the original run's WhyNot in its FastPath

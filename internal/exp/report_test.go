@@ -35,9 +35,9 @@ func collectReports(t *testing.T, r Runner, specs []CellSpec) []*CellReport {
 // positive and bounded by the cell's total host time.
 func TestCellReportSimulated(t *testing.T) {
 	specs := []CellSpec{
-		{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Threads: 1, Iterations: 12,
+		{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Iterations: 12,
 			SteadyState: true, Extrapolate: true}},
-		{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Threads: 1, Iterations: 4}},
+		{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Iterations: 4}},
 	}
 	reports := collectReports(t, Runner{Jobs: 1, Cache: NewCache()}, specs)
 
@@ -90,7 +90,7 @@ func TestCellReportSimulated(t *testing.T) {
 // (tiny) host cost to the recall pseudo-stage — the property that keeps
 // warm-sweep attribution near-total.
 func TestCellReportRecalled(t *testing.T) {
-	specs := []CellSpec{{Bench: "CG", Config: nas.Config{Class: nas.ClassS, Threads: 1, Iterations: 4}}}
+	specs := []CellSpec{{Bench: "CG", Config: nas.Config{Class: nas.ClassS, Iterations: 4}}}
 	r := Runner{Jobs: 1, Cache: NewCache()}
 	collectReports(t, r, specs)
 	reports := collectReports(t, r, specs)
@@ -117,7 +117,7 @@ func TestCellReportStoreRecalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []CellSpec{{Bench: "SP", Config: nas.Config{Class: nas.ClassS, Threads: 1, Iterations: 4}}}
+	specs := []CellSpec{{Bench: "SP", Config: nas.Config{Class: nas.ClassS, Iterations: 4}}}
 
 	warm := NewCache()
 	warm.SetStore(st)
@@ -142,7 +142,7 @@ func TestCellReportStoreRecalled(t *testing.T) {
 // carries its typed refusal through to the report, and the sweep
 // aggregation buckets it.
 func TestCellReportWhyNotFlows(t *testing.T) {
-	specs := []CellSpec{{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Threads: 1,
+	specs := []CellSpec{{Bench: "BT", Config: nas.Config{Class: nas.ClassS,
 		Iterations: 3, SteadyState: true, Extrapolate: true}}}
 	reports := collectReports(t, Runner{Jobs: 1, Cache: NewCache()}, specs)
 	w := reports[0].FastPath.WhyNot

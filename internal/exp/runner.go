@@ -353,7 +353,8 @@ func replayCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, meta *ce
 	hs.Record += time.Since(t0)
 	meta.declined = s.Declined
 	if task != nil {
-		meta.recording = &s.Compression
+		size := s.Size()
+		meta.recording, meta.stored = &s.Compression, &size
 	}
 	if s.Declined != "" {
 		return run(spec.Bench, spec.Config)

@@ -13,21 +13,21 @@ import (
 
 // TestRunnerParallelSerialEquivalence proves the acceptance invariant:
 // for fixed SweepOptions, every figure/table returns bit-identical
-// cells at -jobs 1 and -jobs 8. Run under -race in CI. Threads 1 makes
-// each individual simulation exactly reproducible (the same contract as
-// nas's bulk/scalar equivalence test), isolating the property under
-// test: the host worker pool contributes no nondeterminism.
+// cells at -jobs 1 and -jobs 8. Run under -race in CI. Each simulation
+// is reproducible at the machine's full width (the omp runtime drives a
+// team's threads in thread-id order), so the property under test is
+// isolated: the host worker pool contributes no nondeterminism.
 func TestRunnerParallelSerialEquivalence(t *testing.T) {
 	ctx := context.Background()
 	serial := Runner{Jobs: 1}
 	parallel := Runner{Jobs: 8}
-	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42, Threads: 1}
+	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42}
 	for _, req := range []SweepRequest{
 		{Kind: KindFigure1, Options: o},
 		{Kind: KindFigure4, Options: o},
 		{Kind: KindTable2, Options: o},
 		{Kind: KindFigure5, Options: o},
-		{Kind: KindFigure6, Options: SweepOptions{Class: nas.ClassS, Seed: 42, Iterations: 3, Threads: 1}},
+		{Kind: KindFigure6, Options: SweepOptions{Class: nas.ClassS, Seed: 42, Iterations: 3}},
 	} {
 		s, err := serial.Sweep(ctx, req)
 		if err != nil {
@@ -184,8 +184,7 @@ func TestRunnerUnknownBenchmarkSentinel(t *testing.T) {
 // checks that an unknown kind fails with the sentinel before any
 // simulation.
 func TestSweepMatchesWrappers(t *testing.T) {
-	// Threads 1: comparing two fresh runs needs exact reproducibility.
-	o := SweepOptions{Class: nas.ClassS, Seed: 42, Iterations: 3, Threads: 1, Benches: []string{"BT"}}
+	o := SweepOptions{Class: nas.ClassS, Seed: 42, Iterations: 3, Benches: []string{"BT"}}
 	res, err := sweep(Runner{}, KindFigure6, o)
 	if err != nil {
 		t.Fatal(err)

@@ -106,8 +106,8 @@ func TestCellReportAddress(t *testing.T) {
 }
 
 // TestRunnerRecordingReported: the cell that leads a recording reports
-// how it compressed, the cells that replay it do not, and the sweep
-// report lists it.
+// how it compressed and what its stream stores, the cells that replay it
+// do not, and the sweep report lists it.
 func TestRunnerRecordingReported(t *testing.T) {
 	base := nas.Config{Class: nas.ClassS, Iterations: 12}
 	wc := base
@@ -118,14 +118,20 @@ func TestRunnerRecordingReported(t *testing.T) {
 	if rec == nil || rec.At == 0 || rec.Steps != 12 {
 		t.Fatalf("leading cell's recording %+v, want a compressed 12-step recording", rec)
 	}
-	if reports[1].Recording != nil {
-		t.Errorf("replayed cell reports a recording: %+v", reports[1].Recording)
+	if reports[1].Recording != nil || reports[1].Stored != nil {
+		t.Errorf("replayed cell reports a recording: %+v, stored %+v", reports[1].Recording, reports[1].Stored)
+	}
+	z := reports[0].Stored
+	if z == nil || z.HeadBytes == 0 || z.BlockBytes == 0 || z.BlockBytes >= z.HeadBytes ||
+		z.Repeat != rec.Steps-rec.At || z.DecodedBytes == 0 {
+		t.Fatalf("leading cell's stored size %+v, want a head and a block repeated %d times", z, rec.Steps-rec.At)
 	}
 	if rec.Simulated() != rec.At {
 		t.Errorf("recording simulated %d of 12 timed steps, want %d", rec.Simulated(), rec.At)
 	}
 	sr := BuildSweepReport(reports, 5)
-	if len(sr.Recordings) != 1 || sr.Recordings[0].Label != "ft-IRIX" || sr.Recordings[0].Compression != *rec {
+	if len(sr.Recordings) != 1 || sr.Recordings[0].Label != "ft-IRIX" || sr.Recordings[0].Compression != *rec ||
+		sr.Recordings[0].Stored != *z {
 		t.Errorf("sweep report recordings %+v, want the ft-IRIX recording", sr.Recordings)
 	}
 }

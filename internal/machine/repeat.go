@@ -17,7 +17,7 @@ import (
 // log's last page (the base of its next Δvpn). Repeat compares that
 // state at the end of every kernel call with its value at the end of
 // the call before; once it provably repeats, the rest of the log is
-// copied from the last call instead of simulated.
+// stored as the last call repeated instead of simulated.
 
 // minRepeatSteps is the number of calls condition (b) compares. A
 // kernel that breaks the Kernel contract by charging extra every q-th
@@ -52,15 +52,17 @@ type repeatState struct {
 //   - (b) the last minRepeatSteps calls appended identical log bytes
 //     and Ops, which catches kernels whose charges depend on the call
 //     index rather than on machine state;
-//   - and versions keep growing: no cached line is ahead of its unit's
+//   - versions keep growing: no cached line is ahead of its unit's
 //     version, and no unit's version can outgrow its 23-bit field in
-//     the remaining calls, each gaining what it gained in the last.
+//     the remaining calls, each gaining what it gained in the last;
+//   - and the last call's records fit the fixed-width records the
+//     replay loops over (decodeBlock).
 //
-// On firing it appends remaining copies of the last call's records,
-// detaches the recorder from its machine and returns true: by
-// determinism the log is byte-identical to one recorded by simulating
-// those calls. It returns false when it does not fire, and always once
-// the recorder has declined or been detached.
+// On firing it keeps the last call as the stream's block, to follow the
+// head remaining times, detaches the recorder from its machine and
+// returns true: by determinism the expanded log is byte-identical to
+// one recorded by simulating those calls. It returns false when it does
+// not fire, and always once the recorder has declined or been detached.
 func (r *Recorder) Repeat(remaining int) bool {
 	if r.declined != "" || r.m.rec != r || remaining <= 0 {
 		return false
@@ -84,8 +86,7 @@ func (r *Recorder) Repeat(remaining int) bool {
 	if j >= 2 && j+remaining-1 >= minRepeatSteps && r.sameCalls(j, 1) {
 		r.last = r.state()
 		if j == minRepeatSteps && prev != nil && r.sameCalls(j, minRepeatSteps-1) &&
-			r.last.equal(prev) && r.versionsFit(prev, remaining) {
-			r.materialise(remaining)
+			r.last.equal(prev) && r.versionsFit(prev, remaining) && r.fold(remaining) {
 			return true
 		}
 	}
@@ -204,25 +205,24 @@ func (r *Recorder) versionsFit(prev *repeatState, remaining int) bool {
 	return true
 }
 
-// materialise appends remaining copies of the last call's records and
-// stops recording.
-func (r *Recorder) materialise(remaining int) {
+// fold keeps the last call as the stream's block, to follow the head
+// remaining times, and stops recording. The block is decoded once here
+// into fixed-width records; when one of its values does not fit its
+// field, fold sets r.blocked and returns false, and the recording goes
+// on simulating.
+func (r *Recorder) fold(remaining int) bool {
 	from, to := r.marks[len(r.marks)-2], r.marks[len(r.marks)-1]
+	b := loop{ops: r.ops[from.ops:to.ops:to.ops], logs: make([][]byte, len(r.logs)), repeat: remaining}
 	for c := range r.logs {
-		l := &r.logs[c]
-		block := l.buf[from.pos[c]:to.pos[c]]
-		buf := slices.Grow(l.buf, remaining*len(block))
-		for range remaining {
-			buf = append(buf, block...)
-		}
-		l.buf = buf
+		b.logs[c] = r.logs[c].buf[from.pos[c]:to.pos[c]:to.pos[c]]
 	}
-	block := r.ops[from.ops:to.ops]
-	ops := slices.Grow(r.ops, remaining*len(block))
-	for range remaining {
-		ops = append(ops, block...)
+	var why string
+	if b.recs, why = decodeBlock(b.logs, r.logs); why != "" {
+		r.blocked = why
+		return false
 	}
-	r.ops = ops
+	r.loop = b
 	r.marks, r.last, r.spare = nil, nil, nil
 	r.m.rec = nil
+	return true
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"upmgo/internal/vm"
@@ -48,8 +49,8 @@ func recordCalls(t *testing.T, n int, write, compress bool, mutate func(m *Machi
 }
 
 // TestRepeatCopiesTail: identical calls repeat from the first window
-// Repeat can compare, and the copied tail is byte-identical to a
-// recording of every call.
+// Repeat can compare, and the stream, its block expanded, is
+// byte-identical to a recording of every call.
 func TestRepeatCopiesTail(t *testing.T) {
 	rec, at := recordCalls(t, 10, true, true, nil)
 	if at != minRepeatSteps {
@@ -207,5 +208,72 @@ func TestRepeatWideL1Blocks(t *testing.T) {
 	}
 	if rec.Blocked() == "" {
 		t.Error("no reason given")
+	}
+}
+
+// forge appends raw records to CPU 0's log after every call: the same
+// bytes each time, so condition (b) still holds, and no change to the
+// log's last vpn, so condition (a) does too. Each record is its varint
+// fields, the Δvpn already zigzagged.
+func forge(recs ...[]uint64) func(m *Machine, a *Array, call int) {
+	return func(m *Machine, a *Array, call int) {
+		l := &m.rec.logs[0]
+		for _, r := range recs {
+			for _, v := range r {
+				l.buf = binary.AppendUvarint(l.buf, v)
+			}
+		}
+	}
+}
+
+// zigzag encodes a Δvpn as the log does.
+func zigzag(d int64) uint64 { return uint64(d<<1 ^ d>>63) }
+
+// TestRepeatBlockWidthBlocks: a block value that does not fit its
+// fixed-width record field blocks the repeat with a named reason rather
+// than being truncated, and the recording simulates every call. An
+// advance needs no guard: a 40-bit one fires and is kept whole.
+func TestRepeatBlockWidthBlocks(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		recs [][]uint64
+		why  string
+	}{
+		{"vpn", [][]uint64{{1<<4 | recMiss, zigzag(1 << 32), 0}, {1<<4 | recMiss, zigzag(-1 << 32), 0}}, whyBlockVPN},
+		{"miss run", [][]uint64{{1 << 32, 0, 0}}, whyBlockRun},
+		{"accesses", [][]uint64{{recBarrier, 0, 1 << 32, 0}}, whyBlockAcc},
+		{"l1 misses", [][]uint64{{recEnd, 0, 0, 1 << 30}}, whyBlockL1},
+		{"advance", [][]uint64{{recEnd, 1 << 40, 0, 0}}, ""},
+	} {
+		rec, at := recordCalls(t, 10, true, true, forge(c.recs...))
+		if c.why == "" {
+			if at == 0 {
+				t.Fatalf("%s: blocked (%q), want a repeat", c.name, rec.Blocked())
+			}
+			recs := rec.loop.recs[0]
+			if last := recs[len(recs)-1]; last.adv != 1<<40 {
+				t.Errorf("%s: decoded advance %d, want %d", c.name, last.adv, int64(1)<<40)
+			}
+			continue
+		}
+		if at != 0 {
+			t.Errorf("%s: fired at call %d over a value too wide for its field", c.name, at)
+		}
+		if rec.Blocked() != c.why {
+			t.Errorf("%s: Blocked %q, want %q", c.name, rec.Blocked(), c.why)
+		}
+	}
+}
+
+// TestRepeatBlockChainBlocks: a block whose Δvpn chain does not end on
+// the vpn it starts from would loop from a different page each copy, so
+// the repeat is refused with a reason.
+func TestRepeatBlockChainBlocks(t *testing.T) {
+	rec, at := recordCalls(t, 10, true, true, forge([]uint64{1<<4 | recMiss, zigzag(1), 0}))
+	if at != 0 {
+		t.Errorf("fired at call %d over an open vpn chain", at)
+	}
+	if rec.Blocked() != whyBlockChain {
+		t.Errorf("Blocked %q, want %q", rec.Blocked(), whyBlockChain)
 	}
 }

@@ -1,8 +1,11 @@
 package machine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // L2-miss stream recording and replay (DESIGN.md §17).
@@ -23,6 +26,11 @@ import (
 // and engines are live, without touching a cache or a TLB: a replayed
 // lookup hits when the page was resident and its generation is the one
 // the CPU saw at its previous lookup of the page.
+//
+// A compressed recording (repeat.go) stores its repeating kernel call
+// once: the stream is a varint head, the cold start and every simulated
+// call, then a block, the last simulated call decoded into fixed-width
+// records, which follows the head a repeat count of times.
 
 // OpKind classifies one structural step of a recorded run.
 type OpKind uint8
@@ -77,6 +85,7 @@ type Recorder struct {
 	last    *repeatState // the newest call's state, if built
 	spare   *repeatState // a dropped state's buffers, for the next one
 	blocked string
+	loop    loop // the block, once Repeat has fired
 }
 
 // cpuLog is one CPU's log and its baseline: the state at its previous
@@ -253,7 +262,7 @@ func (r *Recorder) Finish() (*Stream, error) {
 	if r.declined != "" {
 		return nil, fmt.Errorf("machine: stream declined: %s", r.declined)
 	}
-	s := &Stream{Ops: r.ops, logs: make([][]byte, len(r.logs))}
+	s := &Stream{Ops: r.ops, logs: make([][]byte, len(r.logs)), loop: r.loop}
 	for i := range r.logs {
 		s.logs[i] = r.logs[i].buf
 	}
@@ -261,38 +270,194 @@ func (r *Recorder) Finish() (*Stream, error) {
 }
 
 // Stream is a finished recording: the structural steps in host order and
-// one compact log per CPU. It is immutable; any number of replays may
-// read it concurrently, each through its own StreamReader.
+// one compact log per CPU, its head, followed, when the recording
+// repeated, by its block a repeat count of times. It is immutable; any
+// number of replays may read it concurrently, each through its own
+// StreamReader.
 type Stream struct {
+	// Ops is the head's structural steps.
 	Ops  []Op
-	logs [][]byte
+	logs [][]byte // the head's per-CPU varint logs
+	loop loop
 }
 
-// Bytes returns the size of the per-CPU logs.
-func (s *Stream) Bytes() int {
+// loop is a compressed stream's block: the kernel call that repeats,
+// which is also the last call of the head.
+type loop struct {
+	ops    []Op         // its structural steps, ending with an OpReturn
+	logs   [][]byte     // each CPU's varint records, the tail of its head log
+	recs   [][]blockRec // the same records, decoded
+	repeat int          // the copies that follow the head; 0 without a block
+}
+
+// blockRec is one record of a block, decoded: 16 bytes, which a replay
+// reads without decoding a varint. The vpn is absolute; it is the same
+// in every copy, since the block's Δvpn chain starts and ends on the
+// CPU's last vpn, which Repeat requires to repeat.
+type blockRec struct {
+	adv int64  // the clock advance
+	a   uint32 // a miss's vpn; a sync record's Δaccesses
+	tag uint32 // a miss's log tag; a sync record's ΔL1 misses<<2 | its kind
+}
+
+// Reasons a block does not fit its records; each blocks the repeat.
+const (
+	whyBlockVPN   = "block vpn exceeds 32 bits"
+	whyBlockRun   = "block miss run exceeds 28 bits"
+	whyBlockAcc   = "block access count exceeds 32 bits"
+	whyBlockL1    = "block L1-miss count exceeds 30 bits"
+	whyBlockChain = "block vpn chain does not close"
+)
+
+// decodeBlock decodes each CPU's block records, whose Δvpn chain starts
+// at the CPU log's last vpn, into one allocation, counted first so that
+// it holds no slack (FT's Class A block decodes to 69 MB). It returns a
+// reason instead when a value does not fit its field or a chain does
+// not end on the vpn it started from. An advance always fits: it is the
+// int64 the varint holds.
+func decodeBlock(blocks [][]byte, logs []cpuLog) ([][]blockRec, string) {
 	n := 0
-	for _, l := range s.logs {
-		n += len(l)
+	for _, b := range blocks {
+		n += countRecords(b)
+	}
+	slab := make([]blockRec, 0, n)
+	recs := make([][]blockRec, len(blocks))
+	for c, b := range blocks {
+		start, vpn := len(slab), logs[c].vpn
+		for pos := 0; pos < len(b); {
+			tag := uvarint(b, &pos)
+			if kind := tag & 3; kind != recMiss {
+				adv, acc, l1 := uvarint(b, &pos), uvarint(b, &pos), uvarint(b, &pos)
+				switch {
+				case acc > math.MaxUint32:
+					return nil, whyBlockAcc
+				case l1 > math.MaxUint32>>2:
+					return nil, whyBlockL1
+				}
+				slab = append(slab, blockRec{adv: int64(adv), a: uint32(acc), tag: uint32(l1<<2 | kind)})
+				continue
+			}
+			z := uvarint(b, &pos)
+			vpn += uint64(int64(z>>1) ^ -int64(z&1))
+			adv := uvarint(b, &pos)
+			switch {
+			case vpn > math.MaxUint32:
+				return nil, whyBlockVPN
+			case tag > math.MaxUint32:
+				return nil, whyBlockRun
+			}
+			slab = append(slab, blockRec{adv: int64(adv), a: uint32(vpn), tag: uint32(tag)})
+		}
+		if vpn != logs[c].vpn {
+			return nil, whyBlockChain
+		}
+		recs[c] = slab[start:len(slab):len(slab)]
+	}
+	return recs, ""
+}
+
+// countRecords returns the number of records in log bytes b.
+func countRecords(b []byte) int {
+	n := 0
+	for pos := 0; pos < len(b); n++ {
+		fields := 2
+		if uvarint(b, &pos)&3 != recMiss {
+			fields = 3
+		}
+		for range fields {
+			uvarint(b, &pos)
+		}
 	}
 	return n
 }
 
-// Diff names the first difference between s and o, an Ops index or a
-// CPU log's byte offset, or returns "" when the two are identical.
-func (s *Stream) Diff(o *Stream) string {
-	for i := range min(len(s.Ops), len(o.Ops)) {
-		if s.Ops[i] != o.Ops[i] {
-			return fmt.Sprintf("Ops[%d]: %+v vs %+v", i, s.Ops[i], o.Ops[i])
+// uvarint returns the varint at b[*pos:] and moves *pos past it.
+func uvarint(b []byte, pos *int) uint64 {
+	v, k := binary.Uvarint(b[*pos:])
+	if k <= 0 {
+		panic(fmt.Sprintf("machine: stream corrupt at byte %d", *pos))
+	}
+	*pos += k
+	return v
+}
+
+// StreamSize is what a Stream stores: its varint head and decoded
+// block. The block's varint form is the head's last call, so it adds
+// nothing to the head; expanded, the log holds HeadBytes + Repeat ×
+// BlockBytes.
+type StreamSize struct {
+	HeadBytes    int `json:"head_bytes"`
+	BlockBytes   int `json:"block_bytes,omitempty"`
+	Repeat       int `json:"repeat,omitempty"`
+	DecodedBytes int `json:"decoded_bytes,omitempty"`
+}
+
+// Size returns what s stores.
+func (s *Stream) Size() StreamSize {
+	z := StreamSize{Repeat: s.loop.repeat}
+	for c, l := range s.logs {
+		z.HeadBytes += len(l)
+		if s.loop.repeat > 0 {
+			z.BlockBytes += len(s.loop.logs[c])
+			z.DecodedBytes += len(s.loop.recs[c]) * 16
 		}
 	}
-	if len(s.Ops) != len(o.Ops) {
-		return fmt.Sprintf("len(Ops): %d vs %d", len(s.Ops), len(o.Ops))
+	return z
+}
+
+// String renders the size for reports: "head 1.2 MB, block 180.3 kB
+// ×35, 540.1 kB decoded", or "head 5.7 MB" without a block.
+func (z StreamSize) String() string {
+	s := "head " + sizeString(z.HeadBytes)
+	if z.Repeat > 0 {
+		s += fmt.Sprintf(", block %s ×%d, %s decoded", sizeString(z.BlockBytes), z.Repeat, sizeString(z.DecodedBytes))
 	}
-	if len(s.logs) != len(o.logs) {
-		return fmt.Sprintf("CPU logs: %d vs %d", len(s.logs), len(o.logs))
+	return s
+}
+
+// sizeString renders n bytes in kB, or in MB from 1 MB on.
+func sizeString(n int) string {
+	if n < 1e6 {
+		return fmt.Sprintf("%.1f kB", float64(n)/1e3)
 	}
-	for c, a := range s.logs {
-		b := o.logs[c]
+	return fmt.Sprintf("%.1f MB", float64(n)/1e6)
+}
+
+// expand returns s's Ops and per-CPU logs with the block written out
+// after the head as many times as it repeats: the log of a recording
+// that simulated every call.
+func (s *Stream) expand() ([]Op, [][]byte) {
+	b := s.loop
+	if b.repeat == 0 {
+		return s.Ops, s.logs
+	}
+	ops := append(slices.Clip(s.Ops), slices.Repeat(b.ops, b.repeat)...)
+	logs := make([][]byte, len(s.logs))
+	for c, l := range s.logs {
+		logs[c] = append(slices.Clip(l), bytes.Repeat(b.logs[c], b.repeat)...)
+	}
+	return ops, logs
+}
+
+// Diff names the first difference between the expanded logs of s and o,
+// an Ops index or a CPU log's byte offset, or returns "" when the two
+// are identical.
+func (s *Stream) Diff(o *Stream) string {
+	sOps, sLogs := s.expand()
+	oOps, oLogs := o.expand()
+	for i := range min(len(sOps), len(oOps)) {
+		if sOps[i] != oOps[i] {
+			return fmt.Sprintf("Ops[%d]: %+v vs %+v", i, sOps[i], oOps[i])
+		}
+	}
+	if len(sOps) != len(oOps) {
+		return fmt.Sprintf("len(Ops): %d vs %d", len(sOps), len(oOps))
+	}
+	if len(sLogs) != len(oLogs) {
+		return fmt.Sprintf("CPU logs: %d vs %d", len(sLogs), len(oLogs))
+	}
+	for c, a := range sLogs {
+		b := oLogs[c]
 		for i := range min(len(a), len(b)) {
 			if a[i] != b[i] {
 				return fmt.Sprintf("cpu %d log byte %d", c, i)
@@ -305,11 +470,15 @@ func (s *Stream) Diff(o *Stream) string {
 	return ""
 }
 
-// StreamReader is one replay's position in a Stream's per-CPU logs, and
-// the replay's TLB state: the generation each CPU saw at its previous
-// lookup of each page of the replay machine's heap.
+// StreamReader is one replay's position in a Stream's steps and
+// per-CPU logs, and the replay's TLB state: the generation each CPU saw
+// at its previous lookup of each page of the replay machine's heap.
 type StreamReader struct {
 	s    *Stream
+	ops  []Op // the head's steps, then the block's
+	op   int  // the next step's index in ops
+	left int  // copies of the block still to start
+	loop bool // the head is done: every CPU reads the decoded block
 	pos  []int
 	vpn  []uint64
 	seen [][]uint32
@@ -320,7 +489,8 @@ type StreamReader struct {
 // misses on lies in it, and the TLB table covers it.
 func (s *Stream) NewReader(m *Machine) *StreamReader {
 	n, pages := uint64(len(s.logs)), m.AllocatedPages()
-	rd := &StreamReader{s: s, pos: make([]int, n), vpn: make([]uint64, n), seen: make([][]uint32, n)}
+	rd := &StreamReader{s: s, ops: s.Ops, left: s.loop.repeat,
+		pos: make([]int, n), vpn: make([]uint64, n), seen: make([][]uint32, n)}
 	seen := make([]uint32, n*pages)
 	for c := range rd.seen {
 		rd.seen[c] = seen[uint64(c)*pages : uint64(c+1)*pages]
@@ -328,10 +498,27 @@ func (s *Stream) NewReader(m *Machine) *StreamReader {
 	return rd
 }
 
+// Op returns the stream's next structural step. At the OpReturn that
+// ends the head, and at each that ends a copy of the block but the
+// last, it moves every CPU to the start of the decoded block, so the
+// switch costs no test per miss record.
+func (rd *StreamReader) Op() Op {
+	op := rd.ops[rd.op]
+	rd.op++
+	if rd.op == len(rd.ops) && rd.left > 0 {
+		rd.ops, rd.op, rd.left, rd.loop = rd.s.loop.ops, 0, rd.left-1, true
+		clear(rd.pos)
+	}
+	return op
+}
+
 // Replay feeds CPU c its logged charges and misses up to its next sync
 // record, and reports whether that record is a barrier arrival (true) or
 // the end of c's share of a region or serial section (false).
 func (rd *StreamReader) Replay(c *CPU) bool {
+	if rd.loop {
+		return rd.replayBlock(c)
+	}
 	buf, pos := rd.s.logs[c.ID], rd.pos[c.ID]
 	next := func() uint64 {
 		v, k := binary.Uvarint(buf[pos:])
@@ -354,6 +541,22 @@ func (rd *StreamReader) Replay(c *CPU) bool {
 		rd.vpn[c.ID] += uint64(int64(z>>1) ^ -int64(z&1))
 		c.replayAdvance(int64(next()), 0, 0)
 		c.replayMiss(rd.vpn[c.ID], tag&4 != 0, int(tag>>4), tag&8 != 0, rd.seen[c.ID])
+	}
+}
+
+// replayBlock is Replay over the decoded block.
+func (rd *StreamReader) replayBlock(c *CPU) bool {
+	recs, pos, seen := rd.s.loop.recs[c.ID], rd.pos[c.ID], rd.seen[c.ID]
+	for {
+		r := &recs[pos]
+		pos++
+		if kind := r.tag & 3; kind != recMiss {
+			c.replayAdvance(r.adv, uint64(r.a), uint64(r.tag>>2))
+			rd.pos[c.ID] = pos
+			return kind == recBarrier
+		}
+		c.replayAdvance(r.adv, 0, 0)
+		c.replayMiss(uint64(r.a), r.tag&4 != 0, int(r.tag>>4), r.tag&8 != 0, seen)
 	}
 }
 

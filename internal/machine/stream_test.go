@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -38,13 +39,16 @@ func streamWork(m *Machine, a *Array, c *CPU, phase int) {
 // serial section on CPU 0, then one parallel region in which every CPU
 // runs phase 0, arrives at a barrier, runs phase 1 and ends. With rd nil
 // the work is simulated (and reported to m's recorder, if any); with rd
-// set each CPU replays its logged share instead.
+// set each CPU replays its logged share instead, reading the steps from
+// rd as the nas replay kernel does.
 func program(m *Machine, a *Array, rd *StreamReader) {
 	rec := m.Recorder()
 	cpus := m.CPUs()
 	master := cpus[0]
 	if rd != nil {
+		expectOp(rd, OpSerial)
 		rd.Replay(master)
+		expectOp(rd, OpRegion)
 	} else {
 		streamWork(m, a, master, -1)
 	}
@@ -87,6 +91,16 @@ func program(m *Machine, a *Array, rd *StreamReader) {
 	if rec != nil {
 		rec.Mark(OpReturn, nil)
 	}
+	if rd != nil {
+		expectOp(rd, OpReturn)
+	}
+}
+
+// expectOp reads rd's next step and panics unless it is of kind k.
+func expectOp(rd *StreamReader, k OpKind) {
+	if op := rd.Op(); op.Kind != k {
+		panic(fmt.Sprintf("replayed step %+v, want kind %d", op, k))
+	}
 }
 
 func streamMachine(t *testing.T, p vm.Policy) (*Machine, *Array) {
@@ -117,7 +131,7 @@ func TestStreamReplayMatchesSimulation(t *testing.T) {
 	if !reflect.DeepEqual(s.Ops, want) {
 		t.Errorf("ops %+v, want %+v", s.Ops, want)
 	}
-	if s.Bytes() == 0 {
+	if s.Size().HeadBytes == 0 {
 		t.Fatal("empty stream")
 	}
 	for _, p := range vm.Policies {
@@ -220,6 +234,68 @@ func TestRecorderDeclines(t *testing.T) {
 		m.CPU(0).Load(a.Addr(100))
 		if _, err := rec.Finish(); err == nil || !strings.Contains(err.Error(), c.reason) {
 			t.Errorf("%s: Finish error %v", c.reason, err)
+		}
+	}
+}
+
+// recordProgram records calls+1 calls of program, the first starting
+// Repeat's history, letting Repeat fire when compress is set.
+func recordProgram(t *testing.T, calls int, compress bool) *Stream {
+	t.Helper()
+	m, a := streamMachine(t, vm.FirstTouch)
+	rec := NewRecorder(m)
+	m.SetRecorder(rec)
+	for call := 0; call <= calls; call++ {
+		program(m, a, nil)
+		if compress && rec.Repeat(calls-call) {
+			break
+		}
+	}
+	s, err := rec.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestStreamLoopMatchesExpanded is the contract of the stored block: a
+// compressed stream, replayed as its varint head and then its decoded
+// block looped, leaves every CPU's clock and counters where a replay of
+// the full recording leaves them at every OpReturn — the head's last
+// one, where the reader switches to the block, and each one that ends a
+// copy of the block — under every placement.
+func TestStreamLoopMatchesExpanded(t *testing.T) {
+	const calls = 9
+	s, full := recordProgram(t, calls, true), recordProgram(t, calls, false)
+	if z := s.Size(); z.Repeat < 2 || z.BlockBytes == 0 || z.DecodedBytes == 0 {
+		t.Fatalf("stream size %+v, want a block repeated at least twice", z)
+	}
+	if full.Size().Repeat != 0 {
+		t.Fatal("the full recording has a block")
+	}
+	if d := s.Diff(full); d != "" {
+		t.Fatalf("compressed stream differs from the full recording at %s", d)
+	}
+	head := calls + 1 - s.Size().Repeat
+	for _, p := range vm.Policies {
+		loop, _ := streamMachine(t, p)
+		ref, _ := streamMachine(t, p)
+		rl, rr := s.NewReader(loop), full.NewReader(ref)
+		for call := 0; call <= calls; call++ {
+			program(loop, nil, rl)
+			program(ref, nil, rr)
+			if rl.loop != (call >= head-1) {
+				t.Fatalf("%v call %d: reading the block %v, want %v", p, call, rl.loop, call >= head-1)
+			}
+			for i, c := range ref.CPUs() {
+				if l := loop.CPU(i); l.Now() != c.Now() || l.Stat() != c.Stat() {
+					t.Errorf("%v call %d cpu %d: looped replay clock %d stats %+v, expanded %d %+v",
+						p, call, i, l.Now(), l.Stat(), c.Now(), c.Stat())
+				}
+			}
+		}
+		if loop.Stats() != ref.Stats() {
+			t.Errorf("%v: looped replay stats %+v, expanded %+v", p, loop.Stats(), ref.Stats())
 		}
 	}
 }

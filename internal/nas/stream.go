@@ -281,12 +281,12 @@ func (s *Stream) Judge(ctx context.Context, res *Result) error {
 	return nil
 }
 
-// Bytes returns the size of the stream's per-CPU logs.
-func (s *Stream) Bytes() int {
+// Size returns what the stream's log stores; zero when it declined.
+func (s *Stream) Size() machine.StreamSize {
 	if s.log == nil {
-		return 0
+		return machine.StreamSize{}
 	}
-	return s.log.Bytes()
+	return s.log.Size()
 }
 
 // Replay runs cfg against the stream: Run with a kernel that replays the
@@ -375,13 +375,12 @@ func (k *recordingKernel) mark() {
 
 // replayKernel re-issues a recorded run's structure — regions,
 // barriers, serial sections and phase hooks — feeding every CPU its
-// logged charges and misses. op is the next structural step and rd,
-// each CPU log's next record.
+// logged charges and misses. rd holds the next structural step and each
+// CPU log's next record.
 type replayKernel struct {
 	s  *Stream
 	m  *machine.Machine
 	rd *machine.StreamReader
-	op int
 }
 
 func (k *replayKernel) Name() string           { return k.s.name }
@@ -418,9 +417,7 @@ func (k *replayKernel) replay(t *omp.Team, h *Hooks) {
 		panic("nas: stream replay cannot track writes")
 	}
 	for {
-		op := k.s.log.Ops[k.op]
-		k.op++
-		switch op.Kind {
+		switch op := k.rd.Op(); op.Kind {
 		case machine.OpReturn:
 			return
 		case machine.OpSerial:

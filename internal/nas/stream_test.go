@@ -2,6 +2,7 @@ package nas_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"upmgo/internal/kmig"
@@ -127,6 +128,44 @@ func stepCounters(t *testing.T, build nas.Builder, cfg nas.Config) [][]int64 {
 	return snaps
 }
 
+// TestReplayConcurrentBlock: concurrent replays of one compressed
+// stream share its decoded block, each through its own reader, and each
+// equals Run of its cell. Under the race detector this shows the block
+// is only read.
+func TestReplayConcurrentBlock(t *testing.T) {
+	base := nas.Config{Class: nas.ClassS, Iterations: 12}
+	s := record(t, bt.New, base)
+	if z := s.Size(); z.Repeat == 0 || z.DecodedBytes == 0 {
+		t.Fatalf("stream size %+v, want a decoded block", z)
+	}
+	var wg sync.WaitGroup
+	got := make([]nas.Result, len(vm.Policies))
+	for i, p := range vm.Policies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := base
+			cfg.Placement, cfg.KernelMig = p, true
+			var err error
+			if got[i], err = s.Replay(cfg); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, p := range vm.Policies {
+		cfg := base
+		cfg.Placement, cfg.KernelMig = p, true
+		want, err := nas.Run(bt.New, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := nas.Diverge(want, got[i]); d != "" {
+			t.Errorf("%s: concurrent replay diverges from Run at %s", cfg.Label(), d)
+		}
+	}
+}
+
 // TestReplayCountersMatchRun: at the end of every Step, where the
 // steady-state detector observes, a replay's machine reports the counter
 // vector of the simulation, although the replay never touches a cache.
@@ -179,7 +218,7 @@ func TestReplayShapes(t *testing.T) {
 		})
 	}
 	t.Run("periodk", func(t *testing.T) {
-		cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1, Iterations: 24}
+		cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Iterations: 24}
 		period2 := cfg
 		period2.KernelMig = true
 		period2.Kmig = kmig.Config{ScanEvery: 2, DecayEvery: -1, MinScanPS: -1}

@@ -444,6 +444,10 @@ type (
 	// simulated before its cache-side state repeated
 	// (CellReport.Recording).
 	StreamCompression = nas.Compression
+	// StreamSize is what a miss-stream recording stores: its varint
+	// head, its repeating block and the block's decoded records
+	// (CellReport.Stored).
+	StreamSize = machine.StreamSize
 )
 
 // The typed reasons a steady-armed run declined its fast-forward.
