@@ -10,7 +10,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -18,28 +17,10 @@ import (
 	"strings"
 
 	"upmgo"
+	"upmgo/internal/cli"
 )
 
-func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
-
-// cli is main without the process exit: it runs the command and reports
-// a failure on stderr once, returning the exit status.
-func cli(args []string, stdout, stderr io.Writer) int {
-	err := run(args, stdout, stderr)
-	if err == nil {
-		return 0
-	}
-	if !errors.As(err, new(flagError)) {
-		fmt.Fprintf(stderr, "latency: %v\n", err)
-	}
-	return 1
-}
-
-// flagError is a flag error the FlagSet has already printed, with the
-// usage, so cli does not print it again.
-type flagError struct{ error }
-
-func (e flagError) Unwrap() error { return e.error }
+func main() { os.Exit(cli.Exit("latency", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr)) }
 
 // run is main without the process exit, testable against any streams.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -47,7 +28,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	topo := fs.String("topo", "", "machine shape: a [cube:]LxLx...xC spec (last component = CPUs per node) or preset (origin, hier64, hier128, hier256); empty = the paper's Origin2000")
 	if err := fs.Parse(args); err != nil {
-		return flagError{err}
+		return cli.FlagError{Err: err}
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))

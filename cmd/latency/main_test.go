@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"upmgo/internal/cli"
 )
 
 func TestRunRejectsArguments(t *testing.T) {
@@ -15,15 +17,11 @@ func TestRunRejectsArguments(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want an error", args)
 			continue
 		}
-		// The command prints the error once, whether the FlagSet or cli
-		// reports it.
-		out.Reset()
-		errw.Reset()
-		if code := cli(args, &out, &errw); code != 1 {
-			t.Errorf("cli(%v) exited %d, want 1", args, code)
-		}
+		// The command prints the error once, whether the FlagSet or
+		// cli.Exit reports it.
+		cli.Exit("latency", err, &errw)
 		if n := strings.Count(errw.String(), err.Error()); n != 1 {
-			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
+			t.Errorf("run(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 }

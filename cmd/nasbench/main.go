@@ -11,7 +11,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,47 +18,25 @@ import (
 	"strings"
 
 	"upmgo"
+	"upmgo/internal/cli"
 )
 
-func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
-
-// cli is main without the process exit: it runs the command and reports
-// a failure on stderr once, returning the exit status.
-func cli(args []string, stdout, stderr io.Writer) int {
-	err := run(args, stdout, stderr)
-	if err == nil {
-		return 0
-	}
-	if !errors.As(err, new(flagError)) {
-		fmt.Fprintf(stderr, "nasbench: %v\n", err)
-	}
-	return 1
-}
-
-// flagError is a flag error the FlagSet has already printed, with the
-// usage, so cli does not print it again.
-type flagError struct{ error }
-
-func (e flagError) Unwrap() error { return e.error }
+func main() { os.Exit(cli.Exit("nasbench", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr)) }
 
 // run is main without the process exit, testable against any streams.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("nasbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	cfg := upmgo.NASConfig{Class: upmgo.ClassW, Placement: upmgo.FirstTouch}
-	bench := fs.String("bench", "BT", "benchmark: BT, SP, CG, MG, FT or LU (extension)")
-	fs.TextVar(&cfg.Class, "class", cfg.Class, "problem class: S, W or A")
-	fs.TextVar(&cfg.Placement, "placement", cfg.Placement, "page placement: ft, rr, rand or wc")
+	bench := cli.CellFlags(fs, &cfg)
 	fs.BoolVar(&cfg.KernelMig, "kmig", false, "enable the IRIX-style kernel migration engine")
-	fs.TextVar(&cfg.UPM, "upm", cfg.UPM, "UPMlib mode: off, upmlib (data distribution) or recrep (record-replay)")
-	fs.IntVar(&cfg.Iterations, "iters", 0, "main-loop iterations (0 = class default)")
 	fs.IntVar(&cfg.ComputeScale, "scale", 1, "repeat each phase body N times (the paper's Figure 6 scaling)")
 	fs.Uint64Var(&cfg.Seed, "seed", 42, "workload seed")
 	fs.IntVar(&cfg.Threads, "threads", 0, "team size (0 = all simulated CPUs)")
 	steady := fs.Bool("steady", false, "detect the steady state and fast-forward the remaining iterations")
 	verbose := fs.Bool("v", false, "print per-iteration times")
 	if err := fs.Parse(args); err != nil {
-		return flagError{err}
+		return cli.FlagError{Err: err}
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
@@ -93,9 +70,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "  steady state   not detected\n")
 		}
 	}
-	if r.VerifyErr != nil {
+	if err := cli.Verdict(r); err != nil {
 		fmt.Fprintf(stdout, "  VERIFY FAILED  %v\n", r.VerifyErr)
-		return fmt.Errorf("%s failed verification: %w", r.Kernel, r.VerifyErr)
+		return err
 	}
 	if r.Verified {
 		fmt.Fprintf(stdout, "  verified       ok\n")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"upmgo"
+	"upmgo/internal/cli"
 )
 
 func TestRunFlagErrors(t *testing.T) {
@@ -26,15 +27,11 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want an error", args)
 			continue
 		}
-		// The command prints the error once, whether the FlagSet or cli
-		// reports it.
-		out.Reset()
-		errw.Reset()
-		if code := cli(args, &out, &errw); code == 0 {
-			t.Errorf("cli(%v) exited 0", args)
-		}
+		// The command prints the error once, whether the FlagSet or
+		// cli.Exit reports it.
+		cli.Exit("nasbench", err, &errw)
 		if n := strings.Count(errw.String(), err.Error()); n != 1 {
-			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
+			t.Errorf("run(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 	// Every spelling the config types print parses; the unknown
@@ -88,7 +85,7 @@ func TestRunBaseline(t *testing.T) {
 // extrapolated run's headline virtual time matches the simulated one.
 func TestRunSteady(t *testing.T) {
 	var plain, steady, errw bytes.Buffer
-	base := []string{"-bench", "SP", "-class", "S", "-iters", "10", "-threads", "1"}
+	base := []string{"-bench", "SP", "-class", "S", "-iters", "10"}
 	if err := run(base, &plain, &errw); err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +112,32 @@ func TestRunSteady(t *testing.T) {
 // prove an orbit, the report says so instead of staying silent.
 func TestRunSteadyNotDetected(t *testing.T) {
 	var out, errw bytes.Buffer
-	args := []string{"-bench", "SP", "-class", "S", "-iters", "3", "-threads", "1", "-steady"}
+	args := []string{"-bench", "SP", "-class", "S", "-iters", "3", "-steady"}
 	if err := run(args, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "steady state   not detected [loop_too_short]:") {
 		t.Errorf("short steady run did not give the typed diagnosis:\n%s", out.String())
+	}
+}
+
+// TestRunExtensions: the extension benchmarks EP and IS run and verify
+// at Class S, and -h names them, exiting with the shared help status.
+func TestRunExtensions(t *testing.T) {
+	for _, b := range []string{"EP", "IS"} {
+		var out, errw bytes.Buffer
+		if err := run([]string{"-bench", b, "-class", "S"}, &out, &errw); err != nil {
+			t.Errorf("-bench %s: %v", b, err)
+		}
+		if !strings.Contains(out.String(), "verified       ok") {
+			t.Errorf("-bench %s did not verify:\n%s", b, out.String())
+		}
+	}
+	var out, errw bytes.Buffer
+	if code := cli.Exit("nasbench", run([]string{"-h"}, &out, &errw), &errw); code != 2 {
+		t.Errorf("-h exited %d, want 2", code)
+	}
+	if !strings.Contains(errw.String(), "LU, EP and IS") {
+		t.Errorf("-h does not name EP and IS:\n%s", errw.String())
 	}
 }

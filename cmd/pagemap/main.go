@@ -20,7 +20,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +27,7 @@ import (
 	"strings"
 
 	"upmgo"
+	"upmgo/internal/cli"
 	"upmgo/internal/exp"
 	"upmgo/internal/machine"
 	"upmgo/internal/nas"
@@ -35,42 +35,19 @@ import (
 	"upmgo/internal/vm"
 )
 
-func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
-
-// cli is main without the process exit: it runs the command and reports
-// a failure on stderr once, returning the exit status.
-func cli(args []string, stdout, stderr io.Writer) int {
-	err := run(args, stdout, stderr)
-	if err == nil {
-		return 0
-	}
-	if !errors.As(err, new(flagError)) {
-		fmt.Fprintf(stderr, "pagemap: %v\n", err)
-	}
-	return 1
-}
-
-// flagError is a flag error the FlagSet has already printed, with the
-// usage, so cli does not print it again.
-type flagError struct{ error }
-
-func (e flagError) Unwrap() error { return e.error }
+func main() { os.Exit(cli.Exit("pagemap", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr)) }
 
 // run is main without the process exit, testable against any writers.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pagemap", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	cfg := nas.Config{Class: nas.ClassW, Placement: vm.WorstCase, UPM: nas.UPMDistribute,
-		Seed: 42, SkipVerify: true}
-	bench := fs.String("bench", "BT", "benchmark: BT, SP, CG, MG, FT or LU (extension)")
-	fs.TextVar(&cfg.Class, "class", cfg.Class, "problem class: S, W or A")
-	fs.TextVar(&cfg.Placement, "placement", cfg.Placement, "page placement: ft, rr, rand or wc")
-	fs.TextVar(&cfg.UPM, "upm", cfg.UPM, "UPMlib mode: off, upmlib (data distribution) or recrep (record-replay)")
-	fs.IntVar(&cfg.Iterations, "iters", 4, "iterations to run (0 = class default)")
+		Iterations: 4, Seed: 42, SkipVerify: true}
+	bench := cli.CellFlags(fs, &cfg)
 	width := fs.Int("width", 96, "pages per output row")
 	from := fs.String("from", "", "render this metrics series (a .metrics.json from `sweep -metrics`) instead of simulating")
 	if err := fs.Parse(args); err != nil {
-		return flagError{err}
+		return cli.FlagError{Err: err}
 	}
 	if fs.NArg() > 0 {
 		fs.Usage()
@@ -89,14 +66,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	hm := &homeMaps{w: stdout, width: *width, header: fmt.Sprintf("%s placement, upm=%s", cfg.Placement, cfg.UPM)}
 	cfg.Tracer = hm
-	if _, err := nas.Run(func(m *machine.Machine, class nas.Class, scale int, seed uint64) nas.Kernel {
+	res, err := nas.Run(func(m *machine.Machine, class nas.Class, scale int, seed uint64) nas.Kernel {
 		hm.m, hm.k = m, build(m, class, scale, seed)
 		return hm.k
-	}, cfg); err != nil {
+	}, cfg)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "pages per node: %v\n", hm.m.PT.HomeHistogram())
-	return nil
+	return cli.Verdict(res)
 }
 
 // homeMaps is the trace.Tracer that draws the run: the page-home map at

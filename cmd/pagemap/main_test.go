@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"upmgo"
+	"upmgo/internal/cli"
 	"upmgo/internal/exp"
 	"upmgo/internal/machine"
 	"upmgo/internal/nas"
@@ -33,15 +34,11 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want an error", args)
 			continue
 		}
-		// The command prints the error once, whether the FlagSet or cli
-		// reports it.
-		out.Reset()
-		errw.Reset()
-		if code := cli(args, &out, &errw); code == 0 {
-			t.Errorf("cli(%v) exited 0", args)
-		}
+		// The command prints the error once, whether the FlagSet or
+		// cli.Exit reports it.
+		cli.Exit("pagemap", err, &errw)
 		if n := strings.Count(errw.String(), err.Error()); n != 1 {
-			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
+			t.Errorf("run(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 	// Every spelling the config types print parses; the unknown
@@ -145,7 +142,6 @@ func TestRunFromSeries(t *testing.T) {
 		Class:     upmgo.ClassS,
 		Placement: upmgo.WorstCase,
 		UPM:       upmgo.UPMDistribute,
-		Threads:   1,
 		Metrics:   s,
 	}
 	res, err := upmgo.RunNAS("CG", cfg)
@@ -196,5 +192,35 @@ func TestRunFromSeries(t *testing.T) {
 	bf.Close()
 	if err := run([]string{"-from", bare}, &out, &errw); err == nil || !strings.Contains(err.Error(), "no heatmaps") {
 		t.Errorf("heatmap-less series: got %v, want a no-heatmaps error", err)
+	}
+}
+
+// TestRunExtensions: the extension benchmarks EP and IS run at Class S,
+// and -h names them, exiting with the shared help status.
+func TestRunExtensions(t *testing.T) {
+	for _, b := range []string{"EP", "IS"} {
+		var out, errw bytes.Buffer
+		if err := run([]string{"-bench", b, "-class", "S"}, &out, &errw); err != nil {
+			t.Errorf("-bench %s: %v", b, err)
+		}
+		if !strings.Contains(out.String(), "pages per node:") {
+			t.Errorf("-bench %s drew no map:\n%s", b, out.String())
+		}
+	}
+	var out, errw bytes.Buffer
+	if code := cli.Exit("pagemap", run([]string{"-h"}, &out, &errw), &errw); code != 2 {
+		t.Errorf("-h exited %d, want 2", code)
+	}
+	if !strings.Contains(errw.String(), "LU, EP and IS") {
+		t.Errorf("-h does not name EP and IS:\n%s", errw.String())
+	}
+}
+
+// TestRunSkipsVerify: pagemap skips verification by default, so a BT
+// run too short for its residual to fall still draws its map.
+func TestRunSkipsVerify(t *testing.T) {
+	var out, errw bytes.Buffer
+	if err := run([]string{"-bench", "BT", "-class", "S", "-iters", "1"}, &out, &errw); err != nil {
+		t.Errorf("one BT step: %v", err)
 	}
 }

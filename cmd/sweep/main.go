@@ -37,7 +37,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -56,33 +55,15 @@ import (
 	"time"
 
 	"upmgo"
+	"upmgo/internal/cli"
 )
 
-func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { os.Exit(cli.Exit("sweep", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr)) }
 
-// cli is main without the process exit: it runs the sweep and reports a
-// failure on stderr once, returning the exit status.
-func cli(args []string, stdout, stderr io.Writer) int {
-	err := run(args, stdout, stderr)
-	switch {
-	case err == nil:
-		return 0
-	case errors.Is(err, flag.ErrHelp), errors.Is(err, errUsage):
-		return 2
-	case !errors.As(err, new(flagError)):
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-	}
-	return 1
-}
-
-// flagError is a flag error the FlagSet has already printed, with the
-// usage, so cli does not print it again.
-type flagError struct{ error }
-
-func (e flagError) Unwrap() error { return e.error }
-
-// errUsage reports an invocation that selected nothing to run.
-var errUsage = errors.New("nothing selected: pass -all, -fig, -table or -toposcale")
+// errUsage reports an invocation that selected nothing to run. Like -h,
+// it asks for the usage, which run has printed, so it wraps
+// flag.ErrHelp.
+var errUsage = fmt.Errorf("nothing selected: pass -all, -fig, -table or -toposcale (%w)", flag.ErrHelp)
 
 // sweeper holds one invocation's output streams and rendering state, so
 // run is re-entrant and testable (main used package-level variables).
@@ -98,21 +79,13 @@ type sweeper struct {
 	batchStart time.Time
 	hostSum    time.Duration
 	// reports accumulates every finished cell's report, for the closing
-	// summary and the -report file.
+	// summary and the -report file (one BuildSweepReport over them).
 	reports []*upmgo.CellReport
 	// steady accumulates each unique cell's steady-state accounting for
 	// the -steady footer (nil unless -steady). Cells recur across figures
 	// — Figure 1 is a subset of Figure 4 — so they are keyed by their
 	// memoization fingerprint to count each exactly once.
 	steady map[string]upmgo.SweepEvent
-	// The closing summary's counts, from the finished cells' reports:
-	// cells by source (CellSource*), cells replayed, and the miss-stream
-	// recordings made with the timed steps they simulated. declined maps
-	// each benchmark whose recording declined to the reason.
-	sources               map[string]int
-	replayed, streams     int
-	steps, stepsSimulated int
-	declined              map[string]string
 }
 
 // metricsServed is a test seam: when a -metrics-addr server is up, run
@@ -149,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	reportPath := fs.String("report", "", "write a JSON sweep report (host time by stage, cells by fast-path kind, top slowest cells, why-not histogram) to this file; render it with `traceview report`")
 	logFormat := fs.String("log", "off", "structured per-cell completion log to stderr: text or json (slog; off = none, the default — pairs best with -quiet)")
 	if err := fs.Parse(args); err != nil {
-		return flagError{err}
+		return cli.FlagError{Err: err}
 	}
 	if fs.NArg() > 0 {
 		fs.Usage()
@@ -235,8 +208,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	s := &sweeper{out: stdout, errw: stderr, csv: *csvOut, collect: *metricsDir != "",
-		sources: map[string]int{}, declined: map[string]string{}}
+	s := &sweeper{out: stdout, errw: stderr, csv: *csvOut, collect: *metricsDir != ""}
 	cache := upmgo.NewSweepCache()
 	if st != nil {
 		cache.SetStore(st)
@@ -308,38 +280,46 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if njobs <= 0 {
 		njobs = runtime.GOMAXPROCS(0)
 	}
-	simulated, memory := s.sources[upmgo.CellSourceSimulated], s.sources[upmgo.CellSourceMemory]
+	sr := upmgo.BuildSweepReport(s.reports, 5)
+	simulated, memory := sr.BySource[upmgo.CellSourceSimulated], sr.BySource[upmgo.CellSourceMemory]
 	if *storeDir != "" {
 		cs := cache.Stats()
 		fmt.Fprintf(stderr, "sweep: %d cells simulated (%d replayed from %d streams), %d recalled from cache, %d from store (%d newly stored), done in %s (host time, -jobs %d)\n",
-			simulated, s.replayed, s.streams, memory, s.sources[upmgo.CellSourceStore], cs.StorePuts, time.Since(t0).Round(time.Millisecond), njobs)
+			simulated, sr.Replayed, len(sr.Recordings), memory, sr.BySource[upmgo.CellSourceStore], cs.StorePuts, time.Since(t0).Round(time.Millisecond), njobs)
 		if cs.StoreErrors > 0 {
 			fmt.Fprintf(stderr, "sweep: warning: %d store errors (last: %v); affected cells re-simulated or left unpersisted\n", cs.StoreErrors, cs.StoreErr)
 		}
 	} else {
 		fmt.Fprintf(stderr, "sweep: %d cells simulated (%d replayed from %d streams), %d recalled from cache, done in %s (host time, -jobs %d)\n",
-			simulated, s.replayed, s.streams, memory, time.Since(t0).Round(time.Millisecond), njobs)
+			simulated, sr.Replayed, len(sr.Recordings), memory, time.Since(t0).Round(time.Millisecond), njobs)
 	}
-	if s.steps > 0 {
+	var steps, stepsSimulated int
+	for _, rec := range sr.Recordings {
+		steps += rec.Compression.Steps
+		stepsSimulated += rec.Compression.Simulated()
+	}
+	if steps > 0 {
 		fmt.Fprintf(stderr, "sweep: the recordings simulated %d of %d timed steps; the rest repeated\n",
-			s.stepsSimulated, s.steps)
+			stepsSimulated, steps)
 	}
-	for _, b := range slices.Sorted(maps.Keys(s.declined)) {
-		fmt.Fprintf(stderr, "sweep: %s miss-stream replay declined (%s); its cells ran from scratch\n", b, s.declined[b])
+	for _, b := range slices.Sorted(maps.Keys(sr.Declined)) {
+		fmt.Fprintf(stderr, "sweep: %s miss-stream replay declined (%s); its cells ran from scratch\n", b, sr.Declined[b])
 	}
 	if line := s.steadySummary(); line != "" {
 		fmt.Fprintln(stderr, line)
 	}
 	if logger != nil {
 		logger.Info("sweep", "simulated", simulated, "recalled", memory,
-			"from_store", s.sources[upmgo.CellSourceStore], "elapsed", time.Since(t0), "jobs", njobs)
+			"from_store", sr.BySource[upmgo.CellSourceStore], "elapsed", time.Since(t0), "jobs", njobs)
 	}
 	if reportf != nil {
+		sr.WallSeconds = time.Since(t0).Seconds()
 		host := upmgo.SweepHostContext(njobs, *threads)
-		if err := s.writeReport(reportf, time.Since(t0), host); err != nil {
+		sr.Host = &host
+		if err := writeReport(reportf, sr); err != nil {
 			return fmt.Errorf("-report: %w", err)
 		}
-		fmt.Fprintf(stderr, "sweep: report written to %s (%d cell runs)\n", *reportPath, len(s.reports))
+		fmt.Fprintf(stderr, "sweep: report written to %s (%d cell runs)\n", *reportPath, sr.Cells)
 	}
 	if *metricsDir != "" && len(s.cells) > 0 {
 		if err := s.writeLocality(*metricsDir); err != nil {
@@ -405,13 +385,8 @@ func hostTime(rep *upmgo.CellReport) time.Duration {
 	return time.Duration(rep.HostSeconds * float64(time.Second))
 }
 
-// writeReport aggregates the collected per-cell reports into one
-// SweepReport, with the sweep's wall time and host context, and writes
-// it to f as indented JSON.
-func (s *sweeper) writeReport(f *os.File, wall time.Duration, host upmgo.SweepHost) error {
-	sr := upmgo.BuildSweepReport(s.reports, 5)
-	sr.WallSeconds = wall.Seconds()
-	sr.Host = &host
+// writeReport writes the sweep's report to f as indented JSON.
+func writeReport(f *os.File, sr upmgo.SweepReport) error {
 	blob, err := json.MarshalIndent(sr, "", "  ")
 	if err != nil {
 		return err
@@ -467,26 +442,11 @@ func (s *sweeper) recordSteady(ev upmgo.SweepEvent) {
 	s.steady[k] = ev
 }
 
-// record keeps every finished cell's report, counts it for the closing
-// summary, and notes the benchmarks whose miss-stream recording
-// declined, with the reason.
+// record keeps every finished cell's report for the closing summary
+// and the -report file.
 func (s *sweeper) record(ev upmgo.SweepEvent) {
-	if !ev.Done {
-		return
-	}
-	rep := ev.Report
-	s.reports = append(s.reports, rep)
-	s.sources[rep.Source]++
-	if rep.Replayed {
-		s.replayed++
-	}
-	if c := rep.Recording; c != nil {
-		s.streams++
-		s.steps += c.Steps
-		s.stepsSimulated += c.Simulated()
-	}
-	if d := rep.ReplayDeclined; d != "" {
-		s.declined[ev.Spec.Bench] = d
+	if ev.Done {
+		s.reports = append(s.reports, ev.Report)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"upmgo"
+	"upmgo/internal/cli"
 )
 
 func TestRunNothingSelected(t *testing.T) {
@@ -40,15 +41,11 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want an error", args)
 			continue
 		}
-		// The command prints the error once, whether the FlagSet or cli
-		// reports it.
-		out.Reset()
-		errw.Reset()
-		if code := cli(args, &out, &errw); code == 0 {
-			t.Errorf("cli(%v) exited 0", args)
-		}
+		// The command prints the error once, whether the FlagSet or
+		// cli.Exit reports it.
+		cli.Exit("sweep", err, &errw)
 		if n := strings.Count(errw.String(), err.Error()); n != 1 {
-			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
+			t.Errorf("run(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 	// Every class letter parses, in either case; with nothing selected
@@ -228,7 +225,7 @@ func TestRunStoreWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	store := filepath.Join(dir, "results")
 	var cold, warm, errw bytes.Buffer
-	base := []string{"-all", "-class", "S", "-threads", "1", "-quiet", "-store", store}
+	base := []string{"-all", "-class", "S", "-quiet", "-store", store}
 	if err := run(base, &cold, &errw); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +250,7 @@ func TestRunStoreWarmStart(t *testing.T) {
 	// invariant the CI smoke checks with diff -r).
 	store2 := filepath.Join(dir, "results2")
 	errw.Reset()
-	if err := run([]string{"-all", "-class", "S", "-threads", "1", "-quiet", "-store", store2}, &cold, &errw); err != nil {
+	if err := run([]string{"-all", "-class", "S", "-quiet", "-store", store2}, &cold, &errw); err != nil {
 		t.Fatal(err)
 	}
 	names, err := filepath.Glob(filepath.Join(store, "*.json"))
@@ -340,7 +337,7 @@ func TestRunProfileFlags(t *testing.T) {
 func TestRunMetricsDir(t *testing.T) {
 	dir := t.TempDir()
 	var out, errw bytes.Buffer
-	args := []string{"-fig", "1", "-class", "S", "-benches", "FT", "-threads", "1",
+	args := []string{"-fig", "1", "-class", "S", "-benches", "FT",
 		"-quiet", "-metrics", dir}
 	if err := run(args, &out, &errw); err != nil {
 		t.Fatal(err)
@@ -415,7 +412,7 @@ func TestRunMetricsAddr(t *testing.T) {
 	defer func() { metricsServed = old }()
 
 	var out, errw bytes.Buffer
-	args := []string{"-fig", "1", "-class", "S", "-benches", "FT", "-threads", "1",
+	args := []string{"-fig", "1", "-class", "S", "-benches", "FT",
 		"-quiet", "-metrics-addr", "127.0.0.1:0"}
 	if err := run(args, &out, &errw); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,9 @@ func TestRunTelemetryByteIdentity(t *testing.T) {
 	store1 := filepath.Join(dir, "s1")
 	store2 := filepath.Join(dir, "s2")
 	rpt := filepath.Join(dir, "report.json")
-	base := []string{"-all", "-class", "S", "-threads", "1", "-quiet"}
+	// -threads 8 is the Class S machine's full width, spelled out so the
+	// report's host context has a width to carry.
+	base := []string{"-all", "-class", "S", "-threads", "8", "-quiet"}
 
 	var plain, telem, errw bytes.Buffer
 	if err := run(append(base, "-store", store1), &plain, &errw); err != nil {
@@ -121,7 +123,7 @@ func TestRunTelemetryByteIdentity(t *testing.T) {
 	if a := sr.Attributed(); a <= 0 || a > 1 {
 		t.Errorf("stage attribution %v outside (0, 1]", a)
 	}
-	if h := sr.Host; h == nil || h.NumCPU <= 0 || h.GOMAXPROCS <= 0 || h.Jobs <= 0 || h.Threads != 1 || h.CodeVersion == "" {
+	if h := sr.Host; h == nil || h.NumCPU <= 0 || h.GOMAXPROCS <= 0 || h.Jobs <= 0 || h.Threads != 8 || h.CodeVersion == "" {
 		t.Errorf("report lacks its host context: %+v", sr.Host)
 	}
 }
@@ -130,7 +132,7 @@ func TestRunTelemetryByteIdentity(t *testing.T) {
 // and an ETA derived from completed cells' host durations.
 func TestRunProgressETA(t *testing.T) {
 	var out, errw bytes.Buffer
-	args := []string{"-fig", "1", "-class", "S", "-benches", "FT", "-threads", "1"}
+	args := []string{"-fig", "1", "-class", "S", "-benches", "FT"}
 	if err := run(args, &out, &errw); err != nil {
 		t.Fatal(err)
 	}

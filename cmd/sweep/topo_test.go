@@ -14,15 +14,14 @@ import (
 // must be indistinguishable from the run without -topo — byte-identical
 // stdout AND byte-identical store records under the same addresses,
 // since a cube-equivalent shape builds the default machine's hierarchy
-// and canonicalises out of the fingerprint. -threads 1 pins exact
-// reproducibility. CI runs this under -race alongside internal/nas's
-// TestHierarchyBitIdentity.
+// and canonicalises out of the fingerprint. CI runs this under -race
+// alongside internal/nas's TestHierarchyBitIdentity.
 func TestRunTopoBitIdentity(t *testing.T) {
 	dir := t.TempDir()
 	cubeStore := filepath.Join(dir, "cube")
 	hierStore := filepath.Join(dir, "hier")
 	var cube, hier, errw bytes.Buffer
-	base := []string{"-all", "-class", "S", "-threads", "1", "-quiet"}
+	base := []string{"-all", "-class", "S", "-quiet"}
 	if err := run(append(base, "-store", cubeStore), &cube, &errw); err != nil {
 		t.Fatal(err)
 	}

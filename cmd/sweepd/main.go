@@ -48,36 +48,15 @@ import (
 	"time"
 
 	"upmgo"
+	"upmgo/internal/cli"
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	code := cli(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
-	os.Exit(code)
+	os.Exit(cli.Exit("sweepd", err, os.Stderr))
 }
-
-// cli is main without the process exit: it runs the daemon or admin
-// action and reports a failure on stderr once, returning the exit
-// status.
-func cli(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	err := run(ctx, args, stdout, stderr)
-	switch {
-	case err == nil:
-		return 0
-	case errors.Is(err, flag.ErrHelp):
-		return 2
-	case !errors.As(err, new(flagError)):
-		fmt.Fprintf(stderr, "sweepd: %v\n", err)
-	}
-	return 1
-}
-
-// flagError is a flag error the FlagSet has already printed, with the
-// usage, so cli does not print it again.
-type flagError struct{ error }
-
-func (e flagError) Unwrap() error { return e.error }
 
 // serving is a test seam: called with the bound listen address once the
 // server is accepting, so tests can drive a real listener on port 0.
@@ -99,7 +78,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	check := fs.Bool("check", false, "offline admin: verify every record in -store and exit (non-zero on corruption)")
 	gc := fs.Int64("gc", -1, "offline admin: drop corrupt/stale records, evict oldest intact ones down to this byte budget (0 = no size cap), and exit")
 	if err := fs.Parse(args); err != nil {
-		return flagError{err}
+		return cli.FlagError{Err: err}
 	}
 	if fs.NArg() > 0 {
 		fs.Usage()

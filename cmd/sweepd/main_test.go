@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"upmgo"
+	"upmgo/internal/cli"
 )
 
 // seedStore writes one real cell into a fresh store directory.
@@ -20,7 +21,7 @@ func seedStore(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := upmgo.RunNAS("BT", upmgo.NASConfig{Class: upmgo.ClassS, Placement: upmgo.FirstTouch, Seed: 42, Threads: 1})
+	res, err := upmgo.RunNAS("BT", upmgo.NASConfig{Class: upmgo.ClassS, Placement: upmgo.FirstTouch, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestAdminNeedsStore(t *testing.T) {
 }
 
 // TestRunFlagErrors: every usage error is printed once, whether the
-// FlagSet or cli reports it.
+// FlagSet or cli.Exit reports it.
 func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{{"-nope"}, {"-jobs", "x"}, {"extra"}, {"-check"}, {"-log", "xml"}} {
 		var out, errw bytes.Buffer
@@ -77,13 +78,9 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want an error", args)
 			continue
 		}
-		out.Reset()
-		errw.Reset()
-		if code := cli(context.Background(), args, &out, &errw); code != 1 {
-			t.Errorf("cli(%v) exited %d, want 1", args, code)
-		}
+		cli.Exit("sweepd", err, &errw)
 		if n := strings.Count(errw.String(), err.Error()); n != 1 {
-			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
+			t.Errorf("run(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 }

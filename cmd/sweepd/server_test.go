@@ -16,12 +16,11 @@ import (
 	"upmgo"
 )
 
-// testRequest is the smallest real sweep: Figure 1 on BT at class S,
-// Threads 1 (exactly reproducible, so byte-comparisons are valid).
+// testRequest is the smallest real sweep: Figure 1 on BT at class S.
 var testRequest = upmgo.SweepRequest{
 	Kind: upmgo.KindFigure1,
 	Options: upmgo.SweepOptions{
-		Class: upmgo.ClassS, Benches: []string{"BT"}, Seed: 42, Threads: 1,
+		Class: upmgo.ClassS, Benches: []string{"BT"}, Seed: 42,
 	},
 }
 

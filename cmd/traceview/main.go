@@ -39,28 +39,10 @@ import (
 	"strings"
 
 	"upmgo"
+	"upmgo/internal/cli"
 )
 
-func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
-
-// cli is main without the process exit: it runs the command and reports
-// a failure on stderr once, returning the exit status.
-func cli(args []string, stdout, stderr io.Writer) int {
-	err := run(args, stdout, stderr)
-	if err == nil {
-		return 0
-	}
-	if !errors.As(err, new(flagError)) {
-		fmt.Fprintf(stderr, "traceview: %v\n", err)
-	}
-	return 1
-}
-
-// flagError is a flag error the FlagSet has already printed, with the
-// usage, so cli does not print it again.
-type flagError struct{ error }
-
-func (e flagError) Unwrap() error { return e.error }
+func main() { os.Exit(cli.Exit("traceview", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr)) }
 
 // run is main without the process exit, testable against any writers.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -73,17 +55,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	cfg := upmgo.NASConfig{Class: upmgo.ClassS, Placement: upmgo.FirstTouch}
-	bench := fs.String("bench", "BT", "benchmark: BT, SP, CG, MG, FT (or LU, EP, IS)")
-	fs.TextVar(&cfg.Class, "class", cfg.Class, "problem class: S, W or A")
-	fs.TextVar(&cfg.Placement, "placement", cfg.Placement, "initial page placement: ft, rr, rand or wc")
-	fs.TextVar(&cfg.UPM, "upm", cfg.UPM, "UPMlib protocol: off, upmlib or recrep")
+	bench := cli.CellFlags(fs, &cfg)
 	fs.BoolVar(&cfg.KernelMig, "kmig", false, "enable the IRIX-style kernel migration engine")
 	fs.IntVar(&cfg.Threads, "threads", 0, "team size (0 = all simulated CPUs)")
-	fs.IntVar(&cfg.Iterations, "iters", 0, "override iteration count (0 = class default)")
 	fs.Uint64Var(&cfg.Seed, "seed", 42, "workload seed")
 	chrome := fs.String("chrome", "", "also write the Chrome trace_event JSON to this file")
 	if err := fs.Parse(args); err != nil {
-		return flagError{err}
+		return cli.FlagError{Err: err}
 	}
 	if fs.NArg() > 0 {
 		fs.Usage()
@@ -115,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr, "traceview: wrote %s (%d events)\n", *chrome, len(events))
 	}
-	return nil
+	return cli.Verdict(res)
 }
 
 // runReport renders a `sweep -report` file as text tables.
@@ -124,7 +102,7 @@ func runReport(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "sweep report to render (a JSON file from `sweep -report`)")
 	if err := fs.Parse(args); err != nil {
-		return flagError{err}
+		return cli.FlagError{Err: err}
 	}
 	if fs.NArg() > 0 {
 		fs.Usage()
@@ -278,7 +256,7 @@ func runHeatmap(args []string, stdout, stderr io.Writer) error {
 	iter := fs.Int("iter", 0, "single iteration to render (0 = every captured iteration)")
 	width := fs.Int("width", 80, "heatmap columns; hot pages are bucketed to fit")
 	if err := fs.Parse(args); err != nil {
-		return flagError{err}
+		return cli.FlagError{Err: err}
 	}
 	if fs.NArg() > 0 {
 		fs.Usage()

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"upmgo"
+	"upmgo/internal/cli"
 )
 
 func TestRunFlagErrors(t *testing.T) {
@@ -30,15 +31,11 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want an error", args)
 			continue
 		}
-		// The command prints the error once, whether the FlagSet or cli
-		// reports it.
-		out.Reset()
-		errw.Reset()
-		if code := cli(args, &out, &errw); code == 0 {
-			t.Errorf("cli(%v) exited 0", args)
-		}
+		// The command prints the error once, whether the FlagSet or
+		// cli.Exit reports it.
+		cli.Exit("traceview", err, &errw)
 		if n := strings.Count(errw.String(), err.Error()); n != 1 {
-			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
+			t.Errorf("run(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 	// Every spelling the config types print parses; the unknown
@@ -91,7 +88,6 @@ func writeSeries(t *testing.T, heatmap bool) string {
 		Class:     upmgo.ClassS,
 		Placement: upmgo.WorstCase,
 		UPM:       upmgo.UPMDistribute,
-		Threads:   1,
 		Metrics:   s,
 	}
 	if _, err := upmgo.RunNAS("CG", cfg); err != nil {
@@ -175,15 +171,11 @@ func TestRunHeatmapErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want an error", args)
 			continue
 		}
-		// The command prints the error once, whether the FlagSet or cli
-		// reports it.
-		out.Reset()
-		errw.Reset()
-		if code := cli(args, &out, &errw); code == 0 {
-			t.Errorf("cli(%v) exited 0", args)
-		}
+		// The command prints the error once, whether the FlagSet or
+		// cli.Exit reports it.
+		cli.Exit("traceview", err, &errw)
 		if n := strings.Count(errw.String(), err.Error()); n != 1 {
-			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
+			t.Errorf("run(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 }
@@ -392,15 +384,11 @@ func TestRunReportErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want an error", args)
 			continue
 		}
-		// The command prints the error once, whether the FlagSet or cli
-		// reports it.
-		out.Reset()
-		errw.Reset()
-		if code := cli(args, &out, &errw); code == 0 {
-			t.Errorf("cli(%v) exited 0", args)
-		}
+		// The command prints the error once, whether the FlagSet or
+		// cli.Exit reports it.
+		cli.Exit("traceview", err, &errw)
 		if n := strings.Count(errw.String(), err.Error()); n != 1 {
-			t.Errorf("cli(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
+			t.Errorf("run(%v) printed %q %d times, want once:\n%s", args, err, n, errw.String())
 		}
 	}
 }
@@ -436,5 +424,40 @@ func TestRunChromeDump(t *testing.T) {
 	}
 	if !strings.Contains(errw.String(), "wrote") {
 		t.Error("stderr lacks the wrote-file confirmation")
+	}
+}
+
+// TestRunExtensions: the extension benchmarks EP and IS run at Class S,
+// and -h names them, exiting with the shared help status.
+func TestRunExtensions(t *testing.T) {
+	for _, b := range []string{"EP", "IS"} {
+		var out, errw bytes.Buffer
+		if err := run([]string{"-bench", b, "-class", "S"}, &out, &errw); err != nil {
+			t.Errorf("-bench %s: %v", b, err)
+		}
+		if !strings.Contains(out.String(), b+".S") {
+			t.Errorf("-bench %s printed no result line:\n%s", b, out.String())
+		}
+	}
+	var out, errw bytes.Buffer
+	if code := cli.Exit("traceview", run([]string{"-h"}, &out, &errw), &errw); code != 2 {
+		t.Errorf("-h exited %d, want 2", code)
+	}
+	if !strings.Contains(errw.String(), "LU, EP and IS") {
+		t.Errorf("-h does not name EP and IS:\n%s", errw.String())
+	}
+}
+
+// TestRunVerifyFails: a run whose verification fails fails traceview
+// as it fails nasbench. BT's residual does not fall in one step; the
+// summary still prints.
+func TestRunVerifyFails(t *testing.T) {
+	var out, errw bytes.Buffer
+	err := run([]string{"-bench", "BT", "-class", "S", "-iters", "1"}, &out, &errw)
+	if err == nil || !strings.HasPrefix(err.Error(), "BT failed verification: bt: residual") {
+		t.Errorf("one BT step returned %v, want BT's verification error", err)
+	}
+	if !strings.Contains(out.String(), "phase breakdown") {
+		t.Errorf("no summary before the failure:\n%s", out.String())
 	}
 }

@@ -235,6 +235,14 @@ type SweepReport struct {
 	WallSeconds float64 `json:"wall_seconds,omitempty"`
 	// ByKind counts cells by FastPathKind, cheapest kind first.
 	ByKind map[FastPathKind]int `json:"cells_by_kind"`
+	// BySource counts cells by where their result came from
+	// (SourceSimulated, SourceMemory or SourceStore).
+	BySource map[string]int `json:"cells_by_source,omitempty"`
+	// Replayed counts the cells that replayed a recorded miss stream.
+	Replayed int `json:"replayed,omitempty"`
+	// Declined maps each benchmark whose miss-stream recording declined
+	// to the reason; its cells ran from scratch.
+	Declined map[string]string `json:"replay_declined,omitempty"`
 	// Stages is the stage-attributed share of HostSeconds, summed over
 	// all cells.
 	Stages StageSeconds `json:"stage_seconds"`
@@ -334,7 +342,7 @@ func BuildSweepReport(reports []*CellReport, topN int) SweepReport {
 	if topN <= 0 {
 		topN = 5
 	}
-	sr := SweepReport{ByKind: map[FastPathKind]int{}}
+	sr := SweepReport{ByKind: map[FastPathKind]int{}, BySource: map[string]int{}, Declined: map[string]string{}}
 	var kept []CellReport
 	whyCells := map[string][]string{}
 	for _, r := range reports {
@@ -344,6 +352,13 @@ func BuildSweepReport(reports []*CellReport, topN int) SweepReport {
 		sr.Cells++
 		sr.HostSeconds += r.HostSeconds
 		sr.ByKind[r.Kind]++
+		sr.BySource[r.Source]++
+		if r.Replayed {
+			sr.Replayed++
+		}
+		if r.ReplayDeclined != "" {
+			sr.Declined[r.Bench] = r.ReplayDeclined
+		}
 		sr.Stages.add(r.Stages)
 		kept = append(kept, *r)
 		if r.Recording != nil {

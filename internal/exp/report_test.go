@@ -159,8 +159,9 @@ func TestCellReportWhyNotFlows(t *testing.T) {
 }
 
 // TestBuildSweepReport: aggregation arithmetic and ordering on synthetic
-// reports — kind counts, stage sums, top-N slowest, attribution, and the
-// deterministic why-not ordering (count desc, then reason asc).
+// reports — kind and source counts, replays and declines, stage sums,
+// top-N slowest, attribution, and the deterministic why-not ordering
+// (count desc, then reason asc).
 func TestBuildSweepReport(t *testing.T) {
 	why := func(reason nas.WhyNotReason) nas.FastPath {
 		return nas.FastPath{WhyNot: &nas.WhyNot{Reason: reason}}
@@ -169,14 +170,15 @@ func TestBuildSweepReport(t *testing.T) {
 		{Bench: "BT", Label: "ft", Class: "W", Source: SourceSimulated, Kind: FastPathFullSim,
 			HostSeconds: 4, Stages: StageSeconds{TimedLoop: 3, Verify: 0.5}, FastPath: why(nas.WhyNotAperiodic)},
 		{Bench: "SP", Label: "ft", Class: "W", Source: SourceSimulated, Kind: FastPathSteadyP1,
-			HostSeconds: 2, Stages: StageSeconds{TimedLoop: 1, Extrapolate: 0.5}},
+			HostSeconds: 2, Stages: StageSeconds{TimedLoop: 1, Extrapolate: 0.5}, Replayed: true},
 		{Bench: "CG", Label: "ft", Class: "W", Source: SourceMemory, Kind: FastPathRecalled,
 			HostSeconds: 0.25, Stages: StageSeconds{Recall: 0.25}},
 		nil, // a cell that never reported is skipped, not counted
 		{Bench: "MG", Label: "ft-kmig", Class: "W", Source: SourceSimulated, Kind: FastPathFullSim,
 			HostSeconds: 8, Stages: StageSeconds{TimedLoop: 7}, FastPath: why(nas.WhyNotHomesMoving)},
 		{Bench: "FT", Label: "ft-kmig", Class: "W", Source: SourceSimulated, Kind: FastPathFullSim,
-			HostSeconds: 6, Stages: StageSeconds{TimedLoop: 5}, FastPath: why(nas.WhyNotHomesMoving)},
+			HostSeconds: 6, Stages: StageSeconds{TimedLoop: 5}, FastPath: why(nas.WhyNotHomesMoving),
+			ReplayDeclined: "EventSet"},
 	}
 	sr := BuildSweepReport(reports, 2)
 	if sr.Cells != 5 {
@@ -187,6 +189,12 @@ func TestBuildSweepReport(t *testing.T) {
 	}
 	if sr.ByKind[FastPathFullSim] != 3 || sr.ByKind[FastPathSteadyP1] != 1 || sr.ByKind[FastPathRecalled] != 1 {
 		t.Errorf("by-kind = %v", sr.ByKind)
+	}
+	if sr.BySource[SourceSimulated] != 4 || sr.BySource[SourceMemory] != 1 || len(sr.BySource) != 2 {
+		t.Errorf("by-source = %v", sr.BySource)
+	}
+	if sr.Replayed != 1 || len(sr.Declined) != 1 || sr.Declined["FT"] != "EventSet" {
+		t.Errorf("replayed = %d, declined = %v; want 1, FT's EventSet", sr.Replayed, sr.Declined)
 	}
 	if sr.Stages.TimedLoop != 16 || sr.Stages.Recall != 0.25 {
 		t.Errorf("stage sums = %+v", sr.Stages)

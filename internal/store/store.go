@@ -202,7 +202,7 @@ func (s *Store) Put(key, bench string, res nas.Result) error {
 // re-simulate either way, and on the corrupt path the next Put repairs the
 // store by overwriting the damaged record.
 func (s *Store) Get(key string) (nas.Result, error) {
-	rec, err := s.readRecord(Address(key))
+	rec, _, err := s.readRecord(Address(key))
 	if err != nil {
 		return nas.Result{}, err
 	}
@@ -220,16 +220,15 @@ func (s *Store) Get(key string) (nas.Result, error) {
 // ReadRecord returns the verified raw record bytes for a content address —
 // the body cmd/sweepd's GET /v1/cells/{fingerprint} serves. The bytes are
 // exactly what Put wrote (and EncodeRecord produces), so clients can diff
-// them against locally computed records. Addresses that are not 64 hex
+// them against locally computed records. The file is read once, so the
+// bytes served are the bytes verified. Addresses that are not 64 hex
 // digits read as ErrNotFound without touching the filesystem.
 func (s *Store) ReadRecord(addr string) ([]byte, error) {
 	if !ValidAddress(addr) {
 		return nil, fmt.Errorf("%w (malformed address %q)", ErrNotFound, clip(addr, 16))
 	}
-	if _, err := s.readRecord(addr); err != nil {
-		return nil, err
-	}
-	return os.ReadFile(s.path(addr))
+	_, blob, err := s.readRecord(addr)
+	return blob, err
 }
 
 // DecodeRecord parses and integrity-checks one record's raw bytes — the
@@ -256,21 +255,22 @@ func DecodeRecord(blob []byte) (Record, error) {
 }
 
 // readRecord loads and integrity-checks one record by address: parseable,
-// current schema and code version, payload hash intact. A missing file is
+// current schema and code version, payload hash intact. It returns the
+// record and the bytes it was decoded from, read once. A missing file is
 // ErrNotFound itself, unwrapped; a stale record wraps it.
-func (s *Store) readRecord(addr string) (Record, error) {
+func (s *Store) readRecord(addr string) (Record, []byte, error) {
 	blob, err := os.ReadFile(s.path(addr))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return Record{}, ErrNotFound
+			return Record{}, nil, ErrNotFound
 		}
-		return Record{}, fmt.Errorf("store: %w", err)
+		return Record{}, nil, fmt.Errorf("store: %w", err)
 	}
 	rec, err := DecodeRecord(blob)
 	if err != nil {
-		return Record{}, fmt.Errorf("%s: %w", clip(addr, 12), err)
+		return Record{}, nil, fmt.Errorf("%s: %w", clip(addr, 12), err)
 	}
-	return rec, nil
+	return rec, blob, nil
 }
 
 // clip bounds a string destined for an error message.
@@ -311,7 +311,7 @@ func (s *Store) Scan() ([]Meta, error) {
 		if fi, err := os.Stat(name); err == nil {
 			m.Bytes = fi.Size()
 		}
-		rec, err := s.readRecord(addr)
+		rec, _, err := s.readRecord(addr)
 		switch {
 		case err == ErrNotFound:
 			// Removed since the Glob (a concurrent GC): not in the store,

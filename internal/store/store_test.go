@@ -88,8 +88,8 @@ func TestRoundTripBitIdentical(t *testing.T) {
 }
 
 // TestReadRecordVerbatim: the raw bytes ReadRecord serves (the
-// /v1/cells body) are exactly what Put wrote, and damage is detected on
-// the way out, never served.
+// /v1/cells body) are exactly what Put wrote and EncodeRecord produces,
+// and damage is detected on the way out, never served.
 func TestReadRecordVerbatim(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -110,6 +110,13 @@ func TestReadRecordVerbatim(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Error("ReadRecord bytes differ from the file Put wrote")
+	}
+	enc, err := EncodeRecord(key, "BT", testResult("rr-upmlib"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(enc) {
+		t.Error("ReadRecord bytes differ from EncodeRecord's")
 	}
 	if _, err := s.ReadRecord(Address("absent")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing address returned %v, want ErrNotFound", err)
