@@ -5,11 +5,12 @@
 # done, fetch one cell record, assert the telemetry histograms on
 # /metrics, and require the daemon's store to be byte-identical
 # (diff -r) to one written by the sweep CLI running the same cells in
-# another process. Record encoding is deterministic (no timestamps;
-# -threads 1 makes the simulations exactly reproducible), which is what
-# makes a literal directory diff a valid oracle. A final section runs
-# the host-telemetry flow of EXPERIMENTS.md's "explaining a slow sweep"
-# recipe and gates the report's stage-attribution contract (>= 90%).
+# another process. Record encoding is deterministic (no timestamps),
+# and so is every simulation at full team width, however far behind its
+# recording a cell replays, which is what makes a literal directory
+# diff a valid oracle. A final section runs the host-telemetry flow of
+# EXPERIMENTS.md's "explaining a slow sweep" recipe and gates the
+# report's stage-attribution contract (>= 90%).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -38,7 +39,7 @@ for i in $(seq 1 50); do
 done
 
 # Submit the job and poll until done.
-job=$(curl -sf -d '{"kind":"figure1","options":{"class":"S","benches":["BT"],"seed":42,"threads":1}}' \
+job=$(curl -sf -d '{"kind":"figure1","options":{"class":"S","benches":["BT"],"seed":42}}' \
 	http://127.0.0.1:18080/v1/jobs)
 id=$(printf '%s' "$job" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
 [ -n "$id" ] || { echo "no job id in response: $job"; exit 1; }
@@ -90,7 +91,7 @@ curl -sf "http://127.0.0.1:18080/v1/cells/$addr" | grep -q '"payload_sha256"' ||
 
 # The CLI, in a separate process and store, must write the identical
 # records for the same cells.
-"$work/sweep" -fig 1 -class S -benches BT -threads 1 -quiet -store "$work/cli-store" >/dev/null
+"$work/sweep" -fig 1 -class S -benches BT -quiet -store "$work/cli-store" >/dev/null
 diff -r "$work/daemon-store" "$work/cli-store" ||
 	{ echo "daemon and CLI stores differ"; exit 1; }
 

@@ -11,10 +11,8 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"upmgo"
 	"upmgo/internal/cli"
@@ -27,11 +25,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("latency", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	topo := fs.String("topo", "", "machine shape: a [cube:]LxLx...xC spec (last component = CPUs per node) or preset (origin, hier64, hier128, hier256); empty = the paper's Origin2000")
-	if err := fs.Parse(args); err != nil {
-		return cli.FlagError{Err: err}
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	return upmgo.WriteTable1Topo(stdout, *topo)
 }

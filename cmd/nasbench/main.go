@@ -35,11 +35,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.IntVar(&cfg.Threads, "threads", 0, "team size (0 = all simulated CPUs)")
 	steady := fs.Bool("steady", false, "detect the steady state and fast-forward the remaining iterations")
 	verbose := fs.Bool("v", false, "print per-iteration times")
-	if err := fs.Parse(args); err != nil {
-		return cli.FlagError{Err: err}
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	cfg.SkipVerify = cfg.ComputeScale > 1
 	cfg.SteadyState, cfg.Extrapolate = *steady, *steady

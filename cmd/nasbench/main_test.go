@@ -141,3 +141,19 @@ func TestRunExtensions(t *testing.T) {
 		t.Errorf("-h does not name EP and IS:\n%s", errw.String())
 	}
 }
+
+// TestRunStrayArgument: a stray argument prints the usage, then the
+// error once, as a bad flag does (cli.Parse).
+func TestRunStrayArgument(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{{"nasbench", []string{"stray"}}} {
+		var out, errw bytes.Buffer
+		code := cli.Exit("nasbench", run(c.args, &out, &errw), &errw)
+		got, want := errw.String(), "\nnasbench: unexpected arguments: stray\n"
+		if code != 1 || !strings.HasPrefix(got, "Usage of "+c.name+":\n") || !strings.HasSuffix(got, want) {
+			t.Errorf("%v: exit %d, stderr:\n%s\nwant exit 1, the usage of %s, then %q", c.args, code, got, c.name, want[1:])
+		}
+	}
+}

@@ -46,12 +46,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	bench := cli.CellFlags(fs, &cfg)
 	width := fs.Int("width", 96, "pages per output row")
 	from := fs.String("from", "", "render this metrics series (a .metrics.json from `sweep -metrics`) instead of simulating")
-	if err := fs.Parse(args); err != nil {
-		return cli.FlagError{Err: err}
-	}
-	if fs.NArg() > 0 {
-		fs.Usage()
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	if *width < 1 {
 		return fmt.Errorf("-width must be at least 1, not %d", *width)

@@ -224,3 +224,19 @@ func TestRunSkipsVerify(t *testing.T) {
 		t.Errorf("one BT step: %v", err)
 	}
 }
+
+// TestRunStrayArgument: a stray argument prints the usage, then the
+// error once, as a bad flag does (cli.Parse).
+func TestRunStrayArgument(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{{"pagemap", []string{"stray"}}} {
+		var out, errw bytes.Buffer
+		code := cli.Exit("pagemap", run(c.args, &out, &errw), &errw)
+		got, want := errw.String(), "\npagemap: unexpected arguments: stray\n"
+		if code != 1 || !strings.HasPrefix(got, "Usage of "+c.name+":\n") || !strings.HasSuffix(got, want) {
+			t.Errorf("%v: exit %d, stderr:\n%s\nwant exit 1, the usage of %s, then %q", c.args, code, got, c.name, want[1:])
+		}
+	}
+}

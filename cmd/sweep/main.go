@@ -121,12 +121,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	storeDir := fs.String("store", "", "content-addressed result store directory: recall cells earlier runs (or cmd/sweepd) persisted, persist everything newly simulated")
 	reportPath := fs.String("report", "", "write a JSON sweep report (host time by stage, cells by fast-path kind, top slowest cells, why-not histogram) to this file; render it with `traceview report`")
 	logFormat := fs.String("log", "off", "structured per-cell completion log to stderr: text or json (slog; off = none, the default — pairs best with -quiet)")
-	if err := fs.Parse(args); err != nil {
-		return cli.FlagError{Err: err}
-	}
-	if fs.NArg() > 0 {
-		fs.Usage()
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
 	o.Seed, o.Iterations, o.Threads, o.Topo = *seed, *iters, *threads, *topo

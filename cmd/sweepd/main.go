@@ -43,7 +43,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -77,12 +76,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	scan := fs.Bool("scan", false, "offline admin: list every record in -store and exit")
 	check := fs.Bool("check", false, "offline admin: verify every record in -store and exit (non-zero on corruption)")
 	gc := fs.Int64("gc", -1, "offline admin: drop corrupt/stale records, evict oldest intact ones down to this byte budget (0 = no size cap), and exit")
-	if err := fs.Parse(args); err != nil {
-		return cli.FlagError{Err: err}
-	}
-	if fs.NArg() > 0 {
-		fs.Usage()
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
 	logger, err := newLogger(*logFormat, stderr)

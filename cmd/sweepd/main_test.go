@@ -188,3 +188,19 @@ func TestServeAndDrain(t *testing.T) {
 		t.Errorf("store after drain: %+v, want 8 intact", ck)
 	}
 }
+
+// TestRunStrayArgument: a stray argument prints the usage, then the
+// error once, as a bad flag does (cli.Parse).
+func TestRunStrayArgument(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{{"sweepd", []string{"stray"}}} {
+		var out, errw bytes.Buffer
+		code := cli.Exit("sweepd", run(context.Background(), c.args, &out, &errw), &errw)
+		got, want := errw.String(), "\nsweepd: unexpected arguments: stray\n"
+		if code != 1 || !strings.HasPrefix(got, "Usage of "+c.name+":\n") || !strings.HasSuffix(got, want) {
+			t.Errorf("%v: exit %d, stderr:\n%s\nwant exit 1, the usage of %s, then %q", c.args, code, got, c.name, want[1:])
+		}
+	}
+}

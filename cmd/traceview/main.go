@@ -60,12 +60,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.IntVar(&cfg.Threads, "threads", 0, "team size (0 = all simulated CPUs)")
 	fs.Uint64Var(&cfg.Seed, "seed", 42, "workload seed")
 	chrome := fs.String("chrome", "", "also write the Chrome trace_event JSON to this file")
-	if err := fs.Parse(args); err != nil {
-		return cli.FlagError{Err: err}
-	}
-	if fs.NArg() > 0 {
-		fs.Usage()
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
 	rec := upmgo.NewTraceRecorder()
@@ -101,12 +97,8 @@ func runReport(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("traceview report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "sweep report to render (a JSON file from `sweep -report`)")
-	if err := fs.Parse(args); err != nil {
-		return cli.FlagError{Err: err}
-	}
-	if fs.NArg() > 0 {
-		fs.Usage()
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	if *in == "" {
 		fs.Usage()
@@ -255,12 +247,8 @@ func runHeatmap(args []string, stdout, stderr io.Writer) error {
 	in := fs.String("in", "", "metrics series to render (a .metrics.json from `sweep -metrics`)")
 	iter := fs.Int("iter", 0, "single iteration to render (0 = every captured iteration)")
 	width := fs.Int("width", 80, "heatmap columns; hot pages are bucketed to fit")
-	if err := fs.Parse(args); err != nil {
-		return cli.FlagError{Err: err}
-	}
-	if fs.NArg() > 0 {
-		fs.Usage()
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	if *in == "" {
 		fs.Usage()

@@ -461,3 +461,19 @@ func TestRunVerifyFails(t *testing.T) {
 		t.Errorf("no summary before the failure:\n%s", out.String())
 	}
 }
+
+// TestRunStrayArgument: a stray argument prints the usage, then the
+// error once, as a bad flag does (cli.Parse).
+func TestRunStrayArgument(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{{"traceview", []string{"stray"}}, {"traceview report", []string{"report", "stray"}}, {"traceview heatmap", []string{"heatmap", "stray"}}} {
+		var out, errw bytes.Buffer
+		code := cli.Exit("traceview", run(c.args, &out, &errw), &errw)
+		got, want := errw.String(), "\ntraceview: unexpected arguments: stray\n"
+		if code != 1 || !strings.HasPrefix(got, "Usage of "+c.name+":\n") || !strings.HasSuffix(got, want) {
+			t.Errorf("%v: exit %d, stderr:\n%s\nwant exit 1, the usage of %s, then %q", c.args, code, got, c.name, want[1:])
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package cli is the entry harness every command runs through: one exit
-// policy, the cell flags the single-cell commands share, and their
-// verification policy.
+// policy, one argument check, the cell flags the single-cell commands
+// share, and their verification policy.
 package cli
 
 import (
@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strings"
 
 	"upmgo/internal/nas"
 )
@@ -34,6 +35,20 @@ func Exit(name string, err error, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "%s: %v\n", name, err)
 	}
 	return 1
+}
+
+// Parse parses args into fs and rejects any argument left over: it
+// prints fs's usage before it returns that error, as fs prints it with
+// a flag error, so every command answers both with its usage.
+func Parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return FlagError{Err: err}
+	}
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	}
+	return nil
 }
 
 // CellFlags registers on fs the flags every single-cell command takes:

@@ -47,6 +47,39 @@ func TestFlagErrorUnwraps(t *testing.T) {
 	}
 }
 
+// TestParse: Parse returns a flag error as a FlagError, and a stray
+// argument as an error after printing the usage, which the FlagSet
+// prints with a flag error too.
+func TestParse(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		flagErr bool
+		msg     string
+	}{
+		{[]string{"-n", "3"}, false, ""},
+		{[]string{"-nope"}, true, "flag provided but not defined: -nope"},
+		{[]string{"-n", "3", "a", "b"}, false, "unexpected arguments: a b"},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		var errw bytes.Buffer
+		fs.SetOutput(&errw)
+		fs.Int("n", 0, "a number")
+		err := Parse(fs, tc.args)
+		if tc.msg == "" {
+			if err != nil {
+				t.Errorf("%v: %v", tc.args, err)
+			}
+			continue
+		}
+		if err == nil || err.Error() != tc.msg || errors.As(err, new(FlagError)) != tc.flagErr {
+			t.Errorf("%v: error %v, want %q (flag error %v)", tc.args, err, tc.msg, tc.flagErr)
+		}
+		if !strings.Contains(errw.String(), "Usage of t:\n") {
+			t.Errorf("%v: printed %q, want the usage", tc.args, errw.String())
+		}
+	}
+}
+
 // TestCellFlags: the five cell flags default to what the config holds,
 // parse the config types' own spellings, and -bench's help names every
 // benchmark.

@@ -61,9 +61,10 @@ type cellMeta struct {
 	// recording.
 	recording *nas.Compression
 	stored    *machine.StreamSize
-	// verdict is the host time of the stream's verdict task, which ran
-	// on a slot of its own, when this cell led the recording.
-	verdict time.Duration
+	// task is the host time of the stream task, the recording and its
+	// verdict, which ran on a slot of its own, when this cell led the
+	// recording.
+	task time.Duration
 }
 
 // Cell provenance values, shared with exp.CellReport.

@@ -131,8 +131,8 @@ type CellReport struct {
 	Stored *machine.StreamSize `json:"stored,omitempty"`
 	// HostSeconds is the cell's total host wall-time as seen by the
 	// goroutine that ran (or waited for) it, plus, on the cell that led
-	// a recording, the host time of the stream's verdict task; Stages
-	// attributes it.
+	// a recording, the host time of the stream's task, the recording and
+	// its verdict; Stages attributes it.
 	HostSeconds    float64      `json:"host_seconds"`
 	VirtualSeconds float64      `json:"virtual_seconds"`
 	Stages         StageSeconds `json:"stages"`
@@ -141,7 +141,7 @@ type CellReport struct {
 
 // newCellReport assembles the per-cell report from the run's host-stage
 // sink and the cache's provenance record. HostSeconds, which starts at
-// the verdict task the cell led, and the Recall pseudo-stage are
+// the stream task the cell led, and the Recall pseudo-stage are
 // completed by setHost, once the goroutine knows the cell's wall-time.
 func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *CellReport {
 	label := c.Label
@@ -157,7 +157,7 @@ func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *C
 		ReplayDeclined: meta.declined,
 		Recording:      meta.recording,
 		Stored:         meta.stored,
-		HostSeconds:    meta.verdict.Seconds(),
+		HostSeconds:    meta.task.Seconds(),
 		VirtualSeconds: c.Seconds(),
 		FastPath:       c.Result.FastPath,
 		Stages: StageSeconds{

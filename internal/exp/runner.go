@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"upmgo/internal/machine"
 	"upmgo/internal/metrics"
 	"upmgo/internal/nas"
 	"upmgo/internal/trace"
@@ -71,10 +72,10 @@ type Event struct {
 // and the simulator is bit-reproducible at every team width.
 type Runner struct {
 	// Jobs bounds the number of goroutines that simulate at once: cells,
-	// and the verdict tasks of compressed recordings (nas.Stream). A cell
-	// that waits on an in-flight duplicate or on its stream's verdict
-	// holds no slot meanwhile.
-	// 0 or negative means runtime.GOMAXPROCS(0).
+	// and each stream's task, its recording followed by its verdict
+	// (nas.Stream). A cell parked at its recording's frontier, or waiting
+	// on an in-flight duplicate or on its stream's verdict, holds no slot
+	// meanwhile. 0 or negative means runtime.GOMAXPROCS(0).
 	Jobs int
 	// Cache, when non-nil, memoizes completed cells within and across
 	// batches.
@@ -107,17 +108,18 @@ type Runner struct {
 // Cells runs one batch of cell specs and returns their cells in spec
 // order. On error it returns the first failing cell's error in
 // presentation order (not completion order) and abandons cells that
-// have not started. Cancelling ctx stops the batch promptly — cells
-// already simulating run to completion, no new cell starts — and Cells
-// returns ctx.Err().
+// have not started. Cancelling ctx stops the batch promptly — no new
+// cell starts, recordings and verdicts stop before their next step,
+// replays at their next wait, and cells simulating from scratch run to
+// completion — and Cells returns ctx.Err().
 //
 // The miss streams the cells replay are the batch's working state: each
 // is recorded at most once per batch and dropped when Cells returns.
 // Only the cells' results outlive the batch, in the Cache. Cells that
-// should share a stream therefore belong to one batch (Sweeps). No cell
-// finishes, enters the Cache or reaches its store before its stream's
-// verdict has arrived, and a failing verdict fails every cell that
-// replayed the stream.
+// should share a stream therefore belong to one batch (Sweeps); they
+// replay it behind the recording. No cell finishes, enters the Cache or
+// reaches its store before its stream's verdict has arrived, and a
+// failing verdict fails every cell that replayed the stream.
 func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -207,7 +209,7 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 }
 
 // batch is one Cells call's shared state: the miss streams its cells
-// replay, the job slots and every goroutine it started, verdict tasks
+// replay, the job slots and every goroutine it started, stream tasks
 // included.
 type batch struct {
 	streams flights[*nas.Stream] // keyed by bench + nas.Config.StreamFingerprint
@@ -215,22 +217,23 @@ type batch struct {
 	wg      sync.WaitGroup
 }
 
-// judge runs s's verdict task, if it is still pending, on a goroutine
-// of its own that holds a slot while it runs, charging its host time to
-// hs. It gives up when ctx ends, before or between steps.
-func (b *batch) judge(ctx context.Context, s *nas.Stream, hs *nas.HostStages) {
-	select {
-	case <-s.Judged():
-		return
-	default:
-	}
+// record runs s's stream task on a goroutine of its own that holds one
+// slot throughout: the recording, then straight away the verdict task
+// (nas.Stream.RunVerdict), the only chain of work a stream serialises.
+// It charges the recording's host time to task as Record and the
+// verdict's as FreeRunTail. Cells replay behind the recording on slots
+// of their own (replayCell). It gives up when ctx ends, before or
+// between steps, and the stream then fails with ctx's error.
+func (b *batch) record(ctx context.Context, s *nas.Stream, task *nas.HostStages) {
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
 		sl := &slot{sem: b.sem}
-		if sl.acquire(ctx) == nil {
-			s.RunVerdict(ctx, hs)
-			sl.release()
+		defer sl.release()
+		// acquire fails only once ctx has ended, which Record reports.
+		sl.acquire(ctx)
+		if s.Record(ctx, task) == nil {
+			s.RunVerdict(ctx, task)
 		}
 	}()
 }
@@ -317,17 +320,17 @@ func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec) 
 }
 
 // replayCell answers spec by replaying the benchmark's miss stream from
-// the batch's streams, recording it first if this is the stream's first
-// cell in the batch. Every placement, engine and steady-state variant of
-// the stream, its canonical cell included, replays the one recording,
-// whose log is immutable and so shared by concurrent replays; each
-// charges its wait for the recording to the record stage. The recording
-// hands the stream over once its log is complete, and its leader starts
-// the verdict task (batch.judge), charged to its free-run tail. A replay
-// runs at once and waits for the verdict only once nas.Run has returned,
-// giving its slot back meanwhile; the wait is charged to the verify
-// stage. When the recording declined, the cell runs from scratch and
-// meta carries the reason.
+// the batch's streams. The stream's first cell in the batch leads it: it
+// starts the stream task (batch.record) and reports the recording. Every
+// placement, engine and steady-state variant of the stream, the leader
+// included, replays the one recording behind the recorder, call by call
+// as the recording publishes its log; a cell parked at the frontier
+// gives its slot back and charges the wait to the record stage. A replay
+// waits for the stream's verdict only once nas.Run has returned, again
+// without its slot; the wait is charged to the verify stage. The leader
+// also charges the stream task's host time, the recording to record and
+// the verdict to free_run_tail. When the recording declined, the cell
+// runs from scratch and meta carries the reason.
 func replayCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, meta *cellMeta) (Cell, error) {
 	builder, ok := Builder(spec.Bench)
 	if !ok {
@@ -335,33 +338,40 @@ func replayCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, meta *ce
 	}
 	hs := spec.Config.HostStages
 	skey, _ := spec.Config.StreamFingerprint()
-	t0 := time.Now()
-	var task *nas.HostStages // the verdict task's, when this cell leads
-	// A cell waits for a recording in its slot: the recording needs no
-	// other slot to finish, and the replay needs this one next.
+	var task *nas.HostStages // the stream task's, when this cell leads
 	s, _, err := b.streams.do(ctx, spec.Bench+"\x00"+skey, nil, func() (*nas.Stream, error) {
-		s, err := nas.RecordStream(builder, spec.Config)
+		s, err := nas.NewStream(builder, spec.Config)
 		if err == nil {
 			task = &nas.HostStages{}
-			b.judge(ctx, s, task)
+			b.record(ctx, s, task)
 		}
 		return s, err
 	})
 	if err != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
 	}
-	hs.Record += time.Since(t0)
+	res, err := s.ReplayUnjudged(spec.Config, func(ready <-chan struct{}) error {
+		sl.release()
+		select {
+		case <-ready:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		return sl.acquire(ctx)
+	})
+	declined := errors.Is(err, machine.ErrDeclined)
+	if err != nil && !declined {
+		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
+	}
+	// The recording has ended: the replay returns only then.
 	meta.declined = s.Declined
 	if task != nil {
 		size := s.Size()
 		meta.recording, meta.stored = &s.Compression, &size
 	}
-	if s.Declined != "" {
+	if declined {
+		chargeTask(hs, meta, task)
 		return run(spec.Bench, spec.Config)
-	}
-	res, err := s.ReplayUnjudged(spec.Config)
-	if err != nil {
-		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
 	}
 	meta.replayed = true
 	sl.release()
@@ -370,16 +380,22 @@ func replayCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, meta *ce
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
 	}
 	hs.Verify += time.Since(t1)
-	if task != nil {
-		// The verdict task ran on a slot of its own; its time is this
-		// cell's, since the cell led the recording.
-		hs.FreeRunTail += task.FreeRunTail
-		meta.verdict = task.FreeRunTail
-	}
+	chargeTask(hs, meta, task)
 	if res.VerifyErr != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s failed verification: %w", spec.Bench, spec.Config.Label(), res.VerifyErr)
 	}
 	return Cell{Bench: spec.Bench, Label: res.Label, Result: res}, nil
+}
+
+// chargeTask charges a stream task's host time, once it is final, to
+// the cell that led the stream, when task is that cell's: the task ran
+// on a slot of its own on the cell's behalf.
+func chargeTask(hs *nas.HostStages, meta *cellMeta, task *nas.HostStages) {
+	if task != nil {
+		hs.Record += task.Record
+		hs.FreeRunTail += task.FreeRunTail
+		meta.task = task.Record + task.FreeRunTail
+	}
 }
 
 // cellBase is a cell's canonical file/label stem, shared by the trace

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -267,8 +268,9 @@ func TestCellSpecKeyCanonicalisation(t *testing.T) {
 }
 
 // TestRunnerJobsEquivalenceFullWidth: at the paper's full team width too,
-// -jobs 1 and -jobs 4 return identical cells; each cell is bit-reproducible
-// on its own, whatever else the host is running.
+// -jobs 1 and -jobs 4 return identical cells and render the same figure
+// bytes; each cell is bit-reproducible on its own, whatever else the host
+// is running, and however far behind its recording it replayed.
 func TestRunnerJobsEquivalenceFullWidth(t *testing.T) {
 	o := SweepOptions{Class: nas.ClassS, Benches: []string{"BT", "CG"}, Seed: 42}
 	serial, err := sweep(Runner{Jobs: 1}, KindFigure4, o)
@@ -281,6 +283,12 @@ func TestRunnerJobsEquivalenceFullWidth(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Error("full-width Figure4 cells differ between -jobs 1 and -jobs 4")
+	}
+	var a, b bytes.Buffer
+	WriteCellsCSV(&a, serial.Cells)
+	WriteCellsCSV(&b, parallel.Cells)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("Figure4 renders differently at -jobs 1:\n%s\nand at -jobs 4:\n%s", a.Bytes(), b.Bytes())
 	}
 }
 

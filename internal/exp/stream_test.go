@@ -7,6 +7,7 @@ import (
 
 	"upmgo/internal/machine"
 	"upmgo/internal/nas"
+	"upmgo/internal/nas/lu"
 	"upmgo/internal/store"
 	"upmgo/internal/vm"
 )
@@ -90,6 +91,43 @@ func TestRunnerDeclinedStreamRunsFromScratch(t *testing.T) {
 	}
 }
 
+// TestRunnerFollowersDeclined: LU's recording declines at its first
+// step, which it reaches only once every cell of the batch has started
+// and the followers replay its initialisation behind it. Each follower
+// then runs from scratch, bit-identically to nas.Run, and reports why.
+func TestRunnerFollowersDeclined(t *testing.T) {
+	specs := Figure1Specs(SweepOptions{Class: nas.ClassS, Benches: []string{"LUHOLD"}, Seed: 42})
+	started := make(chan struct{})
+	holdBench(t, "LUHOLD", lu.New, 0, func() { <-started })
+	n := 0
+	var reports []*CellReport
+	r := Runner{Jobs: 2, OnEvent: func(ev Event) {
+		if ev.Done {
+			reports = append(reports, ev.Report)
+		} else if n++; n == len(specs) {
+			close(started)
+		}
+	}}
+	cells, err := r.Cells(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		scratch, err := run(spec.Bench, spec.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := nas.Diverge(scratch.Result, cells[i].Result); d != "" {
+			t.Errorf("%s: cell diverges from nas.Run at %s", cells[i].Label, d)
+		}
+	}
+	for _, rep := range reports {
+		if rep.ReplayDeclined != "EventSet" || rep.Replayed {
+			t.Errorf("%s: ReplayDeclined %q, replayed %v; want EventSet, not replayed", rep.Label, rep.ReplayDeclined, rep.Replayed)
+		}
+	}
+}
+
 // TestCellReportAddress: only memoizable cells have a store address.
 func TestCellReportAddress(t *testing.T) {
 	plain := CellSpec{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Iterations: 2}}
@@ -138,8 +176,11 @@ func TestRunnerRecordingReported(t *testing.T) {
 
 // TestRunnerEveryCellReplays: in a plain Figure 4 sweep every cell
 // replays the benchmark's stream, the canonical ft-IRIX cell included,
-// and the cell that leads the recording charges it to its record stage,
-// which the cells replaying the finished stream barely touch.
+// following the recording. The cell that leads the recording charges
+// the recording to its record stage; every cell charges its time parked
+// at the frontier there too, and leaves it out of the stages it parked
+// in, so no cell attributes more than its host time and the sweep
+// attributes nearly all of it.
 func TestRunnerEveryCellReplays(t *testing.T) {
 	specs := Figure4Specs(SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42})
 	reports := collectReports(t, Runner{Jobs: 1, Cache: NewCache()}, specs)
@@ -151,6 +192,10 @@ func TestRunnerEveryCellReplays(t *testing.T) {
 		if rep.Recording != nil {
 			leader = rep
 		}
+		// The stages and the host time are timed apart; allow for it.
+		if sum := rep.Stages.Sum(); sum > rep.HostSeconds+1e-3 {
+			t.Errorf("%s attributes %.6fs of %.6fs host time: %+v", rep.Label, sum, rep.HostSeconds, rep.Stages)
+		}
 	}
 	if leader == nil {
 		t.Fatal("no cell reports leading the recording")
@@ -158,10 +203,7 @@ func TestRunnerEveryCellReplays(t *testing.T) {
 	if leader.Stages.Record <= 0 {
 		t.Errorf("leader %s charges no record time: %+v", leader.Label, leader.Stages)
 	}
-	for _, rep := range reports {
-		if rep != leader && rep.Stages.Record >= leader.Stages.Record {
-			t.Errorf("%s waited %.6fs on a finished stream, no less than the leader's %.6fs recording",
-				rep.Label, rep.Stages.Record, leader.Stages.Record)
-		}
+	if a := BuildSweepReport(reports, 5).Attributed(); a < 0.9 {
+		t.Errorf("sweep attributes %.1f%% of host time to stages, want at least 90%%", 100*a)
 	}
 }

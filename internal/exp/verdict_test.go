@@ -105,40 +105,43 @@ func TestRunnerFailingVerdictFailsEveryReplay(t *testing.T) {
 	}
 }
 
-// TestRunnerReplaysBeforeVerdict: at Jobs 1, a cell that has replayed
-// gives its slot back while it waits for the verdict, so another cell
-// starts before the verdict task has run, and the batch completes with
-// every cell verified.
+// TestRunnerReplaysBeforeVerdict: no wait holds a slot. At Jobs 1 the
+// leading cell parks at the recording's frontier and gives its slot to
+// the stream task, and every replay waits for the verdict without it, so
+// the batch completes with every cell verified. At Jobs 2 cells start
+// replaying behind the recording, before its verdict has arrived.
 func TestRunnerReplaysBeforeVerdict(t *testing.T) {
-	var judged atomic.Bool
-	verdictBench(t, "BTSEEN", nil, func() error {
-		judged.Store(true)
-		return nil
-	})
-	early := 0
-	r := Runner{Jobs: 1, OnEvent: func(ev Event) {
-		if !ev.Done && ev.Index > 0 && !judged.Load() {
-			early++
+	for _, jobs := range []int{1, 2} {
+		var judged atomic.Bool
+		verdictBench(t, "BTSEEN", nil, func() error {
+			judged.Store(true)
+			return nil
+		})
+		early := 0
+		r := Runner{Jobs: jobs, OnEvent: func(ev Event) {
+			if !ev.Done && ev.Index > 0 && !judged.Load() {
+				early++
+			}
+		}}
+		specs := Figure4Specs(SweepOptions{Class: nas.ClassS, Benches: []string{"BTSEEN"}, Iterations: 12, Seed: 42})
+		// A cell that kept its slot while it waited would leave none for
+		// the stream task: the batch would never end.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		cells, err := r.Cells(ctx, specs)
+		if err != nil {
+			t.Fatalf("jobs %d: %v", jobs, err)
 		}
-	}}
-	specs := Figure4Specs(SweepOptions{Class: nas.ClassS, Benches: []string{"BTSEEN"}, Iterations: 12, Seed: 42})
-	// A cell that kept its slot while it waited would leave none for
-	// the verdict task: the batch would never end.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cells, err := r.Cells(ctx, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !judged.Load() {
-		t.Fatal("the recording's verdict task never ran")
-	}
-	if early == 0 {
-		t.Error("no cell started before the verdict arrived")
-	}
-	for _, c := range cells {
-		if !c.Result.Verified {
-			t.Errorf("%s not verified", c.Label)
+		if !judged.Load() {
+			t.Fatalf("jobs %d: the recording's verdict task never ran", jobs)
+		}
+		if jobs > 1 && early == 0 {
+			t.Errorf("jobs %d: no cell started before the verdict arrived", jobs)
+		}
+		for _, c := range cells {
+			if !c.Result.Verified {
+				t.Errorf("jobs %d: %s not verified", jobs, c.Label)
+			}
 		}
 	}
 }
@@ -177,6 +180,70 @@ func TestRunnerCancelAwaitingVerdict(t *testing.T) {
 		t.Fatal("cancelled batch still running after 1s; its verdict task takes about 2s")
 	}
 	t.Logf("returned %v after cancel", time.Since(t0))
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the batch, %d before", runtime.NumGoroutine(), before)
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// holdBench registers build as benchmark name, wrapped so that its
+// recording calls hold at the start of its Step call at (call 0 is the
+// cold start).
+func holdBench(t *testing.T, name string, build nas.Builder, at int, hold func()) {
+	withBench(t, name, func(m *machine.Machine, class nas.Class, scale int, seed uint64) nas.Kernel {
+		return &holdKernel{Kernel: build(m, class, scale, seed), at: at, hold: hold}
+	})
+}
+
+type holdKernel struct {
+	nas.Kernel
+	calls, at int
+	hold      func()
+}
+
+func (k *holdKernel) Step(t *omp.Team, h *nas.Hooks) {
+	if k.calls == k.at {
+		k.hold()
+	}
+	k.calls++
+	k.Kernel.Step(t, h)
+}
+
+// TestRunnerCancelParkedFollowers: cancelling the batch while its cells
+// are parked at the frontier of a recording returns ctx.Err() promptly —
+// the parked cells give up, the recording stops before its next step —
+// and leaves no goroutine behind. A team's member coroutines stop once
+// the team is collected, so the count is taken after garbage collection.
+func TestRunnerCancelParkedFollowers(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	holdBench(t, "BTHOLD", bt.New, 2, func() {
+		held <- struct{}{}
+		<-release
+	})
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	specs := Figure4Specs(SweepOptions{Class: nas.ClassS, Benches: []string{"BTHOLD"}, Iterations: 12, Seed: 42})
+	errc := make(chan error)
+	go func() {
+		_, err := Runner{Jobs: 2}.Cells(ctx, specs)
+		errc <- err
+	}()
+	<-held
+	cancel()
+	close(release)
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled batch returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled batch still running after 5s")
+	}
 	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the batch, %d before", runtime.NumGoroutine(), before)

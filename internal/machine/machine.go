@@ -855,14 +855,48 @@ func (c *CPU) memory(vpn uint64, write bool, n int) {
 // resident comes from the log, and placement reaches the lookup only
 // through the page's generation. The lookup hits when vpn was resident
 // and its generation is the one this CPU saw at its previous lookup of
-// vpn, seen[vpn], which it then updates.
-func (c *CPU) replayMiss(vpn uint64, write bool, n int, resident bool, seen []uint32) {
+// vpn, which tlb records.
+func (c *CPU) replayMiss(vpn uint64, write bool, n int, resident bool, tlb lastSeen) {
 	home, gen := c.resolve(vpn, n)
-	if !resident || seen[vpn] != gen {
+	if seen := tlb.see(c.ID, vpn, gen); !resident || !seen {
 		c.tlbMiss()
 	}
-	seen[vpn] = gen
 	c.serve(vpn, home, write, n)
+}
+
+// lastSeen is a replay's TLB state: whether each CPU's previous lookup
+// of each heap page was at the page's current generation. Generations
+// only grow, so that holds when the CPU looked the page up since the
+// generation last changed. Each page takes words words: the generation
+// of its newest lookup, then one bit per CPU, set while the CPU has not
+// looked the page up at that generation. Zeroed, the table says every
+// CPU last saw every page at generation 0, as a fresh page table does.
+type lastSeen struct {
+	words uint64
+	tab   []uint64
+}
+
+// newLastSeen returns the table of cpus CPUs over pages pages.
+func newLastSeen(cpus int, pages uint64) lastSeen {
+	words := 1 + uint64(cpus+63)/64
+	return lastSeen{words: words, tab: make([]uint64, words*pages)}
+}
+
+// see records cpu's lookup of vpn at generation gen and reports whether
+// its previous lookup of vpn was at gen too.
+func (t lastSeen) see(cpu int, vpn uint64, gen uint32) bool {
+	i := vpn * t.words
+	if t.tab[i] != uint64(gen) {
+		e := t.tab[i : i+t.words]
+		e[0] = uint64(gen)
+		for j := range e[1:] {
+			e[1+j] = ^uint64(0)
+		}
+	}
+	w, bit := &t.tab[i+1+uint64(cpu>>6)], uint64(1)<<(cpu&63)
+	seen := *w&bit == 0
+	*w &^= bit
+	return seen
 }
 
 // resolve counts n L2 misses to vpn, faults the page in on its first

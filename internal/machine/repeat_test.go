@@ -28,7 +28,7 @@ func repeatCall(m *Machine, a *Array, write bool) {
 func recordCalls(t *testing.T, n int, write, compress bool, mutate func(m *Machine, a *Array, call int)) (*Recorder, int) {
 	t.Helper()
 	m, a := streamMachine(t, vm.FirstTouch)
-	rec := NewRecorder(m)
+	rec := NewRecorder(m, NewStream())
 	m.SetRecorder(rec)
 	for call := 0; call <= n; call++ {
 		repeatCall(m, a, write)
@@ -115,7 +115,7 @@ func TestRepeatStateChangeBlocks(t *testing.T) {
 		// The full comparison alone decides, so it must tell the states
 		// apart itself.
 		m, a := streamMachine(t, vm.FirstTouch)
-		rec = NewRecorder(m)
+		rec = NewRecorder(m, NewStream())
 		m.SetRecorder(rec)
 		repeatCall(m, a, false)
 		repeatCall(m, a, false)
@@ -140,7 +140,7 @@ func TestRepeatStateChangeBlocks(t *testing.T) {
 // so Repeat never fires.
 func TestRepeatOpsBlock(t *testing.T) {
 	m, a := streamMachine(t, vm.FirstTouch)
-	rec := NewRecorder(m)
+	rec := NewRecorder(m, NewStream())
 	m.SetRecorder(rec)
 	for call := 0; call <= 12; call++ {
 		if call%2 == 1 {
@@ -198,7 +198,7 @@ func TestRepeatWideL1Blocks(t *testing.T) {
 	cfg.L1Bytes, cfg.L1Line = 1024, 256
 	m := MustNew(cfg)
 	a := m.NewArray("a", 8*1024)
-	rec := NewRecorder(m)
+	rec := NewRecorder(m, NewStream())
 	m.SetRecorder(rec)
 	for call := 0; call <= 10; call++ {
 		repeatCall(m, a, false)

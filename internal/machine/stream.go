@@ -3,9 +3,11 @@ package machine
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // L2-miss stream recording and replay (DESIGN.md §17).
@@ -31,6 +33,14 @@ import (
 // once: the stream is a varint head, the cold start and every simulated
 // call, then a block, the last simulated call decoded into fixed-width
 // records, which follows the head a repeat count of times.
+//
+// A recording publishes its stream as it goes. At every kernel-call
+// boundary (Mark(OpReturn)) it publishes its frontier: the length of the
+// op list and of each CPU's log. The head is append-only, so published
+// bytes never change, and replays follow the recording call by call: a
+// reader that reaches the frontier parks until the next publication.
+// Finish publishes the final frontier, the whole head and the block; a
+// finished stream is one whose frontier is final.
 
 // OpKind classifies one structural step of a recorded run.
 type OpKind uint8
@@ -74,6 +84,7 @@ const (
 // recorder stops logging.
 type Recorder struct {
 	m        *Machine
+	out      *Stream // where the recording publishes
 	logs     []cpuLog
 	ops      []Op
 	inRegion bool
@@ -98,10 +109,11 @@ type cpuLog struct {
 	dirty   bool   // miss records since the previous sync record
 }
 
-// NewRecorder returns a recorder for m's CPUs. The CPUs' current
+// NewRecorder returns a recorder for m's CPUs that publishes into out,
+// a stream nothing has recorded into yet (NewStream). The CPUs' current
 // clocks and counts are the baseline.
-func NewRecorder(m *Machine) *Recorder {
-	r := &Recorder{m: m, logs: make([]cpuLog, len(m.cpus)), serial: -1}
+func NewRecorder(m *Machine, out *Stream) *Recorder {
+	r := &Recorder{m: m, out: out, logs: make([]cpuLog, len(m.cpus)), serial: -1}
 	for i, c := range m.cpus {
 		r.logs[i] = cpuLog{clock: c.clock, acc: c.stat.Accesses, l1: c.stat.L1Miss}
 	}
@@ -241,9 +253,12 @@ func (r *Recorder) End(c *CPU) { r.sync(c, recEnd) }
 func (r *Recorder) Join() { r.inRegion = false }
 
 // Mark logs a structural step outside any region: a phase hook on c, or
-// (with c nil) the end of a kernel call. Serial work done before it is
-// flushed first.
+// (with c nil) the end of a kernel call, where it publishes the stream's
+// frontier. Serial work done before it is flushed first.
 func (r *Recorder) Mark(kind OpKind, c *CPU) {
+	if r.declined != "" {
+		return
+	}
 	if r.inRegion {
 		r.Decline("structural mark inside a parallel region")
 		return
@@ -254,31 +269,126 @@ func (r *Recorder) Mark(kind OpKind, c *CPU) {
 		op.CPU = c.ID
 	}
 	r.ops = append(r.ops, op)
+	if kind == OpReturn {
+		r.publish(false)
+	}
 }
 
-// Finish returns the recorded stream, or an error naming why the
-// recording was declined.
+// ErrDeclined is the error of a stream whose recording declined.
+var ErrDeclined = errors.New("stream declined")
+
+// Finish publishes the stream's final frontier and returns the stream,
+// or an error naming why the recording was declined, which its readers
+// fail with too.
 func (r *Recorder) Finish() (*Stream, error) {
 	if r.declined != "" {
-		return nil, fmt.Errorf("machine: stream declined: %s", r.declined)
+		err := fmt.Errorf("machine: %w: %s", ErrDeclined, r.declined)
+		r.out.Abort(err)
+		return nil, err
 	}
-	s := &Stream{Ops: r.ops, logs: make([][]byte, len(r.logs)), loop: r.loop}
-	for i := range r.logs {
-		s.logs[i] = r.logs[i].buf
-	}
-	return s, nil
+	r.publish(true)
+	return r.out, nil
 }
 
-// Stream is a finished recording: the structural steps in host order and
-// one compact log per CPU, its head, followed, when the recording
-// repeated, by its block a repeat count of times. It is immutable; any
-// number of replays may read it concurrently, each through its own
-// StreamReader.
+// publish publishes the recording's head as it stands, and its block.
+// The published slices are clipped, so that no reader's append can
+// write into the recorder's buffers.
+func (r *Recorder) publish(final bool) {
+	f := frontier{ops: slices.Clip(r.ops), logs: make([][]byte, len(r.logs)), loop: r.loop, final: final}
+	for i := range r.logs {
+		f.logs[i] = slices.Clip(r.logs[i].buf)
+	}
+	r.out.publish(f)
+}
+
+// Stream is a recording: the structural steps in host order and one
+// compact log per CPU, its head, followed, when the recording repeated,
+// by its block a repeat count of times. Readers see its published
+// frontier (see the section comment above), which never changes once
+// published, so any number of replays may read it concurrently, each
+// through its own StreamReader, while the recording goes on.
 type Stream struct {
-	// Ops is the head's structural steps.
-	Ops  []Op
-	logs [][]byte // the head's per-CPU varint logs
-	loop loop
+	mu    sync.Mutex
+	f     frontier
+	ready chan struct{} // closed at the next publication
+}
+
+// frontier is what a recording has published.
+type frontier struct {
+	ops   []Op     // the head's structural steps so far
+	logs  [][]byte // the head's per-CPU varint logs so far
+	loop  loop     // the block, once final
+	final bool     // the recording has ended
+	err   error    // why it ended without a stream, once final
+}
+
+// A Parker is what a reader does at the frontier of a stream still
+// being recorded: it blocks until ready is closed, at the recording's
+// next publication, and returns nil, or returns an error, which aborts
+// the read. A nil Parker blocks.
+type Parker func(ready <-chan struct{}) error
+
+// Park parks with p.
+func (p Parker) Park(ready <-chan struct{}) error {
+	if p == nil {
+		<-ready
+		return nil
+	}
+	return p(ready)
+}
+
+// NewStream returns a stream with nothing published, for a recorder to
+// publish into (NewRecorder).
+func NewStream() *Stream { return &Stream{ready: make(chan struct{})} }
+
+// Abort ends a recording without a stream: readers parked at its
+// frontier, and every later one, fail with err.
+func (s *Stream) Abort(err error) { s.publish(frontier{final: true, err: err}) }
+
+func (s *Stream) publish(f frontier) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.f = f
+	close(s.ready)
+	s.ready = make(chan struct{})
+}
+
+// published returns the published frontier and a channel closed at the
+// next publication.
+func (s *Stream) published() (frontier, <-chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.f, s.ready
+}
+
+// WaitBegun parks until the recording has published its first kernel
+// call, or ended, and returns its error if it failed.
+func (s *Stream) WaitBegun(park Parker) error {
+	return s.wait(park, func(f frontier) bool { return len(f.ops) > 0 })
+}
+
+// WaitFinal parks until the recording has ended and returns its error
+// if it failed.
+func (s *Stream) WaitFinal(park Parker) error {
+	return s.wait(park, func(frontier) bool { return false })
+}
+
+func (s *Stream) wait(park Parker, done func(frontier) bool) error {
+	for {
+		f, ready := s.published()
+		if f.final || done(f) {
+			return f.err
+		}
+		if err := park.Park(ready); err != nil {
+			return err
+		}
+	}
+}
+
+// Ops returns the published head's structural steps.
+func (s *Stream) Ops() []Op {
+	f, _ := s.published()
+	return f.ops
 }
 
 // loop is a compressed stream's block: the kernel call that repeats,
@@ -392,14 +502,15 @@ type StreamSize struct {
 	DecodedBytes int `json:"decoded_bytes,omitempty"`
 }
 
-// Size returns what s stores.
+// Size returns what s stores, as published.
 func (s *Stream) Size() StreamSize {
-	z := StreamSize{Repeat: s.loop.repeat}
-	for c, l := range s.logs {
+	f, _ := s.published()
+	z := StreamSize{Repeat: f.loop.repeat}
+	for c, l := range f.logs {
 		z.HeadBytes += len(l)
-		if s.loop.repeat > 0 {
-			z.BlockBytes += len(s.loop.logs[c])
-			z.DecodedBytes += len(s.loop.recs[c]) * 16
+		if f.loop.repeat > 0 {
+			z.BlockBytes += len(f.loop.logs[c])
+			z.DecodedBytes += len(f.loop.recs[c]) * 16
 		}
 	}
 	return z
@@ -427,14 +538,15 @@ func sizeString(n int) string {
 // after the head as many times as it repeats: the log of a recording
 // that simulated every call.
 func (s *Stream) expand() ([]Op, [][]byte) {
-	b := s.loop
+	f, _ := s.published()
+	b := f.loop
 	if b.repeat == 0 {
-		return s.Ops, s.logs
+		return f.ops, f.logs
 	}
-	ops := append(slices.Clip(s.Ops), slices.Repeat(b.ops, b.repeat)...)
-	logs := make([][]byte, len(s.logs))
-	for c, l := range s.logs {
-		logs[c] = append(slices.Clip(l), bytes.Repeat(b.logs[c], b.repeat)...)
+	ops := append(f.ops, slices.Repeat(b.ops, b.repeat)...)
+	logs := make([][]byte, len(f.logs))
+	for c, l := range f.logs {
+		logs[c] = append(l, bytes.Repeat(b.logs[c], b.repeat)...)
 	}
 	return ops, logs
 }
@@ -471,45 +583,83 @@ func (s *Stream) Diff(o *Stream) string {
 }
 
 // StreamReader is one replay's position in a Stream's steps and
-// per-CPU logs, and the replay's TLB state: the generation each CPU saw
-// at its previous lookup of each page of the replay machine's heap.
+// per-CPU logs, and the replay's TLB state: whether each CPU saw each
+// page of the replay machine's heap at its current generation.
 type StreamReader struct {
 	s    *Stream
-	ops  []Op // the head's steps, then the block's
-	op   int  // the next step's index in ops
-	left int  // copies of the block still to start
-	loop bool // the head is done: every CPU reads the decoded block
+	park Parker
+	f    frontier // the frontier as the reader last saw it
+	ops  []Op     // the head's steps, then the block's
+	op   int      // the next step's index in ops
+	left int      // copies of the block still to start
+	loop bool     // the head is done: every CPU reads the decoded block
 	pos  []int
 	vpn  []uint64
-	seen [][]uint32
+	tlb  lastSeen
 }
 
 // NewReader returns a reader positioned at the start of every log, for
-// a replay on m. m must have allocated its heap: every page the stream
+// a replay on m, that parks with park at the frontier of a stream still
+// being recorded. m must have allocated its heap: every page the stream
 // misses on lies in it, and the TLB table covers it.
-func (s *Stream) NewReader(m *Machine) *StreamReader {
-	n, pages := uint64(len(s.logs)), m.AllocatedPages()
-	rd := &StreamReader{s: s, ops: s.Ops, left: s.loop.repeat,
-		pos: make([]int, n), vpn: make([]uint64, n), seen: make([][]uint32, n)}
-	seen := make([]uint32, n*pages)
-	for c := range rd.seen {
-		rd.seen[c] = seen[uint64(c)*pages : uint64(c+1)*pages]
-	}
-	return rd
+func (s *Stream) NewReader(m *Machine, park Parker) *StreamReader {
+	n := len(m.cpus)
+	f, _ := s.published()
+	return &StreamReader{s: s, park: park, f: f, ops: f.ops,
+		pos: make([]int, n), vpn: make([]uint64, n), tlb: newLastSeen(n, m.AllocatedPages())}
 }
 
-// Op returns the stream's next structural step. At the OpReturn that
-// ends the head, and at each that ends a copy of the block but the
-// last, it moves every CPU to the start of the decoded block, so the
-// switch costs no test per miss record.
-func (rd *StreamReader) Op() Op {
+// errPastEnd is the error of a reader asked for a step after the
+// stream's last one.
+var errPastEnd = errors.New("machine: stream read past its end")
+
+// Op returns the stream's next structural step. At the end of the steps
+// it has read it moves on (advance), so switching to the block costs no
+// test per miss record. It returns an error when the read aborts: the
+// recording failed or declined, or the reader's Parker gave up.
+func (rd *StreamReader) Op() (Op, error) {
+	if rd.op == len(rd.ops) {
+		if err := rd.advance(); err != nil {
+			return Op{}, err
+		}
+	}
 	op := rd.ops[rd.op]
 	rd.op++
-	if rd.op == len(rd.ops) && rd.left > 0 {
-		rd.ops, rd.op, rd.left, rd.loop = rd.s.loop.ops, 0, rd.left-1, true
+	return op, nil
+}
+
+// advance moves the reader on from the end of its steps: to the next
+// copy of the block, or to the newest frontier, parking until the
+// recording publishes one past the reader. At the final frontier it
+// moves every CPU to the start of the decoded block.
+func (rd *StreamReader) advance() error {
+	if rd.loop {
+		if rd.left == 0 {
+			return errPastEnd
+		}
+		rd.op, rd.left = 0, rd.left-1
 		clear(rd.pos)
+		return nil
 	}
-	return op
+	for {
+		f, ready := rd.s.published()
+		switch {
+		case f.err != nil:
+			return f.err
+		case len(f.ops) > rd.op:
+			rd.f, rd.ops = f, f.ops
+			return nil
+		case f.final && f.loop.repeat > 0:
+			rd.f, rd.ops, rd.op, rd.left, rd.loop = f, f.loop.ops, 0, f.loop.repeat-1, true
+			clear(rd.pos)
+			return nil
+		case f.final:
+			return errPastEnd
+		}
+		if err := rd.park.Park(ready); err != nil {
+			return err
+		}
+	}
 }
 
 // Replay feeds CPU c its logged charges and misses up to its next sync
@@ -519,7 +669,7 @@ func (rd *StreamReader) Replay(c *CPU) bool {
 	if rd.loop {
 		return rd.replayBlock(c)
 	}
-	buf, pos := rd.s.logs[c.ID], rd.pos[c.ID]
+	buf, pos := rd.f.logs[c.ID], rd.pos[c.ID]
 	next := func() uint64 {
 		v, k := binary.Uvarint(buf[pos:])
 		if k <= 0 {
@@ -540,13 +690,13 @@ func (rd *StreamReader) Replay(c *CPU) bool {
 		z := next()
 		rd.vpn[c.ID] += uint64(int64(z>>1) ^ -int64(z&1))
 		c.replayAdvance(int64(next()), 0, 0)
-		c.replayMiss(rd.vpn[c.ID], tag&4 != 0, int(tag>>4), tag&8 != 0, rd.seen[c.ID])
+		c.replayMiss(rd.vpn[c.ID], tag&4 != 0, int(tag>>4), tag&8 != 0, rd.tlb)
 	}
 }
 
 // replayBlock is Replay over the decoded block.
 func (rd *StreamReader) replayBlock(c *CPU) bool {
-	recs, pos, seen := rd.s.loop.recs[c.ID], rd.pos[c.ID], rd.seen[c.ID]
+	recs, pos, tlb := rd.f.loop.recs[c.ID], rd.pos[c.ID], rd.tlb
 	for {
 		r := &recs[pos]
 		pos++
@@ -556,7 +706,7 @@ func (rd *StreamReader) replayBlock(c *CPU) bool {
 			return kind == recBarrier
 		}
 		c.replayAdvance(r.adv, 0, 0)
-		c.replayMiss(uint64(r.a), r.tag&4 != 0, int(r.tag>>4), r.tag&8 != 0, seen)
+		c.replayMiss(uint64(r.a), r.tag&4 != 0, int(r.tag>>4), r.tag&8 != 0, tlb)
 	}
 }
 

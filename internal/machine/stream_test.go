@@ -98,8 +98,8 @@ func program(m *Machine, a *Array, rd *StreamReader) {
 
 // expectOp reads rd's next step and panics unless it is of kind k.
 func expectOp(rd *StreamReader, k OpKind) {
-	if op := rd.Op(); op.Kind != k {
-		panic(fmt.Sprintf("replayed step %+v, want kind %d", op, k))
+	if op, err := rd.Op(); err != nil || op.Kind != k {
+		panic(fmt.Sprintf("replayed step %+v (%v), want kind %d", op, err, k))
 	}
 }
 
@@ -120,7 +120,7 @@ func streamMachine(t *testing.T, p vm.Policy) (*Machine, *Array) {
 // steady-state detector reads is equal too.
 func TestStreamReplayMatchesSimulation(t *testing.T) {
 	m, a := streamMachine(t, vm.FirstTouch)
-	rec := NewRecorder(m)
+	rec := NewRecorder(m, NewStream())
 	m.SetRecorder(rec)
 	program(m, a, nil)
 	s, err := rec.Finish()
@@ -128,8 +128,8 @@ func TestStreamReplayMatchesSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Op{{Kind: OpSerial, CPU: 0}, {Kind: OpRegion, Name: "region"}, {Kind: OpReturn, CPU: -1}}
-	if !reflect.DeepEqual(s.Ops, want) {
-		t.Errorf("ops %+v, want %+v", s.Ops, want)
+	if !reflect.DeepEqual(s.Ops(), want) {
+		t.Errorf("ops %+v, want %+v", s.Ops(), want)
 	}
 	if s.Size().HeadBytes == 0 {
 		t.Fatal("empty stream")
@@ -138,7 +138,7 @@ func TestStreamReplayMatchesSimulation(t *testing.T) {
 		sim, sa := streamMachine(t, p)
 		program(sim, sa, nil)
 		rep, _ := streamMachine(t, p)
-		rd := s.NewReader(rep)
+		rd := s.NewReader(rep, nil)
 		program(rep, nil, rd)
 		pages := sim.AllocatedPages()
 		for i, c := range sim.CPUs() {
@@ -174,7 +174,7 @@ func TestStreamReplayMatchesSimulation(t *testing.T) {
 // order they happened.
 func TestRecorderSerialSectionsKeepOrder(t *testing.T) {
 	m, a := streamMachine(t, vm.FirstTouch)
-	rec := NewRecorder(m)
+	rec := NewRecorder(m, NewStream())
 	m.SetRecorder(rec)
 	m.CPU(0).Load(a.Addr(0))
 	m.CPU(3).Load(a.Addr(2048))
@@ -185,8 +185,8 @@ func TestRecorderSerialSectionsKeepOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Op{{Kind: OpSerial, CPU: 0}, {Kind: OpSerial, CPU: 3}, {Kind: OpSerial, CPU: 0}, {Kind: OpPhaseEnter, CPU: 0}}
-	if !reflect.DeepEqual(s.Ops, want) {
-		t.Errorf("ops %+v, want %+v", s.Ops, want)
+	if !reflect.DeepEqual(s.Ops(), want) {
+		t.Errorf("ops %+v, want %+v", s.Ops(), want)
 	}
 }
 
@@ -219,7 +219,7 @@ func TestRecorderDeclines(t *testing.T) {
 		}},
 	} {
 		m, a := streamMachine(t, vm.FirstTouch)
-		rec := NewRecorder(m)
+		rec := NewRecorder(m, NewStream())
 		m.SetRecorder(rec)
 		c.do(m, a, rec)
 		if got := rec.Declined(); !strings.Contains(got, c.reason) {
@@ -243,7 +243,7 @@ func TestRecorderDeclines(t *testing.T) {
 func recordProgram(t *testing.T, calls int, compress bool) *Stream {
 	t.Helper()
 	m, a := streamMachine(t, vm.FirstTouch)
-	rec := NewRecorder(m)
+	rec := NewRecorder(m, NewStream())
 	m.SetRecorder(rec)
 	for call := 0; call <= calls; call++ {
 		program(m, a, nil)
@@ -262,8 +262,8 @@ func recordProgram(t *testing.T, calls int, compress bool) *Stream {
 // compressed stream, replayed as its varint head and then its decoded
 // block looped, leaves every CPU's clock and counters where a replay of
 // the full recording leaves them at every OpReturn — the head's last
-// one, where the reader switches to the block, and each one that ends a
-// copy of the block — under every placement.
+// one, after which the reader switches to the block, and each one that
+// ends a copy of the block — under every placement.
 func TestStreamLoopMatchesExpanded(t *testing.T) {
 	const calls = 9
 	s, full := recordProgram(t, calls, true), recordProgram(t, calls, false)
@@ -280,12 +280,12 @@ func TestStreamLoopMatchesExpanded(t *testing.T) {
 	for _, p := range vm.Policies {
 		loop, _ := streamMachine(t, p)
 		ref, _ := streamMachine(t, p)
-		rl, rr := s.NewReader(loop), full.NewReader(ref)
+		rl, rr := s.NewReader(loop, nil), full.NewReader(ref, nil)
 		for call := 0; call <= calls; call++ {
 			program(loop, nil, rl)
 			program(ref, nil, rr)
-			if rl.loop != (call >= head-1) {
-				t.Fatalf("%v call %d: reading the block %v, want %v", p, call, rl.loop, call >= head-1)
+			if rl.loop != (call >= head) {
+				t.Fatalf("%v call %d: reading the block %v, want %v", p, call, rl.loop, call >= head)
 			}
 			for i, c := range ref.CPUs() {
 				if l := loop.CPU(i); l.Now() != c.Now() || l.Stat() != c.Stat() {

@@ -119,15 +119,14 @@ func (b *BT) idx(k, j, i, c int) int { return ((k*b.n+j)*b.n+i)*ncomp + c }
 func (b *BT) buildProblem() {
 	n := b.n
 	h := 1.0 / float64(n-1)
-	g := func(k, j, i int) float64 {
-		return math.Sin(math.Pi*float64(k)*h) * math.Sin(math.Pi*float64(j)*h) * math.Sin(math.Pi*float64(i)*h)
-	}
+	sn := nas.SinAxis(n)
 	b.target = make([]float64, n*n*n*ncomp)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
+				g := sn[k] * sn[j] * sn[i]
 				for c := 0; c < ncomp; c++ {
-					b.target[b.idx(k, j, i, c)] = (1 + 0.25*float64(c)) * g(k, j, i)
+					b.target[b.idx(k, j, i, c)] = (1 + 0.25*float64(c)) * g
 				}
 			}
 		}

@@ -245,7 +245,7 @@ func TestRecordStreamHandsOverAtRepeat(t *testing.T) {
 		t.Error("the recording's machine kept its cache-side state past the repeat")
 	}
 	cfg.Placement = vm.WorstCase
-	res, err := s.ReplayUnjudged(cfg)
+	res, err := s.ReplayUnjudged(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

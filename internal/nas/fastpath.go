@@ -110,8 +110,10 @@ func (w *WhyNot) String() string {
 // is attached, and nothing simulated reads the values, so armed and
 // unarmed runs are bit-identical in every virtual quantity.
 type HostStages struct {
-	// Record: recording the benchmark's shared L2-miss stream, or
-	// waiting for it (charged by exp).
+	// Record: recording the benchmark's shared L2-miss stream (charged
+	// by exp to the cell that led it), or, for a cell that replays it,
+	// the time parked at the recording's frontier, which Prefix and
+	// TimedLoop leave out.
 	Record time.Duration `json:"record,omitempty"`
 	// Prefix: the engine-independent cold start (machine build, init
 	// touch, cold iteration, reset).

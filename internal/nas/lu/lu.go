@@ -89,14 +89,12 @@ func (l *LU) idx(k, j, i int) int { return (j*l.n+k)*l.n + i }
 func (l *LU) buildProblem() {
 	n := l.n
 	h := 1.0 / float64(n-1)
-	g := func(k, j, i int) float64 {
-		return math.Sin(math.Pi*float64(k)*h) * math.Sin(math.Pi*float64(j)*h) * math.Sin(math.Pi*float64(i)*h)
-	}
+	sn := nas.SinAxis(n)
 	l.target = make([]float64, n*n*n)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
-				l.target[l.idx(k, j, i)] = g(k, j, i)
+				l.target[l.idx(k, j, i)] = sn[k] * sn[j] * sn[i]
 			}
 		}
 	}

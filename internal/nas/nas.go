@@ -7,6 +7,7 @@ package nas
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -210,6 +211,19 @@ type Kernel interface {
 	// HasPhase reports whether the kernel has a phase change usable by
 	// record–replay.
 	HasPhase() bool
+}
+
+// SinAxis returns sin(π·k·h) for k < n, h = 1/(n-1): one axis's factor
+// of the manufactured solution sin(πx)·sin(πy)·sin(πz) of BT, SP and LU.
+// Multiplying the entries for k, j and i in that order gives, bit for
+// bit, the product of the three math.Sin calls.
+func SinAxis(n int) []float64 {
+	h := 1.0 / float64(n-1)
+	s := make([]float64, n)
+	for k := range s {
+		s[k] = math.Sin(math.Pi * float64(k) * h)
+	}
+	return s
 }
 
 // Varying marks a kernel whose Steps break the Kernel contract: their
@@ -559,15 +573,18 @@ func (r Result) String() string {
 // and fork machine clones for the engine variants.
 func Run(build Builder, cfg Config) (Result, error) {
 	var t0 time.Time
-	if cfg.HostStages != nil {
-		t0 = time.Now()
+	var parked time.Duration
+	if hs := cfg.HostStages; hs != nil {
+		t0, parked = time.Now(), hs.Record
 	}
 	m, k, team, err := runPrefix(build, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.HostStages != nil {
-		cfg.HostStages.Prefix += time.Since(t0)
+	if hs := cfg.HostStages; hs != nil {
+		// A replay charges its time parked at the recording's frontier
+		// to Record itself.
+		hs.Prefix += time.Since(t0) - (hs.Record - parked)
 	}
 	return runMain(m, k, team, cfg)
 }
@@ -647,6 +664,9 @@ func runPrefix(build Builder, cfg Config) (*machine.Machine, Kernel, *omp.Team, 
 // prefix, and it keeps the prefix machine hook-free (barrier hooks are
 // closures and cannot be cloned; see machine.Machine.Clone).
 func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, error) {
+	// The team's coroutines go when the run ends, not when a later GC
+	// finds the team unreachable.
+	defer team.Rest()
 	if cfg.UPM == UPMRecRep && !k.HasPhase() {
 		return Result{}, fmt.Errorf("nas: %s has no phase change; record-replay does not apply", k.Name())
 	}
@@ -698,12 +718,12 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 	reactivated := false
 	// Host-stage accounting: accumulated locally and folded into the
 	// sink after the loop, so TimedLoop is the loop's wall time minus
-	// the analytic and free-run spans it contains.
+	// the analytic, free-run and parked spans it contains.
 	hs := cfg.HostStages
 	var loopStart time.Time
-	var extraHost, freeHost time.Duration
+	var extraHost, freeHost, parked time.Duration
 	if hs != nil {
-		loopStart = time.Now()
+		loopStart, parked = time.Now(), hs.Record
 	}
 	for step := 1; step <= niter; step++ {
 		iterStart := master.Now()
@@ -828,7 +848,7 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 	}
 	res.TotalPS = master.Now() - start
 	if hs != nil {
-		hs.TimedLoop += time.Since(loopStart) - extraHost - freeHost
+		hs.TimedLoop += time.Since(loopStart) - extraHost - freeHost - (hs.Record - parked)
 		hs.Extrapolate += extraHost
 		hs.FreeRunTail += freeHost
 	}

@@ -46,3 +46,18 @@ func BenchmarkReplayMiss(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRecordStream is the recording's per-layer probe: host
+// milliseconds to record the stream BenchmarkReplayMiss replays (BT
+// Class W, 16 threads, 15 timed steps) up to its handoff. A sweep of one
+// stream waits for it: its replays follow the recording, and the
+// verdict task starts only once it has handed over.
+func BenchmarkRecordStream(b *testing.B) {
+	base := nas.Config{Class: nas.ClassW, Threads: 16, Iterations: 15}
+	for i := 0; i < b.N; i++ {
+		if _, err := nas.RecordStream(bt.New, base); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+}

@@ -99,15 +99,14 @@ func (s *SP) buildProblem() {
 	n := s.n
 	h := 1.0 / float64(n-1)
 	h2 := 1 / (h * h)
-	g := func(k, j, i int) float64 {
-		return math.Sin(math.Pi*float64(k)*h) * math.Sin(math.Pi*float64(j)*h) * math.Sin(math.Pi*float64(i)*h)
-	}
+	sn := nas.SinAxis(n)
 	s.target = make([]float64, n*n*n*ncomp)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
+				g := sn[k] * sn[j] * sn[i]
 				for c := 0; c < ncomp; c++ {
-					s.target[s.idx(k, j, i, c)] = (1 + 0.2*float64(c)) * g(k, j, i)
+					s.target[s.idx(k, j, i, c)] = (1 + 0.2*float64(c)) * g
 				}
 			}
 		}

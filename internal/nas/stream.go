@@ -16,12 +16,13 @@ import (
 // L2-miss stream replay (DESIGN.md §17). Placement, kernel migration and
 // UPMlib act only behind an L2 miss; the caches, the coherence directory
 // and the kernel numerics in front of it do the same work in every cell
-// of a sweep that differs only in those fields. RecordStream simulates
+// of a sweep that differs only in those fields. Stream.Record simulates
 // that work once, logging the miss stream; Stream.Replay then runs Run
 // unchanged — cold start, engines, PerturbAt, verification — with a
 // kernel that feeds each CPU its logged charges and misses instead of
-// simulating them. Run on the real kernel stays the reference path:
-// replayed Results are bit-identical to it.
+// simulating them, following the recording call by call while it still
+// runs. Run on the real kernel stays the reference path: replayed
+// Results are bit-identical to it.
 
 // StreamFingerprint returns the key of cfg's L2-miss stream: the
 // Fingerprint of the stream's canonical cell, cfg with first-touch
@@ -53,31 +54,41 @@ func (c Config) streamCell() Config {
 
 // Stream is one benchmark's recorded L2-miss stream, or the reason it
 // could not be recorded. It answers no cell itself: every cell of the
-// stream, its canonical cell included, replays it. Its log is immutable,
-// so concurrent replays may share it.
+// stream, its canonical cell included, replays it. Its log is published
+// as the recording goes (machine.Stream) and never changes once
+// published, so concurrent replays may share it, following a recording
+// that is still running.
 //
-// A recording hands its stream over once its log is complete, at the
-// repeat when it compressed, before its numerics have been verified: the
-// stream's verdict task, the remaining free-run steps and Verify, is
-// still to run (RunVerdict), and Judged is closed once it has. A stream
-// that skips verification, or whose recording declined, is judged when
-// RecordStream returns.
+// A stream is made by NewStream and recorded by Record, which returns
+// once the log is complete, at the repeat when it compressed, before
+// its numerics have been verified: the stream's verdict task, the
+// remaining free-run steps and Verify, is still to run (RunVerdict),
+// and the stream is judged once it has. A stream that skips
+// verification, or whose recording declined or failed, is judged when
+// Record returns.
 type Stream struct {
 	// Declined, when non-empty, names the construct that made the run
 	// unreplayable (an EventSet, a critical section, a dynamic schedule
-	// or write tracking); such a stream holds no log.
+	// or write tracking); such a stream holds no log. Like Compression,
+	// it is final once the recording has ended.
 	Declined string
 	// Compression says how many timed steps the recording simulated and
 	// where its cache-side state started to repeat, or why it never did.
 	Compression Compression
 
-	key        string // Fingerprint of the canonical cell
-	log        *machine.Stream
-	name       string
-	iters      int
-	hasPhase   bool
-	hot        [][2]uint64
-	heapPages  uint64 // the recorded heap, which every replay allocates
+	key      string // Fingerprint of the canonical cell
+	log      *machine.Stream
+	builder  Builder // the recording's kernel
+	cfg      Config  // the recording's cell
+	compress bool
+
+	// The header, set before the log's first publication.
+	name      string
+	iters     int
+	hasPhase  bool
+	hot       [][2]uint64
+	heapPages uint64 // the recorded heap, which every replay allocates
+
 	skipVerify bool
 
 	mu        sync.Mutex    // serialises RunVerdict
@@ -142,87 +153,128 @@ func (c Compression) String() string {
 	return s + " (" + c.Why + ")"
 }
 
-// RecordStream runs cfg's canonical stream cell with a recorder attached
-// and returns the stream as soon as its log is complete: its log, its
-// Compression and, when the recording declined, the reason. cfg must
-// have a stream fingerprint; its HostStages sink is not charged. The
-// recording simulates the caches only until their state repeats (see
-// Compression); its log is that of a full simulation. The recording
-// never verifies: a verifying stream returns with its verdict still to
-// run (RunVerdict), any other returns judged.
-func RecordStream(build Builder, cfg Config) (*Stream, error) {
-	return recordStream(build, cfg, true)
+// NewStream returns cfg's stream before anything is recorded: Record
+// records it, and replays started meanwhile follow the recording
+// (ReplayUnjudged). cfg must have a stream fingerprint; its HostStages
+// sink is not charged.
+func NewStream(build Builder, cfg Config) (*Stream, error) {
+	return newStream(build, cfg, true)
 }
 
-// recordStream is RecordStream; with compress false it simulates every
-// step, the reference a compressed recording is tested against.
-func recordStream(build Builder, cfg Config, compress bool) (*Stream, error) {
+// newStream is NewStream; with compress false the recording simulates
+// every step, the reference a compressed recording is tested against.
+func newStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 	if _, ok := cfg.StreamFingerprint(); !ok {
 		return nil, fmt.Errorf("nas: config without a stream fingerprint (traced, sampled or tweaked) cannot be recorded")
 	}
-	s := &Stream{judged: make(chan struct{}), skipVerify: cfg.SkipVerify}
 	cfg = cfg.streamCell()
 	cfg.HostStages = nil
-	s.key, _ = cfg.Fingerprint()
-	cfg.SkipVerify = true
-	var k *recordingKernel
-	// Run drives the recording up to the handoff; its Result is not a
-	// cell's, since the steps after a repeat or a decline run nothing.
-	_, err := Run(func(m *machine.Machine, class Class, scale int, seed uint64) Kernel {
+	s := &Stream{log: machine.NewStream(), builder: build, judged: make(chan struct{}), skipVerify: cfg.SkipVerify,
 		// A tail copied from one step would miss the rebinding at
 		// PerturbAt, so such a recording simulates every step.
-		k = &recordingKernel{Kernel: build(m, class, scale, seed), m: m,
-			compress: compress && cfg.PerturbAt == 0}
-		if _, ok := k.Kernel.(Varying); ok {
-			k.compress = false
-		}
-		s.heapPages = m.AllocatedPages()
-		k.rec = machine.NewRecorder(m)
-		m.SetRecorder(k.rec)
-		k.comp = &s.Compression
-		k.comp.Steps = cfg.Iterations
-		if k.comp.Steps == 0 {
-			k.comp.Steps = k.DefaultIterations()
-		}
-		return k
-	}, cfg)
+		compress: compress && cfg.PerturbAt == 0}
+	s.key, _ = cfg.Fingerprint()
+	cfg.SkipVerify = true
+	s.cfg = cfg
+	return s, nil
+}
+
+// RecordStream is NewStream, then Record with no deadline: it returns
+// cfg's stream once the log is complete and its frontier final, so
+// replays of it never park, with a verifying stream's verdict still to
+// run (RunVerdict). The sweep runner calls the two itself, so that its
+// cells follow the recording.
+func RecordStream(build Builder, cfg Config) (*Stream, error) {
+	s, err := NewStream(build, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if err := s.Record(context.Background(), nil); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Record runs the stream's canonical cell with a recorder attached,
+// which publishes the log's frontier at the end of every kernel call,
+// and returns once the log is complete: its log, its Compression and,
+// when the recording declined, the reason. The recording simulates the
+// caches only until their state repeats (see Compression); its log is
+// that of a full simulation. The recording never verifies: a verifying
+// stream returns with its verdict still to run (RunVerdict), any other
+// returns judged. Record checks ctx before every step; when ctx ends
+// first, or the run fails, the stream fails with that error, which
+// Record returns and every replay of it reports. hs, when non-nil, is
+// charged the recording's host time as Record before the recording
+// ends. Call it once.
+func (s *Stream) Record(ctx context.Context, hs *HostStages) error {
+	t0 := time.Now()
+	var k *recordingKernel
+	err := ctx.Err()
+	if err == nil {
+		// Run drives the recording up to the handoff; its Result is not
+		// a cell's, since the steps after a repeat or a decline run
+		// nothing.
+		_, err = Run(func(m *machine.Machine, class Class, scale int, seed uint64) Kernel {
+			k = &recordingKernel{Kernel: s.builder(m, class, scale, seed), m: m, ctx: ctx, compress: s.compress}
+			if _, ok := k.Kernel.(Varying); ok {
+				k.compress = false
+			}
+			s.heapPages = m.AllocatedPages()
+			s.name, s.iters, s.hasPhase, s.hot = k.Name(), k.DefaultIterations(), k.HasPhase(), k.HotPages()
+			k.rec = machine.NewRecorder(m, s.log)
+			m.SetRecorder(k.rec)
+			k.comp = &s.Compression
+			k.comp.Steps = s.cfg.Iterations
+			if k.comp.Steps == 0 {
+				k.comp.Steps = k.DefaultIterations()
+			}
+			return k
+		}, s.cfg)
+	}
+	if err == nil {
+		err = k.err
+	}
+	if hs != nil {
+		hs.Record += time.Since(t0)
+	}
+	if err != nil {
+		s.verifyErr = err
+		close(s.judged)
+		s.log.Abort(err)
+		return err
 	}
 	switch c := &s.Compression; {
 	case c.At > 0:
 	case k.rec.Declined() != "":
 		c.Why = WhyDeclined
-	case cfg.PerturbAt > 0:
+	case s.cfg.PerturbAt > 0:
 		c.Why = WhyPerturbed
-	case !k.compress && compress:
+	case !k.compress && s.compress:
 		c.Why = WhyVarying
 	case k.rec.Blocked() != "":
 		c.Why = k.rec.Blocked()
 	default:
 		c.Why = WhyNoRepeat
 	}
-	if s.Declined = k.rec.Declined(); s.Declined != "" {
-		close(s.judged)
-		return s, nil
-	}
-	if s.log, err = k.rec.Finish(); err != nil {
-		return nil, err
-	}
-	s.name, s.iters, s.hasPhase, s.hot = k.Name(), k.DefaultIterations(), k.HasPhase(), k.HotPages()
+	// Everything a replay or the verdict reads is set before the final
+	// publication, which replays wait for.
+	s.Declined = k.rec.Declined()
+	k.m.SetRecorder(nil)
 	k.m.DropCacheState()
-	if s.skipVerify {
+	if s.Declined != "" || s.skipVerify {
 		close(s.judged)
-		return s, nil
+	} else {
+		c := s.Compression
+		s.mu.Lock()
+		s.task = &verdictTask{k: k.Kernel, team: k.team, m: k.m, left: c.Steps - c.Simulated()}
+		s.mu.Unlock()
 	}
-	c := s.Compression
-	s.task = &verdictTask{k: k.Kernel, team: k.team, m: k.m, left: c.Steps - c.Simulated()}
-	return s, nil
+	// Finish fails only for a declined recording, which is no error of
+	// Record's: its replays fail, and their cells run from scratch.
+	k.rec.Finish()
+	return nil
 }
-
-// Judged returns a channel that is closed once the stream's verdict is
-// known.
-func (s *Stream) Judged() <-chan struct{} { return s.judged }
 
 // RunVerdict runs what is left of the stream's verdict task in the
 // calling goroutine and returns nil once the verdict is known; a judged
@@ -248,6 +300,7 @@ func (s *Stream) RunVerdict(ctx context.Context, hs *HostStages) error {
 	}
 	if v.left == 0 {
 		s.verifyErr, s.task = v.k.Verify(), nil
+		v.team.Rest()
 	}
 	// hs is charged before the verdict is published: its reader waits
 	// on judged.
@@ -281,13 +334,9 @@ func (s *Stream) Judge(ctx context.Context, res *Result) error {
 	return nil
 }
 
-// Size returns what the stream's log stores; zero when it declined.
-func (s *Stream) Size() machine.StreamSize {
-	if s.log == nil {
-		return machine.StreamSize{}
-	}
-	return s.log.Size()
-}
+// Size returns what the stream's published log stores; zero when it
+// declined.
+func (s *Stream) Size() machine.StreamSize { return s.log.Size() }
 
 // Replay runs cfg against the stream: Run with a kernel that replays the
 // log. cfg must have the stream's fingerprint; the Result, the
@@ -295,7 +344,7 @@ func (s *Stream) Size() machine.StreamSize {
 // kernel. It runs the stream's verdict task first if it is still
 // pending.
 func (s *Stream) Replay(cfg Config) (Result, error) {
-	res, err := s.ReplayUnjudged(cfg)
+	res, err := s.ReplayUnjudged(cfg, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -307,26 +356,56 @@ func (s *Stream) Replay(cfg Config) (Result, error) {
 
 // ReplayUnjudged is Replay without the verdict: it does not wait for the
 // stream's verdict task, and the Result's VerifyErr and Verified are
-// Judge's to set.
-func (s *Stream) ReplayUnjudged(cfg Config) (Result, error) {
-	if s.log == nil {
-		return Result{}, fmt.Errorf("nas: stream declined (%s); nothing to replay", s.Declined)
-	}
+// Judge's to set. It follows a recording that is still running: it
+// waits for the recording's first kernel call, replays each call once
+// the recording has published it, parking at the frontier until then,
+// and returns once the recording has ended. park says what a wait
+// does (nil blocks); cfg's HostStages sink is charged the time parked as
+// Record. It fails with the recording's error when the recording
+// fails or declines (machine.ErrDeclined), and with park's when park
+// gives up.
+func (s *Stream) ReplayUnjudged(cfg Config, park machine.Parker) (Result, error) {
 	if key, ok := cfg.StreamFingerprint(); !ok || key != "stream\x00"+s.key {
 		return Result{}, fmt.Errorf("nas: config stream %q does not match recorded stream %q", key, s.key)
 	}
-	return Run(s.build, cfg)
+	if hs := cfg.HostStages; hs != nil {
+		inner := park
+		park = func(ready <-chan struct{}) error {
+			t0 := time.Now()
+			defer func() { hs.Record += time.Since(t0) }()
+			return inner.Park(ready)
+		}
+	}
+	if err := s.log.WaitBegun(park); err != nil {
+		return Result{}, err
+	}
+	var k *replayKernel
+	res, err := Run(func(m *machine.Machine, _ Class, _ int, _ uint64) Kernel {
+		k = s.replayKernel(m, park)
+		return k
+	}, cfg)
+	if err == nil {
+		err = k.err
+	}
+	if err == nil {
+		err = s.log.WaitFinal(park)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	return res, nil
 }
 
-// build is the replay's Builder: it drops the machine's cache-side state,
-// which a replay never reads, and allocates the recorded heap, so
-// AllocatedPages and the hot page spans match the real kernel's.
-func (s *Stream) build(m *machine.Machine, _ Class, _ int, _ uint64) Kernel {
+// replayKernel returns a replay's kernel on m, whose reader parks with
+// park: it drops the machine's cache-side state, which a replay never
+// reads, and allocates the recorded heap, so AllocatedPages and the hot
+// page spans match the real kernel's.
+func (s *Stream) replayKernel(m *machine.Machine, park machine.Parker) *replayKernel {
 	m.DropCacheState()
 	if s.heapPages > 0 {
 		m.Alloc(int(s.heapPages << m.PageShift()))
 	}
-	return &replayKernel{s: s, m: m, rd: s.log.NewReader(m)}
+	return &replayKernel{s: s, m: m, rd: s.log.NewReader(m, park)}
 }
 
 // recordingKernel marks the end of every InitTouch and Step call in the
@@ -335,11 +414,13 @@ func (s *Stream) build(m *machine.Machine, _ Class, _ int, _ uint64) Kernel {
 // whether the cache-side state repeats. Once it does, the log is
 // complete: each remaining Step does nothing, leaving the numerics to
 // the stream's verdict task. Once the recorder declines, each does
-// nothing too.
+// nothing too, and so does each once ctx has ended.
 type recordingKernel struct {
 	Kernel
 	m        *machine.Machine
 	rec      *machine.Recorder
+	ctx      context.Context
+	err      error // ctx's error, once a Step saw it
 	comp     *Compression
 	compress bool
 	calls    int       // Step calls so far, the cold start's included
@@ -352,7 +433,10 @@ func (k *recordingKernel) InitTouch(t *omp.Team) {
 }
 
 func (k *recordingKernel) Step(t *omp.Team, h *Hooks) {
-	if k.rec.Declined() != "" || k.comp.At > 0 {
+	if k.rec.Declined() != "" || k.comp.At > 0 || k.err != nil {
+		return
+	}
+	if k.err = k.ctx.Err(); k.err != nil {
 		return
 	}
 	k.Kernel.Step(t, h)
@@ -376,11 +460,13 @@ func (k *recordingKernel) mark() {
 // replayKernel re-issues a recorded run's structure — regions,
 // barriers, serial sections and phase hooks — feeding every CPU its
 // logged charges and misses. rd holds the next structural step and each
-// CPU log's next record.
+// CPU log's next record. Once the read aborts (err), every call does
+// nothing.
 type replayKernel struct {
-	s  *Stream
-	m  *machine.Machine
-	rd *machine.StreamReader
+	s   *Stream
+	m   *machine.Machine
+	rd  *machine.StreamReader
+	err error
 }
 
 func (k *replayKernel) Name() string           { return k.s.name }
@@ -410,14 +496,19 @@ func (k *replayKernel) Step(t *omp.Team, h *Hooks) {
 }
 
 // replay runs the recorded steps up to the end of the current kernel
-// call.
+// call, parking until the recording has published them.
 func (k *replayKernel) replay(t *omp.Team, h *Hooks) {
 	if k.m.PT.WriteTracking() {
 		// Stores that hit in a cache are not in the log.
 		panic("nas: stream replay cannot track writes")
 	}
-	for {
-		switch op := k.rd.Op(); op.Kind {
+	for k.err == nil {
+		op, err := k.rd.Op()
+		if err != nil {
+			k.err = err
+			return
+		}
+		switch op.Kind {
 		case machine.OpReturn:
 			return
 		case machine.OpSerial:

@@ -16,11 +16,11 @@ import (
 // satisfied. The host interleaving is therefore a function of thread ids
 // alone, which is what makes full-width runs bit-reproducible.
 //
-// Lanes persist for the team's lifetime, so a run's thousands of regions
-// reuse n coroutines. The first non-serial region starts them. Between
-// regions a lane holds no Team reference (its body and Thread fields are
-// cleared), so the crew's finalizer can stop the lanes once the team
-// becomes unreachable.
+// Lanes persist until the team rests (Rest), so a run's thousands of
+// regions reuse n coroutines. The first non-serial region starts them.
+// Between regions a lane holds no Team reference (its body and Thread
+// fields are cleared), so the crew's finalizer can stop the lanes once
+// the team becomes unreachable, if nothing has rested it before.
 type lane struct {
 	tr    Thread
 	body  func(*Thread)
@@ -200,4 +200,13 @@ func (t *Team) abort() {
 	t.crew.stop()
 	t.crew = nil
 	t.barrier.count, t.barrier.dyn = 0, 0
+}
+
+// Rest stops the team's lanes between regions, so that an idle team
+// holds no coroutine; the next region starts fresh ones.
+func (t *Team) Rest() {
+	if t.crew != nil {
+		t.crew.stop()
+		t.crew = nil
+	}
 }

@@ -37,3 +37,33 @@ func TestDroppedTeamStopsLanes(t *testing.T) {
 		}
 	}
 }
+
+// A resting team holds no lane, and its next region starts fresh ones
+// and runs as a team that never rested does.
+func TestRestStopsLanes(t *testing.T) {
+	m := machine.MustNew(machine.DefaultConfig())
+	tm := MustTeam(m, 16)
+	sum := func() float64 {
+		var s float64
+		tm.Parallel(func(tr *Thread) {
+			tr.Barrier()
+			if v := tr.ReduceSum(float64(tr.ID)); tr.ID == 0 {
+				s = v
+			}
+		})
+		return s
+	}
+	want := sum()
+	before := runtime.NumGoroutine()
+	tm.Rest()
+	if n := runtime.NumGoroutine(); n > before-16 {
+		t.Errorf("%d goroutines after Rest, want at most %d", n, before-16)
+	}
+	tm.Rest()
+	if got := sum(); got != want {
+		t.Errorf("region after Rest reduced to %v, want %v", got, want)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after the next region, want %d", n, before)
+	}
+}

@@ -34,11 +34,11 @@ func streamTeam(p vm.Policy, serial bool, rec bool, s *machine.Stream) (*machine
 	a := m.NewArray("a", 1<<14)
 	var rd *machine.StreamReader
 	if s != nil {
-		rd = s.NewReader(m)
+		rd = s.NewReader(m, nil)
 	}
 	var r *machine.Recorder
 	if rec {
-		r = machine.NewRecorder(m)
+		r = machine.NewRecorder(m, machine.NewStream())
 		m.SetRecorder(r)
 	}
 	tm := MustTeam(m, 8)
@@ -70,8 +70,8 @@ func TestRecorderReplaysTeam(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := []machine.Op{{Kind: machine.OpSerial, CPU: 0}, {Kind: machine.OpRegion, Name: "work"}}
-		if !reflect.DeepEqual(s.Ops, want) {
-			t.Errorf("serial=%v: ops %+v, want %+v", serial, s.Ops, want)
+		if !reflect.DeepEqual(s.Ops(), want) {
+			t.Errorf("serial=%v: ops %+v, want %+v", serial, s.Ops(), want)
 		}
 		sim, _ := streamTeam(vm.RoundRobin, serial, false, nil)
 		rep, _ := streamTeam(vm.RoundRobin, serial, false, s)
@@ -104,7 +104,7 @@ func TestRecorderDeclinesUnreplayable(t *testing.T) {
 		},
 	} {
 		m := machine.MustNew(machine.DefaultConfig())
-		rec := machine.NewRecorder(m)
+		rec := machine.NewRecorder(m, machine.NewStream())
 		m.SetRecorder(rec)
 		tm := MustTeam(m, 4)
 		e = NewEventSet(tm, 1)
