@@ -10,8 +10,10 @@
 // engine and steady-state variant of one benchmark replays a single
 // L2-miss stream, recorded once for the whole batch. Cells whose
 // recording declined run from scratch. Output order is deterministic
-// regardless of completion order. Ctrl-C cancels the sweep between
-// cells.
+// regardless of completion order. Ctrl-C cancels the sweep: no new cell
+// starts, recordings and their verdicts stop before their next step,
+// parked replays stop at once, and cells simulating from scratch run to
+// completion (exp.Runner.Cells).
 //
 // Examples:
 //

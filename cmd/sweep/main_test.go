@@ -82,6 +82,34 @@ func TestRunUnknownNumberNamesFlag(t *testing.T) {
 	}
 }
 
+// TestRunBadOptionsStoreNothing: a negative iteration count or team size,
+// or an unknown benchmark, fails before any cell runs, so nothing
+// reaches the store. Figure 6 skips verification, so an unchecked -iters
+// -1 once stored records of no timed step.
+func TestRunBadOptionsStoreNothing(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-iters", "-1"}, "negative iterations -1"},
+		{[]string{"-threads", "-3"}, "negative threads -3"},
+		{[]string{"-benches", "NOPE"}, `"NOPE"`},
+	} {
+		store := filepath.Join(t.TempDir(), "results")
+		var out, errw bytes.Buffer
+		err := run(append([]string{"-fig", "6", "-class", "S", "-quiet", "-store", store}, tc.args...), &out, &errw)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want %q", tc.args, err, tc.want)
+		}
+		if names, _ := filepath.Glob(filepath.Join(store, "*.json")); len(names) != 0 {
+			t.Errorf("run(%v) stored %d records", tc.args, len(names))
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) printed before failing:\n%s", tc.args, out.String())
+		}
+	}
+}
+
 // TestRunSelectsEveryFlag: every selected figure and table runs, in the
 // paper's order whatever the flag order, as one batch that records each
 // benchmark's miss stream once.

@@ -195,6 +195,9 @@ func TestBadRequests(t *testing.T) {
 		{"not json", `not json`, ""},
 		{"unknown field", `{"kind":"figure1","options":{},"surprise":1}`, "surprise"},
 		{"bad class", `{"kind":"figure1","options":{"class":"Z"}}`, ""},
+		{"negative iterations", `{"kind":"figure1","options":{"iterations":-1}}`, "iterations"},
+		{"negative threads", `{"kind":"figure1","options":{"threads":-3}}`, "threads"},
+		{"unknown benchmark", `{"kind":"figure1","options":{"benches":["NOPE"]}}`, "NOPE"},
 		// Options that no longer exist are refused by name, never
 		// silently ignored.
 		{"removed period_k", `{"kind":"figure1","options":{"period_k":1}}`, "period_k"},

@@ -61,9 +61,9 @@ type cellMeta struct {
 	// recording.
 	recording *nas.Compression
 	stored    *machine.StreamSize
-	// task is the host time of the stream task, the recording and its
-	// verdict, which ran on a slot of its own, when this cell led the
-	// recording.
+	// task is the host time of the stream task, one run that records
+	// the stream and then produces its verdict on a slot of its own,
+	// when this cell led the recording.
 	task time.Duration
 }
 

@@ -11,9 +11,10 @@ import (
 )
 
 // storeOptions is the smallest sweep that exercises the store: one
-// benchmark at Threads 1, where the simulator is exactly reproducible,
-// so "recalled from disk" and "recomputed" are bit-comparable.
-var storeOptions = SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42, Threads: 1}
+// benchmark at full width. The simulator is exactly reproducible at
+// every width, so "recalled from disk" and "recomputed" are
+// bit-comparable.
+var storeOptions = SweepOptions{Class: nas.ClassS, Benches: []string{"BT"}, Seed: 42}
 
 func sweepWithStore(t *testing.T, dir string) ([]Cell, CacheStats, []*CellReport) {
 	t.Helper()

@@ -124,9 +124,8 @@ func TestRunnerTraceDir(t *testing.T) {
 	cache := NewCache()
 	r := Runner{Jobs: 2, Cache: cache, TraceDir: dir}
 	specs := []CellSpec{
-		{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Threads: 1}},
-		{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Placement: vm.WorstCase,
-			UPM: nas.UPMDistribute, Threads: 1}},
+		{Bench: "BT", Config: nas.Config{Class: nas.ClassS}},
+		{Bench: "BT", Config: nas.Config{Class: nas.ClassS, Placement: vm.WorstCase, UPM: nas.UPMDistribute}},
 	}
 	cells, err := r.Cells(context.Background(), specs)
 	if err != nil {

@@ -12,7 +12,8 @@ import (
 // FuzzSweepSpecs decodes a sweep request body as cmd/sweepd's POST
 // /v1/jobs does and enumerates its cells and their memo keys, the
 // submission path every sweepd client reaches. It must never panic, and
-// a request it accepts names a machine of 1 to MaxCPUs CPUs. Seeds include
+// a request it accepts names a machine of 1 to MaxCPUs CPUs and has no
+// negative Iterations or Threads. Seeds include
 // the shapes that once crashed the simulator (committed under
 // testdata/fuzz/FuzzSweepSpecs too).
 func FuzzSweepSpecs(f *testing.F) {
@@ -22,6 +23,8 @@ func FuzzSweepSpecs(f *testing.F) {
 		`{"kind":"toposcale","options":{"class":"S","topo":"hier64"}}`,
 		`{"kind":"figure6","options":{"scale":4,"iterations":3}}`,
 		`{"kind":"table2","options":{"benches":["NOPE"]}}`,
+		`{"kind":"figure6","options":{"class":"S","iterations":-1}}`,
+		`{"kind":"figure1","options":{"threads":-3}}`,
 		`{"kind":"figure9","options":{}}`,
 		`{"kind":"figure1","options":{"topo":"2x` + strings.Repeat("1x", 40) + `2x2"}}`,
 		`not json`,
@@ -38,6 +41,9 @@ func FuzzSweepSpecs(f *testing.F) {
 		specs, err := SweepSpecs(req)
 		if err != nil {
 			return
+		}
+		if o := req.Options; o.Iterations < 0 || o.Threads < 0 {
+			t.Fatalf("SweepSpecs accepted iterations %d, threads %d", o.Iterations, o.Threads)
 		}
 		if topo := req.Options.Topo; topo != "" {
 			sh, err := topology.ParseShape(topo)

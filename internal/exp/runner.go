@@ -72,10 +72,11 @@ type Event struct {
 // and the simulator is bit-reproducible at every team width.
 type Runner struct {
 	// Jobs bounds the number of goroutines that simulate at once: cells,
-	// and each stream's task, its recording followed by its verdict
-	// (nas.Stream). A cell parked at its recording's frontier, or waiting
-	// on an in-flight duplicate or on its stream's verdict, holds no slot
-	// meanwhile. 0 or negative means runtime.GOMAXPROCS(0).
+	// and each stream's task, one run that records the stream and then
+	// produces its verdict (nas.Stream.Record). A cell parked at its
+	// recording's frontier, or waiting on an in-flight duplicate or on
+	// its stream's verdict, holds no slot meanwhile. 0 or negative means
+	// runtime.GOMAXPROCS(0).
 	Jobs int
 	// Cache, when non-nil, memoizes completed cells within and across
 	// batches.
@@ -217,12 +218,12 @@ type batch struct {
 	wg      sync.WaitGroup
 }
 
-// record runs s's stream task on a goroutine of its own that holds one
-// slot throughout: the recording, then straight away the verdict task
-// (nas.Stream.RunVerdict), the only chain of work a stream serialises.
-// It charges the recording's host time to task as Record and the
-// verdict's as FreeRunTail. Cells replay behind the recording on slots
-// of their own (replayCell). It gives up when ctx ends, before or
+// record runs s's stream task (nas.Stream.Record) on a goroutine of its
+// own that holds one slot throughout: the recording, then straight away,
+// in the same run, its verdict, the only chain of work a stream
+// serialises. It charges the recording's host time to task as Record and
+// the verdict's as FreeRunTail. Cells replay behind the recording on
+// slots of their own (replayCell). It gives up when ctx ends, before or
 // between steps, and the stream then fails with ctx's error.
 func (b *batch) record(ctx context.Context, s *nas.Stream, task *nas.HostStages) {
 	b.wg.Add(1)
@@ -232,9 +233,8 @@ func (b *batch) record(ctx context.Context, s *nas.Stream, task *nas.HostStages)
 		defer sl.release()
 		// acquire fails only once ctx has ended, which Record reports.
 		sl.acquire(ctx)
-		if s.Record(ctx, task) == nil {
-			s.RunVerdict(ctx, task)
-		}
+		// Record's error is the stream's, which its cells report.
+		_ = s.Record(ctx, task)
 	}()
 }
 
@@ -327,10 +327,12 @@ func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec) 
 // as the recording publishes its log; a cell parked at the frontier
 // gives its slot back and charges the wait to the record stage. A replay
 // waits for the stream's verdict only once nas.Run has returned, again
-// without its slot; the wait is charged to the verify stage. The leader
-// also charges the stream task's host time, the recording to record and
-// the verdict to free_run_tail. When the recording declined, the cell
-// runs from scratch and meta carries the reason.
+// without its slot; the wait is charged to the verify stage. The verdict
+// is the stream task's own: its run goes on past the final frontier,
+// through the free-run steps and Verify. The leader also charges the
+// stream task's host time, the recording to record and the verdict to
+// free_run_tail. When the recording declined, the cell runs from
+// scratch and meta carries the reason.
 func replayCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, meta *cellMeta) (Cell, error) {
 	builder, ok := Builder(spec.Bench)
 	if !ok {

@@ -137,10 +137,24 @@ func (r Runner) Sweeps(ctx context.Context, reqs []SweepRequest) ([]SweepResult,
 // SweepSpecs enumerates the cells a request runs, in presentation
 // order, without running them. Runner.Sweeps runs exactly these cells;
 // cmd/sweepd also uses it to size a job's progress denominator at
-// submission time. An Options.Topo that ParseShape rejects fails here.
+// submission time. Negative Iterations or Threads, an unknown
+// benchmark name and an Options.Topo that ParseShape rejects fail here,
+// before any cell runs.
 func SweepSpecs(req SweepRequest) ([]CellSpec, error) {
-	if req.Options.Topo != "" {
-		if _, err := topology.ParseShape(req.Options.Topo); err != nil {
+	o := req.Options
+	switch {
+	case o.Iterations < 0:
+		return nil, fmt.Errorf("exp: negative iterations %d", o.Iterations)
+	case o.Threads < 0:
+		return nil, fmt.Errorf("exp: negative threads %d", o.Threads)
+	}
+	for _, b := range o.Benches {
+		if _, ok := Builder(b); !ok {
+			return nil, fmt.Errorf("exp: %w: %q", ErrUnknownBenchmark, b)
+		}
+	}
+	if o.Topo != "" {
+		if _, err := topology.ParseShape(o.Topo); err != nil {
 			return nil, fmt.Errorf("exp: %w", err)
 		}
 	}

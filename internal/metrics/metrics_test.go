@@ -14,8 +14,8 @@ import (
 	"upmgo/internal/vm"
 )
 
-// sampleRun runs FT Class S (worst-case placement, both engines, one
-// thread) with the given sampler attached and returns its result.
+// sampleRun runs FT Class S (worst-case placement, both engines) with
+// the given sampler attached and returns its result.
 func sampleRun(t *testing.T, s *metrics.Sampler) nas.Result {
 	t.Helper()
 	res, err := nas.Run(ft.New, nas.Config{
@@ -23,7 +23,6 @@ func sampleRun(t *testing.T, s *metrics.Sampler) nas.Result {
 		Placement: vm.WorstCase,
 		KernelMig: true,
 		UPM:       nas.UPMDistribute,
-		Threads:   1,
 		Metrics:   s,
 	})
 	if err != nil {

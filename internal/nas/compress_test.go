@@ -184,91 +184,114 @@ func TestCompressedRecordingVerdict(t *testing.T) {
 	}
 }
 
-// stoppingKernel is a countingKernel that calls stop after its at-th
-// timed step.
+// stoppingKernel is a countingKernel that calls stop with its machine
+// after its at-th timed step.
 type stoppingKernel struct {
 	*countingKernel
+	m    *machine.Machine
 	at   int
-	stop func()
+	stop func(*machine.Machine)
 }
 
 func (k stoppingKernel) Step(t *omp.Team, h *nas.Hooks) {
 	k.countingKernel.Step(t, h)
 	if k.steps == k.at {
-		k.stop()
+		k.stop(k.m)
 	}
 }
 
-// TestRecordStreamHandsOverAtRepeat: a compressed recording returns at
-// its repeat, and a full one at its last step, each with its machine's
-// cache-side state dropped and its verdict still to run; the full
-// recording's verdict task only verifies. A replay runs before the
-// verdict; Judge waits for it; RunVerdict stops between steps when its
-// context ends and resumes where it stopped; and the judged replay is
-// Replay's.
+// TestRecordStreamHandsOverAtRepeat: a compressed recording publishes its
+// final frontier at its repeat and goes on, in the same Record call, to
+// its verdict: the remaining steps in free-run mode on a machine without
+// cache-side state, then Verify. A replay returns while that verdict is
+// held, the stream is judged only once it ends, and then reports all 12
+// timed steps, as Replay does. A recording cancelled during its verdict
+// fails: Record, Judge and Replay return context.Canceled, not a
+// VerifyErr.
 func TestRecordStreamHandsOverAtRepeat(t *testing.T) {
-	stop := func() {}
+	var stop func(*machine.Machine)
 	build := func(m *machine.Machine, class nas.Class, scale int, seed uint64) nas.Kernel {
-		return stoppingKernel{&countingKernel{Kernel: synthBuilder(0, 0)(m, class, scale, seed)}, 8, func() { stop() }}
+		return stoppingKernel{&countingKernel{Kernel: synthBuilder(0, 0)(m, class, scale, seed)}, m, 8, func(m *machine.Machine) { stop(m) }}
 	}
 	cfg := nas.Config{Class: nas.ClassS, Threads: 2, Iterations: 12}
+	stop = func(*machine.Machine) {}
 	full, err := nas.RecordStreamFull(build, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	select {
-	case <-full.Judged():
-		t.Error("a full recording returned judged")
-	default:
-	}
-	if m := full.VerdictMachine(); m == nil || !m.CacheStateDropped() {
-		t.Error("a full recording's machine kept its cache-side state past the handoff")
 	}
 	if got, err := full.Replay(cfg); err != nil {
 		t.Fatal(err)
 	} else if got.VerifyErr == nil || got.VerifyErr.Error() != "ran 12 steps" {
 		t.Errorf("full recording's verdict %v, want %q", got.VerifyErr, "ran 12 steps")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stop = cancel
-	s := record(t, build, cfg)
-	if s.Compression.At == 0 || s.Compression.At >= 8 {
-		t.Fatalf("recording compressed at step %d, want one before step 8", s.Compression.At)
+	held, release := make(chan *machine.Machine), make(chan struct{})
+	stop = func(m *machine.Machine) {
+		held <- m
+		<-release
 	}
-	select {
-	case <-s.Judged():
-		t.Fatal("a compressed recording returned judged")
-	default:
-	}
-	if m := s.VerdictMachine(); m == nil || !m.CacheStateDropped() {
-		t.Error("the recording's machine kept its cache-side state past the repeat")
-	}
-	cfg.Placement = vm.WorstCase
-	res, err := s.ReplayUnjudged(cfg, nil)
+	s, err := nas.NewStream(build, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunVerdict(ctx, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunVerdict stopped at step 8 returned %v, want context.Canceled", err)
+	recorded := make(chan error, 1)
+	go func() { recorded <- s.Record(context.Background(), nil) }()
+	if m := <-held; !m.FreeRun() || !m.CacheStateDropped() {
+		t.Error("the verdict's step 8 ran outside free-run mode or with the machine's cache-side state")
 	}
-	if err := s.Judge(ctx, &res); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Judge before the verdict returned %v, want context.Canceled", err)
+	if s.Compression.At == 0 || s.Compression.At >= 8 {
+		t.Errorf("recording compressed at step %d, want one before step 8", s.Compression.At)
 	}
-	if err := s.RunVerdict(context.Background(), nil); err != nil {
+	replay := cfg
+	replay.Placement = vm.WorstCase
+	res, err := s.ReplayUnjudged(replay, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Judge(ctx, &res); err != nil {
+	select {
+	case <-s.Judged():
+		t.Error("the stream was judged while its verdict was held")
+	default:
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.Judge(ctx, &res); !errors.Is(err, context.Canceled) {
+		t.Errorf("Judge before the verdict returned %v, want context.Canceled", err)
+	}
+	close(release)
+	if err := <-recorded; err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Judge(context.Background(), &res); err != nil {
 		t.Fatalf("Judge after the verdict returned %v", err)
 	}
 	if res.VerifyErr == nil || res.VerifyErr.Error() != "ran 12 steps" {
 		t.Errorf("judged replay's verdict %v, want %q", res.VerifyErr, "ran 12 steps")
 	}
-	want, err := s.Replay(cfg)
+	want, err := s.Replay(replay)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := nas.Diverge(want, res); d != "" {
 		t.Errorf("judged replay diverges from Replay at %s", d)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	stop = func(*machine.Machine) { cancel() }
+	if s, err = nas.NewStream(build, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Record(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Record cancelled during its verdict returned %v, want context.Canceled", err)
+	}
+	if s.Compression.At == 0 || s.Compression.At >= 8 {
+		t.Fatalf("recording compressed at step %d, want one before step 8", s.Compression.At)
+	}
+	res = nas.Result{}
+	if err := s.Judge(context.Background(), &res); !errors.Is(err, context.Canceled) || res.VerifyErr != nil {
+		t.Errorf("Judge of a cancelled verdict returned %v with VerifyErr %v, want context.Canceled", err, res.VerifyErr)
+	}
+	if _, err := s.Replay(replay); !errors.Is(err, context.Canceled) {
+		t.Errorf("Replay of a cancelled verdict returned %v, want context.Canceled", err)
 	}
 }

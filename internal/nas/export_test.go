@@ -28,17 +28,6 @@ func RecordStreamFull(build Builder, cfg Config) (*Stream, error) {
 // Log returns the stream's per-CPU logs and Ops.
 func (s *Stream) Log() *machine.Stream { return s.log }
 
-// VerdictMachine returns the machine of a recording whose
-// verdict task is still pending, or nil.
-func (s *Stream) VerdictMachine() *machine.Machine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.task == nil {
-		return nil
-	}
-	return s.task.m
-}
-
 // Judged returns a channel that is closed once the stream's verdict is
 // known.
 func (s *Stream) Judged() <-chan struct{} { return s.judged }

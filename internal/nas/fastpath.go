@@ -126,7 +126,9 @@ type HostStages struct {
 	// Extrapolate: applying the proven delta analytically.
 	Extrapolate time.Duration `json:"extrapolate,omitempty"`
 	// FreeRunTail: re-executing remaining steps in free-run mode for the
-	// numerics (the extrapolation tail).
+	// numerics: the extrapolation tail, or, charged by exp to the cell
+	// that led a stream, the stream's verdict, the recording's run past
+	// its final frontier, Verify included.
 	FreeRunTail time.Duration `json:"free_run_tail,omitempty"`
 	// Verify: the numerical check.
 	Verify time.Duration `json:"verify,omitempty"`

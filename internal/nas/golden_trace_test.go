@@ -22,7 +22,9 @@ var update = flag.Bool("update", false, "rewrite the golden trace summaries")
 const goldenPath = "testdata/bt_s_wc_upmlib.summary.json.gz"
 
 // goldenConfig is the pinned cell: BT Class S, worst-case placement
-// repaired by UPMlib, one thread for exact determinism.
+// repaired by UPMlib, at the one thread the golden file was captured
+// with. Every width is deterministic; another would only change every
+// number in the file.
 func goldenConfig() nas.Config {
 	return nas.Config{
 		Class:     nas.ClassS,

@@ -44,7 +44,6 @@ func TestMetricsOffOnEquivalence(t *testing.T) {
 				cfg := nas.Config{
 					Class:     nas.ClassS,
 					Placement: vm.WorstCase,
-					Threads:   1,
 				}
 				eng.cfg(&cfg)
 				plain, err := nas.Run(b.build, cfg)
@@ -199,7 +198,6 @@ func TestMetricsWithTracerTee(t *testing.T) {
 		Class:     nas.ClassS,
 		Placement: vm.WorstCase,
 		UPM:       nas.UPMDistribute,
-		Threads:   1,
 		Metrics:   s,
 	}
 	rec := trace.NewRecorder()

@@ -572,6 +572,9 @@ func (r Result) String() string {
 // simulate them once per (class, placement, threads, seed, scale) tuple
 // and fork machine clones for the engine variants.
 func Run(build Builder, cfg Config) (Result, error) {
+	if cfg.Iterations < 0 {
+		return Result{}, fmt.Errorf("nas: negative iterations %d", cfg.Iterations)
+	}
 	var t0 time.Time
 	var parked time.Duration
 	if hs := cfg.HostStages; hs != nil {

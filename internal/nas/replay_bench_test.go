@@ -1,7 +1,6 @@
 package nas_test
 
 import (
-	"context"
 	"testing"
 
 	"upmgo/internal/nas"
@@ -22,10 +21,6 @@ func BenchmarkReplayMiss(b *testing.B) {
 	}
 	if s.Declined != "" {
 		b.Fatalf("recording declined: %s", s.Declined)
-	}
-	// The recording's verdict task runs once, outside the timed replays.
-	if err := s.RunVerdict(context.Background(), nil); err != nil {
-		b.Fatal(err)
 	}
 	for _, c := range []struct {
 		name string
@@ -49,11 +44,13 @@ func BenchmarkReplayMiss(b *testing.B) {
 
 // BenchmarkRecordStream is the recording's per-layer probe: host
 // milliseconds to record the stream BenchmarkReplayMiss replays (BT
-// Class W, 16 threads, 15 timed steps) up to its handoff. A sweep of one
-// stream waits for it: its replays follow the recording, and the
-// verdict task starts only once it has handed over.
+// Class W, 16 threads, 15 timed steps) up to its final frontier, the
+// time a sweep charges to the record stage. A sweep of one stream waits
+// for it: its replays follow the recording. The stream skips
+// verification, so no free-run tail or Verify (free_run_tail) runs
+// after the frontier.
 func BenchmarkRecordStream(b *testing.B) {
-	base := nas.Config{Class: nas.ClassW, Threads: 16, Iterations: 15}
+	base := nas.Config{Class: nas.ClassW, Threads: 16, Iterations: 15, SkipVerify: true}
 	for i := 0; i < b.N; i++ {
 		if _, err := nas.RecordStream(bt.New, base); err != nil {
 			b.Fatal(err)

@@ -3,7 +3,6 @@ package nas
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"upmgo/internal/kmig"
@@ -59,18 +58,16 @@ func (c Config) streamCell() Config {
 // published, so concurrent replays may share it, following a recording
 // that is still running.
 //
-// A stream is made by NewStream and recorded by Record, which returns
-// once the log is complete, at the repeat when it compressed, before
-// its numerics have been verified: the stream's verdict task, the
-// remaining free-run steps and Verify, is still to run (RunVerdict),
-// and the stream is judged once it has. A stream that skips
-// verification, or whose recording declined or failed, is judged when
-// Record returns.
+// A stream is made by NewStream and recorded by Record, the stream's
+// one task: it publishes the final frontier once the log is complete,
+// at the repeat when it compressed, and goes on to its verdict, the
+// remaining free-run steps and Verify. The stream is judged when Record
+// returns.
 type Stream struct {
 	// Declined, when non-empty, names the construct that made the run
 	// unreplayable (an EventSet, a critical section, a dynamic schedule
 	// or write tracking); such a stream holds no log. Like Compression,
-	// it is final once the recording has ended.
+	// it is final once the final frontier is published.
 	Declined string
 	// Compression says how many timed steps the recording simulated and
 	// where its cache-side state started to repeat, or why it never did.
@@ -89,31 +86,17 @@ type Stream struct {
 	hot       [][2]uint64
 	heapPages uint64 // the recorded heap, which every replay allocates
 
-	skipVerify bool
-
-	mu        sync.Mutex    // serialises RunVerdict
-	task      *verdictTask  // the verdict task's remainder; nil once judged
-	judged    chan struct{} // closed once verifyErr is final
+	judged    chan struct{} // closed once err and verifyErr are final
+	err       error         // why the stream failed, which Judge returns
 	verifyErr error         // the numerics' verdict, which every replay reports
-}
-
-// verdictTask is what a recording leaves to run after its handoff: the
-// kernel's numerics through the timed steps it did not simulate (none
-// when it never compressed), in free-run mode on the recording's
-// machine, then Verify.
-type verdictTask struct {
-	k    Kernel
-	team *omp.Team
-	m    *machine.Machine
-	left int // free-run steps still to run
 }
 
 // Compression reports how a recording ended (DESIGN.md §17). Once the
 // cache-side state at the end of a timed step repeats that of the step
 // before, the recorder copies the last step's log for the remaining
 // steps and the stream is complete; only the kernel's numerics remain to
-// advance, in free-run mode, for the verify verdict (Stream.RunVerdict).
-// A recording with PerturbAt set simulates every step.
+// advance, in free-run mode in the same run, for the verify verdict
+// (Stream.Record). A recording with PerturbAt set simulates every step.
 type Compression struct {
 	// Steps is the number of timed steps the recording ran.
 	Steps int `json:"steps"`
@@ -169,21 +152,18 @@ func newStream(build Builder, cfg Config, compress bool) (*Stream, error) {
 	}
 	cfg = cfg.streamCell()
 	cfg.HostStages = nil
-	s := &Stream{log: machine.NewStream(), builder: build, judged: make(chan struct{}), skipVerify: cfg.SkipVerify,
+	s := &Stream{log: machine.NewStream(), builder: build, cfg: cfg, judged: make(chan struct{}),
 		// A tail copied from one step would miss the rebinding at
 		// PerturbAt, so such a recording simulates every step.
 		compress: compress && cfg.PerturbAt == 0}
 	s.key, _ = cfg.Fingerprint()
-	cfg.SkipVerify = true
-	s.cfg = cfg
 	return s, nil
 }
 
 // RecordStream is NewStream, then Record with no deadline: it returns
-// cfg's stream once the log is complete and its frontier final, so
-// replays of it never park, with a verifying stream's verdict still to
-// run (RunVerdict). The sweep runner calls the two itself, so that its
-// cells follow the recording.
+// cfg's stream judged, so replays of it neither park nor wait. The
+// sweep runner calls the two itself, so that its cells follow the
+// recording.
 func RecordStream(build Builder, cfg Config) (*Stream, error) {
 	s, err := NewStream(build, cfg)
 	if err != nil {
@@ -195,28 +175,28 @@ func RecordStream(build Builder, cfg Config) (*Stream, error) {
 	return s, nil
 }
 
-// Record runs the stream's canonical cell with a recorder attached,
-// which publishes the log's frontier at the end of every kernel call,
-// and returns once the log is complete: its log, its Compression and,
-// when the recording declined, the reason. The recording simulates the
-// caches only until their state repeats (see Compression); its log is
-// that of a full simulation. The recording never verifies: a verifying
-// stream returns with its verdict still to run (RunVerdict), any other
-// returns judged. Record checks ctx before every step; when ctx ends
-// first, or the run fails, the stream fails with that error, which
-// Record returns and every replay of it reports. hs, when non-nil, is
-// charged the recording's host time as Record before the recording
-// ends. Call it once.
+// Record runs the stream's task: its canonical cell, with a recorder
+// attached that publishes the log's frontier at the end of every kernel
+// call. Once the log is complete, at the repeat when it compressed (see
+// Compression), at the last timed step or at a decline, it publishes
+// the final frontier with the stream's Compression and Declined, and
+// replays return. The same run then advances the kernel's numerics
+// through the timed steps it did not simulate, in free-run mode, and
+// its Verify is the stream's verdict; a declined stream, or one that
+// skips verification, has none. Record checks ctx before every step;
+// when ctx ends first, or the run fails, the stream fails with that
+// error, which Record and Judge return and every replay still
+// following the recording fails with. hs, when non-nil, is charged the
+// recording's host time as Record before the final frontier is
+// published, and the verdict's as FreeRunTail before the stream is
+// judged. Call it once.
 func (s *Stream) Record(ctx context.Context, hs *HostStages) error {
-	t0 := time.Now()
-	var k *recordingKernel
+	k := &recordingKernel{s: s, ctx: ctx, hs: hs, t0: time.Now()}
+	var res Result
 	err := ctx.Err()
 	if err == nil {
-		// Run drives the recording up to the handoff; its Result is not
-		// a cell's, since the steps after a repeat or a decline run
-		// nothing.
-		_, err = Run(func(m *machine.Machine, class Class, scale int, seed uint64) Kernel {
-			k = &recordingKernel{Kernel: s.builder(m, class, scale, seed), m: m, ctx: ctx, compress: s.compress}
+		res, err = Run(func(m *machine.Machine, class Class, scale int, seed uint64) Kernel {
+			k.Kernel, k.m, k.compress = s.builder(m, class, scale, seed), m, s.compress
 			if _, ok := k.Kernel.(Varying); ok {
 				k.compress = false
 			}
@@ -224,10 +204,9 @@ func (s *Stream) Record(ctx context.Context, hs *HostStages) error {
 			s.name, s.iters, s.hasPhase, s.hot = k.Name(), k.DefaultIterations(), k.HasPhase(), k.HotPages()
 			k.rec = machine.NewRecorder(m, s.log)
 			m.SetRecorder(k.rec)
-			k.comp = &s.Compression
-			k.comp.Steps = s.cfg.Iterations
-			if k.comp.Steps == 0 {
-				k.comp.Steps = k.DefaultIterations()
+			s.Compression.Steps = s.cfg.Iterations
+			if s.Compression.Steps == 0 {
+				s.Compression.Steps = k.DefaultIterations()
 			}
 			return k
 		}, s.cfg)
@@ -235,88 +214,24 @@ func (s *Stream) Record(ctx context.Context, hs *HostStages) error {
 	if err == nil {
 		err = k.err
 	}
-	if hs != nil {
-		hs.Record += time.Since(t0)
-	}
-	if err != nil {
-		s.verifyErr = err
-		close(s.judged)
+	switch {
+	case !k.final:
+		if hs != nil {
+			hs.Record += time.Since(k.t0)
+		}
 		s.log.Abort(err)
-		return err
+	case hs != nil && s.Declined == "":
+		hs.FreeRunTail += time.Since(k.t0)
 	}
-	switch c := &s.Compression; {
-	case c.At > 0:
-	case k.rec.Declined() != "":
-		c.Why = WhyDeclined
-	case s.cfg.PerturbAt > 0:
-		c.Why = WhyPerturbed
-	case !k.compress && s.compress:
-		c.Why = WhyVarying
-	case k.rec.Blocked() != "":
-		c.Why = k.rec.Blocked()
-	default:
-		c.Why = WhyNoRepeat
-	}
-	// Everything a replay or the verdict reads is set before the final
-	// publication, which replays wait for.
-	s.Declined = k.rec.Declined()
-	k.m.SetRecorder(nil)
-	k.m.DropCacheState()
-	if s.Declined != "" || s.skipVerify {
-		close(s.judged)
-	} else {
-		c := s.Compression
-		s.mu.Lock()
-		s.task = &verdictTask{k: k.Kernel, team: k.team, m: k.m, left: c.Steps - c.Simulated()}
-		s.mu.Unlock()
-	}
-	// Finish fails only for a declined recording, which is no error of
-	// Record's: its replays fail, and their cells run from scratch.
-	k.rec.Finish()
-	return nil
-}
-
-// RunVerdict runs what is left of the stream's verdict task in the
-// calling goroutine and returns nil once the verdict is known; a judged
-// stream returns at once. It checks ctx between steps: when ctx ends
-// first it returns ctx.Err() and leaves the remaining steps to the next
-// call. Concurrent calls run the task one at a time. hs, when non-nil,
-// is charged the task's host time as FreeRunTail.
-func (s *Stream) RunVerdict(ctx context.Context, hs *HostStages) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v := s.task
-	if v == nil {
-		return nil
-	}
-	var t0 time.Time
-	if hs != nil {
-		t0 = time.Now()
-	}
-	v.m.SetFreeRun(true)
-	for v.left > 0 && ctx.Err() == nil {
-		v.k.Step(v.team, &Hooks{})
-		v.left--
-	}
-	if v.left == 0 {
-		s.verifyErr, s.task = v.k.Verify(), nil
-		v.team.Rest()
-	}
-	// hs is charged before the verdict is published: its reader waits
-	// on judged.
-	if hs != nil {
-		hs.FreeRunTail += time.Since(t0)
-	}
-	if s.task != nil {
-		return ctx.Err()
-	}
+	s.err, s.verifyErr = err, res.VerifyErr
 	close(s.judged)
-	return nil
+	return err
 }
 
 // Judge waits for the stream's verdict and sets res, a Result of
-// ReplayUnjudged, to report it as Run would. It returns ctx.Err() when
-// ctx ends before the verdict is known.
+// ReplayUnjudged, to report it as Run would. It returns the stream's
+// error when the stream failed, and ctx.Err() when ctx ends before the
+// verdict is known.
 func (s *Stream) Judge(ctx context.Context, res *Result) error {
 	select {
 	case <-s.judged:
@@ -327,7 +242,10 @@ func (s *Stream) Judge(ctx context.Context, res *Result) error {
 			return ctx.Err()
 		}
 	}
-	if !s.skipVerify {
+	if s.err != nil {
+		return s.err
+	}
+	if !s.cfg.SkipVerify {
 		res.VerifyErr = s.verifyErr
 		res.Verified = s.verifyErr == nil
 	}
@@ -341,21 +259,17 @@ func (s *Stream) Size() machine.StreamSize { return s.log.Size() }
 // Replay runs cfg against the stream: Run with a kernel that replays the
 // log. cfg must have the stream's fingerprint; the Result, the
 // recording's verdict included, is bit-identical to Run on the real
-// kernel. It runs the stream's verdict task first if it is still
-// pending.
+// kernel. It waits for the stream's verdict.
 func (s *Stream) Replay(cfg Config) (Result, error) {
 	res, err := s.ReplayUnjudged(cfg, nil)
 	if err != nil {
-		return Result{}, err
-	}
-	if err := s.RunVerdict(context.Background(), nil); err != nil {
 		return Result{}, err
 	}
 	return res, s.Judge(context.Background(), &res)
 }
 
 // ReplayUnjudged is Replay without the verdict: it does not wait for the
-// stream's verdict task, and the Result's VerifyErr and Verified are
+// stream's verdict, and the Result's VerifyErr and Verified are
 // Judge's to set. It follows a recording that is still running: it
 // waits for the recording's first kernel call, replays each call once
 // the recording has published it, parking at the frontier until then,
@@ -411,50 +325,109 @@ func (s *Stream) replayKernel(m *machine.Machine, park machine.Parker) *replayKe
 // recordingKernel marks the end of every InitTouch and Step call in the
 // stream, so the replay kernel knows where each call's steps stop. With
 // compress set it also asks the recorder, at the end of every Step,
-// whether the cache-side state repeats. Once it does, the log is
-// complete: each remaining Step does nothing, leaving the numerics to
-// the stream's verdict task. Once the recorder declines, each does
-// nothing too, and so does each once ctx has ended.
+// whether the cache-side state repeats. Once the log is complete (final)
+// each remaining Step only advances the numerics, in free-run mode, for
+// Verify; once the recorder has declined, or ctx has ended, each does
+// nothing, and neither has a verdict.
 type recordingKernel struct {
 	Kernel
+	s        *Stream
 	m        *machine.Machine
 	rec      *machine.Recorder
 	ctx      context.Context
 	err      error // ctx's error, once a Step saw it
-	comp     *Compression
+	hs       *HostStages
+	t0       time.Time // when the stage hs is charged next began
 	compress bool
-	calls    int       // Step calls so far, the cold start's included
-	team     *omp.Team // the team the verdict task steps
+	final    bool // the final frontier is published
+	calls    int  // Step calls so far, the cold start's included
 }
 
 func (k *recordingKernel) InitTouch(t *omp.Team) {
 	k.Kernel.InitTouch(t)
 	k.mark()
+	if k.rec.Declined() != "" {
+		k.publish()
+	}
 }
 
 func (k *recordingKernel) Step(t *omp.Team, h *Hooks) {
-	if k.rec.Declined() != "" || k.comp.At > 0 || k.err != nil {
+	if k.s.Declined != "" || k.err != nil {
 		return
 	}
 	if k.err = k.ctx.Err(); k.err != nil {
 		return
 	}
+	if k.final {
+		if !k.s.cfg.SkipVerify {
+			k.Kernel.Step(t, h)
+		}
+		return
+	}
 	k.Kernel.Step(t, h)
 	k.mark()
-	k.team = t
 	// Call 0 is the untimed cold start, where the recorder's history
 	// starts; the timed loop's step s is call s.
 	step := k.calls
 	k.calls++
-	if k.compress && k.rec.Repeat(k.comp.Steps-step) {
-		k.comp.At = step
+	c := &k.s.Compression
+	if k.compress && k.rec.Repeat(c.Steps-step) {
+		c.At = step
 	}
+	if c.At > 0 || k.rec.Declined() != "" || step == c.Steps {
+		k.publish()
+	}
+}
+
+// Verify is the stream's verdict, which a declined or stopped recording
+// does not have.
+func (k *recordingKernel) Verify() error {
+	if k.err != nil || k.s.Declined != "" {
+		return nil
+	}
+	return k.Kernel.Verify()
 }
 
 func (k *recordingKernel) mark() {
 	if rec := k.m.Recorder(); rec != nil {
 		rec.Mark(machine.OpReturn, nil)
 	}
+}
+
+// publish ends the recording once its log is complete: it settles the
+// stream's Compression and Declined, which replays read, detaches the
+// recorder, drops the machine's cache-side state, which nothing reads
+// from now on, and publishes the final frontier. The machine runs free
+// afterwards.
+func (k *recordingKernel) publish() {
+	s := k.s
+	switch c := &s.Compression; {
+	case c.At > 0:
+	case k.rec.Declined() != "":
+		c.Why = WhyDeclined
+	case s.cfg.PerturbAt > 0:
+		c.Why = WhyPerturbed
+	case !k.compress && s.compress:
+		c.Why = WhyVarying
+	case k.rec.Blocked() != "":
+		c.Why = k.rec.Blocked()
+	default:
+		c.Why = WhyNoRepeat
+	}
+	s.Declined = k.rec.Declined()
+	k.m.SetRecorder(nil)
+	k.m.DropCacheState()
+	k.m.SetFreeRun(true)
+	// Charged before the publication: the leader of a declined stream
+	// reads hs as soon as the frontier is final.
+	if k.hs != nil {
+		k.hs.Record += time.Since(k.t0)
+		k.t0 = time.Now()
+	}
+	k.final = true
+	// Finish fails only for a declined recording, which is no error of
+	// Record's: its replays fail, and their cells run from scratch.
+	k.rec.Finish()
 }
 
 // replayKernel re-issues a recorded run's structure — regions,

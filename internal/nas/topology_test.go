@@ -26,6 +26,8 @@ func TestFingerprintGolden(t *testing.T) {
 			"ft-IRIX",
 		},
 		{
+			// Threads 1 pins how a set team size and seed encode; the
+			// strings were captured with it.
 			nas.Config{Class: nas.ClassS, Placement: vm.RoundRobin, UPM: nas.UPMDistribute, Threads: 1, Seed: 42},
 			`{Class:S Placement:rr KernelMig:false UPM:upmlib UPMOptions:{Threshold:0 MinAccesses:0 MaxCritical:0 FreezeBounces:0 ScanCostPerPage:0} Kmig:{Threshold:0 MaxPerScan:0 ScanEvery:0 DecayEvery:0 MinScanPS:0} Threads:1 Iterations:0 ComputeScale:1 PerturbAt:0 Seed:42 Tweak:<nil> Tracer:<nil> Metrics:<nil> SkipVerify:false SteadyState:false Extrapolate:false SteadyWindow:0 TailCache:<nil>}`,
 			"prefix\x00class=S placement=rr seed=42 scale=1 threads=1",
@@ -146,7 +148,6 @@ func TestHierarchyBitIdentity(t *testing.T) {
 			cfg := eng
 			cfg.Class = nas.ClassS
 			cfg.Placement = p
-			cfg.Threads = 1
 			cfg.Seed = 42
 
 			hier := cfg
@@ -171,7 +172,7 @@ func TestHierarchyBitIdentity(t *testing.T) {
 // TestHierarchyBitIdentityRecRep covers the record–replay protocol (CG
 // has no phase, BT does) plus a second kernel's numerics.
 func TestHierarchyBitIdentityRecRep(t *testing.T) {
-	cfg := nas.Config{Class: nas.ClassS, Placement: vm.WorstCase, UPM: nas.UPMRecRep, Threads: 1}
+	cfg := nas.Config{Class: nas.ClassS, Placement: vm.WorstCase, UPM: nas.UPMRecRep}
 	hier := cfg
 	hier.Topo = "cube:2x2x2"
 	want, err := nas.Run(bt.New, cfg)
@@ -186,7 +187,7 @@ func TestHierarchyBitIdentityRecRep(t *testing.T) {
 		t.Errorf("recrep: cube-shaped run diverged from the default run")
 	}
 
-	ccfg := nas.Config{Class: nas.ClassS, Placement: vm.RoundRobin, KernelMig: true, Threads: 1}
+	ccfg := nas.Config{Class: nas.ClassS, Placement: vm.RoundRobin, KernelMig: true}
 	chier := ccfg
 	chier.Topo = "cube:2x2x2"
 	cwant, err := nas.Run(cg.New, ccfg)

@@ -242,7 +242,6 @@ func TestTraceSumContract(t *testing.T) {
 		Class:     nas.ClassS,
 		Placement: vm.WorstCase,
 		UPM:       nas.UPMDistribute,
-		Threads:   1,
 	})
 	s := trace.Summarize(rec.Events())
 	if s.TotalPS != res.TotalPS {

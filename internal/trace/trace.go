@@ -165,10 +165,12 @@ type Event struct {
 	Pages []PageMove // migration page lists (nil unless the kind carries one)
 }
 
-// Tracer receives events. Implementations must be safe for concurrent
-// Emit calls (team threads emit from their own goroutines) and must not
-// advance any simulated clock: tracing is observation only, which is what
-// keeps traced and untraced runs bit-identical.
+// Tracer receives events. One goroutine at a time drives a machine (a
+// team's threads run as coroutines, in turn), so one run's Emit calls
+// never overlap; a Tracer shared by runs on several goroutines must be
+// safe for concurrent Emit calls. Implementations must not advance any
+// simulated clock: tracing is observation only, which is what keeps
+// traced and untraced runs bit-identical.
 type Tracer interface {
 	Emit(ev Event)
 }

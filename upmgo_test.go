@@ -230,9 +230,7 @@ func TestPublicSweepCancellation(t *testing.T) {
 }
 
 func TestPublicFigure5ScaleOption(t *testing.T) {
-	// Threads 1: the Figure6-vs-Figure5 comparison below needs two fresh
-	// runs to be exactly reproducible.
-	o := upmgo.SweepOptions{Class: upmgo.ClassS, Seed: 42, Iterations: 3, Benches: []string{"BT"}, Threads: 1}
+	o := upmgo.SweepOptions{Class: upmgo.ClassS, Seed: 42, Iterations: 3, Benches: []string{"BT"}}
 	sweep := func(kind upmgo.SweepKind, o upmgo.SweepOptions) []upmgo.Figure5Cell {
 		t.Helper()
 		res, err := upmgo.SweepRunner{}.Sweep(context.Background(), upmgo.SweepRequest{Kind: kind, Options: o})
