@@ -40,6 +40,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	cfg.SkipVerify = cfg.ComputeScale > 1
 	cfg.SteadyState, cfg.Extrapolate = *steady, *steady
+	hs := &upmgo.NASHostStages{}
+	cfg.HostStages = hs
 
 	r, err := upmgo.RunNAS(strings.ToUpper(*bench), cfg)
 	if err != nil {
@@ -61,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	} else if *steady {
 		// The typed diagnosis replaces the old guesswork string: the
 		// detector reports what actually blocked it (reason + evidence).
-		if w := r.FastPath.WhyNot; w != nil {
+		if w := hs.WhyNot; w != nil {
 			fmt.Fprintf(stdout, "  steady state   not detected [%s]: %s\n", w.Reason, w)
 		} else {
 			fmt.Fprintf(stdout, "  steady state   not detected\n")

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"upmgo/internal/machine"
-	"upmgo/internal/nas"
 	"upmgo/internal/store"
 )
 
@@ -40,31 +38,6 @@ type Cache struct {
 	storePuts    uint64
 	storeErrs    uint64
 	lastStoreErr error
-}
-
-// cellMeta, when passed to cell, receives the serving path's provenance:
-// which level satisfied the request and how long the on-disk store probe
-// took. Telemetry only — cell's behaviour is identical with a nil meta.
-type cellMeta struct {
-	// source is one of SourceMemory (RAM or a successful in-flight
-	// join), SourceStore (recalled from disk) or SourceSimulated.
-	source string
-	// storeProbe is the host time spent in store.Get, hit or miss.
-	storeProbe time.Duration
-	// replayed: the cell replayed its benchmark's miss stream. declined
-	// is why the stream could not be replayed ("" when it could, or when
-	// the cell had no stream).
-	replayed bool
-	declined string
-	// recording is how the stream this cell recorded compressed, and
-	// stored what the stream stores; nil unless the cell led the
-	// recording.
-	recording *nas.Compression
-	stored    *machine.StreamSize
-	// task is the host time of the stream task, one run that records
-	// the stream and then produces its verdict on a slot of its own,
-	// when this cell led the recording.
-	task time.Duration
 }
 
 // Cell provenance values, shared with exp.CellReport.
@@ -246,21 +219,21 @@ func (c *Cache) Len() int {
 
 // cell returns the cached cell for key, running fn at most once per key
 // at a time under flights.do's single-flight discipline, sl held while
-// fn runs and given back while the call waits on a duplicate. The bool
-// reports whether the cell was served from the cache (RAM, disk, or a
-// successful in-flight duplicate) rather than by this call's own
-// simulation.
+// fn runs and given back while the call waits on a duplicate. It writes
+// the serving path into rep: Source says which level satisfied the
+// request (SourceMemory for RAM or a successful in-flight duplicate,
+// SourceStore, or SourceSimulated for this call's own simulation), and
+// Stages.StoreProbe the host time spent in store.Get, hit or miss.
 //
 // With a store attached the leader reads through it before simulating —
 // an intact record short-circuits fn entirely — and writes behind it
 // after: the RAM fill and waiter release happen first, so no other cell
 // ever waits on disk I/O. A corrupt record is counted, skipped and
 // repaired by the post-simulation write.
-func (c *Cache) cell(ctx context.Context, key string, sl *slot, fn func() (Cell, error), meta *cellMeta) (Cell, bool, error) {
+func (c *Cache) cell(ctx context.Context, key string, sl *slot, fn func() (Cell, error), rep *CellReport) (Cell, error) {
 	c.mu.Lock()
 	st := c.store
 	c.mu.Unlock()
-	recalled := false
 	cell, shared, err := c.cells.do(ctx, key, sl, func() (Cell, error) {
 		// Read through the store: a cell another process already
 		// simulated is recalled, not recomputed. The disk read happens
@@ -268,22 +241,14 @@ func (c *Cache) cell(ctx context.Context, key string, sl *slot, fn func() (Cell,
 		// key coalesce onto one read exactly as they would onto one
 		// simulation.
 		if st != nil {
-			var t0 time.Time
-			if meta != nil {
-				t0 = time.Now()
-			}
+			t0 := time.Now()
 			res, err := st.Get(key)
-			if meta != nil {
-				meta.storeProbe += time.Since(t0)
-			}
+			rep.Stages.StoreProbe += time.Since(t0).Seconds()
 			if err == nil {
-				recalled = true
 				c.mu.Lock()
 				c.diskHits++
 				c.mu.Unlock()
-				if meta != nil {
-					meta.source = SourceStore
-				}
+				rep.Source = SourceStore
 				bench, _, _ := strings.Cut(key, "\x00")
 				return Cell{Bench: bench, Label: res.Label, Result: res}, nil
 			} else if !errors.Is(err, store.ErrNotFound) {
@@ -293,27 +258,23 @@ func (c *Cache) cell(ctx context.Context, key string, sl *slot, fn func() (Cell,
 		c.mu.Lock()
 		c.misses++
 		c.mu.Unlock()
-		if meta != nil {
-			meta.source = SourceSimulated
-		}
+		rep.Source = SourceSimulated
 		return fn()
 	})
 	if shared {
 		c.mu.Lock()
 		c.hits++
 		c.mu.Unlock()
-		if meta != nil {
-			// A successful in-flight join is a RAM recall from the
-			// waiter's point of view: another worker in this process
-			// did the simulating.
-			meta.source = SourceMemory
-		}
-		return cell, true, nil
+		// A successful in-flight join is a RAM recall from the waiter's
+		// point of view: another worker in this process did the
+		// simulating.
+		rep.Source = SourceMemory
+		return cell, nil
 	}
 	// Write behind: waiters are already released; only this cell's own
 	// caller pays for the persist, and a failure (disk full, permissions)
 	// degrades to an unpersisted cell, not a failed one.
-	if err == nil && !recalled && st != nil {
+	if err == nil && rep.Source == SourceSimulated && st != nil {
 		if err := st.Put(key, cell.Bench, cell.Result); err != nil {
 			c.noteStoreErr(err)
 		} else {
@@ -322,7 +283,7 @@ func (c *Cache) cell(ctx context.Context, key string, sl *slot, fn func() (Cell,
 			c.mu.Unlock()
 		}
 	}
-	return cell, recalled, err
+	return cell, err
 }
 
 // noteStoreErr records a non-fatal store failure for Stats.

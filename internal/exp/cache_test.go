@@ -33,11 +33,11 @@ func TestCacheWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.cell(context.Background(), "k", nil, func() (Cell, error) {
+		_, err := c.cell(context.Background(), "k", nil, func() (Cell, error) {
 			close(leaderStarted)
 			<-releaseLeader
 			return Cell{}, errAborted
-		}, nil)
+		}, &CellReport{})
 		if !errors.Is(err, errAborted) {
 			t.Errorf("leader returned %v, want its own error", err)
 		}
@@ -46,13 +46,13 @@ func TestCacheWaiterRetriesAfterLeaderFailure(t *testing.T) {
 
 	waiterDone := make(chan struct{})
 	var got Cell
-	var hit bool
 	var werr error
+	rep := &CellReport{}
 	go func() {
 		defer close(waiterDone)
-		got, hit, werr = c.cell(context.Background(), "k", nil, func() (Cell, error) {
+		got, werr = c.cell(context.Background(), "k", nil, func() (Cell, error) {
 			return Cell{Bench: "BT"}, nil
-		}, nil)
+		}, rep)
 	}()
 	// Give the waiter time to join the doomed flight; if it has not
 	// joined yet it simply becomes the leader after the failure, which
@@ -68,11 +68,12 @@ func TestCacheWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	if got.Bench != "BT" {
 		t.Errorf("waiter got %+v, want its retry's cell", got)
 	}
-	if hit {
-		t.Error("waiter's retry ran its own simulation; served=true misreports it")
+	if rep.Source != SourceSimulated {
+		t.Errorf("waiter's retry ran its own simulation; source %q misreports it", rep.Source)
 	}
-	if _, served, err := c.cell(context.Background(), "k", nil, nil, nil); err != nil || !served {
-		t.Errorf("retried cell not cached: served=%v err=%v", served, err)
+	rep = &CellReport{}
+	if _, err := c.cell(context.Background(), "k", nil, nil, rep); err != nil || rep.Source != SourceMemory {
+		t.Errorf("retried cell not cached: source %q, err %v", rep.Source, err)
 	}
 }
 
@@ -88,12 +89,12 @@ func TestCacheWaiterHonoursOwnCancellation(t *testing.T) {
 		close(leaderStarted)
 		<-releaseLeader
 		return Cell{Bench: "BT"}, nil
-	}, nil)
+	}, &CellReport{})
 	<-leaderStarted
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	if _, _, err := c.cell(ctx, "k", nil, nil, nil); !errors.Is(err, context.Canceled) {
+	if _, err := c.cell(ctx, "k", nil, nil, &CellReport{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled waiter returned %v, want context.Canceled", err)
 	}
 }
@@ -105,7 +106,7 @@ func TestCacheCancelledCallerNeverSimulates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	_, _, err := c.cell(ctx, "k", nil, func() (Cell, error) { ran = true; return Cell{}, nil }, nil)
+	_, err := c.cell(ctx, "k", nil, func() (Cell, error) { ran = true; return Cell{}, nil }, &CellReport{})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("got %v, want context.Canceled", err)
 	}

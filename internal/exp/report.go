@@ -139,51 +139,33 @@ type CellReport struct {
 	FastPath       nas.FastPath `json:"fast_path"`
 }
 
-// newCellReport assembles the per-cell report from the run's host-stage
-// sink and the cache's provenance record. HostSeconds, which starts at
-// the stream task the cell led, and the Recall pseudo-stage are
-// completed by setHost, once the goroutine knows the cell's wall-time.
-func newCellReport(spec CellSpec, c Cell, meta *cellMeta, hs *nas.HostStages) *CellReport {
-	label := c.Label
-	if label == "" {
-		label = spec.Config.Label()
+// chargeTask charges a stream task's host time, once it is final, to
+// the cell that led the stream, when task is that cell's: the task ran
+// on a slot of its own on the cell's behalf.
+func (cr *CellReport) chargeTask(task *nas.HostStages) {
+	if task != nil {
+		cr.Stages.Record += task.Record.Seconds()
+		cr.Stages.FreeRunTail += task.FreeRunTail.Seconds()
+		cr.HostSeconds += (task.Record + task.FreeRunTail).Seconds()
 	}
-	rep := &CellReport{
-		Bench:          spec.Bench,
-		Label:          label,
-		Class:          spec.Config.Class.String(),
-		Source:         meta.source,
-		Replayed:       meta.replayed,
-		ReplayDeclined: meta.declined,
-		Recording:      meta.recording,
-		Stored:         meta.stored,
-		HostSeconds:    meta.task.Seconds(),
-		VirtualSeconds: c.Seconds(),
-		FastPath:       c.Result.FastPath,
-		Stages: StageSeconds{
-			StoreProbe:  meta.storeProbe.Seconds(),
-			Record:      hs.Record.Seconds(),
-			Prefix:      hs.Prefix.Seconds(),
-			Fork:        hs.Fork.Seconds(),
-			TimedLoop:   hs.TimedLoop.Seconds(),
-			Extrapolate: hs.Extrapolate.Seconds(),
-			FreeRunTail: hs.FreeRunTail.Seconds(),
-			Verify:      hs.Verify.Seconds(),
-		},
-	}
-	if key, ok := spec.Key(); ok {
-		rep.Address = store.Address(key)
-	}
-	rep.Kind = classifyFastPath(rep.Source, rep.Replayed, c.Result)
-	return rep
 }
 
-// setHost adds the cell's wall-time to its host time and derives the
-// Recall pseudo-stage: a recalled cell's time is, by definition,
-// everything it spent that was not the store probe (map lookups,
-// waiting on an in-flight duplicate). This is what keeps the sweep
-// report's attribution near-total for warm sweeps.
-func (cr *CellReport) setHost(d time.Duration) {
+// finish completes the report once the cell is served, from its run's
+// HostStages sink (empty for a recalled cell, which ran nothing and so
+// declined nothing) and its wall-time d, which adds to the stream task's
+// time a cell that led a recording was charged. It derives the Recall
+// pseudo-stage: a recalled cell's time is, by definition, everything it
+// spent that was not the store probe (map lookups, waiting on an
+// in-flight duplicate). This is what keeps the sweep report's
+// attribution near-total for warm sweeps.
+func (cr *CellReport) finish(c Cell, hs *nas.HostStages, d time.Duration) {
+	cr.VirtualSeconds = c.Seconds()
+	cr.Kind = classifyFastPath(cr.Source, cr.Replayed, c.Result)
+	cr.FastPath.WhyNot = hs.WhyNot
+	cr.Stages.add(StageSeconds{Record: hs.Record.Seconds(), Prefix: hs.Prefix.Seconds(),
+		Fork: hs.Fork.Seconds(), TimedLoop: hs.TimedLoop.Seconds(),
+		Extrapolate: hs.Extrapolate.Seconds(), FreeRunTail: hs.FreeRunTail.Seconds(),
+		Verify: hs.Verify.Seconds()})
 	cr.HostSeconds += d.Seconds()
 	if cr.Source != SourceSimulated {
 		if rec := cr.HostSeconds - cr.Stages.StoreProbe; rec > 0 {
@@ -368,12 +350,7 @@ func BuildSweepReport(reports []*CellReport, topN int) SweepReport {
 			}
 			sr.Recordings = append(sr.Recordings, rr)
 		}
-		// Only cells simulated by this sweep belong in the histogram: a
-		// recalled cell carries the original run's WhyNot in its FastPath
-		// (RAM recall keeps the whole Result) but declined nothing itself,
-		// and counting it would double every bucket under -all's
-		// overlapping figures.
-		if w := r.FastPath.WhyNot; w != nil && r.Kind != FastPathRecalled {
+		if w := r.FastPath.WhyNot; w != nil {
 			whyCells[string(w.Reason)] = append(whyCells[string(w.Reason)],
 				r.Bench+" "+r.Label+" class"+r.Class)
 		}

@@ -158,6 +158,44 @@ func TestCellReportWhyNotFlows(t *testing.T) {
 	}
 }
 
+// TestCellReportRecalledNoWhyNot: a why-not describes the run that
+// declined, so only the simulating cell reports it. The same cell
+// recalled from RAM (same Cache) or from the store (a fresh Cache on the
+// same store) ran nothing and declined nothing.
+func TestCellReportRecalledNoWhyNot(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []CellSpec{{Bench: "BT", Config: nas.Config{Class: nas.ClassS,
+		Iterations: 3, SteadyState: true, Extrapolate: true}}}
+	warm := NewCache()
+	warm.SetStore(st)
+	r := Runner{Jobs: 1, Cache: warm}
+	simulated := collectReports(t, r, specs)[0]
+	if w := simulated.FastPath.WhyNot; simulated.Source != SourceSimulated || w == nil || w.Reason != nas.WhyNotLoopTooShort {
+		t.Fatalf("simulating cell: source %q, WhyNot %+v; want %q, reason %q",
+			simulated.Source, w, SourceSimulated, nas.WhyNotLoopTooShort)
+	}
+	cold := NewCache()
+	cold.SetStore(st)
+	for _, c := range []struct {
+		source string
+		r      Runner
+	}{{SourceMemory, r}, {SourceStore, Runner{Jobs: 1, Cache: cold}}} {
+		rep := collectReports(t, c.r, specs)[0]
+		if rep.Source != c.source {
+			t.Fatalf("recalled cell source %q, want %q", rep.Source, c.source)
+		}
+		if rep.FastPath.WhyNot != nil {
+			t.Errorf("cell recalled from %s reports WhyNot %+v", c.source, rep.FastPath.WhyNot)
+		}
+		if sr := BuildSweepReport([]*CellReport{rep}, 0); len(sr.WhyNot) != 0 {
+			t.Errorf("cell recalled from %s fills the why-not histogram: %+v", c.source, sr.WhyNot)
+		}
+	}
+}
+
 // TestBuildSweepReport: aggregation arithmetic and ordering on synthetic
 // reports — kind and source counts, replays and declines, stage sums,
 // top-N slowest, attribution, and the deterministic why-not ordering

@@ -16,6 +16,7 @@ import (
 	"upmgo/internal/machine"
 	"upmgo/internal/metrics"
 	"upmgo/internal/nas"
+	"upmgo/internal/store"
 	"upmgo/internal/trace"
 )
 
@@ -175,9 +176,7 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 			defer sl.release()
 			spec := specs[i]
 			emit(Event{Spec: spec, Index: i, Total: len(specs)})
-			start := time.Now()
 			c, rep, err := r.runCell(cctx, b, sl, spec)
-			rep.setHost(time.Since(start))
 			cells[i], errs[i] = c, err
 			emit(Event{Spec: spec, Index: i, Total: len(specs), Done: true, Err: err,
 				SteadyAt: c.Result.SteadyAt, ExtrapolatedIters: c.Result.ExtrapolatedIters,
@@ -221,8 +220,8 @@ type batch struct {
 // record runs s's stream task (nas.Stream.Record) on a goroutine of its
 // own that holds one slot throughout: the recording, then straight away,
 // in the same run, its verdict, the only chain of work a stream
-// serialises. It charges the recording's host time to task as Record and
-// the verdict's as FreeRunTail. Cells replay behind the recording on
+// serialises. Record charges the recording's host time to task as Record
+// and the verdict's as FreeRunTail. Cells replay behind the recording on
 // slots of their own (replayCell). It gives up when ctx ends, before or
 // between steps, and the stream then fails with ctx's error.
 func (b *batch) record(ctx context.Context, s *nas.Stream, task *nas.HostStages) {
@@ -275,14 +274,17 @@ func dispatchOrder(specs []CellSpec) []int {
 // reference the replay is proven bit-identical to. sl is the cell's job
 // slot, held on entry.
 //
-// The returned CellReport (never nil) carries the cell's provenance and
-// host-stage attribution; the caller fills HostSeconds via setHost once
-// it knows the total. The HostStages sink rides on the Config but is
-// observation-only: it is outside the fingerprint, charges no virtual
-// time, and leaves the cell bit-identical to an uninstrumented run.
+// The returned CellReport (never nil) is the cell's host-side record,
+// filled in place as the cell is served: its provenance, the run's host
+// stages and why-not, and its host time. The HostStages sink rides on
+// the Config but is observation-only: it is outside the fingerprint,
+// charges no virtual time, and leaves the cell bit-identical to an
+// uninstrumented run.
 func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec) (Cell, *CellReport, error) {
+	start := time.Now()
 	hs := &nas.HostStages{}
-	meta := &cellMeta{source: SourceSimulated}
+	rep := &CellReport{Bench: spec.Bench, Label: spec.Config.Label(),
+		Class: spec.Config.Class.String(), Source: SourceSimulated}
 	spec.Config.HostStages = hs
 	if r.TraceDir != "" {
 		spec.Config.Tracer = trace.NewRecorder()
@@ -297,13 +299,16 @@ func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec) 
 	var c Cell
 	var err error
 	key, ok := spec.Key()
+	if ok {
+		rep.Address = store.Address(key)
+	}
 	switch {
 	case ok && r.Cache != nil:
-		c, _, err = r.Cache.cell(ctx, key, sl, func() (Cell, error) {
-			return replayCell(ctx, b, sl, spec, meta)
-		}, meta)
+		c, err = r.Cache.cell(ctx, key, sl, func() (Cell, error) {
+			return replayCell(ctx, b, sl, spec, rep)
+		}, rep)
 	case ok:
-		c, err = replayCell(ctx, b, sl, spec, meta)
+		c, err = replayCell(ctx, b, sl, spec, rep)
 	default:
 		if r.Cache != nil {
 			r.Cache.noteScratch()
@@ -316,7 +321,8 @@ func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec) 
 			err = r.writeMetrics(spec, spec.Config.Metrics)
 		}
 	}
-	return c, newCellReport(spec, c, meta, hs), err
+	rep.finish(c, hs, time.Since(start))
+	return c, rep, err
 }
 
 // replayCell answers spec by replaying the benchmark's miss stream from
@@ -332,13 +338,12 @@ func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec) 
 // through the free-run steps and Verify. The leader also charges the
 // stream task's host time, the recording to record and the verdict to
 // free_run_tail. When the recording declined, the cell runs from
-// scratch and meta carries the reason.
-func replayCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, meta *cellMeta) (Cell, error) {
+// scratch and rep carries the reason.
+func replayCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, rep *CellReport) (Cell, error) {
 	builder, ok := Builder(spec.Bench)
 	if !ok {
 		return Cell{}, fmt.Errorf("exp: %w: %q", ErrUnknownBenchmark, spec.Bench)
 	}
-	hs := spec.Config.HostStages
 	skey, _ := spec.Config.StreamFingerprint()
 	var task *nas.HostStages // the stream task's, when this cell leads
 	s, _, err := b.streams.do(ctx, spec.Bench+"\x00"+skey, nil, func() (*nas.Stream, error) {
@@ -366,38 +371,29 @@ func replayCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, meta *ce
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
 	}
 	// The recording has ended: the replay returns only then.
-	meta.declined = s.Declined
+	rep.ReplayDeclined = s.Declined
 	if task != nil {
 		size := s.Size()
-		meta.recording, meta.stored = &s.Compression, &size
+		rep.Recording, rep.Stored = &s.Compression, &size
 	}
 	if declined {
-		chargeTask(hs, meta, task)
+		rep.chargeTask(task)
 		return run(spec.Bench, spec.Config)
 	}
-	meta.replayed = true
-	sl.release()
+	rep.Replayed = true
+	// The verdict wait starts with giving the slot back: the release can
+	// wake another goroutine that takes this one's CPU.
 	t1 := time.Now()
+	sl.release()
 	if err := s.Judge(ctx, &res); err != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s: %w", spec.Bench, spec.Config.Label(), err)
 	}
-	hs.Verify += time.Since(t1)
-	chargeTask(hs, meta, task)
+	rep.Stages.Verify += time.Since(t1).Seconds()
+	rep.chargeTask(task)
 	if res.VerifyErr != nil {
 		return Cell{}, fmt.Errorf("exp: %s %s failed verification: %w", spec.Bench, spec.Config.Label(), res.VerifyErr)
 	}
 	return Cell{Bench: spec.Bench, Label: res.Label, Result: res}, nil
-}
-
-// chargeTask charges a stream task's host time, once it is final, to
-// the cell that led the stream, when task is that cell's: the task ran
-// on a slot of its own on the cell's behalf.
-func chargeTask(hs *nas.HostStages, meta *cellMeta, task *nas.HostStages) {
-	if task != nil {
-		hs.Record += task.Record
-		hs.FreeRunTail += task.FreeRunTail
-		meta.task = task.Record + task.FreeRunTail
-	}
 }
 
 // cellBase is a cell's canonical file/label stem, shared by the trace

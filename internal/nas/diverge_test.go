@@ -24,7 +24,6 @@ func TestDiverge(t *testing.T) {
 		{"UPM.OverheadPS", func(r *nas.Result) { r.UPM.OverheadPS = 1 }},
 		{"TotalPS", func(r *nas.Result) { r.TotalPS, r.Mach.Faults = 1, 1 }},
 		{"VerifyErr", func(r *nas.Result) { r.VerifyErr = errors.New("x") }},
-		{"FastPath.WhyNot", func(r *nas.Result) { r.FastPath.WhyNot = &nas.WhyNot{} }},
 	} {
 		got := base()
 		c.edit(&got)

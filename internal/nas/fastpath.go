@@ -5,15 +5,12 @@ import (
 	"time"
 )
 
-// FastPath reports — when the steady-state machinery was armed but the
-// tail was still simulated in full — a typed diagnosis of why it
-// declined; Result.SteadyAt and ExtrapolatedIters say what engaged. It is
-// host-side metadata: populated from the same observations the run makes
-// anyway, charging zero virtual time, and excluded from the Result's JSON
-// form so store records and job-API payloads are byte-identical with or
-// without it. The JSON tag below exists for the *telemetry* surfaces
-// (exp.CellReport, the sweepd events stream), which serialise the report
-// deliberately.
+// FastPath is the fast-path field of a cell's telemetry report
+// (exp.CellReport, the sweepd events stream): when the steady-state
+// machinery was armed but the tail was still simulated in full, the
+// typed diagnosis of why it declined, which the run left in its
+// HostStages sink. Result.SteadyAt and ExtrapolatedIters say what
+// engaged.
 type FastPath struct {
 	// WhyNot explains why fast-forwarding declined. Nil when it engaged
 	// (Result.ExtrapolatedIters > 0), or when SteadyState was never armed.
@@ -102,26 +99,31 @@ func (w *WhyNot) String() string {
 	return string(w.Reason)
 }
 
-// HostStages splits one run's host wall-clock cost by stage. A run
-// fills the stages it executes when Config.HostStages points here; the
-// remaining fields stay zero (a store-recalled cell charges only exp's
-// store probe, which is not a stage of the run).
-// Timing is pure observation: no time.Now call is made unless the sink
-// is attached, and nothing simulated reads the values, so armed and
-// unarmed runs are bit-identical in every virtual quantity.
+// HostStages is one run's host-side record: its host wall-clock cost
+// split by stage, and, when the steady-state machinery was armed but
+// never fast-forwarded, the typed diagnosis of why. A run fills the
+// stages it executes when Config.HostStages points here; the remaining
+// fields stay zero (a store-recalled cell charges only exp's store
+// probe, which is not a stage of the run). A lap cursor times the
+// stages: each boundary closes the stage the run was in and opens the
+// next, so every span from Run's entry to its return lands in exactly
+// one stage. Filling it is pure observation: without a sink no clock is
+// read, and nothing simulated reads the values, so armed and unarmed
+// runs are bit-identical in every virtual quantity.
 type HostStages struct {
 	// Record: recording the benchmark's shared L2-miss stream (charged
 	// by exp to the cell that led it), or, for a cell that replays it,
-	// the time parked at the recording's frontier, which Prefix and
-	// TimedLoop leave out.
+	// the time parked at the recording's frontier.
 	Record time.Duration `json:"record,omitempty"`
 	// Prefix: the engine-independent cold start (machine build, init
-	// touch, cold iteration, reset).
+	// touch, cold iteration, reset), from Run's entry to the end of the
+	// cold start.
 	Prefix time.Duration `json:"prefix,omitempty"`
 	// Fork: cloning a prefix snapshot and rebuilding the kernel on it
 	// (Prefix.RunFromSnapshot; the sweep runner does not fork).
 	Fork time.Duration `json:"fork,omitempty"`
-	// TimedLoop: the simulated iterations of the timed main loop.
+	// TimedLoop: arming the engines and the simulated iterations of the
+	// timed main loop, with the loop's end when nothing follows it.
 	TimedLoop time.Duration `json:"timed_loop,omitempty"`
 	// Extrapolate: applying the proven delta analytically.
 	Extrapolate time.Duration `json:"extrapolate,omitempty"`
@@ -130,14 +132,65 @@ type HostStages struct {
 	// that led a stream, the stream's verdict, the recording's run past
 	// its final frontier, Verify included.
 	FreeRunTail time.Duration `json:"free_run_tail,omitempty"`
-	// Verify: the numerical check.
+	// Verify: the numerical check, and the run's end after it.
 	Verify time.Duration `json:"verify,omitempty"`
+
+	// WhyNot explains why the steady-state fast-forward declined; nil
+	// when it engaged, or when Config.SteadyState was off.
+	WhyNot *WhyNot `json:"why_not,omitempty"`
+
+	at    stage     // the stage the cursor is in
+	since time.Time // when it opened
 }
 
-// Sum returns the total host time attributed to named stages.
-func (h *HostStages) Sum() time.Duration {
+// stage names one of HostStages' durations, the unit the lap cursor
+// moves by.
+type stage uint8
+
+const (
+	stageNone stage = iota // the cursor is stopped
+	stageRecord
+	stagePrefix
+	stageFork
+	stageTimedLoop
+	stageExtrapolate
+	stageFreeRunTail
+	stageVerify
+)
+
+// lap closes the stage the cursor is in, charging it the time since it
+// opened, opens next and returns the stage it closed. On a nil sink it
+// does nothing and reads no clock.
+func (h *HostStages) lap(next stage) stage {
 	if h == nil {
-		return 0
+		return stageNone
 	}
-	return h.Record + h.Prefix + h.Fork + h.TimedLoop + h.Extrapolate + h.FreeRunTail + h.Verify
+	now := time.Now()
+	if d := h.field(h.at); d != nil {
+		*d += now.Sub(h.since)
+	}
+	prev := h.at
+	h.at, h.since = next, now
+	return prev
+}
+
+// field returns the duration s charges, nil for stageNone.
+func (h *HostStages) field(s stage) *time.Duration {
+	switch s {
+	case stageRecord:
+		return &h.Record
+	case stagePrefix:
+		return &h.Prefix
+	case stageFork:
+		return &h.Fork
+	case stageTimedLoop:
+		return &h.TimedLoop
+	case stageExtrapolate:
+		return &h.Extrapolate
+	case stageFreeRunTail:
+		return &h.FreeRunTail
+	case stageVerify:
+		return &h.Verify
+	}
+	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"upmgo/internal/kmig"
 	"upmgo/internal/machine"
@@ -238,12 +237,12 @@ type Varying interface {
 // Builder constructs a kernel on a machine at a class and compute scale.
 type Builder func(m *machine.Machine, class Class, scale int, seed uint64) Kernel
 
-// Config selects one experiment cell. The JSON tags define the wire form
-// used by sweep requests (cmd/sweepd's POST /v1/jobs) and store records:
-// enums encode as their figure labels (Class "W", Placement "ft", UPM
-// "upmlib") via their MarshalText methods, and the non-serializable
-// observation hooks (Tweak, Tracer, Metrics, HostStages) are excluded —
-// exactly the fields Fingerprint refuses to encode.
+// Config selects one experiment cell. Its JSON tags give a config a
+// readable encoding (enums as their figure labels: Class "W", Placement
+// "ft", UPM "upmlib"; the observation hooks Tweak, Tracer, Metrics and
+// HostStages excluded), but no wire form carries one: a sweep request
+// (cmd/sweepd's POST /v1/jobs) is an exp.SweepRequest, and a store
+// record's payload is a Result, keyed by the config's Fingerprint.
 type Config struct {
 	Class      Class       `json:"class"`
 	Placement  vm.Policy   `json:"placement"`
@@ -302,14 +301,14 @@ type Config struct {
 	// SteadyWindow is the number of consecutive identical deltas that
 	// proves steadiness. 0 means the default (3).
 	SteadyWindow int `json:"steady_window,omitempty"`
-	// HostStages, when non-nil, receives the run's host wall-clock cost
-	// split by stage (prefix, fork, timed loop, extrapolation, free-run
-	// tail, verification). Pure observation of the host clock: nothing
-	// simulated reads it, no virtual time is charged, and without a sink
-	// not even time.Now is called, so armed and unarmed runs are
-	// bit-identical in every virtual quantity. It never partitions the
-	// fingerprint space — it is simply absent from the fingerprint
-	// encoding.
+	// HostStages, when non-nil, receives the run's host-side record: its
+	// host wall-clock cost split by stage (prefix, fork, timed loop,
+	// extrapolation, free-run tail, verification) and the steady-state
+	// WhyNot. Pure observation: nothing simulated reads it, no virtual
+	// time is charged, and without a sink no clock is read, so armed and
+	// unarmed runs are bit-identical in every virtual quantity. It never
+	// partitions the fingerprint space — it is simply absent from the
+	// fingerprint encoding.
 	HostStages *HostStages `json:"-"`
 	// Topo selects the machine's shape: a topology.ParseShape string or
 	// preset ("4x2x8", "hier64", "cube:2x2x2"). It overrides the class
@@ -501,12 +500,13 @@ func (c Config) Label() string {
 	return l
 }
 
-// Result reports one run. The JSON tags define the store-record and job-API
-// payload form; every timing field is an integer picosecond count, so the
-// JSON round-trip is exact and a decoded Result is bit-identical to the
-// one encoded (the invariant internal/store's tests pin). VerifyErr is
-// excluded: only verified results are ever persisted or served, and an
-// error value has no canonical encoding.
+// Result reports one run's simulated quantities; what the run cost the
+// host goes to Config.HostStages. The JSON tags define the store-record
+// and job-API payload form; every timing field is an integer picosecond
+// count, so the JSON round-trip is exact and a decoded Result is
+// bit-identical to the one encoded (the invariant internal/store's tests
+// pin). VerifyErr is excluded: only verified results are ever persisted
+// or served, and an error value has no canonical encoding.
 type Result struct {
 	Kernel string `json:"kernel"`
 	Label  string `json:"label"`
@@ -535,18 +535,9 @@ type Result struct {
 	// hold exactly as in a fully simulated run.
 	SteadyAt          int `json:"steady_at,omitempty"`
 	ExtrapolatedIters int `json:"extrapolated_iters,omitempty"`
-	// CampaignAt/CampaignIters are legacy fields that Run never sets.
-	// They stay so that older store records which carry them still
-	// decode.
-	CampaignAt    int `json:"campaign_at,omitempty"`
+	// CampaignIters is a legacy field that Run never sets; the benchmark
+	// harness still reads it.
 	CampaignIters int `json:"campaign_iters,omitempty"`
-
-	// FastPath carries, when the steady-state machinery was armed but
-	// declined, the typed WhyNot diagnosis. Host-side metadata: excluded from the JSON form,
-	// so store records and job-API payloads are byte-identical with or
-	// without it, and zeroed by the bit-identity comparisons the steady
-	// tests run (it describes the host's path, not the simulated physics).
-	FastPath FastPath `json:"-"`
 }
 
 // Seconds returns the main-loop virtual time in seconds.
@@ -575,19 +566,11 @@ func Run(build Builder, cfg Config) (Result, error) {
 	if cfg.Iterations < 0 {
 		return Result{}, fmt.Errorf("nas: negative iterations %d", cfg.Iterations)
 	}
-	var t0 time.Time
-	var parked time.Duration
-	if hs := cfg.HostStages; hs != nil {
-		t0, parked = time.Now(), hs.Record
-	}
+	cfg.HostStages.lap(stagePrefix)
+	defer cfg.HostStages.lap(stageNone)
 	m, k, team, err := runPrefix(build, cfg)
 	if err != nil {
 		return Result{}, err
-	}
-	if hs := cfg.HostStages; hs != nil {
-		// A replay charges its time parked at the recording's frontier
-		// to Record itself.
-		hs.Prefix += time.Since(t0) - (hs.Record - parked)
 	}
 	return runMain(m, k, team, cfg)
 }
@@ -667,6 +650,8 @@ func runPrefix(build Builder, cfg Config) (*machine.Machine, Kernel, *omp.Team, 
 // prefix, and it keeps the prefix machine hook-free (barrier hooks are
 // closures and cannot be cloned; see machine.Machine.Clone).
 func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, error) {
+	hs := cfg.HostStages
+	hs.lap(stageTimedLoop)
 	// The team's coroutines go when the run ends, not when a later GC
 	// finds the team unreachable.
 	defer team.Rest()
@@ -719,15 +704,6 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 	trc := cfg.tracer()
 	start := master.Now()
 	reactivated := false
-	// Host-stage accounting: accumulated locally and folded into the
-	// sink after the loop, so TimedLoop is the loop's wall time minus
-	// the analytic, free-run and parked spans it contains.
-	hs := cfg.HostStages
-	var loopStart time.Time
-	var extraHost, freeHost, parked time.Duration
-	if hs != nil {
-		loopStart, parked = time.Now(), hs.Record
-	}
 	for step := 1; step <= niter; step++ {
 		iterStart := master.Now()
 		if trc != nil {
@@ -804,19 +780,13 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 			det = nil
 			continue
 		}
-		var t0 time.Time
-		if hs != nil {
-			t0 = time.Now()
-		}
+		hs.lap(stageExtrapolate)
 		det.fastForward(r)
 		res.ExtrapolatedIters = int(r)
 		dIter, dPhase := det.iterPhase()
 		for i := int64(0); i < r; i++ {
 			res.IterPS = append(res.IterPS, dIter)
 			res.PhasePS = append(res.PhasePS, dPhase)
-		}
-		if hs != nil {
-			extraHost += time.Since(t0)
 		}
 		if trc != nil {
 			// Stamped with the post-jump clock; Summarize treats it as
@@ -836,25 +806,15 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 		// the true final numerics. Engine calls are skipped (empty
 		// hooks, no MigrateMemory) — on the proven period-one orbit
 		// they only move time and page homes, never kernel values.
-		if hs != nil {
-			t0 = time.Now()
-		}
+		hs.lap(stageFreeRunTail)
 		m.SetFreeRun(true)
 		for fs := step + 1; fs <= niter; fs++ {
 			k.Step(team, &Hooks{})
 		}
 		m.SetFreeRun(false)
-		if hs != nil {
-			freeHost += time.Since(t0)
-		}
 		break
 	}
 	res.TotalPS = master.Now() - start
-	if hs != nil {
-		hs.TimedLoop += time.Since(loopStart) - extraHost - freeHost - (hs.Record - parked)
-		hs.Extrapolate += extraHost
-		hs.FreeRunTail += freeHost
-	}
 
 	if u != nil {
 		res.UPM = u.Stats()
@@ -866,18 +826,12 @@ func runMain(m *machine.Machine, k Kernel, team *omp.Team, cfg Config) (Result, 
 		res.PagesTotal += int(r[1] - r[0])
 	}
 	if !cfg.SkipVerify {
-		var t0 time.Time
-		if hs != nil {
-			t0 = time.Now()
-		}
+		hs.lap(stageVerify)
 		res.VerifyErr = k.Verify()
 		res.Verified = res.VerifyErr == nil
-		if hs != nil {
-			hs.Verify += time.Since(t0)
-		}
 	}
-	if cfg.SteadyState && res.ExtrapolatedIters == 0 {
-		res.FastPath.WhyNot = runWhyNot(cfg, det, res)
+	if hs != nil && cfg.SteadyState && res.ExtrapolatedIters == 0 {
+		hs.WhyNot = runWhyNot(cfg, det, res)
 	}
 	return res, nil
 }

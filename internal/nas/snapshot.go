@@ -2,7 +2,6 @@ package nas
 
 import (
 	"fmt"
-	"time"
 
 	"upmgo/internal/machine"
 	"upmgo/internal/omp"
@@ -63,10 +62,8 @@ func (p *Prefix) RunFromSnapshot(cfg Config) (Result, error) {
 	if key != p.key {
 		return Result{}, fmt.Errorf("nas: config prefix %q does not match snapshot prefix %q", key, p.key)
 	}
-	var t0 time.Time
-	if cfg.HostStages != nil {
-		t0 = time.Now()
-	}
+	cfg.HostStages.lap(stageFork)
+	defer cfg.HostStages.lap(stageNone)
 	m := p.snap.Clone()
 	// Rebuild the kernel on the clone: the builder re-runs the exact
 	// allocation sequence of the prefix on the rewound heap, giving every
@@ -94,9 +91,6 @@ func (p *Prefix) RunFromSnapshot(cfg Config) (Result, error) {
 	team, err := omp.NewTeam(m, threads)
 	if err != nil {
 		return Result{}, err
-	}
-	if cfg.HostStages != nil {
-		cfg.HostStages.Fork += time.Since(t0)
 	}
 	return runMain(m, k, team, cfg)
 }

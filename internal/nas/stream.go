@@ -3,7 +3,6 @@ package nas
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"upmgo/internal/kmig"
 	"upmgo/internal/machine"
@@ -189,9 +188,11 @@ func RecordStream(build Builder, cfg Config) (*Stream, error) {
 // following the recording fails with. hs, when non-nil, is charged the
 // recording's host time as Record before the final frontier is
 // published, and the verdict's as FreeRunTail before the stream is
-// judged. Call it once.
+// judged; a declined stream's hs is final at its final frontier. Call it
+// once.
 func (s *Stream) Record(ctx context.Context, hs *HostStages) error {
-	k := &recordingKernel{s: s, ctx: ctx, hs: hs, t0: time.Now()}
+	hs.lap(stageRecord)
+	k := &recordingKernel{s: s, ctx: ctx, hs: hs}
 	var res Result
 	err := ctx.Err()
 	if err == nil {
@@ -214,14 +215,13 @@ func (s *Stream) Record(ctx context.Context, hs *HostStages) error {
 	if err == nil {
 		err = k.err
 	}
-	switch {
-	case !k.final:
-		if hs != nil {
-			hs.Record += time.Since(k.t0)
-		}
+	if s.Declined == "" {
+		// A declined stream's leader reads hs at the final frontier;
+		// any other's only once the stream is judged.
+		hs.lap(stageNone)
+	}
+	if !k.final {
 		s.log.Abort(err)
-	case hs != nil && s.Declined == "":
-		hs.FreeRunTail += time.Since(k.t0)
 	}
 	s.err, s.verifyErr = err, res.VerifyErr
 	close(s.judged)
@@ -282,14 +282,7 @@ func (s *Stream) ReplayUnjudged(cfg Config, park machine.Parker) (Result, error)
 	if key, ok := cfg.StreamFingerprint(); !ok || key != "stream\x00"+s.key {
 		return Result{}, fmt.Errorf("nas: config stream %q does not match recorded stream %q", key, s.key)
 	}
-	if hs := cfg.HostStages; hs != nil {
-		inner := park
-		park = func(ready <-chan struct{}) error {
-			t0 := time.Now()
-			defer func() { hs.Record += time.Since(t0) }()
-			return inner.Park(ready)
-		}
-	}
+	park = cfg.HostStages.parker(park)
 	if err := s.log.WaitBegun(park); err != nil {
 		return Result{}, err
 	}
@@ -308,6 +301,15 @@ func (s *Stream) ReplayUnjudged(cfg Config, park machine.Parker) (Result, error)
 		return Result{}, err
 	}
 	return res, nil
+}
+
+// parker returns park charging h, when non-nil, its time parked as
+// Record, whatever stage the run is in, which resumes afterwards.
+func (h *HostStages) parker(park machine.Parker) machine.Parker {
+	return func(ready <-chan struct{}) error {
+		defer h.lap(h.lap(stageRecord))
+		return park.Park(ready)
+	}
 }
 
 // replayKernel returns a replay's kernel on m, whose reader parks with
@@ -337,7 +339,6 @@ type recordingKernel struct {
 	ctx      context.Context
 	err      error // ctx's error, once a Step saw it
 	hs       *HostStages
-	t0       time.Time // when the stage hs is charged next began
 	compress bool
 	final    bool // the final frontier is published
 	calls    int  // Step calls so far, the cold start's included
@@ -418,12 +419,9 @@ func (k *recordingKernel) publish() {
 	k.m.SetRecorder(nil)
 	k.m.DropCacheState()
 	k.m.SetFreeRun(true)
-	// Charged before the publication: the leader of a declined stream
+	// Lapped before the publication: the leader of a declined stream
 	// reads hs as soon as the frontier is final.
-	if k.hs != nil {
-		k.hs.Record += time.Since(k.t0)
-		k.t0 = time.Now()
-	}
+	k.hs.lap(stageFreeRunTail)
 	k.final = true
 	// Finish fails only for a declined recording, which is no error of
 	// Record's: its replays fail, and their cells run from scratch.

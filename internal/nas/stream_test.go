@@ -23,31 +23,37 @@ import (
 // to equal Run's of the same config, naming the first divergent field
 // when it does not. The steady leg's detector reads the cache counters
 // the log keeps, so it must fire at the same iteration with the same
-// deltas, or decline for the same reason. It returns the steady replay.
-func replayMatchesRun(t *testing.T, s *nas.Stream, build nas.Builder, cfg nas.Config) nas.Result {
+// deltas, or decline for the same reason, which each run leaves in its
+// HostStages sink. It returns the steady replay and its WhyNot.
+func replayMatchesRun(t *testing.T, s *nas.Stream, build nas.Builder, cfg nas.Config) (nas.Result, *nas.WhyNot) {
 	t.Helper()
 	var got nas.Result
+	var why *nas.WhyNot
 	for _, steady := range []bool{false, true} {
 		cfg := cfg
 		cfg.SteadyState, cfg.Extrapolate = steady, steady
+		var wantHS, gotHS nas.HostStages
+		cfg.HostStages = &wantHS
 		want, err := nas.Run(build, cfg)
 		if err != nil {
 			t.Fatalf("%s steady=%v run: %v", cfg.Label(), steady, err)
 		}
+		cfg.HostStages = &gotHS
 		if got, err = s.Replay(cfg); err != nil {
 			t.Fatalf("%s steady=%v replay: %v", cfg.Label(), steady, err)
 		}
 		if d := nas.Diverge(want, got); d != "" {
 			t.Errorf("%s steady=%v: replay diverges from Run at %s", cfg.Label(), steady, d)
 		}
-		if !reflect.DeepEqual(want.FastPath.WhyNot, got.FastPath.WhyNot) {
-			t.Errorf("%s steady=%v: replay WhyNot %v, Run %v", cfg.Label(), steady, got.FastPath.WhyNot, want.FastPath.WhyNot)
+		if !reflect.DeepEqual(wantHS.WhyNot, gotHS.WhyNot) {
+			t.Errorf("%s steady=%v: replay WhyNot %v, Run %v", cfg.Label(), steady, gotHS.WhyNot, wantHS.WhyNot)
 		}
 		if !got.Verified {
 			t.Errorf("%s steady=%v: replay not verified: %v", cfg.Label(), steady, got.VerifyErr)
 		}
+		why = gotHS.WhyNot
 	}
-	return got
+	return got, why
 }
 
 func record(t *testing.T, build nas.Builder, cfg nas.Config) *nas.Stream {
@@ -84,7 +90,7 @@ func TestReplayMatchesRun(t *testing.T) {
 					cfg := base
 					cfg.Placement = p
 					set(&cfg)
-					if r := replayMatchesRun(t, s, b.build, cfg); r.ExtrapolatedIters > 0 {
+					if r, _ := replayMatchesRun(t, s, b.build, cfg); r.ExtrapolatedIters > 0 {
 						extrapolated++
 					}
 				}
@@ -230,10 +236,10 @@ func TestReplayShapes(t *testing.T) {
 			{synthBuilder(0, 0), period2, nas.WhyNotHomesMoving},
 			{synthBuilder(0, 3), cfg, nas.WhyNotAperiodic},
 		} {
-			r := replayMatchesRun(t, record(t, c.build, cfg), c.build, c.cfg)
-			if r.SteadyAt != 0 || r.FastPath.WhyNot == nil || r.FastPath.WhyNot.Reason != c.why {
+			r, w := replayMatchesRun(t, record(t, c.build, cfg), c.build, c.cfg)
+			if r.SteadyAt != 0 || w == nil || w.Reason != c.why {
 				t.Errorf("%s: steady replay fired at iteration %d (WhyNot %v), want no orbit, reason %q",
-					c.cfg.Label(), r.SteadyAt, r.FastPath.WhyNot, c.why)
+					c.cfg.Label(), r.SteadyAt, w, c.why)
 			}
 		}
 	})

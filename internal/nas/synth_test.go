@@ -112,8 +112,8 @@ func (k *synthKernel) Verify() error {
 
 // runPair runs the same cell fully simulated and with the steady-state
 // machinery on, and requires the results to be bit-identical outside the
-// detection metadata.
-func runPair(t *testing.T, build nas.Builder, cfg nas.Config) (plain, steady nas.Result) {
+// detection metadata. It returns the steady run's WhyNot too.
+func runPair(t *testing.T, build nas.Builder, cfg nas.Config) (plain, steady nas.Result, why *nas.WhyNot) {
 	t.Helper()
 	plain, err := nas.Run(build, cfg)
 	if err != nil {
@@ -121,14 +121,11 @@ func runPair(t *testing.T, build nas.Builder, cfg nas.Config) (plain, steady nas
 	}
 	scfg := cfg
 	scfg.SteadyState, scfg.Extrapolate = true, true
-	steady, err = nas.Run(build, scfg)
-	if err != nil {
-		t.Fatalf("steady: %v", err)
-	}
+	steady, why = runSink(t, build, scfg)
 	if !reflect.DeepEqual(plain, maskSteady(steady)) {
 		t.Errorf("steady run diverges from simulated:\n plain  %+v\n steady %+v", plain, steady)
 	}
-	return plain, steady
+	return plain, steady, why
 }
 
 // campaignConfig is the staged-campaign cell: kernel engine on, no decay
@@ -136,7 +133,7 @@ func runPair(t *testing.T, build nas.Builder, cfg nas.Config) (plain, steady nas
 // until migrated — a pure throttled migration of the dead pages.
 func campaignConfig(iters int) nas.Config {
 	return nas.Config{
-		Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
+		Class: nas.ClassS, Placement: vm.FirstTouch,
 		Iterations: iters, KernelMig: true,
 		Kmig: kmig.Config{DecayEvery: -1, MinScanPS: -1},
 	}
@@ -149,12 +146,12 @@ func campaignConfig(iters int) nas.Config {
 // and extrapolate the quiet orbit that follows it.
 func TestCampaignSimulatedUnderSteady(t *testing.T) {
 	const deadPages = 400 // ≈ 8 iterations of campaign at 3 scans × 16 pages
-	plain, steady := runPair(t, synthBuilder(deadPages, 0), campaignConfig(16))
+	plain, steady, _ := runPair(t, synthBuilder(deadPages, 0), campaignConfig(16))
 	if plain.KmigMoves != deadPages {
 		t.Fatalf("staging failed: simulated run migrated %d of %d dead pages", plain.KmigMoves, deadPages)
 	}
-	if steady.CampaignIters != 0 || steady.CampaignAt != 0 {
-		t.Errorf("steady run reports campaign iterations: at %d for %d", steady.CampaignAt, steady.CampaignIters)
+	if steady.CampaignIters != 0 {
+		t.Errorf("steady run reports %d campaign iterations", steady.CampaignIters)
 	}
 	if steady.SteadyAt == 0 {
 		t.Errorf("post-campaign steady state not detected: %+v", steady)
@@ -166,13 +163,13 @@ func TestCampaignSimulatedUnderSteady(t *testing.T) {
 // the run simulates in full, bit-identically, and the diagnosis calls
 // the deltas aperiodic (no delta repeats the one before it).
 func TestSteadyPeriod3Compute(t *testing.T) {
-	cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1, Iterations: 24}
-	_, steady := runPair(t, synthBuilder(0, 3), cfg)
+	cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Iterations: 24}
+	_, steady, w := runPair(t, synthBuilder(0, 3), cfg)
 	if steady.SteadyAt != 0 || steady.ExtrapolatedIters != 0 {
 		t.Fatalf("period-3 orbit fired the detector at iteration %d, %d extrapolated",
 			steady.SteadyAt, steady.ExtrapolatedIters)
 	}
-	if w := steady.FastPath.WhyNot; w == nil || w.Reason != nas.WhyNotAperiodic {
+	if w == nil || w.Reason != nas.WhyNotAperiodic {
 		t.Errorf("WhyNot = %v, want reason %q", w, nas.WhyNotAperiodic)
 	}
 }
@@ -185,9 +182,9 @@ func TestSteadyPeriod3Compute(t *testing.T) {
 // detector proves repetition over the window, and a window shorter than
 // the hidden cycle's quiet run is an explicitly weaker statement.
 func TestSteadyPeriod9Adversary(t *testing.T) {
-	cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
+	cfg := nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch,
 		Iterations: 30, SteadyWindow: 9}
-	_, steady := runPair(t, synthBuilder(0, 9), cfg)
+	_, steady, _ := runPair(t, synthBuilder(0, 9), cfg)
 	if steady.SteadyAt != 0 {
 		t.Errorf("period-9 stream fired the detector at iteration %d", steady.SteadyAt)
 	}
@@ -205,11 +202,11 @@ func TestSteadyPeriod9Adversary(t *testing.T) {
 // refuses and the run falls back to full simulation.
 func TestSteadyPeriod9EngineAdversary(t *testing.T) {
 	cfg := nas.Config{
-		Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
+		Class: nas.ClassS, Placement: vm.FirstTouch,
 		Iterations: 30, KernelMig: true,
 		Kmig: kmig.Config{ScanEvery: 27, DecayEvery: -1, MinScanPS: -1},
 	}
-	_, steady := runPair(t, synthBuilder(0, 0), cfg)
+	_, steady, _ := runPair(t, synthBuilder(0, 0), cfg)
 	if steady.SteadyAt != 0 {
 		t.Errorf("engine period-9 cadence fired the detector at iteration %d", steady.SteadyAt)
 	}
@@ -223,16 +220,16 @@ func TestSteadyPeriod9EngineAdversary(t *testing.T) {
 // and the diagnosis blames the moving state hash.
 func TestSteadyPeriod2EngineCadence(t *testing.T) {
 	cfg := nas.Config{
-		Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
+		Class: nas.ClassS, Placement: vm.FirstTouch,
 		Iterations: 24, KernelMig: true,
 		Kmig: kmig.Config{ScanEvery: 2, DecayEvery: -1, MinScanPS: -1},
 	}
-	_, steady := runPair(t, synthBuilder(0, 0), cfg)
+	_, steady, w := runPair(t, synthBuilder(0, 0), cfg)
 	if steady.SteadyAt != 0 || steady.ExtrapolatedIters != 0 {
 		t.Fatalf("period-2 engine cadence fired the detector at iteration %d, %d extrapolated",
 			steady.SteadyAt, steady.ExtrapolatedIters)
 	}
-	if w := steady.FastPath.WhyNot; w == nil || w.Reason != nas.WhyNotHomesMoving {
+	if w == nil || w.Reason != nas.WhyNotHomesMoving {
 		t.Errorf("WhyNot = %v, want reason %q", w, nas.WhyNotHomesMoving)
 	}
 }

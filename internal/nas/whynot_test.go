@@ -13,23 +13,34 @@ import (
 // steadyCfg is the common arming: detector plus extrapolation, so a nil
 // WhyNot means the fast path genuinely engaged.
 func steadyCfg(iters int) nas.Config {
-	return nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
+	return nas.Config{Class: nas.ClassS, Placement: vm.FirstTouch,
 		Iterations: iters, SteadyState: true, Extrapolate: true}
 }
 
+// runWhy runs cfg and returns the WhyNot its HostStages sink received.
 func runWhy(t *testing.T, build nas.Builder, cfg nas.Config) *nas.WhyNot {
 	t.Helper()
+	res, w := runSink(t, build, cfg)
+	if res.ExtrapolatedIters > 0 {
+		t.Fatalf("fast path engaged (%d extrapolated); the case should decline", res.ExtrapolatedIters)
+	}
+	if w == nil {
+		t.Fatal("declined fast-forward carries no WhyNot")
+	}
+	return w
+}
+
+// runSink runs cfg with a HostStages sink attached and returns the
+// Result and the sink's WhyNot.
+func runSink(t *testing.T, build nas.Builder, cfg nas.Config) (nas.Result, *nas.WhyNot) {
+	t.Helper()
+	hs := &nas.HostStages{}
+	cfg.HostStages = hs
 	res, err := nas.Run(build, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ExtrapolatedIters > 0 {
-		t.Fatalf("fast path engaged (%d extrapolated); the case should decline", res.ExtrapolatedIters)
-	}
-	if res.FastPath.WhyNot == nil {
-		t.Fatalf("declined fast-forward carries no WhyNot: %+v", res.FastPath)
-	}
-	return res.FastPath.WhyNot
+	return res, hs.WhyNot
 }
 
 // TestWhyNotLoopTooShort: fewer than window+1 timed iterations can never
@@ -82,7 +93,7 @@ func TestWhyNotPeriodBeyondCapAdversary(t *testing.T) {
 // The diagnosis must blame the moving homes, not the counters.
 func TestWhyNotHomesMoving(t *testing.T) {
 	cfg := nas.Config{
-		Class: nas.ClassS, Placement: vm.FirstTouch, Threads: 1,
+		Class: nas.ClassS, Placement: vm.FirstTouch,
 		Iterations: 10, KernelMig: true,
 		Kmig:        kmig.Config{DecayEvery: -1, MinScanPS: -1},
 		SteadyState: true, Extrapolate: true,
@@ -106,14 +117,10 @@ func TestWhyNotHomesMoving(t *testing.T) {
 func TestWhyNotDeclinedModes(t *testing.T) {
 	cfg := steadyCfg(12)
 	cfg.Extrapolate = false
-	res, err := nas.Run(bt.New, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, w := runSink(t, bt.New, cfg)
 	if res.SteadyAt == 0 {
 		t.Fatalf("detection-only run never detected: %+v", res)
 	}
-	w := res.FastPath.WhyNot
 	if w == nil || w.Reason != nas.WhyNotDetectionOnly {
 		t.Fatalf("detection-only WhyNot = %+v, want reason %q", w, nas.WhyNotDetectionOnly)
 	}
@@ -123,12 +130,7 @@ func TestWhyNotDeclinedModes(t *testing.T) {
 
 	scfg := steadyCfg(12)
 	scfg.Metrics = metrics.NewSampler(metrics.Options{})
-	res, err = nas.Run(bt.New, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w = res.FastPath.WhyNot
-	if w == nil || w.Reason != nas.WhyNotSampler {
+	if _, w = runSink(t, bt.New, scfg); w == nil || w.Reason != nas.WhyNotSampler {
 		t.Fatalf("sampler-vetoed WhyNot = %+v, want reason %q", w, nas.WhyNotSampler)
 	}
 }
@@ -136,15 +138,12 @@ func TestWhyNotDeclinedModes(t *testing.T) {
 // TestWhyNotEngagedIsNil: when the fast path engages the report carries
 // no excuse.
 func TestWhyNotEngagedIsNil(t *testing.T) {
-	res, err := nas.Run(bt.New, steadyCfg(12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, w := runSink(t, bt.New, steadyCfg(12))
 	if res.ExtrapolatedIters == 0 {
 		t.Fatalf("BT/12 did not extrapolate: %+v", res)
 	}
-	if res.SteadyAt == 0 || res.FastPath.WhyNot != nil {
-		t.Errorf("engaged run: SteadyAt %d, WhyNot %+v; want detected with nil WhyNot", res.SteadyAt, res.FastPath.WhyNot)
+	if res.SteadyAt == 0 || w != nil {
+		t.Errorf("engaged run: SteadyAt %d, WhyNot %+v; want detected with nil WhyNot", res.SteadyAt, w)
 	}
 }
 

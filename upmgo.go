@@ -413,16 +413,17 @@ func PublishSweepEvent(reg *MetricsRegistry, cache *SweepCache, ev SweepEvent) {
 // run with telemetry armed is bit-identical, in every virtual quantity
 // and store record byte, to the same run without it.
 type (
-	// NASFastPath reports which acceleration fast paths a run engaged,
-	// with a typed WhyNot diagnosis when a steady-armed run declined.
+	// NASFastPath is a cell report's fast-path field: the typed WhyNot
+	// diagnosis when a steady-armed run declined.
 	NASFastPath = nas.FastPath
 	// NASWhyNot explains why a steady-armed run simulated every
 	// iteration (reason enum plus the supporting evidence).
 	NASWhyNot = nas.WhyNot
 	// NASWhyNotReason enumerates the typed refusal reasons.
 	NASWhyNotReason = nas.WhyNotReason
-	// NASHostStages splits one run's host wall-clock cost by stage;
-	// attach via NASConfig.HostStages.
+	// NASHostStages is one run's host-side record: its host wall-clock
+	// cost by stage and its steady-state WhyNot; attach via
+	// NASConfig.HostStages.
 	NASHostStages = nas.HostStages
 	// CellReport is one sweep cell's host-side telemetry record
 	// (provenance, fast-path kind, stage attribution), carried on
