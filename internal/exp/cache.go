@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"time"
 
@@ -20,7 +19,7 @@ import (
 // streams those results were replayed from belong to the batch that
 // recorded them (see Runner.Cells).
 type Cache struct {
-	cells flights[Cell]
+	cells flights[string, Cell] // keyed by CellSpec.Key
 
 	mu     sync.Mutex // guards the counters and the store below
 	hits   uint64
@@ -82,10 +81,10 @@ func (s *slot) release() {
 
 // flights memoizes values by key, computing each at most once per key
 // at a time. The zero value is empty and ready for concurrent use.
-type flights[V any] struct {
+type flights[K comparable, V any] struct {
 	mu       sync.Mutex
-	done     map[string]V
-	inflight map[string]*flight[V]
+	done     map[K]V
+	inflight map[K]*flight[V]
 }
 
 type flight[V any] struct {
@@ -106,7 +105,7 @@ type flight[V any] struct {
 // without fl.mu held, and the flight's waiters are released before do
 // returns. A waiter gives sl back before it waits, and a leader takes it
 // (again) before it leads.
-func (fl *flights[V]) do(ctx context.Context, key string, sl *slot, lead func() (V, error)) (V, bool, error) {
+func (fl *flights[K, V]) do(ctx context.Context, key K, sl *slot, lead func() (V, error)) (V, bool, error) {
 	var zero V
 	for {
 		fl.mu.Lock()
@@ -136,7 +135,7 @@ func (fl *flights[V]) do(ctx context.Context, key string, sl *slot, lead func() 
 			return zero, false, err
 		}
 		if fl.inflight == nil {
-			fl.done, fl.inflight = map[string]V{}, map[string]*flight[V]{}
+			fl.done, fl.inflight = map[K]V{}, map[K]*flight[V]{}
 		}
 		f := &flight[V]{done: make(chan struct{})}
 		fl.inflight[key] = f
@@ -217,7 +216,7 @@ func (c *Cache) Len() int {
 	return len(c.cells.done)
 }
 
-// cell returns the cached cell for key, running fn at most once per key
+// cell returns bench's cached cell for key, running fn at most once per key
 // at a time under flights.do's single-flight discipline, sl held while
 // fn runs and given back while the call waits on a duplicate. It writes
 // the serving path into rep: Source says which level satisfied the
@@ -230,7 +229,7 @@ func (c *Cache) Len() int {
 // after: the RAM fill and waiter release happen first, so no other cell
 // ever waits on disk I/O. A corrupt record is counted, skipped and
 // repaired by the post-simulation write.
-func (c *Cache) cell(ctx context.Context, key string, sl *slot, fn func() (Cell, error), rep *CellReport) (Cell, error) {
+func (c *Cache) cell(ctx context.Context, bench, key string, sl *slot, fn func() (Cell, error), rep *CellReport) (Cell, error) {
 	c.mu.Lock()
 	st := c.store
 	c.mu.Unlock()
@@ -249,7 +248,6 @@ func (c *Cache) cell(ctx context.Context, key string, sl *slot, fn func() (Cell,
 				c.diskHits++
 				c.mu.Unlock()
 				rep.Source = SourceStore
-				bench, _, _ := strings.Cut(key, "\x00")
 				return Cell{Bench: bench, Label: res.Label, Result: res}, nil
 			} else if !errors.Is(err, store.ErrNotFound) {
 				c.noteStoreErr(err)

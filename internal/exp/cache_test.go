@@ -33,7 +33,7 @@ func TestCacheWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := c.cell(context.Background(), "k", nil, func() (Cell, error) {
+		_, err := c.cell(context.Background(), "B", "k", nil, func() (Cell, error) {
 			close(leaderStarted)
 			<-releaseLeader
 			return Cell{}, errAborted
@@ -50,7 +50,7 @@ func TestCacheWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	rep := &CellReport{}
 	go func() {
 		defer close(waiterDone)
-		got, werr = c.cell(context.Background(), "k", nil, func() (Cell, error) {
+		got, werr = c.cell(context.Background(), "B", "k", nil, func() (Cell, error) {
 			return Cell{Bench: "BT"}, nil
 		}, rep)
 	}()
@@ -72,7 +72,7 @@ func TestCacheWaiterRetriesAfterLeaderFailure(t *testing.T) {
 		t.Errorf("waiter's retry ran its own simulation; source %q misreports it", rep.Source)
 	}
 	rep = &CellReport{}
-	if _, err := c.cell(context.Background(), "k", nil, nil, rep); err != nil || rep.Source != SourceMemory {
+	if _, err := c.cell(context.Background(), "B", "k", nil, nil, rep); err != nil || rep.Source != SourceMemory {
 		t.Errorf("retried cell not cached: source %q, err %v", rep.Source, err)
 	}
 }
@@ -85,7 +85,7 @@ func TestCacheWaiterHonoursOwnCancellation(t *testing.T) {
 	releaseLeader := make(chan struct{})
 	defer close(releaseLeader)
 
-	go c.cell(context.Background(), "k", nil, func() (Cell, error) {
+	go c.cell(context.Background(), "B", "k", nil, func() (Cell, error) {
 		close(leaderStarted)
 		<-releaseLeader
 		return Cell{Bench: "BT"}, nil
@@ -94,7 +94,7 @@ func TestCacheWaiterHonoursOwnCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	if _, err := c.cell(ctx, "k", nil, nil, &CellReport{}); !errors.Is(err, context.Canceled) {
+	if _, err := c.cell(ctx, "B", "k", nil, nil, &CellReport{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled waiter returned %v, want context.Canceled", err)
 	}
 }
@@ -106,7 +106,7 @@ func TestCacheCancelledCallerNeverSimulates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	_, err := c.cell(ctx, "k", nil, func() (Cell, error) { ran = true; return Cell{}, nil }, &CellReport{})
+	_, err := c.cell(ctx, "B", "k", nil, func() (Cell, error) { ran = true; return Cell{}, nil }, &CellReport{})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("got %v, want context.Canceled", err)
 	}

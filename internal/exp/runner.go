@@ -165,7 +165,8 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 	b := &batch{sem: make(chan struct{}, jobs)}
 	cells := make([]Cell, len(specs))
 	errs := make([]error, len(specs))
-	for _, i := range dispatchOrder(specs) {
+	ids := r.identify(specs)
+	for _, i := range dispatchOrder(ids) {
 		sl := &slot{sem: b.sem}
 		if sl.acquire(cctx) != nil {
 			break
@@ -176,7 +177,7 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 			defer sl.release()
 			spec := specs[i]
 			emit(Event{Spec: spec, Index: i, Total: len(specs)})
-			c, rep, err := r.runCell(cctx, b, sl, spec)
+			c, rep, err := r.runCell(cctx, b, sl, spec, ids[i])
 			cells[i], errs[i] = c, err
 			emit(Event{Spec: spec, Index: i, Total: len(specs), Done: true, Err: err,
 				SteadyAt: c.Result.SteadyAt, ExtrapolatedIters: c.Result.ExtrapolatedIters,
@@ -212,9 +213,39 @@ func (r Runner) Cells(ctx context.Context, specs []CellSpec) ([]Cell, error) {
 // replay, the job slots and every goroutine it started, stream tasks
 // included.
 type batch struct {
-	streams flights[*nas.Stream] // keyed by bench + nas.Config.StreamFingerprint
+	streams flights[streamID, *nas.Stream]
 	sem     chan struct{}
 	wg      sync.WaitGroup
+}
+
+// cellID is a cell's identity, computed once per batch before dispatch
+// (Runner.identify) and carried to the cell: its memo key, CellSpec.Key,
+// and the miss stream it replays. key is empty when the cell cannot be
+// memoized.
+type cellID struct {
+	key    string
+	stream streamID
+}
+
+// streamID names a miss stream within a batch: the benchmark and its
+// cells' nas.Config.StreamFingerprint.
+type streamID struct{ bench, fp string }
+
+// identify returns each spec's identity. A cell the runner traces or
+// samples has none: its events must be emitted, so it never memoizes
+// (see nas.Config.Fingerprint).
+func (r Runner) identify(specs []CellSpec) []cellID {
+	ids := make([]cellID, len(specs))
+	if r.TraceDir != "" || r.MetricsDir != "" || r.MetricsRegistry != nil {
+		return ids
+	}
+	for i, spec := range specs {
+		if key, ok := spec.Key(); ok {
+			fp, _ := spec.Config.StreamFingerprint()
+			ids[i] = cellID{key, streamID{spec.Bench, fp}}
+		}
+	}
+	return ids
 }
 
 // record runs s's stream task (nas.Stream.Record) on a goroutine of its
@@ -244,22 +275,20 @@ func (b *batch) record(ctx context.Context, s *nas.Stream, task *nas.HostStages)
 // already dispatched. A repeat, which may wait on its in-flight
 // duplicate, therefore starts only once no first occurrence is left.
 // Results keep presentation order whatever this order is.
-func dispatchOrder(specs []CellSpec) []int {
+func dispatchOrder(ids []cellID) []int {
 	var leaders, firsts, repeats []int
-	streams, keys := map[string]bool{}, map[string]bool{}
-	for i, spec := range specs {
-		key, ok := spec.Key()
-		skey, _ := spec.Config.StreamFingerprint()
-		switch skey = spec.Bench + "\x00" + skey; {
-		case !ok:
+	streams, keys := map[streamID]bool{}, map[string]bool{}
+	for i, id := range ids {
+		switch {
+		case id.key == "":
 			firsts = append(firsts, i)
-		case keys[key]:
+		case keys[id.key]:
 			repeats = append(repeats, i)
-		case !streams[skey]:
-			streams[skey], keys[key] = true, true
+		case !streams[id.stream]:
+			streams[id.stream], keys[id.key] = true, true
 			leaders = append(leaders, i)
 		default:
-			keys[key] = true
+			keys[id.key] = true
 			firsts = append(firsts, i)
 		}
 	}
@@ -272,7 +301,7 @@ func dispatchOrder(specs []CellSpec) []int {
 // keeps. Cells that cannot be memoized (Tweak, tracing, metrics) and
 // cells whose recording declined simulate from scratch with nas.Run, the
 // reference the replay is proven bit-identical to. sl is the cell's job
-// slot, held on entry.
+// slot, held on entry; id its identity.
 //
 // The returned CellReport (never nil) is the cell's host-side record,
 // filled in place as the cell is served: its provenance, the run's host
@@ -280,7 +309,7 @@ func dispatchOrder(specs []CellSpec) []int {
 // the Config but is observation-only: it is outside the fingerprint,
 // charges no virtual time, and leaves the cell bit-identical to an
 // uninstrumented run.
-func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec) (Cell, *CellReport, error) {
+func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, id cellID) (Cell, *CellReport, error) {
 	start := time.Now()
 	hs := &nas.HostStages{}
 	rep := &CellReport{Bench: spec.Bench, Label: spec.Config.Label(),
@@ -298,17 +327,16 @@ func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec) 
 	}
 	var c Cell
 	var err error
-	key, ok := spec.Key()
-	if ok {
-		rep.Address = store.Address(key)
+	if id.key != "" {
+		rep.Address = store.Address(id.key)
 	}
 	switch {
-	case ok && r.Cache != nil:
-		c, err = r.Cache.cell(ctx, key, sl, func() (Cell, error) {
-			return replayCell(ctx, b, sl, spec, rep)
+	case id.key != "" && r.Cache != nil:
+		c, err = r.Cache.cell(ctx, spec.Bench, id.key, sl, func() (Cell, error) {
+			return replayCell(ctx, b, sl, spec, id.stream, rep)
 		}, rep)
-	case ok:
-		c, err = replayCell(ctx, b, sl, spec, rep)
+	case id.key != "":
+		c, err = replayCell(ctx, b, sl, spec, id.stream, rep)
 	default:
 		if r.Cache != nil {
 			r.Cache.noteScratch()
@@ -325,8 +353,8 @@ func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec) 
 	return c, rep, err
 }
 
-// replayCell answers spec by replaying the benchmark's miss stream from
-// the batch's streams. The stream's first cell in the batch leads it: it
+// replayCell answers spec by replaying its miss stream, stream, from the
+// batch's streams. The stream's first cell in the batch leads it: it
 // starts the stream task (batch.record) and reports the recording. Every
 // placement, engine and steady-state variant of the stream, the leader
 // included, replays the one recording behind the recorder, call by call
@@ -339,14 +367,13 @@ func (r Runner) runCell(ctx context.Context, b *batch, sl *slot, spec CellSpec) 
 // stream task's host time, the recording to record and the verdict to
 // free_run_tail. When the recording declined, the cell runs from
 // scratch and rep carries the reason.
-func replayCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, rep *CellReport) (Cell, error) {
+func replayCell(ctx context.Context, b *batch, sl *slot, spec CellSpec, stream streamID, rep *CellReport) (Cell, error) {
 	builder, ok := Builder(spec.Bench)
 	if !ok {
 		return Cell{}, fmt.Errorf("exp: %w: %q", ErrUnknownBenchmark, spec.Bench)
 	}
-	skey, _ := spec.Config.StreamFingerprint()
 	var task *nas.HostStages // the stream task's, when this cell leads
-	s, _, err := b.streams.do(ctx, spec.Bench+"\x00"+skey, nil, func() (*nas.Stream, error) {
+	s, _, err := b.streams.do(ctx, stream, nil, func() (*nas.Stream, error) {
 		s, err := nas.NewStream(builder, spec.Config)
 		if err == nil {
 			task = &nas.HostStages{}

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"upmgo/internal/nas"
+	"upmgo/internal/trace"
 )
 
 // TestRunnerParallelSerialEquivalence proves the acceptance invariant:
@@ -337,6 +339,68 @@ func TestRunnerStartsRecordingsFirst(t *testing.T) {
 			if c.Bench != specs[i].Bench || c.Label != specs[i].Config.Label() {
 				t.Errorf("%s cell %d is %s %s, want %s %s", res[k].Kind, i, c.Bench, c.Label, specs[i].Bench, specs[i].Config.Label())
 			}
+		}
+	}
+}
+
+// TestDispatchOrder: over every cell `sweep -all` runs at Class S, with a
+// traced copy of the first cell put ahead of them, dispatch starts each
+// stream's first memoizable cell, one per (bench, stream key), before
+// everything else; then the other first occurrences of a memo key and
+// the unmemoizable cells; then the repeats; each group in presentation
+// order. The traced cell comes first yet never leads: it has no key.
+func TestDispatchOrder(t *testing.T) {
+	o := SweepOptions{Class: nas.ClassS, Seed: 42}
+	var specs []CellSpec
+	for _, k := range Kinds {
+		if k == KindTopoScale {
+			continue
+		}
+		s, err := SweepSpecs(SweepRequest{Kind: k, Options: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s...)
+	}
+	traced := specs[0]
+	traced.Config.Tracer = trace.NewRecorder()
+	specs = append([]CellSpec{traced}, specs...)
+
+	var leaders, firsts, repeats []int
+	firstOfKey, firstOfStream := map[string]int{}, map[streamID]int{}
+	for i, s := range specs {
+		key, ok := s.Key()
+		fp, _ := s.Config.StreamFingerprint()
+		stream := streamID{s.Bench, fp}
+		if !ok {
+			firsts = append(firsts, i)
+			continue
+		}
+		if _, seen := firstOfKey[key]; seen {
+			repeats = append(repeats, i)
+			continue
+		}
+		firstOfKey[key] = i
+		if _, seen := firstOfStream[stream]; seen {
+			firsts = append(firsts, i)
+			continue
+		}
+		firstOfStream[stream] = i
+		leaders = append(leaders, i)
+	}
+	if len(leaders) == 0 || len(repeats) == 0 || leaders[0] != 1 {
+		t.Fatalf("leaders %v, %d repeats: the sweep should share streams and cells, and the traced cell 0 must not lead", leaders, len(repeats))
+	}
+	got := dispatchOrder(Runner{}.identify(specs))
+	if want := slices.Concat(leaders, firsts, repeats); !reflect.DeepEqual(got, want) {
+		t.Errorf("dispatch order %v\nwant %v", got, want)
+	}
+	// A traced runner memoizes nothing, so nothing leads and nothing
+	// repeats: dispatch keeps presentation order.
+	got = dispatchOrder(Runner{TraceDir: t.TempDir()}.identify(specs))
+	for i, j := range got {
+		if i != j {
+			t.Fatalf("traced batch dispatches %v, want presentation order", got)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // inherited, the next caller records afresh, and the batch holds what
 // it recorded.
 func TestBatchStreamSingleFlight(t *testing.T) {
-	var streams flights[*nas.Stream]
+	var streams flights[string, *nas.Stream]
 	started, release := make(chan struct{}), make(chan struct{})
 	errAborted := errors.New("recording aborted")
 	leader := make(chan error)

@@ -334,6 +334,14 @@ type Config struct {
 // identity is a pointer, and serving such a run from a cache would
 // silently drop its events or return stale metrics) and therefore must
 // not be memoized.
+//
+// The encoding is a compatibility contract: every cache entry and store
+// record is keyed by it, so its bytes never change for an existing
+// config. TestFingerprintGolden pins them, and
+// TestFingerprintMatchesReference holds them to the historical %+v
+// rendering. A new Config field joins the key as a suffix written only
+// when it is set, as Topo does, or is listed in
+// TestFingerprintCoversEveryField as outside the key.
 func (c Config) Fingerprint() (string, bool) {
 	if c.Tweak != nil || c.Tracer != nil || c.Metrics != nil {
 		return "", false
@@ -352,61 +360,26 @@ func (c Config) Fingerprint() (string, bool) {
 	} else if c.SteadyWindow <= 0 {
 		c.SteadyWindow = steadyWindowDefault
 	}
-	fp := fmt.Sprintf("%+v", fingerprintView{
-		Class:        c.Class,
-		Placement:    c.Placement,
-		KernelMig:    c.KernelMig,
-		UPM:          c.UPM,
-		UPMOptions:   c.UPMOptions,
-		Kmig:         c.Kmig,
-		Threads:      c.Threads,
-		Iterations:   c.Iterations,
-		ComputeScale: c.ComputeScale,
-		PerturbAt:    c.PerturbAt,
-		Seed:         c.Seed,
-		SkipVerify:   c.SkipVerify,
-		SteadyState:  c.SteadyState,
-		Extrapolate:  c.Extrapolate,
-		SteadyWindow: c.SteadyWindow,
-	})
+	// fmt's %+v of the pre-topology field list, as every historical key
+	// was written: the hooks and the long-gone TailCache as the <nil>
+	// they always rendered, and each field with the verb %+v gave it, so
+	// odd values (a non-integral threshold, an out-of-range enum) render
+	// as they did.
+	o, k := c.UPMOptions, c.Kmig
+	fp := fmt.Sprintf("{Class:%v Placement:%v KernelMig:%t UPM:%v "+
+		"UPMOptions:{Threshold:%v MinAccesses:%d MaxCritical:%d FreezeBounces:%d ScanCostPerPage:%d} "+
+		"Kmig:{Threshold:%d MaxPerScan:%d ScanEvery:%d DecayEvery:%d MinScanPS:%d} "+
+		"Threads:%d Iterations:%d ComputeScale:%d PerturbAt:%d Seed:%d "+
+		"Tweak:<nil> Tracer:<nil> Metrics:<nil> SkipVerify:%t SteadyState:%t Extrapolate:%t SteadyWindow:%d TailCache:<nil>}",
+		c.Class, c.Placement, c.KernelMig, c.UPM,
+		o.Threshold, o.MinAccesses, o.MaxCritical, o.FreezeBounces, o.ScanCostPerPage,
+		k.Threshold, k.MaxPerScan, k.ScanEvery, k.DecayEvery, k.MinScanPS,
+		c.Threads, c.Iterations, c.ComputeScale, c.PerturbAt, c.Seed,
+		c.SkipVerify, c.SteadyState, c.Extrapolate, c.SteadyWindow)
 	if t := c.canonTopo(); t != "" {
 		fp += " topo=" + t
 	}
 	return fp, true
-}
-
-// fingerprintView is the fingerprint encoding of a Config: exactly the
-// pre-topology field list, in the original order, so that fmt's %+v of a
-// view is byte-for-byte the fingerprint every cache entry and store
-// record was keyed by before Topo existed. The topology joins the key
-// only as an explicit suffix, and only when canonTopo is non-empty —
-// which is the fingerprint compatibility guarantee: default-shape runs
-// keep their historical keys. The hook fields (Tweak, Tracer, Metrics)
-// are retained as always-nil placeholders because their "<nil>"
-// renderings are part of the historical byte layout; so is TailCache,
-// whose Config field (a shared verification cache) is gone. Do not
-// reorder, rename or extend this struct; fingerprint_test.go pins its
-// rendering against golden strings.
-type fingerprintView struct {
-	Class        Class
-	Placement    vm.Policy
-	KernelMig    bool
-	UPM          Mode
-	UPMOptions   upm.Options
-	Kmig         kmig.Config
-	Threads      int
-	Iterations   int
-	ComputeScale int
-	PerturbAt    int
-	Seed         uint64
-	Tweak        func(mc *machine.Config)
-	Tracer       trace.Tracer
-	Metrics      *metrics.Sampler
-	SkipVerify   bool
-	SteadyState  bool
-	Extrapolate  bool
-	SteadyWindow int
-	TailCache    *struct{}
 }
 
 // canonTopo returns the canonical topology component of the config's

@@ -31,13 +31,11 @@ import (
 // rotates threads by CPUsPerNode, so the machine shape matters). The
 // recording therefore never extrapolates, and the steady and plain
 // cells of one grid share it: the log keeps every counter the detector
-// reads. The second result is false where Fingerprint's is.
+// reads. The second result is false where Fingerprint's is. The key has
+// no prefix of its own: it names a stream only within the batch that
+// records it and is never persisted, so it never meets a cell key.
 func (c Config) StreamFingerprint() (string, bool) {
-	fp, ok := c.streamCell().Fingerprint()
-	if !ok {
-		return "", false
-	}
-	return "stream\x00" + fp, true
+	return c.streamCell().Fingerprint()
 }
 
 // streamCell returns the stream's canonical cell for cfg: first touch,
@@ -72,7 +70,7 @@ type Stream struct {
 	// where its cache-side state started to repeat, or why it never did.
 	Compression Compression
 
-	key      string // Fingerprint of the canonical cell
+	key      string // StreamFingerprint of every cell the stream answers
 	log      *machine.Stream
 	builder  Builder // the recording's kernel
 	cfg      Config  // the recording's cell
@@ -146,17 +144,16 @@ func NewStream(build Builder, cfg Config) (*Stream, error) {
 // newStream is NewStream; with compress false the recording simulates
 // every step, the reference a compressed recording is tested against.
 func newStream(build Builder, cfg Config, compress bool) (*Stream, error) {
-	if _, ok := cfg.StreamFingerprint(); !ok {
+	key, ok := cfg.StreamFingerprint()
+	if !ok {
 		return nil, fmt.Errorf("nas: config without a stream fingerprint (traced, sampled or tweaked) cannot be recorded")
 	}
 	cfg = cfg.streamCell()
 	cfg.HostStages = nil
-	s := &Stream{log: machine.NewStream(), builder: build, cfg: cfg, judged: make(chan struct{}),
+	return &Stream{key: key, log: machine.NewStream(), builder: build, cfg: cfg, judged: make(chan struct{}),
 		// A tail copied from one step would miss the rebinding at
 		// PerturbAt, so such a recording simulates every step.
-		compress: compress && cfg.PerturbAt == 0}
-	s.key, _ = cfg.Fingerprint()
-	return s, nil
+		compress: compress && cfg.PerturbAt == 0}, nil
 }
 
 // RecordStream is NewStream, then Record with no deadline: it returns
@@ -279,7 +276,7 @@ func (s *Stream) Replay(cfg Config) (Result, error) {
 // fails or declines (machine.ErrDeclined), and with park's when park
 // gives up.
 func (s *Stream) ReplayUnjudged(cfg Config, park machine.Parker) (Result, error) {
-	if key, ok := cfg.StreamFingerprint(); !ok || key != "stream\x00"+s.key {
+	if key, ok := cfg.StreamFingerprint(); !ok || key != s.key {
 		return Result{}, fmt.Errorf("nas: config stream %q does not match recorded stream %q", key, s.key)
 	}
 	park = cfg.HostStages.parker(park)

@@ -2,6 +2,7 @@ package nas_test
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"upmgo/internal/nas/mg"
 	"upmgo/internal/nas/sp"
 	"upmgo/internal/omp"
+	"upmgo/internal/trace"
 	"upmgo/internal/vm"
 )
 
@@ -259,6 +261,29 @@ func TestRecordStreamDeclines(t *testing.T) {
 	}
 	if _, err := s.Replay(cfg); err == nil {
 		t.Error("replaying a declined stream succeeded")
+	}
+}
+
+// TestReplayRefusesAnotherStream: a stream answers exactly the configs
+// that share its stream fingerprint, whatever their placement and
+// engines. Another stream's config, or one that has none, is refused
+// before it replays anything.
+func TestReplayRefusesAnotherStream(t *testing.T) {
+	cfg := nas.Config{Class: nas.ClassS, Iterations: 2}
+	s := record(t, cg.New, cfg)
+	same := cfg
+	same.Placement, same.UPM = vm.WorstCase, nas.UPMDistribute
+	if _, err := s.Replay(same); err != nil {
+		t.Errorf("%s: replaying its own stream: %v", same.Label(), err)
+	}
+	for _, other := range []nas.Config{
+		{Class: nas.ClassS, Iterations: 3},
+		{Class: nas.ClassS, Iterations: 2, Seed: 1},
+		{Class: nas.ClassS, Iterations: 2, Tracer: trace.NewRecorder()},
+	} {
+		if _, err := s.ReplayUnjudged(other, nil); err == nil || !strings.Contains(err.Error(), "does not match") {
+			t.Errorf("%+v: replayed another stream (err %v)", other, err)
+		}
 	}
 }
 

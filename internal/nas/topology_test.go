@@ -4,16 +4,18 @@ import (
 	"reflect"
 	"testing"
 
+	"upmgo/internal/kmig"
 	"upmgo/internal/nas"
 	"upmgo/internal/nas/bt"
 	"upmgo/internal/nas/cg"
+	"upmgo/internal/upm"
 	"upmgo/internal/vm"
 )
 
 // TestFingerprintGolden pins the fingerprint encoding byte-for-byte
 // against strings captured before the topology refactor. If any of these
 // change, every cache entry and store record ever written is orphaned —
-// see fingerprintView's contract.
+// see Fingerprint's contract.
 func TestFingerprintGolden(t *testing.T) {
 	cases := []struct {
 		cfg            nas.Config
@@ -44,6 +46,19 @@ func TestFingerprintGolden(t *testing.T) {
 			`{Class:A Placement:rand KernelMig:false UPM:off UPMOptions:{Threshold:0 MinAccesses:0 MaxCritical:0 FreezeBounces:0 ScanCostPerPage:0} Kmig:{Threshold:0 MaxPerScan:0 ScanEvery:0 DecayEvery:0 MinScanPS:0} Threads:0 Iterations:0 ComputeScale:1 PerturbAt:0 Seed:0 Tweak:<nil> Tracer:<nil> Metrics:<nil> SkipVerify:false SteadyState:true Extrapolate:true SteadyWindow:5 TailCache:<nil>}`,
 			"prefix\x00class=A placement=rand seed=0 scale=1 threads=0",
 			"rand-IRIX",
+		},
+		{
+			// Every encoded field non-zero, the nested engine options
+			// included, and a non-default shape; captured before the
+			// encoder named its fields explicitly.
+			nas.Config{Class: nas.ClassW, Placement: vm.WorstCase, KernelMig: true, UPM: nas.UPMRecRep,
+				UPMOptions: upm.Options{Threshold: 1.5, MinAccesses: 8, MaxCritical: 30, FreezeBounces: 2, ScanCostPerPage: 450000},
+				Kmig:       kmig.Config{Threshold: 48, MaxPerScan: 6, ScanEvery: 2, DecayEvery: -1, MinScanPS: -1},
+				Threads:    8, Iterations: 9, ComputeScale: 3, PerturbAt: 4, Seed: 7, SkipVerify: true,
+				SteadyState: true, Extrapolate: true, SteadyWindow: 4, Topo: "hier64"},
+			`{Class:W Placement:wc KernelMig:true UPM:recrep UPMOptions:{Threshold:1.5 MinAccesses:8 MaxCritical:30 FreezeBounces:2 ScanCostPerPage:450000} Kmig:{Threshold:48 MaxPerScan:6 ScanEvery:2 DecayEvery:-1 MinScanPS:-1} Threads:8 Iterations:9 ComputeScale:3 PerturbAt:4 Seed:7 Tweak:<nil> Tracer:<nil> Metrics:<nil> SkipVerify:true SteadyState:true Extrapolate:true SteadyWindow:4 TailCache:<nil>} topo=4x2x8`,
+			"prefix\x00class=W placement=wc seed=7 scale=3 threads=8 topo=4x2x8",
+			"wc-recrep@4x2x8",
 		},
 	}
 	for i, c := range cases {

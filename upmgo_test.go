@@ -158,7 +158,6 @@ func TestPublicMetrics(t *testing.T) {
 		Class:     upmgo.ClassS,
 		Placement: upmgo.WorstCase,
 		UPM:       upmgo.UPMDistribute,
-		Threads:   1,
 		Metrics:   s,
 	})
 	if err != nil {
