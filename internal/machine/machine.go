@@ -149,7 +149,8 @@ type Machine struct {
 	l1Shift uint
 	bulkOK  bool
 
-	settleAcc []int64 // per-node tally scratch reused across barriers
+	settleAcc []int64 // per-node tally scratch reused across barriers, zero between them
+	settlePer []int64 // per-node contention delay scratch, written by every Settle
 
 	hooks  []BarrierHook
 	tracer trace.Tracer
@@ -296,6 +297,7 @@ func New(cfg Config) (*Machine, error) {
 		cohShift:    uint(bits.TrailingZeros(uint(cfg.L2Line))),
 		l1Shift:     uint(bits.TrailingZeros(uint(cfg.L1Line))),
 		settleAcc:   make([]int64, cfg.Nodes),
+		settlePer:   make([]int64, cfg.Nodes),
 		refCounting: true,
 	}
 	m.bulkOK = !cfg.ScalarRuns && cfg.L1Line <= cfg.L2Line && cfg.L2Line <= cfg.PageBytes
@@ -459,6 +461,11 @@ func (m *Machine) MigrationCost() int64 {
 // every clock past queueing delays, enforces the saturation floor, runs
 // barrier hooks, and returns the settled time. Callers (the omp runtime)
 // then assign the returned time to every participating clock.
+//
+// The tallies are sparse: each CPU lists the nodes it has charged since
+// its last settle (accList), and only those are summed, charged and
+// cleared, so a barrier costs O(CPUs + charged nodes) rather than
+// O(CPUs × nodes). settleAcc is all zero between calls.
 func (m *Machine) Settle(cpus []*CPU, start int64) int64 {
 	if m.freeRun {
 		// Free-run: clocks are frozen at their extrapolated values and
@@ -476,24 +483,20 @@ func (m *Machine) Settle(cpus []*CPU, start int64) int64 {
 			tmax = c.clock
 		}
 	}
-	acc := m.settleAcc
-	for n := range acc {
-		acc[n] = 0
-	}
+	acc, per := m.settleAcc, m.settlePer
 	for _, c := range cpus {
-		for n, a := range c.nodeAcc {
-			acc[n] += a
+		for _, n := range c.accList {
+			acc[n] += c.nodeAcc[n]
 		}
 	}
-	per, floor := memsys.ContentionDelays(acc, tmax-start, m.Lat.MemService)
+	floor := memsys.ContentionDelays(per, acc, tmax-start, m.Lat.MemService)
 	tb := start
 	for _, c := range cpus {
-		for n, a := range c.nodeAcc {
-			if a != 0 {
-				c.clock += a * per[n]
-				c.nodeAcc[n] = 0
-			}
+		for _, n := range c.accList {
+			c.clock += c.nodeAcc[n] * per[n]
+			c.nodeAcc[n], acc[n] = 0, 0
 		}
+		c.accList = c.accList[:0]
 		if c.clock > tb {
 			tb = c.clock
 		}
@@ -588,6 +591,7 @@ type CPU struct {
 	mem []memCost // by home node: this CPU's memory latency row
 
 	nodeAcc []int64 // memory accesses per home node in the current region
+	accList []int32 // the nodes whose nodeAcc is non-zero, in first-charge order
 	stat    CPUStats
 }
 
@@ -941,7 +945,16 @@ func (c *CPU) serve(vpn uint64, home int, write bool, n int) {
 	if m.refCounting {
 		m.PT.CountMissN(vpn, c.NodeID, uint32(n))
 	}
-	c.nodeAcc[home] += int64(n)
+	c.tally(home, int64(n))
+}
+
+// tally adds n accesses to home's contention tally, listing home on its
+// first charge since the last settle.
+func (c *CPU) tally(home int, n int64) {
+	if c.nodeAcc[home] == 0 && n != 0 {
+		c.accList = append(c.accList, int32(home))
+	}
+	c.nodeAcc[home] += n
 }
 
 // markWritten logs a store to vpn for the replication extension. A write

@@ -214,7 +214,7 @@ func TestSettleAppliesSaturationFloor(t *testing.T) {
 	// Simulate a region where every CPU made 1000 accesses to node 0 but
 	// little compute time passed: the floor must dominate.
 	for _, c := range cpus {
-		c.nodeAcc[0] = 1000
+		c.tally(0, 1000)
 		c.Advance(1000) // 1 ns of compute
 	}
 	tb := m.Settle(cpus, 0)
@@ -230,10 +230,10 @@ func TestSettleBalancedBeatsConcentrated(t *testing.T) {
 		cpus := m.CPUs()
 		for _, c := range cpus {
 			if conc {
-				c.nodeAcc[0] = 800
+				c.tally(0, 800)
 			} else {
 				for n := 0; n < 8; n++ {
-					c.nodeAcc[n] = 100
+					c.tally(n, 100)
 				}
 			}
 			c.Advance(200 * memsys.Micro)

@@ -1,5 +1,7 @@
 package machine
 
+import "slices"
+
 // Machine snapshot/fork support. A sweep's cells share an identical
 // engine-independent prefix (allocation, initialisation, the cold-start
 // first-touch iteration); cloning the machine at that point lets every
@@ -40,6 +42,7 @@ func (m *Machine) Clone() *Machine {
 		l1Shift:   m.l1Shift,
 		bulkOK:    m.bulkOK,
 		settleAcc: make([]int64, len(m.settleAcc)),
+		settlePer: make([]int64, len(m.settlePer)),
 		// refCounting carries over; freeRun deliberately does not — a
 		// clone is taken at a quiescent point and starts simulating.
 		refCounting: m.refCounting,
@@ -53,6 +56,7 @@ func (m *Machine) Clone() *Machine {
 			clock:   src.clock,
 			mem:     src.mem,
 			nodeAcc: append([]int64(nil), src.nodeAcc...),
+			accList: slices.Clone(src.accList),
 			stat:    src.stat,
 		}
 		if src.l1 != nil { // not before the first Alloc, nor after a drop

@@ -72,6 +72,8 @@ func machinesEqual(t *testing.T, a, b *Machine) bool {
 		check("clock", ca.clock, cb.clock)
 		check("stat", ca.stat, cb.stat)
 		check("nodeAcc", ca.nodeAcc, cb.nodeAcc)
+		check("accList", ca.accList, cb.accList)
+		check("accList", ca.accList, cb.accList)
 		check("l1", ca.l1, cb.l1)
 		check("l2", ca.l2, cb.l2)
 		check("tlb", ca.tlb, cb.tlb)

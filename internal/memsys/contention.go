@@ -19,14 +19,16 @@ package memsys
 // ContentionDelays computes, for each node, the extra delay charged to
 // every access to that node, given the per-node access counts of a region,
 // the uncontended region duration t0 (picoseconds), and the per-access
-// service occupancy. It also returns the largest per-node busy time, which
-// callers use as a lower bound ("floor") on the region's wall-clock span.
-func ContentionDelays(accesses []int64, t0, service int64) (perAccess []int64, busyFloor int64) {
-	perAccess = make([]int64, len(accesses))
+// service occupancy, and writes it to perAccess, which must be at least
+// as long as accesses. It also returns the largest per-node busy time,
+// which callers use as a lower bound ("floor") on the region's wall-clock
+// span.
+func ContentionDelays(perAccess, accesses []int64, t0, service int64) (busyFloor int64) {
 	if t0 < 1 {
 		t0 = 1
 	}
 	for n, a := range accesses {
+		perAccess[n] = 0
 		if a <= 0 {
 			continue
 		}
@@ -46,5 +48,5 @@ func ContentionDelays(accesses []int64, t0, service int64) (perAccess []int64, b
 			perAccess[n] = service * u / (2 * (1024 - u))
 		}
 	}
-	return perAccess, busyFloor
+	return busyFloor
 }

@@ -73,13 +73,25 @@ func TestMemLatencyMonotoneInHops(t *testing.T) {
 	}
 }
 
+// delays runs ContentionDelays into a slice left dirty by an earlier
+// call, as Machine.Settle reuses one, so an entry it forgets to write
+// shows as -1.
+func delays(accesses []int64, t0, service int64) ([]int64, int64) {
+	per := make([]int64, len(accesses))
+	for n := range per {
+		per[n] = -1
+	}
+	floor := ContentionDelays(per, accesses, t0, service)
+	return per, floor
+}
+
 func TestContentionDelaysIdleAndLowLoad(t *testing.T) {
-	per, floor := ContentionDelays([]int64{0, 0}, 1000*Nano, 155*Nano)
+	per, floor := delays([]int64{0, 0}, 1000*Nano, 155*Nano)
 	if per[0] != 0 || per[1] != 0 || floor != 0 {
 		t.Errorf("idle nodes: per=%v floor=%d, want zeros", per, floor)
 	}
 	// 1 access in a long region: utilisation ~0.
-	per, _ = ContentionDelays([]int64{1}, SecondPicos, 155*Nano)
+	per, _ = delays([]int64{1}, SecondPicos, 155*Nano)
 	if per[0] != 0 {
 		t.Errorf("low load delay = %d, want 0", per[0])
 	}
@@ -87,7 +99,7 @@ func TestContentionDelaysIdleAndLowLoad(t *testing.T) {
 
 func TestContentionDelaysSaturationFloor(t *testing.T) {
 	// 10000 accesses of 155 ns service on one node: busy = 1.55 ms.
-	per, floor := ContentionDelays([]int64{10000}, 100*Micro, 155*Nano)
+	per, floor := delays([]int64{10000}, 100*Micro, 155*Nano)
 	if floor != 10000*155*Nano {
 		t.Errorf("floor = %d, want %d", floor, 10000*155*Nano)
 	}
@@ -101,7 +113,7 @@ func TestContentionDelaysMonotoneInLoad(t *testing.T) {
 	t0 := int64(1000 * Micro)
 	prev := int64(-1)
 	for a := int64(0); a <= 12000; a += 500 {
-		per, _ := ContentionDelays([]int64{a}, t0, s)
+		per, _ := delays([]int64{a}, t0, s)
 		if per[0] < prev {
 			t.Fatalf("delay not monotone: %d accesses -> %d, previous %d", a, per[0], prev)
 		}
@@ -123,8 +135,8 @@ func TestContentionDelaysBalancedVsConcentrated(t *testing.T) {
 	}
 	conc := make([]int64, 8)
 	conc[0] = total
-	perS, floorS := ContentionDelays(spread, t0, s)
-	perC, floorC := ContentionDelays(conc, t0, s)
+	perS, floorS := delays(spread, t0, s)
+	perC, floorC := delays(conc, t0, s)
 	if perC[0] <= perS[0] {
 		t.Errorf("concentrated per-access delay %d <= spread %d", perC[0], perS[0])
 	}
@@ -135,7 +147,7 @@ func TestContentionDelaysBalancedVsConcentrated(t *testing.T) {
 
 func TestContentionDelaysZeroDuration(t *testing.T) {
 	// A zero-length region must not divide by zero.
-	per, _ := ContentionDelays([]int64{5}, 0, 155*Nano)
+	per, _ := delays([]int64{5}, 0, 155*Nano)
 	if per[0] < 0 {
 		t.Error("negative delay for zero-duration region")
 	}

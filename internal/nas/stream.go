@@ -486,14 +486,9 @@ func (k *replayKernel) replay(t *omp.Team, h *Hooks) {
 		case machine.OpPhaseExit:
 			h.PhaseExit(k.m.CPU(op.CPU))
 		case machine.OpRegion:
-			t.ParallelNamed(op.Name, k.member)
+			// Each member replays its share up to every barrier; no
+			// lane runs it (omp.Team.ParallelSteps).
+			t.ParallelSteps(op.Name, k.rd.Replay)
 		}
-	}
-}
-
-// member replays one thread's share of a region.
-func (k *replayKernel) member(tr *omp.Thread) {
-	for k.rd.Replay(tr.CPU) {
-		tr.Barrier()
 	}
 }

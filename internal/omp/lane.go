@@ -6,6 +6,8 @@ import (
 	"iter"
 	"runtime"
 	"strings"
+
+	"upmgo/internal/machine"
 )
 
 // A lane is the coroutine that runs one team member. The team's lanes are
@@ -17,7 +19,8 @@ import (
 // alone, which is what makes full-width runs bit-reproducible.
 //
 // Lanes persist until the team rests (Rest), so a run's thousands of
-// regions reuse n coroutines. The first non-serial region starts them.
+// regions reuse n coroutines. The first non-serial region run on lanes
+// starts them; ParallelSteps never does.
 // Between regions a lane holds no Team reference (its body and Thread
 // fields are cleared), so the crew's finalizer can stop the lanes once
 // the team becomes unreachable, if nothing has rested it before.
@@ -184,9 +187,62 @@ func (t *Team) runBodies(body func(tr *Thread)) {
 	done = true
 }
 
+// runSteps runs ParallelSteps' members without lanes. In serial mode
+// each member runs to completion in turn and the settle comes at thread
+// n-1's arrivals, as in clockBarrier.wait. Otherwise every phase steps
+// the members in thread-id order, as the lanes would run them up to the
+// barrier, and then settles; a phase in which some members arrive and
+// others finish panics as a deadlock.
+func (t *Team) runSteps(step func(c *machine.CPU) bool) {
+	b := &t.barrier
+	cpus := t.cpus()
+	if t.serial {
+		for i, c := range cpus {
+			for step(c) {
+				t.arrive(c)
+				if i == t.n-1 {
+					b.settle(t)
+				}
+			}
+		}
+		return
+	}
+	arrived := make([]bool, t.n)
+	for {
+		count := 0
+		for i, c := range cpus {
+			arrived[i] = step(c)
+			if arrived[i] {
+				t.arrive(c)
+				count++
+			}
+		}
+		switch count {
+		case 0:
+			return
+		case t.n:
+			b.settle(t)
+			b.phase++
+		default:
+			var msg strings.Builder
+			msg.WriteString(deadlockMsg)
+			for i, a := range arrived {
+				if a {
+					fmt.Fprintf(&msg, "\n\tthread %d at barrier phase %d", i, b.phase)
+				} else {
+					fmt.Fprintf(&msg, "\n\tthread %d finished", i)
+				}
+			}
+			panic(msg.String())
+		}
+	}
+}
+
+const deadlockMsg = "omp: deadlock, no team member can proceed:"
+
 func (t *Team) deadlock() string {
 	var b strings.Builder
-	b.WriteString("omp: deadlock, no team member can proceed:")
+	b.WriteString(deadlockMsg)
 	for _, l := range t.crew.lanes {
 		b.WriteString("\n\t")
 		b.WriteString(l.String())

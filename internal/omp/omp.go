@@ -7,12 +7,14 @@
 // simulated CPU. The goroutine that calls Parallel drives the members in
 // thread-id order, each until it blocks, so a run's host interleaving —
 // and with it first-touch faults and coherence on shared lines — depends
-// on thread ids alone and full-width runs are bit-reproducible. All
-// *simulated* timing flows through the per-CPU virtual clocks and the
-// barrier settlement in the machine package. Fork, join and barrier
-// overheads are charged explicitly; the paper's discussion of OpenMP
-// parallelism-management overhead ("critical task size") corresponds to
-// these constants.
+// on thread ids alone and full-width runs are bit-reproducible. A region
+// whose members only alternate a step with a barrier, as a stream
+// replay's do, needs no coroutine: ParallelSteps runs it as a loop in
+// the same order. All *simulated* timing flows through the per-CPU
+// virtual clocks and the barrier settlement in the machine package.
+// Fork, join and barrier overheads are charged explicitly; the paper's
+// discussion of OpenMP parallelism-management overhead ("critical task
+// size") corresponds to these constants.
 package omp
 
 import (
@@ -184,7 +186,6 @@ func (t *Team) parallel(name string, body func(tr *Thread)) {
 		t.runBodies(body)
 		return
 	}
-	master := t.Master()
 	rec := t.m.Recorder()
 	if rec != nil {
 		// Log the region for stream replay; each member's share ends
@@ -196,6 +197,45 @@ func (t *Team) parallel(name string, body func(tr *Thread)) {
 			rec.End(tr.CPU)
 		}
 	}
+	t.fork(name)
+	t.runBodies(body)
+	if rec != nil {
+		rec.Join()
+	}
+	t.join(name)
+}
+
+// ParallelSteps is ParallelNamed for a region whose members do nothing
+// but alternate step and a barrier: member i's body is
+//
+//	for step(tr.CPU) { tr.Barrier() }
+//
+// A stream replay's regions are all of this form. Since the lanes run
+// such members in thread-id order, each up to its next barrier, and the
+// last to arrive settles, a plain loop reproduces the region exactly —
+// clocks, statistics and trace events — without starting a coroutine:
+// per phase, step every CPU in thread order, then settle. Members that
+// disagree on the number of barriers panic as a deadlock does on lanes.
+// A recorded region must run on lanes, so ParallelSteps panics under a
+// recorder.
+func (t *Team) ParallelSteps(name string, step func(c *machine.CPU) bool) {
+	if t.m.Recorder() != nil {
+		panic("omp: ParallelSteps under a recorder")
+	}
+	if t.m.FreeRun() {
+		t.runSteps(step)
+		return
+	}
+	t.fork(name)
+	t.runSteps(step)
+	t.join(name)
+}
+
+// fork opens a region: it settles the serial section the master ran
+// since the last join, charges the fork overhead and seeds every
+// member's clock.
+func (t *Team) fork(name string) {
+	master := t.Master()
 	// Settle the serial section the master executed since the last join,
 	// so its access tallies do not leak into the parallel region.
 	master.SetClock(t.m.Settle([]*machine.CPU{master}, t.lastJoin))
@@ -207,23 +247,23 @@ func (t *Team) parallel(name string, body func(tr *Thread)) {
 		trc.Emit(trace.Event{Time: master.Now(), CPU: master.ID, Kind: trace.EvRegionFork, Name: name})
 	}
 	start := master.Now() + t.m.Lat.Fork
-	cpus := t.cpus()
-	for _, c := range cpus {
+	for _, c := range t.cpus() {
 		c.SetClock(start)
 	}
 	t.barrier.reset(start)
-	t.runBodies(body)
-	if rec != nil {
-		rec.Join()
-	}
-	// Implicit join barrier: settle the last region.
+}
+
+// join closes a region with its implicit barrier: it settles the last
+// phase and leaves every member's clock at the join time.
+func (t *Team) join(name string) {
+	cpus := t.cpus()
 	end := t.m.Settle(cpus, t.barrier.regionStart) + t.m.Lat.BarrierBase + int64(t.n)*t.m.Lat.BarrierPerCPU
 	for _, c := range cpus {
 		c.SetClock(end)
 	}
 	t.lastJoin = end
 	if trc := t.m.Tracer(); trc != nil {
-		trc.Emit(trace.Event{Time: end, CPU: master.ID, Kind: trace.EvRegionJoin, Name: name})
+		trc.Emit(trace.Event{Time: end, CPU: t.Master().ID, Kind: trace.EvRegionJoin, Name: name})
 	}
 }
 
@@ -386,14 +426,19 @@ func (b *clockBarrier) reset(start int64) {
 	b.dyn = 0
 }
 
+// arrive traces c's arrival at the team's barrier.
+func (t *Team) arrive(c *machine.CPU) {
+	if trc := t.m.Tracer(); trc != nil {
+		trc.Emit(trace.Event{Time: c.Now(), CPU: c.ID, Kind: trace.EvBarrierArrive})
+	}
+}
+
 // wait blocks until all team members arrive. The last arriver runs
 // lastFn (if any), settles clocks, and opens the next phase. It yields
 // too, so every phase starts with the members in thread-id order.
 func (b *clockBarrier) wait(tr *Thread, lastFn func()) {
 	t := tr.team
-	if trc := t.m.Tracer(); trc != nil {
-		trc.Emit(trace.Event{Time: tr.CPU.Now(), CPU: tr.CPU.ID, Kind: trace.EvBarrierArrive})
-	}
+	t.arrive(tr.CPU)
 	if rec := t.m.Recorder(); rec != nil {
 		rec.Arrive(tr.CPU)
 	}
